@@ -17,14 +17,19 @@
 //! array's column cascade realises in hardware, and the pattern LLVM
 //! auto-vectorises.
 //!
-//! The kernel itself ([`PackedBfp::matmul`]) fuses the per-(bi, bj)
-//! exponent-alignment chain into the dot-product loop: no wide scratch
-//! tile is written and re-read, and no block is ever copied out of the
-//! grid. It is **bit-identical** to [`crate::quant::BfpMatrix::try_matmul`]
-//! and therefore to the `bfp-pu` cycle simulator — the integer tile
-//! products are exact, so fusing changes evaluation order only where
-//! integer addition is associative. The equivalence is pinned by unit
-//! tests here and by the cross-check proptests at the workspace root.
+//! The kernel itself ([`PackedBfp::matmul`] and its fused variants, all
+//! one tile driver) runs each (bi, bj) output tile's whole
+//! exponent-alignment chain in one place: no wide scratch tile is written
+//! and re-read, and no block is ever copied out of the grid. For the
+//! paper's 8×8 blocks on an AVX2 host the chain keeps its accumulator in
+//! registers as i32 for the entire K loop (`chain_i32_avx2`); every other
+//! case takes the i64 chain loop, which is also that kernel's bit oracle.
+//! Either way the result is **bit-identical** to
+//! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
+//! cycle simulator — the integer tile products are exact, so the kernels
+//! change evaluation order only where integer addition is associative.
+//! The equivalence is pinned by unit tests here and by the cross-check
+//! proptests at the workspace root.
 //!
 //! Shard-level parallelism lives one layer up (`bfp_core::fastgemm`):
 //! every (bi, bj) accumulation chain is independent, so block-rows can be
@@ -304,9 +309,9 @@ impl PackedBfp {
 
     /// Packed GEMM with block-rows sharded across up to `threads` scoped
     /// threads. Pure mechanism: no size heuristics — callers decide when
-    /// forking is worth it (`bfp_core::fastgemm` applies a MAC threshold,
-    /// the transformer engine its own policy). `threads <= 1` runs the
-    /// serial kernel.
+    /// forking is worth it (`bfp_core::fastgemm` and the transformer engine
+    /// both cap the shard count with [`max_shards`]).
+    /// `threads <= 1` runs the serial kernel.
     ///
     /// Every (bi, bj) exponent-alignment chain is independent and each
     /// shard writes a disjoint slice of the output, so the result is
@@ -366,7 +371,6 @@ impl PackedBfp {
     /// [`PackedBfp::check_compatible`] first for operand validation.
     pub fn matmul_rows_into(&self, rhs: &PackedBfp, bi_lo: usize, bi_hi: usize, out_rows: &mut [f32]) {
         let b = self.block;
-        let bb = b * b;
         debug_assert!(self.check_compatible(rhs).is_ok());
         assert!(bi_lo <= bi_hi && bi_hi <= self.block_rows, "block-row range");
         let r0 = bi_lo * b;
@@ -377,139 +381,40 @@ impl PackedBfp {
             rows_here * out_cols,
             "output shard must cover its block rows exactly"
         );
-        if b == 8 {
-            return self.matmul_rows_into_b8(rhs, bi_lo, bi_hi, out_rows);
-        }
-        let kb = self.block_cols;
-        // Per-chain wide accumulator, reused across (bi, bj) tiles.
-        let mut acc = vec![0i64; bb];
-        for bi in bi_lo..bi_hi {
-            let imax = b.min(self.rows - bi * b);
-            for bj in 0..rhs.block_cols {
-                let jmax = b.min(rhs.cols - bj * b);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x = &self.man[(bi * kb + bk) * bb..][..bb];
-                    let y = &rhs.man[(bk * rhs.block_cols + bj) * bb..][..bb];
-                    let pexp =
-                        self.exps[bi * kb + bk] as i32 + rhs.exps[bk * rhs.block_cols + bj] as i32;
-                    // The wide tile product is folded straight into the
-                    // accumulator chain — same shift/truncate semantics as
-                    // the reference kernel, applied element-wise.
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a = dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a = shift_right_trunc(*a, sh) + dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a += shift_right_trunc(dot_i8(xr, &y[j * b..][..b]) as i64, sh);
-                            }
-                        }
-                    }
-                }
-                if first {
-                    // K = 0: the reference kernel leaves zeros.
-                    for i in 0..imax {
-                        let dst = &mut out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax];
-                        dst.fill(0.0);
-                    }
-                    continue;
-                }
-                let scale = (acc_exp as f64).exp2();
-                for i in 0..imax {
-                    let ar = &acc[i * b..][..b];
-                    let dst = &mut out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax];
-                    for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                        *o = (a as f64 * scale) as f32;
-                    }
-                }
-            }
-        }
+        // The plain kernel is the fused driver with no epilogue: one chain
+        // per (bi, bj) tile, drained and copied out while hot.
+        self.fused_rows(
+            rhs,
+            bi_lo,
+            bi_hi,
+            &mut |_: &mut [f32], _: &EpilogueCtx| {},
+            &mut copy_tile_into(out_rows, r0, out_cols),
+        )
+        .expect("the copying sink is infallible");
     }
+}
 
-    /// The paper-shaped `b == 8` kernel: whole 8×8 tile products through a
-    /// runtime-dispatched micro-kernel (AVX2 when the host has it), merged
-    /// into the alignment chain with the same shift/truncate semantics as
-    /// the generic path. Integer tile products are exact, so the result is
-    /// bit-identical to the generic kernel and the reference.
-    fn matmul_rows_into_b8(&self, rhs: &PackedBfp, bi_lo: usize, bi_hi: usize, out_rows: &mut [f32]) {
-        const B: usize = 8;
-        const BB: usize = 64;
-        let tile8 = select_tile8();
-        let r0 = bi_lo * B;
-        let out_cols = rhs.cols;
-        let kb = self.block_cols;
-        let nb = rhs.block_cols;
-        let mut prod = [0i32; BB];
-        let mut acc = [0i64; BB];
-        for bi in bi_lo..bi_hi {
-            let imax = B.min(self.rows - bi * B);
-            for bj in 0..nb {
-                let jmax = B.min(rhs.cols - bj * B);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x: &[i8; BB] = self.man[(bi * kb + bk) * BB..][..BB].try_into().unwrap();
-                    let y: &[i8; BB] = rhs.man[(bk * nb + bj) * BB..][..BB].try_into().unwrap();
-                    let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    tile8(x, y, &mut prod);
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = prod[t] as i64;
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = shift_right_trunc(acc[t], sh) + prod[t] as i64;
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for t in 0..BB {
-                            acc[t] += shift_right_trunc(prod[t] as i64, sh);
-                        }
-                    }
-                }
-                if first {
-                    for i in 0..imax {
-                        out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax].fill(0.0);
-                    }
-                    continue;
-                }
-                let scale = (acc_exp as f64).exp2();
-                for i in 0..imax {
-                    let ar = &acc[i * B..][..B];
-                    let dst = &mut out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax];
-                    for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                        *o = (a as f64 * scale) as f32;
-                    }
-                }
-            }
-        }
-    }
+/// Fewest scalar MACs one shard of a forked packed GEMM should carry, so
+/// a GEMM forks from 16 M MACs up and stays serial below that.
+///
+/// Derivation, on the 2-vCPU reference box: forking and joining two scoped
+/// threads costs ≈ 0.09 ms (median of 2000 empty fork/joins, p90 ≈ 0.16 ms)
+/// and the `b == 8` AVX2 chain sustains ≈ 35 GMAC/s per core, so 16 M MACs
+/// are ≈ 0.46 ms of serial kernel — five fork/joins — of which two shards
+/// can save at most half. Measured serial / two-shard time, three runs of
+/// 400 interleaved pairs each: 15 M MACs 1.07–1.21 and 19 M 0.93–1.20
+/// (break-even, inside the spread), 29 M (DeiT-Small's 197×384×384
+/// projections) 1.13–1.28, 58 M 1.18–1.34, 116 M 1.33–1.41. The fork
+/// point sits at the low end of break-even; a per-head attention product
+/// (197×64×197, 2.5 M MACs, ≈ 0.09 ms serial) is a fork/join long and
+/// must never fork. Not measured on a host with more than two cores.
+pub const PARALLEL_MIN_SHARD_MACS: u64 = 8_000_000;
+
+/// Most shards a packed GEMM of `macs` scalar MACs is worth forking into:
+/// every shard carries at least [`PARALLEL_MIN_SHARD_MACS`]; 1 means stay
+/// serial. Callers cap it further by their thread budget.
+pub fn max_shards(macs: u64) -> usize {
+    (macs / PARALLEL_MIN_SHARD_MACS).max(1) as usize
 }
 
 /// Geometry of one hot output tile as seen by a fused epilogue: the tile
@@ -549,19 +454,9 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
     {
         self.check_compatible(rhs)?;
-        let b = self.block;
         let mut out = MatF32::zeros(self.rows, rhs.cols);
-        let out_cols = rhs.cols;
-        let data = out.data_mut();
-        self.fused_rows(rhs, 0, self.block_rows, &mut epi, &mut |tile: &mut [f32],
-                                                                 ctx: &EpilogueCtx| {
-            for i in 0..ctx.imax {
-                let src = &tile[i * b..][..ctx.jmax];
-                let dst = &mut data[(ctx.r0 + i) * out_cols + ctx.c0..][..ctx.jmax];
-                dst.copy_from_slice(src);
-            }
-            Ok(())
-        })?;
+        let mb = self.block_rows;
+        self.fused_rows(rhs, 0, mb, &mut epi, &mut copy_tile_into(out.data_mut(), 0, rhs.cols))?;
         Ok(out)
     }
 
@@ -588,16 +483,7 @@ impl PackedBfp {
         let mut out = MatF32::zeros(self.rows, rhs.cols);
         if threads <= 1 {
             let epi = epis.first_mut().expect("at least one epilogue");
-            let out_cols = rhs.cols;
-            let data = out.data_mut();
-            self.fused_rows(rhs, 0, mb, epi, &mut |tile: &mut [f32], ctx: &EpilogueCtx| {
-                for i in 0..ctx.imax {
-                    let src = &tile[i * b..][..ctx.jmax];
-                    let dst = &mut data[(ctx.r0 + i) * out_cols + ctx.c0..][..ctx.jmax];
-                    dst.copy_from_slice(src);
-                }
-                Ok(())
-            })?;
+            self.fused_rows(rhs, 0, mb, epi, &mut copy_tile_into(out.data_mut(), 0, rhs.cols))?;
             return Ok(out);
         }
         let rows = self.rows;
@@ -625,17 +511,7 @@ impl PackedBfp {
                 .into_iter()
                 .map(|(lo, hi, buf, epi)| {
                     scope.spawn(move |_| {
-                        let r0 = lo * b;
-                        self.fused_rows(rhs, lo, hi, epi, &mut |tile: &mut [f32],
-                                                                ctx: &EpilogueCtx| {
-                            for i in 0..ctx.imax {
-                                let src = &tile[i * b..][..ctx.jmax];
-                                let dst =
-                                    &mut buf[(ctx.r0 + i - r0) * cols + ctx.c0..][..ctx.jmax];
-                                dst.copy_from_slice(src);
-                            }
-                            Ok(())
-                        })
+                        self.fused_rows(rhs, lo, hi, epi, &mut copy_tile_into(buf, lo * b, cols))
                     })
                 })
                 .collect();
@@ -801,12 +677,8 @@ impl PackedBfp {
         })
     }
 
-    /// Shared fused-kernel driver: computes output tiles `bi_lo..bi_hi` in
-    /// `(bi, bj)` row-major order, dequantizes each into a `b×b` scratch
-    /// buffer, applies `epi` to the hot tile, then hands it to `sink`.
-    /// The accumulation chain is the same shift/truncate chain as
-    /// [`PackedBfp::matmul_rows_into`], so the pre-epilogue bits match the
-    /// unfused kernel exactly.
+    /// The one tile driver behind every packed GEMM, on the chain kernel
+    /// [`ChainKernel::select`] picks for this call.
     fn fused_rows<E, S>(
         &self,
         rhs: &PackedBfp,
@@ -819,120 +691,18 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
         S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
     {
-        if self.block == 8 {
-            return self.fused_rows_b8(rhs, bi_lo, bi_hi, epi, sink);
-        }
-        let b = self.block;
-        let bb = b * b;
-        let kb = self.block_cols;
-        let nb = rhs.block_cols;
-        let tile8 = if b == 8 { Some(select_tile8()) } else { None };
-        let mut prod32 = [0i32; 64];
-        let mut acc = vec![0i64; bb];
-        let mut tile = vec![0f32; bb];
-        for bi in bi_lo..bi_hi {
-            let imax = b.min(self.rows - bi * b);
-            for bj in 0..nb {
-                let jmax = b.min(rhs.cols - bj * b);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x = &self.man[(bi * kb + bk) * bb..][..bb];
-                    let y = &rhs.man[(bk * nb + bj) * bb..][..bb];
-                    let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    if let Some(t8) = tile8 {
-                        t8(
-                            x.try_into().expect("b==8 tile"),
-                            y.try_into().expect("b==8 tile"),
-                            &mut prod32,
-                        );
-                        if first {
-                            first = false;
-                            acc_exp = pexp;
-                            for t in 0..64 {
-                                acc[t] = prod32[t] as i64;
-                            }
-                        } else if pexp >= acc_exp {
-                            let sh = (pexp - acc_exp) as u32;
-                            acc_exp = pexp;
-                            for t in 0..64 {
-                                acc[t] = shift_right_trunc(acc[t], sh) + prod32[t] as i64;
-                            }
-                        } else {
-                            let sh = (acc_exp - pexp) as u32;
-                            for t in 0..64 {
-                                acc[t] += shift_right_trunc(prod32[t] as i64, sh);
-                            }
-                        }
-                    } else if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            for j in 0..b {
-                                acc[i * b + j] = dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            for j in 0..b {
-                                let a = &mut acc[i * b + j];
-                                *a = shift_right_trunc(*a, sh) + dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            for j in 0..b {
-                                acc[i * b + j] +=
-                                    shift_right_trunc(dot_i8(xr, &y[j * b..][..b]) as i64, sh);
-                            }
-                        }
-                    }
-                }
-                let ctx = EpilogueCtx {
-                    r0: bi * b,
-                    c0: bj * b,
-                    imax,
-                    jmax,
-                    b,
-                };
-                if first {
-                    // K = 0: the unfused kernel leaves zeros; the epilogue
-                    // still runs, as the composed path applies its element
-                    // passes to the zero matrix.
-                    for i in 0..imax {
-                        tile[i * b..][..jmax].fill(0.0);
-                    }
-                } else {
-                    let scale = (acc_exp as f64).exp2();
-                    for i in 0..imax {
-                        let ar = &acc[i * b..][..b];
-                        let tr = &mut tile[i * b..][..jmax];
-                        for (o, &a) in tr.iter_mut().zip(ar.iter()) {
-                            *o = (a as f64 * scale) as f32;
-                        }
-                    }
-                }
-                epi(&mut tile, &ctx);
-                sink(&mut tile, &ctx)?;
-            }
-        }
-        Ok(())
+        let kernel = ChainKernel::select(self.block, self.block_cols);
+        self.fused_rows_on(kernel, rhs, bi_lo, bi_hi, epi, sink)
     }
 
-    /// The paper-shaped `b == 8` fused drain: same fixed-size stack
-    /// accumulators and runtime-dispatched 8×8 micro-kernel as
-    /// [`PackedBfp::matmul_rows_into`]'s specialized path, so carrying an
-    /// epilogue costs only the epilogue itself — not a slower GEMM.
-    /// Bit-identical to the generic drain (integer tile products are
-    /// exact; the alignment chain is shared).
-    fn fused_rows_b8<E, S>(
+    /// Computes output tiles `bi_lo..bi_hi` in `(bi, bj)` row-major order:
+    /// runs each tile's exponent-alignment chain on `kernel`, dequantizes
+    /// it into a `b×b` scratch buffer, applies `epi` to the hot tile, then
+    /// hands it to `sink`. Every kernel produces the same aligned integers,
+    /// so the choice never changes a bit.
+    fn fused_rows_on<E, S>(
         &self,
+        kernel: ChainKernel,
         rhs: &PackedBfp,
         bi_lo: usize,
         bi_hi: usize,
@@ -943,68 +713,291 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
         S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
     {
-        const B: usize = 8;
-        const BB: usize = 64;
-        let tile8 = select_tile8();
+        let b = self.block;
+        let bb = b * b;
         let kb = self.block_cols;
-        let nb = rhs.block_cols;
-        let mut prod = [0i32; BB];
-        let mut acc = [0i64; BB];
-        let mut tile = [0f32; BB];
+        let tile8 = (b == 8).then(select_tile8);
+        let mut prod = vec![0i32; bb];
+        let mut acc64 = vec![0i64; bb];
+        // The AVX2 chain's LHS block-row, widened once per `bi` and reused
+        // by all `nb` chains of the row (≤ 24 KB at DeiT's K ≤ 1536).
+        #[cfg(target_arch = "x86_64")]
+        let mut xp = vec![0i32; if kernel == ChainKernel::Avx2I32 { kb * 32 } else { 0 }];
+        #[cfg(target_arch = "x86_64")]
+        let mut acc32 = [0i32; 64];
+        let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
-            let imax = B.min(self.rows - bi * B);
-            for bj in 0..nb {
-                let jmax = B.min(rhs.cols - bj * B);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x: &[i8; BB] = self.man[(bi * kb + bk) * BB..][..BB].try_into().unwrap();
-                    let y: &[i8; BB] = rhs.man[(bk * nb + bj) * BB..][..BB].try_into().unwrap();
-                    let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    tile8(x, y, &mut prod);
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = prod[t] as i64;
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = shift_right_trunc(acc[t], sh) + prod[t] as i64;
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for t in 0..BB {
-                            acc[t] += shift_right_trunc(prod[t] as i64, sh);
-                        }
+            let imax = b.min(self.rows - bi * b);
+            #[cfg(target_arch = "x86_64")]
+            if kernel == ChainKernel::Avx2I32 {
+                // SAFETY: `Avx2I32` is only selected after detecting AVX2.
+                unsafe { widen_k_pairs_avx2(&self.man[bi * kb * bb..][..kb * bb], &mut xp) };
+            }
+            for bj in 0..rhs.block_cols {
+                let hot = &mut tile[..imax * b];
+                match kernel {
+                    #[cfg(target_arch = "x86_64")]
+                    ChainKernel::Avx2I32 => {
+                        let x_exps = &self.exps[bi * kb..][..kb];
+                        // SAFETY: `Avx2I32` is only selected after detecting AVX2.
+                        let exp = unsafe { chain_i32_avx2(&xp, x_exps, rhs, bj, &mut acc32) };
+                        drain(hot, acc32.iter().map(|&a| a as f64), exp);
+                    }
+                    ChainKernel::I64 => {
+                        let exp = self.chain_i64(rhs, bi, bj, tile8, &mut prod, &mut acc64);
+                        drain(hot, acc64.iter().map(|&a| a as f64), exp);
                     }
                 }
                 let ctx = EpilogueCtx {
-                    r0: bi * B,
-                    c0: bj * B,
+                    r0: bi * b,
+                    c0: bj * b,
                     imax,
-                    jmax,
-                    b: B,
+                    jmax: b.min(rhs.cols - bj * b),
+                    b,
                 };
-                if first {
-                    // K = 0: the unfused kernel leaves zeros; the epilogue
-                    // still runs, as the composed path applies its element
-                    // passes to the zero matrix.
-                    tile[..imax * B].fill(0.0);
-                } else {
-                    let scale = (acc_exp as f64).exp2();
-                    for t in 0..imax * B {
-                        tile[t] = (acc[t] as f64 * scale) as f32;
-                    }
-                }
                 epi(&mut tile, &ctx);
                 sink(&mut tile, &ctx)?;
             }
         }
         Ok(())
     }
+
+    /// One `(bi, bj)` exponent-alignment chain on an i64 accumulator: any
+    /// block size, any `K`. This is [`BfpMatrix::try_matmul`]'s chain on
+    /// the packed planes — the generic-block path, the path of hosts
+    /// without AVX2, and the bit oracle of [`chain_i32_avx2`]. Leaves the
+    /// aligned sums in `acc` and returns their shared exponent (`None`
+    /// for `K = 0`). `tile8` is the 8×8 product micro-kernel when `b == 8`.
+    fn chain_i64(
+        &self,
+        rhs: &PackedBfp,
+        bi: usize,
+        bj: usize,
+        tile8: Option<Tile8Fn>,
+        prod: &mut [i32],
+        acc: &mut [i64],
+    ) -> Option<i32> {
+        let b = self.block;
+        let bb = b * b;
+        let kb = self.block_cols;
+        let nb = rhs.block_cols;
+        let mut acc_exp = None;
+        acc.fill(0);
+        for bk in 0..kb {
+            let x = &self.man[(bi * kb + bk) * bb..][..bb];
+            let y = &rhs.man[(bk * nb + bj) * bb..][..bb];
+            let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
+            match tile8 {
+                Some(t8) => t8(
+                    x.try_into().expect("b == 8 tile"),
+                    y.try_into().expect("b == 8 tile"),
+                    prod.try_into().expect("b == 8 tile"),
+                ),
+                None => {
+                    for i in 0..b {
+                        let xr = &x[i * b..][..b];
+                        for j in 0..b {
+                            prod[i * b + j] = dot_i8(xr, &y[j * b..][..b]);
+                        }
+                    }
+                }
+            }
+            // The chain merge, i64 width. The first product meets a zero
+            // accumulator at its own exponent, so it needs no arm of its own.
+            let cur = acc_exp.unwrap_or(pexp);
+            if pexp >= cur {
+                let sh = (pexp - cur) as u32;
+                for (a, &p) in acc.iter_mut().zip(prod.iter()) {
+                    *a = shift_right_trunc(*a, sh) + p as i64;
+                }
+            } else {
+                let sh = (cur - pexp) as u32;
+                for (a, &p) in acc.iter_mut().zip(prod.iter()) {
+                    *a += shift_right_trunc(p as i64, sh);
+                }
+            }
+            acc_exp = Some(cur.max(pexp));
+        }
+        acc_exp
+    }
+}
+
+/// Tile steps (`K/8`) from which the i32 chain could overflow. One 8×8
+/// tile product is at most 8·128·128 = 2¹⁷ in magnitude and an arithmetic
+/// right shift never grows magnitude, so after `n` chain steps
+/// `|acc| ≤ n·2¹⁷`: every chain shorter than 2¹⁴ steps (K < 131 072) fits
+/// i32 exactly. Longer chains take the i64 loop.
+const I32_CHAIN_MAX_KB: usize = 1 << 14;
+
+/// The kernel that runs a call's `(bi, bj)` alignment chains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainKernel {
+    /// [`PackedBfp::chain_i64`]: any block size, any `K`, any host.
+    I64,
+    /// [`chain_i32_avx2`]: the paper's `b == 8` on an AVX2 host.
+    #[cfg(target_arch = "x86_64")]
+    Avx2I32,
+}
+
+impl ChainKernel {
+    /// The fastest kernel for `block`-sized tiles and chains of `kb` steps
+    /// on this host (runtime feature detection, once per call).
+    fn select(block: usize, kb: usize) -> ChainKernel {
+        #[cfg(target_arch = "x86_64")]
+        if block == 8 && kb < I32_CHAIN_MAX_KB && is_x86_feature_detected!("avx2") {
+            return ChainKernel::Avx2I32;
+        }
+        ChainKernel::I64
+    }
+}
+
+/// Dequantize one chain's aligned sums, `(acc · 2^exp) as f32`; a chain
+/// without steps (`K = 0`, `exp` is `None`) is all zeros, as the reference
+/// kernel leaves them.
+#[inline(always)]
+fn drain(tile: &mut [f32], acc: impl Iterator<Item = f64>, exp: Option<i32>) {
+    let Some(exp) = exp else { return tile.fill(0.0) };
+    let scale = (exp as f64).exp2();
+    for (o, a) in tile.iter_mut().zip(acc) {
+        *o = (a * scale) as f32;
+    }
+}
+
+/// A sink for [`PackedBfp::fused_rows`] that copies each hot tile's valid
+/// region into `out`, the row-major f32 buffer whose first row is output
+/// row `r0` and whose rows are `cols` wide.
+fn copy_tile_into(
+    out: &mut [f32],
+    r0: usize,
+    cols: usize,
+) -> impl FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError> + '_ {
+    move |tile, ctx| {
+        for i in 0..ctx.imax {
+            let src = &tile[i * ctx.b..][..ctx.jmax];
+            let dst = &mut out[(ctx.r0 + i - r0) * cols + ctx.c0..][..ctx.jmax];
+            dst.copy_from_slice(src);
+        }
+        Ok(())
+    }
+}
+
+/// Widen LHS mantissas to i16 and store them as the i32 k-pairs the AVX2
+/// chain broadcasts: `xp[n] = (x[2n], x[2n+1])`, low half first. Tiles are
+/// `[i][k]` row-major, so pair `p` of row `i` of tile `t` is
+/// `xp[t·32 + i·4 + p]`.
+///
+/// # Safety
+/// Callers must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
+    use std::arch::x86_64::*;
+    assert_eq!(x.len(), xp.len() * 2);
+    for (src, dst) in x.chunks_exact(16).zip(xp.chunks_exact_mut(8)) {
+        // SAFETY: one 16-byte load and one 32-byte store, each exactly
+        // covering its chunk.
+        unsafe {
+            let v = _mm256_cvtepi8_epi16(_mm_loadu_si128(src.as_ptr() as *const __m128i));
+            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v);
+        }
+    }
+}
+
+/// The register-resident `b == 8` chain: the whole K-loop of one `(·, bj)`
+/// output tile with the 8×8 accumulator held in eight ymm registers as
+/// i32 (row `i` in register `i`), the host twin of the PSU's aligned
+/// accumulator.
+///
+/// Per tile step the RHS tile is sign-extended and transposed in registers
+/// from its canonical `[j][k]` plane into four k-pair vectors
+/// `P_p[j] = (y[j][2p], y[j][2p+1])` (4 `vpmovsxbw` + 8 unpacks); then each
+/// output row is 4 `vpbroadcastd` of the row's k-pairs, 4 `vpmaddwd` and
+/// 3 `vpaddd` — no horizontal add, no product store. The merge is the
+/// alignment chain of [`PackedBfp::chain_i64`] at i32 width: with
+/// `d = pexp − acc_exp`, a new maximum (`d > 0`, rare once the chain has
+/// seen a few tiles, so the branch predicts) first shifts the accumulator
+/// rows right by `d`; every step then adds `prod >> max(−d, 0)`. `vpsrad`
+/// by a register count sign-fills for counts ≥ 32, which is what
+/// `shift_right_trunc` returns for every shift ≥ 32 of a value that fits
+/// i32, and `kb <` [`I32_CHAIN_MAX_KB`] keeps every sum inside i32, so the
+/// sums are the i64 chain's exactly.
+///
+/// The in-lane unpacks leave output column `[0, 2, 4, 6, 1, 3, 5, 7][l]`
+/// in lane `l`; one `vpermd` per row at the final store restores natural
+/// order. Returns the chain's exponent, `None` for `K = 0`.
+///
+/// # Safety
+/// Callers must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn chain_i32_avx2(
+    xp: &[i32],
+    x_exps: &[i8],
+    rhs: &PackedBfp,
+    bj: usize,
+    acc_out: &mut [i32; 64],
+) -> Option<i32> {
+    use std::arch::x86_64::*;
+    let kb = x_exps.len();
+    let nb = rhs.block_cols;
+    assert!(kb < I32_CHAIN_MAX_KB, "chain too long for an i32 accumulator");
+    let mut acc = [_mm256_setzero_si256(); 8];
+    let mut acc_exp = None;
+    for bk in 0..kb {
+        let x: &[i32; 32] = xp[bk * 32..][..32].try_into().expect("8×4 k-pairs");
+        let y: &[i8; 64] = rhs.man[(bk * nb + bj) * 64..][..64].try_into().expect("8×8 tile");
+        let pexp = x_exps[bk] as i32 + rhs.exps[bk * nb + bj] as i32;
+        let cur = acc_exp.unwrap_or(pexp);
+        let d = pexp - cur;
+        acc_exp = Some(cur.max(pexp));
+        if d > 0 {
+            let sh = _mm_cvtsi32_si128(d);
+            for a in acc.iter_mut() {
+                *a = _mm256_sra_epi32(*a, sh);
+            }
+        }
+        let sh_prod = _mm_cvtsi32_si128((-d).max(0));
+        // SAFETY: four 16-byte loads inside the 64-byte tile.
+        let (r01, r23, r45, r67) = unsafe {
+            let yp = y.as_ptr() as *const __m128i;
+            (
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(yp)),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(1))),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(2))),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(3))),
+            )
+        };
+        // r_ab holds run a in its low lane and run b in its high lane, four
+        // k-pairs each; two unpack levels gather pair p of all eight runs.
+        let lo0123 = _mm256_unpacklo_epi32(r01, r23);
+        let hi0123 = _mm256_unpackhi_epi32(r01, r23);
+        let lo4567 = _mm256_unpacklo_epi32(r45, r67);
+        let hi4567 = _mm256_unpackhi_epi32(r45, r67);
+        let p0 = _mm256_unpacklo_epi64(lo0123, lo4567);
+        let p1 = _mm256_unpackhi_epi64(lo0123, lo4567);
+        let p2 = _mm256_unpacklo_epi64(hi0123, hi4567);
+        let p3 = _mm256_unpackhi_epi64(hi0123, hi4567);
+        for (i, a) in acc.iter_mut().enumerate() {
+            let m0 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4]), p0);
+            let m1 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 1]), p1);
+            let m2 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 2]), p2);
+            let m3 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 3]), p3);
+            let prod = _mm256_add_epi32(_mm256_add_epi32(m0, m1), _mm256_add_epi32(m2, m3));
+            // The chain merge, i32 width.
+            *a = _mm256_add_epi32(*a, _mm256_sra_epi32(prod, sh_prod));
+        }
+    }
+    let natural = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    for (i, a) in acc.iter().enumerate() {
+        // SAFETY: eight 32-byte stores tiling the 64-element array.
+        unsafe {
+            _mm256_storeu_si256(
+                acc_out.as_mut_ptr().add(i * 8) as *mut __m256i,
+                _mm256_permutevar8x32_epi32(*a, natural),
+            );
+        }
+    }
+    acc_exp
 }
 
 /// Requantize one hot post-epilogue tile into its slot of a packed LHS
@@ -1410,8 +1403,8 @@ mod tests {
     #[test]
     fn fused_epilogue_matches_composed_pass() {
         let q = Quantizer::paper();
-        let bias: Vec<f32> = (0..17).map(|j| (j as f32 * 0.3).sin()).collect();
-        for (m, k, n) in [(40, 24, 17), (8, 8, 8), (11, 13, 7), (1, 9, 16)] {
+        let bias: Vec<f32> = (0..131).map(|j| (j as f32 * 0.3).sin()).collect();
+        for (m, k, n) in [(40, 24, 17), (8, 8, 8), (11, 13, 7), (1, 9, 16), (197, 72, 131)] {
             let a = spiky(m, k);
             let b = spiky(k, n);
             let pa = PackedBfp::quantize_pack_lhs(&q, &a).unwrap();
@@ -1434,35 +1427,35 @@ mod tests {
     #[test]
     fn fused_epilogue_parallel_is_bit_identical() {
         let q = Quantizer::paper();
-        let a = spiky(40, 24);
-        let b = spiky(24, 17);
-        let pa = PackedBfp::quantize_pack_lhs(&q, &a).unwrap();
-        let pb = PackedBfp::quantize_pack_rhs(&q, &b).unwrap();
-        let epi = |tile: &mut [f32], ctx: &EpilogueCtx| {
-            for i in 0..ctx.imax {
-                for v in &mut tile[i * ctx.b..][..ctx.jmax] {
-                    *v = v.mul_add(0.5, 1.0);
+        for (m, k, n) in [(40, 24, 17), (197, 72, 131)] {
+            let pa = PackedBfp::quantize_pack_lhs(&q, &spiky(m, k)).unwrap();
+            let pb = PackedBfp::quantize_pack_rhs(&q, &spiky(k, n)).unwrap();
+            let epi = |tile: &mut [f32], ctx: &EpilogueCtx| {
+                for i in 0..ctx.imax {
+                    for v in &mut tile[i * ctx.b..][..ctx.jmax] {
+                        *v = v.mul_add(0.5, 1.0);
+                    }
                 }
+            };
+            let want = composed_epilogue(&pa, &pb, |v, _, _| v.mul_add(0.5, 1.0));
+            for threads in [1usize, 2, 3, 5, 64] {
+                let mut epis: Vec<_> = (0..threads).map(|_| epi).collect();
+                let got = pa.matmul_epilogue_parallel(&pb, threads, &mut epis).unwrap();
+                assert_bits_eq(&got, &want);
             }
-        };
-        let want = pa.matmul_epilogue(&pb, epi).unwrap();
-        for threads in [1usize, 2, 3, 5, 64] {
-            let mut epis: Vec<_> = (0..threads).map(|_| epi).collect();
-            let got = pa.matmul_epilogue_parallel(&pb, threads, &mut epis).unwrap();
-            assert_bits_eq(&got, &want);
         }
     }
 
     #[test]
     fn fused_requant_matches_composed_quantize_pack_across_round_modes() {
         use crate::quant::RoundMode;
-        let bias: Vec<f32> = (0..32).map(|j| (j as f32 * 0.7).cos() * 0.1).collect();
+        let bias: Vec<f32> = (0..131).map(|j| (j as f32 * 0.7).cos() * 0.1).collect();
         for round in [RoundMode::NearestEven, RoundMode::Truncate, RoundMode::Stochastic] {
             let q = Quantizer {
                 round,
                 ..Quantizer::paper()
             };
-            for (m, k, n) in [(40, 24, 17), (8, 8, 8), (23, 16, 32), (1, 8, 9)] {
+            for (m, k, n) in [(40, 24, 17), (8, 8, 8), (23, 16, 32), (1, 8, 9), (197, 72, 131)] {
                 let a = spiky(m, k);
                 let b = spiky(k, n);
                 let pa = PackedBfp::quantize_pack_lhs(&q, &a).unwrap();
@@ -1480,7 +1473,7 @@ mod tests {
                 let got = pa.matmul_epilogue_requant(&pb, &q, epi).unwrap();
                 assert_eq!(got, want, "{round:?} {m}x{k}x{n}");
                 // Parallel fused requant: same bits for any shard count.
-                for threads in [2usize, 3, 8] {
+                for threads in [1usize, 2, 3, 8] {
                     let mut epis: Vec<_> = (0..threads).map(|_| epi).collect();
                     let gp = pa
                         .matmul_epilogue_requant_parallel(&pb, &q, threads, &mut epis)
@@ -1606,6 +1599,166 @@ mod tests {
             let want_q = PackedBfp::quantize_pack_lhs(&q, &composed).unwrap();
             assert_eq!(pa.matmul_epilogue_requant(&pb, &q, epi).unwrap(), want_q);
         }
+    }
+
+    /// Plain GEMM forced onto one chain kernel.
+    fn matmul_on(kernel: ChainKernel, pa: &PackedBfp, pb: &PackedBfp) -> MatF32 {
+        let mut out = MatF32::zeros(pa.rows, pb.cols);
+        let mut noop = |_: &mut [f32], _: &EpilogueCtx| {};
+        let mut sink = copy_tile_into(out.data_mut(), 0, pb.cols);
+        pa.fused_rows_on(kernel, pb, 0, pa.block_rows, &mut noop, &mut sink).unwrap();
+        drop(sink);
+        out
+    }
+
+    /// Every chain of `pa · pb`, integer for integer: the AVX2 i32 chain
+    /// against the i64 loop on the fully portable `dot_i8` product and on
+    /// the portable 8×8 micro-kernel. Returns `false` when the host cannot
+    /// run the AVX2 chain.
+    fn assert_chains_agree(pa: &PackedBfp, pb: &PackedBfp) -> bool {
+        assert_eq!((pa.block, pb.block), (8, 8));
+        let kb = pa.block_cols;
+        if ChainKernel::select(8, kb) == ChainKernel::I64 {
+            return false;
+        }
+        let mut xp = vec![0i32; kb * 32];
+        let (mut acc32, mut prod) = ([0i32; 64], [0i32; 64]);
+        let (mut dot, mut tile) = ([0i64; 64], [0i64; 64]);
+        for bi in 0..pa.block_rows {
+            // SAFETY: `select` returned the AVX2 kernel, so the host has AVX2.
+            unsafe { widen_k_pairs_avx2(&pa.man[bi * kb * 64..][..kb * 64], &mut xp) };
+            for bj in 0..pb.block_cols {
+                let x_exps = &pa.exps[bi * kb..][..kb];
+                // SAFETY: as above.
+                let got = unsafe { chain_i32_avx2(&xp, x_exps, pb, bj, &mut acc32) };
+                let want = pa.chain_i64(pb, bi, bj, None, &mut prod, &mut dot);
+                assert_eq!(got, want, "exponent of chain ({bi},{bj})");
+                assert_eq!(
+                    pa.chain_i64(pb, bi, bj, Some(tile8_product), &mut prod, &mut tile),
+                    want
+                );
+                assert_eq!(tile, dot, "portable micro-kernel, chain ({bi},{bj})");
+                let wide: Vec<i64> = acc32.iter().map(|&a| a as i64).collect();
+                assert_eq!(wide, dot, "sums of chain ({bi},{bj})");
+            }
+        }
+        true
+    }
+
+    /// An operand built straight from mantissas and exponents, for values
+    /// the quantizer never emits (−128) and exact control of the chain.
+    fn raw(
+        side: PackSide,
+        (rows, cols): (usize, usize),
+        exp: impl Fn(usize, usize) -> i8,
+        man: impl Fn(usize, usize, usize) -> i8,
+    ) -> PackedBfp {
+        let (br, bc) = (rows.div_ceil(8), cols.div_ceil(8));
+        let mut p = PackedBfp {
+            rows,
+            cols,
+            block: 8,
+            block_rows: br,
+            block_cols: bc,
+            side,
+            exps: Vec::new(),
+            man: Vec::new(),
+        };
+        for bi in 0..br {
+            for bj in 0..bc {
+                p.exps.push(exp(bi, bj));
+                p.man.extend((0..64).map(|t| man(bi, bj, t)));
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn chain_kernels_agree_on_ragged_shapes() {
+        let q = Quantizer::paper();
+        let shapes = [(197, 72, 131), (13, 21, 9), (8, 5, 8), (3, 1, 2), (5, 0, 7), (197, 64, 197)];
+        for (m, k, n) in shapes {
+            let (a, b) = (spiky(m, k), spiky(k, n));
+            let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
+            let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+            let want = qa.try_matmul(&qb).unwrap();
+            assert_bits_eq(&pa.matmul(&pb).unwrap(), &want);
+            assert_bits_eq(&matmul_on(ChainKernel::I64, &pa, &pb), &want);
+            assert_chains_agree(&pa, &pb);
+        }
+    }
+
+    #[test]
+    fn chain_kernels_agree_on_every_shift_regime() {
+        // Product exponents along K that move the running maximum up by 0,
+        // 1, 31, 32, 63 and 73 (the accumulator is shifted), then fall
+        // below it by 0, 1, 31, 32, 63, 100 and 200 (the product is
+        // shifted), then rise by one more.
+        let pexp = [-100, -100, -99, -68, -36, 27, 100, 100, 99, 69, 68, 37, 0, -100, 101];
+        let kb = pexp.len();
+        let scaled = |e: i32, v: i32| v as f32 * (e as f32).exp2();
+        let signed = |i: usize, j: usize| ((i * 37 + j * 11) % 201) as i32 - 100;
+        let a = MatF32::from_fn(21, kb * 8, |i, k| {
+            let v = if k % 8 == 0 { 100 } else { signed(i, k) };
+            scaled(pexp[k / 8] / 2, v)
+        });
+        let b = MatF32::from_fn(kb * 8, 19, |k, j| {
+            let v = if k % 8 == 0 { -100 } else { signed(j, k) };
+            scaled(pexp[k / 8] - pexp[k / 8] / 2, v)
+        });
+        let q = Quantizer::paper();
+        let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
+        let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+        // The operands really carry the intended exponent walk.
+        let got: Vec<i32> = (0..kb).map(|bk| pa.exps[bk] as i32 + pb.exps[bk * 3] as i32).collect();
+        let walk = |e: &[i32]| e.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
+        assert_eq!(walk(&got), walk(&pexp));
+        let want = qa.try_matmul(&qb).unwrap();
+        assert_bits_eq(&pa.matmul(&pb).unwrap(), &want);
+        assert_bits_eq(&matmul_on(ChainKernel::I64, &pa, &pb), &want);
+        assert_chains_agree(&pa, &pb);
+    }
+
+    #[test]
+    fn i32_chain_holds_worst_case_growth() {
+        // Equal exponents and extreme mantissas: every step adds ±2¹⁷ (or
+        // −127·128·8) and nothing is ever shifted away. 2048 steps, and
+        // the longest chain the i32 kernel accepts, whose sum 16383·2¹⁷ =
+        // 2³¹ − 2¹⁷ is the bound itself.
+        for kb in [2048, I32_CHAIN_MAX_KB - 1] {
+            for (x, y) in [(-128i8, -128i8), (-128, 127), (127, 127)] {
+                let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 3, |_, _, _| x);
+                let pb = raw(PackSide::Rhs, (kb * 8, 8), |_, _| -5, |_, _, _| y);
+                if assert_chains_agree(&pa, &pb) {
+                    let sum = kb as f64 * 8.0 * x as f64 * y as f64;
+                    let out = pa.matmul(&pb).unwrap();
+                    assert!(out.data().iter().all(|&v| v == (sum * 0.25) as f32));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn i32_chain_hands_over_to_i64_at_its_bound() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1), ChainKernel::Avx2I32);
+            assert_eq!(ChainKernel::select(16, 4), ChainKernel::I64);
+        }
+        assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB), ChainKernel::I64);
+        // One chain of 2¹⁴ steps whose every product is 2¹⁷: 2³¹ does not
+        // fit i32, the i64 loop the dispatch picks returns it exactly.
+        let kb = I32_CHAIN_MAX_KB;
+        let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 0, |_, _, _| -128);
+        let pb = raw(PackSide::Rhs, (kb * 8, 8), |_, _| 0, |_, _, _| -128);
+        let out = pa.matmul(&pb).unwrap();
+        assert!(out.data().iter().all(|&v| v == 2147483648.0));
+        // And on quantized operands it is still the reference kernel's bits.
+        let q = Quantizer::paper();
+        let (a, b) = (spiky(8, kb * 8), spiky(kb * 8, 8));
+        let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
+        let got = PackedBfp::pack_lhs(&qa).matmul(&PackedBfp::pack_rhs(&qb)).unwrap();
+        assert_bits_eq(&got, &qa.try_matmul(&qb).unwrap());
     }
 
     #[test]

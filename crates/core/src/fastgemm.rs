@@ -16,14 +16,8 @@
 
 use bfp_arith::error::ArithError;
 use bfp_arith::matrix::MatF32;
-use bfp_arith::packed::PackedBfp;
+use bfp_arith::packed::{max_shards, PackedBfp};
 use bfp_arith::quant::Quantizer;
-
-/// Below this many scalar MACs the fork/join overhead of scoped threads
-/// outweighs the work; the kernel runs single-threaded. (A DeiT-Small
-/// projection GEMM is ~29 M MACs — far above; an 8×8 block product is
-/// 512 — far below.)
-pub const PARALLEL_MAC_THRESHOLD: u64 = 2_000_000;
 
 /// How to shard a packed GEMM across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,17 +53,16 @@ fn host_parallelism() -> usize {
 
 /// The thread count [`packed_matmul`] actually uses for a GEMM with `mb`
 /// block-rows and `macs` scalar MACs under `policy`: the policy's budget
-/// clamped so that (a) no shard falls below [`PARALLEL_MAC_THRESHOLD`]
-/// MACs of work, (b) the kernel never runs more threads than the host
-/// has cores — an explicit `Threads(n)` larger than the machine only
-/// adds context-switch overhead on the same silicon — and (c) at most
-/// one thread per block-row.
+/// clamped so that (a) the GEMM forks into at most [`max_shards`] shards
+/// (each carries enough work to repay the fork/join), (b) the kernel
+/// never runs more threads than the host has cores — an explicit
+/// `Threads(n)` larger than the machine only adds context-switch overhead
+/// on the same silicon — and (c) at most one thread per block-row.
 pub fn effective_threads(policy: ParallelPolicy, mb: usize, macs: u64) -> usize {
-    let shard_cap = (macs / PARALLEL_MAC_THRESHOLD).max(1) as usize;
     policy
         .threads()
         .min(host_parallelism())
-        .min(shard_cap)
+        .min(max_shards(macs))
         .min(mb.max(1))
 }
 
@@ -111,6 +104,7 @@ pub fn fast_matmul_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfp_arith::packed::PARALLEL_MIN_SHARD_MACS;
 
     fn spiky(rows: usize, cols: usize) -> MatF32 {
         MatF32::from_fn(rows, cols, |i, j| {
@@ -132,9 +126,14 @@ mod tests {
     #[test]
     fn parallel_is_bit_identical_to_serial_and_naive() {
         let q = Quantizer::paper();
-        // Large enough to clear PARALLEL_MAC_THRESHOLD: 160·128·160 ≈ 3.3 M.
-        let a = spiky(160, 128);
-        let b = spiky(128, 160);
+        // 336·320·320 ≈ 34 M MACs, four shards' worth of
+        // PARALLEL_MIN_SHARD_MACS, so a multi-core host really forks.
+        let a = spiky(336, 320);
+        let b = spiky(320, 320);
+        assert_eq!(
+            effective_threads(ParallelPolicy::Threads(2), 42, 336 * 320 * 320),
+            2.min(host_parallelism())
+        );
         let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
         let naive = qa.try_matmul(&qb).unwrap();
         let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
@@ -197,18 +196,23 @@ mod tests {
 
     #[test]
     fn effective_threads_respects_every_clamp() {
-        // DeiT-Small projection shape: 197·384·384 ≈ 29 M MACs, 25 block
-        // rows. The per-shard minimum caps at 14 threads regardless of the
-        // policy budget.
-        let macs = 197u64 * 384 * 384;
+        // DeiT-Small MLP shape: 197·384·1536 ≈ 116 M MACs, 25 block rows.
+        // The per-shard minimum caps at 14 threads regardless of the policy
+        // budget.
+        let macs = 197u64 * 384 * 1536;
         let host = ParallelPolicy::Auto.threads();
         let t = effective_threads(ParallelPolicy::Threads(64), 25, macs);
         assert!(t <= 14, "per-shard MAC minimum: {t}");
         assert!(t <= host, "never oversubscribe the host: {t} > {host}");
         assert!(t <= 25, "never more threads than block rows");
-        // Below the fork/join threshold everything degenerates to serial,
-        // even with an explicit multi-thread budget.
-        assert_eq!(effective_threads(ParallelPolicy::Threads(8), 25, 1_000_000), 1);
+        // Below two shards' worth of work everything degenerates to serial,
+        // even with an explicit multi-thread budget — a per-head attention
+        // product above all; a projection GEMM (197·384·384 ≈ 29 M) forks.
+        let two_shards = 2 * PARALLEL_MIN_SHARD_MACS;
+        assert_eq!(effective_threads(ParallelPolicy::Threads(8), 25, two_shards - 1), 1);
+        assert_eq!(effective_threads(ParallelPolicy::Threads(8), 25, 197 * 64 * 197), 1);
+        assert_eq!(effective_threads(ParallelPolicy::Threads(2), 25, two_shards), 2.min(host));
+        assert_eq!(effective_threads(ParallelPolicy::Threads(2), 25, 197 * 384 * 384), 2.min(host));
         assert_eq!(effective_threads(ParallelPolicy::Serial, 25, macs), 1);
         // A shape with a single block row cannot shard.
         assert_eq!(effective_threads(ParallelPolicy::Auto, 1, macs), 1);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use bfp_arith::error::ArithError;
 use bfp_arith::int8quant::Int8Tensor;
 use bfp_arith::matrix::MatF32;
-use bfp_arith::packed::{EpilogueCtx, PackedBfp};
+use bfp_arith::packed::{max_shards, EpilogueCtx, PackedBfp};
 use bfp_arith::quant::Quantizer;
 use bfp_telemetry::{Registry, Table};
 #[cfg(feature = "telemetry")]
@@ -355,11 +355,6 @@ pub struct NodeTime {
     /// Number of executions folded into `seconds`.
     pub samples: u64,
 }
-
-/// Below this many scalar MACs the engine's GEMM stays on one thread —
-/// fork/join costs more than the kernel (same rationale and value as
-/// `bfp_core::fastgemm::PARALLEL_MAC_THRESHOLD`).
-const GEMM_PARALLEL_MACS: u64 = 2_000_000;
 
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
 /// kernel: below this, a shard's work does not amortise its thread's
@@ -925,14 +920,11 @@ impl MixedEngine {
         let _ = (macs, t0, t1, t2, sat0);
     }
 
-    /// GEMM thread budget for `macs` scalar MACs (same rule as `matmul`).
+    /// GEMM thread budget for `macs` scalar MACs: the (host-capped) budget,
+    /// capped at [`max_shards`] (one shard → no fork at all).
     #[inline]
     fn gemm_threads_for(&self, macs: u64) -> usize {
-        if macs < GEMM_PARALLEL_MACS {
-            1
-        } else {
-            self.effective_threads()
-        }
+        self.effective_threads().min(max_shards(macs))
     }
 
     /// Quantize-pack an LHS operand, billing the time to the
@@ -1535,11 +1527,7 @@ impl Engine for MixedEngine {
             }
         };
         let macs = (a.rows() * a.cols() * b.cols()) as u64;
-        let threads = if macs < GEMM_PARALLEL_MACS {
-            1
-        } else {
-            self.effective_threads()
-        };
+        let threads = self.gemm_threads_for(macs);
         let gemm = match self.rhs_plan(b) {
             Ok(pb) => {
                 let t1 = Instant::now();

@@ -153,6 +153,41 @@ proptest! {
     }
 }
 
+/// DeiT's sequence length is ragged (197 = 24·8 + 5), and so are this K
+/// and N: the AVX2 chain kernel behind `matmul`, the sharded kernel and
+/// the fused drain all agree with the naive reference and the stepped
+/// cycle simulator on a shape with padded tiles on every edge.
+#[test]
+fn ragged_deit_shape_agrees_across_every_gemm_path() {
+    let (m, k, n) = (197, 72, 131);
+    let a = tiered(m, k, 0xD317, 2);
+    let b = tiered(k, n, 0x5EED, 2);
+    let q = Quantizer::paper();
+    let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
+    let naive = qa.try_matmul(&qb).unwrap();
+    assert!(bits_eq(&cycle_sim_product(&qa, &qb, m, n), &naive), "cycle simulator diverged");
+
+    let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+    assert!(bits_eq(&pa.matmul(&pb).unwrap(), &naive), "packed kernel diverged");
+    for threads in [2, 3] {
+        let par = pa.matmul_parallel(&pb, threads).unwrap();
+        assert!(bits_eq(&par, &naive), "sharded kernel diverged ({threads} threads)");
+    }
+
+    let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
+    let composed = MatF32::from_fn(m, n, |i, j| (naive.get(i, j) + bias[j]).max(0.0));
+    let fused = pa
+        .matmul_epilogue(&pb, |tile, ctx| {
+            for i in 0..ctx.imax {
+                for (j, v) in tile[i * ctx.b..][..ctx.jmax].iter_mut().enumerate() {
+                    *v = (*v + bias[ctx.c0 + j]).max(0.0);
+                }
+            }
+        })
+        .unwrap();
+    assert!(bits_eq(&fused, &composed), "fused drain diverged");
+}
+
 /// Whole-model determinism under the cache: the same ViT forward pass on a
 /// shared cache-enabled engine matches a fresh cache-disabled engine, run
 /// after run.
