@@ -50,6 +50,7 @@ pub mod bfp;
 pub mod cancel;
 pub mod error;
 pub mod fpadd;
+pub mod fplanes;
 pub mod guard;
 pub mod fpmul;
 pub mod halffp;

@@ -357,11 +357,22 @@ pub struct NodeTime {
 }
 
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
-/// kernel: below this, a shard's work does not amortise its thread's
-/// fork/join cost (measured break-even on the e2e model — a VPU op is
-/// bit-level emulation, so the batch is far smaller than the GEMM
-/// threshold).
-const VPU_PARALLEL_ELEMS: usize = 4_096;
+/// kernel, so a kernel forks from twice this many elements up.
+///
+/// Derivation (2-vCPU host, lane kernels at ≈ 25–30 ns/elem, measured
+/// fork/join ≈ 0.09 ms): serial ÷ two-shard time, median of 200
+/// interleaved pairs, by total elements — GELU 8 k 1.02, 16 k 1.26, 32 k
+/// 1.50; softmax 8 k 0.60, 16 k 0.95, 32 k 1.40; LayerNorm 8 k 0.98, 16 k
+/// 1.28, 32 k 1.38. 32 k total is the first size where every kernel wins:
+/// a 16 k shard is ≈ 0.45 ms, five fork/joins — the same multiple
+/// `bfp_arith::packed::PARALLEL_MIN_SHARD_MACS` settled on. The shapes
+/// the DeiT workloads issue all sit above it and fork (197×197 1.35–1.45,
+/// 197×384 1.51–1.65, 197×1536 1.62–1.76); a fused drain tile (64
+/// elements) never can. The scalar kernels this constant was first sized
+/// for (≈ 240 ns/elem, 4 096) run 2–9× longer per element, so for the
+/// configurations that still take them a 16 k shard only amortises better.
+/// Hosts with more than two cores are unmeasured.
+const VPU_PARALLEL_ELEMS: usize = 16_384;
 
 /// Minimum elements per shard in **fast** nonlinear mode. A fast-kernel
 /// element costs tens of native flops instead of thousands of emulation
@@ -1202,7 +1213,10 @@ impl MixedEngine {
         handle: Option<std::thread::JoinHandle<Vec<(PlanKey, Result<PackedBfp, ArithError>)>>>,
     ) {
         let Some(h) = handle else { return };
-        for (key, packed) in h.join().unwrap_or_default() {
+        // A panic in the pack thread is this engine's panic: swallowing
+        // it would leave zero plans and a silently slower forward.
+        let packed = h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (key, packed) in packed {
             if let Ok(packed) = packed {
                 if !self.plans.contains_key(&key) {
                     self.plan_stats.misses += 1;
@@ -2163,13 +2177,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "pack thread blew up")]
+    fn a_panicked_weight_prefetch_is_re_raised_not_swallowed() {
+        let handle = std::thread::spawn(|| panic!("pack thread blew up"));
+        MixedEngine::new().absorb_weight_prefetch(Some(handle));
+    }
+
+    #[test]
     fn parallel_census_matches_serial_census() {
         // OpCounts are merged from per-shard VPUs in shard order; the
         // totals must agree exactly with the single-thread counts even
         // when the batch is large enough to actually fork.
-        let src = MatF32::from_fn(64, 64, |i, j| ((i * 64 + j) as f32 * 0.003).sin() * 3.0);
-        let gamma = vec![1.0f32; 64];
-        let beta = vec![0.1f32; 64];
+        let n = 192; // 36 864 elements: two shards of VPU_PARALLEL_ELEMS
+        assert!(n * n >= 2 * VPU_PARALLEL_ELEMS);
+        let src = MatF32::from_fn(n, n, |i, j| ((i * n + j) as f32 * 0.003).sin() * 3.0);
+        let gamma = vec![1.0f32; n];
+        let beta = vec![0.1f32; n];
         let run = |threads: usize| -> (OpCensus, MatF32) {
             let mut e = MixedEngine::new().with_threads(threads);
             let mut m = src.clone();

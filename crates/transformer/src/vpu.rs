@@ -12,11 +12,15 @@
 //! [`crate::flops`].
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
-use bfp_arith::fpmul::{HwFp32Mul, MulVariant};
+use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 
 use crate::engine::DivisionPolicy;
 
 pub mod fast;
+#[cfg(test)]
+mod lane_equivalence;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
@@ -152,6 +156,10 @@ const EXP2_POLY: [f32; 6] = [
     0.001_333_36,
 ];
 
+/// Tanh-form GELU: `0.5·x·(1 + tanh(C·(x + A·x³)))` with `C = √(2/π)`.
+const GELU_C: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.044_715;
+
 impl Vpu {
     /// A VPU with the paper's datapath settings (LSP-dropped truncating
     /// multiplier, 48-bit-aligned truncating adder).
@@ -195,6 +203,21 @@ impl Vpu {
             count: OpCount::default(),
             ..self.clone()
         }
+    }
+
+    /// True when the exact host-division batch kernels run on the lane
+    /// datapath ([`bfp_arith::fplanes`]): this VPU is the paper datapath —
+    /// the only one the lanes are a twin of — and the host has AVX2. Every
+    /// other configuration stays on the scalar kernels, which are the bit
+    /// oracle either way.
+    #[cfg_attr(not(any(target_arch = "x86_64", test)), allow(dead_code))]
+    fn lane_datapath(&self) -> bool {
+        !self.via_partials
+            && self.mul.variant == MulVariant::DropLsp
+            && self.mul.round == NormRound::Truncate
+            && self.add.variant == AddVariant::Exact48
+            && self.add.round == NormRound::Truncate
+            && bfp_arith::fplanes::available()
     }
 
     /// Reset the counters, returning the previous values.
@@ -309,13 +332,11 @@ impl Vpu {
 
     /// Tanh-form GELU on the VPU.
     pub fn gelu(&mut self, x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // √(2/π)
-        const A: f32 = 0.044_715;
         let x2 = self.m(x, x);
         let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, A);
+        let ax3 = self.m(x3, GELU_A);
         let inner = self.a(x, ax3);
-        let u = self.m(inner, C);
+        let u = self.m(inner, GELU_C);
         let t = self.tanh(u);
         let one_t = self.a(1.0, t);
         let hx = self.m(x, 0.5);
@@ -407,13 +428,11 @@ impl Vpu {
 
     /// Tanh-form GELU computed entirely on the array.
     pub fn gelu_onchip(&mut self, x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // √(2/π)
-        const A: f32 = 0.044_715;
         let x2 = self.m(x, x);
         let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, A);
+        let ax3 = self.m(x3, GELU_A);
         let inner = self.a(x, ax3);
-        let u = self.m(inner, C);
+        let u = self.m(inner, GELU_C);
         let t = self.tanh_onchip(u);
         let one_t = self.a(1.0, t);
         let hx = self.m(x, 0.5);
@@ -573,6 +592,14 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
+                #[cfg(target_arch = "x86_64")]
+                if self.lane_datapath() {
+                    for row in data.chunks_exact_mut(cols) {
+                        // SAFETY: `lane_datapath` detected AVX2.
+                        unsafe { lanes::softmax_row(self, row) };
+                    }
+                    return;
+                }
                 for row in data.chunks_exact_mut(cols) {
                     self.softmax_row(row);
                 }
@@ -598,6 +625,12 @@ impl Vpu {
     pub fn gelu_slice(&mut self, data: &mut [f32], division: DivisionPolicy, mode: NonlinearMode) {
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
+                #[cfg(target_arch = "x86_64")]
+                if self.lane_datapath() {
+                    // SAFETY: `lane_datapath` detected AVX2.
+                    unsafe { lanes::gelu_slice(self, data) };
+                    return;
+                }
                 for v in data.iter_mut() {
                     *v = self.gelu(*v);
                 }
@@ -638,6 +671,14 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
+                #[cfg(target_arch = "x86_64")]
+                if self.lane_datapath() {
+                    for row in data.chunks_exact_mut(cols) {
+                        // SAFETY: `lane_datapath` detected AVX2.
+                        unsafe { lanes::layernorm_row(self, row, gamma, beta, eps) };
+                    }
+                    return;
+                }
                 for row in data.chunks_exact_mut(cols) {
                     self.layernorm_row(row, gamma, beta, eps);
                 }

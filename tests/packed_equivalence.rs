@@ -11,7 +11,7 @@ use bfp_arith::packed::PackedBfp;
 use bfp_arith::quant::{Quantizer, RoundMode};
 use bfp_core::{packed_matmul, ParallelPolicy};
 use bfp_pu::unit::{grid_from_matrix, Fidelity, ProcessingUnit, UnitConfig};
-use bfp_transformer::{Engine, MixedEngine, VitConfig, VitModel};
+use bfp_transformer::{CompiledVitPlan, Engine, MixedEngine, VitConfig, VitModel};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random matrix whose 8×8 tiles land on very
@@ -186,6 +186,31 @@ fn ragged_deit_shape_agrees_across_every_gemm_path() {
         })
         .unwrap();
     assert!(bits_eq(&fused, &composed), "fused drain diverged");
+}
+
+/// The lane-parallel exact VPU kernels under tier-1: one encoder block at
+/// DeiT's sequence length — on the hand-wired path and on the compiled
+/// plan, whose fused GELU drain hands the VPU 64-element tiles — against
+/// `baseline_scalar`, whose VPU enumerates partial products and so stays
+/// on the scalar kernels by construction. Same bits, same census.
+#[test]
+fn exact_block_at_seq_197_matches_the_scalar_vpu_in_bits_and_census() {
+    let cfg = VitConfig { dim: 64, depth: 1, heads: 2, mlp_ratio: 4, seq: 197 };
+    let model = VitModel::new_random(cfg, 13);
+    let x = model.synthetic_input(5);
+    let block = &model.blocks[0];
+
+    let mut scalar = MixedEngine::baseline_scalar();
+    let want = block.forward(&mut scalar, &x);
+    let want_census = scalar.take_census();
+    assert!(want_census.gelu.fp_mul > 0 && want_census.softmax.host_div > 0);
+
+    let planned = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+    for (path, mut engine) in [("hand-wired", MixedEngine::new()), ("compiled plan", planned)] {
+        let got = block.forward(&mut engine, &x);
+        assert!(bits_eq(&got, &want), "{path}: block output diverged from the scalar VPU");
+        assert_eq!(engine.take_census(), want_census, "{path}: census diverged");
+    }
 }
 
 /// Whole-model determinism under the cache: the same ViT forward pass on a

@@ -14,7 +14,8 @@ use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
 use bfp_serve::{
     ArrayFaultPlan, ArrayHealth, Backpressure, BrownoutPolicy, HealthPolicy, Priority,
-    ServeConfig, ServeError, ServeRequest, ServeStats, Server, TenantId, TenantQuota,
+    ServeConfig, ServeError, ServeRequest, ServeResponse, ServeStats, Server, TenantId,
+    TenantQuota,
 };
 use proptest::prelude::*;
 
@@ -409,6 +410,26 @@ fn wait_for_health(server: &Server, array: usize, want: ArrayHealth, timeout: Du
     false
 }
 
+/// Submit one request per seed, drain, and return the responses — each
+/// already checked against the fault-free reference bits.
+fn offer_burst(server: &Server, seeds: std::ops::Range<u64>, expect: &str) -> Vec<ServeResponse> {
+    let tickets: Vec<_> = seeds
+        .map(|s| (s, server.submit(request(s)).unwrap()))
+        .collect();
+    server.drain();
+    tickets
+        .iter()
+        .map(|(s, t)| {
+            let resp = t.wait().expect(expect);
+            assert!(
+                bits_eq(&resp.out, &reference(*s)),
+                "wrong bits in a completed response"
+            );
+            resp
+        })
+        .collect()
+}
+
 #[test]
 fn quarantine_probe_readmit_restores_full_throughput() {
     let (plan, heal) = ArrayFaultPlan::latched();
@@ -421,18 +442,19 @@ fn quarantine_probe_readmit_restores_full_throughput() {
 
     // Phase 1: a storm under the fault. Every response must still carry
     // the fault-free reference bits (suspect executions are discarded,
-    // retried on the clean array).
-    let tickets: Vec<_> = (0..32)
-        .map(|s| (s, server.submit(request(s)).unwrap()))
-        .collect();
-    server.drain();
-    for (s, t) in &tickets {
-        let resp = t.wait().expect("request survives a faulty array");
-        assert!(
-            bits_eq(&resp.out, &reference(*s)),
-            "wrong bits in a completed response"
-        );
-        assert_eq!(resp.array, 0, "only the clean array may answer");
+    // retried on the clean array). One worker can drain a fixed burst of
+    // these tiny requests before the other has even woken — here, before
+    // the latched array has been dispatched the two requests whose
+    // strikes quarantine it — so keep offering bursts, bounded in count
+    // and time, until the latched array stops serving.
+    let gate = Instant::now() + Duration::from_secs(5);
+    for burst in 0..64 {
+        for resp in offer_burst(&server, burst * 32..(burst + 1) * 32, "request survives a faulty array") {
+            assert_eq!(resp.array, 0, "only the clean array may answer");
+        }
+        if !server.stats().per_array[1].health.serves() || Instant::now() >= gate {
+            break;
+        }
     }
     assert!(
         wait_for_health(&server, 1, ArrayHealth::Quarantined, Duration::from_secs(5))
@@ -463,15 +485,18 @@ fn quarantine_probe_readmit_restores_full_throughput() {
     let readmitted = server.stats();
     assert!(readmitted.per_array[1].probes_passed >= 2);
 
-    // Full throughput restored: both arrays complete fresh work.
+    // Full throughput restored: both arrays complete fresh work (offered
+    // under the same bounded-burst rule as phase 1).
     let before: Vec<u64> = readmitted.per_array.iter().map(|a| a.completed).collect();
-    let tickets: Vec<_> = (100..164)
-        .map(|s| (s, server.submit(request(s)).unwrap()))
-        .collect();
-    server.drain();
-    for (s, t) in &tickets {
-        let resp = t.wait().expect("healthy fleet completes everything");
-        assert!(bits_eq(&resp.out, &reference(*s)));
+    let gate = Instant::now() + Duration::from_secs(5);
+    for burst in 0..64 {
+        let first = 10_000 + burst * 64;
+        offer_burst(&server, first..first + 64, "healthy fleet completes everything");
+        let now = server.stats();
+        let shared = before.iter().zip(&now.per_array).all(|(b, a)| a.completed > *b);
+        if shared || Instant::now() >= gate {
+            break;
+        }
     }
     let after = server.stats();
     for (i, b) in before.iter().enumerate() {
