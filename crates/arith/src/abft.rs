@@ -47,18 +47,24 @@
 //! storage and alignment are covered by the SECDED/TMR models one rung
 //! down the detection ladder (see DESIGN.md "Detection ladder").
 //!
-//! With the `faults` feature the kernel routes operand/exponent/product/
-//! accumulator accesses through the `bfp-faults` hooks whenever a
-//! session is installed (one relaxed atomic load per GEMM otherwise), so
-//! the same deterministic `FaultPlan`s that drive the cycle simulator
-//! drive this kernel. The serving runtime instead scripts *per-array*
-//! faults through [`AbftOptions::tamper`], a seam invoked once per
-//! output chain between accumulation and the final verify.
+//! For the paper's 8×8 blocks on an AVX2 host a chain runs on registers
+//! (`packed::chain_i32_avx2`, lanes as a ninth row and column) while it
+//! stays clean; the scalar loop here replays any chain that does not.
+//!
+//! With the `faults` feature the scalar loop routes operand/exponent/
+//! product/accumulator accesses through the `bfp-faults` hooks, and runs
+//! every chain whenever a session is installed (one relaxed atomic load
+//! per GEMM otherwise), so the same deterministic `FaultPlan`s that drive
+//! the cycle simulator drive this kernel. The serving runtime instead
+//! scripts *per-array* faults through [`AbftOptions::tamper`], a seam
+//! invoked once per output chain between accumulation and final verify.
 
 use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
 use crate::matrix::MatF32;
-use crate::packed::{dot_i8, select_tile8, EpilogueCtx, PackedBfp};
+#[cfg(target_arch = "x86_64")]
+use crate::packed::{chain_i32_avx2, widen_k_pairs_avx2, ChainSums};
+use crate::packed::{dot_i8, ChainKernel, EpilogueCtx, PackedBfp};
 use crate::quant::{BfpMatrix, Quantizer};
 
 /// Fused per-tile epilogue for the checked kernel: applied to an output
@@ -167,13 +173,12 @@ impl AbftPacked {
         let man = packed.man_plane();
         let tiles = man.len() / bb;
         let mut csum = vec![0i16; tiles * b];
-        for t in 0..tiles {
-            let tile = &man[t * bb..][..bb];
-            let lane = &mut csum[t * b..][..b];
-            for idx in 0..b {
-                for k in 0..b {
-                    lane[k] += tile[idx * b + k] as i16;
-                }
+        for (tile, lane) in man.chunks_exact(bb).zip(csum.chunks_exact_mut(b)) {
+            match (<&[i8; 64]>::try_from(tile), <&mut [i16; 8]>::try_from(&mut *lane)) {
+                // The same inlined body twice: with the paper's block its
+                // shapes are compile-time constants and the sums vectorise.
+                (Ok(tile), Ok(lane)) => lane_sums(tile, lane),
+                _ => lane_sums(tile, lane),
             }
         }
         AbftPacked { packed, csum }
@@ -244,16 +249,10 @@ impl AbftPacked {
         epi: AbftEpilogue,
     ) -> Result<(MatF32, AbftReport), ArithError> {
         self.packed.check_compatible(&rhs.packed)?;
-        let b = self.packed.block();
         let mut out = MatF32::zeros(self.packed.rows(), rhs.packed.cols());
         let (mb, _) = self.packed.grid();
         let mut report = AbftReport::default();
-        let mut epi = Some(epi);
-        if b == 8 {
-            self.rows_checked_b8(rhs, 0, mb, out.data_mut(), opts, &mut report, &mut epi);
-        } else {
-            self.rows_checked_generic(rhs, 0, mb, out.data_mut(), opts, &mut report, &mut epi);
-        }
+        self.rows_checked(rhs, 0, mb, out.data_mut(), opts, &mut report, &mut Some(epi));
         Ok((out, report))
     }
 
@@ -284,19 +283,16 @@ impl AbftPacked {
             "output shard must cover its block rows exactly"
         );
         let mut report = AbftReport::default();
-        if b == 8 {
-            self.rows_checked_b8(rhs, bi_lo, bi_hi, out_rows, opts, &mut report, &mut None);
-        } else {
-            self.rows_checked_generic(rhs, bi_lo, bi_hi, out_rows, opts, &mut report, &mut None);
-        }
+        self.rows_checked(rhs, bi_lo, bi_hi, out_rows, opts, &mut report, &mut None);
         report
     }
 
-    /// The paper-shaped `b == 8` checked kernel: fixed-size tiles, the
-    /// runtime-dispatched 8×8 product micro-kernel, checksum maintenance
-    /// as documented at module level.
+    /// The checked kernel behind every entry point, on the chain kernel
+    /// picked once for this call. A live `bfp-faults` session perturbs
+    /// single operand, product and accumulator accesses, which only the
+    /// scalar loop routes through the hooks, so it takes that loop.
     #[allow(clippy::too_many_arguments)]
-    fn rows_checked_b8(
+    fn rows_checked(
         &self,
         rhs: &AbftPacked,
         bi_lo: usize,
@@ -306,238 +302,25 @@ impl AbftPacked {
         report: &mut AbftReport,
         epi: &mut Option<AbftEpilogue>,
     ) {
-        const B: usize = 8;
-        const BB: usize = 64;
-        let mut etile = [0f32; BB];
-        let tile8 = select_tile8();
-        let verify = !opts.no_verify;
-        let inject = injecting();
-        let r0 = bi_lo * B;
-        let out_cols = rhs.packed.cols();
         let (_, kb) = self.packed.grid();
-        let (_, nb) = rhs.packed.grid();
-        let (xman, xexp) = (self.packed.man_plane(), self.packed.exp_plane());
-        let (yman, yexp) = (rhs.packed.man_plane(), rhs.packed.exp_plane());
-        let mut prod = [0i32; BB];
-        let mut prod64 = [0i64; BB];
-        let mut acc = [0i64; BB];
-        let mut chk = [0i64; B];
-        let mut rchk = [0i64; B];
-        let mut cp = [0i64; B];
-        let mut rp = [0i64; B];
-        let mut xbuf = [0i8; BB];
-        let mut ybuf = [0i8; BB];
-        for bi in bi_lo..bi_hi {
-            let imax = B.min(self.packed.rows() - bi * B);
-            for bj in 0..nb {
-                let jmax = B.min(rhs.packed.cols() - bj * B);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                // Set once a mismatch defeats localization; checksum
-                // maintenance stops (the chain is already condemned).
-                let mut dirty = false;
-                for bk in 0..kb {
-                    let xt = bi * kb + bk;
-                    let yt = bk * nb + bj;
-                    let x: &[i8; BB] = tile_src(xman, xt, BB, inject, &mut xbuf)
-                        .try_into()
-                        .unwrap();
-                    let y: &[i8; BB] = tile_src(yman, yt, BB, inject, &mut ybuf)
-                        .try_into()
-                        .unwrap();
-                    let pexp = exp_src(xexp, xt, inject) as i32 + exp_src(yexp, yt, inject) as i32;
-                    tile8(x, y, &mut prod);
-                    if inject {
-                        for t in 0..BB {
-                            prod64[t] = commit_prod(prod[t] as i64);
-                        }
-                    } else {
-                        for t in 0..BB {
-                            prod64[t] = prod[t] as i64;
-                        }
-                    }
-                    if verify && !dirty {
-                        // Checksum products of the exact integer tile
-                        // product, from the pack-time lanes. i32 is
-                        // ample: |cp| ≤ 8·(8·127)·127 < 2^21.
-                        let xc = &self.csum[xt * B..][..B];
-                        let yc = &rhs.csum[yt * B..][..B];
-                        for j in 0..B {
-                            let yr = &y[j * B..][..B];
-                            let mut s = 0i32;
-                            for k in 0..B {
-                                s += xc[k] as i32 * yr[k] as i32;
-                            }
-                            cp[j] = s as i64;
-                        }
-                        for i in 0..B {
-                            let xr = &x[i * B..][..B];
-                            let mut s = 0i32;
-                            for k in 0..B {
-                                s += xr[k] as i32 * yc[k] as i32;
-                            }
-                            rp[i] = s as i64;
-                        }
-                    }
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        acc = prod64;
-                        if verify {
-                            chk = cp;
-                            rchk = rp;
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        if sh == 0 {
-                            for t in 0..BB {
-                                acc[t] += prod64[t];
-                            }
-                            if verify && !dirty {
-                                for j in 0..B {
-                                    chk[j] += cp[j];
-                                    rchk[j] += rp[j];
-                                }
-                            }
-                        } else if verify && !dirty {
-                            // Truncation event: checkpoint-verify the
-                            // accumulator at full precision, truncate,
-                            // resync the sums exactly, then fold in the
-                            // new product.
-                            if !verify_correct(&mut acc, B, &mut chk, &mut rchk, report) {
-                                dirty = true;
-                            }
-                            for t in 0..BB {
-                                acc[t] = shift_right_trunc(acc[t], sh);
-                            }
-                            if !dirty {
-                                sums_of(&acc, B, &mut rchk, &mut chk);
-                            }
-                            for t in 0..BB {
-                                acc[t] += prod64[t];
-                            }
-                            if !dirty {
-                                for j in 0..B {
-                                    chk[j] += cp[j];
-                                    rchk[j] += rp[j];
-                                }
-                            }
-                        } else {
-                            for t in 0..BB {
-                                acc[t] = shift_right_trunc(acc[t], sh) + prod64[t];
-                            }
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        if verify && !dirty {
-                            // The incoming product is about to lose
-                            // bits: verify it first (its sums are cp/rp
-                            // exactly), then accumulate the truncated
-                            // values and their exact sums.
-                            if !verify_correct(&mut prod64, B, &mut cp, &mut rp, report) {
-                                dirty = true;
-                                for t in 0..BB {
-                                    acc[t] += shift_right_trunc(prod64[t], sh);
-                                }
-                            } else {
-                                for i in 0..B {
-                                    for j in 0..B {
-                                        let tp = shift_right_trunc(prod64[i * B + j], sh);
-                                        acc[i * B + j] += tp;
-                                        chk[j] += tp;
-                                        rchk[i] += tp;
-                                    }
-                                }
-                            }
-                        } else {
-                            for t in 0..BB {
-                                acc[t] += shift_right_trunc(prod64[t], sh);
-                            }
-                        }
-                    }
-                }
-                let ctx = EpilogueCtx {
-                    r0: bi * B,
-                    c0: bj * B,
-                    imax,
-                    jmax,
-                    b: B,
-                };
-                if first {
-                    // K = 0: the reference kernel leaves zeros; a fused
-                    // epilogue still runs over the zero tile, as the
-                    // composed path's element pass covers the zero region.
-                    if let Some(e) = epi.as_mut() {
-                        for i in 0..imax {
-                            etile[i * B..][..jmax].fill(0.0);
-                        }
-                        e(&mut etile, &ctx);
-                        for i in 0..imax {
-                            out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax]
-                                .copy_from_slice(&etile[i * B..][..jmax]);
-                        }
-                    } else {
-                        for i in 0..imax {
-                            out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax].fill(0.0);
-                        }
-                    }
-                    continue;
-                }
-                report.chains += 1;
-                if let Some(t) = opts.tamper.as_mut() {
-                    report.tampered += t(bi, bj, &mut acc);
-                }
-                if inject {
-                    for i in 0..B {
-                        for j in 0..B {
-                            acc[i * B + j] = commit_acc(i, j, acc[i * B + j]);
-                        }
-                    }
-                }
-                let mut chain_ok = true;
-                if verify {
-                    chain_ok = !dirty && verify_correct(&mut acc, B, &mut chk, &mut rchk, report);
-                    if !chain_ok {
-                        report.uncorrected.push((bi, bj));
-                    }
-                }
-                let scale = (acc_exp as f64).exp2();
-                match epi.as_mut() {
-                    Some(e) if chain_ok => {
-                        for i in 0..imax {
-                            let ar = &acc[i * B..][..B];
-                            let tr = &mut etile[i * B..][..jmax];
-                            for (o, &a) in tr.iter_mut().zip(ar.iter()) {
-                                *o = (a as f64 * scale) as f32;
-                            }
-                        }
-                        e(&mut etile, &ctx);
-                        for i in 0..imax {
-                            out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax]
-                                .copy_from_slice(&etile[i * B..][..jmax]);
-                        }
-                    }
-                    _ => {
-                        for i in 0..imax {
-                            let ar = &acc[i * B..][..B];
-                            let dst =
-                                &mut out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax];
-                            for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                                *o = (a as f64 * scale) as f32;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let kernel = if injecting() {
+            ChainKernel::I64
+        } else {
+            ChainKernel::select(self.packed.block(), kb, !opts.no_verify)
+        };
+        self.rows_checked_on(kernel, rhs, bi_lo, bi_hi, out_rows, opts, report, epi);
     }
 
-    /// Generic-block checked kernel (slices and heap scratch); same
-    /// invariant, used for `b != 8`.
+    /// Runs every `(bi, bj)` chain of the block-row range and then its
+    /// tail: tamper seam, committed-value verify and repair, epilogue,
+    /// drain. On [`ChainKernel::Avx2I32`] a chain runs on registers, which
+    /// can only answer "clean so far": one that sees a mismatch is replayed
+    /// from its first step on the scalar loop, the kernel that localises
+    /// and repairs — and the bit *and report* oracle of the register one.
     #[allow(clippy::too_many_arguments)]
-    fn rows_checked_generic(
+    fn rows_checked_on(
         &self,
+        kernel: ChainKernel,
         rhs: &AbftPacked,
         bi_lo: usize,
         bi_hi: usize,
@@ -547,134 +330,34 @@ impl AbftPacked {
         epi: &mut Option<AbftEpilogue>,
     ) {
         let b = self.packed.block();
-        let bb = b * b;
-        let mut etile = vec![0f32; bb];
         let verify = !opts.no_verify;
-        let inject = injecting();
         let r0 = bi_lo * b;
         let out_cols = rhs.packed.cols();
         let (_, kb) = self.packed.grid();
         let (_, nb) = rhs.packed.grid();
-        let (xman, xexp) = (self.packed.man_plane(), self.packed.exp_plane());
-        let (yman, yexp) = (rhs.packed.man_plane(), rhs.packed.exp_plane());
-        let mut prod64 = vec![0i64; bb];
-        let mut acc = vec![0i64; bb];
-        let mut chk = vec![0i64; b];
-        let mut rchk = vec![0i64; b];
-        let mut cp = vec![0i64; b];
-        let mut rp = vec![0i64; b];
-        let mut xbuf = vec![0i8; bb];
-        let mut ybuf = vec![0i8; bb];
+        let mut s = Scratch::new(b);
+        // The register chain's LHS block-row, widened once per `bi`.
+        #[cfg(target_arch = "x86_64")]
+        let mut xp = vec![0i32; if kernel == ChainKernel::Avx2I32 { kb * 32 } else { 0 }];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.packed.rows() - bi * b);
+            #[cfg(target_arch = "x86_64")]
+            if kernel == ChainKernel::Avx2I32 {
+                let xrow = &self.packed.man_plane()[bi * kb * 64..][..kb * 64];
+                // SAFETY: `Avx2I32` is only selected after detecting AVX2.
+                unsafe { widen_k_pairs_avx2(xrow, &mut xp) };
+            }
             for bj in 0..nb {
                 let jmax = b.min(rhs.packed.cols() - bj * b);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                let mut dirty = false;
-                for bk in 0..kb {
-                    let xt = bi * kb + bk;
-                    let yt = bk * nb + bj;
-                    let x = tile_src(xman, xt, bb, inject, &mut xbuf);
-                    let y = tile_src(yman, yt, bb, inject, &mut ybuf);
-                    let pexp = exp_src(xexp, xt, inject) as i32 + exp_src(yexp, yt, inject) as i32;
-                    for i in 0..b {
-                        let xr = &x[i * b..][..b];
-                        for j in 0..b {
-                            let p = dot_i8(xr, &y[j * b..][..b]) as i64;
-                            prod64[i * b + j] = if inject { commit_prod(p) } else { p };
-                        }
-                    }
-                    if verify && !dirty {
-                        let xc = &self.csum[xt * b..][..b];
-                        let yc = &rhs.csum[yt * b..][..b];
-                        for j in 0..b {
-                            let yr = &y[j * b..][..b];
-                            let mut s = 0i64;
-                            for k in 0..b {
-                                s += xc[k] as i64 * yr[k] as i64;
-                            }
-                            cp[j] = s;
-                        }
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let mut s = 0i64;
-                            for k in 0..b {
-                                s += xr[k] as i64 * yc[k] as i64;
-                            }
-                            rp[i] = s;
-                        }
-                    }
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        acc.copy_from_slice(&prod64);
-                        if verify {
-                            chk.copy_from_slice(&cp);
-                            rchk.copy_from_slice(&rp);
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        if sh == 0 {
-                            for t in 0..bb {
-                                acc[t] += prod64[t];
-                            }
-                            if verify && !dirty {
-                                for j in 0..b {
-                                    chk[j] += cp[j];
-                                    rchk[j] += rp[j];
-                                }
-                            }
-                        } else if verify && !dirty {
-                            if !verify_correct(&mut acc, b, &mut chk, &mut rchk, report) {
-                                dirty = true;
-                            }
-                            for t in 0..bb {
-                                acc[t] = shift_right_trunc(acc[t], sh);
-                            }
-                            if !dirty {
-                                sums_of(&acc, b, &mut rchk, &mut chk);
-                            }
-                            for t in 0..bb {
-                                acc[t] += prod64[t];
-                            }
-                            if !dirty {
-                                for j in 0..b {
-                                    chk[j] += cp[j];
-                                    rchk[j] += rp[j];
-                                }
-                            }
-                        } else {
-                            for t in 0..bb {
-                                acc[t] = shift_right_trunc(acc[t], sh) + prod64[t];
-                            }
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        if verify && !dirty {
-                            if !verify_correct(&mut prod64, b, &mut cp, &mut rp, report) {
-                                dirty = true;
-                                for t in 0..bb {
-                                    acc[t] += shift_right_trunc(prod64[t], sh);
-                                }
-                            } else {
-                                for i in 0..b {
-                                    for j in 0..b {
-                                        let tp = shift_right_trunc(prod64[i * b + j], sh);
-                                        acc[i * b + j] += tp;
-                                        chk[j] += tp;
-                                        rchk[i] += tp;
-                                    }
-                                }
-                            }
-                        } else {
-                            for t in 0..bb {
-                                acc[t] += shift_right_trunc(prod64[t], sh);
-                            }
-                        }
-                    }
+                let mut chain = None;
+                #[cfg(target_arch = "x86_64")]
+                if kernel == ChainKernel::Avx2I32 {
+                    let clean = self.chain_on_registers(rhs, bi, bj, verify, &xp, &mut s, report);
+                    chain = clean.map(|exp| (exp, false));
                 }
+                let (acc_exp, dirty) =
+                    chain.unwrap_or_else(|| self.chain_scalar(rhs, bi, bj, verify, &mut s, report));
+                let (acc, etile) = (&mut s.acc, &mut s.etile);
                 let ctx = EpilogueCtx {
                     r0: bi * b,
                     c0: bj * b,
@@ -682,69 +365,266 @@ impl AbftPacked {
                     jmax,
                     b,
                 };
-                if first {
-                    if let Some(e) = epi.as_mut() {
-                        for i in 0..imax {
-                            etile[i * b..][..jmax].fill(0.0);
-                        }
-                        e(&mut etile, &ctx);
-                        for i in 0..imax {
-                            out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax]
-                                .copy_from_slice(&etile[i * b..][..jmax]);
-                        }
-                    } else {
-                        for i in 0..imax {
-                            out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax].fill(0.0);
-                        }
-                    }
-                    continue;
-                }
-                report.chains += 1;
-                if let Some(t) = opts.tamper.as_mut() {
-                    report.tampered += t(bi, bj, &mut acc);
-                }
-                if inject {
-                    for i in 0..b {
-                        for j in 0..b {
-                            acc[i * b + j] = commit_acc(i, j, acc[i * b + j]);
-                        }
-                    }
-                }
+                // Whether the tile may enter the epilogue. A `K = 0` chain
+                // may: the reference kernel leaves zeros there, and a fused
+                // epilogue still runs over the zero tile, as the composed
+                // path's element pass covers the zero region.
                 let mut chain_ok = true;
-                if verify {
-                    chain_ok = !dirty && verify_correct(&mut acc, b, &mut chk, &mut rchk, report);
-                    if !chain_ok {
-                        report.uncorrected.push((bi, bj));
+                if let Some(acc_exp) = acc_exp {
+                    report.chains += 1;
+                    if let Some(t) = opts.tamper.as_mut() {
+                        report.tampered += t(bi, bj, acc);
+                    }
+                    if injecting() {
+                        for i in 0..b {
+                            for j in 0..b {
+                                acc[i * b + j] = commit_acc(i, j, acc[i * b + j]);
+                            }
+                        }
+                    }
+                    if verify {
+                        chain_ok = !dirty && verify_correct(acc, b, &mut s.chk, &mut s.rchk, report);
+                        if !chain_ok {
+                            report.uncorrected.push((bi, bj));
+                        }
+                    }
+                    let scale = (acc_exp as f64).exp2();
+                    for i in 0..imax {
+                        let tr = &mut etile[i * b..][..jmax];
+                        for (o, &a) in tr.iter_mut().zip(&acc[i * b..][..b]) {
+                            *o = (a as f64 * scale) as f32;
+                        }
+                    }
+                } else {
+                    for i in 0..imax {
+                        etile[i * b..][..jmax].fill(0.0);
                     }
                 }
-                let scale = (acc_exp as f64).exp2();
-                match epi.as_mut() {
-                    Some(e) if chain_ok => {
-                        for i in 0..imax {
-                            let ar = &acc[i * b..][..b];
-                            let tr = &mut etile[i * b..][..jmax];
-                            for (o, &a) in tr.iter_mut().zip(ar.iter()) {
-                                *o = (a as f64 * scale) as f32;
-                            }
-                        }
-                        e(&mut etile, &ctx);
-                        for i in 0..imax {
-                            out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax]
-                                .copy_from_slice(&etile[i * b..][..jmax]);
-                        }
+                if let (Some(e), true) = (epi.as_mut(), chain_ok) {
+                    e(etile, &ctx);
+                }
+                for i in 0..imax {
+                    out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax]
+                        .copy_from_slice(&etile[i * b..][..jmax]);
+                }
+            }
+        }
+    }
+
+    /// Chain `(bi, bj)` on [`chain_i32_avx2`], checked when `verify`. A clean
+    /// run leaves its end state (accumulator, lanes) widened in `s`, books
+    /// its checks and returns the chain's exponent; `None` outright: a
+    /// verification failed, nothing was booked, the scalar loop replays.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn chain_on_registers(
+        &self,
+        rhs: &AbftPacked,
+        bi: usize,
+        bj: usize,
+        verify: bool,
+        xp: &[i32],
+        s: &mut Scratch,
+        report: &mut AbftReport,
+    ) -> Option<Option<i32>> {
+        let (_, kb) = self.packed.grid();
+        let x_exps = &self.packed.exp_plane()[bi * kb..][..kb];
+        let mut acc32 = [0i32; 64];
+        let mut sums = ChainSums {
+            xc: &self.csum[bi * kb * 8..][..kb * 8],
+            yc: &rhs.csum,
+            #[cfg(test)]
+            upset: tests::mid_chain_upset(bi, bj),
+            ..ChainSums::default()
+        };
+        // SAFETY: the caller holds `ChainKernel::Avx2I32`, which is only
+        // selected after detecting AVX2.
+        let exp = unsafe {
+            if verify {
+                chain_i32_avx2::<true>(xp, x_exps, &rhs.packed, bj, &mut sums, &mut acc32)
+            } else {
+                chain_i32_avx2::<false>(xp, x_exps, &rhs.packed, bj, &mut sums, &mut acc32)
+            }
+        };
+        if sums.mismatch {
+            #[cfg(test)]
+            tests::REPLAYS.set(tests::REPLAYS.get() + 1);
+            return None;
+        }
+        report.checks += sums.checks;
+        for (w, &a) in s.acc.iter_mut().zip(&acc32) {
+            *w = a as i64;
+        }
+        for j in 0..8 {
+            s.chk[j] = sums.chk[j] as i64;
+            s.rchk[j] = sums.rchk[j] as i64;
+        }
+        Some(exp)
+    }
+
+    /// Chain `(bi, bj)` on the scalar i64 loop: any block size, any `K`,
+    /// any host, every access through the `bfp-faults` hooks when a
+    /// session is live; checksum maintenance as documented at module
+    /// level. Leaves accumulator and checksum lanes in `s` and returns the
+    /// chain's exponent (`None` for `K = 0`) and `dirty`: whether a
+    /// mid-chain mismatch defeated localization.
+    fn chain_scalar(
+        &self,
+        rhs: &AbftPacked,
+        bi: usize,
+        bj: usize,
+        verify: bool,
+        s: &mut Scratch,
+        report: &mut AbftReport,
+    ) -> (Option<i32>, bool) {
+        let b = self.packed.block();
+        let bb = b * b;
+        let inject = injecting();
+        let (_, kb) = self.packed.grid();
+        let (_, nb) = rhs.packed.grid();
+        let (xman, xexp) = (self.packed.man_plane(), self.packed.exp_plane());
+        let (yman, yexp) = (rhs.packed.man_plane(), rhs.packed.exp_plane());
+        let Scratch { prod64, acc, chk, rchk, cp, rp, xbuf, ybuf, .. } = s;
+        // The first product meets a zero accumulator at its own exponent.
+        let mut acc_exp = None;
+        acc.fill(0);
+        chk.fill(0);
+        rchk.fill(0);
+        // Set once a mismatch defeats localization: lane upkeep stops.
+        let mut dirty = false;
+        for bk in 0..kb {
+            #[cfg(test)]
+            if let Some((_, e, delta)) = tests::mid_chain_upset(bi, bj).filter(|u| u.0 == bk) {
+                acc[e] += delta as i64;
+            }
+            let xt = bi * kb + bk;
+            let yt = bk * nb + bj;
+            let x = tile_src(xman, xt, bb, inject, xbuf);
+            let y = tile_src(yman, yt, bb, inject, ybuf);
+            let pexp = exp_src(xexp, xt, inject) as i32 + exp_src(yexp, yt, inject) as i32;
+            for i in 0..b {
+                let xr = &x[i * b..][..b];
+                for j in 0..b {
+                    let p = dot_i8(xr, &y[j * b..][..b]) as i64;
+                    prod64[i * b + j] = if inject { commit_prod(p) } else { p };
+                }
+            }
+            if verify && !dirty {
+                // Checksum products of the exact integer tile product,
+                // from the pack-time lanes.
+                let xc = &self.csum[xt * b..][..b];
+                let yc = &rhs.csum[yt * b..][..b];
+                for j in 0..b {
+                    let yr = &y[j * b..][..b];
+                    let mut s = 0i64;
+                    for k in 0..b {
+                        s += xc[k] as i64 * yr[k] as i64;
                     }
-                    _ => {
-                        for i in 0..imax {
-                            let ar = &acc[i * b..][..b];
-                            let dst =
-                                &mut out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax];
-                            for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                                *o = (a as f64 * scale) as f32;
-                            }
+                    cp[j] = s;
+                }
+                for i in 0..b {
+                    let xr = &x[i * b..][..b];
+                    let mut s = 0i64;
+                    for k in 0..b {
+                        s += xr[k] as i64 * yc[k] as i64;
+                    }
+                    rp[i] = s;
+                }
+            }
+            let cur = acc_exp.unwrap_or(pexp);
+            acc_exp = Some(cur.max(pexp));
+            if pexp >= cur {
+                let sh = (pexp - cur) as u32;
+                if sh > 0 {
+                    // Truncation event: checkpoint-verify the accumulator
+                    // at full precision, truncate, resync the sums
+                    // exactly, then fold in the new product.
+                    if verify && !dirty {
+                        dirty = !verify_correct(acc, b, chk, rchk, report);
+                    }
+                    for a in acc.iter_mut() {
+                        *a = shift_right_trunc(*a, sh);
+                    }
+                    if verify && !dirty {
+                        sums_of(acc, b, rchk, chk);
+                    }
+                }
+                for t in 0..bb {
+                    acc[t] += prod64[t];
+                }
+                if verify && !dirty {
+                    for j in 0..b {
+                        chk[j] += cp[j];
+                        rchk[j] += rp[j];
+                    }
+                }
+            } else {
+                let sh = (cur - pexp) as u32;
+                // The incoming product is about to lose bits: verify it
+                // first (its sums are cp/rp exactly), then accumulate the
+                // truncated values and their exact sums.
+                if verify && !dirty {
+                    dirty = !verify_correct(prod64, b, cp, rp, report);
+                }
+                for i in 0..b {
+                    for j in 0..b {
+                        let tp = shift_right_trunc(prod64[i * b + j], sh);
+                        acc[i * b + j] += tp;
+                        if verify && !dirty {
+                            chk[j] += tp;
+                            rchk[i] += tp;
                         }
                     }
                 }
             }
+        }
+        (acc_exp, dirty)
+    }
+}
+
+/// Per-call scratch of the checked kernel, sized for block `b`.
+struct Scratch {
+    /// One tile step's products.
+    prod64: Vec<i64>,
+    /// The chain's wide accumulator tile: what the tamper seam, the final
+    /// verify and the drain see, whichever kernel ran the chain.
+    acc: Vec<i64>,
+    /// Column / row checksums of `acc`.
+    chk: Vec<i64>,
+    rchk: Vec<i64>,
+    /// Column / row checksum products of one step.
+    cp: Vec<i64>,
+    rp: Vec<i64>,
+    /// Operand tiles as read through the fault hooks.
+    xbuf: Vec<i8>,
+    ybuf: Vec<i8>,
+    /// The dequantized tile a fused epilogue works on.
+    etile: Vec<f32>,
+}
+
+impl Scratch {
+    fn new(b: usize) -> Scratch {
+        Scratch {
+            prod64: vec![0; b * b],
+            acc: vec![0; b * b],
+            chk: vec![0; b],
+            rchk: vec![0; b],
+            cp: vec![0; b],
+            rp: vec![0; b],
+            xbuf: vec![0; b * b],
+            ybuf: vec![0; b * b],
+            etile: vec![0.0; b * b],
+        }
+    }
+}
+
+/// `lane[k] += Σ_idx tile[idx·b + k]` with `b = lane.len()`: one tile's
+/// pack-time checksum lane.
+#[inline(always)]
+fn lane_sums(tile: &[i8], lane: &mut [i16]) {
+    for row in tile.chunks_exact(lane.len()) {
+        for (s, &m) in lane.iter_mut().zip(row) {
+            *s += m as i16;
         }
     }
 }
@@ -786,13 +666,7 @@ fn verify_correct(
         cols_v = vec![0i64; b];
         (&mut rows_v, &mut cols_v)
     };
-    for i in 0..b {
-        let dr = &data[i * b..][..b];
-        for (j, &v) in dr.iter().enumerate() {
-            rows[i] += v;
-            cols[j] += v;
-        }
-    }
+    sums_of(data, b, rows, cols);
     let mut bad_i = None;
     let mut ni = 0usize;
     let mut bad_j = None;
@@ -917,6 +791,33 @@ fn commit_acc(row: usize, col: usize, v: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::tests::raw;
+    use crate::packed::PackSide;
+
+    /// Test-only seam: adds `delta` to accumulator element `elem` of chain
+    /// `chain` before its step `step`, in whichever kernel runs the chain —
+    /// an upset of the running state, which no public seam reaches.
+    #[derive(Clone, Copy)]
+    pub(super) struct MidChainUpset {
+        chain: (usize, usize),
+        step: usize,
+        elem: usize,
+        delta: i32,
+    }
+
+    thread_local! {
+        pub(super) static MID_CHAIN_UPSET: std::cell::Cell<Option<MidChainUpset>> =
+            const { std::cell::Cell::new(None) };
+        /// Chains this thread's register kernel gave up for the scalar loop
+        /// to replay; a healthy run has none, however its report reads.
+        pub(super) static REPLAYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The armed mid-chain upset of chain `(bi, bj)`, as `(step, elem, delta)`.
+    pub(super) fn mid_chain_upset(bi: usize, bj: usize) -> Option<(usize, usize, i32)> {
+        let u = MID_CHAIN_UPSET.get().filter(|u| u.chain == (bi, bj))?;
+        Some((u.step, u.elem, u.delta))
+    }
 
     fn spiky(rows: usize, cols: usize) -> MatF32 {
         MatF32::from_fn(rows, cols, |i, j| {
@@ -1166,6 +1067,304 @@ mod tests {
                     (raw.get(i, j) + 1.0).to_bits(),
                     "({i},{j})"
                 );
+            }
+        }
+    }
+
+    /// The checked GEMM forced onto one chain kernel, with an optional
+    /// `+1` epilogue that counts the elements it touched.
+    fn checked_on(
+        kernel: ChainKernel,
+        pa: &AbftPacked,
+        pb: &AbftPacked,
+        opts: &mut AbftOptions,
+        fused: bool,
+    ) -> (MatF32, AbftReport, u64) {
+        let mut out = MatF32::zeros(pa.packed.rows(), pb.packed.cols());
+        let (mb, _) = pa.packed.grid();
+        let mut report = AbftReport::default();
+        let mut applied = 0u64;
+        let mut epi = |tile: &mut [f32], ctx: &EpilogueCtx| {
+            for i in 0..ctx.imax {
+                for v in &mut tile[i * ctx.b..][..ctx.jmax] {
+                    *v += 1.0;
+                    applied += 1;
+                }
+            }
+        };
+        let mut epi: Option<AbftEpilogue> = if fused { Some(&mut epi) } else { None };
+        pa.rows_checked_on(kernel, pb, 0, mb, out.data_mut(), opts, &mut report, &mut epi);
+        (out, report, applied)
+    }
+
+    /// Runs `pa · pb` on the kernel the host selects (the register chain
+    /// where there is AVX2) and on the forced scalar loop, plain and
+    /// fused, whole and sharded by block-row; asserts every run agrees in
+    /// bits with [`PackedBfp::matmul`] and field for field in its report.
+    /// Returns that report.
+    fn assert_kernels_agree(pa: &AbftPacked, pb: &AbftPacked) -> AbftReport {
+        let (mb, kb) = pa.packed.grid();
+        let host = ChainKernel::select(8, kb, true);
+        let replays = REPLAYS.get();
+        let want = pa.packed.matmul(&pb.packed).unwrap();
+        let plus_one = MatF32::from_fn(want.rows(), want.cols(), |i, j| want.get(i, j) + 1.0);
+        let opts = || AbftOptions::default();
+        let (o, oracle, _) = checked_on(ChainKernel::I64, pa, pb, &mut opts(), false);
+        assert_bits_eq(&o, &want);
+        assert!(oracle.clean(), "{oracle:?}");
+        for kernel in [host, ChainKernel::I64] {
+            for fused in [false, true] {
+                let (o, r, applied) = checked_on(kernel, pa, pb, &mut opts(), fused);
+                assert_bits_eq(&o, if fused { &plus_one } else { &want });
+                assert_eq!(r, oracle, "{kernel:?} fused={fused}");
+                assert_eq!(applied, if fused { (want.rows() * want.cols()) as u64 } else { 0 });
+            }
+            let (o, r, _) = checked_on(kernel, pa, pb, &mut AbftOptions::unverified(), false);
+            assert_bits_eq(&o, &want);
+            assert_eq!((r.chains, r.checks), (oracle.chains, 0), "{kernel:?} unverified");
+        }
+        // Sharded through the public entry point, one block-row at a time.
+        let mut sharded = MatF32::zeros(want.rows(), want.cols());
+        let mut merged = AbftReport::default();
+        let cols = want.cols();
+        for bi in 0..mb {
+            let rows = bi * 8..(bi * 8 + 8).min(want.rows());
+            let buf = &mut sharded.data_mut()[rows.start * cols..rows.end * cols];
+            merged.merge(&pa.matmul_rows_into(pb, bi, bi + 1, buf, &mut AbftOptions::default()));
+        }
+        assert_bits_eq(&sharded, &want);
+        assert_eq!(merged, oracle, "sharded");
+        assert_eq!(REPLAYS.get(), replays, "a healthy chain was replayed");
+        oracle
+    }
+
+    fn raw_pair(
+        (m, kb, n): (usize, usize, usize),
+        x: (impl Fn(usize, usize) -> i8, impl Fn(usize, usize, usize) -> i8),
+        y: (impl Fn(usize, usize) -> i8, impl Fn(usize, usize, usize) -> i8),
+    ) -> (AbftPacked, AbftPacked) {
+        (
+            AbftPacked::from_packed(raw(PackSide::Lhs, (m, kb * 8), x.0, x.1)),
+            AbftPacked::from_packed(raw(PackSide::Rhs, (kb * 8, n), y.0, y.1)),
+        )
+    }
+
+    /// Mantissas over the whole i8 range, −128 included.
+    fn mixed(bi: usize, bj: usize, t: usize) -> i8 {
+        ((bi * 131 + bj * 71 + t * 37) % 256) as u8 as i8
+    }
+
+    #[test]
+    fn register_kernel_matches_scalar_kernel_on_ragged_shapes() {
+        let q = Quantizer::paper();
+        let shapes = [(197, 72, 131), (13, 21, 9), (8, 5, 8), (3, 1, 2), (5, 0, 7), (16, 64, 24)];
+        for (m, k, n) in shapes {
+            let pa = AbftPacked::quantize_pack_lhs(&q, &spiky(m, k)).unwrap();
+            let pb = AbftPacked::quantize_pack_rhs(&q, &spiky(k, n)).unwrap();
+            let r = assert_kernels_agree(&pa, &pb);
+            let chains = if k == 0 { 0 } else { (m.div_ceil(8) * n.div_ceil(8)) as u64 };
+            assert_eq!(r.chains, chains, "{m}x{k}x{n}");
+            assert!(r.checks >= r.chains);
+        }
+    }
+
+    #[test]
+    fn register_kernel_matches_scalar_kernel_on_every_shift_regime() {
+        // Product exponents along K that move the running maximum up by 0,
+        // 1, 31, 32, 63 and 73 (the accumulator is verified and shifted),
+        // then fall below it by 0, 1, 31, 32, 63, 100 and 200 (the product
+        // is), then rise by one more.
+        let pexp = [-100, -100, -99, -68, -36, 27, 100, 100, 99, 69, 68, 37, 0, -100, 101];
+        let (pa, pb) = raw_pair(
+            (21, pexp.len(), 19),
+            (|_, bk| (pexp[bk] / 2) as i8, mixed),
+            (|bk, _| (pexp[bk] - pexp[bk] / 2) as i8, |bk, bj, t| mixed(bj, bk, t + 5)),
+        );
+        let r = assert_kernels_agree(&pa, &pb);
+        // One check per step off the running maximum, one at the end.
+        let mut max = pexp[0];
+        let events = pexp[1..].iter().filter(|&&e| {
+            let event = e != max;
+            max = max.max(e);
+            event
+        });
+        assert_eq!(r.checks, r.chains * (events.count() as u64 + 1));
+        assert_eq!(r.checks, 9 * 13);
+    }
+
+    #[test]
+    fn checksum_lanes_hold_worst_case_growth_and_hand_over_at_their_bound() {
+        // Equal exponents and extreme mantissas: every step adds ±2¹⁷ per
+        // element, 2²⁰ per lane, and nothing is shifted away until the
+        // last step raises the exponent — the register kernel then
+        // verifies lanes at 2046·2²⁰, the longest checked chain it takes.
+        let kb = (1 << 11) - 1;
+        for (x, y) in [(-128i8, -128i8), (-128, 127), (127, 127)] {
+            let (pa, pb) = raw_pair(
+                (8, kb, 8),
+                (|_, bk| 3 + (bk == kb - 1) as i8, |_, _, _| x),
+                (|_, _| -5, |_, _, _| y),
+            );
+            assert_eq!(assert_kernels_agree(&pa, &pb).checks, 2);
+            let (pa, pb) = raw_pair((8, kb, 8), (|_, _| 3, |_, _, _| x), (|_, _| -5, |_, _, _| y));
+            assert_eq!(assert_kernels_agree(&pa, &pb).checks, 1);
+        }
+        // One step more and a lane reaches 2³¹: the call runs on the
+        // scalar loop, exactly.
+        let kb = 1 << 11;
+        assert_eq!(ChainKernel::select(8, kb, true), ChainKernel::I64);
+        let (pa, pb) = raw_pair((8, kb, 8), (|_, _| 0, |_, _, _| -128), (|_, _| 0, |_, _, _| -128));
+        let (out, r) = pa.matmul(&pb).unwrap();
+        assert!(r.clean() && r.checks == 1, "{r:?}");
+        assert!(out.data().iter().all(|&v| v == (kb as f32) * 131072.0));
+    }
+
+    #[test]
+    fn tampered_chains_report_identically_on_both_kernels() {
+        let q = Quantizer::paper();
+        let pa = AbftPacked::quantize_pack_lhs(&q, &spiky(16, 32)).unwrap();
+        let pb = AbftPacked::quantize_pack_rhs(&q, &spiky(32, 16)).unwrap();
+        let (raw_out, _) = pa.matmul(&pb).unwrap();
+        // Chain (0,0): 3-element smear, uncorrectable, no epilogue there.
+        // Chain (1,1): single-bit flip, repaired before the epilogue.
+        let mut runs = Vec::new();
+        for kernel in [ChainKernel::select(8, 4, true), ChainKernel::I64] {
+            let mut tamper = |bi: usize, bj: usize, acc: &mut [i64]| -> u64 {
+                if (bi, bj) == (0, 0) {
+                    acc[0] += 1 << 12;
+                    acc[9] += 1 << 13;
+                    acc[18] += 1 << 14;
+                    3
+                } else if (bi, bj) == (1, 1) {
+                    acc[27] ^= 1 << 17;
+                    1
+                } else {
+                    0
+                }
+            };
+            let mut opts = AbftOptions {
+                no_verify: false,
+                tamper: Some(&mut tamper),
+            };
+            let (got, report, applied) = checked_on(kernel, &pa, &pb, &mut opts, true);
+            assert_eq!(report.uncorrected, vec![(0, 0)]);
+            assert_eq!((report.tampered, report.detections), (4, 2));
+            assert_eq!((report.corrected_elements, report.corrected_checksums), (1, 0));
+            assert_eq!(applied, 16 * 16 - 64);
+            for i in 0..16 {
+                for j in 0..16 {
+                    if i >= 8 || j >= 8 {
+                        assert_eq!(got.get(i, j).to_bits(), (raw_out.get(i, j) + 1.0).to_bits());
+                    }
+                }
+            }
+            runs.push((got, report));
+        }
+        assert_eq!(runs[0], runs[1]);
+    }
+
+    /// Arms [`MID_CHAIN_UPSET`] for the current test thread until dropped.
+    struct Upset;
+
+    impl Upset {
+        fn arm(chain: (usize, usize), step: usize, elem: usize, delta: i32) -> Upset {
+            MID_CHAIN_UPSET.set(Some(MidChainUpset { chain, step, elem, delta }));
+            Upset
+        }
+    }
+
+    impl Drop for Upset {
+        fn drop(&mut self) {
+            MID_CHAIN_UPSET.set(None);
+        }
+    }
+
+    #[test]
+    fn mid_chain_upset_of_the_register_state_is_replayed_and_repaired() {
+        // Chain (1, 2) walks 0, 0, 0, +4, −2, 0: an accumulator upset before
+        // step 2 meets the accumulator check of step 3; one before step 4,
+        // past every accumulator check, is left to the final verify. Either
+        // way the bits must come out clean: a kernel that shifted the
+        // corrupted accumulator unverified would resynchronise its lanes
+        // from the damage and answer wrong bits with a clean report.
+        let pexp = [0i8, 0, 0, 4, 2, 4];
+        let (pa, pb) = raw_pair(
+            (24, pexp.len(), 24),
+            (|_, bk| pexp[bk], mixed),
+            (|_, _| -3, |bk, bj, t| mixed(bj, bk, t + 11)),
+        );
+        let want = pa.packed.matmul(&pb.packed).unwrap();
+        let clean = assert_kernels_agree(&pa, &pb);
+        for (bk, elem, delta) in [(2, 27, 1 << 9), (2, 0, -77), (4, 63, 1 << 20)] {
+            let _armed = Upset::arm((1, 2), bk, elem, delta);
+            let replays = REPLAYS.get();
+            let mut runs = Vec::new();
+            for kernel in [ChainKernel::select(8, pexp.len(), true), ChainKernel::I64] {
+                let (got, r, _) = checked_on(kernel, &pa, &pb, &mut AbftOptions::default(), true);
+                assert_eq!((r.detections, r.corrected_elements), (1, 1), "{kernel:?} {r:?}");
+                assert!(r.uncorrected.is_empty() && r.checks == clean.checks);
+                for (g, w) in got.data().iter().zip(want.data()) {
+                    assert_eq!(g.to_bits(), (w + 1.0).to_bits(), "{kernel:?} step {bk}");
+                }
+                runs.push(r);
+            }
+            assert_eq!(runs[0], runs[1], "upset before step {bk}");
+            let on_registers = ChainKernel::select(8, pexp.len(), true) != ChainKernel::I64;
+            assert_eq!(REPLAYS.get() - replays, (on_registers && bk == 2) as u64);
+        }
+    }
+
+    #[test]
+    fn storage_upsets_after_pack_time_report_identically_on_both_kernels() {
+        // The lanes are computed at pack time, so a later upset of a stored
+        // lane word or mantissa breaks the invariant at the next product or
+        // accumulator check. The register kernel meets it mid-chain, stops,
+        // and the replay must book exactly what the scalar kernel books.
+        let pexp = [0i8, 3, 1, 3, 2, 6, 6, 0];
+        let pair = || {
+            raw_pair(
+                (16, pexp.len(), 16),
+                (|_, bk| pexp[bk], mixed),
+                (|_, _| -3, |bk, bj, t| mixed(bj, bk, t + 11)),
+            )
+        };
+        let (clean_a, clean_b) = pair();
+        let clean = assert_kernels_agree(&clean_a, &clean_b);
+        // (operand, tile, entry): a lane word of either operand, then a
+        // stored mantissa of either operand under its pack-time lanes.
+        for (lane, rhs, tile, entry) in [
+            (true, false, 2, 5),
+            (true, true, 9, 0),
+            (false, false, 12, 27),
+            (false, true, 5, 63),
+        ] {
+            let (mut pa, mut pb) = pair();
+            let hit = if rhs { &mut pb } else { &mut pa };
+            if lane {
+                hit.csum[tile * 8 + entry] += 3;
+            } else {
+                let stale = hit.csum.clone();
+                let side = if rhs { PackSide::Rhs } else { PackSide::Lhs };
+                let upset = raw(
+                    side,
+                    (hit.packed.rows(), hit.packed.cols()),
+                    |bi, bj| hit.packed.exp_plane()[bi * hit.packed.grid().1 + bj],
+                    |bi, bj, t| {
+                        let at = bi * hit.packed.grid().1 + bj;
+                        let flip = ((at == tile && t == entry) as i8) << 4;
+                        hit.packed.man_plane()[at * 64 + t] ^ flip
+                    },
+                );
+                *hit = AbftPacked { packed: upset, csum: stale };
+            }
+            for fused in [false, true] {
+                let host = ChainKernel::select(8, pexp.len(), true);
+                let (got, r, _) = checked_on(host, &pa, &pb, &mut AbftOptions::default(), fused);
+                let (want, oracle, _) =
+                    checked_on(ChainKernel::I64, &pa, &pb, &mut AbftOptions::default(), fused);
+                assert!(oracle.detections > 0 && oracle.checks == clean.checks, "{oracle:?}");
+                assert_eq!(r, oracle, "lane={lane} rhs={rhs} fused={fused}");
+                assert_bits_eq(&got, &want);
             }
         }
     }

@@ -691,7 +691,7 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
         S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
     {
-        let kernel = ChainKernel::select(self.block, self.block_cols);
+        let kernel = ChainKernel::select(self.block, self.block_cols, false);
         self.fused_rows_on(kernel, rhs, bi_lo, bi_hi, epi, sink)
     }
 
@@ -716,7 +716,6 @@ impl PackedBfp {
         let b = self.block;
         let bb = b * b;
         let kb = self.block_cols;
-        let tile8 = (b == 8).then(select_tile8);
         let mut prod = vec![0i32; bb];
         let mut acc64 = vec![0i64; bb];
         // The AVX2 chain's LHS block-row, widened once per `bi` and reused
@@ -724,7 +723,7 @@ impl PackedBfp {
         #[cfg(target_arch = "x86_64")]
         let mut xp = vec![0i32; if kernel == ChainKernel::Avx2I32 { kb * 32 } else { 0 }];
         #[cfg(target_arch = "x86_64")]
-        let mut acc32 = [0i32; 64];
+        let (mut acc32, mut plain) = ([0i32; 64], ChainSums::default());
         let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.rows - bi * b);
@@ -740,11 +739,13 @@ impl PackedBfp {
                     ChainKernel::Avx2I32 => {
                         let x_exps = &self.exps[bi * kb..][..kb];
                         // SAFETY: `Avx2I32` is only selected after detecting AVX2.
-                        let exp = unsafe { chain_i32_avx2(&xp, x_exps, rhs, bj, &mut acc32) };
+                        let exp = unsafe {
+                            chain_i32_avx2::<false>(&xp, x_exps, rhs, bj, &mut plain, &mut acc32)
+                        };
                         drain(hot, acc32.iter().map(|&a| a as f64), exp);
                     }
                     ChainKernel::I64 => {
-                        let exp = self.chain_i64(rhs, bi, bj, tile8, &mut prod, &mut acc64);
+                        let exp = self.chain_i64(rhs, bi, bj, &mut prod, &mut acc64);
                         drain(hot, acc64.iter().map(|&a| a as f64), exp);
                     }
                 }
@@ -767,13 +768,12 @@ impl PackedBfp {
     /// the packed planes — the generic-block path, the path of hosts
     /// without AVX2, and the bit oracle of [`chain_i32_avx2`]. Leaves the
     /// aligned sums in `acc` and returns their shared exponent (`None`
-    /// for `K = 0`). `tile8` is the 8×8 product micro-kernel when `b == 8`.
+    /// for `K = 0`).
     fn chain_i64(
         &self,
         rhs: &PackedBfp,
         bi: usize,
         bj: usize,
-        tile8: Option<Tile8Fn>,
         prod: &mut [i32],
         acc: &mut [i64],
     ) -> Option<i32> {
@@ -787,13 +787,9 @@ impl PackedBfp {
             let x = &self.man[(bi * kb + bk) * bb..][..bb];
             let y = &rhs.man[(bk * nb + bj) * bb..][..bb];
             let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-            match tile8 {
-                Some(t8) => t8(
-                    x.try_into().expect("b == 8 tile"),
-                    y.try_into().expect("b == 8 tile"),
-                    prod.try_into().expect("b == 8 tile"),
-                ),
-                None => {
+            match (<&[i8; 64]>::try_from(x), <&[i8; 64]>::try_from(y)) {
+                (Ok(x), Ok(y)) => tile8_product(x, y, prod.try_into().expect("b == 8 tile")),
+                _ => {
                     for i in 0..b {
                         let xr = &x[i * b..][..b];
                         for j in 0..b {
@@ -829,23 +825,37 @@ impl PackedBfp {
 /// i32 exactly. Longer chains take the i64 loop.
 const I32_CHAIN_MAX_KB: usize = 1 << 14;
 
+/// The same bound for a checked chain, whose checksum lanes grow eight
+/// times faster than a data row: a lane is the sum of a row or column of
+/// eight accumulators, so `|chk| ≤ 8·n·2¹⁷ = n·2²⁰` (per step: a pack-time
+/// lane entry sums eight mantissas, `|xc| ≤ 2¹⁰`, and the checksum product
+/// is `|cp| ≤ 8·2¹⁰·2⁷ = 2²⁰`). Chains shorter than 2¹¹ steps (K < 16 384)
+/// keep the lanes inside i32.
+const CHECKED_CHAIN_MAX_KB: usize = 1 << 11;
+
 /// The kernel that runs a call's `(bi, bj)` alignment chains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainKernel {
-    /// [`PackedBfp::chain_i64`]: any block size, any `K`, any host.
+pub(crate) enum ChainKernel {
+    /// The scalar i64 loops, plain and checked: any block, `K` and host.
     I64,
-    /// [`chain_i32_avx2`]: the paper's `b == 8` on an AVX2 host.
+    /// [`chain_i32_avx2`]: the paper's `b == 8` on an AVX2 host. Only
+    /// [`ChainKernel::select`] produces it, which is the proof of AVX2
+    /// its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Avx2I32,
 }
 
 impl ChainKernel {
-    /// The fastest kernel for `block`-sized tiles and chains of `kb` steps
-    /// on this host (runtime feature detection, once per call).
-    fn select(block: usize, kb: usize) -> ChainKernel {
+    /// The fastest kernel for `block`-sized tiles and chains of `kb` steps,
+    /// `checked` or plain, on this host (runtime feature detection, once
+    /// per call).
+    pub(crate) fn select(block: usize, kb: usize, checked: bool) -> ChainKernel {
         #[cfg(target_arch = "x86_64")]
-        if block == 8 && kb < I32_CHAIN_MAX_KB && is_x86_feature_detected!("avx2") {
-            return ChainKernel::Avx2I32;
+        {
+            let max_kb = if checked { CHECKED_CHAIN_MAX_KB } else { I32_CHAIN_MAX_KB };
+            if block == 8 && kb < max_kb && is_x86_feature_detected!("avx2") {
+                return ChainKernel::Avx2I32;
+            }
         }
         ChainKernel::I64
     }
@@ -890,7 +900,7 @@ fn copy_tile_into(
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
+pub(crate) unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
     use std::arch::x86_64::*;
     assert_eq!(x.len(), xp.len() * 2);
     for (src, dst) in x.chunks_exact(16).zip(xp.chunks_exact_mut(8)) {
@@ -901,6 +911,28 @@ unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
             _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v);
         }
     }
+}
+
+/// The checksum side of a checked register chain: in, the operands'
+/// pack-time lanes; out, the lanes of the accumulator the chain returns.
+/// The plain chain never touches it.
+#[derive(Default)]
+pub(crate) struct ChainSums<'a> {
+    /// Column sums of the LHS block-row's tiles, eight per tile step.
+    pub xc: &'a [i16],
+    /// Row sums of every RHS tile, eight per tile, grid row-major.
+    pub yc: &'a [i16],
+    /// Column sums (`chk`) and row sums of the returned accumulator.
+    pub chk: [i32; 8],
+    pub rchk: [i32; 8],
+    /// Truncation events verified on the way.
+    pub checks: u64,
+    /// A verification failed: the chain stopped there and returned nothing
+    /// usable. The caller replays it on the scalar loop, which localises.
+    pub mismatch: bool,
+    /// Test-only seam: before step `.0`, add `.2` to accumulator element `.1`.
+    #[cfg(test)]
+    pub upset: Option<(usize, usize, i32)>,
 }
 
 /// The register-resident `b == 8` chain: the whole K-loop of one `(·, bj)`
@@ -922,26 +954,116 @@ unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
 /// i32, and `kb <` [`I32_CHAIN_MAX_KB`] keeps every sum inside i32, so the
 /// sums are the i64 chain's exactly.
 ///
+/// `CHECKED` carries the ABFT invariant of [`crate::abft`] in two more
+/// registers, the way the device rides it in an augmented PE row and
+/// column: `chk`, the accumulator's column sums, grows by a **ninth LHS
+/// row** — the pack-time lane `xc` through the same row product — and
+/// `rchk`, its row sums, by a **ninth RHS column** — the tile's k-pairs
+/// against the lane `yc`, 4 `vpmaddwd` + 3 `vphaddd`. At a truncation
+/// event (`d ≠ 0`) whatever is about to lose bits — the accumulator for
+/// `d > 0`, the product for `d < 0` — is first compared with its lanes
+/// (column sums by vertical adds, row sums by one `vphaddd` tree, one
+/// `vptest`), then truncated and the lanes resynchronised from the
+/// truncated rows: the scalar kernel's steps. A mismatch ends the chain
+/// with [`ChainSums::mismatch`] set; `kb <` [`CHECKED_CHAIN_MAX_KB`] keeps
+/// the lanes inside i32.
+///
 /// The in-lane unpacks leave output column `[0, 2, 4, 6, 1, 3, 5, 7][l]`
-/// in lane `l`; one `vpermd` per row at the final store restores natural
-/// order. Returns the chain's exponent, `None` for `K = 0`.
+/// in lane `l`, and both `vphaddd` trees are paired to leave `rchk`'s rows
+/// in the same order; one `vpermd` per register at the final store
+/// restores natural order. Returns the chain's exponent, `None` for
+/// `K = 0`.
 ///
 /// # Safety
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn chain_i32_avx2(
+pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
     xp: &[i32],
     x_exps: &[i8],
     rhs: &PackedBfp,
     bj: usize,
+    sums: &mut ChainSums<'_>,
     acc_out: &mut [i32; 64],
 ) -> Option<i32> {
     use std::arch::x86_64::*;
+
+    // The helpers below are `#[inline(always)]` and carry no
+    // `target_feature` of their own, so they fold into this function;
+    // nothing else can name them.
+
+    /// One output row: the row's four k-pairs against the transposed tile.
+    #[inline(always)]
+    unsafe fn row_product(x: &[i32], p: &[__m256i; 4]) -> __m256i {
+        let m0 = _mm256_madd_epi16(_mm256_set1_epi32(x[0]), p[0]);
+        let m1 = _mm256_madd_epi16(_mm256_set1_epi32(x[1]), p[1]);
+        let m2 = _mm256_madd_epi16(_mm256_set1_epi32(x[2]), p[2]);
+        let m3 = _mm256_madd_epi16(_mm256_set1_epi32(x[3]), p[3]);
+        _mm256_add_epi32(_mm256_add_epi32(m0, m1), _mm256_add_epi32(m2, m3))
+    }
+
+    /// One step's checksum products from the pack-time lanes: `cp`, the
+    /// LHS lane of tile `xt` as a ninth row, and `rp`, the tile's k-pairs
+    /// against the RHS lane of tile `yt`, rows in lane order
+    /// `[0, 2, 4, 6, 1, 3, 5, 7]`. Called after the row products, so their
+    /// k-pair broadcasts stay loads instead of shuffles of `rp`'s operands.
+    #[inline(always)]
+    unsafe fn ninth_row_and_column(
+        sums: &ChainSums<'_>,
+        xt: usize,
+        yt: usize,
+        x: &[i32; 32],
+        p: &[__m256i; 4],
+    ) -> (__m256i, __m256i) {
+        let xc = &sums.xc[xt * 8..][..8];
+        let yc = &sums.yc[yt * 8..][..8];
+        let pair = |n: usize| (xc[2 * n] as u16 as i32) | (xc[2 * n + 1] as i32) << 16;
+        let cp = row_product(&[pair(0), pair(1), pair(2), pair(3)], p);
+        // SAFETY: one 16-byte load of the lane's eight i16 and four 32-byte
+        // loads tiling the 32 k-pairs, two rows each.
+        let yc = _mm256_broadcastsi128_si256(_mm_loadu_si128(yc.as_ptr() as *const __m128i));
+        let xr = x.as_ptr() as *const __m256i;
+        let m01 = _mm256_madd_epi16(_mm256_loadu_si256(xr), yc);
+        let m23 = _mm256_madd_epi16(_mm256_loadu_si256(xr.add(1)), yc);
+        let m45 = _mm256_madd_epi16(_mm256_loadu_si256(xr.add(2)), yc);
+        let m67 = _mm256_madd_epi16(_mm256_loadu_si256(xr.add(3)), yc);
+        (cp, _mm256_hadd_epi32(_mm256_hadd_epi32(m01, m23), _mm256_hadd_epi32(m45, m67)))
+    }
+
+    /// Column and row sums of eight rows, both in lane order
+    /// `[0, 2, 4, 6, 1, 3, 5, 7]`.
+    #[inline(always)]
+    unsafe fn sums_of(r: &[__m256i; 8]) -> (__m256i, __m256i) {
+        let cols = _mm256_add_epi32(
+            _mm256_add_epi32(_mm256_add_epi32(r[0], r[1]), _mm256_add_epi32(r[2], r[3])),
+            _mm256_add_epi32(_mm256_add_epi32(r[4], r[5]), _mm256_add_epi32(r[6], r[7])),
+        );
+        // Each half holds its four rows' sums over the low lane, then over
+        // the high lane.
+        let even = _mm256_hadd_epi32(_mm256_hadd_epi32(r[0], r[2]), _mm256_hadd_epi32(r[4], r[6]));
+        let odd = _mm256_hadd_epi32(_mm256_hadd_epi32(r[1], r[3]), _mm256_hadd_epi32(r[5], r[7]));
+        let rows = _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(even, odd),
+            _mm256_permute2x128_si256::<0x31>(even, odd),
+        );
+        (cols, rows)
+    }
+
+    /// Whether `rows` sum to the lanes `chk` (columns) and `rchk` (rows).
+    #[inline(always)]
+    unsafe fn lanes_hold(chk: __m256i, rchk: __m256i, rows: &[__m256i; 8]) -> bool {
+        let (cols, sums) = sums_of(rows);
+        let bad = _mm256_or_si256(_mm256_xor_si256(cols, chk), _mm256_xor_si256(sums, rchk));
+        _mm256_testz_si256(bad, bad) != 0
+    }
+
     let kb = x_exps.len();
     let nb = rhs.block_cols;
-    assert!(kb < I32_CHAIN_MAX_KB, "chain too long for an i32 accumulator");
-    let mut acc = [_mm256_setzero_si256(); 8];
+    let max_kb = if CHECKED { CHECKED_CHAIN_MAX_KB } else { I32_CHAIN_MAX_KB };
+    assert!(kb < max_kb, "chain too long for i32 accumulators");
+    let zero = _mm256_setzero_si256();
+    let mut acc = [zero; 8];
+    let (mut chk, mut rchk, mut checks) = (zero, zero, 0u64);
     let mut acc_exp = None;
     for bk in 0..kb {
         let x: &[i32; 32] = xp[bk * 32..][..32].try_into().expect("8×4 k-pairs");
@@ -950,13 +1072,16 @@ unsafe fn chain_i32_avx2(
         let cur = acc_exp.unwrap_or(pexp);
         let d = pexp - cur;
         acc_exp = Some(cur.max(pexp));
-        if d > 0 {
-            let sh = _mm_cvtsi32_si128(d);
-            for a in acc.iter_mut() {
-                *a = _mm256_sra_epi32(*a, sh);
+        #[cfg(test)]
+        if let Some((_, e, delta)) = sums.upset.filter(|u| CHECKED && u.0 == bk) {
+            let mut row = [0i32; 8];
+            // SAFETY: one 32-byte store and load over the 8-element array.
+            unsafe {
+                _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, acc[e / 8]);
+                row[(e % 8) >> 1 | (e % 2) << 2] += delta;
+                acc[e / 8] = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
             }
         }
-        let sh_prod = _mm_cvtsi32_si128((-d).max(0));
         // SAFETY: four 16-byte loads inside the 64-byte tile.
         let (r01, r23, r45, r67) = unsafe {
             let yp = y.as_ptr() as *const __m128i;
@@ -973,18 +1098,63 @@ unsafe fn chain_i32_avx2(
         let hi0123 = _mm256_unpackhi_epi32(r01, r23);
         let lo4567 = _mm256_unpacklo_epi32(r45, r67);
         let hi4567 = _mm256_unpackhi_epi32(r45, r67);
-        let p0 = _mm256_unpacklo_epi64(lo0123, lo4567);
-        let p1 = _mm256_unpackhi_epi64(lo0123, lo4567);
-        let p2 = _mm256_unpacklo_epi64(hi0123, hi4567);
-        let p3 = _mm256_unpackhi_epi64(hi0123, hi4567);
-        for (i, a) in acc.iter_mut().enumerate() {
-            let m0 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4]), p0);
-            let m1 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 1]), p1);
-            let m2 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 2]), p2);
-            let m3 = _mm256_madd_epi16(_mm256_set1_epi32(x[i * 4 + 3]), p3);
-            let prod = _mm256_add_epi32(_mm256_add_epi32(m0, m1), _mm256_add_epi32(m2, m3));
-            // The chain merge, i32 width.
-            *a = _mm256_add_epi32(*a, _mm256_sra_epi32(prod, sh_prod));
+        let p = [
+            _mm256_unpacklo_epi64(lo0123, lo4567),
+            _mm256_unpackhi_epi64(lo0123, lo4567),
+            _mm256_unpacklo_epi64(hi0123, hi4567),
+            _mm256_unpackhi_epi64(hi0123, hi4567),
+        ];
+        if CHECKED {
+            checks += (d != 0) as u64;
+        }
+        if d > 0 {
+            if CHECKED && !lanes_hold(chk, rchk, &acc) {
+                sums.mismatch = true;
+                return None;
+            }
+            let sh = _mm_cvtsi32_si128(d);
+            for a in acc.iter_mut() {
+                *a = _mm256_sra_epi32(*a, sh);
+            }
+            if CHECKED {
+                (chk, rchk) = sums_of(&acc);
+            }
+        }
+        let sh_prod = _mm_cvtsi32_si128((-d).max(0));
+        // This step's checksum products, or for a product that lost bits
+        // the sums of what was merged.
+        let (mut cp, mut rp) = (zero, zero);
+        if CHECKED && d < 0 {
+            // The product is about to lose bits: hold all of it, verify it
+            // against its own lanes, then merge the truncated rows and
+            // their sums.
+            let mut prod = [zero; 8];
+            for (i, t) in prod.iter_mut().enumerate() {
+                *t = row_product(&x[i * 4..][..4], &p);
+            }
+            (cp, rp) = ninth_row_and_column(sums, bk, bk * nb + bj, x, &p);
+            if !lanes_hold(cp, rp, &prod) {
+                sums.mismatch = true;
+                return None;
+            }
+            for (a, t) in acc.iter_mut().zip(prod.iter_mut()) {
+                *t = _mm256_sra_epi32(*t, sh_prod);
+                *a = _mm256_add_epi32(*a, *t);
+            }
+            (cp, rp) = sums_of(&prod);
+        } else {
+            for (i, a) in acc.iter_mut().enumerate() {
+                let prod = row_product(&x[i * 4..][..4], &p);
+                // The chain merge, i32 width.
+                *a = _mm256_add_epi32(*a, _mm256_sra_epi32(prod, sh_prod));
+            }
+            if CHECKED {
+                (cp, rp) = ninth_row_and_column(sums, bk, bk * nb + bj, x, &p);
+            }
+        }
+        if CHECKED {
+            chk = _mm256_add_epi32(chk, cp);
+            rchk = _mm256_add_epi32(rchk, rp);
         }
     }
     let natural = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
@@ -996,6 +1166,19 @@ unsafe fn chain_i32_avx2(
                 _mm256_permutevar8x32_epi32(*a, natural),
             );
         }
+    }
+    if CHECKED {
+        // SAFETY: one 32-byte store over each 8-element array.
+        unsafe {
+            let (chk, rchk) = (
+                _mm256_permutevar8x32_epi32(chk, natural),
+                _mm256_permutevar8x32_epi32(rchk, natural),
+            );
+            _mm256_storeu_si256(sums.chk.as_mut_ptr() as *mut __m256i, chk);
+            _mm256_storeu_si256(sums.rchk.as_mut_ptr() as *mut __m256i, rchk);
+        }
+        sums.checks = checks;
+        sums.mismatch = false;
     }
     acc_exp
 }
@@ -1036,14 +1219,11 @@ fn requant_tile(
     q.saturation.check(saturated)
 }
 
-/// 8×8 tile-product micro-kernel signature: `out[i·8+j] = Σₖ x[i·8+k]·y[j·8+k]`
+/// The i64 chain's 8×8 tile product, `out[i·8+j] = Σₖ x[i·8+k]·y[j·8+k]`
 /// (both operands unit-stride in `k` thanks to the block-transposed RHS).
-pub(crate) type Tile8Fn = fn(&[i8; 64], &[i8; 64], &mut [i32; 64]);
-
-/// Portable micro-kernel body. Widening to `i16` first keeps the inner
-/// products in the shape SIMD integer-MAC instructions (`pmaddwd` and
-/// friends) digest, so the auto-vectoriser can use them when the target
-/// features allow.
+/// Widening to `i16` first keeps the inner products in the shape SIMD
+/// integer-MAC instructions (`pmaddwd` and friends) digest, so the
+/// auto-vectoriser can use them when the target features allow.
 #[inline(always)]
 fn tile8_product(x: &[i8; 64], y: &[i8; 64], out: &mut [i32; 64]) {
     let mut yw = [0i16; 64];
@@ -1064,60 +1244,6 @@ fn tile8_product(x: &[i8; 64], y: &[i8; 64], out: &mut [i32; 64]) {
             out[i * 8 + j] = s;
         }
     }
-}
-
-/// Hand-scheduled AVX2 kernel: widen the eight RHS runs to i16 once, then
-/// per LHS row one `vpmaddwd` against each run pair and a three-level
-/// `vphaddd` reduction tree. Every sum is an exact i32 addition of the
-/// same i16×i16 products the portable body computes (peak magnitude
-/// 8·127·127 ≪ 2³¹), and integer addition is associative — so the result
-/// is bit-identical to [`tile8_product`] by construction, and the
-/// equivalence tests pin it.
-///
-/// # Safety
-/// Callers must have verified AVX2 support (see [`select_tile8`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile8_product_avx2(x: &[i8; 64], y: &[i8; 64], out: &mut [i32; 64]) {
-    use std::arch::x86_64::*;
-    // SAFETY: all loads/stores are unaligned-width intrinsics inside the
-    // fixed 64-element arrays.
-    unsafe {
-        let yp = y.as_ptr();
-        // y runs 2a (lower 128-bit lane) and 2a+1 (upper lane) as i16.
-        let y01 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp as *const __m128i));
-        let y23 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(16) as *const __m128i));
-        let y45 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(32) as *const __m128i));
-        let y67 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(48) as *const __m128i));
-        // Interleave fix-up for the hadd tree: [d0 d2 d4 d6 | d1 d3 d5 d7]
-        // back to natural j order.
-        let unshuffle = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        for i in 0..8 {
-            let xr = _mm_cvtepi8_epi16(_mm_loadl_epi64(x.as_ptr().add(i * 8) as *const __m128i));
-            let xx = _mm256_set_m128i(xr, xr);
-            // Lane half k of t_ab: pairwise i32 sums of x·y_{a or b}.
-            let t01 = _mm256_madd_epi16(xx, y01);
-            let t23 = _mm256_madd_epi16(xx, y23);
-            let t45 = _mm256_madd_epi16(xx, y45);
-            let t67 = _mm256_madd_epi16(xx, y67);
-            let h1 = _mm256_hadd_epi32(t01, t23);
-            let h2 = _mm256_hadd_epi32(t45, t67);
-            let h3 = _mm256_hadd_epi32(h1, h2);
-            let row = _mm256_permutevar8x32_epi32(h3, unshuffle);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i * 8) as *mut __m256i, row);
-        }
-    }
-}
-
-/// Pick the fastest micro-kernel the host supports. Every variant computes
-/// the same exact integer products, so the choice never changes output bits.
-pub(crate) fn select_tile8() -> Tile8Fn {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return |x, y, out| unsafe { tile8_product_avx2(x, y, out) };
-    }
-    tile8_product
 }
 
 /// Unit-stride int8 dot product; the paper-shaped 8-element case lowers to
@@ -1142,8 +1268,37 @@ pub(crate) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An operand built straight from mantissas and exponents, for values
+    /// the quantizer never emits (−128) and exact control of the chain (`b == 8`;
+    /// `man(bi, bj, t)` is element `t` of the tile as stored). Test support.
+    pub(crate) fn raw(
+        side: PackSide,
+        (rows, cols): (usize, usize),
+        exp: impl Fn(usize, usize) -> i8,
+        man: impl Fn(usize, usize, usize) -> i8,
+    ) -> PackedBfp {
+        let (br, bc) = (rows.div_ceil(8), cols.div_ceil(8));
+        let mut p = PackedBfp {
+            rows,
+            cols,
+            block: 8,
+            block_rows: br,
+            block_cols: bc,
+            side,
+            exps: Vec::new(),
+            man: Vec::new(),
+        };
+        for bi in 0..br {
+            for bj in 0..bc {
+                p.exps.push(exp(bi, bj));
+                p.man.extend((0..64).map(|t| man(bi, bj, t)));
+            }
+        }
+        p
+    }
 
     fn wave(rows: usize, cols: usize, seed: u32) -> MatF32 {
         let s = seed as f32;
@@ -1612,65 +1767,45 @@ mod tests {
     }
 
     /// Every chain of `pa · pb`, integer for integer: the AVX2 i32 chain
-    /// against the i64 loop on the fully portable `dot_i8` product and on
-    /// the portable 8×8 micro-kernel. Returns `false` when the host cannot
-    /// run the AVX2 chain.
+    /// against the i64 loop. Returns `false` when the host cannot run the
+    /// AVX2 chain.
     fn assert_chains_agree(pa: &PackedBfp, pb: &PackedBfp) -> bool {
         assert_eq!((pa.block, pb.block), (8, 8));
         let kb = pa.block_cols;
-        if ChainKernel::select(8, kb) == ChainKernel::I64 {
+        if ChainKernel::select(8, kb, false) == ChainKernel::I64 {
             return false;
         }
         let mut xp = vec![0i32; kb * 32];
-        let (mut acc32, mut prod) = ([0i32; 64], [0i32; 64]);
-        let (mut dot, mut tile) = ([0i64; 64], [0i64; 64]);
+        let (mut acc32, mut prod, mut acc64) = ([0i32; 64], [0i32; 64], [0i64; 64]);
         for bi in 0..pa.block_rows {
             // SAFETY: `select` returned the AVX2 kernel, so the host has AVX2.
             unsafe { widen_k_pairs_avx2(&pa.man[bi * kb * 64..][..kb * 64], &mut xp) };
             for bj in 0..pb.block_cols {
                 let x_exps = &pa.exps[bi * kb..][..kb];
+                let mut plain = ChainSums::default();
                 // SAFETY: as above.
-                let got = unsafe { chain_i32_avx2(&xp, x_exps, pb, bj, &mut acc32) };
-                let want = pa.chain_i64(pb, bi, bj, None, &mut prod, &mut dot);
+                let got =
+                    unsafe { chain_i32_avx2::<false>(&xp, x_exps, pb, bj, &mut plain, &mut acc32) };
+                let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
                 assert_eq!(got, want, "exponent of chain ({bi},{bj})");
-                assert_eq!(
-                    pa.chain_i64(pb, bi, bj, Some(tile8_product), &mut prod, &mut tile),
-                    want
-                );
-                assert_eq!(tile, dot, "portable micro-kernel, chain ({bi},{bj})");
                 let wide: Vec<i64> = acc32.iter().map(|&a| a as i64).collect();
-                assert_eq!(wide, dot, "sums of chain ({bi},{bj})");
+                assert_eq!(wide, acc64, "sums of chain ({bi},{bj})");
             }
         }
         true
     }
 
-    /// An operand built straight from mantissas and exponents, for values
-    /// the quantizer never emits (−128) and exact control of the chain.
-    fn raw(
-        side: PackSide,
-        (rows, cols): (usize, usize),
-        exp: impl Fn(usize, usize) -> i8,
-        man: impl Fn(usize, usize, usize) -> i8,
-    ) -> PackedBfp {
-        let (br, bc) = (rows.div_ceil(8), cols.div_ceil(8));
-        let mut p = PackedBfp {
-            rows,
-            cols,
-            block: 8,
-            block_rows: br,
-            block_cols: bc,
-            side,
-            exps: Vec::new(),
-            man: Vec::new(),
-        };
-        for bi in 0..br {
-            for bj in 0..bc {
-                p.exps.push(exp(bi, bj));
-                p.man.extend((0..64).map(|t| man(bi, bj, t)));
+    #[test]
+    fn tile8_product_is_the_dot_product_of_every_row_and_run() {
+        let x: [i8; 64] = std::array::from_fn(|t| (t as i32 * 37 % 256 - 128) as i8);
+        let y: [i8; 64] = std::array::from_fn(|t| (t as i32 * 91 % 256 - 128) as i8);
+        let mut out = [0i32; 64];
+        tile8_product(&x, &y, &mut out);
+        for i in 0..8 {
+            for j in 0..8 {
+                assert_eq!(out[i * 8 + j], dot_i8(&x[i * 8..][..8], &y[j * 8..][..8]));
             }
         }
-        p
     }
 
     #[test]
@@ -1742,10 +1877,13 @@ mod tests {
     fn i32_chain_hands_over_to_i64_at_its_bound() {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1), ChainKernel::Avx2I32);
-            assert_eq!(ChainKernel::select(16, 4), ChainKernel::I64);
+            assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), ChainKernel::Avx2I32);
+            let longest_checked = CHECKED_CHAIN_MAX_KB - 1;
+            assert_eq!(ChainKernel::select(8, longest_checked, true), ChainKernel::Avx2I32);
+            assert_eq!(ChainKernel::select(16, 4, false), ChainKernel::I64);
         }
-        assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB), ChainKernel::I64);
+        assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB, false), ChainKernel::I64);
+        assert_eq!(ChainKernel::select(8, CHECKED_CHAIN_MAX_KB, true), ChainKernel::I64);
         // One chain of 2¹⁴ steps whose every product is 2¹⁷: 2³¹ does not
         // fit i32, the i64 loop the dispatch picks returns it exactly.
         let kb = I32_CHAIN_MAX_KB;

@@ -226,13 +226,7 @@ impl ArrayBackend for SimArrayBackend {
         let mut vpu = Vpu::new();
         let (out, r) = if op == ServeOp::GemmGelu {
             let mut epi = |tile: &mut [f32], ctx: &EpilogueCtx| {
-                for i in 0..ctx.imax {
-                    vpu.gelu_slice(
-                        &mut tile[i * ctx.b..][..ctx.jmax],
-                        DivisionPolicy::Host,
-                        mode,
-                    );
-                }
+                vpu.gelu_tile(tile, ctx, DivisionPolicy::Host, mode)
             };
             pa.matmul_with_epilogue(&pb, &mut opts, &mut epi)?
         } else {
@@ -354,14 +348,31 @@ mod tests {
     #[test]
     fn gelu_epilogue_is_bit_exact_for_the_mode_it_ran_in() {
         let (a, b) = mats();
+        // A ragged pair too: its right-edge tiles take the epilogue's
+        // per-row arm, the rest one call per tile.
+        let ragged = (
+            MatF32::from_fn(13, 16, |i, j| ((i * 7 + j * 5) % 5) as f32 - 2.0),
+            MatF32::from_fn(16, 11, |i, j| ((i * 3 + j * 11) % 7) as f32 * 0.25 - 0.75),
+        );
         let mut be = SimArrayBackend::new(100.0, ArrayFaultPlan::None);
         for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
-            let (out, t) = be
-                .execute(&a, &b, ServeOp::GemmGelu, mode, &CancelToken::new())
-                .unwrap();
-            let want = reference_bits(&a, &b, ServeOp::GemmGelu, mode);
-            assert_eq!(out, want, "mode {mode:?}");
-            assert!(t.faults.is_clean());
+            for (a, b) in [(&a, &b), (&ragged.0, &ragged.1)] {
+                let (out, t) = be
+                    .execute(a, b, ServeOp::GemmGelu, mode, &CancelToken::new())
+                    .unwrap();
+                let want = reference_bits(a, b, ServeOp::GemmGelu, mode);
+                assert_eq!(out, want, "mode {mode:?}");
+                assert!(t.faults.is_clean());
+                // Tile order prices exactly like one pass over the matrix.
+                let (_, gemm) = be
+                    .execute(a, b, ServeOp::Gemm, mode, &CancelToken::new())
+                    .unwrap();
+                let mut vpu = Vpu::new();
+                let mut whole = reference_bits(a, b, ServeOp::Gemm, mode);
+                vpu.gelu_slice(whole.data_mut(), DivisionPolicy::Host, mode);
+                let drain_s = op_count_latency_s(&be.vpu_unit, &vpu.count);
+                assert_eq!(t.modelled_s, gemm.modelled_s + drain_s, "mode {mode:?}");
+            }
         }
         // The two modes really are different computations on these bits.
         let exact = reference_bits(&a, &b, ServeOp::GemmGelu, NonlinearMode::Exact);

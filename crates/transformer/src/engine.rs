@@ -1036,7 +1036,7 @@ impl MixedEngine {
             let vpu = &mut vpus[0];
             ph.matmul_epilogue(pb, |tile, ctx| {
                 bias_epi(tile, ctx, bias);
-                gelu_epi(vpu, tile, ctx, division, mode);
+                vpu.gelu_tile(tile, ctx, division, mode);
             })?
         } else {
             let mut epis: Vec<_> = vpus
@@ -1044,7 +1044,7 @@ impl MixedEngine {
                 .map(|vpu| {
                     move |tile: &mut [f32], ctx: &EpilogueCtx| {
                         bias_epi(tile, ctx, bias);
-                        gelu_epi(vpu, tile, ctx, division, mode);
+                        vpu.gelu_tile(tile, ctx, division, mode);
                     }
                 })
                 .collect();
@@ -1094,7 +1094,7 @@ impl MixedEngine {
             let vpu = &mut vpus[0];
             ph.matmul_epilogue_requant(pb, &qz, |tile, ctx| {
                 bias_epi(tile, ctx, bias);
-                gelu_epi(vpu, tile, ctx, division, mode);
+                vpu.gelu_tile(tile, ctx, division, mode);
             })?
         } else {
             let mut epis: Vec<_> = vpus
@@ -1102,7 +1102,7 @@ impl MixedEngine {
                 .map(|vpu| {
                     move |tile: &mut [f32], ctx: &EpilogueCtx| {
                         bias_epi(tile, ctx, bias);
-                        gelu_epi(vpu, tile, ctx, division, mode);
+                        vpu.gelu_tile(tile, ctx, division, mode);
                     }
                 })
                 .collect();
@@ -1477,29 +1477,6 @@ fn bias_residual_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32], skip: &M
         for (j, v) in row.iter_mut().enumerate() {
             let y = *v + bias[ctx.c0 + j];
             *v = skip.get(r, ctx.c0 + j) + y;
-        }
-    }
-}
-
-/// GELU drain over one hot tile. Full-width tiles (the common case —
-/// every model dimension here is a multiple of the block) take a single
-/// VPU slice call over the contiguous valid region; only right-edge
-/// partial tiles pay one call per row. GELU is element-independent and
-/// the VPU op cost is per-element, so tile-order evaluation is bit- and
-/// count-identical to the composed whole-matrix pass either way.
-#[inline]
-fn gelu_epi(
-    vpu: &mut Vpu,
-    tile: &mut [f32],
-    ctx: &EpilogueCtx,
-    division: DivisionPolicy,
-    mode: NonlinearMode,
-) {
-    if ctx.jmax == ctx.b {
-        vpu.gelu_slice(&mut tile[..ctx.imax * ctx.b], division, mode);
-    } else {
-        for i in 0..ctx.imax {
-            vpu.gelu_slice(&mut tile[i * ctx.b..][..ctx.jmax], division, mode);
         }
     }
 }

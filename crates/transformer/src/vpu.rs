@@ -13,6 +13,7 @@
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
+use bfp_arith::packed::EpilogueCtx;
 
 use crate::engine::DivisionPolicy;
 
@@ -645,6 +646,30 @@ impl Vpu {
                     *v = fast::gelu(*v);
                 }
                 self.count.merge(&fast::cost::gelu().times(data.len() as u64));
+            }
+        }
+    }
+
+    /// GELU drain over one hot GEMM tile. Full-width tiles (the common
+    /// case — every model dimension here is a multiple of the block) take
+    /// a single slice call over the contiguous valid region; only
+    /// right-edge partial tiles pay one call per row. GELU is
+    /// element-independent and the VPU op cost is per-element, so
+    /// tile-order evaluation is bit- and count-identical to the composed
+    /// whole-matrix pass either way.
+    #[inline]
+    pub fn gelu_tile(
+        &mut self,
+        tile: &mut [f32],
+        ctx: &EpilogueCtx,
+        division: DivisionPolicy,
+        mode: NonlinearMode,
+    ) {
+        if ctx.jmax == ctx.b {
+            self.gelu_slice(&mut tile[..ctx.imax * ctx.b], division, mode);
+        } else {
+            for i in 0..ctx.imax {
+                self.gelu_slice(&mut tile[i * ctx.b..][..ctx.jmax], division, mode);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! non-multiples of the block size) and every mix of block exponents.
 //! The `MixedEngine` weight-plan cache must likewise never change a bit.
 
-use bfp_arith::abft::AbftPacked;
+use bfp_arith::abft::{AbftOptions, AbftPacked};
 use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::PackedBfp;
 use bfp_arith::quant::{Quantizer, RoundMode};
@@ -186,6 +186,30 @@ fn ragged_deit_shape_agrees_across_every_gemm_path() {
         })
         .unwrap();
     assert!(bits_eq(&fused, &composed), "fused drain diverged");
+
+    // The checked kernel `bfp-serve` runs: the same bits under a clean
+    // report, one mid-chain or final check per truncation event — and the
+    // same bits again after one accumulator upset, repaired in place.
+    let (ca, cb) = (AbftPacked::pack_lhs(&qa), AbftPacked::pack_rhs(&qb));
+    let (checked, report) = ca.matmul(&cb).unwrap();
+    assert!(bits_eq(&checked, &naive), "checked kernel diverged");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(report.chains, 25 * 17);
+    assert!(report.checks > report.chains, "the tiered operands truncate mid-chain");
+    let mut upset = |bi: usize, bj: usize, acc: &mut [i64]| -> u64 {
+        if (bi, bj) != (24, 16) {
+            return 0;
+        }
+        acc[9] ^= 1 << 9;
+        1
+    };
+    let mut opts = AbftOptions { no_verify: false, tamper: Some(&mut upset) };
+    let (repaired, upset_report) = ca.matmul_with(&cb, &mut opts).unwrap();
+    assert!(bits_eq(&repaired, &naive), "repair left wrong bits");
+    assert_eq!((upset_report.tampered, upset_report.detections), (1, 1));
+    assert_eq!(upset_report.corrected_elements, 1);
+    assert!(upset_report.uncorrected.is_empty());
+    assert_eq!(upset_report.checks, report.checks);
 }
 
 /// The lane-parallel exact VPU kernels under tier-1: one encoder block at
