@@ -180,9 +180,24 @@ impl MatF32 {
         out
     }
 
-    /// Transpose.
+    /// Transpose, in 8×8 tiles so that neither the rows read nor the rows
+    /// written fall out of cache between visits.
     pub fn transpose(&self) -> MatF32 {
-        MatF32::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = vec![0f32; rows * cols];
+        for i0 in (0..rows).step_by(8) {
+            let i1 = (i0 + 8).min(rows);
+            for j0 in (0..cols).step_by(8) {
+                let j1 = (j0 + 8).min(cols);
+                for i in i0..i1 {
+                    let src = &self.data[i * cols + j0..i * cols + j1];
+                    for (j, &v) in (j0..j1).zip(src) {
+                        data[j * rows + i] = v;
+                    }
+                }
+            }
+        }
+        MatF32::from_vec(cols, rows, data)
     }
 
     /// Maximum absolute element.

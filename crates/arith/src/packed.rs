@@ -39,7 +39,7 @@
 use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
 use crate::matrix::MatF32;
-use crate::quant::{BfpMatrix, Quantizer};
+use crate::quant::{BfpMatrix, Quantizer, RoundMode, TileSrc};
 
 /// Which operand side a [`PackedBfp`] is laid out for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,10 +92,11 @@ impl PackedBfp {
     /// block-major i8 mantissa plane, no intermediate [`BfpMatrix`].
     ///
     /// Bit-identical (including error values and which error fires first)
-    /// to [`PackedBfp::quantize_lhs`]: both paths share
-    /// `Quantizer::tile_exp` / `Quantizer::round_elem` and walk tiles
-    /// and elements in the same order. The composed path stays as the
-    /// reference the equivalence tests pin this one against.
+    /// to [`PackedBfp::quantize_lhs`]: tiles are visited in the same order
+    /// and each runs the scalar tile loop the composed path runs, or — the
+    /// paper's configuration on an AVX2 host — the lane kernel
+    /// (`quantize_tile_avx2`) pinned to that loop. The composed path stays
+    /// scalar as the reference the equivalence tests pin this one against.
     pub fn quantize_pack_lhs(q: &Quantizer, m: &MatF32) -> Result<PackedBfp, ArithError> {
         Self::quantize_pack(q, m, PackSide::Lhs)
     }
@@ -111,43 +112,12 @@ impl PackedBfp {
         let br = m.rows().div_ceil(b);
         let bc = m.cols().div_ceil(b);
         let bb = b * b;
-        let clamp = q.max_mag() as i8;
-        let cols = m.cols();
-        let data = m.data();
+        let kernel = TileQuantizer::select(q);
         let mut exps = Vec::with_capacity(br * bc);
         let mut man = vec![0i8; br * bc * bb];
-        for bi in 0..br {
-            let r0 = bi * b;
-            let imax = b.min(m.rows().saturating_sub(r0));
-            for bj in 0..bc {
-                let c0 = bj * b;
-                let exp = match q.tile_exp(m, r0, c0)? {
-                    // All-zero tile: canonical exponent 0, mantissas stay 0.
-                    None => {
-                        exps.push(0);
-                        continue;
-                    }
-                    Some(exp) => exp,
-                };
-                exps.push(exp);
-                let scale = (-(exp as i32) as f64).exp2();
-                let jmax = b.min(cols.saturating_sub(c0));
-                let dst = &mut man[(bi * bc + bj) * bb..][..bb];
-                let mut saturated = 0u64;
-                for i in 0..imax {
-                    let src = &data[(r0 + i) * cols + c0..][..jmax];
-                    for (j, &v) in src.iter().enumerate() {
-                        let (qv, sat) = q.round_elem(v, scale, r0 + i, c0 + j, clamp);
-                        saturated += sat as u64;
-                        dst[match side {
-                            PackSide::Lhs => i * b + j,
-                            PackSide::Rhs => j * b + i,
-                        }] = qv;
-                    }
-                }
-                crate::telemetry::note_saturated(saturated);
-                q.saturation.check(saturated)?;
-            }
+        for (t, dst) in man.chunks_exact_mut(bb).enumerate() {
+            let tile = TileSrc::of(m, t / bc * b, t % bc * b, b);
+            exps.push(kernel.quantize(q, &tile, side, dst)?);
         }
         Ok(PackedBfp {
             rows: m.rows(),
@@ -434,6 +404,21 @@ pub struct EpilogueCtx {
     pub b: usize,
 }
 
+impl EpilogueCtx {
+    /// The hot tile buffer as a quantiser source. Only the valid region is
+    /// real: rows past `imax` hold whatever the previous tile left there.
+    fn tile<'a>(&self, tile: &'a [f32]) -> TileSrc<'a> {
+        TileSrc {
+            data: tile,
+            stride: self.b,
+            r0: self.r0,
+            c0: self.c0,
+            imax: self.imax,
+            jmax: self.jmax,
+        }
+    }
+}
+
 impl PackedBfp {
     /// Packed GEMM with a fused per-tile epilogue: each output tile is
     /// dequantized into a `b×b` scratch buffer, handed to `epi` while
@@ -528,15 +513,14 @@ impl PackedBfp {
 
     /// Packed GEMM with a fused epilogue whose output is **requantized in
     /// place** into a fresh left-operand [`PackedBfp`]: each post-epilogue
-    /// tile runs the quantizer's tile scan (`Quantizer::tile_exp` order and
-    /// semantics, via its slice twin) and mantissa rounding while still
-    /// hot, writing straight into the block-major mantissa plane the next
-    /// GEMM consumes. The f32 materialize → re-scan → re-pack round trip
-    /// of the composed path disappears, yet the result is bit-identical to
+    /// tile runs the tile quantiser of [`PackedBfp::quantize_pack_lhs`]
+    /// while still hot, writing straight into the block-major mantissa
+    /// plane the next GEMM consumes. The f32 materialize → re-scan →
+    /// re-pack round trip of the composed path disappears, yet the result
+    /// is bit-identical to
     /// `matmul` → epilogue over the full matrix → `quantize_pack_lhs` —
     /// including which non-finite/saturation error fires first, because
-    /// tiles are visited in the same row-major order and the rounding
-    /// helpers are shared.
+    /// tiles are visited in the same row-major order.
     pub fn matmul_epilogue_requant<E>(
         &self,
         rhs: &PackedBfp,
@@ -557,18 +541,15 @@ impl PackedBfp {
         let bb = b * b;
         let br = self.block_rows;
         let bc = rhs.block_cols;
-        let clamp = q.max_mag() as i8;
+        let kernel = TileQuantizer::select(q);
         let mut exps = vec![0i8; br * bc];
         let mut man = vec![0i8; br * bc * bb];
-        {
-            let exps = &mut exps[..];
-            let man = &mut man[..];
-            self.fused_rows(rhs, 0, br, &mut epi, &mut |tile: &mut [f32], ctx: &EpilogueCtx| {
-                let (bi, bj) = (ctx.r0 / b, ctx.c0 / b);
-                requant_tile(q, tile, ctx, clamp, &mut exps[bi * bc + bj], &mut man
-                    [(bi * bc + bj) * bb..][..bb])
-            })?;
-        }
+        self.fused_rows(rhs, 0, br, &mut epi, &mut |tile: &mut [f32], ctx: &EpilogueCtx| {
+            let t = ctx.r0 / b * bc + ctx.c0 / b;
+            let slot = &mut man[t * bb..][..bb];
+            exps[t] = kernel.quantize(q, &ctx.tile(tile), PackSide::Lhs, slot)?;
+            Ok(())
+        })?;
         Ok(PackedBfp {
             rows: self.rows,
             cols: rhs.cols,
@@ -614,7 +595,7 @@ impl PackedBfp {
         }
         let bb = b * b;
         let bc = rhs.block_cols;
-        let clamp = q.max_mag() as i8;
+        let kernel = TileQuantizer::select(q);
         let mut exps = vec![0i8; mb * bc];
         let mut man = vec![0i8; mb * bc * bb];
         let per = mb.div_ceil(threads);
@@ -645,16 +626,10 @@ impl PackedBfp {
                     scope.spawn(move |_| {
                         self.fused_rows(rhs, lo, hi, epi, &mut |tile: &mut [f32],
                                                                 ctx: &EpilogueCtx| {
-                            let (bi, bj) = (ctx.r0 / b, ctx.c0 / b);
-                            let t = (bi - lo) * bc + bj;
-                            requant_tile(
-                                q,
-                                tile,
-                                ctx,
-                                clamp,
-                                &mut exps_s[t],
-                                &mut man_s[t * bb..][..bb],
-                            )
+                            let t = (ctx.r0 / b - lo) * bc + ctx.c0 / b;
+                            let slot = &mut man_s[t * bb..][..bb];
+                            exps_s[t] = kernel.quantize(q, &ctx.tile(tile), PackSide::Lhs, slot)?;
+                            Ok(())
                         })
                     })
                 })
@@ -1183,40 +1158,234 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
     acc_exp
 }
 
-/// Requantize one hot post-epilogue tile into its slot of a packed LHS
-/// plane: the quantizer's tile scan + rounding, per-tile saturation
-/// accounting included, exactly as `PackedBfp::quantize_pack` does for a
-/// materialised matrix tile.
-fn requant_tile(
-    q: &Quantizer,
-    tile: &[f32],
-    ctx: &EpilogueCtx,
-    clamp: i8,
-    exp_out: &mut i8,
-    man_out: &mut [i8],
-) -> Result<(), ArithError> {
-    let b = ctx.b;
-    let exp = match q.tile_exp_slice(tile, ctx.r0, ctx.c0, ctx.imax, ctx.jmax)? {
-        // All-zero tile: canonical exponent 0, mantissas stay 0.
-        None => {
-            *exp_out = 0;
-            return Ok(());
+/// The kernel that quantises a call's tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TileQuantizer {
+    /// [`Quantizer::quantize_tile_scalar`]: any quantizer, any host.
+    Scalar,
+    /// [`quantize_tile_avx2`]: the paper's quantizer on an AVX2 host. Only
+    /// [`TileQuantizer::select`] produces it, which is the proof of AVX2
+    /// its `unsafe` caller cites.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl TileQuantizer {
+    /// The fastest tile quantiser for `q` on this host (runtime feature
+    /// detection, once per call): the lane kernel covers 8×8 tiles of
+    /// 8-bit round-to-nearest-even mantissas, the scalar loop the rest.
+    pub(crate) fn select(q: &Quantizer) -> TileQuantizer {
+        #[cfg(target_arch = "x86_64")]
+        if q.block == 8
+            && q.man_bits == 8
+            && q.round == RoundMode::NearestEven
+            && is_x86_feature_detected!("avx2")
+        {
+            return TileQuantizer::Avx2;
         }
-        Some(exp) => exp,
-    };
-    *exp_out = exp;
-    let scale = (-(exp as i32) as f64).exp2();
-    let mut saturated = 0u64;
-    for i in 0..ctx.imax {
-        let src = &tile[i * b..][..ctx.jmax];
-        for (j, &v) in src.iter().enumerate() {
-            let (qv, sat) = q.round_elem(v, scale, ctx.r0 + i, ctx.c0 + j, clamp);
-            saturated += sat as u64;
-            man_out[i * b + j] = qv;
-        }
+        TileQuantizer::Scalar
     }
-    crate::telemetry::note_saturated(saturated);
-    q.saturation.check(saturated)
+
+    /// Quantise one tile into `man` (its zeroed `block²` slot of a packed
+    /// plane, in `side`'s layout) and return its shared exponent. A tile
+    /// the lane kernel declines runs the scalar loop, so results, errors
+    /// and error coordinates are the scalar loop's on every input.
+    #[inline]
+    pub(crate) fn quantize(
+        self,
+        q: &Quantizer,
+        t: &TileSrc,
+        side: PackSide,
+        man: &mut [i8],
+    ) -> Result<i8, ArithError> {
+        #[cfg(target_arch = "x86_64")]
+        if self == TileQuantizer::Avx2 {
+            let man: &mut [i8; 64] = man.try_into().expect("b == 8 tile slot");
+            // SAFETY: `Avx2` is only selected after detecting AVX2.
+            if let Some((exp, saturated)) = unsafe { quantize_tile_avx2(t, side, man) } {
+                crate::telemetry::note_saturated(saturated);
+                q.saturation.check(saturated)?;
+                return Ok(exp);
+            }
+        }
+        q.quantize_tile_scalar(t, side, man)
+    }
+}
+
+/// Shared exponent of an 8×8 tile of 8-bit round-to-nearest-even mantissas
+/// from the bits of its block maximum `|v|`, or `None` outside the regime
+/// where the lane kernel is proven (zero, subnormal or non-finite maximum,
+/// exponent outside ±120).
+///
+/// The exponent is the smallest one at which the maximum still rounds,
+/// half away from zero, to at most 127 (`Quantizer::exp_for_max_abs`). A
+/// normal maximum `2^(E−127)·(1 + F/2²³)` scaled by `2^−(E−133)` is
+/// `64·(1 + F/2²³)`, in [64, 128): it rounds above 127 exactly when it is
+/// at least 127.5, that is `F ≥ 127·2¹⁶`, and then one more step halves
+/// it to just under 64; one step fewer doubles either case past 127. So
+/// the exponent is a function of `E` and the top seven fraction bits, and
+/// neither `log2` nor `exp2` is needed to find it.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn exp_from_max_bits(max_bits: u32) -> Option<i32> {
+    let biased = (max_bits >> 23) as i32;
+    if biased == 0 || biased == 255 {
+        return None;
+    }
+    let exp = biased - 133 + ((max_bits & 0x7f_ffff) >= 0x7f_0000) as i32;
+    (-120..=120).contains(&exp).then_some(exp)
+}
+
+/// The lane twin of [`Quantizer::quantize_tile_scalar`] for the paper's
+/// quantizer (8×8 tiles, 8-bit mantissas, round to nearest even), the host
+/// counterpart of the streaming fp32→bfp8 converter on the PU's output
+/// path: block maximum, shared exponent, align, round, all 64 mantissas in
+/// final packed order. Returns the exponent and the clamp count, or `None`
+/// for a tile it declines — the caller then runs the scalar loop, which
+/// also owns every error.
+///
+/// The block maximum is taken over `bits & 0x7fff_ffff`, which orders
+/// magnitudes and puts every NaN and infinity at or above `0x7f80_0000`,
+/// so [`exp_from_max_bits`] declines a tile holding one.
+///
+/// # Safety
+/// Callers must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_tile_avx2(t: &TileSrc, side: PackSide, man: &mut [i8; 64]) -> Option<(i8, u64)> {
+    // SAFETY: the caller verified AVX2; the helpers ask nothing else.
+    unsafe {
+        let rows = tile_lanes::load(t);
+        let max_bits = tile_lanes::max_abs_bits(&rows);
+        if max_bits == 0 {
+            // All-zero tile: canonical exponent 0, mantissas stay 0.
+            return Some((0, 0));
+        }
+        let exp = exp_from_max_bits(max_bits)?;
+        Some((exp as i8, tile_lanes::round_into(&rows, exp, side, man)))
+    }
+}
+
+/// The steps of [`quantize_tile_avx2`]. `#[inline(always)]` and without a
+/// `target_feature` of their own, so they fold into an AVX2 caller; every
+/// function here requires that its caller has verified AVX2 support.
+/// Plain loops, no closures: a closure would be a function of its own
+/// without AVX2, and the intrinsics inside it would stay calls.
+#[cfg(target_arch = "x86_64")]
+mod tile_lanes {
+    use super::{PackSide, TileSrc};
+    use std::arch::x86_64::*;
+
+    /// The tile as eight rows of eight lanes. A ragged tile goes through a
+    /// zero-padded stack copy, so its padding quantises to the zeros the
+    /// scalar loop leaves there.
+    #[inline(always)]
+    pub(super) unsafe fn load(t: &TileSrc) -> [__m256; 8] {
+        if t.imax == 8 && t.jmax == 8 {
+            // SAFETY: the caller verified AVX2.
+            return unsafe { load_rows(t.data, t.stride) };
+        }
+        let mut padded = [0f32; 64];
+        for i in 0..t.imax {
+            padded[i * 8..][..t.jmax].copy_from_slice(&t.data[i * t.stride..][..t.jmax]);
+        }
+        // SAFETY: as above.
+        unsafe { load_rows(&padded, 8) }
+    }
+
+    #[inline(always)]
+    unsafe fn load_rows(data: &[f32], stride: usize) -> [__m256; 8] {
+        assert!(data.len() >= 7 * stride + 8, "tile source shorter than eight rows");
+        let mut rows = [_mm256_setzero_ps(); 8];
+        for (i, r) in rows.iter_mut().enumerate() {
+            // SAFETY: a 32-byte load of elements `i·stride .. i·stride + 8`,
+            // which the assert above puts inside `data` for every `i < 8`.
+            *r = unsafe { _mm256_loadu_ps(data.as_ptr().add(i * stride)) };
+        }
+        rows
+    }
+
+    /// Bits of the largest `|v|` in the tile: a `vpmaxud` tree.
+    #[inline(always)]
+    pub(super) unsafe fn max_abs_bits(rows: &[__m256; 8]) -> u32 {
+        let abs = _mm256_set1_epi32(0x7fff_ffff);
+        let mut mag = [abs; 8];
+        for (m, r) in mag.iter_mut().zip(rows) {
+            *m = _mm256_and_si256(_mm256_castps_si256(*r), abs);
+        }
+        let m = _mm256_max_epu32(
+            _mm256_max_epu32(_mm256_max_epu32(mag[0], mag[1]), _mm256_max_epu32(mag[2], mag[3])),
+            _mm256_max_epu32(_mm256_max_epu32(mag[4], mag[5]), _mm256_max_epu32(mag[6], mag[7])),
+        );
+        let m = _mm_max_epu32(_mm256_castsi256_si128(m), _mm256_extracti128_si256::<1>(m));
+        let m = _mm_max_epu32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
+        let m = _mm_max_epu32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
+        _mm_cvtsi128_si32(m) as u32
+    }
+
+    /// Align, round and store all 64 mantissas against `exp` (within ±120,
+    /// so the scale `2^−exp`, built from bits, is a normal f32); returns
+    /// the clamp count.
+    ///
+    /// `vmulps` by a power of two is exact unless the product falls below
+    /// 2⁻¹²⁶, where the exact value and whatever the multiply returns both
+    /// round to 0, so `vcvtps2dq` (nearest even under the default MXCSR) is
+    /// `round_i8_rne` of the scalar loop's f64 product. Two saturating
+    /// packs (`vpackssdw`, `vpacksswb`) narrow to bytes; `−128` is counted
+    /// and clamped to `−127` as `Quantizer::round_elem` does — against the
+    /// tile's own exponent no product passes 127.5 and neither fires. The
+    /// packs leave each register as the 4×4 byte blocks `rows 0–3 | 4–7` ×
+    /// `cols 0–3 | 4–7`: one `vpermd` per register interleaves them
+    /// row-major for [`PackSide::Lhs`]; for [`PackSide::Rhs`] a `vpshufb`
+    /// transposes each 4×4 block in place and `vpunpck{l,h}dq` plus two
+    /// `vperm2i128` join the column halves, so run `j` is column `j`.
+    #[inline(always)]
+    pub(super) unsafe fn round_into(
+        rows: &[__m256; 8],
+        exp: i32,
+        side: PackSide,
+        man: &mut [i8; 64],
+    ) -> u64 {
+        let scale = _mm256_set1_ps(f32::from_bits(((127 - exp) as u32) << 23));
+        let mut q = [_mm256_setzero_si256(); 8];
+        for (q, r) in q.iter_mut().zip(rows) {
+            *q = _mm256_cvtps_epi32(_mm256_mul_ps(*r, scale));
+        }
+        let top = _mm256_packs_epi16(_mm256_packs_epi32(q[0], q[1]), _mm256_packs_epi32(q[2], q[3]));
+        let bottom = _mm256_packs_epi16(_mm256_packs_epi32(q[4], q[5]), _mm256_packs_epi32(q[6], q[7]));
+        let floor = _mm256_set1_epi8(-127);
+        let below = _mm256_movemask_epi8(_mm256_cmpgt_epi8(floor, top)) as u32 as u64
+            | (_mm256_movemask_epi8(_mm256_cmpgt_epi8(floor, bottom)) as u32 as u64) << 32;
+        let (top, bottom) = (_mm256_max_epi8(top, floor), _mm256_max_epi8(bottom, floor));
+        let (lo, hi) = match side {
+            PackSide::Lhs => {
+                let row_major = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+                (
+                    _mm256_permutevar8x32_epi32(top, row_major),
+                    _mm256_permutevar8x32_epi32(bottom, row_major),
+                )
+            }
+            PackSide::Rhs => {
+                let t4x4 = _mm256_broadcastsi128_si256(_mm_setr_epi8(
+                    0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+                ));
+                // Dword `c` of a lane is now column `c` (low lane) or
+                // `4 + c` (high lane) of the register's four rows.
+                let (top, bottom) = (_mm256_shuffle_epi8(top, t4x4), _mm256_shuffle_epi8(bottom, t4x4));
+                let c0145 = _mm256_unpacklo_epi32(top, bottom);
+                let c2367 = _mm256_unpackhi_epi32(top, bottom);
+                (
+                    _mm256_permute2x128_si256::<0x20>(c0145, c2367),
+                    _mm256_permute2x128_si256::<0x31>(c0145, c2367),
+                )
+            }
+        };
+        // SAFETY: two 32-byte stores tiling the 64-byte slot.
+        unsafe {
+            _mm256_storeu_si256(man.as_mut_ptr() as *mut __m256i, lo);
+            _mm256_storeu_si256(man.as_mut_ptr().add(32) as *mut __m256i, hi);
+        }
+        below.count_ones() as u64
+    }
 }
 
 /// The i64 chain's 8×8 tile product, `out[i·8+j] = Σₖ x[i·8+k]·y[j·8+k]`
@@ -1624,7 +1793,7 @@ pub(crate) mod tests {
                     }
                 };
                 let composed = composed_epilogue(&pa, &pb, |v, _i, j| v + bias[j]);
-                let want = PackedBfp::quantize_pack_lhs(&q, &composed).unwrap();
+                let want = PackedBfp::quantize_lhs(&q, &composed).unwrap();
                 let got = pa.matmul_epilogue_requant(&pb, &q, epi).unwrap();
                 assert_eq!(got, want, "{round:?} {m}x{k}x{n}");
                 // Parallel fused requant: same bits for any shard count.
@@ -1668,7 +1837,7 @@ pub(crate) mod tests {
             }
         };
         let composed = composed_epilogue(&pa, &pb, |v, _i, j| if (8..16).contains(&j) { 0.0 } else { v });
-        let want = PackedBfp::quantize_pack_lhs(&q, &composed).unwrap();
+        let want = PackedBfp::quantize_lhs(&q, &composed).unwrap();
         let got = pa.matmul_epilogue_requant(&pb, &q, epi).unwrap();
         assert_eq!(got, want);
     }
@@ -1700,9 +1869,14 @@ pub(crate) mod tests {
                 v
             }
         });
-        let want = format!("{:?}", PackedBfp::quantize_pack_lhs(&q, &composed).unwrap_err());
-        let got = format!("{:?}", pa.matmul_epilogue_requant(&pb, &q, poison).unwrap_err());
-        assert_eq!(got, want);
+        let want = PackedBfp::quantize_lhs(&q, &composed).unwrap_err();
+        assert_eq!(want, ArithError::NonFinite { at: (2, 20) });
+        assert_eq!(pa.matmul_epilogue_requant(&pb, &q, poison).unwrap_err(), want);
+        for threads in [2usize, 3] {
+            let mut epis: Vec<_> = (0..threads).map(|_| poison).collect();
+            let got = pa.matmul_epilogue_requant_parallel(&pb, &q, threads, &mut epis);
+            assert_eq!(got.unwrap_err(), want, "{threads} shards");
+        }
     }
 
     #[test]
@@ -1725,7 +1899,7 @@ pub(crate) mod tests {
         };
         let mid_fused = pa.matmul_epilogue_requant(&pb, &q, epi).unwrap();
         let mid_f32 = composed_epilogue(&pa, &pb, |v, _, _| v.max(0.0));
-        let mid_composed = PackedBfp::quantize_pack_lhs(&q, &mid_f32).unwrap();
+        let mid_composed = PackedBfp::quantize_lhs(&q, &mid_f32).unwrap();
         assert_eq!(mid_fused, mid_composed);
         assert_bits_eq(
             &mid_fused.matmul(&pc).unwrap(),
@@ -1751,7 +1925,7 @@ pub(crate) mod tests {
             let composed = composed_epilogue(&pa, &pb, |v, _, _| v * 2.0);
             let got = pa.matmul_epilogue(&pb, epi).unwrap();
             assert_bits_eq(&got, &composed);
-            let want_q = PackedBfp::quantize_pack_lhs(&q, &composed).unwrap();
+            let want_q = PackedBfp::quantize_lhs(&q, &composed).unwrap();
             assert_eq!(pa.matmul_epilogue_requant(&pb, &q, epi).unwrap(), want_q);
         }
     }
@@ -1897,6 +2071,283 @@ pub(crate) mod tests {
         let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
         let got = PackedBfp::pack_lhs(&qa).matmul(&PackedBfp::pack_rhs(&qb)).unwrap();
         assert_bits_eq(&got, &qa.try_matmul(&qb).unwrap());
+    }
+
+    /// Whether this host runs the lane tile quantiser at all.
+    fn lanes() -> bool {
+        TileQuantizer::select(&Quantizer::paper()) != TileQuantizer::Scalar
+    }
+
+    /// `quantize_tile_avx2` called directly: `None` when it declines the
+    /// tile, when `q` is not its quantizer, or when the host lacks AVX2.
+    fn lane_tile(q: &Quantizer, t: &TileSrc, side: PackSide) -> Option<(i8, [i8; 64], u64)> {
+        #[cfg(target_arch = "x86_64")]
+        if TileQuantizer::select(q) == TileQuantizer::Avx2 {
+            let mut man = [0i8; 64];
+            // SAFETY: `select` returned the AVX2 kernel, so the host has AVX2.
+            return unsafe { quantize_tile_avx2(t, side, &mut man) }.map(|(e, sat)| (e, man, sat));
+        }
+        None
+    }
+
+    /// [`tile_lanes::round_into`] against a chosen exponent instead of the
+    /// tile's own — the only way to reach the saturating packs and the
+    /// clamp. Returns the mantissas and the clamp count.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> ([i8; 64], u64) {
+        let t = TileSrc { data: vals, stride: 8, r0: 0, c0: 0, imax: 8, jmax: 8 };
+        let mut man = [0i8; 64];
+        // SAFETY: the caller verified AVX2.
+        let saturated = unsafe { tile_lanes::round_into(&tile_lanes::load(&t), exp, side, &mut man) };
+        (man, saturated)
+    }
+
+    /// What `lane_round_at` must return: `Quantizer::round_elem` per element.
+    fn scalar_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> ([i8; 64], u64) {
+        let q = Quantizer::paper();
+        let (mut man, mut saturated) = ([0i8; 64], 0);
+        for (t, &v) in vals.iter().enumerate() {
+            let (m, sat) = q.round_elem(v, (-exp as f64).exp2(), t / 8, t % 8, 127);
+            saturated += sat as u64;
+            man[if side == PackSide::Lhs { t } else { t % 8 * 8 + t / 8 }] = m;
+        }
+        (man, saturated)
+    }
+
+    /// One tile source on every route and both sides: the scalar tile loop
+    /// is the oracle; `TileQuantizer::quantize` (what quantize-pack and the
+    /// requant drain run) and the lane kernel called directly must return
+    /// its exponent, mantissas and error. Returns the oracle's result and
+    /// whether the lane kernel took the tile itself.
+    fn tile_routes_agree(q: &Quantizer, t: &TileSrc) -> (Result<i8, ArithError>, bool) {
+        let (mut out, mut took) = (Ok(0), false);
+        for side in [PackSide::Lhs, PackSide::Rhs] {
+            let mut man = [0i8; 64];
+            let want = q.quantize_tile_scalar(t, side, &mut man).map(|e| (e, man));
+            let mut man = [0i8; 64];
+            let got = TileQuantizer::select(q).quantize(q, t, side, &mut man).map(|e| (e, man));
+            assert_eq!(got, want, "dispatch vs scalar loop, {side:?}");
+            if let Some((exp, man, saturated)) = lane_tile(q, t, side) {
+                took = true;
+                assert_eq!(Ok((exp, man)), want, "lane kernel vs scalar loop, {side:?}");
+                assert_eq!(saturated, 0, "nothing passes 127.5 at the tile's own exponent");
+            }
+            out = want.map(|(e, _)| e);
+        }
+        (out, took)
+    }
+
+    /// [`tile_routes_agree`] for a full tile, plus the composed
+    /// `quantize_{lhs,rhs}` and the whole-matrix `quantize_pack_{lhs,rhs}`
+    /// on the tile as an 8×8 matrix.
+    fn tile_on_every_route(q: &Quantizer, vals: &[f32; 64]) -> (Result<i8, ArithError>, bool) {
+        let m = MatF32::from_vec(8, 8, vals.to_vec());
+        assert_packs_like_composed(q, &m);
+        let (out, took) = tile_routes_agree(q, &TileSrc::of(&m, 0, 0, 8));
+        assert_eq!(out, q.quantize(&m).map(|g| g.block_at(0, 0).exp));
+        (out, took)
+    }
+
+    fn assert_packs_like_composed(q: &Quantizer, m: &MatF32) {
+        let shape = (m.rows(), m.cols());
+        assert_eq!(PackedBfp::quantize_pack_lhs(q, m), PackedBfp::quantize_lhs(q, m), "lhs {shape:?}");
+        assert_eq!(PackedBfp::quantize_pack_rhs(q, m), PackedBfp::quantize_rhs(q, m), "rhs {shape:?}");
+    }
+
+    #[test]
+    fn tile_quantizer_matches_the_exponent_search_at_every_block_maximum() {
+        // The block maximum at every f32 exponent field (subnormals
+        // included) × fractions around the 127.5 threshold × both signs,
+        // at a moving position among smaller values, ties and zeros.
+        let q = Quantizer::paper();
+        let others = [0.0, 0.5, -0.25, 0.996, -1.0, 1.5 / 127.0, -62.5 / 127.0, -0.0];
+        for biased in 0u32..=254 {
+            for frac in [0u32, 1, 0x40_0000, 0x7e_ffff, 0x7f_0000, 0x7f_0001, 0x7f_ffff] {
+                let max_bits = biased << 23 | frac;
+                if max_bits == 0 {
+                    continue;
+                }
+                for sign in [0u32, 0x8000_0000] {
+                    let max = f32::from_bits(sign | max_bits);
+                    let at = (biased as usize * 7 + frac as usize % 61) % 64;
+                    let vals: [f32; 64] =
+                        std::array::from_fn(|t| if t == at { max } else { max * others[t % 8] });
+                    let (exp, took) = tile_on_every_route(&q, &vals);
+                    let exp = exp.unwrap() as i32;
+                    let proven = biased != 0 && (-120..=120).contains(&exp);
+                    assert_eq!(exp_from_max_bits(max_bits), proven.then_some(exp), "{max_bits:#x}");
+                    assert_eq!(took, proven && lanes(), "{max_bits:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_quantizer_rounds_every_tie_to_even() {
+        // k + 0.5 for every k in [−128, 127], 32 to a tile beside 127.0,
+        // which sets exponent 0 — except where ±127.5 is present: a maximum
+        // of its own, exactly on the threshold, one exponent up.
+        let q = Quantizer::paper();
+        let ties: Vec<f32> = (-128..=127).map(|k| k as f32 + 0.5).collect();
+        for chunk in ties.chunks(32) {
+            let vals: [f32; 64] =
+                std::array::from_fn(|t| if t % 2 == 0 { chunk[t / 2] } else { 127.0 - (t / 2) as f32 });
+            let (exp, took) = tile_on_every_route(&q, &vals);
+            assert_eq!(exp, Ok(chunk.iter().any(|v| v.abs() == 127.5) as i8));
+            assert_eq!(took, lanes());
+        }
+        // All of them against exponent 0, where they are ties: −127.5
+        // rounds to −128, which is clamped and counted.
+        #[cfg(target_arch = "x86_64")]
+        if lanes() {
+            for (chunk, side) in ties.chunks(64).zip([PackSide::Lhs, PackSide::Rhs].into_iter().cycle()) {
+                let vals: [f32; 64] = chunk.try_into().unwrap();
+                // SAFETY: `lanes()` saw the AVX2 kernel selected.
+                let got = unsafe { lane_round_at(&vals, 0, side) };
+                assert_eq!(got, scalar_round_at(&vals, 0, side));
+                assert_eq!(got.1, vals.contains(&-127.5) as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn tile_quantizer_saturates_clamps_and_counts_like_round_elem() {
+        // Against an exponent smaller than the tile's own, products pass
+        // ±127.5: the packs saturate, −128 becomes −127 and is counted,
+        // +127 is not — `round_i8_rne` and `round_elem`, element for element.
+        if !lanes() {
+            return;
+        }
+        let mags = [127.4, 127.5, 127.6, 128.0, 128.5, 200.7, 255.5, 256.0, 32767.5, 32768.0, 7.0e4, 1.0e6];
+        let vals: [f32; 64] = std::array::from_fn(|t| {
+            let v = if t < 48 { mags[t % 12] } else { t as f32 - 55.5 };
+            if t % 2 == 0 { v } else { -v }
+        });
+        for side in [PackSide::Lhs, PackSide::Rhs] {
+            for exp in [0, 1, 3, -2] {
+                // SAFETY: `lanes()` saw the AVX2 kernel selected.
+                let got = unsafe { lane_round_at(&vals, exp, side) };
+                assert_eq!(got, scalar_round_at(&vals, exp, side), "{side:?} exp {exp}");
+                assert!(got.0.iter().all(|&m| m != -128));
+            }
+            // SAFETY: as above.
+            let (_, saturated) = unsafe { lane_round_at(&vals, 0, side) };
+            let clamped = vals.iter().filter(|&&v| v <= -127.5).count() as u64;
+            assert!(clamped > 20 && saturated == clamped, "every product at or below −127.5");
+        }
+    }
+
+    #[test]
+    fn tile_quantizer_handles_zeros_subnormals_and_the_edges_of_its_regime() {
+        let limit0 = Quantizer { saturation: crate::guard::SaturationPolicy::Limit(0), ..Quantizer::paper() };
+        for q in [Quantizer::paper(), limit0] {
+            // All-zero tiles, either sign of zero: exponent 0, taken.
+            for zero in [[0.0f32; 64], [-0.0; 64], std::array::from_fn(|t| if t % 3 == 0 { -0.0 } else { 0.0 })] {
+                assert_eq!(tile_on_every_route(&q, &zero), (Ok(0), lanes()));
+            }
+            // Signed zeros beside real values.
+            let vals: [f32; 64] = std::array::from_fn(|t| [0.0, -0.0, 3.25, -1e-3][t % 4]);
+            assert_eq!(tile_on_every_route(&q, &vals), (Ok(-5), lanes()));
+            // Subnormals only: the scalar loop's, with its exponent clamp.
+            let vals: [f32; 64] = std::array::from_fn(|t| f32::from_bits(1 + t as u32 * 0x1_0101));
+            assert_eq!(tile_on_every_route(&q, &vals), (Ok(-128), false));
+            // exp = E − 133 (+1 at the threshold): −121 | −120 … 120 | 121.
+            let edges = [(12u32, 0u32, -121, false), (12, 0x7f_0000, -120, true), (13, 0, -120, true)];
+            let edges = edges.into_iter().chain([(253, 0, 120, true), (253, 0x7f_0000, 121, false), (254, 0, 121, false)]);
+            for (biased, frac, exp, proven) in edges {
+                let max = f32::from_bits(biased << 23 | frac);
+                let vals: [f32; 64] = std::array::from_fn(|t| max * (1.0 - t as f32 / 40.0));
+                assert_eq!(tile_on_every_route(&q, &vals), (Ok(exp), proven && lanes()), "{biased} {frac:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_quantizer_reports_non_finite_values_like_the_scalar_scan() {
+        let q = Quantizer::paper();
+        let base: [f32; 64] = std::array::from_fn(|t| ((t * 37) % 101) as f32 - 50.0);
+        for pos in 0..64 {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN] {
+                let mut vals = base;
+                vals[pos] = bad;
+                let at = ArithError::NonFinite { at: (pos / 8, pos % 8) };
+                assert_eq!(tile_on_every_route(&q, &vals), (Err(at), false));
+                // A second one: the first in row-major order is reported.
+                vals[63 - pos] = f32::INFINITY;
+                let first = pos.min(63 - pos);
+                let at = ArithError::NonFinite { at: (first / 8, first % 8) };
+                assert_eq!(tile_on_every_route(&q, &vals), (Err(at), false));
+            }
+        }
+        // In the ragged tiles of a matrix, at absolute coordinates.
+        let m = wave(13, 11, 3);
+        for (r, c) in [(0, 8), (7, 10), (8, 0), (12, 7), (8, 8), (12, 10), (10, 9)] {
+            let mut bad = m.clone();
+            bad.set(r, c, f32::NAN);
+            assert_packs_like_composed(&q, &bad);
+            let want = Err(ArithError::NonFinite { at: (r, c) });
+            assert_eq!(PackedBfp::quantize_pack_rhs(&q, &bad), want);
+        }
+    }
+
+    #[test]
+    fn tile_quantizer_ignores_whatever_lies_outside_a_ragged_tile() {
+        // A hot GEMM tile keeps the previous tile's rows past `imax`, and
+        // nothing promises zeros past `jmax`: NaNs and huge values there
+        // must neither be reported nor move the exponent or a mantissa.
+        let q = Quantizer::paper();
+        for (imax, jmax) in [(5, 3), (8, 3), (5, 8), (1, 1), (7, 7)] {
+            let buf: [f32; 64] = std::array::from_fn(|t| {
+                if t / 8 < imax && t % 8 < jmax {
+                    (6.0 - t as f32 * 0.05) * if t % 2 == 0 { 1.0 } else { -1.0 }
+                } else {
+                    [f32::NAN, 3.0e38, f32::INFINITY, -7.0e4][t % 4]
+                }
+            });
+            let t = TileSrc { data: &buf, stride: 8, r0: 16, c0: 24, imax, jmax };
+            let (exp, took) = tile_routes_agree(&q, &t);
+            assert_eq!((exp, took), (Ok(-4), lanes()), "{imax}x{jmax}");
+            // The padding of the slot is zero, as the scalar loop leaves it.
+            let (_, man, _) = lane_tile(&q, &t, PackSide::Rhs).unwrap_or((0, [0; 64], 0));
+            assert!((0..64).all(|s| (s % 8 < imax && s / 8 < jmax) || man[s] == 0));
+            // And a NaN inside the valid region keeps its coordinates.
+            let mut bad = buf;
+            bad[(imax - 1) * 8 + jmax - 1] = f32::NAN;
+            let t = TileSrc { data: &bad, ..t };
+            let at = ArithError::NonFinite { at: (16 + imax - 1, 24 + jmax - 1) };
+            assert_eq!(tile_routes_agree(&q, &t), (Err(at), false));
+        }
+    }
+
+    #[test]
+    fn tile_quantizer_leaves_every_other_quantizer_to_the_scalar_loop() {
+        use crate::quant::RoundMode;
+        let others = [
+            Quantizer { round: RoundMode::Truncate, ..Quantizer::paper() },
+            Quantizer { round: RoundMode::Stochastic, ..Quantizer::paper() },
+            Quantizer::with_man_bits(4),
+            Quantizer::with_block(4),
+            Quantizer::with_block(16),
+        ];
+        for q in others {
+            assert_eq!(TileQuantizer::select(&q), TileQuantizer::Scalar, "{q:?}");
+            for m in [spiky(37, 29), wave(16, 24, 2)] {
+                assert_packs_like_composed(&q, &m);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_pack_matches_composed_on_deit_and_degenerate_shapes() {
+        let q = Quantizer::paper();
+        for (r, c) in [(197, 197), (197, 72), (72, 131), (5, 3), (0, 8), (8, 0), (1, 197)] {
+            assert_packs_like_composed(&q, &spiky(r, c));
+            assert_packs_like_composed(&q, &wave(r, c, 11));
+            let p = PackedBfp::quantize_pack_rhs(&q, &wave(r, c, 11)).unwrap();
+            assert_eq!((p.rows(), p.cols(), p.grid()), (r, c, (r.div_ceil(8), c.div_ceil(8))));
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::error::ArithError;
 use crate::guard::SaturationPolicy;
 use crate::int8::{mix_hash, round_i8_rne, round_i8_stochastic, round_i8_trunc};
 use crate::matrix::MatF32;
+use crate::packed::PackSide;
 use crate::stats::ErrorStats;
 
 /// Mantissa rounding used during quantization.
@@ -137,61 +138,18 @@ impl Quantizer {
         })
     }
 
-    /// Scan the `block × block` tile anchored at `(r0, c0)` (clipped to the
-    /// matrix) and derive its shared exponent. `Ok(None)` means an all-zero
-    /// tile (canonical exponent 0, zero mantissas). This is the single
-    /// source of truth shared by [`Quantizer::quantize`] and the fused
-    /// quantize-and-pack epilogue in [`crate::packed`], so the two paths
-    /// cannot drift apart bit-wise.
-    pub(crate) fn tile_exp(&self, m: &MatF32, r0: usize, c0: usize) -> Result<Option<i8>, ArithError> {
-        let b = self.block;
-        let cols = m.cols();
-        let imax = b.min(m.rows().saturating_sub(r0));
-        let jmax = b.min(cols.saturating_sub(c0));
-        let data = m.data();
-        // Row-slice scan in the same (i, j) order as the per-element loop
-        // it replaced, so the first non-finite error is identical; the f32
-        // max converts exactly to f64, so the exponent search is too.
+    /// Scan a tile's valid region and derive its shared exponent. `Ok(None)`
+    /// means an all-zero tile (canonical exponent 0, zero mantissas). Rows
+    /// are walked in (i, j) order, so the first non-finite element is the
+    /// one reported, at its absolute position; the f32 max converts exactly
+    /// to f64, so the exponent search is exact too.
+    fn tile_exp(&self, t: &TileSrc) -> Result<Option<i8>, ArithError> {
         let mut max_abs = 0f32;
-        for i in 0..imax {
-            let r = r0 + i;
-            let row = &data[r * cols + c0..][..jmax];
+        for i in 0..t.imax {
+            let row = &t.data[i * t.stride..][..t.jmax];
             for (j, &v) in row.iter().enumerate() {
                 if !v.is_finite() {
-                    return Err(ArithError::NonFinite { at: (r, c0 + j) });
-                }
-                max_abs = max_abs.max(v.abs());
-            }
-        }
-        let max_abs = max_abs as f64;
-        if max_abs == 0.0 {
-            return Ok(None);
-        }
-        self.exp_for_max_abs(max_abs).map(Some)
-    }
-
-    /// [`Quantizer::tile_exp`] for a tile that lives in a local `b×b`
-    /// row-major buffer instead of a full matrix: scan the valid
-    /// `imax × jmax` region in the same (i, j) order and derive the shared
-    /// exponent. `(r0, c0)` is the tile's anchor in the logical output
-    /// matrix, used only to report the absolute position of a non-finite
-    /// element — so a fused GEMM epilogue that never materialises the f32
-    /// matrix still errors with the coordinates the composed path reports.
-    pub(crate) fn tile_exp_slice(
-        &self,
-        tile: &[f32],
-        r0: usize,
-        c0: usize,
-        imax: usize,
-        jmax: usize,
-    ) -> Result<Option<i8>, ArithError> {
-        let b = self.block;
-        let mut max_abs = 0f32;
-        for i in 0..imax {
-            let row = &tile[i * b..][..jmax];
-            for (j, &v) in row.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(ArithError::NonFinite { at: (r0 + i, c0 + j) });
+                    return Err(ArithError::NonFinite { at: (t.r0 + i, t.c0 + j) });
                 }
                 max_abs = max_abs.max(v.abs());
             }
@@ -209,7 +167,7 @@ impl Quantizer {
     /// e2e baseline engine replays, so "before" numbers stay measurable on
     /// today's tree. Bit-identical to the slice scan (the f32 max converts
     /// exactly to f64 and the (i, j) error order matches).
-    pub(crate) fn tile_exp_reference(
+    fn tile_exp_reference(
         &self,
         m: &MatF32,
         r0: usize,
@@ -254,8 +212,7 @@ impl Quantizer {
     }
 
     /// Round one element at absolute position `(r, c)` against a tile scale;
-    /// returns the clamped mantissa and whether the clamp fired. Shared by
-    /// both quantization paths (see [`Quantizer::tile_exp`]).
+    /// returns the clamped mantissa and whether the clamp fired.
     #[inline]
     pub(crate) fn round_elem(&self, v: f32, scale: f64, r: usize, c: usize, clamp: i8) -> (i8, bool) {
         let scaled = v as f64 * scale;
@@ -269,6 +226,56 @@ impl Quantizer {
         (q.clamp(-clamp, clamp), q < -clamp || q > clamp)
     }
 
+    /// Round a scanned tile's valid region against its shared exponent
+    /// into `man` (a zeroed `block²` slot: row-major for
+    /// [`PackSide::Lhs`], transposed for [`PackSide::Rhs`]), settle the
+    /// tile's saturation count and return the exponent.
+    fn round_tile(
+        &self,
+        scanned: Option<i8>,
+        t: &TileSrc,
+        side: PackSide,
+        man: &mut [i8],
+    ) -> Result<i8, ArithError> {
+        // All-zero tile: canonical exponent 0, mantissas stay 0.
+        let Some(exp) = scanned else { return Ok(0) };
+        let b = self.block;
+        let scale = (-(exp as i32) as f64).exp2();
+        let clamp = self.max_mag() as i8;
+        let mut saturated = 0u64;
+        for i in 0..t.imax {
+            let row = &t.data[i * t.stride..][..t.jmax];
+            for (j, &v) in row.iter().enumerate() {
+                let (q, sat) = self.round_elem(v, scale, t.r0 + i, t.c0 + j, clamp);
+                saturated += sat as u64;
+                man[match side {
+                    PackSide::Lhs => i * b + j,
+                    PackSide::Rhs => j * b + i,
+                }] = q;
+            }
+        }
+        crate::telemetry::note_saturated(saturated);
+        self.saturation.check(saturated)?;
+        Ok(exp)
+    }
+
+    /// The one scalar tile loop: scan, shared exponent, rounding walk and
+    /// saturation tail of one tile, mantissas into `man` (zeroed on entry;
+    /// an all-zero tile and the padding leave it untouched) in `side`'s
+    /// layout. Returns the tile's exponent. [`Quantizer::quantize`], the
+    /// fused quantize-pack and the fused requant drain all run this, so
+    /// they cannot drift apart bit-wise, and it is the bit and error
+    /// oracle — and the fallback — of the AVX2 tile quantiser in
+    /// [`crate::packed`].
+    pub(crate) fn quantize_tile_scalar(
+        &self,
+        t: &TileSrc,
+        side: PackSide,
+        man: &mut [i8],
+    ) -> Result<i8, ArithError> {
+        self.round_tile(self.tile_exp(t)?, t, side, man)
+    }
+
     fn quantize_tile(
         &self,
         m: &MatF32,
@@ -276,38 +283,45 @@ impl Quantizer {
         c0: usize,
         reference_scan: bool,
     ) -> Result<GenBlock, ArithError> {
-        let b = self.block;
+        let t = TileSrc::of(m, r0, c0, self.block);
+        let mut man = vec![0i8; self.block * self.block];
         let scanned = if reference_scan {
             self.tile_exp_reference(m, r0, c0)?
         } else {
-            self.tile_exp(m, r0, c0)?
+            self.tile_exp(&t)?
         };
-        let exp = match scanned {
-            None => {
-                return Ok(GenBlock {
-                    exp: 0,
-                    man: vec![0; b * b],
-                })
-            }
-            Some(exp) => exp,
-        };
-        let scale = (-(exp as i32) as f64).exp2();
-        let clamp = self.max_mag() as i8;
-        let mut man = vec![0i8; b * b];
-        let mut saturated = 0u64;
-        for i in 0..b {
-            for j in 0..b {
-                let (r, c) = (r0 + i, c0 + j);
-                if r < m.rows() && c < m.cols() {
-                    let (q, sat) = self.round_elem(m.get(r, c), scale, r, c, clamp);
-                    saturated += sat as u64;
-                    man[i * b + j] = q;
-                }
-            }
-        }
-        crate::telemetry::note_saturated(saturated);
-        self.saturation.check(saturated)?;
+        let exp = self.round_tile(scanned, &t, PackSide::Lhs, &mut man)?;
         Ok(GenBlock { exp, man })
+    }
+}
+
+/// One tile of an f32 matrix as the tile quantisers read it: `data[0]` is
+/// the tile's element (0, 0), rows lie `stride` apart, and only the
+/// `imax × jmax` top-left region is real. `(r0, c0)` is the tile's anchor
+/// in the logical matrix: errors and the stochastic-rounding hash use
+/// absolute positions, so a fused GEMM drain that never materialises the
+/// f32 matrix reports the coordinates the composed path reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileSrc<'a> {
+    pub data: &'a [f32],
+    pub stride: usize,
+    pub r0: usize,
+    pub c0: usize,
+    pub imax: usize,
+    pub jmax: usize,
+}
+
+impl<'a> TileSrc<'a> {
+    /// The `b × b` tile of `m` anchored at `(r0, c0)`, clipped to the matrix.
+    pub(crate) fn of(m: &'a MatF32, r0: usize, c0: usize, b: usize) -> TileSrc<'a> {
+        TileSrc {
+            data: &m.data()[r0 * m.cols() + c0..],
+            stride: m.cols(),
+            r0,
+            c0,
+            imax: b.min(m.rows() - r0),
+            jmax: b.min(m.cols() - c0),
+        }
     }
 }
 

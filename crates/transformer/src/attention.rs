@@ -79,11 +79,7 @@ impl Attention {
             e.softmax_rows(&mut scores);
             // context = scores · Vh, bfp8 GEMM.
             let ctx = e.matmul(&scores, &vh);
-            for i in 0..seq {
-                for j in 0..self.head_dim {
-                    concat.set(i, h * self.head_dim + j, ctx.get(i, j));
-                }
-            }
+            write_cols(&mut concat, h * self.head_dim, &ctx);
         }
         self.wo.forward(e, &concat)
     }
@@ -91,7 +87,20 @@ impl Attention {
 
 /// Copy a column range out of a matrix.
 pub(crate) fn slice_cols(m: &MatF32, start: usize, width: usize) -> MatF32 {
-    MatF32::from_fn(m.rows(), width, |i, j| m.get(i, start + j))
+    let mut data = Vec::with_capacity(m.rows() * width);
+    for i in 0..m.rows() {
+        data.extend_from_slice(&m.row(i)[start..start + width]);
+    }
+    MatF32::from_vec(m.rows(), width, data)
+}
+
+/// Copy `src` into the columns of `dst` that begin at `start`.
+pub(crate) fn write_cols(dst: &mut MatF32, start: usize, src: &MatF32) {
+    assert_eq!(dst.rows(), src.rows(), "row counts");
+    let (dst_cols, width) = (dst.cols(), src.cols());
+    for (i, row) in dst.data_mut().chunks_exact_mut(dst_cols.max(1)).enumerate() {
+        row[start..start + width].copy_from_slice(src.row(i));
+    }
 }
 
 #[cfg(test)]

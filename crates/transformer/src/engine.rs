@@ -14,7 +14,7 @@ use bfp_telemetry::{Registry, Table};
 #[cfg(feature = "telemetry")]
 use bfp_telemetry::{Counter, Histogram, Tracer};
 
-use crate::attention::slice_cols;
+use crate::attention::{slice_cols, write_cols};
 use crate::layers::Linear;
 use crate::model::{residual_add, Block};
 use crate::plan::CompiledVitPlan;
@@ -1126,24 +1126,12 @@ impl MixedEngine {
         Ok(packed)
     }
 
-    /// The composed bias-linear exactly as `Linear::forward` runs it —
-    /// the replay target when a fused attempt reports an error.
-    fn linear_composed(&mut self, lin: &Linear, x: &MatF32) -> MatF32 {
-        let mut y = self.matmul(x, &lin.w);
-        for i in 0..y.rows() {
-            for j in 0..y.cols() {
-                y.set(i, j, y.get(i, j) + lin.b[j]);
-            }
-        }
-        y
-    }
-
     /// A composed bias-linear under a plan: counted as a fusion miss and
     /// wrapped in its `plan.node` span.
     fn miss_linear(&mut self, lin: &Linear, x: &MatF32, node: &str) -> MatF32 {
         let t = Instant::now();
         self.note_fusion_miss();
-        let out = self.linear_composed(lin, x);
+        let out = lin.forward(self, x);
         self.tel_node(node, t);
         out
     }
@@ -1156,7 +1144,7 @@ impl MixedEngine {
             Ok(out) => out,
             Err(_) => {
                 self.note_fusion_miss();
-                self.linear_composed(lin, x)
+                lin.forward(self, x)
             }
         };
         self.tel_node(node, t);
@@ -1167,9 +1155,9 @@ impl MixedEngine {
     /// when a fused MLP attempt reports an error before committing any
     /// accounting.
     fn mlp_composed(&mut self, blk: &Block, res1: &MatF32, h2: &MatF32) -> MatF32 {
-        let mut mid = self.linear_composed(&blk.fc1, h2);
+        let mut mid = blk.fc1.forward(self, h2);
         self.gelu(&mut mid);
-        let mlp = self.linear_composed(&blk.fc2, &mid);
+        let mlp = blk.fc2.forward(self, &mid);
         residual_add(res1, &mlp)
     }
 
@@ -1296,11 +1284,7 @@ impl MixedEngine {
             let ctx = self.matmul(&scores, &vh);
             self.note_fusion_miss();
             self.tel_node(&format!("h{hi}.ctx"), t);
-            for i in 0..seq {
-                for j in 0..hd {
-                    concat.set(i, hi * hd + j, ctx.get(i, j));
-                }
-            }
+            write_cols(&mut concat, hi * hd, &ctx);
         }
 
         self.absorb_weight_prefetch(prefetch);
@@ -1317,13 +1301,13 @@ impl MixedEngine {
                 Ok(r) => r,
                 Err(_) => {
                     self.note_fusion_miss();
-                    let wo = self.linear_composed(&blk.attn.wo, &concat);
+                    let wo = blk.attn.wo.forward(self, &concat);
                     residual_add(x, &wo)
                 }
             }
         } else {
             self.note_fusion_miss();
-            let wo = self.linear_composed(&blk.attn.wo, &concat);
+            let wo = blk.attn.wo.forward(self, &concat);
             residual_add(x, &wo)
         };
         self.tel_node("wo", t);
@@ -1350,7 +1334,7 @@ impl MixedEngine {
             // Composed fc1 + GELU; fc2 may still fuse its drain.
             let t = Instant::now();
             self.note_fusion_miss();
-            let mut mid = self.linear_composed(&blk.fc1, h2);
+            let mut mid = blk.fc1.forward(self, h2);
             self.tel_node("fc1", t);
             let t = Instant::now();
             self.gelu(&mut mid);
@@ -1417,7 +1401,7 @@ impl MixedEngine {
             Err(_) => {
                 self.note_fusion_miss();
                 self.tel_node("fc1+gelu", t);
-                let mut mid = self.linear_composed(&blk.fc1, h2);
+                let mut mid = blk.fc1.forward(self, h2);
                 let tg = Instant::now();
                 self.gelu(&mut mid);
                 self.tel_node("gelu", tg);
@@ -1441,13 +1425,13 @@ impl MixedEngine {
                 Ok(o) => o,
                 Err(_) => {
                     self.note_fusion_miss();
-                    let y = self.linear_composed(&blk.fc2, mid);
+                    let y = blk.fc2.forward(self, mid);
                     residual_add(res1, &y)
                 }
             }
         } else {
             self.note_fusion_miss();
-            let y = self.linear_composed(&blk.fc2, mid);
+            let y = blk.fc2.forward(self, mid);
             residual_add(res1, &y)
         };
         self.tel_node("fc2", t);
@@ -1459,10 +1443,10 @@ impl MixedEngine {
 /// composed `Linear::forward` bias loop restricted to the tile.
 #[inline]
 fn bias_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32]) {
+    let bias = &bias[ctx.c0..][..ctx.jmax];
     for i in 0..ctx.imax {
-        let row = &mut tile[i * ctx.b..][..ctx.jmax];
-        for (j, v) in row.iter_mut().enumerate() {
-            *v += bias[ctx.c0 + j];
+        for (v, b) in tile[i * ctx.b..][..ctx.jmax].iter_mut().zip(bias) {
+            *v += b;
         }
     }
 }
@@ -1471,12 +1455,12 @@ fn bias_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32]) {
 /// `Linear::forward` followed by `residual_add(skip, y)`.
 #[inline]
 fn bias_residual_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32], skip: &MatF32) {
+    let bias = &bias[ctx.c0..][..ctx.jmax];
     for i in 0..ctx.imax {
-        let r = ctx.r0 + i;
         let row = &mut tile[i * ctx.b..][..ctx.jmax];
-        for (j, v) in row.iter_mut().enumerate() {
-            let y = *v + bias[ctx.c0 + j];
-            *v = skip.get(r, ctx.c0 + j) + y;
+        let skip = &skip.row(ctx.r0 + i)[ctx.c0..][..ctx.jmax];
+        for ((v, b), s) in row.iter_mut().zip(bias).zip(skip) {
+            *v = s + (*v + b);
         }
     }
 }

@@ -35,9 +35,10 @@ impl Linear {
     /// part of the paper's op accounting.
     pub fn forward<E: Engine>(&self, e: &mut E, x: &MatF32) -> MatF32 {
         let mut y = e.matmul(x, &self.w);
-        for i in 0..y.rows() {
-            for j in 0..y.cols() {
-                y.set(i, j, y.get(i, j) + self.b[j]);
+        let cols = y.cols().max(1);
+        for row in y.data_mut().chunks_exact_mut(cols) {
+            for (v, b) in row.iter_mut().zip(&self.b) {
+                *v += b;
             }
         }
         y

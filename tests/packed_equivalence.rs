@@ -7,7 +7,7 @@
 
 use bfp_arith::abft::{AbftOptions, AbftPacked};
 use bfp_arith::matrix::MatF32;
-use bfp_arith::packed::PackedBfp;
+use bfp_arith::packed::{EpilogueCtx, PackedBfp};
 use bfp_arith::quant::{Quantizer, RoundMode};
 use bfp_core::{packed_matmul, ParallelPolicy};
 use bfp_pu::unit::{grid_from_matrix, Fidelity, ProcessingUnit, UnitConfig};
@@ -154,9 +154,10 @@ proptest! {
 }
 
 /// DeiT's sequence length is ragged (197 = 24·8 + 5), and so are this K
-/// and N: the AVX2 chain kernel behind `matmul`, the sharded kernel and
-/// the fused drain all agree with the naive reference and the stepped
-/// cycle simulator on a shape with padded tiles on every edge.
+/// and N: the fused quantize-pack, the AVX2 chain kernel behind `matmul`,
+/// the sharded kernel and the fused drains all agree with the naive
+/// reference and the stepped cycle simulator on a shape with padded tiles
+/// on every edge.
 #[test]
 fn ragged_deit_shape_agrees_across_every_gemm_path() {
     let (m, k, n) = (197, 72, 131);
@@ -167,7 +168,12 @@ fn ragged_deit_shape_agrees_across_every_gemm_path() {
     let naive = qa.try_matmul(&qb).unwrap();
     assert!(bits_eq(&cycle_sim_product(&qa, &qb, m, n), &naive), "cycle simulator diverged");
 
+    // Operands packed through both routes: the scalar quantizer composed
+    // with the packer, and the fused quantize-pack (the lane tile
+    // quantiser on an AVX2 host) that the engine and `bfp-serve` run.
     let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+    assert_eq!(PackedBfp::quantize_pack_lhs(&q, &a).unwrap(), pa, "fused quantize-pack diverged (lhs)");
+    assert_eq!(PackedBfp::quantize_pack_rhs(&q, &b).unwrap(), pb, "fused quantize-pack diverged (rhs)");
     assert!(bits_eq(&pa.matmul(&pb).unwrap(), &naive), "packed kernel diverged");
     for threads in [2, 3] {
         let par = pa.matmul_parallel(&pb, threads).unwrap();
@@ -176,16 +182,20 @@ fn ragged_deit_shape_agrees_across_every_gemm_path() {
 
     let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
     let composed = MatF32::from_fn(m, n, |i, j| (naive.get(i, j) + bias[j]).max(0.0));
-    let fused = pa
-        .matmul_epilogue(&pb, |tile, ctx| {
-            for i in 0..ctx.imax {
-                for (j, v) in tile[i * ctx.b..][..ctx.jmax].iter_mut().enumerate() {
-                    *v = (*v + bias[ctx.c0 + j]).max(0.0);
-                }
+    let drain = |tile: &mut [f32], ctx: &EpilogueCtx| {
+        for i in 0..ctx.imax {
+            for (j, v) in tile[i * ctx.b..][..ctx.jmax].iter_mut().enumerate() {
+                *v = (*v + bias[ctx.c0 + j]).max(0.0);
             }
-        })
-        .unwrap();
+        }
+    };
+    let fused = pa.matmul_epilogue(&pb, drain).unwrap();
     assert!(bits_eq(&fused, &composed), "fused drain diverged");
+    // The same drain requantized in place for the next GEMM: the planes
+    // the scalar quantizer makes of the materialised matrix.
+    let requant = pa.matmul_epilogue_requant(&pb, &q, drain);
+    let want = PackedBfp::pack_lhs(&q.quantize(&composed).unwrap());
+    assert_eq!(requant.unwrap(), want, "fused requant drain diverged");
 
     // The checked kernel `bfp-serve` runs: the same bits under a clean
     // report, one mid-chain or final check per truncation event — and the
