@@ -1208,7 +1208,7 @@ impl TileQuantizer {
                 return Ok(exp);
             }
         }
-        q.quantize_tile_scalar(t, side, man)
+        q.quantize_tile_scalar(t, side, man, false)
     }
 }
 
@@ -2124,7 +2124,7 @@ pub(crate) mod tests {
         let (mut out, mut took) = (Ok(0), false);
         for side in [PackSide::Lhs, PackSide::Rhs] {
             let mut man = [0i8; 64];
-            let want = q.quantize_tile_scalar(t, side, &mut man).map(|e| (e, man));
+            let want = q.quantize_tile_scalar(t, side, &mut man, false).map(|e| (e, man));
             let mut man = [0i8; 64];
             let got = TileQuantizer::select(q).quantize(q, t, side, &mut man).map(|e| (e, man));
             assert_eq!(got, want, "dispatch vs scalar loop, {side:?}");

@@ -161,27 +161,22 @@ impl Quantizer {
         self.exp_for_max_abs(max_abs).map(Some)
     }
 
-    /// The pre-optimisation tile scan: per-element `get` with bounds
-    /// branches and an f64 running max. Kept runnable as the oracle
-    /// [`Quantizer::tile_exp`] is pinned against and as the epilogue the
-    /// e2e baseline engine replays, so "before" numbers stay measurable on
-    /// today's tree. Bit-identical to the slice scan (the f32 max converts
-    /// exactly to f64 and the (i, j) error order matches).
-    fn tile_exp_reference(
-        &self,
-        m: &MatF32,
-        r0: usize,
-        c0: usize,
-    ) -> Result<Option<i8>, ArithError> {
+    /// The pre-optimisation tile scan: every position of the `block²` tile
+    /// behind its own bounds branches, and an f64 running max. Kept
+    /// runnable as the oracle [`Quantizer::tile_exp`] is pinned against and
+    /// as the epilogue the e2e baseline engine replays, so "before" numbers
+    /// stay measurable on today's tree. Bit-identical to the slice scan
+    /// (the f32 max converts exactly to f64 and the (i, j) error order
+    /// matches).
+    fn tile_exp_reference(&self, t: &TileSrc) -> Result<Option<i8>, ArithError> {
         let b = self.block;
         let mut max_abs = 0f64;
         for i in 0..b {
             for j in 0..b {
-                let (r, c) = (r0 + i, c0 + j);
-                if r < m.rows() && c < m.cols() {
-                    let v = m.get(r, c);
+                if i < t.imax && j < t.jmax {
+                    let v = t.data[i * t.stride + j];
                     if !v.is_finite() {
-                        return Err(ArithError::NonFinite { at: (r, c) });
+                        return Err(ArithError::NonFinite { at: (t.r0 + i, t.c0 + j) });
                     }
                     max_abs = max_abs.max((v as f64).abs());
                 }
@@ -259,21 +254,24 @@ impl Quantizer {
         Ok(exp)
     }
 
-    /// The one scalar tile loop: scan, shared exponent, rounding walk and
-    /// saturation tail of one tile, mantissas into `man` (zeroed on entry;
-    /// an all-zero tile and the padding leave it untouched) in `side`'s
-    /// layout. Returns the tile's exponent. [`Quantizer::quantize`], the
-    /// fused quantize-pack and the fused requant drain all run this, so
-    /// they cannot drift apart bit-wise, and it is the bit and error
-    /// oracle — and the fallback — of the AVX2 tile quantiser in
-    /// [`crate::packed`].
+    /// The one scalar tile loop: scan (the slice scan, or the reference
+    /// scan [`Quantizer::quantize_reference`] asks for), shared exponent,
+    /// rounding walk and saturation tail of one tile, mantissas into `man`
+    /// (zeroed on entry; an all-zero tile and the padding leave it
+    /// untouched) in `side`'s layout. Returns the tile's exponent.
+    /// [`Quantizer::quantize`], the fused quantize-pack and the fused
+    /// requant drain all run this, so they cannot drift apart bit-wise,
+    /// and it is the bit and error oracle — and the fallback — of the AVX2
+    /// tile quantiser in [`crate::packed`].
     pub(crate) fn quantize_tile_scalar(
         &self,
         t: &TileSrc,
         side: PackSide,
         man: &mut [i8],
+        reference_scan: bool,
     ) -> Result<i8, ArithError> {
-        self.round_tile(self.tile_exp(t)?, t, side, man)
+        let scanned = if reference_scan { self.tile_exp_reference(t)? } else { self.tile_exp(t)? };
+        self.round_tile(scanned, t, side, man)
     }
 
     fn quantize_tile(
@@ -285,12 +283,7 @@ impl Quantizer {
     ) -> Result<GenBlock, ArithError> {
         let t = TileSrc::of(m, r0, c0, self.block);
         let mut man = vec![0i8; self.block * self.block];
-        let scanned = if reference_scan {
-            self.tile_exp_reference(m, r0, c0)?
-        } else {
-            self.tile_exp(&t)?
-        };
-        let exp = self.round_tile(scanned, &t, PackSide::Lhs, &mut man)?;
+        let exp = self.quantize_tile_scalar(&t, PackSide::Lhs, &mut man, reference_scan)?;
         Ok(GenBlock { exp, man })
     }
 }

@@ -523,7 +523,7 @@ fn main() {
     // Best-of-N timed passes per configuration; see `run` — the gates
     // compare configurations against each other, so each side must be a
     // low-noise estimate or the comparison gates flake on shared hosts.
-    let passes = if quick { 3 } else { 6 };
+    let passes = if quick { 2 } else { 3 };
     // Quick mode runs on loaded CI runners; the full run publishes the
     // checked-in numbers from a quiet host.
     let sweep_tol = if quick { 0.65 } else { 0.80 };
@@ -770,15 +770,15 @@ fn main() {
     );
 
     // Acceptance gates (after the report, so a failing run still shows
-    // its numbers). What fusion saves on the host is quantize-pack work,
-    // and with the lane tile quantiser that phase is ≈ 1 ms of this
-    // model's ≈ 20, so fused and unfused run level (0.94–1.07× over
-    // sixteen full runs): the throughput gate is a no-regression band at
-    // the production (fast-nonlinear) operating point, not a win. The
-    // pack phase that remains is mostly per-call overhead both sides
-    // share, so its measured reduction (0.19–0.47; the planner's
-    // structural figure is asserted separately) is a sign check.
-    let (min_speedup, min_qp) = (0.90, 0.10);
+    // its numbers): the fused path must never cost throughput at the
+    // production (fast-nonlinear) operating point and must eliminate the
+    // quantize-pack round trip on fused edges. At this scaled-down bench
+    // model the structural fusion win is a few percent of wall clock
+    // (the pack phase it deletes is already small), so the speedup gate
+    // is a no-regression floor and the quantize-pack reduction is the
+    // quantitative fusion gate. Quick mode runs two images on loaded CI
+    // hosts, so its bars are looser.
+    let (min_speedup, min_qp) = if quick { (0.90, 0.30) } else { (1.00, 0.40) };
     assert!(
         ab.speedup_fastnl >= min_speedup,
         "fused path regressed: {:.3}x vs unfused at fastnl (floor {min_speedup})",

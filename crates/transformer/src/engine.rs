@@ -1176,10 +1176,13 @@ impl MixedEngine {
         {
             return None;
         }
+        // Only a weight whose plan is missing is cloned for the pack
+        // thread: in steady state every plan is cached and nothing is.
         let missing: Vec<(PlanKey, MatF32)> = weights
             .iter()
-            .map(|w| (PlanKey::of(w, self.epilogue), (*w).clone()))
+            .map(|w| (PlanKey::of(w, self.epilogue), *w))
             .filter(|(k, _)| !self.plans.contains_key(k))
+            .map(|(k, w)| (k, w.clone()))
             .collect();
         if missing.is_empty() {
             return None;
