@@ -259,10 +259,10 @@ impl Quantizer {
     /// rounding walk and saturation tail of one tile, mantissas into `man`
     /// (zeroed on entry; an all-zero tile and the padding leave it
     /// untouched) in `side`'s layout. Returns the tile's exponent.
-    /// [`Quantizer::quantize`], the fused quantize-pack and the fused
-    /// requant drain all run this, so they cannot drift apart bit-wise,
-    /// and it is the bit and error oracle — and the fallback — of the AVX2
-    /// tile quantiser in [`crate::packed`].
+    /// [`Quantizer::quantize`] and the fused quantize-pack both run this,
+    /// so they cannot drift apart bit-wise, and it is the bit and error
+    /// oracle — and the fallback — of the AVX2 tile quantiser in
+    /// [`crate::packed`].
     pub(crate) fn quantize_tile_scalar(
         &self,
         t: &TileSrc,
@@ -292,8 +292,7 @@ impl Quantizer {
 /// the tile's element (0, 0), rows lie `stride` apart, and only the
 /// `imax × jmax` top-left region is real. `(r0, c0)` is the tile's anchor
 /// in the logical matrix: errors and the stochastic-rounding hash use
-/// absolute positions, so a fused GEMM drain that never materialises the
-/// f32 matrix reports the coordinates the composed path reports.
+/// absolute positions.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileSrc<'a> {
     pub data: &'a [f32],

@@ -1,8 +1,87 @@
 //! Shared workload generators for the reproduction binaries and benches:
 //! deterministic (seedable, dependency-free) matrix and stream generators
-//! so every table regenerates identically across runs and machines.
+//! so every table regenerates identically across runs and machines — and
+//! the one duration-based timing loop `bench` and `e2e` share.
+
+use std::time::{Duration, Instant};
 
 use bfp_arith::matrix::MatF32;
+use bfp_transformer::{DeitConfig, VitConfig};
+
+/// The bench model of `bench` and `e2e`: a scaled-down DeiT (same shape
+/// family as the paper's DeiT-Small target, sized so a full run finishes
+/// in seconds).
+pub fn bench_config() -> DeitConfig {
+    DeitConfig {
+        vit: VitConfig {
+            dim: 128,
+            depth: 4,
+            heads: 4,
+            mlp_ratio: 4,
+            seq: 17,
+        },
+        patch: 16,
+        channels: 3,
+        img: 64,
+        classes: 10,
+    }
+}
+
+/// Shortest wall time a bench configuration is timed for: long enough that
+/// a scheduler stall of a few milliseconds cannot decide the median.
+pub fn min_timed(quick: bool) -> Duration {
+    Duration::from_millis(if quick { 300 } else { 1000 })
+}
+
+/// Wall times of the passes of one timed configuration, in run order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PassTimes {
+    ms: Vec<f64>,
+}
+
+impl PassTimes {
+    /// How many passes ran.
+    pub fn passes(&self) -> usize {
+        self.ms.len()
+    }
+
+    /// Which pass took the median time (the lower middle of an even
+    /// count, so the median is always a pass that ran).
+    pub fn median_pass(&self) -> usize {
+        let mut order: Vec<usize> = (0..self.ms.len()).collect();
+        order.sort_by(|&a, &b| self.ms[a].total_cmp(&self.ms[b]));
+        order[(order.len() - 1) / 2]
+    }
+
+    /// Median pass time in milliseconds.
+    pub fn median_ms(&self) -> f64 {
+        self.ms[self.median_pass()]
+    }
+
+    /// Fastest pass in milliseconds.
+    pub fn min_ms(&self) -> f64 {
+        self.ms.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Slowest pass in milliseconds.
+    pub fn max_ms(&self) -> f64 {
+        self.ms.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Time `pass` by duration, not by count: repeat it until `min_wall` has
+/// elapsed in total and at least two passes have run, so a fast
+/// configuration gets many samples and a slow one still gets a spread.
+pub fn time_passes(min_wall: Duration, mut pass: impl FnMut()) -> PassTimes {
+    let start = Instant::now();
+    let mut ms = Vec::new();
+    while ms.len() < 2 || start.elapsed() < min_wall {
+        let t0 = Instant::now();
+        pass();
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    PassTimes { ms }
+}
 
 /// A tiny deterministic LCG (numerical-recipes constants), good enough for
 /// workload shaping and fully reproducible.
@@ -79,6 +158,28 @@ pub fn operand_pairs(n: usize, binades: u32, seed: u32) -> Vec<(f32, f32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_passes_runs_twice_at_least_and_until_the_minimum_wall() {
+        let mut calls = 0;
+        let t = time_passes(Duration::ZERO, || calls += 1);
+        assert_eq!((calls, t.passes()), (2, 2));
+        let t = time_passes(Duration::from_millis(20), || {
+            std::thread::sleep(Duration::from_millis(3))
+        });
+        // The loop ends on the clock, not on a count.
+        assert!(t.ms.iter().sum::<f64>() >= 19.0, "{t:?}");
+        assert!(t.min_ms() >= 3.0 && t.min_ms() <= t.median_ms() && t.median_ms() <= t.max_ms());
+    }
+
+    #[test]
+    fn median_is_a_pass_that_ran() {
+        let t = PassTimes { ms: vec![5.0, 1.0, 9.0, 3.0] };
+        assert_eq!((t.median_pass(), t.median_ms()), (3, 3.0));
+        assert_eq!((t.min_ms(), t.max_ms()), (1.0, 9.0));
+        let t = PassTimes { ms: vec![2.0, 7.0, 4.0] };
+        assert_eq!((t.median_pass(), t.median_ms()), (2, 4.0));
+    }
 
     #[test]
     fn lcg_is_deterministic() {

@@ -376,8 +376,8 @@ const VPU_PARALLEL_ELEMS: usize = 16_384;
 
 /// Minimum elements per shard in **fast** nonlinear mode. A fast-kernel
 /// element costs tens of native flops instead of thousands of emulation
-/// instructions, so the fork/join break-even sits ~16× higher; sharding
-/// small fast batches is how the thread sweep went non-monotone.
+/// instructions, so the fork/join break-even sits ~16× higher: sharding
+/// a smaller fast batch costs more than it saves.
 const VPU_PARALLEL_ELEMS_FAST: usize = 65_536;
 
 /// Where fp32 divisions and square roots execute.
@@ -415,8 +415,7 @@ pub struct MixedEngine {
     threads: usize,
     /// Threads the host actually has. The effective parallelism is
     /// `min(threads, host_cap)`: a budget above the core count cannot buy
-    /// wall-clock, only fork/join overhead — the regression that made the
-    /// e2e thread sweep non-monotone on small hosts.
+    /// wall-clock, only fork/join overhead.
     host_cap: usize,
     /// Which quantize epilogue (and plan-key hash) this engine runs; see
     /// [`Epilogue`].
@@ -429,6 +428,10 @@ pub struct MixedEngine {
     /// GEMMs a plan ran through the composed passes (per-head attention
     /// GEMMs, disabled patterns, and fused-kernel error replays).
     fusion_misses: u64,
+    /// Activation (LHS) quantize-packs attempted, and the f32 elements
+    /// they read: what sharing a packed LHS saves, as a count.
+    lhs_packs: u64,
+    lhs_pack_elems: u64,
     phase: PhaseTimes,
     /// Per-node wall-clock accumulators for drift attribution; `None`
     /// (the default) keeps the compiled-plan hot path free of clock
@@ -469,6 +472,8 @@ impl MixedEngine {
             vit_plan: None,
             fusion_hits: 0,
             fusion_misses: 0,
+            lhs_packs: 0,
+            lhs_pack_elems: 0,
             phase: PhaseTimes::default(),
             node_times: None,
             #[cfg(feature = "telemetry")]
@@ -858,6 +863,20 @@ impl MixedEngine {
         (self.fusion_hits, self.fusion_misses)
     }
 
+    /// Activation quantize-pack counters as `(calls, f32 elements)`: every
+    /// LHS operand the engine packed, on any path. Deterministic for a
+    /// given model, plan and image count — timing-free evidence of what a
+    /// shared packed LHS saves.
+    pub fn lhs_pack_stats(&self) -> (u64, u64) {
+        (self.lhs_packs, self.lhs_pack_elems)
+    }
+
+    #[inline]
+    fn note_lhs_pack(&mut self, m: &MatF32) {
+        self.lhs_packs += 1;
+        self.lhs_pack_elems += (m.rows() * m.cols()) as u64;
+    }
+
     #[inline]
     fn note_fusion_hit(&mut self) {
         self.fusion_hits += 1;
@@ -941,34 +960,67 @@ impl MixedEngine {
     /// Quantize-pack an LHS operand, billing the time to the
     /// quantize_pack phase.
     fn pack_lhs_timed(&mut self, m: &MatF32) -> Result<PackedBfp, ArithError> {
+        self.note_lhs_pack(m);
         let t0 = Instant::now();
         let r = PackedBfp::quantize_pack_lhs(&self.quantizer, m);
         self.phase.quantize_pack += t0.elapsed();
         r
     }
 
-    /// Fused GEMM + bias drain over an already-packed LHS. Accounting on
-    /// success mirrors `Engine::matmul`: RHS plan resolution bills
-    /// quantize_pack, the fused kernel bills gemm, MACs land in the
+    /// One fused GEMM over an already-packed LHS: every hot output tile
+    /// takes `drain` before it is written out, in exactly the element
+    /// order of the composed `Linear::forward` (+ `residual_add` /
+    /// `Engine::gelu`) sequence. The GELU drain runs per tile on a
+    /// per-shard VPU; counts merge in shard order into the live VPU and
+    /// the gelu census, matching the composed totals (GELU is
+    /// element-independent, so tile order cannot change bits or counts).
+    ///
+    /// Accounting on success mirrors `Engine::matmul`: RHS plan resolution
+    /// bills quantize_pack, the fused kernel bills gemm, MACs land in the
     /// census. On error nothing is recorded — the caller replays the
     /// composed oracle ops, which do their own accounting.
-    fn fused_linear_bias(&mut self, ph: &PackedBfp, lin: &Linear) -> Result<MatF32, ArithError> {
+    fn fused_linear(
+        &mut self,
+        ph: &PackedBfp,
+        lin: &Linear,
+        drain: Drain,
+    ) -> Result<MatF32, ArithError> {
         let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
         let threads = self.gemm_threads_for(macs);
+        let (division, mode) = (self.division, self.nonlinear);
+        let mut vpus: Vec<Vpu> = (0..threads).map(|_| self.vpu.fresh()).collect();
         let sat0 = self.sat_mark();
         let t0 = Instant::now();
         let pb = self.rhs_plan(&lin.w)?;
         let t1 = Instant::now();
         let bias = lin.b.as_slice();
-        let out = if threads <= 1 {
-            ph.matmul_epilogue(pb, |tile, ctx| bias_epi(tile, ctx, bias))?
-        } else {
-            let mut epis: Vec<_> = (0..threads)
-                .map(|_| |tile: &mut [f32], ctx: &EpilogueCtx| bias_epi(tile, ctx, bias))
-                .collect();
-            ph.matmul_epilogue_parallel(pb, threads, &mut epis)?
-        };
+        let mut epis: Vec<_> = vpus
+            .iter_mut()
+            .map(|vpu| {
+                move |tile: &mut [f32], ctx: &EpilogueCtx| match drain {
+                    Drain::Bias => bias_epi(tile, ctx, bias),
+                    Drain::BiasResidual(skip) => bias_residual_epi(tile, ctx, bias, skip),
+                    Drain::BiasGelu => {
+                        bias_epi(tile, ctx, bias);
+                        vpu.gelu_tile(tile, ctx, division, mode);
+                    }
+                }
+            })
+            .collect();
+        // One shard runs the serial kernel on the first epilogue.
+        let out = ph.matmul_epilogue_parallel(pb, threads, &mut epis)?;
+        drop(epis);
         let t2 = Instant::now();
+        // Only the GELU drain runs (and counts) on the shard VPUs.
+        let mut delta = OpCount::default();
+        for v in &vpus {
+            delta.merge(&v.count);
+        }
+        self.vpu.count.merge(&delta);
+        self.census.gelu.merge(&delta);
+        if mode == NonlinearMode::Fast {
+            self.tel_fast_mix(&delta);
+        }
         self.phase.quantize_pack += t1.duration_since(t0);
         self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
@@ -977,188 +1029,53 @@ impl MixedEngine {
         Ok(out)
     }
 
-    /// Fused GEMM + bias + residual drain: produces
-    /// `skip + (GEMM + bias)` with exactly the element order of the
-    /// composed `Linear::forward` + `residual_add` sequence.
-    fn fused_linear_bias_residual(
+    /// A bias linear under a plan, wrapped in its `plan.node` span: the
+    /// fused bias drain over the shared packed LHS when there is one,
+    /// otherwise — and on a fused error — the composed `Linear::forward`,
+    /// counted as a fusion miss.
+    fn planned_linear(
         &mut self,
-        ph: &PackedBfp,
+        ph: Option<&PackedBfp>,
         lin: &Linear,
+        x: &MatF32,
+        node: &str,
+    ) -> MatF32 {
+        let t = Instant::now();
+        let fused = ph.and_then(|ph| self.fused_linear(ph, lin, Drain::Bias).ok());
+        let out = fused.unwrap_or_else(|| {
+            self.note_fusion_miss();
+            lin.forward(self, x)
+        });
+        self.tel_node(node, t);
+        out
+    }
+
+    /// A bias+residual linear under a plan (`wo`, `fc2`): `skip + (x·W +
+    /// b)`. With `fuse`, `x` is packed by the lane quantiser and the bias
+    /// and residual adds fold into the GEMM drain; otherwise — and on a
+    /// pack or fused error — the composed `Linear::forward` +
+    /// `residual_add`, counted as a fusion miss.
+    fn planned_residual(
+        &mut self,
+        fuse: bool,
+        lin: &Linear,
+        x: &MatF32,
         skip: &MatF32,
-    ) -> Result<MatF32, ArithError> {
-        let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
-        let threads = self.gemm_threads_for(macs);
-        let sat0 = self.sat_mark();
-        let t0 = Instant::now();
-        let pb = self.rhs_plan(&lin.w)?;
-        let t1 = Instant::now();
-        let bias = lin.b.as_slice();
-        let out = if threads <= 1 {
-            ph.matmul_epilogue(pb, |tile, ctx| bias_residual_epi(tile, ctx, bias, skip))?
-        } else {
-            let mut epis: Vec<_> = (0..threads)
-                .map(|_| {
-                    |tile: &mut [f32], ctx: &EpilogueCtx| bias_residual_epi(tile, ctx, bias, skip)
-                })
-                .collect();
-            ph.matmul_epilogue_parallel(pb, threads, &mut epis)?
-        };
-        let t2 = Instant::now();
-        self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t2.duration_since(t1);
-        self.census.matmul_macs += macs;
-        self.note_fusion_hit();
-        self.tel_fused_gemm(macs, t0, t1, t2, sat0);
-        Ok(out)
-    }
-
-    /// Fused GEMM + bias + GELU drain to f32. The GELU runs per tile row
-    /// on a per-shard VPU while the tile is hot; counts merge in shard
-    /// order into the live VPU and the gelu census, exactly matching the
-    /// composed `Linear::forward` + `Engine::gelu` totals (GELU is
-    /// element-independent, so tile order cannot change bits or counts).
-    fn fused_linear_bias_gelu(
-        &mut self,
-        ph: &PackedBfp,
-        lin: &Linear,
-    ) -> Result<MatF32, ArithError> {
-        let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
-        let threads = self.gemm_threads_for(macs);
-        let division = self.division;
-        let mode = self.nonlinear;
-        let mut vpus: Vec<Vpu> = (0..threads.max(1)).map(|_| self.vpu.fresh()).collect();
-        let sat0 = self.sat_mark();
-        let t0 = Instant::now();
-        let pb = self.rhs_plan(&lin.w)?;
-        let t1 = Instant::now();
-        let bias = lin.b.as_slice();
-        let out = if threads <= 1 {
-            let vpu = &mut vpus[0];
-            ph.matmul_epilogue(pb, |tile, ctx| {
-                bias_epi(tile, ctx, bias);
-                vpu.gelu_tile(tile, ctx, division, mode);
-            })?
-        } else {
-            let mut epis: Vec<_> = vpus
-                .iter_mut()
-                .map(|vpu| {
-                    move |tile: &mut [f32], ctx: &EpilogueCtx| {
-                        bias_epi(tile, ctx, bias);
-                        vpu.gelu_tile(tile, ctx, division, mode);
-                    }
-                })
-                .collect();
-            ph.matmul_epilogue_parallel(pb, threads, &mut epis)?
-        };
-        let t2 = Instant::now();
-        let mut delta = OpCount::default();
-        for v in &vpus {
-            delta.merge(&v.count);
-        }
-        self.vpu.count.merge(&delta);
-        self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
-        self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t2.duration_since(t1);
-        self.census.matmul_macs += macs;
-        self.note_fusion_hit();
-        self.tel_fused_gemm(macs, t0, t1, t2, sat0);
-        Ok(out)
-    }
-
-    /// [`Self::fused_linear_bias_gelu`] with the drain **requantized in
-    /// place** into the next GEMM's packed block-major LHS: the f32
-    /// intermediate never materialises, its scan never runs, and its
-    /// repack never happens — the round trip the fused edge eliminates.
-    /// Bit-identical to the composed pipeline including first-error
-    /// semantics (pinned in `bfp_arith::packed`).
-    fn fused_linear_bias_gelu_requant(
-        &mut self,
-        ph: &PackedBfp,
-        lin: &Linear,
-    ) -> Result<PackedBfp, ArithError> {
-        let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
-        let threads = self.gemm_threads_for(macs);
-        let division = self.division;
-        let mode = self.nonlinear;
-        let qz = self.quantizer;
-        let mut vpus: Vec<Vpu> = (0..threads.max(1)).map(|_| self.vpu.fresh()).collect();
-        let sat0 = self.sat_mark();
-        let t0 = Instant::now();
-        let pb = self.rhs_plan(&lin.w)?;
-        let t1 = Instant::now();
-        let bias = lin.b.as_slice();
-        let packed = if threads <= 1 {
-            let vpu = &mut vpus[0];
-            ph.matmul_epilogue_requant(pb, &qz, |tile, ctx| {
-                bias_epi(tile, ctx, bias);
-                vpu.gelu_tile(tile, ctx, division, mode);
-            })?
-        } else {
-            let mut epis: Vec<_> = vpus
-                .iter_mut()
-                .map(|vpu| {
-                    move |tile: &mut [f32], ctx: &EpilogueCtx| {
-                        bias_epi(tile, ctx, bias);
-                        vpu.gelu_tile(tile, ctx, division, mode);
-                    }
-                })
-                .collect();
-            ph.matmul_epilogue_requant_parallel(pb, &qz, threads, &mut epis)?
-        };
-        let t2 = Instant::now();
-        let mut delta = OpCount::default();
-        for v in &vpus {
-            delta.merge(&v.count);
-        }
-        self.vpu.count.merge(&delta);
-        self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
-        self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t2.duration_since(t1);
-        self.census.matmul_macs += macs;
-        self.note_fusion_hit();
-        self.tel_fused_gemm(macs, t0, t1, t2, sat0);
-        Ok(packed)
-    }
-
-    /// A composed bias-linear under a plan: counted as a fusion miss and
-    /// wrapped in its `plan.node` span.
-    fn miss_linear(&mut self, lin: &Linear, x: &MatF32, node: &str) -> MatF32 {
+        node: &str,
+    ) -> MatF32 {
         let t = Instant::now();
-        self.note_fusion_miss();
-        let out = lin.forward(self, x);
+        let fused = if fuse {
+            let px = self.pack_lhs_timed(x);
+            px.and_then(|px| self.fused_linear(&px, lin, Drain::BiasResidual(skip))).ok()
+        } else {
+            None
+        };
+        let out = fused.unwrap_or_else(|| {
+            self.note_fusion_miss();
+            residual_add(skip, &lin.forward(self, x))
+        });
         self.tel_node(node, t);
         out
-    }
-
-    /// A fused bias-linear over a shared packed LHS, replaying composed
-    /// on error.
-    fn planned_linear(&mut self, ph: &PackedBfp, lin: &Linear, x: &MatF32, node: &str) -> MatF32 {
-        let t = Instant::now();
-        let out = match self.fused_linear_bias(ph, lin) {
-            Ok(out) => out,
-            Err(_) => {
-                self.note_fusion_miss();
-                lin.forward(self, x)
-            }
-        };
-        self.tel_node(node, t);
-        out
-    }
-
-    /// The composed MLP (fc1 → GELU → fc2 → residual), the replay target
-    /// when a fused MLP attempt reports an error before committing any
-    /// accounting.
-    fn mlp_composed(&mut self, blk: &Block, res1: &MatF32, h2: &MatF32) -> MatF32 {
-        let mut mid = blk.fc1.forward(self, h2);
-        self.gelu(&mut mid);
-        let mlp = blk.fc2.forward(self, &mid);
-        residual_add(res1, &mlp)
     }
 
     /// Double-buffered weight prefetch: quantize-pack the plans for
@@ -1247,26 +1164,10 @@ impl MixedEngine {
         // q/k/v: one shared packed LHS (the CSE the planner finds on
         // three MatMuls with an identical LayerNorm dep), fused bias
         // drains.
-        let (q, k, v) = if plan.fuse_qkv {
-            match self.pack_lhs_timed(&h) {
-                Ok(ph) => (
-                    self.planned_linear(&ph, &blk.attn.wq, &h, "wq"),
-                    self.planned_linear(&ph, &blk.attn.wk, &h, "wk"),
-                    self.planned_linear(&ph, &blk.attn.wv, &h, "wv"),
-                ),
-                Err(_) => (
-                    self.miss_linear(&blk.attn.wq, &h, "wq"),
-                    self.miss_linear(&blk.attn.wk, &h, "wk"),
-                    self.miss_linear(&blk.attn.wv, &h, "wv"),
-                ),
-            }
-        } else {
-            (
-                self.miss_linear(&blk.attn.wq, &h, "wq"),
-                self.miss_linear(&blk.attn.wk, &h, "wk"),
-                self.miss_linear(&blk.attn.wv, &h, "wv"),
-            )
-        };
+        let ph = if plan.fuse_qkv { self.pack_lhs_timed(&h).ok() } else { None };
+        let q = self.planned_linear(ph.as_ref(), &blk.attn.wq, &h, "wq");
+        let k = self.planned_linear(ph.as_ref(), &blk.attn.wk, &h, "wk");
+        let v = self.planned_linear(ph.as_ref(), &blk.attn.wv, &h, "wv");
 
         // Per-head attention: composed GEMMs (the planner prices these
         // unfused — softmax consumes the whole scores matrix, so there is
@@ -1293,153 +1194,53 @@ impl MixedEngine {
         self.absorb_weight_prefetch(prefetch);
 
         // Output projection + first residual.
-        let t = Instant::now();
-        let res1 = if plan.fuse_wo_residual {
-            let pc = self.pack_lhs_timed(&concat);
-            let fused = match pc {
-                Ok(pc) => self.fused_linear_bias_residual(&pc, &blk.attn.wo, x),
-                Err(e) => Err(e),
-            };
-            match fused {
-                Ok(r) => r,
-                Err(_) => {
-                    self.note_fusion_miss();
-                    let wo = blk.attn.wo.forward(self, &concat);
-                    residual_add(x, &wo)
-                }
-            }
-        } else {
-            self.note_fusion_miss();
-            let wo = blk.attn.wo.forward(self, &concat);
-            residual_add(x, &wo)
-        };
-        self.tel_node("wo", t);
+        let res1 = self.planned_residual(plan.fuse_wo_residual, &blk.attn.wo, &concat, x, "wo");
 
         let t = Instant::now();
         let mut h2 = res1.clone();
         self.layernorm(&mut h2, &blk.ln2.gamma, &blk.ln2.beta, blk.ln2.eps);
         self.tel_node("ln2", t);
 
-        self.planned_mlp(blk, &res1, &h2, plan)
-    }
-
-    /// The MLP half of the compiled block: fc1 (+bias+GELU fused, with
-    /// requantize-into-packed when fc2 is also fused) then fc2
-    /// (+bias+residual fused).
-    fn planned_mlp(
-        &mut self,
-        blk: &Block,
-        res1: &MatF32,
-        h2: &MatF32,
-        plan: CompiledVitPlan,
-    ) -> MatF32 {
-        if !plan.fuse_fc1_gelu {
-            // Composed fc1 + GELU; fc2 may still fuse its drain.
-            let t = Instant::now();
-            self.note_fusion_miss();
-            let mut mid = blk.fc1.forward(self, h2);
-            self.tel_node("fc1", t);
-            let t = Instant::now();
-            self.gelu(&mut mid);
-            self.tel_node("gelu", t);
-            return self.planned_fc2(blk, res1, &mid, plan);
-        }
-
-        let Ok(p2) = self.pack_lhs_timed(h2) else {
-            self.note_fusion_miss();
-            self.note_fusion_miss();
-            return self.mlp_composed(blk, res1, h2);
-        };
-
-        if plan.fuse_fc2_residual && blk.fc1.w.cols() == blk.fc2.w.rows() {
-            // Pre-resolve fc2's weight plan: after this, the fused fc2
-            // over the requantized intermediate cannot fail (shapes
-            // pre-checked, plan content-cached), so it is safe for the
-            // intermediate to exist only in packed form.
-            let tq = Instant::now();
-            let fc2_ready = self.rhs_plan(&blk.fc2.w).is_ok();
-            self.phase.quantize_pack += tq.elapsed();
-            if fc2_ready {
-                let t = Instant::now();
-                match self.fused_linear_bias_gelu_requant(&p2, &blk.fc1) {
-                    Ok(pmid) => {
-                        self.tel_node("fc1+gelu", t);
-                        let t = Instant::now();
-                        match self.fused_linear_bias_residual(&pmid, &blk.fc2, res1) {
-                            Ok(o) => {
-                                self.tel_node("fc2", t);
-                                return o;
-                            }
-                            Err(_) => {
-                                // Unreachable given the pre-checks; replay
-                                // the composed oracle for safety.
-                                self.note_fusion_miss();
-                                self.tel_node("fc2", t);
-                                return self.mlp_composed(blk, res1, h2);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Requant refused (e.g. non-finite GELU output
-                        // under a strict saturation policy). Nothing was
-                        // committed; the composed replay reproduces the
-                        // hand-wired accounting including fc2's fallback.
-                        self.note_fusion_miss();
-                        self.note_fusion_miss();
-                        self.tel_node("fc1+gelu", t);
-                        return self.mlp_composed(blk, res1, h2);
-                    }
-                }
-            }
-            // fc2's weights cannot quantize: fall through to the f32-out
-            // fused fc1; the composed fc2 will count its own fallback.
-        }
-
+        // MLP. fc1 drains bias+GELU to f32 and fc2 packs that with the
+        // lane quantiser: the host runs the planner's `BiasGeluRequant`
+        // edge as drain → quantize-pack (the planner prices the paper's
+        // on-chip converter; on the host the f32 round trip costs level).
         let t = Instant::now();
-        let mid = match self.fused_linear_bias_gelu(&p2, &blk.fc1) {
-            Ok(mid) => {
-                self.tel_node("fc1+gelu", t);
-                mid
-            }
-            Err(_) => {
-                self.note_fusion_miss();
-                self.tel_node("fc1+gelu", t);
-                let mut mid = blk.fc1.forward(self, h2);
-                let tg = Instant::now();
-                self.gelu(&mut mid);
-                self.tel_node("gelu", tg);
-                mid
-            }
-        };
-        self.planned_fc2(blk, res1, &mid, plan)
-    }
-
-    /// fc2 over an f32 intermediate: fused bias+residual drain when the
-    /// plan asks for it, composed otherwise.
-    fn planned_fc2(&mut self, blk: &Block, res1: &MatF32, mid: &MatF32, plan: CompiledVitPlan) -> MatF32 {
-        let t = Instant::now();
-        let out = if plan.fuse_fc2_residual {
-            let pm = self.pack_lhs_timed(mid);
-            let fused = match pm {
-                Ok(pm) => self.fused_linear_bias_residual(&pm, &blk.fc2, res1),
-                Err(e) => Err(e),
-            };
-            match fused {
-                Ok(o) => o,
-                Err(_) => {
-                    self.note_fusion_miss();
-                    let y = blk.fc2.forward(self, mid);
-                    residual_add(res1, &y)
-                }
-            }
+        let fused = if plan.fuse_fc1_gelu {
+            let p2 = self.pack_lhs_timed(&h2);
+            p2.and_then(|p2| self.fused_linear(&p2, &blk.fc1, Drain::BiasGelu)).ok()
         } else {
-            self.note_fusion_miss();
-            let y = blk.fc2.forward(self, mid);
-            residual_add(res1, &y)
+            None
         };
-        self.tel_node("fc2", t);
-        out
+        let mid = match fused {
+            Some(mid) => {
+                self.tel_node("fc1+gelu", t);
+                mid
+            }
+            None => {
+                self.note_fusion_miss();
+                let mut mid = blk.fc1.forward(self, &h2);
+                self.tel_node("fc1", t);
+                let t = Instant::now();
+                self.gelu(&mut mid);
+                self.tel_node("gelu", t);
+                mid
+            }
+        };
+        self.planned_residual(plan.fuse_fc2_residual, &blk.fc2, &mid, &res1, "fc2")
     }
+}
+
+/// What a fused GEMM does to each hot output tile on its way out — the
+/// `epilogue` of a planned `Gemm` op.
+#[derive(Clone, Copy)]
+enum Drain<'a> {
+    /// `y + bias`.
+    Bias,
+    /// `skip + (y + bias)`.
+    BiasResidual(&'a MatF32),
+    /// `gelu(y + bias)` on the engine's nonlinear unit.
+    BiasGelu,
 }
 
 /// Bias-add drain over one hot output tile: the element order of the
@@ -1485,6 +1286,7 @@ impl Engine for MixedEngine {
         });
         #[cfg(feature = "telemetry")]
         let sat0 = bfp_arith::telemetry::saturation_count();
+        self.note_lhs_pack(a);
         let t0 = Instant::now();
         let pa = match self.epilogue {
             Epilogue::Fused => PackedBfp::quantize_pack_lhs(&self.quantizer, a),
@@ -2197,7 +1999,7 @@ mod tests {
     fn compiled_plan_is_bit_identical_to_hand_wired_for_full_model() {
         // The tentpole invariant: routing `Block::forward` through the
         // compiled plan (shared q/k/v pack, fused bias / bias+GELU /
-        // bias+residual drains, requantize-into-packed MLP edge) changes
+        // bias+residual drains) changes
         // wall-clock only — never an output bit, never a census count —
         // for either nonlinear family, any thread budget, and both the
         // all-on and all-off plans.
@@ -2295,6 +2097,44 @@ mod tests {
     }
 
     #[test]
+    fn shared_qkv_pack_saves_exactly_two_lhs_packs_per_block() {
+        // The deterministic twin of the old pack-time A/B: a plan that
+        // does not share the q/k/v pack packs exactly what the plan-less
+        // engine packs, and `fuse_all` packs `2·seq·dim` fewer elements
+        // in two fewer calls per block — nothing else differs.
+        use crate::config::VitConfig;
+        use crate::model::VitModel;
+        let cfg = VitConfig::tiny_test();
+        let model = VitModel::new_random(cfg, 43);
+        let x = model.synthetic_input(8);
+        let (depth, tile) = (cfg.depth as u64, (cfg.seq * cfg.dim) as u64);
+        for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
+            for threads in [1usize, 2] {
+                let packs = |plan: Option<CompiledVitPlan>| {
+                    let mut e = MixedEngine::new().with_threads(threads).with_nonlinear(mode);
+                    if let Some(plan) = plan {
+                        e.install_vit_plan(plan);
+                    }
+                    let _ = model.forward(&mut e, &x);
+                    e.lhs_pack_stats()
+                };
+                let planless = packs(None);
+                // Per block: q, k, v, wo, fc1, fc2 and two per head.
+                assert_eq!(planless.0, (6 + 2 * cfg.heads as u64) * depth);
+                let unshared = CompiledVitPlan { fuse_qkv: false, ..CompiledVitPlan::fuse_all() };
+                assert_eq!(packs(Some(unshared)), planless, "{mode:?} {threads}t");
+                assert_eq!(packs(Some(CompiledVitPlan::unfused())), planless);
+                let fused = packs(Some(CompiledVitPlan::fuse_all()));
+                assert_eq!(
+                    (planless.0 - fused.0, planless.1 - fused.1),
+                    (2 * depth, 2 * tile * depth),
+                    "{mode:?} {threads}t"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn compiled_plan_handles_extreme_scales_bit_identically() {
         // Satellite property: fused drains agree with the composed oracle
         // under subnormal-range activations and near-overflow weights —
@@ -2352,6 +2192,29 @@ mod tests {
         let (oc, pc) = (oracle.census(), e.census());
         assert!(oc.fp32_fallbacks > 0, "the poisoned weight must fall back");
         assert_eq!(pc, oc, "fallback accounting must match the oracle");
+
+        // A non-finite fc1 bias: fc1 itself quantizes, its fused bias+GELU
+        // drain hits, and the poisoned column makes the intermediate
+        // unpackable — fc2 replays composed (one miss, one counted
+        // fallback). Its fp32 product poisons every activation after it,
+        // so each later block misses, and falls back on, all its GEMMs.
+        let cfg = VitConfig::tiny_test();
+        let mut model = VitModel::new_random(cfg, 17);
+        model.blocks[0].fc1.b[3] = f32::INFINITY;
+        let mut oracle = MixedEngine::new();
+        let want = model.forward(&mut oracle, &x);
+        let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+        let got = model.forward(&mut e, &x);
+        for (p, q) in got.data().iter().zip(want.data()) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+        assert_eq!(e.census(), oracle.census());
+        let per_block = 6 + 2 * cfg.heads as u64;
+        assert_eq!(oracle.census().fp32_fallbacks, 1 + per_block * (cfg.depth as u64 - 1));
+        assert_eq!(
+            e.fusion_stats(),
+            (5, 1 + 2 * cfg.heads as u64 + per_block * (cfg.depth as u64 - 1))
+        );
     }
 
     #[cfg(feature = "telemetry")]

@@ -34,9 +34,9 @@ pub struct CompiledVitPlan {
     /// residual add into the GEMM drain.
     pub fuse_wo_residual: bool,
     /// Fold bias+GELU into the fc1 GEMM drain while the output tile is
-    /// hot. When [`fuse_fc2_residual`](Self::fuse_fc2_residual) is also
-    /// set, the epilogue re-quantizes straight into fc2's packed
-    /// block-major LHS layout and the f32 intermediate never exists.
+    /// hot. The drain writes f32 and fc2 quantize-packs it: the planner's
+    /// `BiasGeluRequant` prices the paper's on-chip converter on the FPGA
+    /// clock, and the host runs the same edge as drain → lane quantiser.
     pub fuse_fc1_gelu: bool,
     /// Fold fc2's bias add and the second residual add into its GEMM
     /// drain.

@@ -191,11 +191,11 @@ fn ragged_deit_shape_agrees_across_every_gemm_path() {
     };
     let fused = pa.matmul_epilogue(&pb, drain).unwrap();
     assert!(bits_eq(&fused, &composed), "fused drain diverged");
-    // The same drain requantized in place for the next GEMM: the planes
-    // the scalar quantizer makes of the materialised matrix.
-    let requant = pa.matmul_epilogue_requant(&pb, &q, drain);
+    // The drain's f32 output packed for the next GEMM, as the compiled
+    // plan's fc1→fc2 edge does: the planes the scalar quantizer makes of
+    // the composed matrix.
     let want = PackedBfp::pack_lhs(&q.quantize(&composed).unwrap());
-    assert_eq!(requant.unwrap(), want, "fused requant drain diverged");
+    assert_eq!(PackedBfp::quantize_pack_lhs(&q, &fused).unwrap(), want, "drain → pack edge diverged");
 
     // The checked kernel `bfp-serve` runs: the same bits under a clean
     // report, one mid-chain or final check per truncation event — and the
