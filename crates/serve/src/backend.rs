@@ -363,6 +363,16 @@ mod tests {
                 let want = reference_bits(a, b, ServeOp::GemmGelu, mode);
                 assert_eq!(out, want, "mode {mode:?}");
                 assert!(t.faults.is_clean());
+                if mode == NonlinearMode::Fast {
+                    // An oracle that shares no code with the batched fast
+                    // route (AVX2 lanes where the host has them): the plain
+                    // GEMM bits through the scalar kernel, one at a time.
+                    let mut scalar = reference_bits(a, b, ServeOp::Gemm, mode);
+                    for v in scalar.data_mut() {
+                        *v = bfp_transformer::vpu::fast::gelu(*v);
+                    }
+                    assert_eq!(out, scalar, "fast drain vs the scalar kernel");
+                }
                 // Tile order prices exactly like one pass over the matrix.
                 let (_, gemm) = be
                     .execute(a, b, ServeOp::Gemm, mode, &CancelToken::new())

@@ -359,26 +359,52 @@ pub struct NodeTime {
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
 /// kernel, so a kernel forks from twice this many elements up.
 ///
-/// Derivation (2-vCPU host, lane kernels at ≈ 25–30 ns/elem, measured
-/// fork/join ≈ 0.09 ms): serial ÷ two-shard time, median of 200
-/// interleaved pairs, by total elements — GELU 8 k 1.02, 16 k 1.26, 32 k
-/// 1.50; softmax 8 k 0.60, 16 k 0.95, 32 k 1.40; LayerNorm 8 k 0.98, 16 k
-/// 1.28, 32 k 1.38. 32 k total is the first size where every kernel wins:
-/// a 16 k shard is ≈ 0.45 ms, five fork/joins — the same multiple
-/// `bfp_arith::packed::PARALLEL_MIN_SHARD_MACS` settled on. The shapes
-/// the DeiT workloads issue all sit above it and fork (197×197 1.35–1.45,
-/// 197×384 1.51–1.65, 197×1536 1.62–1.76); a fused drain tile (64
-/// elements) never can. The scalar kernels this constant was first sized
-/// for (≈ 240 ns/elem, 4 096) run 2–9× longer per element, so for the
-/// configurations that still take them a 16 k shard only amortises better.
-/// Hosts with more than two cores are unmeasured.
+/// Measured on the 2-vCPU host (fork/join ≈ 0.09 ms): serial ÷ two-shard
+/// time, median (q1–q3) of 200 interleaved pairs, by total elements, with
+/// the lane kernels at GELU ≈ 28, softmax ≈ 24, LayerNorm ≈ 11.5 ns/elem
+/// (row-per-lane sums):
+///
+/// | total | GELU | softmax (×197) | LayerNorm (×384) |
+/// |---|---|---|---|
+/// | 8 k | 0.97 (0.86–1.06) | 1.03 (0.93–1.10) | 0.53 (0.48–0.59) |
+/// | 16 k | 1.19 (1.01–1.29) | 1.32 (1.22–1.39) | 0.74 (0.68–0.84) |
+/// | 32 k | 1.35 (1.15–1.45) | 1.52 (1.38–1.59) | 0.94 (0.85–1.16) |
+/// | 64 k | 1.62 (1.49–1.72) | 1.62 (1.52–1.68) | 1.31 (1.19–1.45) |
+/// | 128 k | 1.73 (1.66–1.80) | 1.68 (1.62–1.74) | 1.42 (1.28–1.56) |
+/// | 197×197 / 197×384 / 197×1536 | 1.74 (1.63–1.85) | 1.56 (1.47–1.62) | 1.34 (1.26–1.44) |
+///
+/// Kept at 16 k per shard (fork from 32 k). By the first-size-where-all-win
+/// rule LayerNorm, now ≈ 3× cheaper per element, would move it to 32 k per
+/// shard (it is level at 32 k total and wins from 64 k) — but that would
+/// stop forking the 197×197 attention softmax (38.8 k elements, 1.56), the
+/// largest exact VPU phase of a DeiT image, to spare a break-even case no
+/// workload issues: every LayerNorm the models run is 197×384 (75.6 k,
+/// 1.34) or a single row, which never forks. A fused drain tile (64
+/// elements) never can. The scalar kernels (≈ 240 ns/elem), which other
+/// datapath configurations still take, only amortise better. Hosts with
+/// more than two cores are unmeasured.
 const VPU_PARALLEL_ELEMS: usize = 16_384;
 
-/// Minimum elements per shard in **fast** nonlinear mode. A fast-kernel
-/// element costs tens of native flops instead of thousands of emulation
-/// instructions, so the fork/join break-even sits ~16× higher: sharding
-/// a smaller fast batch costs more than it saves.
-const VPU_PARALLEL_ELEMS_FAST: usize = 65_536;
+/// Minimum elements per shard in **fast** nonlinear mode: the same
+/// protocol over the fast kernels (GELU and softmax on the AVX2 lanes at
+/// ≈ 1.6–2.1 and 2.2–3.0 ns/elem, LayerNorm scalar at ≈ 1.7), where a
+/// 0.09 ms fork/join is worth ≈ 50 k elements of work:
+///
+/// | total | GELU | softmax (×197) | LayerNorm (×384) |
+/// |---|---|---|---|
+/// | 64 k | 0.61 (0.56–0.68) | 0.70 (0.62–0.81) | 0.62 (0.52–0.74) |
+/// | 128 k | 0.91 (0.78–1.01) | 0.86 (0.75–1.07) | 0.93 (0.77–1.08) |
+/// | 256 k | 1.14 (1.02–1.27) | 1.15 (0.93–1.33) | 1.15 (0.99–1.28) |
+/// | 512 k | 1.43 (1.31–1.51) | 1.25 (1.15–1.46) | 1.38 (1.27–1.46) |
+/// | 1 M | 1.38 (1.27–1.54) | 1.50 (1.28–1.72) | 1.55 (1.40–1.64) |
+///
+/// 512 k total is the first size where every kernel wins outside its
+/// spread, so a shard is 256 k. Nothing DeiT-Small issues reaches it: the
+/// attention softmax (38.8 k: 0.57) and LayerNorm (75.6 k: 0.71) lose from
+/// forking by a wide margin, and the one shape that would still gain, a
+/// stand-alone 197×1536 GELU (302.6 k: 1.30), is fused into fc1's drain by
+/// every compiled plan.
+const VPU_PARALLEL_ELEMS_FAST: usize = 262_144;
 
 /// Where fp32 divisions and square roots execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -18,6 +18,8 @@ use bfp_arith::packed::EpilogueCtx;
 use crate::engine::DivisionPolicy;
 
 pub mod fast;
+#[cfg(target_arch = "x86_64")]
+mod fast_lanes;
 #[cfg(test)]
 mod lane_equivalence;
 #[cfg(target_arch = "x86_64")]
@@ -160,6 +162,13 @@ const EXP2_POLY: [f32; 6] = [
 /// Tanh-form GELU: `0.5·x·(1 + tanh(C·(x + A·x³)))` with `C = √(2/π)`.
 const GELU_C: f32 = 0.797_884_6;
 const GELU_A: f32 = 0.044_715;
+
+/// The straight-line regime of both GELU kernels (exact and fast), which
+/// is what their lane twins run: `|u| = C·|x + A·x³| ≤ 12.5` at `|x| = 6`,
+/// so neither `tanh`'s ±15 clamp nor `exp`'s range clamps (`|2u| ≤ 25`)
+/// can fire and every intermediate is far inside the finite range.
+#[cfg(target_arch = "x86_64")]
+const GELU_LANE_MAX_ABS: f32 = 6.0;
 
 impl Vpu {
     /// A VPU with the paper's datapath settings (LSP-dropped truncating
@@ -572,7 +581,11 @@ impl Vpu {
     // bit-identical to calling the scalar kernels directly (oracle
     // contract); the `Fast` arms run the [`fast`] kernels and charge
     // their analytic per-element op mixes in one merge, since the fast
-    // unit is a pipeline whose cost is data-independent.
+    // unit is a pipeline whose cost is data-independent. On an AVX2 host
+    // the `(Exact, Host)` arms of the paper datapath and the `Fast` GELU
+    // and softmax arms run their kernel's lane twin (`lanes`,
+    // `fast_lanes`) — selected here from the datapath and the CPU alone,
+    // the same bits and the same counts as the scalar loop below them.
     // ------------------------------------------------------------------
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a
@@ -595,10 +608,8 @@ impl Vpu {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    for row in data.chunks_exact_mut(cols) {
-                        // SAFETY: `lane_datapath` detected AVX2.
-                        unsafe { lanes::softmax_row(self, row) };
-                    }
+                    // SAFETY: `lane_datapath` detected AVX2.
+                    unsafe { lanes::softmax_rows(self, data, cols) };
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {
@@ -611,12 +622,22 @@ impl Vpu {
                 }
             }
             // The fast unit never leaves the array; DivisionPolicy is moot.
+            // Its cost is data-independent, so the charge does not depend
+            // on the route: eight lanes per vector and several rows in
+            // flight where the host has AVX2, bit-identical to the scalar
+            // kernel row by row.
             (NonlinearMode::Fast, _) => {
                 let rows = (data.len() / cols) as u64;
+                self.count.merge(&fast::cost::softmax_row(cols as u64).times(rows));
+                #[cfg(target_arch = "x86_64")]
+                if bfp_arith::fplanes::available() {
+                    // SAFETY: AVX2 was just detected.
+                    unsafe { fast_lanes::softmax_rows(data, cols) };
+                    return;
+                }
                 for row in data.chunks_exact_mut(cols) {
                     fast::softmax_row(row);
                 }
-                self.count.merge(&fast::cost::softmax_row(cols as u64).times(rows));
             }
         }
     }
@@ -641,11 +662,19 @@ impl Vpu {
                     *v = self.gelu_onchip(*v);
                 }
             }
+            // Groups of eight in-regime elements on the AVX2 twin, the
+            // rest on the scalar kernel: the same bits and the same charge.
             (NonlinearMode::Fast, _) => {
+                self.count.merge(&fast::cost::gelu().times(data.len() as u64));
+                #[cfg(target_arch = "x86_64")]
+                if bfp_arith::fplanes::available() {
+                    // SAFETY: AVX2 was just detected.
+                    unsafe { fast_lanes::gelu_slice(data) };
+                    return;
+                }
                 for v in data.iter_mut() {
                     *v = fast::gelu(*v);
                 }
-                self.count.merge(&fast::cost::gelu().times(data.len() as u64));
             }
         }
     }
@@ -698,10 +727,8 @@ impl Vpu {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    for row in data.chunks_exact_mut(cols) {
-                        // SAFETY: `lane_datapath` detected AVX2.
-                        unsafe { lanes::layernorm_row(self, row, gamma, beta, eps) };
-                    }
+                    // SAFETY: `lane_datapath` detected AVX2.
+                    unsafe { lanes::layernorm_rows(self, data, cols, gamma, beta, eps) };
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {

@@ -19,7 +19,11 @@
 //!
 //! In this simulation the arithmetic runs on native f32 (the pipelined
 //! unit rounds once per op, like the host FPU) — which is also why the
-//! fast path is fast in software: no per-op bit-level emulation. Every
+//! fast path is fast in software: no per-op bit-level emulation. The
+//! functions in this file are the scalar definition of every kernel: the
+//! batched GELU and softmax entry points run them eight elements per AVX2
+//! vector where the host allows (`fast_lanes`, the same IEEE operations
+//! per lane, bit for bit) and per element everywhere else. Every
 //! kernel deliberately **mirrors the operation order of its exact
 //! oracle**, so the divergence between the two paths is the accumulation
 //! of per-op rounding differences, not of algorithmic differences; the
@@ -27,7 +31,7 @@
 //! `crates/transformer/tests/nonlinear_ulp.rs` and documented in
 //! `DESIGN.md`.
 //!
-//! [`cost`] carges each kernel's hardware op mix (multiplies, adds,
+//! [`cost`] charges each kernel's hardware op mix (multiplies, adds,
 //! exponent-unit ops, table lookups). Multiplies by powers of two (2, ½,
 //! 64) are exponent-unit ops, not multiplier ops — the same accounting
 //! convention `Vpu::scale_exp2` established. The mix is priced in
@@ -63,13 +67,26 @@ pub const EXP2_LUT: [f32; 64] = {
 
 /// `ln 2 / 64`: converts the ≤ 6-bit residual index fraction back to the
 /// natural-log domain for the degree-2 polynomial.
-const LN2_OVER_64: f32 = core::f32::consts::LN_2 / 64.0;
+pub(super) const LN2_OVER_64: f32 = core::f32::consts::LN_2 / 64.0;
+
+/// ROM address `j` (the top 6 fraction bits) and residual `r = s − j` of
+/// the scaled fraction `s = 64·f ∈ [0, 64]`. For |x| below ½ulp(1), `f`
+/// rounds up to exactly 1.0 and `s` to 64.0: the address saturates at the
+/// last entry and `r` carries the final 1/64 step, still inside the
+/// polynomial's range. One helper under [`exp`] and [`exp_lmul`] (and
+/// mirrored lane for lane by the AVX2 twin), so the saturation cannot be
+/// lost in one of them again.
+#[inline]
+fn rom_address(s: f32) -> (usize, f32) {
+    let j = (s as i32).min(63);
+    (j as usize, s - j as f32) // fp_add; r ∈ [0, 1] in 1/64 units
+}
 
 /// Exponent-unit scale by `2^k` with FTZ underflow and saturating
 /// overflow — identical semantics to [`super::Vpu::scale_exp2`], minus
 /// the op accounting (batched callers charge analytically).
 #[inline]
-fn scale2k(x: f32, k: i32) -> f32 {
+pub(super) fn scale2k(x: f32, k: i32) -> f32 {
     if x == 0.0 {
         return x;
     }
@@ -103,15 +120,11 @@ pub fn exp(x: f32) -> f32 {
     let kf = t.floor(); // 2 fp_add (magic-constant round on hw)
     let f = t - kf; // fp_add; f ∈ [0, 1)
     let s = f * 64.0; // exp_adjust (power-of-two scale)
-    // ROM address: top 6 fraction bits. For |x| below ½ulp(1), f rounds
-    // up to exactly 1.0 and s to 64.0; the address saturates (the r term
-    // then carries the final 1/64 step, still inside the poly's range).
-    let j = (s as i32).min(63);
-    let r = s - j as f32; // fp_add; r ∈ [0, 1) in 1/64 units
+    let (j, r) = rom_address(s);
     let rl = r * LN2_OVER_64; // fp_mul
     let h = 0.5 * rl; // exp_adjust
     let p = (1.0 + rl) + h * rl; // fp_mul + 2 fp_add: 2^r to < 2⁻³¹
-    scale2k(EXP2_LUT[j as usize] * p, kf as i32) // fp_mul + lut + exp_adjust
+    scale2k(EXP2_LUT[j] * p, kf as i32) // fp_mul + lut + exp_adjust
 }
 
 /// `tanh(u) = 1 − 2/(e^{2u} + 1)`, the exact oracle's formula with the
@@ -247,12 +260,11 @@ pub fn exp_lmul(x: f32) -> f32 {
     let kf = t.floor();
     let f = t - kf;
     let s = f * 64.0;
-    let j = s as i32;
-    let r = s - j as f32;
+    let (j, r) = rom_address(s);
     let rl = lmul(r, LN2_OVER_64);
     let h = 0.5 * rl; // exponent unit
     let p = (1.0 + rl) + lmul(h, rl);
-    scale2k(lmul(EXP2_LUT[j as usize], p), kf as i32)
+    scale2k(lmul(EXP2_LUT[j], p), kf as i32)
 }
 
 /// `tanh` on L-Mul lanes (reciprocal division stays native, as the NR
@@ -487,6 +499,35 @@ mod tests {
             max_rel > 0.02,
             "the characterisation must show real loss: {max_rel}"
         );
+    }
+
+    #[test]
+    fn lmul_kernels_saturate_the_rom_address_like_exp() {
+        // For these arguments the fraction of `x·log2e` rounds up to
+        // exactly 1.0, so the ROM address is 64 of 64 before saturation:
+        // `exp_lmul` used to index one past the table and panic.
+        let tiny = [
+            1e-9,
+            -1e-9,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            -f32::EPSILON / 4.0,
+        ];
+        for x in tiny {
+            let (want, got) = (exp(x), exp_lmul(x));
+            assert!(got.is_finite() && got > 0.0, "exp_lmul({x:e}) = {got}");
+            assert!(
+                (got - want).abs() <= 0.25 * want,
+                "exp_lmul({x:e}) = {got} vs {want}"
+            );
+            assert!(tanh_lmul(x).is_finite(), "tanh_lmul({x:e})");
+            assert!(gelu_lmul(x).is_finite(), "gelu_lmul({x:e})");
+        }
+        // The shared helper is `exp`'s old address arithmetic, bit for bit
+        // (the saturated address lands 4 ulp under 1.0).
+        assert_eq!(exp(-1e-9).to_bits(), 0x3f7f_fffc);
     }
 
     #[test]

@@ -13,25 +13,34 @@
 //! scalar kernel per element. A vectorised group charges the analytic
 //! per-element mix ([`cost`]) the scalar kernel would have counted, a
 //! scalar group counts itself, so [`OpCount`](super::OpCount) is the same
-//! number either way. The order-dependent reductions (`sum`, `var_sum`)
-//! stay scalar, in element order.
+//! number either way.
+//!
+//! The order-dependent reductions (softmax's `sum`, LayerNorm's `sum` and
+//! `var_sum`) run one **row per lane**: a block of 16 rows (then at most
+//! one of 8 and one of 4) advances through its columns in lock step, every
+//! lane adding its own row's next element to its own accumulator, so each
+//! sum keeps its row's element order and the adder's bits hold. Four
+//! accumulator vectors in flight hide the lane adder's ≈ 40-cycle
+//! dependency (measured on 197- and 384-wide rows, ns per element: scalar
+//! adder 10.8–11.2, then 4.4 / 2.3 / 1.55–1.6 / 1.45–1.65 at 4 / 8 / 16 /
+//! 24 rows per step, the regime check included). A block's
+//! sums run in lock step only when every operand is at most
+//! [`SUM_MAX_ABS`] in magnitude (NaN fails), so no lane value is ever
+//! non-finite; any other block, and the last `< 4` rows, sum through the
+//! scalar adder row by row.
 //!
 //! # Safety
-//! Every function here requires AVX2; the one caller is the batch entry
-//! point that just checked [`Vpu::lane_datapath`].
+//! Every function here requires AVX2; the callers are the batch entry
+//! points that just checked [`Vpu::lane_datapath`].
 
-use std::arch::x86_64::_mm_div_ps;
+use std::arch::x86_64::{
+    _mm_div_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_set_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+};
 
 use bfp_arith::fplanes::lane::{self, F64x4};
 use bfp_arith::fplanes::LANES;
 
-use super::{cost, OpCount, Vpu, EXP2_POLY, GELU_A, GELU_C, ROUND_MAGIC};
-
-/// GELU's straight-line regime: `|u| = C·|x + A·x³| ≤ 12.5` at `|x| = 6`
-/// (truncation only shrinks magnitudes), so neither `tanh`'s ±15 clamp nor
-/// `exp`'s range clamps (`|2u| ≤ 25`) can fire and every intermediate is
-/// far inside the finite range.
-const GELU_MAX_ABS: f32 = 6.0;
+use super::{cost, OpCount, Vpu, EXP2_POLY, GELU_A, GELU_C, GELU_LANE_MAX_ABS, ROUND_MAGIC};
 
 /// `Vpu::exp` clamps outside `[-87, 88]`; inside, `e^x ≤ 1.7e38` is finite
 /// until the closing exponent adjust.
@@ -42,6 +51,35 @@ const EXP_MAX: f64 = 88.0;
 /// magnitude the centre pass stays below 2⁴¹ (squares below 2⁸², a final
 /// value) and the affine pass below 2⁴⁰·2⁴⁰·2⁴⁰ + 2⁴⁰ < 2¹²⁸.
 const LAYERNORM_MAX_ABS: f32 = 1_099_511_627_776.0;
+
+/// Rows per lock-step block: four accumulator vectors of four rows each.
+const BLOCK_ROWS: usize = 4 * LANES;
+
+/// The lock-step sums' regime: operands of at most 2⁹⁶ in magnitude in
+/// rows of fewer than 2³¹ elements. The truncating adder never grows a
+/// magnitude, so every partial sum stays below 2¹²⁷ and no accumulator
+/// lane can saturate — a saturated lane could not feed the next add. (The
+/// squares of LayerNorm's bounded centre pass are below 2⁸³, softmax's
+/// exponentials at most 1.)
+const SUM_MAX_ABS: f32 = 79_228_162_514_264_337_593_543_950_336.0;
+const SUM_MAX_COLS: usize = 1 << 31;
+
+/// Rows whose sum ran in lock step / through the scalar adder, per test
+/// thread: the tests assert that in-regime shapes really take the blocks.
+#[cfg(test)]
+pub(super) mod route {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub static LOCKSTEP_ROWS: Cell<u64> = const { Cell::new(0) };
+        pub static SCALAR_ROWS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `(lock-step rows, scalar rows)` since the last call.
+    pub fn take() -> (u64, u64) {
+        (LOCKSTEP_ROWS.take(), SCALAR_ROWS.take())
+    }
+}
 
 /// `Lanes::$op`: `lane::$op` on each of the `N` vectors. (A macro, not a
 /// closure-taking helper: a closure here would be a separate function
@@ -152,7 +190,7 @@ unsafe fn exp<const N: usize>(x: Lanes<N>) -> Lanes<N> {
     p.scale_exp2(kf)
 }
 
-/// [`Vpu::gelu`] for `|x| ≤ GELU_MAX_ABS`.
+/// [`Vpu::gelu`] for `|x| ≤ GELU_LANE_MAX_ABS`.
 #[inline(always)]
 unsafe fn gelu<const N: usize>(x: Lanes<N>) -> Lanes<N> {
     let one = Lanes::splat(1.0);
@@ -227,7 +265,7 @@ impl GroupKernel for Gelu {
 
     #[inline(always)]
     unsafe fn lanes<const N: usize>(&self, g: &mut [f32]) -> bool {
-        if !Lanes::<N>::all_abs_le(g, GELU_MAX_ABS) {
+        if !Lanes::<N>::all_abs_le(g, GELU_LANE_MAX_ABS) {
             return false;
         }
         gelu(Lanes::<N>::load(g)).store(g);
@@ -281,32 +319,141 @@ impl GroupKernel for ShiftedExp {
     }
 }
 
-/// [`Vpu::softmax_row`].
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn softmax_row(vpu: &mut Vpu, row: &mut [f32]) {
-    if row.is_empty() {
-        return;
+/// True when every element has `|x| ≤ bound` (NaN fails).
+#[inline(always)]
+unsafe fn all_abs_le(data: &[f32], bound: f32) -> bool {
+    let mut groups = data.chunks_exact(Lanes::<4>::ELEMS);
+    let mut ok = true;
+    for g in &mut groups {
+        ok &= Lanes::<4>::all_abs_le(g, bound);
     }
-    let mut max = row[0];
-    for &v in &row[1..] {
-        vpu.count.cmp += 1;
-        if v > max {
-            max = v;
+    ok && groups.remainder().iter().all(|v| v.abs() <= bound)
+}
+
+/// The element-order sums of `4·G` rows of bounded operands, one row per
+/// lane: `sums[r] = (…((0 + row_r[0]) + row_r[1]) + …)` on the lane adder.
+#[inline(always)]
+unsafe fn sum_rows_lockstep<const G: usize>(block: &[f32], cols: usize, sums: &mut [f32]) {
+    debug_assert_eq!(block.len(), G * LANES * cols);
+    debug_assert_eq!(sums.len(), G * LANES);
+    let mut acc = [lane::import(lane::splat(0.0)); G];
+    let whole = cols - cols % LANES;
+    for j in (0..whole).step_by(LANES) {
+        // 4×4 transposes: `columns[g][k]` holds column `j + k` of rows
+        // `4g..4g + 4`.
+        let mut columns = [[lane::splat(0.0); LANES]; G];
+        for (g, columns) in columns.iter_mut().enumerate() {
+            // SAFETY: rows `4g..4g + 4` of the block hold columns `j..j + 4`.
+            let p = block.as_ptr().add(g * LANES * cols + j);
+            let (r0, r1) = (lane::load(p), lane::load(p.add(cols)));
+            let (r2, r3) = (lane::load(p.add(2 * cols)), lane::load(p.add(3 * cols)));
+            let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm_unpacklo_ps(r2, r3), _mm_unpackhi_ps(r2, r3));
+            *columns = [
+                _mm_movelh_ps(t0, t2),
+                _mm_movehl_ps(t2, t0),
+                _mm_movelh_ps(t1, t3),
+                _mm_movehl_ps(t3, t1),
+            ];
+        }
+        // Column after column, the `G` accumulators side by side: adjacent
+        // adds are independent, so the chains overlap.
+        for k in 0..LANES {
+            for (acc, columns) in acc.iter_mut().zip(&columns) {
+                *acc = lane::add(*acc, lane::import(columns[k]));
+            }
         }
     }
-    let k = ShiftedExp { max };
-    if max.is_finite() {
-        widest_first(vpu, row, &k);
+    for j in whole..cols {
+        for (g, acc) in acc.iter_mut().enumerate() {
+            let at = |r: usize| block[(g * LANES + r) * cols + j];
+            *acc = lane::add(*acc, lane::import(_mm_set_ps(at(3), at(2), at(1), at(0))));
+        }
+    }
+    for (g, acc) in acc.into_iter().enumerate() {
+        // SAFETY: `sums` holds `4·G` elements.
+        lane::store(sums.as_mut_ptr().add(g * LANES), lane::export(acc));
+    }
+}
+
+/// `sums[r]` = the element-order sum of row `r` of `block`, as the scalar
+/// kernels accumulate it: 16, 8 or 4 rows of bounded operands in lock
+/// step, anything else through the scalar adder row by row.
+#[inline(always)]
+unsafe fn row_sums(vpu: &mut Vpu, block: &[f32], cols: usize, sums: &mut [f32]) {
+    let rows = sums.len();
+    debug_assert_eq!(block.len(), rows * cols);
+    let lockstep = rows >= LANES && cols < SUM_MAX_COLS && all_abs_le(block, SUM_MAX_ABS);
+    if lockstep {
+        match rows {
+            16 => sum_rows_lockstep::<4>(block, cols, sums),
+            8 => sum_rows_lockstep::<2>(block, cols, sums),
+            4 => sum_rows_lockstep::<1>(block, cols, sums),
+            _ => unreachable!("blocks hold 16, 8, 4 or 1 rows"),
+        }
+        vpu.count.fp_add += (rows * cols) as u64;
     } else {
-        k.scalar(vpu, row);
+        for (row, sum) in block.chunks_exact(cols).zip(sums.iter_mut()) {
+            *sum = 0.0;
+            for &v in row {
+                *sum = vpu.a(*sum, v);
+            }
+        }
     }
-    let mut sum = 0f32;
-    for &v in row.iter() {
-        sum = vpu.a(sum, v);
+    #[cfg(test)]
+    {
+        let tally = if lockstep {
+            &route::LOCKSTEP_ROWS
+        } else {
+            &route::SCALAR_ROWS
+        };
+        tally.set(tally.get() + rows as u64);
     }
-    vpu.count.host_div += row.len() as u64;
-    for v in row.iter_mut() {
-        *v /= sum;
+}
+
+/// Split the next block off `rest`: 16 rows while they last, then at most
+/// one block of 8 and one of 4, then single rows.
+fn next_block<'a>(rest: &mut &'a mut [f32], cols: usize) -> Option<&'a mut [f32]> {
+    let rows = match rest.len() / cols {
+        0 => return None,
+        1..=3 => 1,
+        4..=7 => 4,
+        8..=15 => 8,
+        _ => BLOCK_ROWS,
+    };
+    rest.split_off_mut(..rows * cols)
+}
+
+/// [`Vpu::softmax_row`] over every `cols`-wide row of `data`: the max scan
+/// and the exponentials row by row, the sums a block at a time.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn softmax_rows(vpu: &mut Vpu, data: &mut [f32], cols: usize) {
+    let mut rest = data;
+    while let Some(block) = next_block(&mut rest, cols) {
+        for row in block.chunks_exact_mut(cols) {
+            let mut max = row[0];
+            for &v in &row[1..] {
+                vpu.count.cmp += 1;
+                if v > max {
+                    max = v;
+                }
+            }
+            let k = ShiftedExp { max };
+            if max.is_finite() {
+                widest_first(vpu, row, &k);
+            } else {
+                k.scalar(vpu, row);
+            }
+        }
+        let mut sums = [0f32; BLOCK_ROWS];
+        let sums = &mut sums[..block.len() / cols];
+        row_sums(vpu, block, cols, sums);
+        vpu.count.host_div += block.len() as u64;
+        for (row, &sum) in block.chunks_exact_mut(cols).zip(sums.iter()) {
+            for v in row.iter_mut() {
+                *v /= sum;
+            }
+        }
     }
 }
 
@@ -339,76 +486,79 @@ unsafe fn affine_group<const N: usize>(
     true
 }
 
-/// [`Vpu::layernorm_row`].
+/// [`Vpu::layernorm_row`] over every `cols`-wide row of `data`: centre
+/// and affine passes row by row in groups of 8, `sum` and `var_sum` a
+/// block at a time (the squares wait in a `16·cols` scratch).
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn layernorm_row(
+pub(super) unsafe fn layernorm_rows(
     vpu: &mut Vpu,
-    row: &mut [f32],
+    data: &mut [f32],
+    cols: usize,
     gamma: &[f32],
     beta: &[f32],
     eps: f32,
 ) {
-    let n = row.len();
-    assert_eq!(gamma.len(), n, "gamma length");
-    assert_eq!(beta.len(), n, "beta length");
-    if n == 0 {
-        return;
-    }
-    let inv_n = 1.0 / n as f32;
-    let mut sum = 0f32;
-    for &v in row.iter() {
-        sum = vpu.a(sum, v);
-    }
-    let mean = vpu.m(sum, inv_n);
-
-    // Centre and square in groups of 8; the variance sum consumes the
-    // squares in element order.
+    assert_eq!(gamma.len(), cols, "gamma length");
+    assert_eq!(beta.len(), cols, "beta length");
     const W: usize = 2;
-    let mut var_sum = 0f32;
-    let mut sq = [0f32; W * LANES];
-    let mean_ok = mean.abs() <= LAYERNORM_MAX_ABS;
-    let mut vectorised = 0u64;
-    for g in row.chunks_mut(W * LANES) {
-        let sq = &mut sq[..g.len()];
-        if g.len() == W * LANES && mean_ok && centre_group::<W>(g, sq, mean) {
-            vectorised += g.len() as u64;
-        } else {
-            for (v, q) in g.iter_mut().zip(sq.iter_mut()) {
-                let d = vpu.s(*v, mean);
-                *v = d;
-                *q = vpu.m(d, d);
+    let inv_n = 1.0 / cols as f32;
+    let mut squares = vec![0f32; data.len().min(BLOCK_ROWS * cols)];
+    let mut rest = data;
+    while let Some(block) = next_block(&mut rest, cols) {
+        let squares = &mut squares[..block.len()];
+        let mut sums = [0f32; BLOCK_ROWS];
+        let sums = &mut sums[..block.len() / cols];
+        row_sums(vpu, block, cols, sums);
+
+        let mut vectorised = 0u64;
+        let rows = block
+            .chunks_exact_mut(cols)
+            .zip(squares.chunks_exact_mut(cols));
+        for ((row, sq), &sum) in rows.zip(sums.iter()) {
+            let mean = vpu.m(sum, inv_n);
+            let mean_ok = mean.abs() <= LAYERNORM_MAX_ABS;
+            for (g, sq) in row.chunks_mut(W * LANES).zip(sq.chunks_mut(W * LANES)) {
+                if g.len() == W * LANES && mean_ok && centre_group::<W>(g, sq, mean) {
+                    vectorised += g.len() as u64;
+                } else {
+                    for (v, q) in g.iter_mut().zip(sq.iter_mut()) {
+                        let d = vpu.s(*v, mean);
+                        *v = d;
+                        *q = vpu.m(d, d);
+                    }
+                }
             }
         }
-        for &q in sq.iter() {
-            var_sum = vpu.a(var_sum, q);
-        }
-    }
-    vpu.count.fp_add += vectorised;
-    vpu.count.fp_mul += vectorised;
+        vpu.count.fp_add += vectorised;
+        vpu.count.fp_mul += vectorised;
 
-    let var = vpu.m(var_sum, inv_n);
-    let ve = vpu.a(var, eps);
-    let sd = vpu.sqrt_host(ve);
-    let inv = vpu.div_host(1.0, sd);
+        row_sums(vpu, squares, cols, sums);
 
-    let inv_ok = inv.abs() <= LAYERNORM_MAX_ABS;
-    let mut vectorised = 0u64;
-    let groups = row
-        .chunks_mut(W * LANES)
-        .zip(gamma.chunks(W * LANES).zip(beta.chunks(W * LANES)));
-    for (g, (gm, bt)) in groups {
-        if g.len() == W * LANES && inv_ok && affine_group::<W>(g, gm, bt, inv) {
-            vectorised += g.len() as u64;
-        } else {
-            for ((v, &gm), &bt) in g.iter_mut().zip(gm).zip(bt) {
-                let nrm = vpu.m(*v, inv);
-                let scaled = vpu.m(nrm, gm);
-                *v = vpu.a(scaled, bt);
+        let mut vectorised = 0u64;
+        for (row, &var_sum) in block.chunks_exact_mut(cols).zip(sums.iter()) {
+            let var = vpu.m(var_sum, inv_n);
+            let ve = vpu.a(var, eps);
+            let sd = vpu.sqrt_host(ve);
+            let inv = vpu.div_host(1.0, sd);
+            let inv_ok = inv.abs() <= LAYERNORM_MAX_ABS;
+            let groups = row
+                .chunks_mut(W * LANES)
+                .zip(gamma.chunks(W * LANES).zip(beta.chunks(W * LANES)));
+            for (g, (gm, bt)) in groups {
+                if g.len() == W * LANES && inv_ok && affine_group::<W>(g, gm, bt, inv) {
+                    vectorised += g.len() as u64;
+                } else {
+                    for ((v, &gm), &bt) in g.iter_mut().zip(gm).zip(bt) {
+                        let nrm = vpu.m(*v, inv);
+                        let scaled = vpu.m(nrm, gm);
+                        *v = vpu.a(scaled, bt);
+                    }
+                }
             }
         }
+        vpu.count.fp_mul += 2 * vectorised;
+        vpu.count.fp_add += vectorised;
     }
-    vpu.count.fp_mul += 2 * vectorised;
-    vpu.count.fp_add += vectorised;
 }
 
 #[cfg(test)]
