@@ -2,40 +2,16 @@
 //! the workspace (quantizer input, transformer activations, benchmarks).
 //!
 //! Deliberately small: just the operations the reproduction needs, with
-//! dimension checks that panic early instead of producing garbage.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! dimension checks that panic early instead of producing garbage. It
+//! carries no derived state: a form derived from a matrix (a weight's
+//! packed bfp8 planes) belongs to whoever owns the matrix.
 
 /// Row-major `f32` matrix.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatF32 {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-    /// Memoized [`MatF32::content_hash`] (0 = not yet computed). Interior
-    /// mutability lets read-only users memoize; both `&mut` accessors
-    /// ([`MatF32::set`], [`MatF32::data_mut`]) clear it, so a stale hash
-    /// can never outlive a mutation. Atomic (not `Cell`) so shared
-    /// references stay `Sync` for the parallel kernel epilogues.
-    hash_memo: AtomicU64,
-}
-
-impl Clone for MatF32 {
-    fn clone(&self) -> Self {
-        MatF32 {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.clone(),
-            // Identical content ⇒ the memo stays valid for the clone.
-            hash_memo: AtomicU64::new(self.hash_memo.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl PartialEq for MatF32 {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.data == other.data
-    }
 }
 
 impl MatF32 {
@@ -45,7 +21,6 @@ impl MatF32 {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-            hash_memo: AtomicU64::new(0),
         }
     }
 
@@ -70,29 +45,13 @@ impl MatF32 {
             rows * cols,
             "buffer length must equal rows*cols"
         );
-        MatF32 {
-            rows,
-            cols,
-            data,
-            hash_memo: AtomicU64::new(0),
-        }
+        MatF32 { rows, cols, data }
     }
 
     /// 64-bit content hash over shape and exact `f32` bit patterns
-    /// (NaN-payload sensitive), memoized until the next mutation.
-    ///
-    /// Weight matrices are hashed on every GEMM to key the engine-level
-    /// plan cache; before the memo that rescan of every weight byte per
-    /// token was a measurable slice of the quantize/pack phase. The hash
-    /// only gates caches — a collision can repeat work or (jointly with
-    /// an equal shape) alias a plan, never change kernel arithmetic.
+    /// (NaN-payload sensitive): a fingerprint for comparing results
+    /// without keeping them. One 64-bit multiply per two `f32`s.
     pub fn content_hash(&self) -> u64 {
-        let memo = self.hash_memo.load(Ordering::Relaxed);
-        if memo != 0 {
-            return memo;
-        }
-        // Word-at-a-time rotate-xor-multiply mixing: one 64-bit multiply
-        // per two f32s.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |v: u64| {
             h = (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
@@ -106,9 +65,6 @@ impl MatF32 {
         if let [last] = chunks.remainder() {
             eat(last.to_bits() as u64);
         }
-        // Reserve 0 as the "unset" sentinel.
-        let h = if h == 0 { 1 } else { h };
-        self.hash_memo.store(h, Ordering::Relaxed);
         h
     }
 
@@ -127,11 +83,8 @@ impl MatF32 {
         &self.data
     }
 
-    /// Mutable flat data slice (row-major). Invalidates the content-hash
-    /// memo (the borrow rules guarantee no hash can be taken while the
-    /// returned borrow is live, so clearing up front is sufficient).
+    /// Mutable flat data slice (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        *self.hash_memo.get_mut() = 0;
         &mut self.data
     }
 
@@ -142,11 +95,10 @@ impl MatF32 {
         self.data[i * self.cols + j]
     }
 
-    /// Element setter. Invalidates the content-hash memo.
+    /// Element setter.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f32) {
         debug_assert!(i < self.rows && j < self.cols);
-        *self.hash_memo.get_mut() = 0;
         self.data[i * self.cols + j] = v;
     }
 

@@ -42,7 +42,7 @@ pub enum RoundMode {
 /// let back = q.dequantize();
 /// assert_eq!(back.rows(), 16);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantizer {
     /// Square block side length (8 in the paper).
     pub block: usize,

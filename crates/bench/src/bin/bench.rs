@@ -2,9 +2,9 @@
 //!
 //! Times the three bfp8 GEMM execution paths (naive reference kernel,
 //! packed serial kernel, block-row-parallel kernel under
-//! `ParallelPolicy::Auto`) at DeiT layer shapes, plus cached vs uncached
+//! `ParallelPolicy::Auto`) at DeiT layer shapes, plus steady-state
 //! mixed-precision inference, and emits the results as `BENCH_GEMM.json`
-//! (schema `bench_gemm/v3`) so successive PRs have comparable numbers.
+//! (schema `bench_gemm/v4`) so successive PRs have comparable numbers.
 //! Every row is timed by duration ([`bfp_bench::time_passes`]) and
 //! reported as median and min–max over passes. The only gate is bits:
 //! every path, at every entry of [`THREAD_SWEEP`], must agree with the
@@ -137,15 +137,15 @@ fn bench_gemms(min_wall: Duration) -> Vec<GemmRow> {
 
 struct InferRow {
     images: usize,
-    uncached: PassTimes,
-    cached: PassTimes,
-    cache_hits: u64,
-    cache_misses: u64,
+    steady: PassTimes,
+    /// GEMMs whose RHS was a resident weight pack / was packed per call.
+    rhs_hits: u64,
+    rhs_misses: u64,
 }
 
 impl InferRow {
-    fn ips(&self, t: &PassTimes) -> f64 {
-        self.images as f64 / (t.median_ms() / 1e3)
+    fn ips(&self) -> f64 {
+        self.images as f64 / (self.steady.median_ms() / 1e3)
     }
 }
 
@@ -157,27 +157,21 @@ fn bench_inference(images: usize, min_wall: Duration) -> InferRow {
         .map(|s| Image::synthetic(3, cfg.img, cfg.img, s as u64))
         .collect();
 
-    let run = |engine: &mut MixedEngine| {
-        time_passes(min_wall, || {
-            for img in &imgs {
-                std::hint::black_box(model.predict(engine, img));
-            }
-        })
-    };
-
-    let uncached = run(&mut MixedEngine::without_weight_cache());
     let mut engine = MixedEngine::new();
-    // Warm the plan cache with one image, then measure steady state —
+    // One image packs the model's weights; then measure steady state —
     // that is what a serving deployment sees from the second image on.
     std::hint::black_box(model.predict(&mut engine, &imgs[0]));
-    let cached = run(&mut engine);
+    let steady = time_passes(min_wall, || {
+        for img in &imgs {
+            std::hint::black_box(model.predict(&mut engine, img));
+        }
+    });
     let stats = engine.plan_cache_stats();
     InferRow {
         images,
-        uncached,
-        cached,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
+        steady,
+        rhs_hits: stats.hits,
+        rhs_misses: stats.misses,
     }
 }
 
@@ -195,7 +189,7 @@ fn times_json(t: &PassTimes) -> String {
 fn to_json(rows: &[GemmRow], infer: &InferRow, threads: usize, quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"bench_gemm/v3\",");
+    let _ = writeln!(s, "  \"schema\": \"bench_gemm/v4\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"threads\": {threads},");
     let _ = writeln!(s, "  \"min_timed_s\": {:.1},", min_timed(quick).as_secs_f64());
@@ -220,21 +214,10 @@ fn to_json(rows: &[GemmRow], infer: &InferRow, threads: usize, quick: bool) -> S
     s.push_str("  ],\n");
     s.push_str("  \"inference\": {\n");
     let _ = writeln!(s, "    \"images\": {},", infer.images);
-    let _ = writeln!(s, "    \"uncached\": {},", times_json(&infer.uncached));
-    let _ = writeln!(s, "    \"cached\": {},", times_json(&infer.cached));
-    let _ = writeln!(
-        s,
-        "    \"uncached_images_per_s\": {:.3},",
-        infer.ips(&infer.uncached)
-    );
-    let _ = writeln!(s, "    \"cached_images_per_s\": {:.3},", infer.ips(&infer.cached));
-    let _ = writeln!(
-        s,
-        "    \"weight_cache_speedup\": {:.2},",
-        infer.uncached.median_ms() / infer.cached.median_ms()
-    );
-    let _ = writeln!(s, "    \"cache_hits\": {},", infer.cache_hits);
-    let _ = writeln!(s, "    \"cache_misses\": {}", infer.cache_misses);
+    let _ = writeln!(s, "    \"steady\": {},", times_json(&infer.steady));
+    let _ = writeln!(s, "    \"images_per_s\": {:.3},", infer.ips());
+    let _ = writeln!(s, "    \"rhs_hits\": {},", infer.rhs_hits);
+    let _ = writeln!(s, "    \"rhs_misses\": {}", infer.rhs_misses);
     s.push_str("  }\n}\n");
     s
 }
@@ -281,14 +264,13 @@ fn main() {
     }
     print!("{}", t.render());
 
-    println!("\nmixed-precision inference, weight-plan cache on vs off...");
+    println!("\nmixed-precision inference, steady state...");
     let infer = bench_inference(images, min_wall);
     println!(
-        "  uncached: {:.2} images/s   cached: {:.2} images/s   (hits {}, misses {})",
-        infer.ips(&infer.uncached),
-        infer.ips(&infer.cached),
-        infer.cache_hits,
-        infer.cache_misses
+        "  {:.2} images/s   (RHS from a resident weight pack {}, packed per call {})",
+        infer.ips(),
+        infer.rhs_hits,
+        infer.rhs_misses
     );
 
     let json = to_json(&rows, &infer, threads, quick);

@@ -3,9 +3,8 @@
 //! Measures images/s and the per-phase wall-clock split (quantize/pack,
 //! GEMM, softmax, GELU, LayerNorm, residual/misc) on one thread for:
 //!
-//! * the **baseline** engine — composed quantize→pack epilogue, VPU
-//!   multiplies through the partial-product enumeration (the
-//!   pre-optimisation execution model, kept runnable on purpose);
+//! * the **baseline** engine — via-partials VPU (every multiply through
+//!   the partial-product enumeration, scalar kernels only), 1 thread;
 //! * the **exact** fast path, plan-less and under the compiled plan;
 //! * the **fast-nonlinear** path (`NonlinearMode::Fast`: LUT/polynomial
 //!   GELU–exp–rsqrt on a modelled nonlinear unit — see DESIGN.md for its
@@ -32,7 +31,7 @@
 //! block, counted in calls and in elements. No gate compares two wall
 //! times: the planned/plan-less ratio is reported, not gated (on the host
 //! clock the two run level; the planner's cycle model prices the FPGA).
-//! Results land in `BENCH_E2E.json` (schema `bench_e2e/v5`).
+//! Results land in `BENCH_E2E.json` (schema `bench_e2e/v6`).
 //!
 //! A dedicated **drift attribution** pass re-runs the compiled plan with
 //! per-node wall timing armed and calibrates the planner's cycle prices
@@ -362,7 +361,6 @@ fn fusion_json(s: &mut String, plan: &FusePlan, compiled: &CompiledVitPlan, ab: 
     let _ = writeln!(s, "      \"fuse_wo_residual\": {},", compiled.fuse_wo_residual);
     let _ = writeln!(s, "      \"fuse_fc1_gelu\": {},", compiled.fuse_fc1_gelu);
     let _ = writeln!(s, "      \"fuse_fc2_residual\": {},", compiled.fuse_fc2_residual);
-    let _ = writeln!(s, "      \"prefetch_weights\": {},", compiled.prefetch_weights);
     let _ = writeln!(
         s,
         "      \"fused_gemms_per_block\": {}",
@@ -446,7 +444,7 @@ fn to_json(
     let [exact_host, fast_host] = host_rows;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"bench_e2e/v5\",");
+    let _ = writeln!(s, "  \"schema\": \"bench_e2e/v6\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"images\": {images},");
     let _ = writeln!(s, "  \"host_threads\": {host_threads},");

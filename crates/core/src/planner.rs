@@ -145,11 +145,9 @@ impl FusePlan {
     /// engine executes. The mapping is structural: a residual-fused GEMM
     /// whose dependencies include a `Gelu` is the MLP contraction
     /// (`fc2`), any other is the attention output projection (`wo`).
-    /// Weight prefetch engages when the platform has a second array to
-    /// hide the pack behind; the engine re-gates it on host threads.
-    pub fn compiled_vit_plan(&self, g: &Graph, sys: &System) -> CompiledVitPlan {
+    /// `_sys` is unread; the signature stays because `benchmark/` calls it.
+    pub fn compiled_vit_plan(&self, g: &Graph, _sys: &System) -> CompiledVitPlan {
         let mut plan = CompiledVitPlan::unfused();
-        plan.prefetch_weights = sys.cfg.total_arrays() >= 2;
         for n in &self.nodes {
             match n.decision {
                 FuseDecision::SharedPack(_) => plan.fuse_qkv = true,

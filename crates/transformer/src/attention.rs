@@ -35,7 +35,7 @@ impl Attention {
     pub fn new_random(cfg: &VitConfig, rng: &mut StdRng) -> Self {
         let mut wq = Linear::new_random(cfg.dim, cfg.dim, rng);
         let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
-        for v in wq.w.data_mut() {
+        for v in wq.w_mut().data_mut() {
             *v *= scale;
         }
         for v in wq.b.iter_mut() {

@@ -10,12 +10,11 @@ use bfp_arith::int8quant::Int8Tensor;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::{max_shards, EpilogueCtx, PackedBfp};
 use bfp_arith::quant::Quantizer;
-use bfp_telemetry::{Registry, Table};
 #[cfg(feature = "telemetry")]
-use bfp_telemetry::{Counter, Histogram, Tracer};
+use bfp_telemetry::{Counter, Histogram, Registry, Tracer};
 
 use crate::attention::{slice_cols, write_cols};
-use crate::layers::Linear;
+use crate::layers::{Linear, WeightPack};
 use crate::model::{residual_add, Block};
 use crate::plan::CompiledVitPlan;
 use crate::reference;
@@ -79,6 +78,13 @@ impl OpCensus {
 pub trait Engine {
     /// General matrix multiply.
     fn matmul(&mut self, a: &MatF32, b: &MatF32) -> MatF32;
+    /// `x · W` against a layer's weight: what [`Linear::forward`] calls.
+    /// An engine that keeps a derived form of the weight with the layer
+    /// ([`MixedEngine`]'s packed bfp8 RHS) overrides this to use it; the
+    /// result must be bit-identical to `matmul(x, lin.w())`.
+    fn matmul_weight(&mut self, x: &MatF32, lin: &Linear) -> MatF32 {
+        self.matmul(x, lin.w())
+    }
     /// Row-wise softmax in place.
     fn softmax_rows(&mut self, m: &mut MatF32);
     /// Element-wise GELU in place.
@@ -116,134 +122,19 @@ impl Engine for RefEngine {
     }
 }
 
-/// Content key of a weight-plan cache entry: shape plus an FNV-1a hash of
-/// the operand's exact `f32` bit patterns. Two matrices collide only if
-/// they agree in shape *and* 64-bit content hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    rows: usize,
-    cols: usize,
-    hash: u64,
-}
-
-impl PlanKey {
-    fn of(m: &MatF32, epilogue: Epilogue) -> PlanKey {
-        match epilogue {
-            Epilogue::Fused => Self::of_fast(m),
-            Epilogue::Reference => Self::of_fnv(m),
-        }
-    }
-
-    fn of_fast(m: &MatF32) -> PlanKey {
-        // `MatF32::content_hash` is the word-at-a-time mixer, *memoized in
-        // the matrix*: a weight hashed once stays hashed until mutated, so
-        // steady-state lookups cost six u64 loads instead of a full rescan
-        // of the weight bytes per GEMM (which showed up in the
-        // quantize/pack phase). Still bit-exact and NaN-payload sensitive;
-        // the key only gates the plan cache, so the hash choice can never
-        // affect output bits.
-        PlanKey {
-            rows: m.rows(),
-            cols: m.cols(),
-            hash: m.content_hash(),
-        }
-    }
-
-    /// The pre-optimisation byte-wise FNV-1a hash, kept runnable so the
-    /// e2e baseline engine replays the engine it measures against. Either
-    /// key scheme is bit-exact and content-complete; within one engine a
-    /// single scheme is used, so keys never mix.
-    fn of_fnv(m: &MatF32) -> PlanKey {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(m.rows() as u64);
-        eat(m.cols() as u64);
-        let mut chunks = m.data().chunks_exact(2);
-        for pair in &mut chunks {
-            eat((pair[0].to_bits() as u64) << 32 | pair[1].to_bits() as u64);
-        }
-        if let [last] = chunks.remainder() {
-            eat(last.to_bits() as u64);
-        }
-        PlanKey {
-            rows: m.rows(),
-            cols: m.cols(),
-            hash: h,
-        }
-    }
-}
-
-/// Which f32 → packed-bfp8 epilogue a [`MixedEngine`] runs. The two are
-/// bit-identical end to end (pinned in `bfp_arith::packed` and
-/// `bfp_arith::quant` tests); [`Epilogue::Reference`] exists so the e2e
-/// bench's baseline is the real pre-optimisation engine, not a hybrid that
-/// already enjoys the fast scan and hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Epilogue {
-    /// Fused single-pass quantize-and-pack, word-at-a-time plan hash.
-    Fused,
-    /// Composed quantize → pack with the per-element reference tile scan
-    /// and the byte-wise FNV plan hash (the pre-optimisation engine).
-    Reference,
-}
-
-/// One cached, executable quantization of a weight matrix: the bfp8 tiles
-/// already packed in the kernel-ready block-transposed RHS layout.
-#[derive(Debug, Clone)]
-struct WeightPlan {
-    packed: PackedBfp,
-    /// Hits since the last eviction sweep (decides survival).
-    hits: u64,
-}
-
-/// Observability counters for the [`MixedEngine`] weight-plan cache.
+/// Where [`MixedEngine`]'s GEMMs got their packed RHS. Weights are packed
+/// once, by the [`Linear`] that owns them, and borrowed afterwards;
+/// activation operands (the per-head attention GEMMs) are packed per call
+/// and never looked up — an activation cannot repeat.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// GEMMs whose RHS was served from a cached plan.
+    /// GEMMs whose RHS was served from a resident pack.
     pub hits: u64,
-    /// GEMMs that quantized + packed their RHS (and cached the plan).
+    /// GEMMs that quantize-packed their RHS.
     pub misses: u64,
-    /// Entries dropped by eviction sweeps (cold, typically activations).
-    pub evictions: u64,
-    /// Plans currently resident.
-    pub entries: usize,
-    /// Approximate resident bytes across all plans.
+    /// Bytes of the weight packs this engine filled (an engine that found
+    /// every pack already resident reads 0).
     pub bytes: usize,
-}
-
-impl PlanCacheStats {
-    /// Publish the counters into a metrics [`Registry`] as gauges
-    /// (idempotent: re-publishing overwrites, so periodic snapshots of
-    /// the same engine do not double-count).
-    pub fn publish(&self, reg: &Registry) {
-        reg.gauge("plan_cache_hits").set(self.hits as f64);
-        reg.gauge("plan_cache_misses").set(self.misses as f64);
-        reg.gauge("plan_cache_evictions").set(self.evictions as f64);
-        reg.gauge("plan_cache_entries").set(self.entries as f64);
-        reg.gauge("plan_cache_resident_bytes").set(self.bytes as f64);
-    }
-}
-
-impl fmt::Display for PlanCacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut t = Table::new(
-            "weight-plan cache",
-            &["hits", "misses", "evictions", "entries", "resident B"],
-        );
-        t.row(&[
-            self.hits.to_string(),
-            self.misses.to_string(),
-            self.evictions.to_string(),
-            self.entries.to_string(),
-            self.bytes.to_string(),
-        ]);
-        write!(f, "{}", t.render().trim_end())
-    }
 }
 
 /// Everything a [`MixedEngine`] records about itself when tracing is
@@ -304,18 +195,14 @@ impl EngineTelemetry {
     }
 }
 
-/// Soft capacity of the weight-plan cache. A full DeiT model holds well
-/// under a hundred distinct weight matrices; the headroom absorbs
-/// activation churn between eviction sweeps.
-const PLAN_CACHE_CAP: usize = 256;
-
 /// Wall-clock accumulated per execution phase by [`MixedEngine`], the
 /// breakdown the `e2e` bench reports (the paper's Table IV split, measured
 /// on the host simulation). Residual adds and copies are not engine calls,
 /// so "misc" is derived by the bench as `wall − accounted()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// f32 → packed bfp8 quantization (LHS fused pass + RHS plan misses).
+    /// f32 → packed bfp8 quantization (every LHS, and each RHS not served
+    /// from a resident pack).
     pub quantize_pack: Duration,
     /// Packed int8 GEMM kernel (including shard fork/join).
     pub gemm: Duration,
@@ -419,7 +306,10 @@ pub enum DivisionPolicy {
 
 /// The accelerator's execution model: GEMMs in bfp8 (quantize → int8 block
 /// MatMul → aligned accumulate → dequantize), non-linear layers on the fp32
-/// VPU kernels, with a full operation census.
+/// VPU kernels, with a full operation census. The engine holds no weights
+/// and no packed form of one: a weight's pack lives in its [`Linear`] and
+/// is borrowed per GEMM, so engines are cheap to build and any number of
+/// them share one model's packs.
 #[derive(Debug, Clone)]
 pub struct MixedEngine {
     quantizer: Quantizer,
@@ -429,13 +319,7 @@ pub struct MixedEngine {
     /// Which nonlinear kernel family the VPU runs (exact oracle vs the
     /// fast LUT/polynomial unit with tested ULP envelopes).
     nonlinear: NonlinearMode,
-    /// Content-keyed quantize-and-pack cache for RHS operands. Weight
-    /// matrices are constant across tokens, layers, images, and batches,
-    /// so their plans are built once and reused; activation operands churn
-    /// and are swept out by the eviction pass.
-    plans: HashMap<PlanKey, WeightPlan>,
     plan_stats: PlanCacheStats,
-    cache_enabled: bool,
     /// Thread budget shared by the sharded GEMM and the sharded VPU
     /// kernels. Sharding is bit-invariant, so this trades wall-clock only.
     threads: usize,
@@ -443,9 +327,6 @@ pub struct MixedEngine {
     /// `min(threads, host_cap)`: a budget above the core count cannot buy
     /// wall-clock, only fork/join overhead.
     host_cap: usize,
-    /// Which quantize epilogue (and plan-key hash) this engine runs; see
-    /// [`Epilogue`].
-    epilogue: Epilogue,
     /// Compiled block plan; `None` (the default) keeps `Block::forward`
     /// on the hand-wired oracle path.
     vit_plan: Option<CompiledVitPlan>,
@@ -460,8 +341,8 @@ pub struct MixedEngine {
     lhs_pack_elems: u64,
     phase: PhaseTimes,
     /// Per-node wall-clock accumulators for drift attribution; `None`
-    /// (the default) keeps the compiled-plan hot path free of clock
-    /// reads and map lookups.
+    /// (the default) with no tracer attached keeps the compiled-plan hot
+    /// path free of clock reads, node-name strings and map lookups.
     node_times: Option<HashMap<String, NodeTime>>,
     /// Attached observability (spans + registered counters); `None`
     /// until [`Self::attach_telemetry`] is called.
@@ -485,16 +366,13 @@ impl MixedEngine {
             census: OpCensus::default(),
             division: DivisionPolicy::Host,
             nonlinear: NonlinearMode::Exact,
-            plans: HashMap::new(),
             plan_stats: PlanCacheStats::default(),
-            cache_enabled: true,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             host_cap: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            epilogue: Epilogue::Fused,
             vit_plan: None,
             fusion_hits: 0,
             fusion_misses: 0,
@@ -537,16 +415,14 @@ impl MixedEngine {
         let _ = (name, t0);
     }
 
-    /// The pre-optimisation execution model, kept runnable as the measured
-    /// baseline of the e2e bench: single-threaded everywhere, the composed
-    /// quantize→pack epilogue with the reference tile scan and byte-wise
-    /// FNV plan hash, and every VPU multiply through the explicit
-    /// partial-product enumeration. Bit-identical outputs to [`Self::new`].
+    /// The measured baseline of the e2e bench: single-threaded everywhere,
+    /// every VPU multiply through the explicit partial-product enumeration
+    /// ([`Vpu::via_partials`], which also keeps the VPU off the lanes).
+    /// Bit-identical outputs to [`Self::new`].
     pub fn baseline_scalar() -> Self {
         MixedEngine {
             vpu: Vpu::via_partials(),
             threads: 1,
-            epilogue: Epilogue::Reference,
             ..Self::new()
         }
     }
@@ -630,17 +506,6 @@ impl MixedEngine {
         self.phase
     }
 
-    /// An engine with the weight-plan cache disabled: every GEMM
-    /// re-quantizes both operands, as the pre-cache engine did. Results
-    /// are bit-identical either way; this exists for A/B benchmarking and
-    /// for memory-constrained embedders.
-    pub fn without_weight_cache() -> Self {
-        MixedEngine {
-            cache_enabled: false,
-            ..Self::new()
-        }
-    }
-
     /// An engine with a custom quantizer (block-size ablations).
     pub fn with_quantizer(quantizer: Quantizer) -> Self {
         MixedEngine {
@@ -668,94 +533,37 @@ impl MixedEngine {
         std::mem::take(&mut self.census)
     }
 
-    /// Weight-plan cache counters (hits, misses, evictions, footprint).
+    /// RHS resolution counters; see [`PlanCacheStats`].
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let mut s = self.plan_stats;
-        s.entries = self.plans.len();
-        s.bytes = self.plans.values().map(|p| p.packed.bytes()).sum();
-        s
+        self.plan_stats
     }
 
-    /// Drop every cached weight plan (counters are kept).
-    pub fn clear_weight_cache(&mut self) {
-        self.plans.clear();
-    }
-
-    /// Quantize + pack an RHS operand on the configured epilogue: fused
-    /// single pass normally, the composed reference path in baseline mode.
-    /// The two are bit-identical (pinned in `bfp_arith::packed` tests).
-    fn pack_rhs_fresh(&self, b: &MatF32) -> Result<PackedBfp, ArithError> {
-        match self.epilogue {
-            Epilogue::Fused => PackedBfp::quantize_pack_rhs(&self.quantizer, b),
-            Epilogue::Reference => Ok(PackedBfp::pack_rhs(&self.quantizer.quantize_reference(b)?)),
-        }
-    }
-
-    /// Resolve the RHS operand to a packed plan: cached when enabled and
-    /// previously seen, freshly quantized + packed otherwise.
-    fn rhs_plan(&mut self, b: &MatF32) -> Result<&PackedBfp, ArithError> {
-        if !self.cache_enabled {
-            // Stash under a reserved slot so the borrow can be returned
-            // uniformly; a disabled cache holds at most this one entry.
-            let packed = self.pack_rhs_fresh(b)?;
-            self.plans.clear();
-            let key = PlanKey {
-                rows: 0,
-                cols: 0,
-                hash: 0,
-            };
-            return Ok(&self
-                .plans
-                .entry(key)
-                .or_insert(WeightPlan { packed, hits: 0 })
-                .packed);
-        }
-        let key = PlanKey::of(b, self.epilogue);
-        if self.plans.contains_key(&key) {
+    /// Count one GEMM's RHS as served from a resident pack or packed now.
+    #[inline]
+    fn note_rhs(&mut self, resident: bool) {
+        if resident {
             self.plan_stats.hits += 1;
-            #[cfg(feature = "telemetry")]
-            if let Some(tel) = &self.tel {
-                tel.cache_hits.inc();
-            }
-            let plan = self.plans.get_mut(&key).expect("checked");
-            plan.hits += 1;
-            return Ok(&plan.packed);
+        } else {
+            self.plan_stats.misses += 1;
         }
-        let packed = self.pack_rhs_fresh(b)?;
-        self.plan_stats.misses += 1;
         #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
-            tel.cache_misses.inc();
+            let counter = if resident { &tel.cache_hits } else { &tel.cache_misses };
+            counter.inc();
         }
-        if self.plans.len() >= PLAN_CACHE_CAP {
-            // Sweep: keep plans that were re-used since the last sweep
-            // (weights), drop one-shot entries (activations).
-            let before = self.plans.len();
-            self.plans.retain(|_, p| p.hits > 0);
-            // If the sweep alone cannot make room (everything resident is
-            // hot), evict the least-used plans in content-key order. The
-            // sort key is a total order over (hits, content hash, shape) —
-            // independent of the HashMap's per-instance seeding — so
-            // concurrent engines fed the same workload evict identically.
-            if self.plans.len() >= PLAN_CACHE_CAP {
-                let mut order: Vec<(u64, PlanKey)> =
-                    self.plans.iter().map(|(k, p)| (p.hits, *k)).collect();
-                order.sort_unstable_by_key(|&(hits, k)| (hits, k.hash, k.rows, k.cols));
-                let excess = self.plans.len() - (PLAN_CACHE_CAP - 1);
-                for (_, k) in order.iter().take(excess) {
-                    self.plans.remove(k);
-                }
-            }
-            self.plan_stats.evictions += (before - self.plans.len()) as u64;
-            for p in self.plans.values_mut() {
-                p.hits = 0;
-            }
+    }
+
+    /// A weight's packed RHS under this engine's quantizer, from the
+    /// layer that owns it — the one resolution every GEMM against a
+    /// weight goes through, hand-wired or planned. Counted on success
+    /// only: a weight that cannot be packed sends its GEMM to a fallback.
+    fn weight_pack<'l>(&mut self, lin: &'l Linear) -> Result<WeightPack<'l>, ArithError> {
+        let pack = lin.packed_rhs(&self.quantizer)?;
+        if let WeightPack::Filled(p) = &pack {
+            self.plan_stats.bytes += p.bytes();
         }
-        Ok(&self
-            .plans
-            .entry(key)
-            .or_insert(WeightPlan { packed, hits: 0 })
-            .packed)
+        self.note_rhs(matches!(pack, WeightPack::Resident(_)));
+        Ok(pack)
     }
 
     fn vpu_delta(&mut self, f: impl FnOnce(&mut Vpu)) -> OpCount {
@@ -921,27 +729,38 @@ impl MixedEngine {
         }
     }
 
-    /// Record a completed `plan.node.<name>` span for one graph node of
-    /// the compiled plan, and fold its wall-clock into the node-timing
-    /// accumulators when enabled (no-op otherwise).
+    /// Start timing a plan node: the clock is read only when node timing
+    /// is enabled or a tracer is attached, so an unobserved compiled
+    /// forward takes no per-node clock reads.
     #[inline]
-    fn tel_node(&mut self, name: &str, t0: Instant) {
-        if let Some(times) = &mut self.node_times {
-            let entry = times.entry(name.to_string()).or_default();
-            entry.seconds += t0.elapsed().as_secs_f64();
-            entry.samples += 1;
-        }
+    fn node_clock(&self) -> Option<Instant> {
+        let observed = self.node_times.is_some();
+        #[cfg(feature = "telemetry")]
+        let observed = observed || self.tel.is_some();
+        observed.then(Instant::now)
+    }
+
+    /// Close a plan node opened by [`Self::node_clock`]: record a
+    /// `plan.node.<name>` span and fold the wall-clock into the node-timing
+    /// accumulators. `name` is formatted only when there is a start time,
+    /// i.e. only when someone is listening.
+    #[inline]
+    fn tel_node(&mut self, name: impl fmt::Display, t0: Option<Instant>) {
+        let Some(t0) = t0 else { return };
+        let name = name.to_string();
         #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.tracer
                 .complete_between(format!("plan.node.{name}"), "plan", t0, Instant::now());
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, t0);
+        if let Some(times) = &mut self.node_times {
+            let entry = times.entry(name).or_default();
+            entry.seconds += t0.elapsed().as_secs_f64();
+            entry.samples += 1;
+        }
     }
 
-    /// Process-wide saturation tally mark, for attributing a fused GEMM's
-    /// share (mirrors the hand-wired `matmul` instrumentation).
+    /// Process-wide saturation tally mark, for attributing a GEMM's share.
     #[inline]
     fn sat_mark(&self) -> u64 {
         #[cfg(feature = "telemetry")]
@@ -954,12 +773,14 @@ impl MixedEngine {
         }
     }
 
-    /// Record a fused GEMM's counters, histograms, and phase spans —
-    /// the same instruments the hand-wired `matmul` updates, so fused
-    /// and composed GEMMs are indistinguishable to dashboards except
-    /// through the fusion counters.
+    /// Record a GEMM's counters, histograms, and phase spans. Composed
+    /// and fused GEMMs both report here, so dashboards tell them apart
+    /// only through the fusion counters. Saturation is a process-wide
+    /// tally (the quantizer is deep below this crate): the delta since
+    /// `sat0` attributes this GEMM's share, exactly under single-engine
+    /// use and approximately when several engines quantize concurrently.
     #[inline]
-    fn tel_fused_gemm(&self, macs: u64, t0: Instant, t1: Instant, t2: Instant, sat0: u64) {
+    fn tel_gemm(&self, macs: u64, t0: Instant, t1: Instant, t2: Instant, sat0: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.tracer.complete_between("quantize_pack", "engine", t0, t1);
@@ -993,6 +814,59 @@ impl MixedEngine {
         r
     }
 
+    /// The composed GEMM both [`Engine::matmul`] and
+    /// [`Engine::matmul_weight`] run: quantize-pack `a`, take `b` packed —
+    /// from `weight`, the layer that owns `b`, when there is one; packed
+    /// here, consulting nothing, when `b` is an activation — and run the
+    /// (sharded) packed kernel. Bit-identical to `BfpMatrix::try_matmul`,
+    /// so where the pack came from, fusing and threading change
+    /// wall-clock only, never a single output bit.
+    fn gemm(&mut self, a: &MatF32, b: &MatF32, weight: Option<&Linear>) -> MatF32 {
+        #[cfg(feature = "telemetry")]
+        let _mm_span = self.tel.as_ref().map(|tel| {
+            let mut sp = tel.tracer.span("engine.matmul", "engine");
+            sp.set_arg("m", a.rows() as u64);
+            sp.set_arg("k", a.cols() as u64);
+            sp.set_arg("n", b.cols() as u64);
+            sp
+        });
+        let sat0 = self.sat_mark();
+        let macs = (a.rows() * a.cols() * b.cols()) as u64;
+        let threads = self.gemm_threads_for(macs);
+        self.note_lhs_pack(a);
+        let t0 = Instant::now();
+        let packed = PackedBfp::quantize_pack_lhs(&self.quantizer, a).and_then(|pa| {
+            let pb = match weight {
+                Some(lin) => self.weight_pack(lin)?,
+                None => {
+                    let pb = PackedBfp::quantize_pack_rhs(&self.quantizer, b)?;
+                    self.note_rhs(false);
+                    WeightPack::PerCall(pb)
+                }
+            };
+            Ok((pa, pb))
+        });
+        let t1 = Instant::now();
+        // A non-finite operand cannot be expressed in bfp8, and a
+        // shape/side/block mismatch cannot run on the kernel: either way
+        // this GEMM degrades to the fp32 reference path and is counted,
+        // matching the scheduler's per-layer fallback policy — never a
+        // panic of this layer's making.
+        let Ok(out) = packed.and_then(|(pa, pb)| pa.matmul_parallel(pb.get(), threads)) else {
+            self.census.fp32_fallbacks += 1;
+            self.tel_fallback();
+            return a.matmul(b);
+        };
+        // The gemm interval covers the packed kernel end to end: int8
+        // MACs, aligned accumulate, and the dequantize epilogue.
+        let t2 = Instant::now();
+        self.phase.quantize_pack += t1.duration_since(t0);
+        self.phase.gemm += t2.duration_since(t1);
+        self.census.matmul_macs += macs;
+        self.tel_gemm(macs, t0, t1, t2, sat0);
+        out
+    }
+
     /// One fused GEMM over an already-packed LHS: every hot output tile
     /// takes `drain` before it is written out, in exactly the element
     /// order of the composed `Linear::forward` (+ `residual_add` /
@@ -1001,23 +875,24 @@ impl MixedEngine {
     /// the gelu census, matching the composed totals (GELU is
     /// element-independent, so tile order cannot change bits or counts).
     ///
-    /// Accounting on success mirrors `Engine::matmul`: RHS plan resolution
-    /// bills quantize_pack, the fused kernel bills gemm, MACs land in the
-    /// census. On error nothing is recorded — the caller replays the
-    /// composed oracle ops, which do their own accounting.
+    /// Accounting on success mirrors `Engine::matmul_weight`: resolving
+    /// the weight's pack bills quantize_pack, the fused kernel bills gemm,
+    /// MACs land in the census. On error no phase, MAC or fusion hit is
+    /// recorded — the caller replays the composed oracle ops, which do
+    /// their own accounting.
     fn fused_linear(
         &mut self,
         ph: &PackedBfp,
         lin: &Linear,
         drain: Drain,
     ) -> Result<MatF32, ArithError> {
-        let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
+        let macs = (ph.rows() * ph.cols() * lin.w().cols()) as u64;
         let threads = self.gemm_threads_for(macs);
         let (division, mode) = (self.division, self.nonlinear);
         let mut vpus: Vec<Vpu> = (0..threads).map(|_| self.vpu.fresh()).collect();
         let sat0 = self.sat_mark();
         let t0 = Instant::now();
-        let pb = self.rhs_plan(&lin.w)?;
+        let pb = self.weight_pack(lin)?;
         let t1 = Instant::now();
         let bias = lin.b.as_slice();
         let mut epis: Vec<_> = vpus
@@ -1034,7 +909,7 @@ impl MixedEngine {
             })
             .collect();
         // One shard runs the serial kernel on the first epilogue.
-        let out = ph.matmul_epilogue_parallel(pb, threads, &mut epis)?;
+        let out = ph.matmul_epilogue_parallel(pb.get(), threads, &mut epis)?;
         drop(epis);
         let t2 = Instant::now();
         // Only the GELU drain runs (and counts) on the shard VPUs.
@@ -1051,7 +926,7 @@ impl MixedEngine {
         self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
         self.note_fusion_hit();
-        self.tel_fused_gemm(macs, t0, t1, t2, sat0);
+        self.tel_gemm(macs, t0, t1, t2, sat0);
         Ok(out)
     }
 
@@ -1066,7 +941,7 @@ impl MixedEngine {
         x: &MatF32,
         node: &str,
     ) -> MatF32 {
-        let t = Instant::now();
+        let t = self.node_clock();
         let fused = ph.and_then(|ph| self.fused_linear(ph, lin, Drain::Bias).ok());
         let out = fused.unwrap_or_else(|| {
             self.note_fusion_miss();
@@ -1089,7 +964,7 @@ impl MixedEngine {
         skip: &MatF32,
         node: &str,
     ) -> MatF32 {
-        let t = Instant::now();
+        let t = self.node_clock();
         let fused = if fuse {
             let px = self.pack_lhs_timed(x);
             px.and_then(|px| self.fused_linear(&px, lin, Drain::BiasResidual(skip))).ok()
@@ -1104,66 +979,6 @@ impl MixedEngine {
         out
     }
 
-    /// Double-buffered weight prefetch: quantize-pack the plans for
-    /// weights this block needs *after* the attention GEMMs on a spare
-    /// host thread, overlapping pack with compute. Plans are a pure
-    /// function of (quantizer, weight), so a prefetched plan is
-    /// bit-identical to one built inline; an errored pack is dropped and
-    /// the inline path re-derives (and re-encounters) the error.
-    #[allow(clippy::type_complexity)]
-    fn spawn_weight_prefetch(
-        &self,
-        weights: &[&MatF32],
-    ) -> Option<std::thread::JoinHandle<Vec<(PlanKey, Result<PackedBfp, ArithError>)>>> {
-        if !self.cache_enabled || self.effective_threads() < 2 || self.epilogue != Epilogue::Fused
-        {
-            return None;
-        }
-        // Only a weight whose plan is missing is cloned for the pack
-        // thread: in steady state every plan is cached and nothing is.
-        let missing: Vec<(PlanKey, MatF32)> = weights
-            .iter()
-            .map(|w| (PlanKey::of(w, self.epilogue), *w))
-            .filter(|(k, _)| !self.plans.contains_key(k))
-            .map(|(k, w)| (k, w.clone()))
-            .collect();
-        if missing.is_empty() {
-            return None;
-        }
-        let qz = self.quantizer;
-        Some(std::thread::spawn(move || {
-            missing
-                .into_iter()
-                .map(|(k, w)| (k, PackedBfp::quantize_pack_rhs(&qz, &w)))
-                .collect()
-        }))
-    }
-
-    /// Join a prefetch and install its plans, counted as plan-cache
-    /// misses exactly as inline resolution would have counted them.
-    #[allow(clippy::type_complexity)]
-    fn absorb_weight_prefetch(
-        &mut self,
-        handle: Option<std::thread::JoinHandle<Vec<(PlanKey, Result<PackedBfp, ArithError>)>>>,
-    ) {
-        let Some(h) = handle else { return };
-        // A panic in the pack thread is this engine's panic: swallowing
-        // it would leave zero plans and a silently slower forward.
-        let packed = h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        for (key, packed) in packed {
-            if let Ok(packed) = packed {
-                if !self.plans.contains_key(&key) {
-                    self.plan_stats.misses += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(tel) = &self.tel {
-                        tel.cache_misses.inc();
-                    }
-                    self.plans.insert(key, WeightPlan { packed, hits: 0 });
-                }
-            }
-        }
-    }
-
     /// Execute one encoder block through the compiled plan. Every fused
     /// kernel is bit-identical to the hand-wired sequence; any fused
     /// error replays the composed oracle ops (which do their own census
@@ -1174,18 +989,10 @@ impl MixedEngine {
         let hd = blk.attn.head_dim();
         let seq = x.rows();
 
-        let t = Instant::now();
+        let t = self.node_clock();
         let mut h = x.clone();
         self.layernorm(&mut h, &blk.ln1.gamma, &blk.ln1.beta, blk.ln1.eps);
         self.tel_node("ln1", t);
-
-        // Double-buffer: pack the weight plans needed after the attention
-        // GEMMs while those GEMMs run.
-        let prefetch = if plan.prefetch_weights {
-            self.spawn_weight_prefetch(&[&blk.attn.wo.w, &blk.fc1.w, &blk.fc2.w])
-        } else {
-            None
-        };
 
         // q/k/v: one shared packed LHS (the CSE the planner finds on
         // three MatMuls with an identical LayerNorm dep), fused bias
@@ -1203,26 +1010,24 @@ impl MixedEngine {
             let qh = slice_cols(&q, hi * hd, hd);
             let kh = slice_cols(&k, hi * hd, hd);
             let vh = slice_cols(&v, hi * hd, hd);
-            let t = Instant::now();
+            let t = self.node_clock();
             let mut scores = self.matmul(&qh, &kh.transpose());
             self.note_fusion_miss();
-            self.tel_node(&format!("h{hi}.scores"), t);
-            let t = Instant::now();
+            self.tel_node(format_args!("h{hi}.scores"), t);
+            let t = self.node_clock();
             self.softmax_rows(&mut scores);
-            self.tel_node(&format!("h{hi}.softmax"), t);
-            let t = Instant::now();
+            self.tel_node(format_args!("h{hi}.softmax"), t);
+            let t = self.node_clock();
             let ctx = self.matmul(&scores, &vh);
             self.note_fusion_miss();
-            self.tel_node(&format!("h{hi}.ctx"), t);
+            self.tel_node(format_args!("h{hi}.ctx"), t);
             write_cols(&mut concat, hi * hd, &ctx);
         }
-
-        self.absorb_weight_prefetch(prefetch);
 
         // Output projection + first residual.
         let res1 = self.planned_residual(plan.fuse_wo_residual, &blk.attn.wo, &concat, x, "wo");
 
-        let t = Instant::now();
+        let t = self.node_clock();
         let mut h2 = res1.clone();
         self.layernorm(&mut h2, &blk.ln2.gamma, &blk.ln2.beta, blk.ln2.eps);
         self.tel_node("ln2", t);
@@ -1231,7 +1036,7 @@ impl MixedEngine {
         // lane quantiser: the host runs the planner's `BiasGeluRequant`
         // edge as drain → quantize-pack (the planner prices the paper's
         // on-chip converter; on the host the f32 round trip costs level).
-        let t = Instant::now();
+        let t = self.node_clock();
         let fused = if plan.fuse_fc1_gelu {
             let p2 = self.pack_lhs_timed(&h2);
             p2.and_then(|p2| self.fused_linear(&p2, &blk.fc1, Drain::BiasGelu)).ok()
@@ -1247,7 +1052,7 @@ impl MixedEngine {
                 self.note_fusion_miss();
                 let mut mid = blk.fc1.forward(self, &h2);
                 self.tel_node("fc1", t);
-                let t = Instant::now();
+                let t = self.node_clock();
                 self.gelu(&mut mid);
                 self.tel_node("gelu", t);
                 mid
@@ -1297,90 +1102,11 @@ fn bias_residual_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32], skip: &M
 
 impl Engine for MixedEngine {
     fn matmul(&mut self, a: &MatF32, b: &MatF32) -> MatF32 {
-        // Packed fast path: fused-quantize the activation side, resolve
-        // the RHS through the weight-plan cache, and run the (sharded)
-        // packed kernel — bit-identical to `BfpMatrix::try_matmul`, so
-        // caching, fusing, and threading change wall-clock only, never a
-        // single output bit.
-        #[cfg(feature = "telemetry")]
-        let _mm_span = self.tel.as_ref().map(|tel| {
-            let mut sp = tel.tracer.span("engine.matmul", "engine");
-            sp.set_arg("m", a.rows() as u64);
-            sp.set_arg("k", a.cols() as u64);
-            sp.set_arg("n", b.cols() as u64);
-            sp
-        });
-        #[cfg(feature = "telemetry")]
-        let sat0 = bfp_arith::telemetry::saturation_count();
-        self.note_lhs_pack(a);
-        let t0 = Instant::now();
-        let pa = match self.epilogue {
-            Epilogue::Fused => PackedBfp::quantize_pack_lhs(&self.quantizer, a),
-            Epilogue::Reference => self
-                .quantizer
-                .quantize_reference(a)
-                .map(|qa| PackedBfp::pack_lhs(&qa)),
-        };
-        let pa = match pa {
-            Ok(pa) => pa,
-            // A non-finite operand cannot be expressed in bfp8; degrade
-            // this GEMM to the fp32 reference path and count it, matching
-            // the per-layer fallback policy of the scheduler.
-            Err(_) => {
-                self.census.fp32_fallbacks += 1;
-                self.tel_fallback();
-                return a.matmul(b);
-            }
-        };
-        let macs = (a.rows() * a.cols() * b.cols()) as u64;
-        let threads = self.gemm_threads_for(macs);
-        let gemm = match self.rhs_plan(b) {
-            Ok(pb) => {
-                let t1 = Instant::now();
-                Some((pa.matmul_parallel(pb, threads), t1))
-            }
-            Err(_) => None,
-        };
-        // Any failure past quantization (operand shape/side/block errors)
-        // degrades to the counted fp32 fallback — same contract as the
-        // quantization arms above, never a panic of this layer's making.
-        let Some((result, t1)) = gemm else {
-            self.census.fp32_fallbacks += 1;
-            self.tel_fallback();
-            return a.matmul(b);
-        };
-        let out = match result {
-            Ok(out) => out,
-            Err(_) => {
-                self.census.fp32_fallbacks += 1;
-                self.tel_fallback();
-                return a.matmul(b);
-            }
-        };
-        self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t1.elapsed();
-        self.census.matmul_macs += macs;
-        #[cfg(feature = "telemetry")]
-        if let Some(tel) = &self.tel {
-            let t2 = Instant::now();
-            // The gemm interval covers the packed kernel end to end:
-            // int8 MACs, aligned accumulate, and the dequantize epilogue.
-            tel.tracer.complete_between("quantize_pack", "engine", t0, t1);
-            tel.tracer
-                .complete_between_with("gemm", "engine", t1, t2, vec![("macs", macs)]);
-            tel.gemms.inc();
-            tel.macs.add(macs);
-            tel.quantize_pack_ns
-                .record_duration(t1.duration_since(t0));
-            tel.gemm_ns.record_duration(t2.duration_since(t1));
-            // Saturation is a process-wide tally (the quantizer is deep
-            // below this crate); the delta attributes this GEMM's share,
-            // exactly under single-engine use and approximately when
-            // several engines quantize concurrently.
-            tel.saturated
-                .add(bfp_arith::telemetry::saturation_count().saturating_sub(sat0));
-        }
-        out
+        self.gemm(a, b, None)
+    }
+
+    fn matmul_weight(&mut self, x: &MatF32, lin: &Linear) -> MatF32 {
+        self.gemm(x, lin.w(), Some(lin))
     }
 
     fn softmax_rows(&mut self, m: &mut MatF32) {
@@ -1441,11 +1167,6 @@ impl Engine for MixedEngine {
 
     fn forward_block_planned(&mut self, block: &Block, x: &MatF32) -> Option<MatF32> {
         let plan = self.vit_plan?;
-        // The reference epilogue *is* the oracle configuration; it never
-        // routes through the compiled plan even if one is installed.
-        if self.epilogue != Epilogue::Fused {
-            return None;
-        }
         Some(self.forward_block_compiled(block, x, plan))
     }
 }
@@ -1508,8 +1229,35 @@ impl Engine for Int8Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VitConfig;
+    use crate::deit::{DeitConfig, DeitModel, Image};
+    use crate::model::VitModel;
     use crate::vpu::cost;
     use bfp_arith::stats::ErrorStats;
+
+    fn bits_eq(x: &[f32], y: &[f32]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    }
+
+    /// A [`MixedEngine`] that keeps the trait's default `matmul_weight`,
+    /// so every weight GEMM runs `Engine::matmul(x, lin.w())`: both
+    /// operands packed per call, no layer's pack consulted or filled.
+    struct PerCall(MixedEngine);
+
+    impl Engine for PerCall {
+        fn matmul(&mut self, a: &MatF32, b: &MatF32) -> MatF32 {
+            self.0.matmul(a, b)
+        }
+        fn softmax_rows(&mut self, m: &mut MatF32) {
+            self.0.softmax_rows(m)
+        }
+        fn gelu(&mut self, m: &mut MatF32) {
+            self.0.gelu(m)
+        }
+        fn layernorm(&mut self, m: &mut MatF32, gamma: &[f32], beta: &[f32], eps: f32) {
+            self.0.layernorm(m, gamma, beta, eps)
+        }
+    }
 
     #[test]
     fn mixed_matmul_tracks_reference() {
@@ -1587,8 +1335,6 @@ mod tests {
 
     #[test]
     fn host_free_engine_uses_no_host_ops_and_tracks_fp32() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = VitModel::new_random(VitConfig::tiny_test(), 19);
         let x = model.synthetic_input(4);
         let want = model.forward(&mut RefEngine, &x);
@@ -1616,22 +1362,16 @@ mod tests {
         a.set(2, 5, f32::INFINITY);
         let b = MatF32::from_fn(8, 8, |i, j| (i as f32 - j as f32) * 0.2);
         // NaN != NaN, so compare the fp32 results bit-for-bit.
-        let bits_eq = |x: &MatF32, y: &MatF32| {
-            x.data()
-                .iter()
-                .zip(y.data())
-                .all(|(p, q)| p.to_bits() == q.to_bits())
-        };
         let got = e.matmul(&a, &b);
         // Falls back to the reference fp32 path instead of panicking…
-        assert!(bits_eq(&got, &a.matmul(&b)));
+        assert!(bits_eq(got.data(), a.matmul(&b).data()));
         // …and the census records the degradation, with no bfp8 MACs.
         assert_eq!(e.census().fp32_fallbacks, 1);
         assert_eq!(e.census().matmul_macs, 0);
 
         let mut i8e = Int8Engine::new();
         let got = i8e.matmul(&a, &b);
-        assert!(bits_eq(&got, &a.matmul(&b)));
+        assert!(bits_eq(got.data(), a.matmul(&b).data()));
         assert_eq!(i8e.fallbacks(), 1);
         assert_eq!(i8e.macs(), 0);
     }
@@ -1650,18 +1390,15 @@ mod tests {
         // Model-level version of the motivation experiment: inject hot
         // channels into the activations via large weight columns; the
         // bfp8 engine tracks fp32 better than per-tensor int8.
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = {
             let mut m = VitModel::new_random(VitConfig::tiny_test(), 13);
             // Make a few fc1 output channels hot: downstream activations
             // develop the outlier pattern real Transformers show.
             for blk in &mut m.blocks {
-                let cols = blk.fc1.w.cols();
-                for i in 0..blk.fc1.w.rows() {
-                    for j in (0..cols).step_by(17) {
-                        let v = blk.fc1.w.get(i, j);
-                        blk.fc1.w.set(i, j, v * 24.0);
+                let w = blk.fc1.w_mut();
+                for i in 0..w.rows() {
+                    for j in (0..w.cols()).step_by(17) {
+                        w.set(i, j, w.get(i, j) * 24.0);
                     }
                 }
             }
@@ -1685,24 +1422,22 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_engines_are_bit_identical() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = VitModel::new_random(VitConfig::tiny_test(), 29);
         let x = model.synthetic_input(5);
 
         let mut cached = MixedEngine::new();
-        let mut uncached = MixedEngine::without_weight_cache();
-        // Run the cached engine twice so the second pass is served from
-        // the plan cache; all three outputs must agree bit-for-bit.
+        let mut uncached = PerCall(MixedEngine::new());
+        // The first pass fills the model's packs, the second borrows
+        // them, the per-call engine never sees one; all three outputs
+        // must agree bit-for-bit.
         let first = model.forward(&mut cached, &x);
         let warm = model.forward(&mut cached, &x);
         let cold = model.forward(&mut uncached, &x);
         let stats = cached.plan_cache_stats();
-        assert!(stats.hits > 0, "second pass must hit the cache: {stats:?}");
-        for ((a, b), c) in first.data().iter().zip(warm.data()).zip(cold.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(a.to_bits(), c.to_bits());
-        }
+        assert!(stats.hits > 0, "second pass must borrow the packs: {stats:?}");
+        assert_eq!(uncached.0.plan_cache_stats().hits, 0);
+        assert!(bits_eq(first.data(), warm.data()));
+        assert!(bits_eq(first.data(), cold.data()));
     }
 
     #[test]
@@ -1718,83 +1453,10 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        assert_eq!(e.plan_cache_stats().hits, 1);
-        assert_eq!(e.plan_cache_stats().misses, 1);
-    }
-
-    #[test]
-    fn weight_plans_are_reused_across_tokens_and_reported() {
-        let mut e = MixedEngine::new();
-        let w = MatF32::from_fn(16, 16, |i, j| ((i * j) as f32 * 0.01).sin());
-        for t in 0..5 {
-            let x = MatF32::from_fn(4, 16, |i, j| (i + j + t) as f32 * 0.1);
-            let _ = e.matmul(&x, &w);
-        }
-        let s = e.plan_cache_stats();
-        assert_eq!(s.misses, 1, "the constant weight quantizes once: {s:?}");
-        assert_eq!(s.hits, 4);
-        assert_eq!(s.entries, 1);
-        assert!(s.bytes > 0);
-        e.clear_weight_cache();
-        assert_eq!(e.plan_cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn plan_cache_eviction_keeps_hot_entries_bounded() {
-        let mut e = MixedEngine::new();
-        let x = MatF32::from_fn(2, 8, |i, j| (i + j) as f32 * 0.3);
-        let hot = MatF32::from_fn(8, 8, |i, j| (i * 8 + j) as f32 * 0.05);
-        // Interleave one hot weight with a churn of one-shot matrices.
-        for n in 0..(3 * PLAN_CACHE_CAP as u32) {
-            let _ = e.matmul(&x, &hot);
-            let churn = MatF32::from_fn(8, 8, |i, j| (i * 8 + j) as f32 + n as f32 * 0.7);
-            let _ = e.matmul(&x, &churn);
-        }
-        let s = e.plan_cache_stats();
-        assert!(
-            s.entries <= PLAN_CACHE_CAP + 1,
-            "cache stays bounded: {s:?}"
-        );
-        assert!(s.evictions > 0, "churn must be swept: {s:?}");
-        assert!(
-            s.hits >= 3 * PLAN_CACHE_CAP as u64 - 1,
-            "hot weight survives sweeps: {s:?}"
-        );
-    }
-
-    #[test]
-    fn plan_cache_stats_display_reports_evictions() {
-        let s = PlanCacheStats {
-            hits: 9,
-            misses: 4,
-            evictions: 3,
-            entries: 2,
-            bytes: 640,
-        };
-        let text = s.to_string();
-        assert!(text.contains("evictions"), "{text}");
-        assert!(text.contains("weight-plan cache"), "{text}");
-        // One data row carrying the counter values, in header order.
-        let row = text.lines().nth(4).expect("data row");
-        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
-        assert_eq!(cells, ["9", "4", "3", "2", "640"], "{text}");
-    }
-
-    #[test]
-    fn plan_cache_stats_publish_lands_in_registry() {
-        let s = PlanCacheStats {
-            hits: 9,
-            misses: 4,
-            evictions: 3,
-            entries: 2,
-            bytes: 640,
-        };
-        let reg = Registry::new();
-        s.publish(&reg);
-        s.publish(&reg); // idempotent: gauges overwrite
-        let text = reg.snapshot().to_prometheus_text();
-        assert!(text.contains("plan_cache_hits 9"), "{text}");
-        assert!(text.contains("plan_cache_resident_bytes 640"), "{text}");
+        // `matmul` is the activation × activation GEMM: it packs both
+        // operands every call and looks nothing up.
+        let stats = e.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.bytes), (0, 2, 0));
     }
 
     #[cfg(feature = "telemetry")]
@@ -1805,14 +1467,15 @@ mod tests {
         let tracer = Tracer::new();
         let mut e = MixedEngine::new();
         e.attach_telemetry(tracer.clone(), &reg);
-        let a = MatF32::from_fn(16, 16, |i, j| ((i * 16 + j) as f32 * 0.01).sin());
-        let _ = e.matmul(&a, &a);
-        let _ = e.matmul(&a, &a); // second RHS resolve hits the cache
+        let lin = &VitModel::new_random(VitConfig::tiny_test(), 3).blocks[0].attn.wk;
+        let a = MatF32::from_fn(16, 32, |i, j| ((i * 32 + j) as f32 * 0.01).sin());
+        let _ = e.matmul_weight(&a, lin); // fills the layer's pack
+        let _ = e.matmul_weight(&a, lin); // borrows it
         let mut m = MatF32::from_fn(4, 16, |i, j| (i + j) as f32 * 0.1);
         e.softmax_rows(&mut m);
 
         assert_eq!(reg.counter("engine_gemms_total").get(), 2);
-        assert_eq!(reg.counter("engine_macs_total").get(), 2 * 16 * 16 * 16);
+        assert_eq!(reg.counter("engine_macs_total").get(), 2 * 16 * 32 * 32);
         assert_eq!(reg.counter("engine_plan_cache_hits_total").get(), 1);
         assert_eq!(reg.counter("engine_plan_cache_misses_total").get(), 1);
         assert_eq!(reg.histogram("engine_gemm_ns").count(), 2);
@@ -1868,44 +1531,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_under_all_hot_pressure_is_deterministic() {
-        // Fill the cache past capacity with entries that are ALL hot at
-        // sweep time: the sweep alone cannot make room and the engine
-        // must choose victims. Two engines (distinct HashMap seeds) fed
-        // the identical workload must evict the identical entries — the
-        // content-key tie-break, observable through subsequent hit/miss
-        // patterns.
-        let weights: Vec<MatF32> = (0..PLAN_CACHE_CAP + 8)
-            .map(|n| MatF32::from_fn(8, 8, |i, j| (i * 8 + j) as f32 * 0.01 + n as f32))
-            .collect();
-        let x = MatF32::from_fn(2, 8, |i, j| (i + j) as f32 * 0.1);
-        let run = |e: &mut MixedEngine| -> Vec<u64> {
-            // Touch every weight twice so every entry is hot, overflowing
-            // the cap and forcing tie-break evictions along the way.
-            for w in &weights {
-                let _ = e.matmul(&x, w);
-                let _ = e.matmul(&x, w);
-            }
-            // Probe: which of the first 16 weights survived?
-            (0..16)
-                .map(|i| {
-                    let before = e.plan_cache_stats().hits;
-                    let _ = e.matmul(&x, &weights[i]);
-                    e.plan_cache_stats().hits - before
-                })
-                .collect()
-        };
-        let mut e1 = MixedEngine::new();
-        let mut e2 = MixedEngine::new();
-        let (p1, p2) = (run(&mut e1), run(&mut e2));
-        assert_eq!(p1, p2, "survivor set must not depend on map seeding");
-        let (s1, s2) = (e1.plan_cache_stats(), e2.plan_cache_stats());
-        assert_eq!(s1, s2);
-        assert!(s1.evictions > 0, "pressure must evict: {s1:?}");
-        assert!(s1.entries < PLAN_CACHE_CAP + 1, "cache stays bounded");
-    }
-
-    #[test]
     fn shape_mismatched_matmul_falls_back_instead_of_engine_panicking() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         // Inner dimensions disagree: the packed kernel reports a typed
@@ -1939,8 +1564,6 @@ mod tests {
 
     #[test]
     fn threaded_engines_are_bit_identical_to_serial() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = VitModel::new_random(VitConfig::tiny_test(), 31);
         let x = model.synthetic_input(6);
         let want = model.forward(&mut MixedEngine::new().with_threads(1), &x);
@@ -1955,8 +1578,6 @@ mod tests {
 
     #[test]
     fn baseline_scalar_engine_is_bit_identical_and_serial() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = VitModel::new_random(VitConfig::tiny_test(), 37);
         let x = model.synthetic_input(4);
         let mut base = MixedEngine::baseline_scalar();
@@ -1966,13 +1587,6 @@ mod tests {
         for (p, q) in got.data().iter().zip(want.data()) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "pack thread blew up")]
-    fn a_panicked_weight_prefetch_is_re_raised_not_swallowed() {
-        let handle = std::thread::spawn(|| panic!("pack thread blew up"));
-        MixedEngine::new().absorb_weight_prefetch(Some(handle));
     }
 
     #[test]
@@ -2029,8 +1643,6 @@ mod tests {
         // wall-clock only — never an output bit, never a census count —
         // for either nonlinear family, any thread budget, and both the
         // all-on and all-off plans.
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let model = VitModel::new_random(VitConfig::tiny_test(), 11);
         let x = model.synthetic_input(12);
         for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
@@ -2063,28 +1675,40 @@ mod tests {
 
     #[test]
     fn node_timing_accumulates_only_when_enabled() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 31);
         let x = model.synthetic_input(5);
 
-        // Off by default: the compiled path records nothing.
+        // Off by default: the compiled path reads no node clock (so it
+        // names no node either) and records nothing.
         let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
         assert!(!e.node_timing_enabled());
+        assert!(e.node_clock().is_none());
         let _ = model.forward(&mut e, &x);
         assert!(e.take_node_times().is_empty());
 
         e.enable_node_timing();
+        assert!(e.node_clock().is_some());
         let _ = model.forward(&mut e, &x);
         let times = e.take_node_times();
-        for key in ["ln1", "wq", "wk", "wv", "h0.softmax", "wo", "ln2", "fc1+gelu", "fc2"] {
-            let t = times.get(key).unwrap_or_else(|| panic!("missing node {key}"));
+        // Exactly the names `bfp_core::attribute_plan_drift` prices: eight
+        // per block plus three per head, each once per block run. The
+        // fused plan never runs a standalone `fc1` or `gelu` node.
+        let mut want: Vec<String> = ["ln1", "wq", "wk", "wv", "wo", "ln2", "fc1+gelu", "fc2"]
+            .map(String::from)
+            .to_vec();
+        for h in 0..cfg.heads {
+            want.extend(["scores", "softmax", "ctx"].map(|op| format!("h{h}.{op}")));
+        }
+        assert_eq!(want.len(), 8 + 3 * cfg.heads);
+        want.sort();
+        let mut got: Vec<String> = times.keys().cloned().collect();
+        got.sort();
+        assert_eq!(got, want);
+        for (key, t) in &times {
             assert_eq!(t.samples, cfg.depth as u64, "{key}");
             assert!(t.seconds > 0.0, "{key}");
         }
-        // The fused plan never runs a standalone gelu node.
-        assert!(!times.contains_key("gelu"));
         // take_ drains but leaves timing armed.
         assert!(e.node_timing_enabled());
         let _ = model.forward(&mut e, &x);
@@ -2093,8 +1717,6 @@ mod tests {
 
     #[test]
     fn fusion_counters_split_hits_and_misses_per_plan() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 23);
         let x = model.synthetic_input(3);
@@ -2128,8 +1750,6 @@ mod tests {
         // does not share the q/k/v pack packs exactly what the plan-less
         // engine packs, and `fuse_all` packs `2·seq·dim` fewer elements
         // in two fewer calls per block — nothing else differs.
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 43);
         let x = model.synthetic_input(8);
@@ -2165,12 +1785,10 @@ mod tests {
         // Satellite property: fused drains agree with the composed oracle
         // under subnormal-range activations and near-overflow weights —
         // the regimes where a quantize/requant shortcut would first drift.
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         for (wscale, xscale) in [(1.0e3f32, 1.0f32), (1.0f32, 1.0e-38f32), (64.0, 1.0e-20)] {
             let mut model = VitModel::new_random(VitConfig::tiny_test(), 41);
             for blk in &mut model.blocks {
-                for v in blk.fc1.w.data_mut() {
+                for v in blk.fc1.w_mut().data_mut() {
                     *v *= wscale;
                 }
             }
@@ -2203,10 +1821,9 @@ mod tests {
         // A non-finite weight makes every GEMM against it unquantizable:
         // the planned path must replay the same counted fp32 fallbacks and
         // produce the same bits as the hand-wired path.
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
-        let mut model = VitModel::new_random(VitConfig::tiny_test(), 17);
-        model.blocks[0].fc2.w.set(0, 0, f32::INFINITY);
+        let clean = VitModel::new_random(VitConfig::tiny_test(), 17);
+        let mut model = clean.clone();
+        model.blocks[0].fc2.w_mut().set(0, 0, f32::INFINITY);
         let x = model.synthetic_input(9);
         let mut oracle = MixedEngine::new();
         let want = model.forward(&mut oracle, &x);
@@ -2218,6 +1835,18 @@ mod tests {
         let (oc, pc) = (oracle.census(), e.census());
         assert!(oc.fp32_fallbacks > 0, "the poisoned weight must fall back");
         assert_eq!(pc, oc, "fallback accounting must match the oracle");
+        // The pack error was returned, not stored: a second forward falls
+        // back exactly as often, and the weight repaired through `w_mut`
+        // gives the clean model's bits with no fallback at all.
+        let _ = model.forward(&mut e, &x);
+        assert_eq!(e.census().fp32_fallbacks, 2 * oc.fp32_fallbacks);
+        let v = clean.blocks[0].fc2.w().get(0, 0);
+        model.blocks[0].fc2.w_mut().set(0, 0, v);
+        let (mut e, mut fresh) = (e, MixedEngine::new());
+        e.take_census();
+        assert!(bits_eq(model.forward(&mut e, &x).data(), clean.forward(&mut fresh, &x).data()));
+        assert_eq!(e.census(), fresh.census());
+        assert_eq!(e.census().fp32_fallbacks, 0);
 
         // A non-finite fc1 bias: fc1 itself quantizes, its fused bias+GELU
         // drain hits, and the poisoned column makes the intermediate
@@ -2246,8 +1875,6 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn compiled_plan_emits_node_spans_and_fusion_counters() {
-        use crate::config::VitConfig;
-        use crate::model::VitModel;
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 7);
         let x = model.synthetic_input(2);
@@ -2284,6 +1911,120 @@ mod tests {
                 .filter(|n| n.ends_with(".softmax"))
                 .count(),
             cfg.depth * cfg.heads
+        );
+    }
+
+    /// `(hits, misses)` one call adds to the engine's RHS counters.
+    fn rhs_delta(e: &mut MixedEngine, f: impl FnOnce(&mut MixedEngine)) -> (u64, u64) {
+        let before = e.plan_cache_stats();
+        f(e);
+        let after = e.plan_cache_stats();
+        (after.hits - before.hits, after.misses - before.misses)
+    }
+
+    #[test]
+    fn weight_pack_counts_are_exact_from_the_first_image() {
+        let cfg = DeitConfig::tiny_test();
+        let model = DeitModel::new_random(cfg, 5);
+        let imgs: Vec<Image> =
+            (0..3).map(|s| Image::synthetic(cfg.channels, cfg.img, cfg.img, s)).collect();
+        // Every weight is a `Linear` (six per block, patch projection,
+        // head); the only other GEMM operands are the per-head `k_hᵀ` and
+        // `v_h` activations, which are packed per call and never kept.
+        let linears = (6 * cfg.vit.depth + 2) as u64;
+        let activations = (2 * cfg.vit.heads * cfg.vit.depth) as u64;
+
+        let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+        let first = rhs_delta(&mut e, |e| drop(model.forward(e, &imgs[0])));
+        assert_eq!(first, (0, linears + activations));
+        for img in [&imgs[1], &imgs[2], &imgs[0]] {
+            let later = rhs_delta(&mut e, |e| drop(model.forward(e, img)));
+            assert_eq!(later, (linears, activations));
+        }
+        let blocks = model.encoder.blocks.iter();
+        let all = blocks
+            .flat_map(|b| [&b.attn.wq, &b.attn.wk, &b.attn.wv, &b.attn.wo, &b.fc1, &b.fc2])
+            .chain([&model.patch_proj, &model.head]);
+        let q = Quantizer::paper();
+        let bytes: usize =
+            all.map(|lin| PackedBfp::quantize_pack_rhs(&q, lin.w()).unwrap().bytes()).sum();
+        assert_eq!(e.plan_cache_stats().bytes, bytes);
+
+        // A second engine — hand-wired this time: both routes resolve a
+        // weight the same way — finds every pack resident and fills none.
+        let mut second = MixedEngine::new();
+        let warm = rhs_delta(&mut second, |e| drop(model.forward(e, &imgs[1])));
+        assert_eq!(warm, (linears, activations));
+        assert_eq!(second.plan_cache_stats().bytes, 0);
+    }
+
+    #[test]
+    fn weight_pack_follows_a_mutated_weight() {
+        let edit = |m: &mut VitModel| {
+            let w = m.blocks[1].fc1.w_mut();
+            w.set(2, 3, w.get(2, 3) * -3.0 + 0.25);
+        };
+        let mut model = VitModel::new_random(VitConfig::tiny_test(), 47);
+        let x = model.synthetic_input(2);
+        let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+        let before = model.forward(&mut e, &x);
+        edit(&mut model);
+        e.take_census();
+        let after = model.forward(&mut e, &x);
+        assert!(!bits_eq(after.data(), before.data()), "the edit must be visible");
+
+        let mut rebuilt = VitModel::new_random(VitConfig::tiny_test(), 47);
+        edit(&mut rebuilt);
+        let mut fresh = MixedEngine::new();
+        assert!(bits_eq(after.data(), rebuilt.forward(&mut fresh, &x).data()));
+        assert_eq!(e.census(), fresh.census());
+    }
+
+    #[test]
+    fn weight_pack_serves_two_quantizers_on_one_model() {
+        let cfg = VitConfig::tiny_test();
+        let model = VitModel::new_random(cfg, 53);
+        let x = model.synthetic_input(4);
+        let gemms = ((6 + 2 * cfg.heads) * cfg.depth) as u64;
+        for (bits, hits) in [(8, 0), (5, 0), (8, 6 * cfg.depth as u64)] {
+            let q = Quantizer::with_man_bits(bits);
+            let mut e = MixedEngine::with_quantizer(q);
+            let got = model.forward(&mut e, &x);
+            let fresh = VitModel::new_random(cfg, 53);
+            let want = fresh.forward(&mut MixedEngine::with_quantizer(q), &x);
+            assert!(bits_eq(got.data(), want.data()), "man_bits {bits}");
+            // The 5-bit engine meets the 8-bit packs: all misses, and it
+            // leaves them in place for the 8-bit engine that follows.
+            let stats = e.plan_cache_stats();
+            assert_eq!((stats.hits, stats.misses), (hits, gemms - hits), "man_bits {bits}");
+        }
+    }
+
+    #[test]
+    fn weight_pack_survives_a_racing_first_forward() {
+        let model = VitModel::new_random(VitConfig::tiny_test(), 59);
+        let x = model.synthetic_input(6);
+        let (want, serial) = {
+            let model = model.clone();
+            let mut e = MixedEngine::new();
+            let out = model.forward(&mut e, &x);
+            (out, e.plan_cache_stats())
+        };
+        let gate = std::sync::Barrier::new(2);
+        let race = || {
+            let mut e = MixedEngine::new();
+            gate.wait();
+            let out = model.forward(&mut e, &x);
+            (out, e.plan_cache_stats())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (ta, tb) = (s.spawn(race), s.spawn(race));
+            (ta.join().expect("racer a"), tb.join().expect("racer b"))
+        });
+        assert!(bits_eq(a.0.data(), want.data()) && bits_eq(b.0.data(), want.data()));
+        assert_eq!(
+            a.1.hits + a.1.misses + b.1.hits + b.1.misses,
+            2 * (serial.hits + serial.misses)
         );
     }
 

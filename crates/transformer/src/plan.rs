@@ -6,7 +6,7 @@
 //! GEMMs sharing one normalized activation should share a single packed
 //! LHS. The transformer crate cannot depend on `bfp-core` (the dependency
 //! points the other way), so the engine consumes the planner's verdict in
-//! this distilled form: a [`CompiledVitPlan`] of per-pattern switches.
+//! this distilled form: a [`CompiledVitPlan`] of four per-pattern switches.
 //! Every block in a ViT/DeiT tower has the same shape, so the plan is
 //! uniform across blocks; the per-node fused/standalone record stays with
 //! the planner's `FusePlan` and is bridged into bench output by the e2e
@@ -15,8 +15,8 @@
 //! Installing a plan on [`MixedEngine`](crate::MixedEngine) reroutes
 //! `Block::forward` through the fused kernels in `bfp_arith::packed`;
 //! the hand-wired path stays untouched and serves as the bit-identity
-//! oracle, exactly like the `Epilogue::Reference` selector does for the
-//! scalar accumulator baseline.
+//! oracle. A plan decides which kernels run, never where a weight's pack
+//! comes from: both paths borrow it from the `Linear` that owns it.
 
 /// Per-pattern fusion switches for one transformer block, uniform across
 /// the tower. All-off ([`CompiledVitPlan::unfused`]) routes every operator
@@ -41,24 +41,17 @@ pub struct CompiledVitPlan {
     /// Fold fc2's bias add and the second residual add into its GEMM
     /// drain.
     pub fuse_fc2_residual: bool,
-    /// Overlap quantize-pack of weight plans needed later in the block
-    /// with the attention GEMMs on a spare host thread (double
-    /// buffering). Only engages when the engine's effective thread count
-    /// is ≥ 2; bit-identical by construction since weight plans are a
-    /// pure function of (quantizer, weight).
-    pub prefetch_weights: bool,
 }
 
 impl CompiledVitPlan {
-    /// Every fusion the arithmetic layer supports, plus weight-plan
-    /// prefetch. This is what the core planner emits for DeiT shapes.
+    /// Every fusion the arithmetic layer supports. This is what the core
+    /// planner emits for DeiT shapes.
     pub fn fuse_all() -> Self {
         Self {
             fuse_qkv: true,
             fuse_wo_residual: true,
             fuse_fc1_gelu: true,
             fuse_fc2_residual: true,
-            prefetch_weights: true,
         }
     }
 
@@ -70,7 +63,6 @@ impl CompiledVitPlan {
             fuse_wo_residual: false,
             fuse_fc1_gelu: false,
             fuse_fc2_residual: false,
-            prefetch_weights: false,
         }
     }
 

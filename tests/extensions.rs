@@ -34,10 +34,11 @@ fn three_engines_rank_as_the_paper_argues() {
     // outlier-heavy models.
     let mut model = VitModel::new_random(VitConfig::tiny_test(), 13);
     for blk in &mut model.blocks {
-        for i in 0..blk.fc1.w.rows() {
-            for j in (0..blk.fc1.w.cols()).step_by(17) {
-                let v = blk.fc1.w.get(i, j);
-                blk.fc1.w.set(i, j, v * 24.0);
+        let w = blk.fc1.w_mut();
+        for i in 0..w.rows() {
+            for j in (0..w.cols()).step_by(17) {
+                let v = w.get(i, j);
+                w.set(i, j, v * 24.0);
             }
         }
     }

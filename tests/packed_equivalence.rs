@@ -3,7 +3,8 @@
 //! the `bfp-pu` cycle simulator must produce bit-identical `f32` outputs
 //! on the same quantized operands — for every shape (including
 //! non-multiples of the block size) and every mix of block exponents.
-//! The `MixedEngine` weight-plan cache must likewise never change a bit.
+//! A weight's resident pack (filled once in its `Linear`) must likewise
+//! never change a bit against packing both operands per call.
 
 use bfp_arith::abft::{AbftOptions, AbftPacked};
 use bfp_arith::matrix::MatF32;
@@ -29,6 +30,26 @@ fn tiered(rows: usize, cols: usize, seed: u64, spread: u32) -> MatF32 {
         let tier = ((i / 8) + (j / 8)) % (spread as usize + 1);
         base * (tier as f32 * 6.0).exp2()
     })
+}
+
+/// A [`MixedEngine`] that keeps the trait's default `matmul_weight`, so
+/// every weight GEMM is `Engine::matmul(x, lin.w())`: both operands packed
+/// per call (`PackedBfp::quantize_pack_rhs`), no layer's pack consulted.
+struct PerCall(MixedEngine);
+
+impl Engine for PerCall {
+    fn matmul(&mut self, a: &MatF32, b: &MatF32) -> MatF32 {
+        self.0.matmul(a, b)
+    }
+    fn softmax_rows(&mut self, m: &mut MatF32) {
+        self.0.softmax_rows(m)
+    }
+    fn gelu(&mut self, m: &mut MatF32) {
+        self.0.gelu(m)
+    }
+    fn layernorm(&mut self, m: &mut MatF32, gamma: &[f32], beta: &[f32], eps: f32) {
+        self.0.layernorm(m, gamma, beta, eps)
+    }
 }
 
 fn bits_eq(a: &MatF32, b: &MatF32) -> bool {
@@ -131,9 +152,9 @@ proptest! {
         prop_assert!(bits_eq(&checked, &packed), "checked kernel diverged");
     }
 
-    /// The weight-plan cache is invisible to numerics: a cache-enabled
-    /// engine and a cache-disabled engine produce bit-identical GEMMs,
-    /// warm or cold.
+    /// A weight's resident pack is invisible to numerics: the GEMM that
+    /// fills it and the GEMM that borrows it are bit-identical to packing
+    /// both operands per call.
     #[test]
     fn weight_plan_cache_never_changes_bits(
         m in 1usize..20,
@@ -142,14 +163,17 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let a = tiered(m, k, seed, 2);
-        let b = tiered(k, n, seed ^ 0xA5A5, 2);
-        let mut cached = MixedEngine::new();
-        let mut uncached = MixedEngine::without_weight_cache();
-        let cold = cached.matmul(&a, &b);
-        prop_assert!(bits_eq(&cold, &uncached.matmul(&a, &b)));
-        // Second pass hits the plan cache; the bits must not move.
-        let warm = cached.matmul(&a, &b);
+        let mut lin = VitModel::new_random(VitConfig::tiny_test(), 0).blocks[0].fc1.clone();
+        *lin.w_mut() = tiered(k, n, seed ^ 0xA5A5, 2);
+        let mut e = MixedEngine::new();
+        let per_call = e.matmul(&a, lin.w());
+        let cold = e.matmul_weight(&a, &lin);
+        prop_assert!(bits_eq(&cold, &per_call));
+        // Second pass borrows the pack; the bits must not move.
+        let warm = e.matmul_weight(&a, &lin);
         prop_assert!(bits_eq(&warm, &cold));
+        let stats = e.plan_cache_stats();
+        prop_assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 }
 
@@ -247,9 +271,9 @@ fn exact_block_at_seq_197_matches_the_scalar_vpu_in_bits_and_census() {
     }
 }
 
-/// Whole-model determinism under the cache: the same ViT forward pass on a
-/// shared cache-enabled engine matches a fresh cache-disabled engine, run
-/// after run.
+/// Whole-model determinism under resident packs: the same ViT forward pass
+/// on one engine, borrowing the model's packs, matches a fresh engine that
+/// packs every operand per call, run after run.
 #[test]
 fn cached_engine_model_forward_is_bit_stable() {
     let model = VitModel::new_random(VitConfig::tiny_test(), 7);
@@ -259,10 +283,11 @@ fn cached_engine_model_forward_is_bit_stable() {
     for _ in 0..2 {
         let again = model.forward(&mut cached, &x);
         assert!(bits_eq(&again, &first), "warm forward drifted");
-        let mut fresh = MixedEngine::without_weight_cache();
+        let mut fresh = PerCall(MixedEngine::new());
         let reference = model.forward(&mut fresh, &x);
-        assert!(bits_eq(&reference, &first), "cache changed model output");
+        assert!(bits_eq(&reference, &first), "resident packs changed model output");
+        assert_eq!(fresh.0.plan_cache_stats().hits, 0, "the per-call route consulted a pack");
     }
     let stats = cached.plan_cache_stats();
-    assert!(stats.hits > 0, "expected plan-cache hits, got {stats:?}");
+    assert!(stats.hits > 0, "expected borrowed packs, got {stats:?}");
 }
