@@ -116,6 +116,38 @@ mod tests {
     }
 
     #[test]
+    fn node_timing_of_composed_walks_reports_the_keys_unfused_nodes_price_under() {
+        // The engine times the one block walk whether a GEMM ran fused or
+        // composed: a plan-less engine, and a planned one whose fc1 drain
+        // was replayed (unpackable weight), name `fc1` and `gelu` apart,
+        // which is the key a node the planner left standalone prices at.
+        use bfp_transformer::{CompiledVitPlan, MixedEngine, VitModel};
+        let cfg = VitConfig::tiny_test();
+        let plan = plan_fusion(&lower_vit(&cfg), &System::paper());
+        let standalone = |n: &PlanNode| {
+            canonical_node_key(&PlanNode { decision: FuseDecision::Standalone, ..n.clone() })
+        };
+        let mut priced: Vec<String> = plan.nodes.iter().map(standalone).collect();
+        priced.sort();
+        priced.dedup();
+
+        let clean = VitModel::new_random(cfg, 5);
+        let mut poisoned = clean.clone();
+        for blk in &mut poisoned.blocks {
+            blk.fc1.w_mut().set(0, 0, f32::INFINITY);
+        }
+        let x = clean.synthetic_input(6);
+        let replayed = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+        for (model, mut engine) in [(&clean, MixedEngine::new()), (&poisoned, replayed)] {
+            engine.enable_node_timing();
+            let _ = model.forward(&mut engine, &x);
+            let mut measured: Vec<String> = engine.take_node_times().into_keys().collect();
+            measured.sort();
+            assert_eq!(measured, priced);
+        }
+    }
+
+    #[test]
     fn predictions_aggregate_across_blocks() {
         let plan = deit_plan();
         let depth = VitConfig::deit_small().depth as f64;

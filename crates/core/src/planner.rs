@@ -37,8 +37,9 @@
 //!
 //! The engine cannot see this module (the dependency points core →
 //! transformer), so [`FusePlan::compiled_vit_plan`] distills the verdict
-//! into the [`CompiledVitPlan`] switch set the
-//! [`MixedEngine`](bfp_transformer::MixedEngine) executes.
+//! into the [`CompiledVitPlan`] that tells a
+//! [`MixedEngine`](bfp_transformer::MixedEngine) whether its block ops run
+//! the fused kernels.
 
 use std::collections::HashMap;
 
@@ -141,35 +142,41 @@ impl FusePlan {
         self.eliminated_pack_cycles / self.total_pack_cycles
     }
 
-    /// Distill the per-node verdict into the switch set the transformer
-    /// engine executes. The mapping is structural: a residual-fused GEMM
-    /// whose dependencies include a `Gelu` is the MLP contraction
-    /// (`fc2`), any other is the attention output projection (`wo`).
-    /// `_sys` is unread; the signature stays because `benchmark/` calls it.
+    /// Distill the per-node verdict into the plan the transformer engine
+    /// executes: [`CompiledVitPlan::fuse_all`] when the graph carries all
+    /// four patterns the engine's block ops fuse — a shared q/k/v pack, a
+    /// GELU drain (`fc1`) and both residual drains — else
+    /// [`CompiledVitPlan::unfused`]. The mapping is structural: a
+    /// residual-fused GEMM whose dependencies include a `Gelu` is the MLP
+    /// contraction (`fc2`), any other is the attention output projection
+    /// (`wo`). `_sys` is unread; the signature stays because `benchmark/`
+    /// calls it.
     pub fn compiled_vit_plan(&self, g: &Graph, _sys: &System) -> CompiledVitPlan {
-        let mut plan = CompiledVitPlan::unfused();
+        let (mut qkv, mut wo, mut fc1, mut fc2) = (false, false, false, false);
         for n in &self.nodes {
             match n.decision {
-                FuseDecision::SharedPack(_) => plan.fuse_qkv = true,
+                FuseDecision::SharedPack(_) => qkv = true,
                 FuseDecision::FusedGemm(FuseKind::BiasGelu)
-                | FuseDecision::FusedGemm(FuseKind::BiasGeluRequant) => {
-                    plan.fuse_fc1_gelu = true;
-                }
+                | FuseDecision::FusedGemm(FuseKind::BiasGeluRequant) => fc1 = true,
                 FuseDecision::FusedGemm(FuseKind::BiasResidual) => {
                     let feeds_on_gelu = g.nodes[n.index]
                         .deps
                         .iter()
                         .any(|&d| matches!(g.nodes[d].kind, OpKind::Gelu { .. }));
                     if feeds_on_gelu {
-                        plan.fuse_fc2_residual = true;
+                        fc2 = true;
                     } else {
-                        plan.fuse_wo_residual = true;
+                        wo = true;
                     }
                 }
                 _ => {}
             }
         }
-        plan
+        if qkv && wo && fc1 && fc2 {
+            CompiledVitPlan::fuse_all()
+        } else {
+            CompiledVitPlan::unfused()
+        }
     }
 }
 
@@ -478,9 +485,7 @@ mod tests {
             .all(|n| n.decision == FuseDecision::Standalone));
         assert_eq!(p.eliminated_pack_cycles, 0.0);
         assert_eq!(p.timing.fused_cycles, p.timing.unfused_cycles);
-        let bridged = p.compiled_vit_plan(&g, &sys);
-        assert!(!bridged.fuse_qkv && !bridged.fuse_fc1_gelu);
-        assert!(!bridged.fuse_wo_residual && !bridged.fuse_fc2_residual);
+        assert_eq!(p.compiled_vit_plan(&g, &sys), CompiledVitPlan::unfused());
     }
 
     #[test]
@@ -529,6 +534,9 @@ mod tests {
         // "left" still pays its own pack.
         let left = p.nodes.iter().find(|n| n.name == "left").unwrap();
         assert!(left.pack_cycles > 0.0);
+        // One matched pattern of the four is not a block the engine's ops
+        // fuse: the bridge is all or nothing.
+        assert_eq!(p.compiled_vit_plan(&g, &System::paper()), CompiledVitPlan::unfused());
     }
 
     #[test]
@@ -573,17 +581,9 @@ mod tests {
             })
             .count() as u64;
         assert_eq!(hits, planned_fused);
-        // Engine misses = the GEMMs the planner left Standalone
-        // (per-head scores/context).
-        let planned_composed = plan
-            .nodes
-            .iter()
-            .filter(|n| {
-                n.decision == FuseDecision::Standalone
-                    && matches!(g.nodes[n.index].kind, OpKind::MatMul { .. })
-            })
-            .count() as u64;
-        assert_eq!(misses, planned_composed);
+        // Every GEMM the planner fused ran fused; the GEMMs it left
+        // Standalone (per-head scores/context) count nowhere.
+        assert_eq!(misses, 0);
 
         #[cfg(feature = "telemetry")]
         {

@@ -63,30 +63,39 @@ impl Attention {
 
     /// Self-attention over `x` (`seq × dim`).
     pub fn forward<E: Engine>(&self, e: &mut E, x: &MatF32) -> MatF32 {
-        let seq = x.rows();
-        let q = self.wq.forward(e, x);
-        let k = self.wk.forward(e, x);
-        let v = self.wv.forward(e, x);
+        let ctx = self.context(e, x);
+        e.node("wo", |e| self.wo.forward(e, &ctx))
+    }
 
-        let mut concat = MatF32::zeros(seq, self.heads * self.head_dim);
+    /// Everything before the output projection: q/k/v, then per head
+    /// scores → softmax → context, concatenated (`seq × dim`). The only
+    /// head loop in the crate; each step runs as a named engine node.
+    pub(crate) fn context<E: Engine>(&self, e: &mut E, x: &MatF32) -> MatF32 {
+        let hd = self.head_dim;
+        let [q, k, v] = e.linears(x, [("wq", &self.wq), ("wk", &self.wk), ("wv", &self.wv)]);
+
+        let mut concat = MatF32::zeros(x.rows(), self.heads * hd);
         for h in 0..self.heads {
-            let qh = slice_cols(&q, h * self.head_dim, self.head_dim);
-            let kh = slice_cols(&k, h * self.head_dim, self.head_dim);
-            let vh = slice_cols(&v, h * self.head_dim, self.head_dim);
-            // scores = Qh · Khᵀ  (seq × seq), bfp8 GEMM.
-            let mut scores = e.matmul(&qh, &kh.transpose());
+            let qh = slice_cols(&q, h * hd, hd);
+            let kh = slice_cols(&k, h * hd, hd);
+            let vh = slice_cols(&v, h * hd, hd);
+            // scores = Qh · Khᵀ  (seq × seq), bfp8 GEMM. No plan fuses the
+            // per-head GEMMs: softmax consumes the whole scores matrix, so
+            // there is no elementwise epilogue to fold.
+            let mut scores =
+                e.node(format_args!("h{h}.scores"), |e| e.matmul(&qh, &kh.transpose()));
             // fp32 softmax on the VPU.
-            e.softmax_rows(&mut scores);
+            e.node(format_args!("h{h}.softmax"), |e| e.softmax_rows(&mut scores));
             // context = scores · Vh, bfp8 GEMM.
-            let ctx = e.matmul(&scores, &vh);
-            write_cols(&mut concat, h * self.head_dim, &ctx);
+            let ctx = e.node(format_args!("h{h}.ctx"), |e| e.matmul(&scores, &vh));
+            write_cols(&mut concat, h * hd, &ctx);
         }
-        self.wo.forward(e, &concat)
+        concat
     }
 }
 
 /// Copy a column range out of a matrix.
-pub(crate) fn slice_cols(m: &MatF32, start: usize, width: usize) -> MatF32 {
+fn slice_cols(m: &MatF32, start: usize, width: usize) -> MatF32 {
     let mut data = Vec::with_capacity(m.rows() * width);
     for i in 0..m.rows() {
         data.extend_from_slice(&m.row(i)[start..start + width]);
@@ -95,7 +104,7 @@ pub(crate) fn slice_cols(m: &MatF32, start: usize, width: usize) -> MatF32 {
 }
 
 /// Copy `src` into the columns of `dst` that begin at `start`.
-pub(crate) fn write_cols(dst: &mut MatF32, start: usize, src: &MatF32) {
+fn write_cols(dst: &mut MatF32, start: usize, src: &MatF32) {
     assert_eq!(dst.rows(), src.rows(), "row counts");
     let (dst_cols, width) = (dst.cols(), src.cols());
     for (i, row) in dst.data_mut().chunks_exact_mut(dst_cols.max(1)).enumerate() {

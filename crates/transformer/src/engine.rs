@@ -13,9 +13,7 @@ use bfp_arith::quant::Quantizer;
 #[cfg(feature = "telemetry")]
 use bfp_telemetry::{Counter, Histogram, Registry, Tracer};
 
-use crate::attention::{slice_cols, write_cols};
 use crate::layers::{Linear, WeightPack};
-use crate::model::{residual_add, Block};
 use crate::plan::CompiledVitPlan;
 use crate::reference;
 use crate::vpu::{NonlinearMode, OpCount, Vpu};
@@ -74,8 +72,12 @@ impl OpCensus {
     }
 }
 
-/// The operations a model needs from its execution substrate.
-pub trait Engine {
+/// The operations a model needs from its execution substrate: five
+/// kernels every engine implements, and the ops the block walk
+/// (`Block::forward`, `Attention::context`) is written against. Each op's
+/// default is the composed sequence — the bit-identity oracle — and an
+/// override must be bit-identical to it.
+pub trait Engine: Sized {
     /// General matrix multiply.
     fn matmul(&mut self, a: &MatF32, b: &MatF32) -> MatF32;
     /// `x · W` against a layer's weight: what [`Linear::forward`] calls.
@@ -91,13 +93,46 @@ pub trait Engine {
     fn gelu(&mut self, m: &mut MatF32);
     /// Row-wise LayerNorm in place.
     fn layernorm(&mut self, m: &mut MatF32, gamma: &[f32], beta: &[f32], eps: f32);
-    /// Run one encoder block through a compiled execution plan, if this
-    /// engine carries one. `None` (the default for every engine without
-    /// plan support) routes the caller to the hand-wired oracle sequence;
-    /// `Some` must be bit-identical to that sequence.
-    fn forward_block_planned(&mut self, _block: &Block, _x: &MatF32) -> Option<MatF32> {
-        None
+    /// Run `f` as the step of the block walk called `name`. An engine
+    /// that times or traces its steps overrides this; `name` is only
+    /// formatted by one that does.
+    fn node<T>(&mut self, _name: impl fmt::Display, f: impl FnOnce(&mut Self) -> T) -> T {
+        f(self)
     }
+    /// `x · W + b` for each of `layers`, which all read the same `x`
+    /// (q/k/v): an engine may quantize-pack `x` once for all of them.
+    fn linears<const N: usize>(
+        &mut self,
+        x: &MatF32,
+        layers: [(&str, &Linear); N],
+    ) -> [MatF32; N] {
+        layers.map(|(name, lin)| self.node(name, |e| lin.forward(e, x)))
+    }
+    /// `gelu(x · W + b)` (fc1): an engine may apply bias and GELU in the
+    /// GEMM's drain, as one node `"<name>+gelu"`.
+    fn linear_gelu(&mut self, name: &str, lin: &Linear, x: &MatF32) -> MatF32 {
+        composed_linear_gelu(self, name, lin, x)
+    }
+    /// `skip + (x · W + b)` (`wo`, `fc2`), in that operand order: an
+    /// engine may fold both adds into the GEMM's drain.
+    fn linear_residual(&mut self, name: &str, lin: &Linear, x: &MatF32, skip: &MatF32) -> MatF32 {
+        self.node(name, |e| residual_add(skip, &lin.forward(e, x)))
+    }
+}
+
+/// The default [`Engine::linear_gelu`]: the linear as node `name`, then the
+/// engine's GELU as node `"gelu"`. A free function so an override can
+/// replay it.
+fn composed_linear_gelu<E: Engine>(e: &mut E, name: &str, lin: &Linear, x: &MatF32) -> MatF32 {
+    let mut mid = e.node(name, |e| lin.forward(e, x));
+    e.node("gelu", |e| e.gelu(&mut mid));
+    mid
+}
+
+/// Elementwise residual add (memory-side, not an array operation).
+fn residual_add(a: &MatF32, b: &MatF32) -> MatF32 {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+    MatF32::from_fn(a.rows(), a.cols(), |i, j| a.get(i, j) + b.get(i, j))
 }
 
 /// Pure f32/f64 reference engine (the "fp32 model as trained" baseline).
@@ -327,13 +362,13 @@ pub struct MixedEngine {
     /// `min(threads, host_cap)`: a budget above the core count cannot buy
     /// wall-clock, only fork/join overhead.
     host_cap: usize,
-    /// Compiled block plan; `None` (the default) keeps `Block::forward`
-    /// on the hand-wired oracle path.
-    vit_plan: Option<CompiledVitPlan>,
+    /// Compiled block plan; [`CompiledVitPlan::unfused`] (the default)
+    /// leaves every block op on its composed default.
+    vit_plan: CompiledVitPlan,
     /// GEMMs drained through a fused epilogue kernel under the plan.
     fusion_hits: u64,
-    /// GEMMs a plan ran through the composed passes (per-head attention
-    /// GEMMs, disabled patterns, and fused-kernel error replays).
+    /// GEMMs the plan fuses that ran composed: a fused attempt failed
+    /// (unpackable operand) and was replayed.
     fusion_misses: u64,
     /// Activation (LHS) quantize-packs attempted, and the f32 elements
     /// they read: what sharing a packed LHS saves, as a count.
@@ -341,8 +376,8 @@ pub struct MixedEngine {
     lhs_pack_elems: u64,
     phase: PhaseTimes,
     /// Per-node wall-clock accumulators for drift attribution; `None`
-    /// (the default) with no tracer attached keeps the compiled-plan hot
-    /// path free of clock reads, node-name strings and map lookups.
+    /// (the default) with no tracer attached keeps the block walk free of
+    /// clock reads, node-name strings and map lookups.
     node_times: Option<HashMap<String, NodeTime>>,
     /// Attached observability (spans + registered counters); `None`
     /// until [`Self::attach_telemetry`] is called.
@@ -373,7 +408,7 @@ impl MixedEngine {
             host_cap: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            vit_plan: None,
+            vit_plan: CompiledVitPlan::unfused(),
             fusion_hits: 0,
             fusion_misses: 0,
             lhs_packs: 0,
@@ -478,8 +513,9 @@ impl MixedEngine {
         std::mem::take(&mut self.phase)
     }
 
-    /// Start accumulating per-node wall-clock on the compiled-plan path
-    /// (for drift attribution against the planner's cycle predictions).
+    /// Start accumulating per-node wall-clock over the block walk, with
+    /// or without a plan (for drift attribution against the planner's
+    /// cycle predictions).
     /// Off by default; independent of the `telemetry` cargo feature.
     pub fn enable_node_timing(&mut self) {
         if self.node_times.is_none() {
@@ -555,7 +591,7 @@ impl MixedEngine {
 
     /// A weight's packed RHS under this engine's quantizer, from the
     /// layer that owns it — the one resolution every GEMM against a
-    /// weight goes through, hand-wired or planned. Counted on success
+    /// weight goes through, composed or fused. Counted on success
     /// only: a weight that cannot be packed sends its GEMM to a fallback.
     fn weight_pack<'l>(&mut self, lin: &'l Linear) -> Result<WeightPack<'l>, ArithError> {
         let pack = lin.packed_rhs(&self.quantizer)?;
@@ -663,36 +699,23 @@ impl MixedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Compiled-plan execution: the graph planner's fused kernels.
+    // Compiled-plan execution: the fused kernels behind the block ops
+    // (`linears`, `linear_gelu`, `linear_residual`) of the `Engine` impl.
     // ------------------------------------------------------------------
 
-    /// Install a compiled block plan: subsequent `Block::forward` calls on
-    /// this engine route through the fused packed kernels. Outputs are
-    /// bit-identical to the hand-wired path for any plan (pinned by the
-    /// tests below and by `bfp_arith::packed`); the plan trades wall-clock
-    /// only.
-    pub fn install_vit_plan(&mut self, plan: CompiledVitPlan) {
-        self.vit_plan = Some(plan);
-    }
-
-    /// Builder form of [`Self::install_vit_plan`].
+    /// Install a compiled block plan: under a fusing plan the block ops
+    /// run the fused packed kernels. Outputs are bit-identical to the
+    /// composed defaults (pinned by the tests below and by
+    /// `bfp_arith::packed`); the plan trades wall-clock only.
     pub fn with_vit_plan(mut self, plan: CompiledVitPlan) -> Self {
-        self.install_vit_plan(plan);
+        self.vit_plan = plan;
         self
     }
 
-    /// Remove the compiled plan: back to the hand-wired oracle path.
-    pub fn clear_vit_plan(&mut self) {
-        self.vit_plan = None;
-    }
-
-    /// The installed compiled plan, if any.
-    pub fn vit_plan(&self) -> Option<CompiledVitPlan> {
-        self.vit_plan
-    }
-
     /// Fusion routing counters as `(hits, misses)`: GEMMs drained through
-    /// a fused epilogue kernel vs GEMMs a plan ran composed.
+    /// a fused epilogue kernel vs GEMMs the plan fuses that ran composed.
+    /// A clean run under a fusing plan reads `(6 · blocks, 0)`; a
+    /// plan-less engine `(0, 0)`.
     pub fn fusion_stats(&self) -> (u64, u64) {
         (self.fusion_hits, self.fusion_misses)
     }
@@ -930,135 +953,24 @@ impl MixedEngine {
         Ok(out)
     }
 
-    /// A bias linear under a plan, wrapped in its `plan.node` span: the
-    /// fused bias drain over the shared packed LHS when there is one,
-    /// otherwise — and on a fused error — the composed `Linear::forward`,
-    /// counted as a fusion miss.
-    fn planned_linear(
+    /// The one fallback of the block ops. Without a fusing plan run
+    /// `composed` and count nothing — the plan-less engine *is* the
+    /// oracle. Under one run `fused`; on any error (an operand that cannot
+    /// be packed) count a fusion miss and replay `composed`, whose own ops
+    /// do the census and fp32-fallback accounting, so error behaviour
+    /// matches the plan-less engine too.
+    fn planned<T>(
         &mut self,
-        ph: Option<&PackedBfp>,
-        lin: &Linear,
-        x: &MatF32,
-        node: &str,
-    ) -> MatF32 {
-        let t = self.node_clock();
-        let fused = ph.and_then(|ph| self.fused_linear(ph, lin, Drain::Bias).ok());
-        let out = fused.unwrap_or_else(|| {
-            self.note_fusion_miss();
-            lin.forward(self, x)
-        });
-        self.tel_node(node, t);
-        out
-    }
-
-    /// A bias+residual linear under a plan (`wo`, `fc2`): `skip + (x·W +
-    /// b)`. With `fuse`, `x` is packed by the lane quantiser and the bias
-    /// and residual adds fold into the GEMM drain; otherwise — and on a
-    /// pack or fused error — the composed `Linear::forward` +
-    /// `residual_add`, counted as a fusion miss.
-    fn planned_residual(
-        &mut self,
-        fuse: bool,
-        lin: &Linear,
-        x: &MatF32,
-        skip: &MatF32,
-        node: &str,
-    ) -> MatF32 {
-        let t = self.node_clock();
-        let fused = if fuse {
-            let px = self.pack_lhs_timed(x);
-            px.and_then(|px| self.fused_linear(&px, lin, Drain::BiasResidual(skip))).ok()
-        } else {
-            None
-        };
-        let out = fused.unwrap_or_else(|| {
-            self.note_fusion_miss();
-            residual_add(skip, &lin.forward(self, x))
-        });
-        self.tel_node(node, t);
-        out
-    }
-
-    /// Execute one encoder block through the compiled plan. Every fused
-    /// kernel is bit-identical to the hand-wired sequence; any fused
-    /// error replays the composed oracle ops (which do their own census
-    /// and fallback accounting), so error behaviour matches the
-    /// hand-wired path too.
-    fn forward_block_compiled(&mut self, blk: &Block, x: &MatF32, plan: CompiledVitPlan) -> MatF32 {
-        let heads = blk.attn.heads();
-        let hd = blk.attn.head_dim();
-        let seq = x.rows();
-
-        let t = self.node_clock();
-        let mut h = x.clone();
-        self.layernorm(&mut h, &blk.ln1.gamma, &blk.ln1.beta, blk.ln1.eps);
-        self.tel_node("ln1", t);
-
-        // q/k/v: one shared packed LHS (the CSE the planner finds on
-        // three MatMuls with an identical LayerNorm dep), fused bias
-        // drains.
-        let ph = if plan.fuse_qkv { self.pack_lhs_timed(&h).ok() } else { None };
-        let q = self.planned_linear(ph.as_ref(), &blk.attn.wq, &h, "wq");
-        let k = self.planned_linear(ph.as_ref(), &blk.attn.wk, &h, "wk");
-        let v = self.planned_linear(ph.as_ref(), &blk.attn.wv, &h, "wv");
-
-        // Per-head attention: composed GEMMs (the planner prices these
-        // unfused — softmax consumes the whole scores matrix, so there is
-        // no elementwise epilogue to fold).
-        let mut concat = MatF32::zeros(seq, heads * hd);
-        for hi in 0..heads {
-            let qh = slice_cols(&q, hi * hd, hd);
-            let kh = slice_cols(&k, hi * hd, hd);
-            let vh = slice_cols(&v, hi * hd, hd);
-            let t = self.node_clock();
-            let mut scores = self.matmul(&qh, &kh.transpose());
-            self.note_fusion_miss();
-            self.tel_node(format_args!("h{hi}.scores"), t);
-            let t = self.node_clock();
-            self.softmax_rows(&mut scores);
-            self.tel_node(format_args!("h{hi}.softmax"), t);
-            let t = self.node_clock();
-            let ctx = self.matmul(&scores, &vh);
-            self.note_fusion_miss();
-            self.tel_node(format_args!("h{hi}.ctx"), t);
-            write_cols(&mut concat, hi * hd, &ctx);
+        fused: impl FnOnce(&mut Self) -> Result<T, ArithError>,
+        composed: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        if !self.vit_plan.fuses() {
+            return composed(self);
         }
-
-        // Output projection + first residual.
-        let res1 = self.planned_residual(plan.fuse_wo_residual, &blk.attn.wo, &concat, x, "wo");
-
-        let t = self.node_clock();
-        let mut h2 = res1.clone();
-        self.layernorm(&mut h2, &blk.ln2.gamma, &blk.ln2.beta, blk.ln2.eps);
-        self.tel_node("ln2", t);
-
-        // MLP. fc1 drains bias+GELU to f32 and fc2 packs that with the
-        // lane quantiser: the host runs the planner's `BiasGeluRequant`
-        // edge as drain → quantize-pack (the planner prices the paper's
-        // on-chip converter; on the host the f32 round trip costs level).
-        let t = self.node_clock();
-        let fused = if plan.fuse_fc1_gelu {
-            let p2 = self.pack_lhs_timed(&h2);
-            p2.and_then(|p2| self.fused_linear(&p2, &blk.fc1, Drain::BiasGelu)).ok()
-        } else {
-            None
-        };
-        let mid = match fused {
-            Some(mid) => {
-                self.tel_node("fc1+gelu", t);
-                mid
-            }
-            None => {
-                self.note_fusion_miss();
-                let mut mid = blk.fc1.forward(self, &h2);
-                self.tel_node("fc1", t);
-                let t = self.node_clock();
-                self.gelu(&mut mid);
-                self.tel_node("gelu", t);
-                mid
-            }
-        };
-        self.planned_residual(plan.fuse_fc2_residual, &blk.fc2, &mid, &res1, "fc2")
+        fused(self).unwrap_or_else(|_| {
+            self.note_fusion_miss();
+            composed(self)
+        })
     }
 }
 
@@ -1165,9 +1077,64 @@ impl Engine for MixedEngine {
         self.tel_phase("vpu.layernorm", t0);
     }
 
-    fn forward_block_planned(&mut self, block: &Block, x: &MatF32) -> Option<MatF32> {
-        let plan = self.vit_plan?;
-        Some(self.forward_block_compiled(block, x, plan))
+    fn node<T>(&mut self, name: impl fmt::Display, f: impl FnOnce(&mut Self) -> T) -> T {
+        let t = self.node_clock();
+        let out = f(self);
+        self.tel_node(name, t);
+        out
+    }
+
+    /// q/k/v under a plan: fused bias drains over one shared packed LHS
+    /// (the CSE the planner finds on three MatMuls with an identical
+    /// LayerNorm dep). The planner bills the group's pack to its first
+    /// member, so `x` is packed inside the first layer's node.
+    fn linears<const N: usize>(
+        &mut self,
+        x: &MatF32,
+        layers: [(&str, &Linear); N],
+    ) -> [MatF32; N] {
+        let mut shared = None;
+        layers.map(|(name, lin)| {
+            self.node(name, |e| {
+                e.planned(
+                    |e| match shared.get_or_insert_with(|| e.pack_lhs_timed(x)) {
+                        Ok(px) => e.fused_linear(px, lin, Drain::Bias),
+                        Err(err) => Err(err.clone()),
+                    },
+                    |e| lin.forward(e, x),
+                )
+            })
+        })
+    }
+
+    /// fc1 under a plan drains bias+GELU to f32 and fc2 packs that with
+    /// the lane quantiser: the host runs the planner's `BiasGeluRequant`
+    /// edge as drain → quantize-pack (the planner prices the paper's
+    /// on-chip converter; on the host the f32 round trip costs level).
+    /// Only a drain that succeeded is reported as `"<name>+gelu"`.
+    fn linear_gelu(&mut self, name: &str, lin: &Linear, x: &MatF32) -> MatF32 {
+        self.planned(
+            |e| {
+                let t = e.node_clock();
+                let px = e.pack_lhs_timed(x)?;
+                let mid = e.fused_linear(&px, lin, Drain::BiasGelu)?;
+                e.tel_node(format_args!("{name}+gelu"), t);
+                Ok(mid)
+            },
+            |e| composed_linear_gelu(e, name, lin, x),
+        )
+    }
+
+    fn linear_residual(&mut self, name: &str, lin: &Linear, x: &MatF32, skip: &MatF32) -> MatF32 {
+        self.node(name, |e| {
+            e.planned(
+                |e| {
+                    let px = e.pack_lhs_timed(x)?;
+                    e.fused_linear(&px, lin, Drain::BiasResidual(skip))
+                },
+                |e| residual_add(skip, &lin.forward(e, x)),
+            )
+        })
     }
 }
 
@@ -1231,7 +1198,7 @@ mod tests {
     use super::*;
     use crate::config::VitConfig;
     use crate::deit::{DeitConfig, DeitModel, Image};
-    use crate::model::VitModel;
+    use crate::VitModel;
     use crate::vpu::cost;
     use bfp_arith::stats::ErrorStats;
 
@@ -1713,6 +1680,21 @@ mod tests {
         assert!(e.node_timing_enabled());
         let _ = model.forward(&mut e, &x);
         assert!(!e.take_node_times().is_empty());
+
+        // The one walk times every engine: plan-less, the same names with
+        // `fc1` and `gelu` as nodes of their own.
+        let mut planless = MixedEngine::new();
+        planless.enable_node_timing();
+        let _ = model.forward(&mut planless, &x);
+        let times = planless.take_node_times();
+        let mut got: Vec<String> = times.keys().cloned().collect();
+        got.sort();
+        want.retain(|n| n != "fc1+gelu");
+        want.extend(["fc1", "gelu"].map(String::from));
+        want.sort();
+        assert_eq!(want.len(), 9 + 3 * cfg.heads);
+        assert_eq!(got, want);
+        assert!(times.values().all(|t| t.samples == cfg.depth as u64));
     }
 
     #[test]
@@ -1721,23 +1703,20 @@ mod tests {
         let model = VitModel::new_random(cfg, 23);
         let x = model.synthetic_input(3);
         let blocks = cfg.depth as u64;
-        let per_head = 2 * cfg.heads as u64; // scores + ctx per head
 
+        // A miss is a GEMM the plan fuses that ran composed: a clean run
+        // has none. The per-head GEMMs, which no plan fuses, count nowhere.
         let mut fused = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
         let _ = model.forward(&mut fused, &x);
         assert_eq!(
             fused.fusion_stats(),
-            (
-                CompiledVitPlan::fuse_all().fused_gemms_per_block() * blocks,
-                per_head * blocks
-            )
+            (CompiledVitPlan::fuse_all().fused_gemms_per_block() * blocks, 0)
         );
 
+        // An unfused plan is exactly a plan-less engine.
         let mut unfused = MixedEngine::new().with_vit_plan(CompiledVitPlan::unfused());
         let _ = model.forward(&mut unfused, &x);
-        // Every GEMM is a miss under the all-off plan: 6 projections plus
-        // the per-head pairs, per block.
-        assert_eq!(unfused.fusion_stats(), (0, (6 + per_head) * blocks));
+        assert_eq!(unfused.fusion_stats(), (0, 0));
 
         let mut planless = MixedEngine::new();
         let _ = model.forward(&mut planless, &x);
@@ -1746,31 +1725,27 @@ mod tests {
 
     #[test]
     fn shared_qkv_pack_saves_exactly_two_lhs_packs_per_block() {
-        // The deterministic twin of the old pack-time A/B: a plan that
-        // does not share the q/k/v pack packs exactly what the plan-less
-        // engine packs, and `fuse_all` packs `2·seq·dim` fewer elements
-        // in two fewer calls per block — nothing else differs.
+        // The deterministic twin of the old pack-time A/B: an unfused
+        // plan packs exactly what the plan-less engine packs, and
+        // `fuse_all` packs `2·seq·dim` fewer elements in two fewer calls
+        // per block — nothing else differs.
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 43);
         let x = model.synthetic_input(8);
         let (depth, tile) = (cfg.depth as u64, (cfg.seq * cfg.dim) as u64);
         for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
             for threads in [1usize, 2] {
-                let packs = |plan: Option<CompiledVitPlan>| {
-                    let mut e = MixedEngine::new().with_threads(threads).with_nonlinear(mode);
-                    if let Some(plan) = plan {
-                        e.install_vit_plan(plan);
-                    }
+                let packs = |e: MixedEngine| {
+                    let mut e = e.with_threads(threads).with_nonlinear(mode);
                     let _ = model.forward(&mut e, &x);
                     e.lhs_pack_stats()
                 };
-                let planless = packs(None);
+                let planless = packs(MixedEngine::new());
                 // Per block: q, k, v, wo, fc1, fc2 and two per head.
                 assert_eq!(planless.0, (6 + 2 * cfg.heads as u64) * depth);
-                let unshared = CompiledVitPlan { fuse_qkv: false, ..CompiledVitPlan::fuse_all() };
-                assert_eq!(packs(Some(unshared)), planless, "{mode:?} {threads}t");
-                assert_eq!(packs(Some(CompiledVitPlan::unfused())), planless);
-                let fused = packs(Some(CompiledVitPlan::fuse_all()));
+                let planned = |plan| packs(MixedEngine::new().with_vit_plan(plan));
+                assert_eq!(planned(CompiledVitPlan::unfused()), planless);
+                let fused = planned(CompiledVitPlan::fuse_all());
                 assert_eq!(
                     (planless.0 - fused.0, planless.1 - fused.1),
                     (2 * depth, 2 * tile * depth),
@@ -1818,9 +1793,10 @@ mod tests {
 
     #[test]
     fn compiled_plan_matches_hand_wired_on_nonfinite_fallbacks() {
-        // A non-finite weight makes every GEMM against it unquantizable:
-        // the planned path must replay the same counted fp32 fallbacks and
-        // produce the same bits as the hand-wired path.
+        // Every replay arm of `planned`, bit-equal to the plan-less engine
+        // with equal books. A non-finite weight makes every GEMM against
+        // it unquantizable: the planned ops must replay the same counted
+        // fp32 fallbacks and produce the same bits as the composed ones.
         let clean = VitModel::new_random(VitConfig::tiny_test(), 17);
         let mut model = clean.clone();
         model.blocks[0].fc2.w_mut().set(0, 0, f32::INFINITY);
@@ -1866,10 +1842,55 @@ mod tests {
         assert_eq!(e.census(), oracle.census());
         let per_block = 6 + 2 * cfg.heads as u64;
         assert_eq!(oracle.census().fp32_fallbacks, 1 + per_block * (cfg.depth as u64 - 1));
-        assert_eq!(
-            e.fusion_stats(),
-            (5, 1 + 2 * cfg.heads as u64 + per_block * (cfg.depth as u64 - 1))
-        );
+        // Misses count the six planned GEMMs only, never the per-head ones.
+        assert_eq!(e.fusion_stats(), (5, 1 + 6 * (cfg.depth as u64 - 1)));
+
+        // One op at a time, planned against plan-less.
+        let planned = || MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
+        let blk = &clean.blocks[0];
+        let skip = clean.synthetic_input(10);
+
+        // A non-finite activation entering q/k/v: the shared pack fails
+        // once and all three layers replay.
+        let mut bad_x = x.clone();
+        bad_x.set(1, 2, f32::NAN);
+        let qkv = [("wq", &blk.attn.wq), ("wk", &blk.attn.wk), ("wv", &blk.attn.wv)];
+        let (mut oracle, mut e) = (MixedEngine::new(), planned());
+        let (want, got) = (oracle.linears(&bad_x, qkv), e.linears(&bad_x, qkv));
+        for (g, w) in got.iter().zip(&want) {
+            assert!(bits_eq(g.data(), w.data()));
+        }
+        assert_eq!(e.census(), oracle.census());
+        assert_eq!((e.census().fp32_fallbacks, e.fusion_stats()), (3, (0, 3)));
+        assert_eq!(e.lhs_pack_stats().0, 1 + 3, "one shared attempt, then one per replay");
+
+        // A non-finite `wo` weight: one miss, and the replay still adds
+        // the residual as `skip + (y + b)`.
+        let mut wo = blk.attn.wo.clone();
+        wo.w_mut().set(0, 0, f32::NEG_INFINITY);
+        let (mut oracle, mut e) = (MixedEngine::new(), planned());
+        let want = oracle.linear_residual("wo", &wo, &x, &skip);
+        let got = e.linear_residual("wo", &wo, &x, &skip);
+        assert!(bits_eq(got.data(), want.data()));
+        let y = x.matmul(wo.w());
+        let by_hand = MatF32::from_fn(y.rows(), y.cols(), |i, j| {
+            skip.get(i, j) + (y.get(i, j) + wo.b[j])
+        });
+        assert!(bits_eq(got.data(), by_hand.data()));
+        assert_eq!(e.census(), oracle.census());
+        assert_eq!((e.census().fp32_fallbacks, e.fusion_stats()), (1, (0, 1)));
+
+        // Node names on a replay: a block whose fc1 drain was replayed
+        // reports `fc1` and `gelu`, never the fused kernel's name.
+        let mut model = clean.clone();
+        model.blocks[0].fc1.w_mut().set(0, 0, f32::INFINITY);
+        let mut e = planned();
+        e.enable_node_timing();
+        let _ = model.forward(&mut e, &x);
+        let times = e.take_node_times();
+        assert_eq!(times["fc1"].samples, cfg.depth as u64);
+        assert_eq!(times["gelu"].samples, cfg.depth as u64);
+        assert!(!times.contains_key("fc1+gelu"), "{:?}", times.keys());
     }
 
     #[cfg(feature = "telemetry")]
@@ -1950,7 +1971,7 @@ mod tests {
             all.map(|lin| PackedBfp::quantize_pack_rhs(&q, lin.w()).unwrap().bytes()).sum();
         assert_eq!(e.plan_cache_stats().bytes, bytes);
 
-        // A second engine — hand-wired this time: both routes resolve a
+        // A second engine — plan-less this time: both routes resolve a
         // weight the same way — finds every pack resident and fills none.
         let mut second = MixedEngine::new();
         let warm = rhs_delta(&mut second, |e| drop(model.forward(e, &imgs[1])));

@@ -45,37 +45,32 @@ impl Block {
         }
     }
 
-    /// Forward one block.
-    ///
-    /// An engine carrying a compiled plan (see
-    /// [`MixedEngine::install_vit_plan`](crate::MixedEngine::install_vit_plan))
-    /// intercepts the block here and runs it through the fused kernels;
-    /// the hand-wired sequence below is the bit-identity oracle and the
-    /// path every plan-less engine takes.
+    /// Forward one block: the only walk of the encoder block in the
+    /// crate. Each step is an engine op, so the engine — not a second copy
+    /// of this sequence — answers which kernel runs it: the defaults
+    /// compose `Linear::forward` with the VPU calls (the bit-identity
+    /// oracle, and what every plan-less engine runs), and a
+    /// [`MixedEngine`](crate::MixedEngine) carrying a fusing plan runs the
+    /// same steps on the fused drains.
     pub fn forward<E: Engine>(&self, e: &mut E, x: &MatF32) -> MatF32 {
-        if let Some(y) = e.forward_block_planned(self, x) {
-            return y;
-        }
         // Attention branch.
-        let mut h = x.clone();
-        self.ln1.forward(e, &mut h);
-        let attn_out = self.attn.forward(e, &h);
-        let mut x = residual_add(x, &attn_out);
+        let h = normed(e, "ln1", &self.ln1, x);
+        let ctx = self.attn.context(e, &h);
+        let x = e.linear_residual("wo", &self.attn.wo, &ctx, x);
         // MLP branch.
-        let mut h = x.clone();
-        self.ln2.forward(e, &mut h);
-        let mut mid = self.fc1.forward(e, &h);
-        e.gelu(&mut mid);
-        let mlp_out = self.fc2.forward(e, &mid);
-        x = residual_add(&x, &mlp_out);
-        x
+        let h = normed(e, "ln2", &self.ln2, &x);
+        let mid = e.linear_gelu("fc1", &self.fc1, &h);
+        e.linear_residual("fc2", &self.fc2, &mid, &x)
     }
 }
 
-/// Elementwise residual add (memory-side, not an array operation).
-pub(crate) fn residual_add(a: &MatF32, b: &MatF32) -> MatF32 {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
-    MatF32::from_fn(a.rows(), a.cols(), |i, j| a.get(i, j) + b.get(i, j))
+/// LayerNorm of a copy of `x`, as the node `name`.
+fn normed<E: Engine>(e: &mut E, name: &str, ln: &LayerNormParams, x: &MatF32) -> MatF32 {
+    e.node(name, |e| {
+        let mut h = x.clone();
+        ln.forward(e, &mut h);
+        h
+    })
 }
 
 /// A stack of encoder blocks (the part of DeiT the paper's census covers).
