@@ -113,7 +113,7 @@ impl Quantizer {
 
     /// [`Quantizer::quantize`] through the reference tile scan
     /// (`Quantizer::tile_exp_reference`). Bit-identical output; this is
-    /// the measured pre-optimisation epilogue the e2e baseline replays.
+    /// the measured pre-optimisation epilogue the scalar baseline replays.
     pub fn quantize_reference(&self, m: &MatF32) -> Result<BfpMatrix, ArithError> {
         self.quantize_with(m, true)
     }
@@ -164,7 +164,7 @@ impl Quantizer {
     /// The pre-optimisation tile scan: every position of the `block²` tile
     /// behind its own bounds branches, and an f64 running max. Kept
     /// runnable as the oracle [`Quantizer::tile_exp`] is pinned against and
-    /// as the epilogue the e2e baseline engine replays, so "before" numbers
+    /// as the epilogue the scalar baseline engine replays, so "before" numbers
     /// stay measurable on today's tree. Bit-identical to the slice scan
     /// (the f32 max converts exactly to f64 and the (i, j) error order
     /// matches).

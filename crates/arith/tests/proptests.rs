@@ -264,7 +264,7 @@ proptest! {
         values in proptest::collection::vec(quantizable_f32(), 22 * 22),
     ) {
         // The kept pre-optimisation scan (`quantize_reference`, replayed by
-        // the e2e baseline engine) and the row-slice scan must agree on
+        // the scalar baseline engine) and the row-slice scan must agree on
         // every tile of every finite input.
         let m = MatF32::from_fn(rows, cols, |i, j| values[i * 22 + j]);
         let q = Quantizer::paper();

@@ -183,8 +183,8 @@ pub struct EngineTelemetry {
     gemms: Counter,
     macs: Counter,
     fallbacks: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
+    rhs_resident: Counter,
+    rhs_packed: Counter,
     saturated: Counter,
     gemm_ns: Histogram,
     quantize_pack_ns: Histogram,
@@ -205,8 +205,8 @@ impl EngineTelemetry {
             gemms: reg.counter("engine_gemms_total"),
             macs: reg.counter("engine_macs_total"),
             fallbacks: reg.counter("engine_fp32_fallbacks_total"),
-            cache_hits: reg.counter("engine_plan_cache_hits_total"),
-            cache_misses: reg.counter("engine_plan_cache_misses_total"),
+            rhs_resident: reg.counter("engine_rhs_resident_total"),
+            rhs_packed: reg.counter("engine_rhs_packed_total"),
             saturated: reg.counter("engine_quantize_saturated_total"),
             gemm_ns: reg.histogram("engine_gemm_ns"),
             quantize_pack_ns: reg.histogram("engine_quantize_pack_ns"),
@@ -231,9 +231,9 @@ impl EngineTelemetry {
 }
 
 /// Wall-clock accumulated per execution phase by [`MixedEngine`], the
-/// breakdown the `e2e` bench reports (the paper's Table IV split, measured
+/// breakdown `benchmark/` reports (the paper's Table IV split, measured
 /// on the host simulation). Residual adds and copies are not engine calls,
-/// so "misc" is derived by the bench as `wall − accounted()`.
+/// so the rest is derived by the caller as `wall − accounted()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// f32 → packed bfp8 quantization (every LHS, and each RHS not served
@@ -450,7 +450,7 @@ impl MixedEngine {
         let _ = (name, t0);
     }
 
-    /// The measured baseline of the e2e bench: single-threaded everywhere,
+    /// The scalar baseline engine: single-threaded everywhere,
     /// every VPU multiply through the explicit partial-product enumeration
     /// ([`Vpu::via_partials`], which also keeps the VPU off the lanes).
     /// Bit-identical outputs to [`Self::new`].
@@ -584,7 +584,7 @@ impl MixedEngine {
         }
         #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
-            let counter = if resident { &tel.cache_hits } else { &tel.cache_misses };
+            let counter = if resident { &tel.rhs_resident } else { &tel.rhs_packed };
             counter.inc();
         }
     }
@@ -1443,8 +1443,8 @@ mod tests {
 
         assert_eq!(reg.counter("engine_gemms_total").get(), 2);
         assert_eq!(reg.counter("engine_macs_total").get(), 2 * 16 * 32 * 32);
-        assert_eq!(reg.counter("engine_plan_cache_hits_total").get(), 1);
-        assert_eq!(reg.counter("engine_plan_cache_misses_total").get(), 1);
+        assert_eq!(reg.counter("engine_rhs_resident_total").get(), 1);
+        assert_eq!(reg.counter("engine_rhs_packed_total").get(), 1);
         assert_eq!(reg.histogram("engine_gemm_ns").count(), 2);
 
         let events = tracer.drain();
@@ -1703,24 +1703,38 @@ mod tests {
         let model = VitModel::new_random(cfg, 23);
         let x = model.synthetic_input(3);
         let blocks = cfg.depth as u64;
+        let hits = CompiledVitPlan::fuse_all().fused_gemms_per_block() * blocks;
 
-        // A miss is a GEMM the plan fuses that ran composed: a clean run
-        // has none. The per-head GEMMs, which no plan fuses, count nowhere.
-        let mut fused = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
-        let _ = model.forward(&mut fused, &x);
-        assert_eq!(
-            fused.fusion_stats(),
-            (CompiledVitPlan::fuse_all().fused_gemms_per_block() * blocks, 0)
-        );
-
-        // An unfused plan is exactly a plan-less engine.
-        let mut unfused = MixedEngine::new().with_vit_plan(CompiledVitPlan::unfused());
-        let _ = model.forward(&mut unfused, &x);
-        assert_eq!(unfused.fusion_stats(), (0, 0));
-
-        let mut planless = MixedEngine::new();
-        let _ = model.forward(&mut planless, &x);
-        assert_eq!(planless.fusion_stats(), (0, 0));
+        // Fusion and RHS-pack counters of one forward; sharding must move
+        // neither, so every thread count books the one-thread numbers. The
+        // warm-up fills the model's weight packs, so every counted forward
+        // finds them resident.
+        let _ = model.forward(&mut MixedEngine::new(), &x);
+        let counts = |e: MixedEngine, mode, threads| {
+            let mut e = e.with_nonlinear(mode).with_threads(threads);
+            let _ = model.forward(&mut e, &x);
+            let rhs = e.plan_cache_stats();
+            (e.fusion_stats(), (rhs.hits, rhs.misses))
+        };
+        let engines: [fn() -> MixedEngine; 3] = [
+            || MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all()),
+            || MixedEngine::new().with_vit_plan(CompiledVitPlan::unfused()),
+            MixedEngine::new,
+        ];
+        for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
+            let [fused, unfused, planless] =
+                engines.map(|engine| [1usize, 2].map(|threads| counts(engine(), mode, threads)));
+            for row in [&fused, &unfused, &planless] {
+                assert_eq!(row[0], row[1], "{mode:?}: sharding moved a counter");
+            }
+            // A miss is a GEMM the plan fuses that ran composed: a clean
+            // run has none. The per-head GEMMs, which no plan fuses, count
+            // nowhere.
+            assert_eq!(fused[0].0, (hits, 0), "{mode:?}");
+            // An unfused plan is exactly a plan-less engine.
+            assert_eq!(unfused[0], planless[0], "{mode:?}");
+            assert_eq!(planless[0].0, (0, 0), "{mode:?}");
+        }
     }
 
     #[test]
@@ -1933,6 +1947,49 @@ mod tests {
                 .count(),
             cfg.depth * cfg.heads
         );
+
+        // A plan-less fast-nonlinear forward emits every engine phase span,
+        // each GEMM phase inside its matmul span, and the Chrome trace
+        // names them all.
+        let mut e = MixedEngine::fast_nonlinear();
+        e.attach_telemetry(tracer.clone(), &reg);
+        let spans = [
+            "engine.matmul",
+            "quantize_pack",
+            "gemm",
+            "vpu.softmax",
+            "vpu.gelu",
+            "vpu.layernorm",
+        ];
+        let _ = model.forward(&mut e, &x);
+        let events = tracer.drain();
+        for want in spans {
+            assert!(events.iter().any(|ev| ev.name == want), "no {want} span");
+        }
+        let matmuls: Vec<u64> = events
+            .iter()
+            .filter(|ev| ev.name == "engine.matmul")
+            .map(|ev| ev.id)
+            .collect();
+        for phase in events
+            .iter()
+            .filter(|ev| ev.name == "quantize_pack" || ev.name == "gemm")
+        {
+            let parent = phase.parent.expect("phase span has a parent");
+            assert!(
+                matmuls.contains(&parent),
+                "{} outside a matmul span",
+                phase.name
+            );
+        }
+        let _ = model.forward(&mut e, &x);
+        let json = tracer.chrome_json();
+        for want in spans {
+            assert!(
+                json.contains(&format!("\"name\": \"{want}\"")),
+                "chrome trace lacks {want}"
+            );
+        }
     }
 
     /// `(hits, misses)` one call adds to the engine's RHS counters.

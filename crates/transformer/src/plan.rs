@@ -10,8 +10,8 @@
 //! pattern the arithmetic layer proves bit-exact or fuses nothing. Every
 //! block in a ViT/DeiT tower has the same shape, so the plan is uniform
 //! across blocks; the per-node fused/standalone record stays with the
-//! planner's `FusePlan` and is bridged into bench output by the e2e
-//! harness.
+//! planner's `FusePlan` and is bridged into drift attribution by
+//! `bfp_core::attribute_plan_drift`.
 //!
 //! The block is written once, in `Block::forward`, against the engine's
 //! `linears` / `linear_gelu` / `linear_residual` ops. A fusing plan on

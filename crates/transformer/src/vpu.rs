@@ -197,7 +197,7 @@ impl Vpu {
     /// The same datapath, but every multiply runs the explicit
     /// partial-product *enumeration* ([`HwFp32Mul::mul_via_partials`])
     /// instead of the closed-form fast path. Bit-identical outputs, much
-    /// slower — this is the measured "before" baseline of the e2e bench.
+    /// slower — this is the "before" baseline of `MixedEngine::baseline_scalar`.
     pub fn via_partials() -> Self {
         Vpu {
             via_partials: true,

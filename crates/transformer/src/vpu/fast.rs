@@ -4,7 +4,7 @@
 //! The exact kernels in [`super::Vpu`] evaluate every fp32 operation
 //! through the bit-level hardware emulation (`HwFp32Mul`/`HwFp32Add`) —
 //! faithful, and the reason GELU dominated the fast path's wall clock
-//! (~50 % in `BENCH_E2E.json` before this layer). The kernels here model
+//! (~50 % of the toy encoder's fast-path time before this layer). The kernels here model
 //! the *optimised* VPU the paper's future-work section points at: a
 //! pipelined unit built from
 //!
