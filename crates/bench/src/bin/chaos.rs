@@ -239,10 +239,19 @@ mod campaign {
         m.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// A smooth activation-like operand (bounded, no outliers),
+    /// deterministic in `seed` so every run regenerates identically.
+    fn smooth_matrix(rows: usize, cols: usize, seed: u32) -> MatF32 {
+        let s = seed as f32;
+        MatF32::from_fn(rows, cols, |i, j| {
+            ((i as f32 * 0.31 + j as f32 * 0.17 + s * 0.01).sin()) * 1.5
+        })
+    }
+
     fn shape_ctx(q: &Quantizer, dims: (usize, usize, usize), seed: u32) -> ShapeCtx {
         let (m, k, n) = dims;
-        let a = bfp_bench::smooth_matrix(m, k, seed);
-        let b = bfp_bench::smooth_matrix(k, n, seed ^ 0x5A5A);
+        let a = smooth_matrix(m, k, seed);
+        let b = smooth_matrix(k, n, seed ^ 0x5A5A);
         let pa = AbftPacked::quantize_pack_lhs(q, &a).expect("quantize lhs");
         let pb = AbftPacked::quantize_pack_rhs(q, &b).expect("quantize rhs");
         let (gold, r) = pa.matmul(&pb).expect("golden gemm");

@@ -678,6 +678,10 @@ mod tests {
                 min_dwell: Duration::from_secs(30),
                 latency_target: Duration::from_secs(30),
             },
+            observatory: ObservatoryConfig {
+                shadow_every: 1,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let server = Server::new(cfg, backends);
@@ -744,6 +748,42 @@ mod tests {
         assert!(ups[0].args.iter().any(|(k, _)| *k == "from"));
         assert!(ups[0].args.iter().any(|(k, _)| *k == "to"));
         assert!(events.iter().any(|e| e.name == "serve.brownout_tier"));
+
+        // The shadow lane re-checked both fast completions and found
+        // them inside the envelope; the escalation dumped the recorder,
+        // whose ring never dropped a record.
+        let obs = server.observatory();
+        assert!(obs.shadow_samples() >= 2);
+        assert_eq!(obs.envelope_violations(), 0);
+        assert_eq!(obs.records_dropped(), 0);
+        assert!(server
+            .take_flight_dumps()
+            .iter()
+            .any(|d| d.reason == TriggerReason::BrownoutEscalation));
+
+        // Every sample in the observatory's scrape belongs to a typed
+        // family, and the headline series are among them.
+        let reg = Registry::new();
+        server.publish_observatory(&reg);
+        let text = reg.snapshot().to_prometheus_text();
+        let typed: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let family = line.split(['{', ' ']).next().unwrap();
+            assert!(typed.contains(&family), "untyped sample: {line}\n{text}");
+        }
+        for want in [
+            "serve_slo_burn_rate",
+            "serve_shadow_samples_total",
+            "serve_envelope_violations_total",
+            "serve_flight_records",
+            "serve_flight_dumps_taken",
+        ] {
+            assert!(typed.contains(&want), "{want} missing:\n{text}");
+        }
     }
 
     #[test]

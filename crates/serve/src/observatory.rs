@@ -10,8 +10,9 @@
 //! update), and everything heavier — the exact-oracle shadow re-run,
 //! dump serialization — happens off the scheduler lock or only when a
 //! trigger actually fires. Dumps are held in memory until the embedder
-//! drains them ([`crate::Server::take_flight_dumps`]); benches write
-//! them to disk as JSON + Perfetto trace.
+//! drains them ([`crate::Server::take_flight_dumps`]) and renders them
+//! as JSON ([`FlightDump::to_json`]) or a Perfetto trace
+//! ([`FlightDump::to_chrome_trace`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,11 +84,11 @@ struct ShadowCounters {
     samples: AtomicU64,
     violations: AtomicU64,
     max_ulp: AtomicU64,
-    /// Worst |error| and worst SQNR, as f64 bit patterns (monotone via
-    /// compare-exchange loops would be overkill — these are read for
-    /// gauges only, so last-writer-wins on a race is acceptable).
+    /// Worst |error| as an f64 bit pattern: non-negative f64s order
+    /// like their bit patterns, so `fetch_max` keeps the maximum.
     worst_abs_bits: AtomicU64,
-    worst_sqnr_bits: AtomicU64,
+    /// The most recent sample's SQNR as an f64 bit pattern.
+    last_sqnr_bits: AtomicU64,
 }
 
 /// The observatory state owned by a running [`crate::Server`].
@@ -170,9 +171,9 @@ impl Observatory {
         self.shadow.max_ulp.fetch_max(sample.max_ulp, Ordering::Relaxed);
         self.shadow
             .worst_abs_bits
-            .store(sample.max_abs.to_bits(), Ordering::Relaxed);
+            .fetch_max(sample.max_abs.to_bits(), Ordering::Relaxed);
         self.shadow
-            .worst_sqnr_bits
+            .last_sqnr_bits
             .store(sample.sqnr_db.to_bits(), Ordering::Relaxed);
         if sample.violation {
             self.shadow.violations.fetch_add(1, Ordering::Relaxed);
@@ -188,11 +189,6 @@ impl Observatory {
     /// Shadow-lane samples taken so far.
     pub fn shadow_samples(&self) -> u64 {
         self.shadow.samples.load(Ordering::Relaxed)
-    }
-
-    /// Completed-request records pushed into the flight ring so far.
-    pub fn records_pushed(&self) -> u64 {
-        self.recorder.pushed()
     }
 
     /// Records dropped because their ring slot was contended (the push
@@ -270,7 +266,7 @@ impl Observatory {
         reg.gauge("serve_shadow_worst_abs")
             .set(f64::from_bits(sc.worst_abs_bits.load(Ordering::Relaxed)));
         reg.gauge("serve_shadow_last_sqnr_db")
-            .set(f64::from_bits(sc.worst_sqnr_bits.load(Ordering::Relaxed)));
+            .set(f64::from_bits(sc.last_sqnr_bits.load(Ordering::Relaxed)));
         reg.gauge(&series("serve_flight_records", &[("state", "pushed")]))
             .set(self.recorder.pushed() as f64);
         reg.gauge(&series("serve_flight_records", &[("state", "dropped")]))
@@ -409,6 +405,13 @@ mod tests {
         let s = obs.shadow_sample(&a, &b, ServeOp::GemmGelu, &bad);
         assert!(s.violation);
         assert_eq!(obs.envelope_violations(), 1);
+
+        // A later clean sample does not hide the worst divergence seen.
+        obs.shadow_sample(&a, &b, ServeOp::GemmGelu, &fast);
+        let reg = Registry::new();
+        obs.publish(&reg);
+        let worst = reg.gauge("serve_shadow_worst_abs").get();
+        assert!(worst >= 1.0, "worst |err| {worst} lost to a later sample");
     }
 
     #[test]

@@ -451,6 +451,9 @@ mod tests {
         assert!(j.contains("\"reason\": \"envelope_violation\""), "{j}");
         assert!(j.contains("\"violation\": true"), "{j}");
         assert!(j.contains("\"shadow\": null"), "{j}");
+        for key in "id tenant priority queue_wait_s total_s outcome attempts".split(' ') {
+            assert_eq!(j.matches(&format!("\"{key}\": ")).count(), 2, "{key}: {j}");
+        }
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
         assert_eq!(j.matches('[').count(), j.matches(']').count(), "{j}");
     }
@@ -467,6 +470,7 @@ mod tests {
         assert!(t.contains("req 7 envelope violation"), "{t}");
         assert!(t.contains("TRIGGER burn_rate"), "{t}");
         assert!(t.contains("tenant 2"), "{t}");
+        assert!(t.contains("\"cat\": \"flight.exec\", \"ph\": \"X\""), "{t}");
         assert_eq!(t.matches('{').count(), t.matches('}').count(), "{t}");
     }
 

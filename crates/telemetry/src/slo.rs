@@ -132,7 +132,7 @@ impl BurnTracker {
     /// e.g. `[("tenant","2"),("priority","critical")]`).
     pub fn publish(&self, reg: &Registry, name: &str, labels: &[(&str, &str)], now_s: f64) {
         for &w in &self.windows_s {
-            let win = format!("{w:.0}s");
+            let win = format!("{w}s");
             let mut all: Vec<(&str, &str)> = labels.to_vec();
             all.push(("window", &win));
             reg.gauge(&series(name, &all)).set(self.burn_rate(w, now_s));
@@ -210,11 +210,16 @@ mod tests {
 
     #[test]
     fn publish_emits_one_gauge_per_window() {
-        let mut t = BurnTracker::with_windows(0.1, &[5.0, 60.0]);
+        let mut t = BurnTracker::with_windows(0.1, &[0.5, 5.0, 60.0]);
         t.record(1.0, true);
         let reg = Registry::new();
         t.publish(&reg, "slo_burn", &[("tenant", "0")], 1.0);
         let text = reg.snapshot().to_prometheus_text();
+        // A sub-second window keeps its own label.
+        assert!(
+            text.contains("slo_burn{tenant=\"0\",window=\"0.5s\"}"),
+            "{text}"
+        );
         assert!(
             text.contains("slo_burn{tenant=\"0\",window=\"5s\"}"),
             "{text}"
