@@ -56,7 +56,6 @@ pub mod fpmul;
 pub mod halffp;
 pub mod int8;
 pub mod int8quant;
-pub mod lmul;
 pub mod matrix;
 pub mod packed;
 pub mod quant;

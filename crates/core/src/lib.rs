@@ -31,7 +31,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod accelerator;
-pub mod batch;
 pub mod compiler;
 pub mod degrade;
 pub mod drift;
@@ -46,7 +45,6 @@ pub mod vprog;
 pub mod vpucost;
 
 pub use accelerator::{Accelerator, GemmReport, InferenceReport};
-pub use batch::{BatchLatency, BatchResult};
 pub use compiler::{compile_gemm, compile_gemm_blocks, CompiledGemm, DrainSlot};
 pub use degrade::{gelu_with_mode, op_count_latency_s};
 pub use drift::{attribute_plan_drift, canonical_node_key, drift_samples};

@@ -5,19 +5,8 @@
 //!
 //! The simulation side of that unit lives in `bfp-transformer`'s
 //! `vpu::fast` module; this module prices its hardware op mix on the U280
-//! platform model. Two multiplier lane technologies are compared:
-//!
-//! * **DSP fp32 lanes** — the conventional choice, ~3 DSP48E2 per lane
-//!   (Vivado's full-precision fp32 multiplier), exact to IEEE rounding.
-//! * **L-Mul lanes** — the addition-based approximate multiplier
-//!   ("Addition is All You Need"): one 32-bit integer addition on packed
-//!   bit patterns, **zero DSPs**, but up to ~9.5 % relative error per
-//!   multiply (the measured bound pinned in `bfp_arith::lmul`). Through a
-//!   multi-multiply polynomial pipeline that error compounds to tens of
-//!   percent on GELU (pinned in the transformer crate's envelope tests) —
-//!   which is why [`NonlinearUnit::recommended`] keeps the multiplies on
-//!   DSPs and treats L-Mul as a priced-but-rejected design point for
-//!   inference-quality serving.
+//! platform model. Its multiplies run on DSP fp32 lanes (~3 DSP48E2 per
+//! lane, Vivado's full-precision fp32 multiplier), exact to IEEE rounding.
 //!
 //! `bfp-core::vpucost` cross-checks this model against the live engine's
 //! op census: the cycles priced here for an analytical census equal the
@@ -32,7 +21,7 @@ use crate::u280::U280;
 /// simulation code; `bfp-core` converts between the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VpuOpMix {
-    /// fp32 multiplies (DSP or L-Mul lanes).
+    /// fp32 multiplies (DSP lanes).
     pub fp_mul: u64,
     /// fp32 additions/subtractions.
     pub fp_add: u64,
@@ -60,39 +49,6 @@ impl VpuOpMix {
     }
 }
 
-/// Multiplier lane technology of the nonlinear unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MulLane {
-    /// Full fp32 multiplier on DSP48E2 slices: exact, DSP-hungry.
-    DspFp32,
-    /// L-Mul integer-addition approximate multiplier: no DSPs, ≤ ~9.5 %
-    /// relative error per multiply.
-    LMul,
-}
-
-impl MulLane {
-    /// Per-lane utilisation. The DSP figure (3 DSP + small LUT/FF glue)
-    /// is the standard Vivado full fp32 multiplier; the L-Mul lane is the
-    /// packed-field 32-bit adder plus special-case gating from "A
-    /// Power-Efficient Hardware Implementation of L-Mul" — carry chain
-    /// and gates in fabric, zero DSPs.
-    pub fn lane_usage(&self) -> ResourceVec {
-        match self {
-            MulLane::DspFp32 => ResourceVec::new(84.0, 183.0, 0.0, 3.0),
-            MulLane::LMul => ResourceVec::new(126.0, 70.0, 0.0, 0.0),
-        }
-    }
-
-    /// Measured worst-case relative error of one multiply on this lane
-    /// (the `bfp_arith::lmul` sweep bound; DSP lanes are IEEE-exact).
-    pub fn per_mul_rel_error(&self) -> f64 {
-        match self {
-            MulLane::DspFp32 => 0.0,
-            MulLane::LMul => 0.096,
-        }
-    }
-}
-
 /// Cycles one host division/square-root round-trip costs the array. The
 /// paper offloads fp32 division to the host CPU (§III-B); at PCIe/driver
 /// batch granularity the amortised per-op cost is hundreds of kernel
@@ -105,8 +61,6 @@ pub const HOST_ROUNDTRIP_CYCLES: f64 = 240.0;
 /// ROM + NR seed tables.
 #[derive(Debug, Clone, Copy)]
 pub struct NonlinearUnit {
-    /// Multiplier lane technology.
-    pub mul_lane: MulLane,
     /// Parallel lanes per op class (the unit issues this many of each
     /// class per cycle when the pipeline is full).
     pub lanes: usize,
@@ -117,32 +71,22 @@ pub struct NonlinearUnit {
 impl NonlinearUnit {
     /// The recommended serving configuration: 4 exact DSP fp32 lanes (the
     /// fp32 mode of the multi-mode array drives 4 FPU columns) at the
-    /// paper's 300 MHz kernel clock. L-Mul is rejected for serving: its
-    /// compounded polynomial error (tens of percent on GELU) dwarfs the
-    /// fast kernels' proven sub-ulp-scale envelopes.
+    /// paper's 300 MHz kernel clock.
     pub fn recommended() -> Self {
         NonlinearUnit {
-            mul_lane: MulLane::DspFp32,
             lanes: 4,
             freq_hz: U280::FREQ_HZ,
         }
     }
 
-    /// The same unit with L-Mul multiplier lanes (the priced alternative).
-    pub fn with_lmul(self) -> Self {
-        NonlinearUnit {
-            mul_lane: MulLane::LMul,
-            ..self
-        }
-    }
-
-    /// Utilisation of the whole unit: multiplier + adder lanes, the
-    /// exponent unit (Table II row), comparators, and the ROMs. The
+    /// Utilisation of the whole unit: multiplier lanes (3 DSP + LUT/FF
+    /// glue each, the standard Vivado full fp32 multiplier), adder lanes,
+    /// the exponent unit (Table II row), comparators, and the ROMs. The
     /// 64-entry × 32-bit exp2 table plus NR seeds fit distributed LUTRAM
     /// (no BRAM), one copy per lane.
     pub fn usage(&self) -> ResourceVec {
         let lanes = self.lanes as f64;
-        let mul = self.mul_lane.lane_usage() * lanes;
+        let mul = ResourceVec::new(84.0, 183.0, 0.0, 3.0) * lanes;
         // fp32 adder lane: align/add/normalise in fabric, ~2 DSP-free
         // configurations are common; the paper's adder is fabric-only.
         let add = ResourceVec::new(210.0, 227.0, 0.0, 0.0) * lanes;
@@ -210,17 +154,6 @@ mod tests {
             host_div: 1,
             host_sqrt: 0,
         }
-    }
-
-    #[test]
-    fn lmul_lanes_use_no_dsps_and_fewer_than_dsp_lanes() {
-        let dsp = NonlinearUnit::recommended();
-        let lm = dsp.with_lmul();
-        assert_eq!(lm.usage().dsp, 0.0, "L-Mul is DSP-free");
-        assert!(dsp.usage().dsp >= 12.0, "4 fp32 lanes cost DSPs");
-        // The saving is real but the error is too: the rejection reason.
-        assert_eq!(MulLane::LMul.per_mul_rel_error(), 0.096);
-        assert_eq!(MulLane::DspFp32.per_mul_rel_error(), 0.0);
     }
 
     #[test]

@@ -38,8 +38,6 @@
 //! `bfp_platform::nonlinear` and cross-checked against live engine
 //! censuses in `bfp_core::vpucost`.
 
-use bfp_arith::lmul::lmul;
-
 /// `2^(j/64)` for `j ∈ 0..64`, pinned as IEEE-754 bit patterns: these are
 /// the ROM contents a synthesised unit would carry, so the table cannot
 /// drift with the host libm.
@@ -73,9 +71,8 @@ pub(super) const LN2_OVER_64: f32 = core::f32::consts::LN_2 / 64.0;
 /// the scaled fraction `s = 64·f ∈ [0, 64]`. For |x| below ½ulp(1), `f`
 /// rounds up to exactly 1.0 and `s` to 64.0: the address saturates at the
 /// last entry and `r` carries the final 1/64 step, still inside the
-/// polynomial's range. One helper under [`exp`] and [`exp_lmul`] (and
-/// mirrored lane for lane by the AVX2 twin), so the saturation cannot be
-/// lost in one of them again.
+/// polynomial's range. Mirrored lane for lane by the AVX2 twin, so the
+/// saturation cannot be lost in one of them.
 #[inline]
 fn rom_address(s: f32) -> (usize, f32) {
     let j = (s as i32).min(63);
@@ -234,67 +231,6 @@ pub fn layernorm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     for (j, v) in row.iter_mut().enumerate() {
         *v = (*v * inv) * gamma[j] + beta[j];
     }
-}
-
-// ---------------------------------------------------------------------
-// L-Mul lane variants: the same kernels with every *polynomial/NR*
-// multiply routed through the addition-based approximate multiplier
-// (`bfp_arith::lmul`). The range-reduction multiply `x·log2e` stays on a
-// DSP fp32 lane — an approximate multiply there shifts the integer scale
-// k itself and the output by whole powers of two. These exist to put a
-// measured error figure next to the L-Mul resource/energy savings priced
-// in `bfp_platform::nonlinear`; the envelope test pins the result (~10 %
-// relative per multiply, compounding through the pipeline), which is why
-// `NonlinearMode::Fast` keeps its multiplies exact.
-// ---------------------------------------------------------------------
-
-/// `e^x` with the residual polynomial and ROM product on L-Mul lanes.
-pub fn exp_lmul(x: f32) -> f32 {
-    if x > 88.0 {
-        return f32::INFINITY;
-    }
-    if x < -87.0 {
-        return 0.0;
-    }
-    let t = x * core::f32::consts::LOG2_E; // exact: range reduction
-    let kf = t.floor();
-    let f = t - kf;
-    let s = f * 64.0;
-    let (j, r) = rom_address(s);
-    let rl = lmul(r, LN2_OVER_64);
-    let h = 0.5 * rl; // exponent unit
-    let p = (1.0 + rl) + lmul(h, rl);
-    scale2k(lmul(EXP2_LUT[j], p), kf as i32)
-}
-
-/// `tanh` on L-Mul lanes (reciprocal division stays native, as the NR
-/// correction multiplies would otherwise compound further).
-pub fn tanh_lmul(u: f32) -> f32 {
-    if u > 15.0 {
-        return 1.0;
-    }
-    if u < -15.0 {
-        return -1.0;
-    }
-    let e = exp_lmul(2.0 * u);
-    let d = e + 1.0;
-    let q = 2.0 / d;
-    1.0 - q
-}
-
-/// GELU on L-Mul lanes.
-pub fn gelu_lmul(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    const A: f32 = 0.044_715;
-    let x2 = lmul(x, x);
-    let x3 = lmul(x2, x);
-    let ax3 = lmul(x3, A);
-    let inner = x + ax3;
-    let u = lmul(inner, C);
-    let t = tanh_lmul(u);
-    let one_t = 1.0 + t;
-    let hx = 0.5 * x;
-    lmul(hx, one_t)
 }
 
 /// Per-element / per-row hardware op-mix formulas for the fast kernels.
@@ -481,31 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn lmul_lane_kernels_are_lossy_but_bounded() {
-        // The priced-but-rejected configuration: compounding ~9.5 %
-        // per-multiply error through the polynomial pipeline. The bound
-        // here is the measured characterisation, NOT a serving envelope.
-        let mut max_rel = 0.0f64;
-        for k in -60..=60 {
-            let x = k as f32 * 0.1;
-            let want = gelu(x) as f64;
-            let got = gelu_lmul(x) as f64;
-            if want.abs() > 1e-3 {
-                max_rel = max_rel.max(((got - want) / want).abs());
-            }
-        }
-        assert!(max_rel < 0.60, "L-Mul GELU drift {max_rel}");
-        assert!(
-            max_rel > 0.02,
-            "the characterisation must show real loss: {max_rel}"
-        );
-    }
-
-    #[test]
-    fn lmul_kernels_saturate_the_rom_address_like_exp() {
+    fn exp_saturates_the_rom_address_for_tiny_arguments() {
         // For these arguments the fraction of `x·log2e` rounds up to
-        // exactly 1.0, so the ROM address is 64 of 64 before saturation:
-        // `exp_lmul` used to index one past the table and panic.
+        // exactly 1.0, so the ROM address is 64 of 64 before saturation.
         let tiny = [
             1e-9,
             -1e-9,
@@ -516,17 +430,12 @@ mod tests {
             -f32::EPSILON / 4.0,
         ];
         for x in tiny {
-            let (want, got) = (exp(x), exp_lmul(x));
-            assert!(got.is_finite() && got > 0.0, "exp_lmul({x:e}) = {got}");
-            assert!(
-                (got - want).abs() <= 0.25 * want,
-                "exp_lmul({x:e}) = {got} vs {want}"
-            );
-            assert!(tanh_lmul(x).is_finite(), "tanh_lmul({x:e})");
-            assert!(gelu_lmul(x).is_finite(), "gelu_lmul({x:e})");
+            let got = exp(x);
+            assert!(got.is_finite() && got > 0.0, "exp({x:e}) = {got}");
+            let ulps = (got.to_bits() as i64 - 1.0f32.to_bits() as i64).abs();
+            assert!(ulps <= 8, "exp({x:e}) = {got} is {ulps} ulp from 1.0");
         }
-        // The shared helper is `exp`'s old address arithmetic, bit for bit
-        // (the saturated address lands 4 ulp under 1.0).
+        // The saturated address lands 4 ulp under 1.0.
         assert_eq!(exp(-1e-9).to_bits(), 0x3f7f_fffc);
     }
 

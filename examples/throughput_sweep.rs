@@ -10,7 +10,7 @@ use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::PackedBfp;
 use bfp_arith::quant::Quantizer;
 use bfp_core::{packed_matmul, ParallelPolicy, Table};
-use bfp_platform::{PowerMode, PowerModel, System};
+use bfp_platform::System;
 
 fn main() {
     let sys = System::paper();
@@ -99,25 +99,5 @@ fn main() {
         "  packed kernel         : {:.1} ms — {:.1}x wall-clock speedup, bit-identical",
         fast_s * 1e3,
         naive_s / fast_s
-    );
-
-    // Energy estimates for the two modes.
-    let p = PowerModel::default();
-    println!("\npower model (illustrative):");
-    println!(
-        "  bfp8 mode : {:.1} W",
-        p.system_power_w(sys.cfg, PowerMode::Bfp8)
-    );
-    println!(
-        "  fp32 mode : {:.1} W (half the columns asleep)",
-        p.system_power_w(sys.cfg, PowerMode::Fp32)
-    );
-    println!(
-        "  idle      : {:.1} W",
-        p.system_power_w(sys.cfg, PowerMode::Idle)
-    );
-    println!(
-        "  efficiency at the paper's operating point: {:.1} GOPS/W",
-        p.gops_per_watt(sys.cfg, PowerMode::Bfp8, sys.measured_bfp_gops(64) * 1e9)
     );
 }

@@ -4,7 +4,6 @@
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
 use bfp_arith::stats::ErrorStats;
-use bfp_core::{lower_vit, schedule, Accelerator};
 use bfp_platform::{bfp8_pass_intensity, fp32_stream_intensity, Roofline, System};
 use bfp_pu::trace::trace_pass;
 use bfp_transformer::{
@@ -120,20 +119,4 @@ fn trace_outputs_agree_with_the_untraced_pass() {
     let want = res[0].0[7][7];
     let got = trace.cycles[21].bottom[7].lane1;
     assert_eq!(got, want);
-}
-
-#[test]
-fn scheduler_and_batch_latencies_are_consistent() {
-    let acc = Accelerator::u280();
-    let cfg = DeitConfig::tiny_test();
-    let model = DeitModel::new_random(cfg, 77);
-    let images: Vec<Image> = (0..4)
-        .map(|s| Image::synthetic(3, cfg.img, cfg.img, s))
-        .collect();
-    let res = acc.infer_batch(&model, &images);
-    // The batch module's tile-parallel per-image time is the scheduler's
-    // makespan for the same encoder.
-    let s = schedule(&lower_vit(&cfg.vit), acc.system());
-    let expect = s.seconds(acc.system().freq_hz);
-    assert!((res.latency.tile_parallel_image_s - expect).abs() < 1e-12);
 }

@@ -11,6 +11,7 @@ use std::sync::Mutex;
 
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
+use bfp_arith::AbftPacked;
 use bfp_core::resilient::{resilient_matmul, RecoveryPolicy, VerifyMode};
 use bfp_core::Accelerator;
 use bfp_faults::{FaultPlan, FaultSpec};
@@ -337,6 +338,40 @@ fn abft_escalates_persistent_bram_fault_to_fp32() {
             "degraded output must stay in the bfp8 envelope"
         );
     }
+}
+
+/// A single persistent raw flip in operand BRAM 0 under the checked
+/// kernel is never silent corruption: the output is either bit-equal to
+/// the clean product or the report names the chains it could not repair.
+#[test]
+fn abft_never_accepts_a_persistent_raw_bram_flip_silently() {
+    let _x = lock();
+    let q = Quantizer::paper();
+    let a = MatF32::from_fn(16, 16, |i, j| ((i * 31 + j * 7) % 13) as f32 - 6.0);
+    let b = MatF32::from_fn(16, 16, |i, j| ((i * 17 + j * 5) % 11) as f32 - 5.0);
+    let pa = AbftPacked::quantize_pack_lhs(&q, &a).unwrap();
+    let pb = AbftPacked::quantize_pack_rhs(&q, &b).unwrap();
+    let (golden, clean) = pa.matmul(&pb).unwrap();
+    assert!(clean.clean(), "{clean:?}");
+
+    let plan = FaultPlan::new().with(FaultSpec::BramRawFlip {
+        bram: 0,
+        addr: 0,
+        mask: 0x10,
+    });
+    let guard = bfp_faults::install(plan);
+    let (out, r) = pa.matmul(&pb).unwrap();
+    drop(guard);
+
+    assert!(
+        bits_eq(&out, &golden) || !r.uncorrected.is_empty(),
+        "corrupted output accepted with no uncorrected chains: {r:?}"
+    );
+    // Today's report: three invariant mismatches, two resolved by checksum
+    // resyncs, and chain (0, 0) left for the caller to retry or fall back.
+    assert_eq!(r.detections, 3, "{r:?}");
+    assert_eq!(r.corrected_checksums, 2, "{r:?}");
+    assert_eq!(r.uncorrected, vec![(0, 0)], "{r:?}");
 }
 
 /// `System::matmul_blocks` snapshots the fault counters into
