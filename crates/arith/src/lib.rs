@@ -62,7 +62,6 @@ pub mod quant;
 pub mod redfp;
 pub mod softfp;
 pub mod stats;
-pub mod telemetry;
 pub mod ulp;
 
 pub use abft::{AbftOptions, AbftPacked, AbftReport, TamperFn};

@@ -1008,7 +1008,6 @@ impl TileQuantizer {
             let man: &mut [i8; 64] = man.try_into().expect("b == 8 tile slot");
             // SAFETY: `Avx2` is only selected after detecting AVX2.
             if let Some((exp, saturated)) = unsafe { quantize_tile_avx2(t, side, man) } {
-                crate::telemetry::note_saturated(saturated);
                 q.saturation.check(saturated)?;
                 return Ok(exp);
             }

@@ -249,7 +249,6 @@ impl Quantizer {
                 }] = q;
             }
         }
-        crate::telemetry::note_saturated(saturated);
         self.saturation.check(saturated)?;
         Ok(exp)
     }

@@ -1,8 +1,9 @@
 //! Bridge from planner predictions to serve-time drift attribution.
 //!
 //! The planner ([`crate::planner`]) prices every lowered graph node in
-//! modelled array cycles; [`bfp_transformer::MixedEngine`] (with node
-//! timing enabled) measures every compiled-plan node in host seconds.
+//! modelled array cycles; [`bfp_transformer::MixedEngine`] (with a
+//! tracer attached) records every block-walk node as a `plan.node.<key>`
+//! span, which [`node_times`] folds into host seconds per key.
 //! The two sides do not speak the same names: the graph is per-block
 //! (`blk3.fc1`), the engine aggregates across blocks (`fc1`), and
 //! fusion rewires both — a fused MLP front half executes as one
@@ -16,9 +17,37 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 use bfp_telemetry::drift::{NodeSample, PlanDriftReport};
-use bfp_transformer::NodeTime;
+use bfp_telemetry::{EventKind, TraceEvent};
 
 use crate::planner::{FuseDecision, FuseKind, FusePlan, PlanNode};
+
+/// Accumulated wall-clock for one named node of the block walk, the
+/// measured side of drift attribution (predictions come from
+/// [`crate::planner`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeTime {
+    /// Total measured seconds across executions.
+    pub seconds: f64,
+    /// Number of executions folded into `seconds`.
+    pub samples: u64,
+}
+
+/// Fold an engine's `plan.node.<key>` spans (from a tracer attached with
+/// [`bfp_transformer::MixedEngine::attach_telemetry`]) into per-key node
+/// times. Every other event is ignored.
+pub fn node_times(events: &[TraceEvent]) -> HashMap<String, NodeTime> {
+    let mut out: HashMap<String, NodeTime> = HashMap::new();
+    for ev in events {
+        if let (Some(key), EventKind::Span { dur_ns }) =
+            (ev.name.strip_prefix("plan.node."), &ev.kind)
+        {
+            let t = out.entry(key.to_string()).or_default();
+            t.seconds += *dur_ns as f64 * 1e-9;
+            t.samples += 1;
+        }
+    }
+    out
+}
 
 /// Canonical drift key for one planned node: the per-block prefix is
 /// stripped (predictions aggregate across blocks, exactly as the
@@ -50,11 +79,9 @@ pub fn canonical_node_key(node: &PlanNode) -> String {
 /// Join a plan's predicted cycles with an engine's measured node times
 /// onto canonical keys, returning the samples for
 /// [`PlanDriftReport::new`]. Predictions sum across blocks; the
-/// `measured` map (from [`MixedEngine::take_node_times`]) is already
-/// block-aggregated because the engine emits per-block node names
-/// without the `blk` prefix.
-///
-/// [`MixedEngine::take_node_times`]: bfp_transformer::MixedEngine::take_node_times
+/// `measured` map (from [`node_times`]) is already block-aggregated
+/// because the engine emits per-block node names without the `blk`
+/// prefix.
 pub fn drift_samples(plan: &FusePlan, measured: &HashMap<String, NodeTime>) -> Vec<NodeSample> {
     // BTreeMap keeps sample (and report) order deterministic.
     let mut by_key: BTreeMap<String, NodeSample> = BTreeMap::new();
@@ -93,7 +120,15 @@ mod tests {
     use crate::graph::lower_vit;
     use crate::planner::plan_fusion;
     use bfp_platform::System;
-    use bfp_transformer::VitConfig;
+    use bfp_telemetry::{Registry, Tracer};
+    use bfp_transformer::{MixedEngine, VitConfig};
+
+    /// Attach a fresh tracer (and a throwaway registry) to `engine`.
+    fn attach(engine: &mut MixedEngine) -> Tracer {
+        let tracer = Tracer::new();
+        engine.attach_telemetry(tracer.clone(), &Registry::new());
+        tracer
+    }
 
     fn deit_plan() -> FusePlan {
         plan_fusion(&lower_vit(&VitConfig::deit_small()), &System::paper())
@@ -121,7 +156,7 @@ mod tests {
         // composed: a plan-less engine, and a planned one whose fc1 drain
         // was replayed (unpackable weight), name `fc1` and `gelu` apart,
         // which is the key a node the planner left standalone prices at.
-        use bfp_transformer::{CompiledVitPlan, MixedEngine, VitModel};
+        use bfp_transformer::{CompiledVitPlan, VitModel};
         let cfg = VitConfig::tiny_test();
         let (graph, sys) = (lower_vit(&cfg), System::paper());
         let plan = plan_fusion(&graph, &sys);
@@ -140,9 +175,9 @@ mod tests {
         let x = clean.synthetic_input(6);
         let replayed = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
         for (model, mut engine) in [(&clean, MixedEngine::new()), (&poisoned, replayed)] {
-            engine.enable_node_timing();
+            let tracer = attach(&mut engine);
             let _ = model.forward(&mut engine, &x);
-            let mut measured: Vec<String> = engine.take_node_times().into_keys().collect();
+            let mut measured: Vec<String> = node_times(&tracer.drain()).into_keys().collect();
             measured.sort();
             assert_eq!(measured, priced);
         }
@@ -154,9 +189,9 @@ mod tests {
         planned.sort();
         planned.dedup();
         let mut engine = MixedEngine::new().with_vit_plan(plan.compiled_vit_plan(&graph, &sys));
-        engine.enable_node_timing();
+        let tracer = attach(&mut engine);
         let _ = clean.forward(&mut engine, &x);
-        let times = engine.take_node_times();
+        let times = node_times(&tracer.drain());
         let mut measured: Vec<String> = times.keys().cloned().collect();
         measured.sort();
         assert_eq!(measured, planned);
@@ -184,7 +219,7 @@ mod tests {
     #[test]
     #[ignore = "wall-clock measurement; run in release"]
     fn bench_encoder_drift_stays_inside_the_tolerance() {
-        use bfp_transformer::{MixedEngine, VitModel};
+        use bfp_transformer::VitModel;
         use std::time::{Duration, Instant};
         let cfg = VitConfig {
             dim: 128,
@@ -200,9 +235,9 @@ mod tests {
         let mut engine = MixedEngine::new()
             .with_threads(1)
             .with_vit_plan(plan.compiled_vit_plan(&graph, &sys));
-        engine.enable_node_timing();
+        let tracer = attach(&mut engine);
         let _ = model.forward(&mut engine, &inputs[0]);
-        let _ = engine.take_node_times(); // discard the cold-cache warm-up
+        let _ = tracer.drain(); // discard the cold-cache warm-up
         let (start, mut passes) = (Instant::now(), 0u32);
         while passes < 2 || start.elapsed() < Duration::from_secs(1) {
             for x in &inputs {
@@ -210,7 +245,7 @@ mod tests {
             }
             passes += 1;
         }
-        let mut times = engine.take_node_times();
+        let mut times = node_times(&tracer.drain());
         for t in times.values_mut() {
             t.seconds /= f64::from(passes);
             t.samples /= u64::from(passes);

@@ -47,7 +47,7 @@ pub mod vpucost;
 pub use accelerator::{Accelerator, GemmReport, InferenceReport};
 pub use compiler::{compile_gemm, compile_gemm_blocks, CompiledGemm, DrainSlot};
 pub use degrade::{gelu_with_mode, op_count_latency_s};
-pub use drift::{attribute_plan_drift, canonical_node_key, drift_samples};
+pub use drift::{attribute_plan_drift, canonical_node_key, drift_samples, node_times, NodeTime};
 pub use fastgemm::{effective_threads, fast_matmul_f32, packed_matmul, ParallelPolicy};
 pub use graph::{lower_vit, Graph, OpKind, OpNode};
 pub use latency::{Breakdown, LatencyModel, Partition};

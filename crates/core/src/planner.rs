@@ -556,14 +556,8 @@ mod tests {
         let model = VitModel::new_random(cfg, 11);
         let x = model.synthetic_input(3);
         let mut e = MixedEngine::new().with_vit_plan(compiled);
-
-        #[cfg(feature = "telemetry")]
-        let (tracer, reg) = {
-            let reg = bfp_telemetry::Registry::new();
-            let tracer = bfp_telemetry::Tracer::new();
-            e.attach_telemetry(tracer.clone(), &reg);
-            (tracer, reg)
-        };
+        let (reg, tracer) = (bfp_telemetry::Registry::new(), bfp_telemetry::Tracer::new());
+        e.attach_telemetry(tracer.clone(), &reg);
 
         let _ = model.forward(&mut e, &x);
         let (hits, misses) = e.fusion_stats();
@@ -585,25 +579,22 @@ mod tests {
         // Standalone (per-head scores/context) count nowhere.
         assert_eq!(misses, 0);
 
-        #[cfg(feature = "telemetry")]
-        {
-            assert_eq!(reg.counter("engine_fusion_hits_total").get(), hits);
-            // One plan.node.* span per graph node that still runs its own
-            // pass — absorbed epilogues ride inside their GEMM's span.
-            let spans = tracer
-                .drain()
-                .iter()
-                .filter(|ev| ev.name.starts_with("plan.node."))
-                .count();
-            let own_pass = plan
-                .nodes
-                .iter()
-                .filter(|n| {
-                    !matches!(n.decision, FuseDecision::FusedInto(_))
-                        && !matches!(g.nodes[n.index].kind, OpKind::Residual { .. })
-                })
-                .count();
-            assert_eq!(spans, own_pass);
-        }
+        assert_eq!(reg.counter("engine_fusion_hits_total").get(), hits);
+        // One plan.node.* span per graph node that still runs its own
+        // pass — absorbed epilogues ride inside their GEMM's span.
+        let spans = tracer
+            .drain()
+            .iter()
+            .filter(|ev| ev.name.starts_with("plan.node."))
+            .count();
+        let own_pass = plan
+            .nodes
+            .iter()
+            .filter(|n| {
+                !matches!(n.decision, FuseDecision::FusedInto(_))
+                    && !matches!(g.nodes[n.index].kind, OpKind::Residual { .. })
+            })
+            .count();
+        assert_eq!(spans, own_pass);
     }
 }

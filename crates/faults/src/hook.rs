@@ -10,7 +10,6 @@ use std::sync::atomic::Ordering;
 use crate::ecc_impl::{decode, encode, Decoded};
 use crate::plan::FaultSpec;
 use crate::session::{active, with_state, FaultState};
-use crate::telemetry::note_injection;
 
 /// Flip `bit` in `v`, used for P-register and PSU word upsets.
 fn flip(v: i64, bit: u8) -> i64 {
@@ -21,7 +20,7 @@ fn flip(v: i64, bit: u8) -> i64 {
 /// codeword. Single-bit upsets decode back to the stored value
 /// (corrected); multi-bit upsets return the corrupted payload
 /// (detected, uncorrected).
-fn ecc_read(state: &FaultState, site: &'static str, byte: u8, bits: &[u8]) -> u8 {
+fn ecc_read(state: &FaultState, byte: u8, bits: &[u8]) -> u8 {
     if bits.is_empty() {
         return byte;
     }
@@ -30,7 +29,6 @@ fn ecc_read(state: &FaultState, site: &'static str, byte: u8, bits: &[u8]) -> u8
         cw ^= 1 << (b as u16 % 13);
     }
     state.counters.injected.fetch_add(1, Ordering::Relaxed);
-    note_injection(site);
     match decode(cw) {
         Decoded::Clean(v) => v,
         Decoded::Corrected(v) => {
@@ -60,7 +58,6 @@ pub fn dsp_p_commit(p: i64) -> i64 {
                 let idx = state.hits[i].fetch_add(1, Ordering::Relaxed);
                 if idx == *nth {
                     state.counters.injected.fetch_add(1, Ordering::Relaxed);
-                    note_injection("dsp_p_flip");
                     out = flip(out, *bit);
                 }
             }
@@ -88,7 +85,6 @@ pub fn cascade_pcin(row: usize, pcin: i64) -> i64 {
                             .counters
                             .dropped_partials
                             .fetch_add(1, Ordering::Relaxed);
-                        note_injection("dropped_partial");
                         out = 0;
                     }
                 }
@@ -120,7 +116,6 @@ pub fn array_lane(col: usize, lane: u8, v: i64) -> i64 {
                         .counters
                         .stuck_lane_hits
                         .fetch_add(1, Ordering::Relaxed);
-                    note_injection("stuck_lane");
                     out = *value;
                 }
             }
@@ -145,7 +140,7 @@ pub fn bram_read(bram: usize, addr: usize, byte: u8) -> u8 {
                     addr: a,
                     bits,
                 } if *b == bram && *a == addr => {
-                    out = ecc_read(state, "bram_ecc", out, bits);
+                    out = ecc_read(state, out, bits);
                 }
                 FaultSpec::BramRawFlip {
                     bram: b,
@@ -153,7 +148,6 @@ pub fn bram_read(bram: usize, addr: usize, byte: u8) -> u8 {
                     mask,
                 } if *b == bram && *a == addr && *mask != 0 => {
                     state.counters.injected.fetch_add(1, Ordering::Relaxed);
-                    note_injection("bram_raw");
                     out ^= mask;
                 }
                 _ => {}
@@ -175,11 +169,10 @@ pub fn exp_read(addr: usize, byte: u8) -> u8 {
         for spec in &state.specs {
             match spec {
                 FaultSpec::ExponentFlip { addr: a, bits } if *a == addr => {
-                    out = ecc_read(state, "exp_ecc", out, bits);
+                    out = ecc_read(state, out, bits);
                 }
                 FaultSpec::ExponentRawFlip { addr: a, mask } if *a == addr && *mask != 0 => {
                     state.counters.injected.fetch_add(1, Ordering::Relaxed);
-                    note_injection("exp_raw");
                     out ^= mask;
                 }
                 _ => {}
@@ -210,7 +203,6 @@ pub fn psu_read(row: usize, col: usize, v: i64) -> i64 {
                     let idx = state.hits[i].fetch_add(1, Ordering::Relaxed);
                     if idx == *nth {
                         state.counters.injected.fetch_add(1, Ordering::Relaxed);
-                        note_injection("psu_flip");
                         out = flip(out, *bit);
                     }
                 }
@@ -241,7 +233,6 @@ pub fn eu_align_exp(exp: i32) -> i32 {
                 let idx = state.hits[i].fetch_add(1, Ordering::Relaxed);
                 if idx == *nth {
                     state.counters.injected.fetch_add(1, Ordering::Relaxed);
-                    note_injection("eu_glitch");
                     // TMR vote: replicas r0..r2 each recompute the
                     // alignment; the glitch lands on one replica, a
                     // persistent defect on all three.

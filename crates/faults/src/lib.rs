@@ -30,15 +30,12 @@ mod ecc_impl;
 mod plan;
 mod report;
 mod session;
-mod telemetry;
 
 pub mod hook;
 
 pub use plan::{FaultPlan, FaultSpec};
 pub use report::{FaultCounters, FaultReport, FleetLedger};
 pub use session::{active, counters, install, FaultGuard};
-#[cfg(feature = "telemetry")]
-pub use telemetry::set_fault_tracer;
 
 /// SECDED Hamming(13,8) codec used for the BRAM ECC model.
 pub mod ecc {

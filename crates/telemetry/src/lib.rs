@@ -33,12 +33,9 @@
 //! non-blocking flight recorder that dumps recent request timelines as
 //! JSON + Perfetto trace when a trigger fires).
 //!
-//! The crate is dependency-free and always safe to link. Hot-path
-//! *instrumentation sites* in the rest of the workspace are gated
-//! behind their crates' `telemetry` cargo features and compile away
-//! entirely when disabled; the types here (and the cold-path
-//! `publish`/snapshot methods built on them) are available
-//! unconditionally.
+//! The crate is dependency-free and always safe to link. The rest of the
+//! workspace records into it only once a tracer is attached
+//! (`MixedEngine::attach_telemetry`, `Server::attach_tracer`).
 //!
 //! ## Quickstart
 //!

@@ -1,7 +1,6 @@
 //! Execution engines: the mixed-precision accelerator path versus the f32
 //! reference, behind one trait so the same model code runs on both.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -10,7 +9,6 @@ use bfp_arith::int8quant::Int8Tensor;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::{max_shards, EpilogueCtx, PackedBfp};
 use bfp_arith::quant::Quantizer;
-#[cfg(feature = "telemetry")]
 use bfp_telemetry::{Counter, Histogram, Registry, Tracer};
 
 use crate::layers::{Linear, WeightPack};
@@ -172,20 +170,16 @@ pub struct PlanCacheStats {
     pub bytes: usize,
 }
 
-/// Everything a [`MixedEngine`] records about itself when tracing is
+/// Everything a [`MixedEngine`] records about itself once a tracer is
 /// attached: the span tracer plus registered hot-path instruments.
-/// Only exists with the `telemetry` cargo feature; without it the
-/// engine carries no field and no instrumentation code at all.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone)]
-pub struct EngineTelemetry {
+struct EngineTelemetry {
     tracer: Tracer,
     gemms: Counter,
     macs: Counter,
     fallbacks: Counter,
     rhs_resident: Counter,
     rhs_packed: Counter,
-    saturated: Counter,
     gemm_ns: Histogram,
     quantize_pack_ns: Histogram,
     fast_mul: Counter,
@@ -196,10 +190,9 @@ pub struct EngineTelemetry {
     fusion_misses: Counter,
 }
 
-#[cfg(feature = "telemetry")]
 impl EngineTelemetry {
     /// Bind a tracer and register the engine's instruments in `reg`.
-    pub fn new(tracer: Tracer, reg: &Registry) -> Self {
+    fn new(tracer: Tracer, reg: &Registry) -> Self {
         EngineTelemetry {
             tracer,
             gemms: reg.counter("engine_gemms_total"),
@@ -207,7 +200,6 @@ impl EngineTelemetry {
             fallbacks: reg.counter("engine_fp32_fallbacks_total"),
             rhs_resident: reg.counter("engine_rhs_resident_total"),
             rhs_packed: reg.counter("engine_rhs_packed_total"),
-            saturated: reg.counter("engine_quantize_saturated_total"),
             gemm_ns: reg.histogram("engine_gemm_ns"),
             quantize_pack_ns: reg.histogram("engine_quantize_pack_ns"),
             // The fast nonlinear unit's op mix, one counter per hardware
@@ -222,11 +214,6 @@ impl EngineTelemetry {
             fusion_hits: reg.counter("engine_fusion_hits_total"),
             fusion_misses: reg.counter("engine_fusion_misses_total"),
         }
-    }
-
-    /// The bound tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 }
 
@@ -263,19 +250,6 @@ impl PhaseTimes {
         self.gelu += o.gelu;
         self.layernorm += o.layernorm;
     }
-}
-
-/// Accumulated wall-clock for one named node of a compiled plan, the
-/// measured side of drift attribution (predictions come from
-/// `bfp_core::planner`). Collected only when node timing is enabled at
-/// runtime — the accumulator is independent of the `telemetry` feature
-/// so benches can attribute drift in default builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeTime {
-    /// Total measured seconds across executions.
-    pub seconds: f64,
-    /// Number of executions folded into `seconds`.
-    pub samples: u64,
 }
 
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
@@ -375,13 +349,9 @@ pub struct MixedEngine {
     lhs_packs: u64,
     lhs_pack_elems: u64,
     phase: PhaseTimes,
-    /// Per-node wall-clock accumulators for drift attribution; `None`
-    /// (the default) with no tracer attached keeps the block walk free of
-    /// clock reads, node-name strings and map lookups.
-    node_times: Option<HashMap<String, NodeTime>>,
     /// Attached observability (spans + registered counters); `None`
-    /// until [`Self::attach_telemetry`] is called.
-    #[cfg(feature = "telemetry")]
+    /// until [`Self::attach_telemetry`] is called, which keeps the block
+    /// walk free of node clock reads and node-name strings.
     tel: Option<EngineTelemetry>,
 }
 
@@ -414,40 +384,34 @@ impl MixedEngine {
             lhs_packs: 0,
             lhs_pack_elems: 0,
             phase: PhaseTimes::default(),
-            node_times: None,
-            #[cfg(feature = "telemetry")]
             tel: None,
         }
     }
 
     /// Attach a tracer and metrics registry: subsequent engine calls
-    /// emit phase spans and update the registered instruments.
-    #[cfg(feature = "telemetry")]
+    /// emit phase and plan-node spans and update the registered
+    /// instruments. Observation only — outputs and counts are unchanged.
     pub fn attach_telemetry(&mut self, tracer: Tracer, reg: &Registry) {
         self.tel = Some(EngineTelemetry::new(tracer, reg));
     }
 
-    /// Note a GEMM degraded to the fp32 reference path (no-op unless
-    /// telemetry is compiled in and attached).
+    /// Note a GEMM degraded to the fp32 reference path (no-op unless a
+    /// tracer is attached).
     #[inline]
     fn tel_fallback(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.fallbacks.inc();
             tel.tracer.instant("engine.fp32_fallback", "engine");
         }
     }
 
-    /// Record a completed VPU phase span (no-op unless telemetry is
-    /// compiled in and attached).
+    /// Record a completed VPU phase span (no-op unless a tracer is
+    /// attached).
     #[inline]
     fn tel_phase(&self, name: &'static str, t0: Instant) {
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.tracer.complete_between(name, "engine", t0, Instant::now());
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, t0);
     }
 
     /// The scalar baseline engine: single-threaded everywhere,
@@ -513,35 +477,6 @@ impl MixedEngine {
         std::mem::take(&mut self.phase)
     }
 
-    /// Start accumulating per-node wall-clock over the block walk, with
-    /// or without a plan (for drift attribution against the planner's
-    /// cycle predictions).
-    /// Off by default; independent of the `telemetry` cargo feature.
-    pub fn enable_node_timing(&mut self) {
-        if self.node_times.is_none() {
-            self.node_times = Some(HashMap::new());
-        }
-    }
-
-    /// Whether per-node timing is currently accumulating.
-    pub fn node_timing_enabled(&self) -> bool {
-        self.node_times.is_some()
-    }
-
-    /// Drain the per-node wall-clock accumulators (empty when node
-    /// timing was never enabled). Timing stays enabled afterwards.
-    pub fn take_node_times(&mut self) -> HashMap<String, NodeTime> {
-        match &mut self.node_times {
-            Some(m) => std::mem::take(m),
-            None => HashMap::new(),
-        }
-    }
-
-    /// The per-phase wall-clock breakdown accumulated so far.
-    pub fn phase_times(&self) -> PhaseTimes {
-        self.phase
-    }
-
     /// An engine with a custom quantizer (block-size ablations).
     pub fn with_quantizer(quantizer: Quantizer) -> Self {
         MixedEngine {
@@ -582,7 +517,6 @@ impl MixedEngine {
         } else {
             self.plan_stats.misses += 1;
         }
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             let counter = if resident { &tel.rhs_resident } else { &tel.rhs_packed };
             counter.inc();
@@ -636,18 +570,15 @@ impl MixedEngine {
     }
 
     /// Publish a fast-mode nonlinear op-mix delta to the registered
-    /// counters (no-op unless telemetry is compiled in and attached).
+    /// counters (no-op unless a tracer is attached).
     #[inline]
     fn tel_fast_mix(&self, delta: &OpCount) {
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.fast_mul.add(delta.fp_mul);
             tel.fast_add.add(delta.fp_add);
             tel.fast_exp_adjust.add(delta.exp_adjust);
             tel.fast_lut.add(delta.lut);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = delta;
     }
 
     /// Run a batched VPU kernel over `data` split into `threads` disjoint
@@ -737,7 +668,6 @@ impl MixedEngine {
     #[inline]
     fn note_fusion_hit(&mut self) {
         self.fusion_hits += 1;
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.fusion_hits.inc();
         }
@@ -746,65 +676,34 @@ impl MixedEngine {
     #[inline]
     fn note_fusion_miss(&mut self) {
         self.fusion_misses += 1;
-        #[cfg(feature = "telemetry")]
         if let Some(tel) = &self.tel {
             tel.fusion_misses.inc();
         }
     }
 
-    /// Start timing a plan node: the clock is read only when node timing
-    /// is enabled or a tracer is attached, so an unobserved compiled
-    /// forward takes no per-node clock reads.
+    /// Start timing a plan node: the clock is read only when a tracer is
+    /// attached, so an unobserved forward takes no per-node clock reads.
     #[inline]
     fn node_clock(&self) -> Option<Instant> {
-        let observed = self.node_times.is_some();
-        #[cfg(feature = "telemetry")]
-        let observed = observed || self.tel.is_some();
-        observed.then(Instant::now)
+        self.tel.is_some().then(Instant::now)
     }
 
-    /// Close a plan node opened by [`Self::node_clock`]: record a
-    /// `plan.node.<name>` span and fold the wall-clock into the node-timing
-    /// accumulators. `name` is formatted only when there is a start time,
-    /// i.e. only when someone is listening.
+    /// Close a plan node opened by [`Self::node_clock`] as a
+    /// `plan.node.<name>` span. `name` is formatted only when there is a
+    /// start time, i.e. only when a tracer is attached.
     #[inline]
-    fn tel_node(&mut self, name: impl fmt::Display, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
-        let name = name.to_string();
-        #[cfg(feature = "telemetry")]
-        if let Some(tel) = &self.tel {
+    fn tel_node(&self, name: impl fmt::Display, t0: Option<Instant>) {
+        if let (Some(tel), Some(t0)) = (&self.tel, t0) {
             tel.tracer
                 .complete_between(format!("plan.node.{name}"), "plan", t0, Instant::now());
-        }
-        if let Some(times) = &mut self.node_times {
-            let entry = times.entry(name).or_default();
-            entry.seconds += t0.elapsed().as_secs_f64();
-            entry.samples += 1;
-        }
-    }
-
-    /// Process-wide saturation tally mark, for attributing a GEMM's share.
-    #[inline]
-    fn sat_mark(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            bfp_arith::telemetry::saturation_count()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
         }
     }
 
     /// Record a GEMM's counters, histograms, and phase spans. Composed
     /// and fused GEMMs both report here, so dashboards tell them apart
-    /// only through the fusion counters. Saturation is a process-wide
-    /// tally (the quantizer is deep below this crate): the delta since
-    /// `sat0` attributes this GEMM's share, exactly under single-engine
-    /// use and approximately when several engines quantize concurrently.
+    /// only through the fusion counters.
     #[inline]
-    fn tel_gemm(&self, macs: u64, t0: Instant, t1: Instant, t2: Instant, sat0: u64) {
-        #[cfg(feature = "telemetry")]
+    fn tel_gemm(&self, macs: u64, t0: Instant, t1: Instant, t2: Instant) {
         if let Some(tel) = &self.tel {
             tel.tracer.complete_between("quantize_pack", "engine", t0, t1);
             tel.tracer
@@ -813,11 +712,7 @@ impl MixedEngine {
             tel.macs.add(macs);
             tel.quantize_pack_ns.record_duration(t1.duration_since(t0));
             tel.gemm_ns.record_duration(t2.duration_since(t1));
-            tel.saturated
-                .add(bfp_arith::telemetry::saturation_count().saturating_sub(sat0));
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (macs, t0, t1, t2, sat0);
     }
 
     /// GEMM thread budget for `macs` scalar MACs: the (host-capped) budget,
@@ -845,7 +740,6 @@ impl MixedEngine {
     /// so where the pack came from, fusing and threading change
     /// wall-clock only, never a single output bit.
     fn gemm(&mut self, a: &MatF32, b: &MatF32, weight: Option<&Linear>) -> MatF32 {
-        #[cfg(feature = "telemetry")]
         let _mm_span = self.tel.as_ref().map(|tel| {
             let mut sp = tel.tracer.span("engine.matmul", "engine");
             sp.set_arg("m", a.rows() as u64);
@@ -853,7 +747,6 @@ impl MixedEngine {
             sp.set_arg("n", b.cols() as u64);
             sp
         });
-        let sat0 = self.sat_mark();
         let macs = (a.rows() * a.cols() * b.cols()) as u64;
         let threads = self.gemm_threads_for(macs);
         self.note_lhs_pack(a);
@@ -886,7 +779,7 @@ impl MixedEngine {
         self.phase.quantize_pack += t1.duration_since(t0);
         self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
-        self.tel_gemm(macs, t0, t1, t2, sat0);
+        self.tel_gemm(macs, t0, t1, t2);
         out
     }
 
@@ -913,7 +806,6 @@ impl MixedEngine {
         let threads = self.gemm_threads_for(macs);
         let (division, mode) = (self.division, self.nonlinear);
         let mut vpus: Vec<Vpu> = (0..threads).map(|_| self.vpu.fresh()).collect();
-        let sat0 = self.sat_mark();
         let t0 = Instant::now();
         let pb = self.weight_pack(lin)?;
         let t1 = Instant::now();
@@ -949,7 +841,7 @@ impl MixedEngine {
         self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
         self.note_fusion_hit();
-        self.tel_gemm(macs, t0, t1, t2, sat0);
+        self.tel_gemm(macs, t0, t1, t2);
         Ok(out)
     }
 
@@ -1201,9 +1093,34 @@ mod tests {
     use crate::VitModel;
     use crate::vpu::cost;
     use bfp_arith::stats::ErrorStats;
+    use bfp_telemetry::EventKind;
+    use std::collections::HashMap;
 
     fn bits_eq(x: &[f32], y: &[f32]) -> bool {
         x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    }
+
+    /// Attach a fresh tracer (and a throwaway registry) to `e`.
+    fn attach(e: &mut MixedEngine) -> Tracer {
+        let tracer = Tracer::new();
+        e.attach_telemetry(tracer.clone(), &Registry::new());
+        tracer
+    }
+
+    /// Drain `tracer` and fold its `plan.node.<key>` spans per key into
+    /// `(executions, total ns)`.
+    fn node_spans(tracer: &Tracer) -> HashMap<String, (u64, u64)> {
+        let mut out: HashMap<String, (u64, u64)> = HashMap::new();
+        for ev in tracer.drain() {
+            if let (Some(key), EventKind::Span { dur_ns }) =
+                (ev.name.strip_prefix("plan.node."), ev.kind)
+            {
+                let t = out.entry(key.to_string()).or_default();
+                t.0 += 1;
+                t.1 += dur_ns;
+            }
+        }
+        out
     }
 
     /// A [`MixedEngine`] that keeps the trait's default `matmul_weight`,
@@ -1426,10 +1343,8 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.bytes), (0, 2, 0));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn attached_telemetry_records_spans_and_counters() {
-        use bfp_telemetry::EventKind;
         let reg = Registry::new();
         let tracer = Tracer::new();
         let mut e = MixedEngine::new();
@@ -1464,7 +1379,6 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "vpu.softmax"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn fast_mix_counters_equal_census() {
         // The engine_fast_nl_* registry counters and the OpCensus are
@@ -1599,7 +1513,7 @@ mod tests {
         assert!(t.layernorm > Duration::ZERO);
         assert!(t.accounted() >= t.softmax + t.gemm);
         // take_phase_times resets.
-        assert_eq!(e.phase_times(), PhaseTimes::default());
+        assert_eq!(e.take_phase_times(), PhaseTimes::default());
     }
 
     #[test]
@@ -1609,19 +1523,22 @@ mod tests {
         // bias+residual drains) changes
         // wall-clock only — never an output bit, never a census count —
         // for either nonlinear family, any thread budget, and both the
-        // all-on and all-off plans.
+        // all-on and all-off plans. Attaching a tracer only observes.
         let model = VitModel::new_random(VitConfig::tiny_test(), 11);
         let x = model.synthetic_input(12);
         for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
             let mut oracle = MixedEngine::new().with_threads(1).with_nonlinear(mode);
             let want = model.forward(&mut oracle, &x);
             let want_census = oracle.census();
-            for threads in [1usize, 2, 4] {
-                for plan in [CompiledVitPlan::fuse_all(), CompiledVitPlan::unfused()] {
-                    let mut e = MixedEngine::new()
+            for plan in [CompiledVitPlan::fuse_all(), CompiledVitPlan::unfused()] {
+                let engine = |threads| {
+                    MixedEngine::new()
                         .with_threads(threads)
                         .with_nonlinear(mode)
-                        .with_vit_plan(plan);
+                        .with_vit_plan(plan)
+                };
+                for threads in [1usize, 2, 4] {
+                    let mut e = engine(threads);
                     let got = model.forward(&mut e, &x);
                     for (p, q) in got.data().iter().zip(want.data()) {
                         assert_eq!(
@@ -1636,6 +1553,23 @@ mod tests {
                         "census must not see the plan: mode {mode:?} threads {threads} plan {plan:?}"
                     );
                 }
+                // A traced engine and its untraced twin: equal bits, equal
+                // books, and the tracer did record.
+                let (mut quiet, mut traced) = (engine(2), engine(2));
+                let tracer = attach(&mut traced);
+                let q = model.forward(&mut quiet, &x);
+                let t = model.forward(&mut traced, &x);
+                assert!(bits_eq(t.data(), q.data()), "mode {mode:?} plan {plan:?}");
+                let books = |e: &MixedEngine| {
+                    (
+                        e.census(),
+                        e.fusion_stats(),
+                        e.plan_cache_stats(),
+                        e.lhs_pack_stats(),
+                    )
+                };
+                assert_eq!(books(&traced), books(&quiet), "mode {mode:?} plan {plan:?}");
+                assert!(!tracer.drain().is_empty());
             }
         }
     }
@@ -1646,18 +1580,16 @@ mod tests {
         let model = VitModel::new_random(cfg, 31);
         let x = model.synthetic_input(5);
 
-        // Off by default: the compiled path reads no node clock (so it
-        // names no node either) and records nothing.
+        // Unattached: the compiled path reads no node clock (so it names
+        // no node either).
         let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
-        assert!(!e.node_timing_enabled());
         assert!(e.node_clock().is_none());
         let _ = model.forward(&mut e, &x);
-        assert!(e.take_node_times().is_empty());
 
-        e.enable_node_timing();
+        let tracer = attach(&mut e);
         assert!(e.node_clock().is_some());
         let _ = model.forward(&mut e, &x);
-        let times = e.take_node_times();
+        let times = node_spans(&tracer);
         // Exactly the names `bfp_core::attribute_plan_drift` prices: eight
         // per block plus three per head, each once per block run. The
         // fused plan never runs a standalone `fc1` or `gelu` node.
@@ -1672,21 +1604,20 @@ mod tests {
         let mut got: Vec<String> = times.keys().cloned().collect();
         got.sort();
         assert_eq!(got, want);
-        for (key, t) in &times {
-            assert_eq!(t.samples, cfg.depth as u64, "{key}");
-            assert!(t.seconds > 0.0, "{key}");
+        for (key, &(samples, ns)) in &times {
+            assert_eq!(samples, cfg.depth as u64, "{key}");
+            assert!(ns > 0, "{key}");
         }
-        // take_ drains but leaves timing armed.
-        assert!(e.node_timing_enabled());
+        // Draining the tracer leaves the engine observed.
         let _ = model.forward(&mut e, &x);
-        assert!(!e.take_node_times().is_empty());
+        assert!(!node_spans(&tracer).is_empty());
 
         // The one walk times every engine: plan-less, the same names with
         // `fc1` and `gelu` as nodes of their own.
         let mut planless = MixedEngine::new();
-        planless.enable_node_timing();
+        let tracer = attach(&mut planless);
         let _ = model.forward(&mut planless, &x);
-        let times = planless.take_node_times();
+        let times = node_spans(&tracer);
         let mut got: Vec<String> = times.keys().cloned().collect();
         got.sort();
         want.retain(|n| n != "fc1+gelu");
@@ -1694,7 +1625,7 @@ mod tests {
         want.sort();
         assert_eq!(want.len(), 9 + 3 * cfg.heads);
         assert_eq!(got, want);
-        assert!(times.values().all(|t| t.samples == cfg.depth as u64));
+        assert!(times.values().all(|t| t.0 == cfg.depth as u64));
     }
 
     #[test]
@@ -1899,15 +1830,14 @@ mod tests {
         let mut model = clean.clone();
         model.blocks[0].fc1.w_mut().set(0, 0, f32::INFINITY);
         let mut e = planned();
-        e.enable_node_timing();
+        let tracer = attach(&mut e);
         let _ = model.forward(&mut e, &x);
-        let times = e.take_node_times();
-        assert_eq!(times["fc1"].samples, cfg.depth as u64);
-        assert_eq!(times["gelu"].samples, cfg.depth as u64);
+        let times = node_spans(&tracer);
+        assert_eq!(times["fc1"].0, cfg.depth as u64);
+        assert_eq!(times["gelu"].0, cfg.depth as u64);
         assert!(!times.contains_key("fc1+gelu"), "{:?}", times.keys());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn compiled_plan_emits_node_spans_and_fusion_counters() {
         let cfg = VitConfig::tiny_test();

@@ -32,11 +32,9 @@ pub use attention::Attention;
 pub use config::VitConfig;
 pub use deit::{DeitConfig, DeitModel, Image};
 pub use engine::{
-    DivisionPolicy, Engine, Int8Engine, MixedEngine, NodeTime, OpCensus, PhaseTimes,
-    PlanCacheStats, RefEngine,
+    DivisionPolicy, Engine, Int8Engine, MixedEngine, OpCensus, PhaseTimes, PlanCacheStats,
+    RefEngine,
 };
-#[cfg(feature = "telemetry")]
-pub use engine::EngineTelemetry;
 pub use flops::{analytical_census, analytical_census_mode};
 pub use layers::{LayerNormParams, Linear};
 pub use model::{Block, VitModel};
