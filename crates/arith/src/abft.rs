@@ -49,7 +49,9 @@
 //!
 //! For the paper's 8×8 blocks on an AVX2 host a chain runs on registers
 //! (`packed::chain_i32_avx2`, lanes as a ninth row and column) while it
-//! stays clean; the scalar loop here replays any chain that does not.
+//! stays clean; the scalar loop here replays any chain that does not. The
+//! i16 lanes do not fit `vpdpbusd`'s u8 × i8 operands, so checked chains
+//! and their unverified baseline stay on that tier on an AVX-VNNI host too.
 //!
 //! With the `faults` feature the scalar loop routes operand/exponent/
 //! product/accumulator accesses through the `bfp-faults` hooks, and runs
@@ -63,7 +65,7 @@ use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
 use crate::matrix::MatF32;
 #[cfg(target_arch = "x86_64")]
-use crate::packed::{chain_i32_avx2, widen_k_pairs_avx2, ChainSums};
+use crate::packed::{chain_i32_avx2, ChainSums};
 use crate::packed::{dot_i8, ChainKernel, EpilogueCtx, PackedBfp};
 use crate::quant::{BfpMatrix, Quantizer};
 
@@ -288,9 +290,7 @@ impl AbftPacked {
     }
 
     /// The checked kernel behind every entry point, on the chain kernel
-    /// picked once for this call. A live `bfp-faults` session perturbs
-    /// single operand, product and accumulator accesses, which only the
-    /// scalar loop routes through the hooks, so it takes that loop.
+    /// picked once for this call.
     #[allow(clippy::too_many_arguments)]
     fn rows_checked(
         &self,
@@ -302,13 +302,27 @@ impl AbftPacked {
         report: &mut AbftReport,
         epi: &mut Option<AbftEpilogue>,
     ) {
-        let (_, kb) = self.packed.grid();
-        let kernel = if injecting() {
-            ChainKernel::I64
-        } else {
-            ChainKernel::select(self.packed.block(), kb, !opts.no_verify)
-        };
+        let kernel = self.chain_kernel(opts);
         self.rows_checked_on(kernel, rhs, bi_lo, bi_hi, out_rows, opts, report, epi);
+    }
+
+    /// The chain kernel a checked call runs on. A live `bfp-faults`
+    /// session perturbs single operand, product and accumulator accesses,
+    /// which only the scalar loop routes through the hooks, so it takes
+    /// that loop. The unverified baseline keeps the checked chain's tier,
+    /// so what a campaign measures against it is the lanes alone: a plain
+    /// chain [`ChainKernel::select`] puts on the VNNI tier runs on
+    /// `Avx2I32` here.
+    fn chain_kernel(&self, opts: &AbftOptions) -> ChainKernel {
+        if injecting() {
+            return ChainKernel::I64;
+        }
+        let (_, kb) = self.packed.grid();
+        match ChainKernel::select(self.packed.block(), kb, !opts.no_verify) {
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::VnniI32 => ChainKernel::Avx2I32,
+            kernel => kernel,
+        }
     }
 
     /// Runs every `(bi, bj)` chain of the block-row range and then its
@@ -336,17 +350,13 @@ impl AbftPacked {
         let (_, kb) = self.packed.grid();
         let (_, nb) = rhs.packed.grid();
         let mut s = Scratch::new(b);
-        // The register chain's LHS block-row, widened once per `bi`.
         #[cfg(target_arch = "x86_64")]
-        let mut xp = vec![0i32; if kernel == ChainKernel::Avx2I32 { kb * 32 } else { 0 }];
+        assert_ne!(kernel, ChainKernel::VnniI32, "the checked chain has no VNNI tier");
+        // The register chain's LHS block-row, widened once per `bi`.
+        let mut xp = vec![0i32; kernel.staged_words(kb)];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.packed.rows() - bi * b);
-            #[cfg(target_arch = "x86_64")]
-            if kernel == ChainKernel::Avx2I32 {
-                let xrow = &self.packed.man_plane()[bi * kb * 64..][..kb * 64];
-                // SAFETY: `Avx2I32` is only selected after detecting AVX2.
-                unsafe { widen_k_pairs_avx2(xrow, &mut xp) };
-            }
+            kernel.stage_lhs(&self.packed.man_plane()[bi * kb * b * b..][..kb * b * b], &mut xp);
             for bj in 0..nb {
                 let jmax = b.min(rhs.packed.cols() - bj * b);
                 let mut chain = None;
@@ -890,6 +900,19 @@ mod tests {
         assert_bits_eq(&got, &want);
         assert_eq!(report.checks, 0);
         assert!(report.clean());
+    }
+
+    #[test]
+    fn unverified_mode_runs_on_registers_beside_the_checked_chain() {
+        let pa = AbftPacked::quantize_pack_lhs(&Quantizer::paper(), &spiky(24, 32)).unwrap();
+        let checked = pa.chain_kernel(&AbftOptions::default());
+        let unverified = pa.chain_kernel(&AbftOptions::unverified());
+        // Whatever the plain GEMM takes (the VNNI tier, where there is
+        // one), the baseline runs the checked chain's tier, not the loop.
+        assert_eq!(unverified, checked);
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(unverified, ChainKernel::Avx2I32);
+        }
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! one tile driver) runs each (bi, bj) output tile's whole
 //! exponent-alignment chain in one place: no wide scratch tile is written
 //! and re-read, and no block is ever copied out of the grid. For the
-//! paper's 8×8 blocks on an AVX2 host the chain keeps its accumulator in
-//! registers as i32 for the entire K loop (`chain_i32_avx2`); every other
-//! case takes the i64 chain loop, which is also that kernel's bit oracle.
-//! Either way the result is **bit-identical** to
+//! paper's 8×8 blocks the chain keeps its accumulator in registers as i32
+//! for the entire K loop: `chain_i32_vnni` (`vpdpbusd`, u8-offset LHS) on
+//! an AVX-VNNI host, `chain_i32_avx2` (`vpmaddwd`) on any other AVX2 host;
+//! every other case takes the i64 chain loop, which is also both register
+//! kernels' bit oracle. `ChainKernel::select` is the only place a tier
+//! is chosen. Whichever runs, the result is **bit-identical** to
 //! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
 //! cycle simulator — the integer tile products are exact, so the kernels
 //! change evaluation order only where integer addition is associative.
@@ -358,17 +360,23 @@ impl PackedBfp {
 /// Fewest scalar MACs one shard of a forked packed GEMM should carry, so
 /// a GEMM forks from 16 M MACs up and stays serial below that.
 ///
-/// Derivation, on the 2-vCPU reference box: forking and joining two scoped
-/// threads costs ≈ 0.09 ms (median of 2000 empty fork/joins, p90 ≈ 0.16 ms)
-/// and the `b == 8` AVX2 chain sustains ≈ 35 GMAC/s per core, so 16 M MACs
-/// are ≈ 0.46 ms of serial kernel — five fork/joins — of which two shards
-/// can save at most half. Measured serial / two-shard time, three runs of
-/// 400 interleaved pairs each: 15 M MACs 1.07–1.21 and 19 M 0.93–1.20
-/// (break-even, inside the spread), 29 M (DeiT-Small's 197×384×384
-/// projections) 1.13–1.28, 58 M 1.18–1.34, 116 M 1.33–1.41. The fork
-/// point sits at the low end of break-even; a per-head attention product
-/// (197×64×197, 2.5 M MACs, ≈ 0.09 ms serial) is a fork/join long and
-/// must never fork. Not measured on a host with more than two cores.
+/// Derivation, on the 2-vCPU reference box (Sapphire-Rapids-class Xeon,
+/// AVX-VNNI): forking and joining two scoped threads costs ≈ 0.035–0.043 ms
+/// (median of 2000 empty fork/joins, p90 ≤ 0.061 ms) and the `b == 8` VNNI
+/// chain sustains ≈ 54–60 GMAC/s per core, so 16 M MACs are ≈ 0.27 ms of
+/// serial kernel — seven fork/joins — of which two shards can save at most
+/// half. Measured serial / two-shard time on 197×384×N, three runs of 400
+/// interleaved pairs each: 4.8 M MACs 1.01–1.07 (break-even), 7.3 M
+/// 1.20–1.29, 15 M 1.43–1.44, 19 M 1.42–1.53, 29 M (DeiT-Small's
+/// 197×384×384 projections) 1.57–1.62, 58 M 1.71–1.77, 116 M 1.86–1.89.
+/// The fork point sits at the low end of break-even as measured when a
+/// fork/join cost ≈ 0.09 ms (p90 ≈ 0.16 ms), where the AVX2 chain broke
+/// even at 15–19 M; the AVX2 chain measured beside the table above breaks
+/// even at ≈ 5 M as well (4.8 M: 0.87–1.28), so the lower break-even is
+/// the cheaper fork/join's, not the chain's, and the fork point stays.
+/// A per-head attention product (197×64×197, 2.5 M MACs, ≈ 0.04 ms
+/// serial) is a fork/join long and must never fork. Not measured on a
+/// host with more than two cores.
 pub const PARALLEL_MIN_SHARD_MACS: u64 = 8_000_000;
 
 /// Most shards a packed GEMM of `macs` scalar MACs is worth forking into:
@@ -514,30 +522,22 @@ impl PackedBfp {
         let kb = self.block_cols;
         let mut prod = vec![0i32; bb];
         let mut acc64 = vec![0i64; bb];
-        // The AVX2 chain's LHS block-row, widened once per `bi` and reused
+        // A register chain's LHS block-row, staged once per `bi` and reused
         // by all `nb` chains of the row (≤ 24 KB at DeiT's K ≤ 1536).
+        let mut xs = vec![0i32; kernel.staged_words(kb)];
         #[cfg(target_arch = "x86_64")]
-        let mut xp = vec![0i32; if kernel == ChainKernel::Avx2I32 { kb * 32 } else { 0 }];
-        #[cfg(target_arch = "x86_64")]
-        let (mut acc32, mut plain) = ([0i32; 64], ChainSums::default());
+        let mut acc32 = [0i32; 64];
         let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.rows - bi * b);
-            #[cfg(target_arch = "x86_64")]
-            if kernel == ChainKernel::Avx2I32 {
-                // SAFETY: `Avx2I32` is only selected after detecting AVX2.
-                unsafe { widen_k_pairs_avx2(&self.man[bi * kb * bb..][..kb * bb], &mut xp) };
-            }
+            kernel.stage_lhs(&self.man[bi * kb * bb..][..kb * bb], &mut xs);
             for bj in 0..rhs.block_cols {
                 let hot = &mut tile[..imax * b];
                 match kernel {
                     #[cfg(target_arch = "x86_64")]
-                    ChainKernel::Avx2I32 => {
+                    ChainKernel::Avx2I32 | ChainKernel::VnniI32 => {
                         let x_exps = &self.exps[bi * kb..][..kb];
-                        // SAFETY: `Avx2I32` is only selected after detecting AVX2.
-                        let exp = unsafe {
-                            chain_i32_avx2::<false>(&xp, x_exps, rhs, bj, &mut plain, &mut acc32)
-                        };
+                        let exp = kernel.chain_i32(&xs, x_exps, rhs, bj, &mut acc32);
                         drain(hot, acc32.iter().map(|&a| a as f64), exp);
                     }
                     ChainKernel::I64 => {
@@ -564,7 +564,7 @@ impl PackedBfp {
     /// One `(bi, bj)` exponent-alignment chain on an i64 accumulator: any
     /// block size, any `K`. This is [`BfpMatrix::try_matmul`]'s chain on
     /// the packed planes — the generic-block path, the path of hosts
-    /// without AVX2, and the bit oracle of [`chain_i32_avx2`]. Leaves the
+    /// without AVX2, and the bit oracle of both register chains. Leaves the
     /// aligned sums in `acc` and returns their shared exponent (`None`
     /// for `K = 0`).
     fn chain_i64(
@@ -621,6 +621,13 @@ impl PackedBfp {
 /// right shift never grows magnitude, so after `n` chain steps
 /// `|acc| ≤ n·2¹⁷`: every chain shorter than 2¹⁴ steps (K < 131 072) fits
 /// i32 exactly. Longer chains take the i64 loop.
+///
+/// The bound holds for [`chain_i32_vnni`] too, offset included: its row
+/// product is `−corr + Σ (x + 128)·y` with `|corr| = |128·Σₖ y| ≤
+/// 128·8·128 = 2¹⁷` and each `vpdpbusd` adding at most `4·255·128 < 2¹⁷`,
+/// so no intermediate reaches 2¹⁸ and the non-saturating `vpdpbusd` never
+/// wraps; the step's final value is the tile product itself, so
+/// `|acc| ≤ n·2¹⁷` is unchanged.
 const I32_CHAIN_MAX_KB: usize = 1 << 14;
 
 /// The same bound for a checked chain, whose checksum lanes grow eight
@@ -636,26 +643,98 @@ const CHECKED_CHAIN_MAX_KB: usize = 1 << 11;
 pub(crate) enum ChainKernel {
     /// The scalar i64 loops, plain and checked: any block, `K` and host.
     I64,
-    /// [`chain_i32_avx2`]: the paper's `b == 8` on an AVX2 host. Only
-    /// [`ChainKernel::select`] produces it, which is the proof of AVX2
-    /// its `unsafe` callers cite.
+    /// [`chain_i32_avx2`]: the paper's `b == 8` on an AVX2 host, plain or
+    /// checked. Only [`ChainKernel::select`] produces it, which is the
+    /// proof of AVX2 its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Avx2I32,
+    /// [`chain_i32_vnni`]: plain `b == 8` chains on an AVX2 + AVX-VNNI
+    /// host. Only [`ChainKernel::select`] produces it, which is the proof
+    /// of both features its `unsafe` callers cite.
+    #[cfg(target_arch = "x86_64")]
+    VnniI32,
 }
 
 impl ChainKernel {
     /// The fastest kernel for `block`-sized tiles and chains of `kb` steps,
     /// `checked` or plain, on this host (runtime feature detection, once
-    /// per call).
+    /// per call). The checked chain's i16 lanes do not fit `vpdpbusd`'s
+    /// u8 × i8 operands, so only plain chains take the VNNI tier.
     pub(crate) fn select(block: usize, kb: usize, checked: bool) -> ChainKernel {
         #[cfg(target_arch = "x86_64")]
         {
             let max_kb = if checked { CHECKED_CHAIN_MAX_KB } else { I32_CHAIN_MAX_KB };
             if block == 8 && kb < max_kb && is_x86_feature_detected!("avx2") {
+                if !checked && is_x86_feature_detected!("avxvnni") {
+                    return ChainKernel::VnniI32;
+                }
                 return ChainKernel::Avx2I32;
             }
         }
         ChainKernel::I64
+    }
+
+    /// Words of LHS scratch [`ChainKernel::stage_lhs`] fills for a
+    /// block-row of `kb` tile steps.
+    pub(crate) fn staged_words(self, kb: usize) -> usize {
+        match self {
+            ChainKernel::I64 => 0,
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::Avx2I32 => kb * 32,
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::VnniI32 => kb * 16,
+        }
+    }
+
+    /// Stage an LHS block-row `x` (row-major 8×8 tiles) in the layout this
+    /// kernel's row product broadcasts from: i16 k-pairs for `Avx2I32`,
+    /// u8 k-quads for `VnniI32`. The i64 loop reads the plane itself.
+    pub(crate) fn stage_lhs(self, x: &[i8], xs: &mut [i32]) {
+        match self {
+            ChainKernel::I64 => {}
+            // SAFETY: `Avx2I32` is only selected after detecting AVX2.
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::Avx2I32 => unsafe { widen_k_pairs_avx2(x, xs) },
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::VnniI32 => offset_k_quads(x, xs),
+        }
+    }
+
+    /// The plain chain of output tile `(·, bj)` on this register kernel,
+    /// from the LHS block-row [`ChainKernel::stage_lhs`] left in `xs`.
+    #[cfg(target_arch = "x86_64")]
+    fn chain_i32(
+        self,
+        xs: &[i32],
+        x_exps: &[i8],
+        rhs: &PackedBfp,
+        bj: usize,
+        acc: &mut [i32; 64],
+    ) -> Option<i32> {
+        // SAFETY: only `select` produces a register kernel, and only after
+        // detecting the features it needs.
+        unsafe {
+            match self {
+                ChainKernel::Avx2I32 => {
+                    let mut plain = ChainSums::default();
+                    chain_i32_avx2::<false>(xs, x_exps, rhs, bj, &mut plain, acc)
+                }
+                ChainKernel::VnniI32 => chain_i32_vnni(xs, x_exps, rhs, bj, acc),
+                ChainKernel::I64 => unreachable!("the i64 chain is `PackedBfp::chain_i64`"),
+            }
+        }
+    }
+}
+
+/// The chain tier a plain bfp8 (`b == 8`) GEMM runs on this host, as
+/// `ChainKernel::select` picks it: `"avx-vnni"`, `"avx2"` or `"i64"`.
+pub fn chain_tier() -> &'static str {
+    match ChainKernel::select(8, 1, false) {
+        ChainKernel::I64 => "i64",
+        #[cfg(target_arch = "x86_64")]
+        ChainKernel::Avx2I32 => "avx2",
+        #[cfg(target_arch = "x86_64")]
+        ChainKernel::VnniI32 => "avx-vnni",
     }
 }
 
@@ -680,7 +759,7 @@ fn drain(tile: &mut [f32], acc: impl Iterator<Item = f64>, exp: Option<i32>) {
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
+unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
     use std::arch::x86_64::*;
     assert_eq!(x.len(), xp.len() * 2);
     for (src, dst) in x.chunks_exact(16).zip(xp.chunks_exact_mut(8)) {
@@ -690,6 +769,19 @@ pub(crate) unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
             let v = _mm256_cvtepi8_epi16(_mm_loadu_si128(src.as_ptr() as *const __m128i));
             _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v);
         }
+    }
+}
+
+/// Offset LHS mantissas to u8, `a ^ 0x80 = a + 128`, and store them as the
+/// i32 k-quads the VNNI chain broadcasts: `xq[n] = (x[4n], …, x[4n+3])`,
+/// low byte first. Tiles are `[i][k]` row-major, so quad `q` of row `i` of
+/// tile `t` is `xq[t·16 + i·2 + q]`.
+#[cfg(target_arch = "x86_64")]
+fn offset_k_quads(x: &[i8], xq: &mut [i32]) {
+    assert_eq!(x.len(), xq.len() * 4);
+    for (src, dst) in x.chunks_exact(4).zip(xq.iter_mut()) {
+        let quad = [src[0] as u8, src[1] as u8, src[2] as u8, src[3] as u8];
+        *dst = i32::from_le_bytes(quad) ^ 0x8080_8080u32 as i32;
     }
 }
 
@@ -959,6 +1051,98 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
         }
         sums.checks = checks;
         sums.mismatch = false;
+    }
+    acc_exp
+}
+
+/// The plain register chain of [`chain_i32_avx2`] with a `vpdpbusd` row
+/// product: 32 MACs per instruction instead of `vpmaddwd`'s 16, and no
+/// widening of either operand.
+///
+/// `vpdpbusd` multiplies u8 by i8, so the LHS k-quads arrive offset by
+/// [`offset_k_quads`], `x + 128`, and every row product starts from the
+/// column correction `−corr`, `corr[j] = 128·Σₖ y[j][k]` — the host twin
+/// of the PE's packed-MAC fix-up. Per tile step the canonical `[j][k]`
+/// RHS tile is two ymm loads; two `vshufps` gather k-quad `q` of all eight
+/// runs, `P_q[j] = y[j][4q..4q+4]`; two `vpdpbusd` of `splat(0x80)`
+/// against `P_0`, `P_1` give `corr`; then each output row is two
+/// `vpbroadcastd` loads of its k-quads and two `vpdpbusd` from `−corr`,
+/// followed by the merge of [`chain_i32_avx2`] unchanged.
+///
+/// Exactness: `|corr| ≤ 128·8·128 = 2¹⁷` and each `vpdpbusd` adds at
+/// most `4·255·128 < 2¹⁷`, so no intermediate reaches 2¹⁸ and the
+/// non-saturating `vpdpbusd` never wraps. The row product ends as the
+/// exact tile product, so the sums, the exponent and the drained bits are
+/// [`PackedBfp::chain_i64`]'s, and `kb <` [`I32_CHAIN_MAX_KB`] bounds the
+/// accumulator exactly as before.
+///
+/// `vshufps` leaves output column `[0, 1, 4, 5, 2, 3, 6, 7][l]` in lane
+/// `l`; one `vpermd` per row at the final store restores natural order.
+/// Returns the chain's exponent, `None` for `K = 0`.
+///
+/// # Safety
+/// Callers must have verified AVX2 and AVX-VNNI support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avxvnni")]
+unsafe fn chain_i32_vnni(
+    xq: &[i32],
+    x_exps: &[i8],
+    rhs: &PackedBfp,
+    bj: usize,
+    acc_out: &mut [i32; 64],
+) -> Option<i32> {
+    use std::arch::x86_64::*;
+    let kb = x_exps.len();
+    let nb = rhs.block_cols;
+    assert!(kb < I32_CHAIN_MAX_KB, "chain too long for i32 accumulators");
+    let zero = _mm256_setzero_si256();
+    let offset = _mm256_set1_epi8(-128);
+    let mut acc = [zero; 8];
+    let mut acc_exp = None;
+    for bk in 0..kb {
+        let x: &[i32; 16] = xq[bk * 16..][..16].try_into().expect("8×2 k-quads");
+        let y: &[i8; 64] = rhs.man[(bk * nb + bj) * 64..][..64].try_into().expect("8×8 tile");
+        let pexp = x_exps[bk] as i32 + rhs.exps[bk * nb + bj] as i32;
+        let cur = acc_exp.unwrap_or(pexp);
+        let d = pexp - cur;
+        acc_exp = Some(cur.max(pexp));
+        // SAFETY: two 32-byte loads tiling the 64-byte tile.
+        let (y0123, y4567) = unsafe {
+            let yp = y.as_ptr() as *const __m256i;
+            (
+                _mm256_castsi256_ps(_mm256_loadu_si256(yp)),
+                _mm256_castsi256_ps(_mm256_loadu_si256(yp.add(1))),
+            )
+        };
+        // Each 128-bit lane holds two runs as (quad 0, quad 1) pairs; the
+        // even and odd dwords of both registers are quads 0 and 1.
+        let p0 = _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(y0123, y4567));
+        let p1 = _mm256_castps_si256(_mm256_shuffle_ps::<0b11_01_11_01>(y0123, y4567));
+        let corr = _mm256_dpbusd_avx_epi32(_mm256_dpbusd_avx_epi32(zero, offset, p0), offset, p1);
+        let neg_corr = _mm256_sub_epi32(zero, corr);
+        if d > 0 {
+            let sh = _mm_cvtsi32_si128(d);
+            for a in acc.iter_mut() {
+                *a = _mm256_sra_epi32(*a, sh);
+            }
+        }
+        let sh_prod = _mm_cvtsi32_si128((-d).max(0));
+        for (i, a) in acc.iter_mut().enumerate() {
+            let half = _mm256_dpbusd_avx_epi32(neg_corr, _mm256_set1_epi32(x[2 * i]), p0);
+            let prod = _mm256_dpbusd_avx_epi32(half, _mm256_set1_epi32(x[2 * i + 1]), p1);
+            // The chain merge, i32 width.
+            *a = _mm256_add_epi32(*a, _mm256_sra_epi32(prod, sh_prod));
+        }
+    }
+    let natural = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+    for (i, a) in acc.iter().enumerate() {
+        // SAFETY: eight 32-byte stores tiling the 64-element array.
+        unsafe {
+            _mm256_storeu_si256(
+                acc_out.as_mut_ptr().add(i * 8) as *mut __m256i,
+                _mm256_permutevar8x32_epi32(*a, natural),
+            );
+        }
     }
     acc_exp
 }
@@ -1603,33 +1787,45 @@ pub(crate) mod tests {
         out
     }
 
-    /// Every chain of `pa · pb`, integer for integer: the AVX2 i32 chain
-    /// against the i64 loop. Returns `false` when the host cannot run the
-    /// AVX2 chain.
-    fn assert_chains_agree(pa: &PackedBfp, pb: &PackedBfp) -> bool {
+    /// Every register tier this host's CPU flags allow for plain chains of
+    /// `kb` steps, fastest first.
+    fn register_tiers(kb: usize) -> Vec<ChainKernel> {
+        let mut tiers = Vec::new();
+        if kb < I32_CHAIN_MAX_KB && is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avxvnni") {
+                tiers.push(ChainKernel::VnniI32);
+            }
+            tiers.push(ChainKernel::Avx2I32);
+        }
+        tiers
+    }
+
+    /// Every chain of `pa · pb` on every register tier of this host,
+    /// integer for integer against the i64 loop, and the plain GEMM's
+    /// tier is the fastest of them. Returns the tiers that ran, the plain
+    /// GEMM's first; empty when the host has none.
+    fn assert_chains_agree(pa: &PackedBfp, pb: &PackedBfp) -> Vec<ChainKernel> {
         assert_eq!((pa.block, pb.block), (8, 8));
         let kb = pa.block_cols;
-        if ChainKernel::select(8, kb, false) == ChainKernel::I64 {
-            return false;
-        }
-        let mut xp = vec![0i32; kb * 32];
+        let tiers = register_tiers(kb);
+        let selected = ChainKernel::select(8, kb, false);
+        assert_eq!(selected, tiers.first().copied().unwrap_or(ChainKernel::I64));
         let (mut acc32, mut prod, mut acc64) = ([0i32; 64], [0i32; 64], [0i64; 64]);
-        for bi in 0..pa.block_rows {
-            // SAFETY: `select` returned the AVX2 kernel, so the host has AVX2.
-            unsafe { widen_k_pairs_avx2(&pa.man[bi * kb * 64..][..kb * 64], &mut xp) };
-            for bj in 0..pb.block_cols {
-                let x_exps = &pa.exps[bi * kb..][..kb];
-                let mut plain = ChainSums::default();
-                // SAFETY: as above.
-                let got =
-                    unsafe { chain_i32_avx2::<false>(&xp, x_exps, pb, bj, &mut plain, &mut acc32) };
-                let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
-                assert_eq!(got, want, "exponent of chain ({bi},{bj})");
-                let wide: Vec<i64> = acc32.iter().map(|&a| a as i64).collect();
-                assert_eq!(wide, acc64, "sums of chain ({bi},{bj})");
+        for &tier in &tiers {
+            let mut xs = vec![0i32; tier.staged_words(kb)];
+            for bi in 0..pa.block_rows {
+                tier.stage_lhs(&pa.man[bi * kb * 64..][..kb * 64], &mut xs);
+                for bj in 0..pb.block_cols {
+                    let x_exps = &pa.exps[bi * kb..][..kb];
+                    let got = tier.chain_i32(&xs, x_exps, pb, bj, &mut acc32);
+                    let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
+                    assert_eq!(got, want, "{tier:?}: exponent of chain ({bi},{bj})");
+                    let wide: Vec<i64> = acc32.iter().map(|&a| a as i64).collect();
+                    assert_eq!(wide, acc64, "{tier:?}: sums of chain ({bi},{bj})");
+                }
             }
         }
-        true
+        tiers
     }
 
     #[test]
@@ -1697,11 +1893,13 @@ pub(crate) mod tests {
         // −127·128·8) and nothing is ever shifted away. 2048 steps, and
         // the longest chain the i32 kernel accepts, whose sum 16383·2¹⁷ =
         // 2³¹ − 2¹⁷ is the bound itself.
+        // On the VNNI tier an all-(−128) LHS has u8 offset 0: the whole
+        // product is the column correction.
         for kb in [2048, I32_CHAIN_MAX_KB - 1] {
             for (x, y) in [(-128i8, -128i8), (-128, 127), (127, 127)] {
                 let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 3, |_, _, _| x);
                 let pb = raw(PackSide::Rhs, (kb * 8, 8), |_, _| -5, |_, _, _| y);
-                if assert_chains_agree(&pa, &pb) {
+                if !assert_chains_agree(&pa, &pb).is_empty() {
                     let sum = kb as f64 * 8.0 * x as f64 * y as f64;
                     let out = pa.matmul(&pb).unwrap();
                     assert!(out.data().iter().all(|&v| v == (sum * 0.25) as f32));
@@ -1712,9 +1910,16 @@ pub(crate) mod tests {
 
     #[test]
     fn i32_chain_hands_over_to_i64_at_its_bound() {
-        #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), ChainKernel::Avx2I32);
+            // Plain chains take the fastest tier the CPU has, checked ones
+            // the AVX2 tier whatever else it has.
+            let plain = if is_x86_feature_detected!("avxvnni") {
+                ChainKernel::VnniI32
+            } else {
+                ChainKernel::Avx2I32
+            };
+            assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), plain);
+            assert_eq!(chain_tier(), if plain == ChainKernel::VnniI32 { "avx-vnni" } else { "avx2" });
             let longest_checked = CHECKED_CHAIN_MAX_KB - 1;
             assert_eq!(ChainKernel::select(8, longest_checked, true), ChainKernel::Avx2I32);
             assert_eq!(ChainKernel::select(16, 4, false), ChainKernel::I64);

@@ -5,7 +5,7 @@
 //! bfpacc infer <tiny|small|base>   Table-IV style report for a DeiT model
 //! bfpacc sweep                     measured-vs-theoretical throughput (Fig. 7)
 //! bfpacc trace                     cycle trace of one systolic pass
-//! bfpacc info                      system configuration and resources
+//! bfpacc info                      system configuration, resources, host chain tier
 //! ```
 
 use bfp_core::{fmt_si, Accelerator, LatencyModel, Table};
@@ -158,5 +158,9 @@ fn info() {
         "  headline         : {:.1} GOPS bfp8 measured, {:.2} GFLOPS fp32 theoretical",
         sys.measured_bfp_gops(64),
         sys.theoretical_fp32_gflops(128)
+    );
+    println!(
+        "  host bfp8 chain  : {} (avx-vnni, avx2 or i64)",
+        bfp_arith::packed::chain_tier()
     );
 }
