@@ -54,6 +54,13 @@ pub enum ArithError {
         /// The bound the block was required to meet.
         bound: f64,
     },
+    /// A checked GEMM's output block-row stayed faulty with recovery
+    /// disabled: a checksum mismatch the kernel could not repair, an
+    /// ECC/TMR-uncorrected hardware event, or a non-finite output.
+    UncorrectedFault {
+        /// Output block-row whose chains could not be trusted.
+        block_row: usize,
+    },
 }
 
 impl fmt::Display for ArithError {
@@ -102,6 +109,9 @@ impl fmt::Display for ArithError {
                     block.0, block.1
                 )
             }
+            ArithError::UncorrectedFault { block_row } => {
+                write!(f, "uncorrected fault in output block-row {block_row}")
+            }
         }
     }
 }
@@ -130,6 +140,9 @@ mod tests {
         assert!(ArithError::AccumulatorOverflow
             .to_string()
             .contains("48-bit"));
+
+        let e = ArithError::UncorrectedFault { block_row: 3 };
+        assert!(e.to_string().contains("block-row 3"));
     }
 
     #[test]

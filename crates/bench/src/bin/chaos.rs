@@ -31,7 +31,8 @@
 //! chaos [-- --quick] [--seed N] [--out PATH]`. Writes
 //! `BENCH_FAULTS.json` and asserts the headline acceptance numbers
 //! (ABFT coverage ≥ 99%, zero ABFT silent corruptions, modelled
-//! overhead < 10%), so CI can run it as a gate.
+//! overhead < 10%) and the tally identities (each scheme's outcome
+//! classes and cells sum to its trials), so CI can run it as a gate.
 
 #[cfg(not(feature = "faults"))]
 fn main() {
@@ -107,8 +108,8 @@ mod campaign {
         Ecc,
         /// Triple modular redundancy: run three times, majority-vote bits.
         Tmr,
-        /// Run twice, compare bits (the legacy stepped cross-check cost
-        /// model without the fp32 reference).
+        /// Run twice, compare bits: a duplication check, priced as one
+        /// full re-execution.
         Crosscheck,
         /// ABFT checksum invariant, single GEMM, in-place correction.
         Abft,
@@ -678,6 +679,13 @@ mod campaign {
         println!("wrote {out_path}");
 
         // ---- acceptance gates (CI runs --quick and trusts these) ----
+        for ((t, cells), scheme) in totals.iter().zip(&cells).zip(Scheme::ALL) {
+            let name = scheme.name();
+            let outcomes = t.benign + t.corrected + t.detected + t.silent;
+            assert_eq!(outcomes, t.trials, "{name}: outcome classes");
+            let cell_trials: u64 = cells.iter().map(|c| c.tally.trials).sum();
+            assert_eq!(cell_trials, t.trials, "{name}: cell trials");
+        }
         assert!(
             abft.coverage() >= 0.99,
             "ABFT detection coverage {:.4} < 0.99",

@@ -8,8 +8,7 @@ use bfp_platform::{System, SystemStats};
 use bfp_transformer::{MixedEngine, OpCensus, RefEngine, VitModel};
 
 use crate::latency::{Breakdown, LatencyModel};
-use crate::resilient::{resilient_matmul_with, RecoveryPolicy};
-use bfp_arith::cancel::CancelToken;
+use crate::resilient::{resilient_matmul, RecoveryPolicy};
 use bfp_arith::error::ArithError;
 use bfp_arith::quant::Quantizer;
 
@@ -67,19 +66,24 @@ impl Accelerator {
     /// batch path.
     pub fn try_gemm(&self, a: &MatF32, b: &MatF32) -> Result<(MatF32, GemmReport), ArithError> {
         let (out, stats) = self.system.try_matmul_f32(a, b)?;
-        let seconds = stats.seconds(self.system.freq_hz);
-        let report = GemmReport {
-            stats,
-            seconds,
-            macs: (a.rows() * a.cols() * b.cols()) as u64,
-        };
-        Ok((out, report))
+        Ok((out, self.gemm_report(a, b, stats)))
     }
 
-    /// Fault-tolerant bfp8 GEMM: each output tile is checked against the
-    /// hardware fault telemetry and the numeric guardrails, retried with
-    /// capped backoff, cross-checked cycle-exactly when suspicious, and
-    /// degraded to fp32 if a defect persists (see [`crate::resilient`]).
+    /// One GEMM's report: its statistics, timed at the card's clock.
+    fn gemm_report(&self, a: &MatF32, b: &MatF32, stats: SystemStats) -> GemmReport {
+        let seconds = stats.seconds(self.system.freq_hz);
+        let macs = (a.rows() * a.cols() * b.cols()) as u64;
+        GemmReport {
+            stats,
+            seconds,
+            macs,
+        }
+    }
+
+    /// Fault-tolerant bfp8 GEMM: each output block-row runs on the
+    /// checksum-protected kernel, repairs single-element upsets in place,
+    /// retries what it cannot repair with capped backoff, and degrades to
+    /// fp32 if a defect persists (see [`crate::resilient`]).
     ///
     /// Recovery is firmware-serialised onto one array, so throughput is
     /// not comparable to [`Accelerator::gemm`]; the point of the report
@@ -90,33 +94,13 @@ impl Accelerator {
         b: &MatF32,
         policy: &RecoveryPolicy,
     ) -> Result<(MatF32, GemmReport), ArithError> {
-        self.gemm_resilient_with(a, b, policy, &CancelToken::new())
-    }
-
-    /// [`Accelerator::gemm_resilient`] under a cancel/deadline token: the
-    /// tile loop polls `cancel` and abandons the GEMM with
-    /// [`ArithError::Cancelled`] once it fires, so a serving runtime can
-    /// revoke work whose deadline has already passed.
-    pub fn gemm_resilient_with(
-        &self,
-        a: &MatF32,
-        b: &MatF32,
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<(MatF32, GemmReport), ArithError> {
-        let outcome = resilient_matmul_with(a, b, &Quantizer::paper(), policy, cancel)?;
+        let outcome = resilient_matmul(a, b, &Quantizer::paper(), policy)?;
         let mut stats = SystemStats::default();
         stats.per_array.push(outcome.stats);
         // Backoff stalls the card just like memory overhead does.
         stats.mem_overhead_cycles = outcome.report.backoff_cycles as f64;
         stats.faults = outcome.report;
-        let seconds = stats.seconds(self.system.freq_hz);
-        let report = GemmReport {
-            stats,
-            seconds,
-            macs: (a.rows() * a.cols() * b.cols()) as u64,
-        };
-        Ok((outcome.out, report))
+        Ok((outcome.out, self.gemm_report(a, b, stats)))
     }
 
     /// Run a Transformer forward pass in mixed precision and produce the

@@ -1,80 +1,53 @@
-//! Graceful degradation: execute GEMMs tile by tile with fault detection,
-//! capped-backoff retry, checksum verification, and per-layer fp32
-//! fallback.
+//! Graceful degradation: execute GEMMs one output block-row at a time on
+//! the checksum-protected kernel, with capped-backoff retry and per-row
+//! fp32 fallback.
 //!
 //! The pipeline mirrors what a radiation-tolerant deployment of the card
 //! would do in firmware:
 //!
-//! 1. **Verify** — the default [`VerifyMode::Abft`] runs the GEMM on the
-//!    checksum-protected packed kernel ([`bfp_arith::AbftPacked`]): every
-//!    output chain carries an exact row/column checksum invariant, so any
-//!    numeric corruption — including silent DSP/PSU upsets with no ECC
-//!    coverage — is detected at chain granularity, and single-element
-//!    faults are *corrected algebraically in place* without re-execution.
-//!    The legacy [`VerifyMode::Stepped`] instead re-executes tiles whose
-//!    injection telemetry reports silent perturbations under
-//!    [`Fidelity::Stepped`] and compares bit-for-bit (a full duplication
-//!    check, ~2× the cost of the ~25% checksum overhead).
-//! 2. **Detect** — after each output block-row ("tile"), read the delta of
-//!    the hardware protection counters (ECC/TMR uncorrected events are
-//!    hardware-visible) and run the `bfp_arith::guard` numeric guardrails
-//!    over the tile's values.
-//! 3. **Retry** — a detected-but-uncorrected tile is re-executed after a
-//!    capped exponential backoff (transient upsets de-assert;
+//! 1. **Verify** — every block-row runs on the checked packed kernel
+//!    ([`bfp_arith::AbftPacked`]): each output chain carries an exact
+//!    row/column checksum invariant, so any numeric corruption —
+//!    including silent DSP/PSU upsets with no ECC coverage — is detected
+//!    at chain granularity, and single-element faults are *corrected
+//!    algebraically in place* without re-execution.
+//! 2. **Detect** — after each output block-row, read the delta of the
+//!    hardware protection counters (ECC/TMR uncorrected events are
+//!    hardware-visible, and some — a shared-exponent double-bit upset —
+//!    move data and checksums together) and reject non-finite outputs.
+//! 3. **Retry** — a detected-but-uncorrected block-row is re-executed
+//!    after a capped exponential backoff (transient upsets de-assert;
 //!    `nth`-triggered plan entries have already fired, so replays are
 //!    clean).
-//! 4. **Fall back** — a tile that stays faulty across all retries (a
-//!    persistent defect: stuck lane, latched BRAM cell) is recomputed in
-//!    fp32 on the vector path, and the degradation is counted.
+//! 4. **Fall back** — a block-row that stays faulty across all retries
+//!    (a persistent defect: stuck lane, latched BRAM cell) is recomputed
+//!    in fp32 on the vector path, and the degradation is counted.
 //!
 //! Every action is accounted in a [`FaultReport`], which callers surface
-//! through [`crate::GemmReport`] / `SystemStats`. ABFT in-place repairs
-//! land in `abft_corrections` — distinct from `fp32_fallbacks`, because a
-//! corrected chain never left the bfp8 path.
+//! through [`crate::GemmReport`] / `SystemStats`. [`abft_fault_report`]
+//! is the one place a checksum report becomes fault accounting; the
+//! serving backend uses it too.
 
-use bfp_arith::abft::{AbftOptions, AbftPacked};
+use bfp_arith::abft::{AbftOptions, AbftPacked, AbftReport};
 use bfp_arith::cancel::CancelToken;
 use bfp_arith::error::ArithError;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
-use bfp_faults::FaultReport;
-use bfp_pu::unit::{grid_from_matrix, BlockGrid, Fidelity, ProcessingUnit, UnitConfig};
+use bfp_faults::{FaultCounters, FaultReport};
 use bfp_pu::CycleStats;
-
-/// Which verification scheme guards the primary bfp8 execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyMode {
-    /// No verification beyond the hardware counters and guardrails.
-    None,
-    /// Re-execute tiles with silent perturbations under
-    /// [`Fidelity::Stepped`] and compare bit-for-bit (duplication check).
-    Stepped,
-    /// Checksum-protected kernel: exact ABFT invariant per output chain
-    /// with in-place single-element correction. The default.
-    #[default]
-    Abft,
-}
 
 /// How hard the recovery layer tries before degrading precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Re-executions allowed per tile after a detected fault.
+    /// Re-executions allowed per block-row after a detected fault.
     pub max_retries: u32,
     /// Backoff before the first retry, in cycles.
     pub backoff_base_cycles: u64,
     /// Ceiling for the exponential backoff, in cycles.
     pub backoff_cap_cycles: u64,
-    /// Verification scheme for the primary execution (see [`VerifyMode`]).
-    pub verify: VerifyMode,
-    /// Recompute irrecoverable tiles (and unquantizable layers) in fp32
-    /// instead of returning an error.
+    /// Recompute irrecoverable block-rows (and unquantizable layers) in
+    /// fp32 instead of returning an error.
     pub fp32_fallback: bool,
-    /// Fidelity of the primary tile execution.
-    pub fidelity: Fidelity,
-    /// Largest finite magnitude the guardrails accept in a tile output
-    /// before declaring it corrupted (catches exponent-field upsets that
-    /// stay finite). `f32::INFINITY` disables the watermark.
-    pub overflow_watermark: f32,
 }
 
 impl Default for RecoveryPolicy {
@@ -83,21 +56,18 @@ impl Default for RecoveryPolicy {
             max_retries: 2,
             backoff_base_cycles: 32,
             backoff_cap_cycles: 256,
-            verify: VerifyMode::Abft,
             fp32_fallback: true,
-            fidelity: Fidelity::Functional,
-            overflow_watermark: f32::INFINITY,
         }
     }
 }
 
 impl RecoveryPolicy {
-    /// No recovery at all: detection still runs, but a detected fault is
-    /// immediately a typed error (or an fp32 fallback is never taken).
+    /// No recovery: the checksums still verify and repair in place, but a
+    /// fault they cannot repair is immediately a typed error — no retry,
+    /// no fp32 fallback.
     pub fn strict() -> Self {
         RecoveryPolicy {
             max_retries: 0,
-            verify: VerifyMode::None,
             fp32_fallback: false,
             ..Self::default()
         }
@@ -130,17 +100,35 @@ impl RecoveryPolicy {
 /// plus everything that happened along the way.
 #[derive(Debug, Clone)]
 pub struct ResilientOutcome {
-    /// The output matrix. Tiles that fell back are fp32-exact; healthy
-    /// tiles are the usual dequantized bfp8 product.
+    /// The output matrix. Block-rows that fell back are fp32-exact;
+    /// healthy ones are the usual dequantized bfp8 product.
     pub out: MatF32,
     /// Fault and recovery accounting for the whole GEMM.
     pub report: FaultReport,
-    /// Aggregate cycle statistics across all tile executions (retries and
-    /// cross-checks included — recovery work costs real cycles).
+    /// Modelled cycle statistics across all block-row executions
+    /// (retries included — recovery work costs real cycles).
     pub stats: CycleStats,
 }
 
-/// Execute `a × b` in bfp8 with the full detect → retry → cross-check →
+/// How one checked-kernel report counts as faults: every invariant
+/// mismatch is a detection, in-place repairs are ABFT corrections —
+/// distinct from `fp32_fallbacks`, because a corrected chain never left
+/// the bfp8 path — and elements perturbed through the kernel's tamper
+/// seam are injected events.
+pub fn abft_fault_report(r: &AbftReport) -> FaultReport {
+    FaultReport {
+        counters: FaultCounters {
+            injected: r.tampered,
+            ..FaultCounters::default()
+        },
+        detected: r.detections,
+        abft_detections: r.detections,
+        abft_corrections: r.corrections(),
+        ..FaultReport::default()
+    }
+}
+
+/// Execute `a × b` in bfp8 with the full verify → detect → retry →
 /// fall-back pipeline, one output block-row at a time.
 ///
 /// Returns a typed error only when recovery is disabled by `policy` (or
@@ -156,12 +144,12 @@ pub fn resilient_matmul(
 
 /// [`resilient_matmul`] with a cooperative cancel/deadline token.
 ///
-/// The token is polled at every tile boundary and before every backoff
-/// retry — the executor's natural preemption points — so a serving
-/// runtime can revoke a GEMM whose deadline has passed (or whose array is
-/// being drained for quarantine) without waiting for the whole product.
-/// A fired token surfaces as [`ArithError::Cancelled`]; tiles already
-/// committed are discarded with the partial output.
+/// The token is polled at every block-row boundary and before every
+/// backoff retry — the executor's natural preemption points — so a
+/// serving runtime can revoke a GEMM whose deadline has passed (or whose
+/// array is being drained for quarantine) without waiting for the whole
+/// product. A fired token surfaces as [`ArithError::Cancelled`]; rows
+/// already committed are discarded with the partial output.
 pub fn resilient_matmul_with(
     a: &MatF32,
     b: &MatF32,
@@ -176,139 +164,33 @@ pub fn resilient_matmul_with(
         });
     }
 
-    if policy.verify == VerifyMode::Abft {
-        return abft_matmul(a, b, quantizer, policy, cancel);
-    }
-
-    let mut report = FaultReport::default();
-
     // Layer-level degradation: operands the quantizer rejects (non-finite
     // values) can never run on the bfp8 path, so the whole layer falls
     // back to fp32 — the same policy `MixedEngine` applies.
-    let (qa, qb) = match (quantizer.quantize(a), quantizer.quantize(b)) {
-        (Ok(qa), Ok(qb)) => (qa, qb),
-        (ra, rb) => {
-            let err = ra.err().or(rb.err()).expect("one side failed");
-            if !policy.fp32_fallback {
-                return Err(err);
-            }
-            report.detected += 1;
-            report.fp32_fallbacks += 1;
+    let packed = AbftPacked::quantize_pack_lhs(quantizer, a)
+        .and_then(|pa| Ok((pa, AbftPacked::quantize_pack_rhs(quantizer, b)?)));
+    let (pa, pb) = match packed {
+        Ok(p) => p,
+        Err(err) if !policy.fp32_fallback => return Err(err),
+        Err(_) => {
+            let report = FaultReport {
+                detected: 1,
+                fp32_fallbacks: 1,
+                ..FaultReport::default()
+            };
+            let stats = CycleStats::default();
             return Ok(ResilientOutcome {
                 out: a.matmul(b),
                 report,
-                stats: CycleStats::default(),
-            });
-        }
-    };
-
-    let ga = grid_from_matrix(&qa);
-    let gb = grid_from_matrix(&qb);
-    let mut out = MatF32::zeros(a.rows(), b.cols());
-    let mut stats = CycleStats::default();
-
-    for (bi, row) in ga.iter().enumerate() {
-        cancel.check()?;
-        let tile: BlockGrid = vec![row.clone()];
-        let mut attempt = 0u32;
-        loop {
-            let (values, delta, s) = run_tile(&tile, &gb, policy.fidelity);
-            stats.merge(&s);
-            report.counters.merge(&delta);
-
-            let mut faulty = delta.uncorrected() > 0 || !tile_clean(&values, policy);
-
-            // Silent events (no ECC/TMR coverage) may or may not have
-            // perturbed the numerics; confirm with a cycle-exact replay
-            // before paying for a retry.
-            if !faulty && delta.silent() > 0 && policy.verify == VerifyMode::Stepped {
-                report.stepped_crosschecks += 1;
-                let (check, check_delta, cs) = run_tile(&tile, &gb, Fidelity::Stepped);
-                stats.merge(&cs);
-                report.counters.merge(&check_delta);
-                faulty = check != values || check_delta.uncorrected() > 0;
-            }
-
-            if !faulty {
-                commit_tile(&mut out, bi, &values, b.cols());
-                break;
-            }
-
-            report.detected += 1;
-            if attempt < policy.max_retries {
-                // A retry burns backoff cycles; don't start one the
-                // deadline can no longer afford.
-                cancel.check()?;
-                report.retries += 1;
-                report.backoff_cycles += policy.backoff(attempt);
-                attempt += 1;
-                continue;
-            }
-
-            // Retries exhausted: persistent defect. Degrade this tile's
-            // block-row to fp32 on the vector path.
-            if !policy.fp32_fallback {
-                return Err(ArithError::AccumulatorOverflow);
-            }
-            report.fp32_fallbacks += 1;
-            let rows = tile_rows(bi, a.rows());
-            for i in rows.clone() {
-                for j in 0..b.cols() {
-                    let mut acc = 0f64;
-                    for k in 0..a.cols() {
-                        acc += a.get(i, k) as f64 * b.get(k, j) as f64;
-                    }
-                    out.set(i, j, acc as f32);
-                }
-            }
-            break;
-        }
-    }
-
-    Ok(ResilientOutcome { out, report, stats })
-}
-
-/// The [`VerifyMode::Abft`] execution path: pack both operands with
-/// checksum lanes once, then run the checked kernel one output block-row
-/// at a time. A chain the kernel corrects in place costs nothing beyond
-/// the checksum maintenance already paid; only *uncorrectable* chains (or
-/// hardware-flagged uncorrected events, or guardrail violations) enter
-/// the retry → fp32-fallback ladder.
-fn abft_matmul(
-    a: &MatF32,
-    b: &MatF32,
-    quantizer: &Quantizer,
-    policy: &RecoveryPolicy,
-    cancel: &CancelToken,
-) -> Result<ResilientOutcome, ArithError> {
-    let mut report = FaultReport::default();
-
-    // Layer-level degradation, same policy as the legacy path: operands
-    // the quantizer rejects can never run on the bfp8 path.
-    let (pa, pb) = match (
-        AbftPacked::quantize_pack_lhs(quantizer, a),
-        AbftPacked::quantize_pack_rhs(quantizer, b),
-    ) {
-        (Ok(pa), Ok(pb)) => (pa, pb),
-        (ra, rb) => {
-            let err = ra.err().or_else(|| rb.err()).expect("one side failed");
-            if !policy.fp32_fallback {
-                return Err(err);
-            }
-            report.detected += 1;
-            report.fp32_fallbacks += 1;
-            return Ok(ResilientOutcome {
-                out: a.matmul(b),
-                report,
-                stats: CycleStats::default(),
+                stats,
             });
         }
     };
 
     let blk = pa.packed().block();
     let (mb, _) = pa.packed().grid();
-    let n = b.cols();
-    let k = a.cols();
+    let (k, n) = (a.cols(), b.cols());
+    let mut report = FaultReport::default();
     let mut out = MatF32::zeros(a.rows(), n);
     let mut stats = CycleStats::default();
     let mem = bfp_platform::MemParams::paper_calibrated();
@@ -324,13 +206,7 @@ fn abft_matmul(
             let r = pa.matmul_rows_into(&pb, bi, bi + 1, buf, &mut AbftOptions::default());
             let delta = bfp_faults::counters() - before;
             report.counters.merge(&delta);
-
-            // Checksum-layer accounting: every invariant mismatch is a
-            // detection; in-place repairs are corrections, reported
-            // distinctly from fp32_fallbacks (the chain never degraded).
-            report.abft_detections += r.detections;
-            report.abft_corrections += r.corrections();
-            report.detected += r.detections;
+            report.merge(&abft_fault_report(&r));
             let hw_uncorrected = delta.uncorrected() > 0;
             if hw_uncorrected && r.detections == 0 {
                 // Hardware flagged an event the checksums cannot see
@@ -347,12 +223,14 @@ fn abft_matmul(
             stats.bfp_ops += 2 * ((r1 - r0) * k * n) as u64;
 
             let faulty =
-                !r.uncorrected.is_empty() || hw_uncorrected || !rows_clean(buf, policy);
+                !r.uncorrected.is_empty() || hw_uncorrected || !buf.iter().all(|v| v.is_finite());
             if !faulty {
                 break;
             }
 
             if attempt < policy.max_retries {
+                // A retry burns backoff cycles; don't start one the
+                // deadline can no longer afford.
                 cancel.check()?;
                 report.retries += 1;
                 report.backoff_cycles += policy.backoff(attempt);
@@ -360,19 +238,14 @@ fn abft_matmul(
                 continue;
             }
 
+            // Retries exhausted: persistent defect. Degrade this
+            // block-row to fp32 on the vector path.
             if !policy.fp32_fallback {
-                return Err(ArithError::AccumulatorOverflow);
+                return Err(ArithError::UncorrectedFault { block_row: bi });
             }
             report.fp32_fallbacks += 1;
-            for i in r0..r1 {
-                for j in 0..n {
-                    let mut acc = 0f64;
-                    for kk in 0..k {
-                        acc += a.get(i, kk) as f64 * b.get(kk, j) as f64;
-                    }
-                    out.set(i, j, acc as f32);
-                }
-            }
+            let rows = MatF32::from_vec(r1 - r0, k, a.data()[r0 * k..r1 * k].to_vec());
+            buf.copy_from_slice(rows.matmul(b).data());
             break;
         }
     }
@@ -380,66 +253,10 @@ fn abft_matmul(
     Ok(ResilientOutcome { out, report, stats })
 }
 
-/// Numeric guardrails over a committed output shard.
-fn rows_clean(rows: &[f32], policy: &RecoveryPolicy) -> bool {
-    rows.iter()
-        .all(|v| v.is_finite() && v.abs() <= policy.overflow_watermark)
-}
-
-/// Execute one tile (a block-row strip against all of `y`) on a fresh
-/// unit, returning the dequantized values and the fault-counter delta.
-fn run_tile(
-    x: &BlockGrid,
-    y: &BlockGrid,
-    fidelity: Fidelity,
-) -> (Vec<Vec<f32>>, bfp_faults::FaultCounters, CycleStats) {
-    let before = bfp_faults::counters();
-    let mut unit = ProcessingUnit::new(UnitConfig {
-        fidelity,
-        ..UnitConfig::default()
-    });
-    let wide = unit.matmul_grid(x, y);
-    let delta = bfp_faults::counters() - before;
-
-    let nb = wide[0].len();
-    let mut values = vec![vec![0f32; nb * 8]; 8];
-    for (bj, w) in wide[0].iter().enumerate() {
-        let scale = (w.exp as f64).exp2();
-        for i in 0..8 {
-            for j in 0..8 {
-                values[i][bj * 8 + j] = (w.man[i][j] as f64 * scale) as f32;
-            }
-        }
-    }
-    (values, delta, unit.take_stats())
-}
-
-/// Numeric guardrails over one tile's dequantized values.
-fn tile_clean(values: &[Vec<f32>], policy: &RecoveryPolicy) -> bool {
-    values
-        .iter()
-        .flatten()
-        .all(|v| v.is_finite() && v.abs() <= policy.overflow_watermark)
-}
-
-/// Rows of the output covered by block-row `bi`.
-fn tile_rows(bi: usize, rows: usize) -> std::ops::Range<usize> {
-    bi * 8..((bi + 1) * 8).min(rows)
-}
-
-/// Write a tile's values into the output, clipping grid padding.
-fn commit_tile(out: &mut MatF32, bi: usize, values: &[Vec<f32>], cols: usize) {
-    let rows = out.rows();
-    for i in tile_rows(bi, rows) {
-        for j in 0..cols {
-            out.set(i, j, values[i - bi * 8][j]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfp_pu::unit::{grid_from_matrix, Fidelity, ProcessingUnit, UnitConfig};
 
     fn ramp(rows: usize, cols: usize) -> MatF32 {
         MatF32::from_fn(rows, cols, |i, j| ((i * cols + j) % 13) as f32 - 6.0)
@@ -457,30 +274,28 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_verifies_with_abft_and_strict_disables_verification() {
-        assert_eq!(RecoveryPolicy::default().verify, VerifyMode::Abft);
-        assert_eq!(RecoveryPolicy::strict().verify, VerifyMode::None);
-    }
-
-    #[test]
-    fn abft_and_stepped_paths_agree_bitwise_on_healthy_hardware() {
-        let a = ramp(24, 16);
-        let b = ramp(16, 24);
+    fn ladder_matches_the_stepped_cycle_simulator_bitwise() {
+        // Non-integer operands on a ragged shape, so every block carries
+        // a real shared exponent and the alignment chain truncates.
+        let a = MatF32::from_fn(21, 40, |i, j| ((i * 7 + j * 3) as f32 * 0.37).sin() * 2.5);
+        let b = MatF32::from_fn(40, 19, |i, j| ((i * 5 + j * 11) as f32 * 0.23).cos() * 0.8);
         let q = Quantizer::paper();
-        let abft = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
-        let stepped = resilient_matmul(
-            &a,
-            &b,
-            &q,
-            &RecoveryPolicy {
-                verify: VerifyMode::Stepped,
-                ..RecoveryPolicy::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(abft.out, stepped.out, "same bfp8 semantics on both paths");
-        assert!(abft.report.is_clean());
-        assert!(stepped.report.is_clean());
+        let got = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        assert!(got.report.is_clean(), "{}", got.report);
+
+        let cfg = UnitConfig {
+            fidelity: Fidelity::Stepped,
+            ..UnitConfig::default()
+        };
+        let wide = ProcessingUnit::new(cfg).matmul_grid(
+            &grid_from_matrix(&q.quantize(&a).unwrap()),
+            &grid_from_matrix(&q.quantize(&b).unwrap()),
+        );
+        for (i, j) in (0..a.rows()).flat_map(|i| (0..b.cols()).map(move |j| (i, j))) {
+            let w = &wide[i / 8][j / 8];
+            let want = (w.man[i % 8][j % 8] as f64 * (w.exp as f64).exp2()) as f32;
+            assert_eq!(got.out.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+        }
     }
 
     #[test]
@@ -523,6 +338,21 @@ mod tests {
         let q = Quantizer::paper();
         let err = resilient_matmul(&a, &ramp(8, 8), &q, &RecoveryPolicy::strict()).unwrap_err();
         assert!(matches!(err, ArithError::NonFinite { at: (0, 0) }));
+    }
+
+    #[test]
+    fn abft_fault_report_counts_detections_repairs_and_tampering() {
+        let f = abft_fault_report(&AbftReport {
+            detections: 3,
+            corrected_elements: 1,
+            corrected_checksums: 1,
+            tampered: 4,
+            ..AbftReport::default()
+        });
+        assert_eq!(f.counters.injected, 4);
+        assert_eq!((f.detected, f.abft_detections), (3, 3));
+        assert_eq!((f.abft_corrections, f.uncorrected_detections()), (2, 1));
+        assert!(abft_fault_report(&AbftReport::default()).is_clean());
     }
 
     #[test]

@@ -64,43 +64,6 @@ impl Schedule {
         self.serial_cycles / self.makespan_cycles
     }
 
-    /// Makespan after fault recovery (degraded mode): backoff stalls the
-    /// card outright, every retry and stepped cross-check re-executes one
-    /// tile pass of `tile_cycles`, and every per-layer fp32 fallback
-    /// re-runs its GEMM on the vector path at `fallback_cycles`.
-    ///
-    /// The inputs come straight from the [`bfp_faults::FaultReport`] a
-    /// resilient execution produces, so a schedule can price the same
-    /// fault history it just survived.
-    pub fn degraded_cycles(
-        &self,
-        faults: &bfp_faults::FaultReport,
-        tile_cycles: f64,
-        fallback_cycles: f64,
-    ) -> f64 {
-        self.makespan_cycles
-            + faults.backoff_cycles as f64
-            + (faults.retries + faults.stepped_crosschecks) as f64 * tile_cycles
-            + faults.fp32_fallbacks as f64 * fallback_cycles
-    }
-
-    /// [`Schedule::degraded_cycles`] for an ABFT-protected execution: on
-    /// top of the backoff/retry/fallback pricing, every checksum
-    /// detection costs `abft_event_cycles` of localization work (the
-    /// row×column intersection and, when it succeeds, the in-place
-    /// repair). The *steady-state* checksum maintenance is not priced
-    /// here — it belongs in the pass model via
-    /// [`abft_overhead_cycles`], faults or no faults.
-    pub fn degraded_cycles_abft(
-        &self,
-        faults: &bfp_faults::FaultReport,
-        tile_cycles: f64,
-        fallback_cycles: f64,
-        abft_event_cycles: f64,
-    ) -> f64 {
-        self.degraded_cycles(faults, tile_cycles, fallback_cycles)
-            + faults.abft_detections as f64 * abft_event_cycles
-    }
 }
 
 /// Modelled cycle overhead of checksum protection for an `m × k × n`
@@ -381,48 +344,6 @@ mod tests {
         };
         let s = schedule(&g, &one);
         assert!((s.makespan_cycles - s.switch_cycles - s.serial_cycles).abs() < 1.0);
-    }
-
-    #[test]
-    fn degraded_mode_prices_recovery_work() {
-        let g = lower_vit(&VitConfig::tiny_test());
-        let s = schedule(&g, &sys());
-        let clean = bfp_faults::FaultReport::default();
-        assert_eq!(
-            s.degraded_cycles(&clean, 100.0, 1000.0),
-            s.makespan_cycles,
-            "no faults, no overhead"
-        );
-        let faults = bfp_faults::FaultReport {
-            retries: 2,
-            backoff_cycles: 96,
-            stepped_crosschecks: 1,
-            fp32_fallbacks: 1,
-            ..Default::default()
-        };
-        let got = s.degraded_cycles(&faults, 100.0, 1000.0);
-        assert_eq!(got, s.makespan_cycles + 96.0 + 3.0 * 100.0 + 1000.0);
-    }
-
-    #[test]
-    fn abft_degraded_mode_prices_detection_events() {
-        let g = lower_vit(&VitConfig::tiny_test());
-        let s = schedule(&g, &sys());
-        let faults = bfp_faults::FaultReport {
-            retries: 1,
-            backoff_cycles: 32,
-            abft_detections: 4,
-            abft_corrections: 3,
-            fp32_fallbacks: 1,
-            ..Default::default()
-        };
-        let got = s.degraded_cycles_abft(&faults, 100.0, 1000.0, 25.0);
-        // Corrections are free beyond the detection's localization work:
-        // only detections are priced, on top of the base degraded model.
-        assert_eq!(
-            got,
-            s.degraded_cycles(&faults, 100.0, 1000.0) + 4.0 * 25.0
-        );
     }
 
     #[test]

@@ -353,7 +353,7 @@ mod tests {
         // ticks, nothing is corrected or flagged.
         assert_eq!(c.injected, 2);
         assert_eq!(c.ecc_corrected + c.ecc_uncorrected, 0);
-        assert_eq!(c.silent(), 2);
+        assert_eq!(c.tmr_corrected + c.tmr_uncorrected, 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   sites do not exist; with it on but no plan installed, each hook is
 //!   a single relaxed atomic load.
 //! * [`FaultReport`] / [`FaultCounters`] — corrected vs. uncorrected
-//!   event accounting plus the recovery counters (retries, stepped
-//!   cross-checks, fp32 fallbacks) filled in by `bfp-core`.
+//!   event accounting plus the recovery counters (retries, ABFT
+//!   corrections, fp32 fallbacks) filled in by `bfp-core`.
 //!
 //! Injection is deterministic: every spec carries its own access
 //! counter, so "the `nth` access of this site" always means the same

@@ -31,17 +31,6 @@ impl FaultCounters {
         self.ecc_uncorrected + self.tmr_uncorrected
     }
 
-    /// Events that silently perturb data (no ECC/TMR coverage): P-reg
-    /// and PSU flips, stuck lanes, dropped partials. These are caught
-    /// by the numeric guardrails or the stepped cross-check instead.
-    pub fn silent(&self) -> u64 {
-        self.injected
-            - self.ecc_corrected
-            - self.ecc_uncorrected
-            - self.tmr_corrected
-            - self.tmr_uncorrected
-    }
-
     /// Whether any event at all was recorded.
     pub fn any(&self) -> bool {
         self.injected != 0
@@ -107,8 +96,6 @@ pub struct FaultReport {
     pub retries: u64,
     /// Idle cycles spent in capped exponential backoff before retries.
     pub backoff_cycles: u64,
-    /// Suspicious tiles re-run under `Fidelity::Stepped` as cross-check.
-    pub stepped_crosschecks: u64,
     /// ABFT checksum mismatches observed (corrected or not). Distinct
     /// from `detected`, which also counts guardrail trips and hardware
     /// uncorrected events.
@@ -133,7 +120,6 @@ impl FaultReport {
         self.detected += other.detected;
         self.retries += other.retries;
         self.backoff_cycles += other.backoff_cycles;
-        self.stepped_crosschecks += other.stepped_crosschecks;
         self.abft_detections += other.abft_detections;
         self.abft_corrections += other.abft_corrections;
         self.fp32_fallbacks += other.fp32_fallbacks;
@@ -147,9 +133,6 @@ impl FaultReport {
             detected: self.detected.saturating_sub(earlier.detected),
             retries: self.retries.saturating_sub(earlier.retries),
             backoff_cycles: self.backoff_cycles.saturating_sub(earlier.backoff_cycles),
-            stepped_crosschecks: self
-                .stepped_crosschecks
-                .saturating_sub(earlier.stepped_crosschecks),
             abft_detections: self.abft_detections.saturating_sub(earlier.abft_detections),
             abft_corrections: self
                 .abft_corrections
@@ -253,8 +236,7 @@ impl fmt::Display for FaultReport {
             "faults: {} injected ({} ecc-corrected, {} ecc-uncorrected, \
              {} tmr-corrected, {} tmr-uncorrected, {} stuck, {} dropped) | \
              recovery: {} detected, {} retries ({} backoff cycles), \
-             {} stepped cross-checks, {} abft detections \
-             ({} abft-corrected), {} fp32 fallbacks",
+             {} abft detections ({} abft-corrected), {} fp32 fallbacks",
             c.injected,
             c.ecc_corrected,
             c.ecc_uncorrected,
@@ -265,7 +247,6 @@ impl fmt::Display for FaultReport {
             self.detected,
             self.retries,
             self.backoff_cycles,
-            self.stepped_crosschecks,
             self.abft_detections,
             self.abft_corrections,
             self.fp32_fallbacks,
@@ -293,7 +274,6 @@ mod tests {
         let d = a - b;
         assert_eq!(d.injected, 3);
         assert_eq!(d.uncorrected(), 1);
-        assert_eq!(d.silent(), 1);
 
         let mut r = FaultReport::default();
         assert!(r.is_clean());

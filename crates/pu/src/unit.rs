@@ -87,14 +87,6 @@ impl CycleStats {
         }
         self.flops as f64 / self.seconds(freq_hz)
     }
-
-    /// Accumulate another stat block (sequential composition).
-    pub fn merge(&mut self, other: &CycleStats) {
-        self.cycles += other.cycles;
-        self.preload_cycles += other.preload_cycles;
-        self.bfp_ops += other.bfp_ops;
-        self.flops += other.flops;
-    }
 }
 
 /// A grid of 8×8 bfp blocks (row-major tiles of a matrix).

@@ -27,6 +27,7 @@ use bfp_arith::quant::Quantizer;
 use bfp_arith::{AbftOptions, AbftPacked};
 use bfp_core::degrade::{gelu_with_mode, op_count_latency_s};
 use bfp_core::prelude::{DivisionPolicy, MixedEngine, NonlinearMode, Vpu};
+use bfp_core::resilient::abft_fault_report;
 use bfp_faults::FaultReport;
 use bfp_platform::nonlinear::NonlinearUnit;
 
@@ -245,15 +246,10 @@ impl ArrayBackend for SimArrayBackend {
         // execution with uncorrected detections is discarded by the
         // runtime, so its drain work is written off, exactly as the
         // composed path skipped the VPU pass entirely.
-        if op == ServeOp::GemmGelu && r.detections.saturating_sub(r.corrections()) == 0 {
+        let faults = abft_fault_report(&r);
+        if op == ServeOp::GemmGelu && faults.uncorrected_detections() == 0 {
             modelled_s += op_count_latency_s(&self.vpu_unit, &vpu.count);
         }
-
-        let mut faults = FaultReport::default();
-        faults.counters.injected = r.tampered;
-        faults.abft_detections = r.detections;
-        faults.abft_corrections = r.corrections();
-        faults.detected = r.detections;
         Ok((out, Telemetry { faults, modelled_s }))
     }
 }

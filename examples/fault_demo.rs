@@ -12,7 +12,6 @@ use bfp_arith::matrix::MatF32;
 use bfp_core::resilient::RecoveryPolicy;
 use bfp_core::Accelerator;
 use bfp_faults::{FaultPlan, FaultSpec};
-use bfp_pu::unit::Fidelity;
 
 fn main() {
     let (m, k, n) = (197, 384, 64); // one DeiT-Small attention-head projection
@@ -38,12 +37,8 @@ fn main() {
 
     let _session = bfp_faults::install(plan);
     let acc = Accelerator::u280();
-    let policy = RecoveryPolicy {
-        fidelity: Fidelity::Stepped,
-        ..RecoveryPolicy::default()
-    };
     let (out, report) = acc
-        .gemm_resilient(&a, &b, &policy)
+        .gemm_resilient(&a, &b, &RecoveryPolicy::default())
         .expect("recovery handles every injected fault");
 
     let worst = out
