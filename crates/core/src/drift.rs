@@ -33,7 +33,7 @@ pub struct NodeTime {
 }
 
 /// Fold an engine's `plan.node.<key>` spans (from a tracer attached with
-/// [`bfp_transformer::MixedEngine::attach_telemetry`]) into per-key node
+/// [`bfp_transformer::MixedEngine::attach_tracer`]) into per-key node
 /// times. Every other event is ignored.
 pub fn node_times(events: &[TraceEvent]) -> HashMap<String, NodeTime> {
     let mut out: HashMap<String, NodeTime> = HashMap::new();
@@ -120,13 +120,13 @@ mod tests {
     use crate::graph::lower_vit;
     use crate::planner::plan_fusion;
     use bfp_platform::System;
-    use bfp_telemetry::{Registry, Tracer};
+    use bfp_telemetry::Tracer;
     use bfp_transformer::{MixedEngine, VitConfig};
 
-    /// Attach a fresh tracer (and a throwaway registry) to `engine`.
+    /// Attach a fresh tracer to `engine`.
     fn attach(engine: &mut MixedEngine) -> Tracer {
         let tracer = Tracer::new();
-        engine.attach_telemetry(tracer.clone(), &Registry::new());
+        engine.attach_tracer(tracer.clone());
         tracer
     }
 

@@ -32,7 +32,6 @@
 
 pub mod accelerator;
 pub mod compiler;
-pub mod degrade;
 pub mod drift;
 pub mod fastgemm;
 pub mod graph;
@@ -46,7 +45,6 @@ pub mod vpucost;
 
 pub use accelerator::{Accelerator, GemmReport, InferenceReport};
 pub use compiler::{compile_gemm, compile_gemm_blocks, CompiledGemm, DrainSlot};
-pub use degrade::{gelu_with_mode, op_count_latency_s};
 pub use drift::{attribute_plan_drift, canonical_node_key, drift_samples, node_times, NodeTime};
 pub use fastgemm::{packed_matmul, ParallelPolicy};
 pub use graph::{lower_vit, Graph, OpKind, OpNode};
@@ -62,7 +60,7 @@ pub use bfp_faults::{FaultCounters, FaultReport};
 pub use vprog::{
     compile_exp, compile_recip, compile_softmax, DivMode, VBuilder, VInstr, VMachine, VProgram,
 };
-pub use vpucost::{nonlinear_cycles, nonlinear_latency_s, op_mix};
+pub use vpucost::{nonlinear_cycles, op_mix};
 
 /// Commonly used types from across the workspace.
 pub mod prelude {

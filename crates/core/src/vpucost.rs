@@ -36,11 +36,6 @@ pub fn nonlinear_cycles(unit: &NonlinearUnit, census: &OpCensus) -> f64 {
         + unit.cycles(&op_mix(&census.layernorm))
 }
 
-/// Wall-clock seconds for [`nonlinear_cycles`] at the unit's clock.
-pub fn nonlinear_latency_s(unit: &NonlinearUnit, census: &OpCensus) -> f64 {
-    nonlinear_cycles(unit, census) / unit.freq_hz
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +106,5 @@ mod tests {
             "host round-trips dominate exact mode: {ce} vs {cf}"
         );
         assert_eq!(fast.host_ops(), 0);
-    }
-
-    #[test]
-    fn latency_is_cycles_over_clock() {
-        let unit = NonlinearUnit::recommended();
-        let census = analytical_census_mode(&VitConfig::tiny_test(), NonlinearMode::Fast);
-        let c = nonlinear_cycles(&unit, &census);
-        let s = nonlinear_latency_s(&unit, &census);
-        assert!((s * unit.freq_hz - c).abs() < 1e-6);
     }
 }

@@ -1,10 +1,9 @@
 //! Serving-fleet observability types: array health and runtime counters.
 //!
 //! The serving runtime (`bfp-serve`) owns the policy — when an array is
-//! degraded, quarantined, probed, or re-admitted — but the *vocabulary*
-//! lives here, next to [`crate::SystemStats`], so that platform-level
-//! reports can carry a serving snapshot without depending on the runtime
-//! crate (which sits above this one in the dependency graph).
+//! degraded, quarantined, probed, or re-admitted — and fills these
+//! snapshots; `bfp-serve` re-exports them, so its users need no direct
+//! dependency on this crate.
 
 use std::fmt;
 
@@ -142,10 +141,11 @@ pub struct ArrayServeStats {
     pub health: ArrayHealth,
     /// Requests completed successfully on this array.
     pub completed: u64,
-    /// Executions on which a fault was detected mid-request. Outputs
-    /// with *uncorrected* detections are discarded and re-routed;
-    /// ABFT-corrected executions (see `faults.abft_corrections`) are
-    /// bit-exact and served, but still count here for health tracking.
+    /// Executions on which a fault was detected mid-request, plus
+    /// shadow-lane envelope violations. Outputs with *uncorrected*
+    /// detections are discarded and re-routed; ABFT-corrected executions
+    /// (see `faults.abft_corrections`) are bit-exact and served, but
+    /// still count here for health tracking.
     pub faulted_executions: u64,
     /// Golden self-test probes run while quarantined.
     pub probes_run: u64,
@@ -259,8 +259,8 @@ pub struct BrownoutStats {
     pub sheds: u64,
 }
 
-/// Snapshot of the serving runtime's counters, surfaced through
-/// [`crate::SystemStats::serve`].
+/// Snapshot of the serving runtime's counters (`Server::stats` in
+/// `bfp-serve`).
 ///
 /// Accounting identities (checked by the runtime's tests):
 /// `admitted + rejected == submitted` and, in *every* snapshot,
@@ -273,10 +273,13 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Requests accepted into the queue.
     pub admitted: u64,
-    /// Requests refused at admission (queue full under `Reject` /
-    /// `BlockWithTimeout` backpressure).
+    /// Requests refused at admission, for any reason: shutdown, open
+    /// breaker, quota, brownout, unmeetable or expired deadline, queue
+    /// full, admission timeout.
     pub rejected: u64,
-    /// Admitted requests evicted by `ShedOldest` backpressure.
+    /// Admitted requests evicted from the queue, by `ShedOldest`
+    /// backpressure or by the brownout ladder's `Bulk` shedding; a subset
+    /// of `failed`.
     pub shed: u64,
     /// Requests answered successfully.
     pub completed: u64,
@@ -300,8 +303,10 @@ pub struct ServeStats {
     pub brownout_rejected: u64,
     /// Executions retried on a different array after a detected fault.
     pub retries: u64,
-    /// Executions discarded due to detected faults (fleet-wide sum of
-    /// per-array `faulted_executions`).
+    /// Executions flagged against an array's health (fleet-wide sum of
+    /// per-array `faulted_executions`): every execution with a detected
+    /// fault — discarded when uncorrected, served when ABFT corrected it
+    /// — plus every shadow-lane envelope violation.
     pub degraded_executions: u64,
     /// Highest queue depth observed.
     pub queue_depth_high_water: usize,
@@ -436,7 +441,7 @@ impl fmt::Display for ServeStats {
             f,
             "serve: {} submitted | {} admitted, {} rejected, {} shed | \
              {} completed, {} failed ({} deadline-missed) | \
-             {} retries, {} faulted executions discarded | \
+             {} retries, {} faulted executions flagged | \
              queue high-water {} | {} queued, {} in-flight",
             self.submitted,
             self.admitted,

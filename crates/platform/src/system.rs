@@ -37,9 +37,6 @@ pub struct SystemStats {
     /// layer did about them. Clean (all zeros) when no fault session is
     /// installed.
     pub faults: bfp_faults::FaultReport,
-    /// Serving-runtime snapshot, when this statistic block was produced
-    /// by a serving fleet rather than a single GEMM (`None` otherwise).
-    pub serve: Option<crate::serving::ServeStats>,
 }
 
 impl SystemStats {
@@ -69,8 +66,8 @@ impl SystemStats {
     }
 
     /// Publish the snapshot into a metrics [`Registry`] as gauges
-    /// (idempotent: re-publishing a newer snapshot overwrites). Includes
-    /// the fault counters and, when present, the serving snapshot.
+    /// (idempotent: re-publishing a newer snapshot overwrites), fault
+    /// counters included.
     pub fn publish(&self, reg: &Registry) {
         reg.gauge("system_arrays").set(self.per_array.len() as f64);
         reg.gauge("system_critical_cycles")
@@ -97,9 +94,6 @@ impl SystemStats {
         reg.gauge("faults_retries").set(self.faults.retries as f64);
         reg.gauge("faults_fp32_fallbacks")
             .set(self.faults.fp32_fallbacks as f64);
-        if let Some(serve) = &self.serve {
-            serve.publish(reg);
-        }
     }
 }
 
@@ -118,9 +112,6 @@ impl fmt::Display for SystemStats {
         write!(f, "{}", t.render())?;
         if !self.faults.is_clean() {
             write!(f, "{}", self.faults)?;
-        }
-        if let Some(serve) = &self.serve {
-            write!(f, "{serve}")?;
         }
         Ok(())
     }
@@ -446,19 +437,6 @@ mod tests {
         assert!(prom.contains("faults_injected 0"), "{prom}");
         let bfp_ops = reg.gauge("system_bfp_ops").get();
         assert_eq!(bfp_ops, stats.total_bfp_ops() as f64);
-
-        // With a serving snapshot attached, one publish covers both.
-        let mut with_serve = stats.clone();
-        with_serve.serve = Some(crate::serving::ServeStats {
-            admitted: 5,
-            ..Default::default()
-        });
-        with_serve.publish(&reg);
-        assert!(reg
-            .snapshot()
-            .to_prometheus_text()
-            .contains("serve_admitted 5"));
-        assert!(with_serve.to_string().contains("serve: 0 submitted"));
     }
 
     #[test]

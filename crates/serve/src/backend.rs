@@ -25,8 +25,8 @@ use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::EpilogueCtx;
 use bfp_arith::quant::Quantizer;
 use bfp_arith::{AbftOptions, AbftPacked};
-use bfp_core::degrade::{gelu_with_mode, op_count_latency_s};
-use bfp_core::prelude::{DivisionPolicy, MixedEngine, NonlinearMode, Vpu};
+use bfp_core::op_mix;
+use bfp_core::prelude::{DivisionPolicy, Engine, MixedEngine, NonlinearMode, Vpu};
 use bfp_core::resilient::abft_fault_report;
 use bfp_faults::FaultReport;
 use bfp_platform::nonlinear::NonlinearUnit;
@@ -98,8 +98,10 @@ pub fn reference_bits(a: &MatF32, b: &MatF32, op: ServeOp, mode: NonlinearMode) 
         .try_matmul(&q.quantize(b).expect("reference operand quantizes"))
         .expect("reference GEMM executes");
     if op == ServeOp::GemmGelu {
-        let mut engine = MixedEngine::new().with_threads(1);
-        gelu_with_mode(&mut engine, &mut out, mode);
+        MixedEngine::new()
+            .with_nonlinear(mode)
+            .with_threads(1)
+            .gelu(&mut out);
     }
     out
 }
@@ -248,7 +250,7 @@ impl ArrayBackend for SimArrayBackend {
         // composed path skipped the VPU pass entirely.
         let faults = abft_fault_report(&r);
         if op == ServeOp::GemmGelu && faults.uncorrected_detections() == 0 {
-            modelled_s += op_count_latency_s(&self.vpu_unit, &vpu.count);
+            modelled_s += self.vpu_unit.cycles(&op_mix(&vpu.count)) / self.vpu_unit.freq_hz;
         }
         Ok((out, Telemetry { faults, modelled_s }))
     }
@@ -440,7 +442,7 @@ mod tests {
                 let mut vpu = Vpu::new();
                 let mut whole = reference_bits(a, b, ServeOp::Gemm, mode);
                 vpu.gelu_slice(whole.data_mut(), DivisionPolicy::Host, mode);
-                let drain_s = op_count_latency_s(&be.vpu_unit, &vpu.count);
+                let drain_s = be.vpu_unit.cycles(&op_mix(&vpu.count)) / be.vpu_unit.freq_hz;
                 assert_eq!(t.modelled_s, gemm.modelled_s + drain_s, "mode {mode:?}");
             }
         }

@@ -48,9 +48,9 @@
 //!   per-priority rollups, brownout state, per-array health history)
 //!   under one lock, so the identity
 //!   `admitted == completed + failed + queued + in_flight` holds in
-//!   every snapshot — fleet-wide, per tenant, and per priority class;
-//!   [`Server::system_stats`] surfaces them through
-//!   [`bfp_platform::SystemStats`]. Every [`ServeResponse`] carries a
+//!   every snapshot — fleet-wide, per tenant, and per priority class.
+//!   Each request is booked once, in its (tenant, priority) cell, and
+//!   every rollup is a sum of cells. Every [`ServeResponse`] carries a
 //!   [`RequestTimeline`] (queue wait + per-attempt execution records)
 //!   and the [`NonlinearMode`] it actually ran in, and
 //!   [`Server::attach_tracer`] streams the same lifecycle as
@@ -1241,16 +1241,134 @@ mod tests {
         assert_eq!(prio_sum, s.admitted, "priority rollup covers the fleet");
     }
 
+    /// The fleet figures equal the per-tenant sums and the per-priority
+    /// sums, and the admission identity holds at every level.
+    fn check_rollups(s: &ServeStats) {
+        let by_tenant = |f: fn(&TenantServeStats) -> u64| s.per_tenant.iter().map(f).sum::<u64>();
+        assert_eq!(
+            (
+                s.submitted,
+                s.admitted,
+                s.rejected,
+                s.quota_rejected,
+                s.completed,
+                s.failed,
+                s.shed
+            ),
+            (
+                by_tenant(|t| t.submitted),
+                by_tenant(|t| t.admitted),
+                by_tenant(|t| t.rejected),
+                by_tenant(|t| t.quota_rejected),
+                by_tenant(|t| t.completed),
+                by_tenant(|t| t.failed),
+                by_tenant(|t| t.shed)
+            ),
+            "fleet vs per-tenant sums: {s}"
+        );
+        let by_class =
+            |f: fn(&PriorityServeStats) -> u64| s.per_priority.iter().map(f).sum::<u64>();
+        assert_eq!(
+            (
+                s.admitted,
+                s.completed,
+                s.failed,
+                s.shed,
+                s.queued as u64,
+                s.in_flight as u64
+            ),
+            (
+                by_class(|p| p.admitted),
+                by_class(|p| p.completed),
+                by_class(|p| p.failed),
+                by_class(|p| p.shed),
+                by_class(|p| p.queued as u64),
+                by_class(|p| p.in_flight as u64)
+            ),
+            "fleet vs per-priority sums: {s}"
+        );
+        assert_eq!(s.submitted, s.admitted + s.rejected);
+        assert_eq!(
+            s.admitted,
+            s.completed + s.failed + s.queued as u64 + s.in_flight as u64
+        );
+    }
+
     #[test]
-    fn system_stats_carries_the_serve_snapshot() {
-        let server = Server::simulated(ServeConfig::default(), vec![ArrayFaultPlan::None; 2]);
-        let t = server.submit(req(1)).unwrap();
-        t.wait().unwrap();
+    fn rollups_sum_to_the_fleet_under_quota_shed_and_brownout() {
+        let (backends, gate, _order) = GateBackend::fleet(1);
+        let cfg = ServeConfig {
+            queue_capacity: 4,
+            backpressure: Backpressure::ShedOldest,
+            quotas: vec![(
+                TenantId(1),
+                TenantQuota {
+                    weight: 1,
+                    rate_rps: 0.01,
+                    burst: 2.0,
+                },
+            )],
+            brownout: BrownoutPolicy {
+                tier1_pressure: 0.3,
+                tier2_pressure: 0.75,
+                min_dwell: Duration::from_secs(30),
+                latency_target: Duration::from_secs(30),
+            },
+            ..Default::default()
+        };
+        let server = Server::new(cfg, backends);
+        let submit = |tag: u64, tenant: u64, p: Priority| {
+            let r = server.submit(tagged(tag, p).for_tenant(TenantId(tenant)));
+            check_rollups(&server.stats());
+            r
+        };
+        let opener = submit(100, 2, Priority::Standard).unwrap();
+        wait_in_flight(&server, 1);
+        // Tenant 1 spends its two-token burst on Bulk work; its third
+        // request is over quota.
+        let b1 = submit(1, 1, Priority::Bulk).unwrap();
+        let b2 = submit(2, 1, Priority::Bulk).unwrap();
+        assert_eq!(
+            submit(3, 1, Priority::Standard).unwrap_err(),
+            ServeError::QuotaExceeded
+        );
+        // Queue pressure climbs through tier 1 to tier 2, whose entry
+        // sheds the queued Bulk and refuses new Bulk at the door.
+        let s1 = submit(4, 2, Priority::Standard).unwrap();
+        let mut served = vec![submit(5, 2, Priority::Standard).unwrap()];
+        assert_eq!(server.stats().brownout.tier, 2);
+        assert_eq!(b1.wait(), Err(ServeError::Shed));
+        assert_eq!(b2.wait(), Err(ServeError::Shed));
+        assert_eq!(
+            submit(6, 2, Priority::Bulk).unwrap_err(),
+            ServeError::Brownout
+        );
+        // Filling the queue makes `ShedOldest` evict the oldest Standard.
+        for tag in 7..10 {
+            served.push(submit(tag, 2, Priority::Standard).unwrap());
+        }
+        assert_eq!(s1.wait(), Err(ServeError::Shed));
+
+        GateBackend::release(&gate, 100);
+        opener.wait().unwrap();
+        for t in &served {
+            t.wait().unwrap();
+        }
+        loop {
+            let s = server.stats();
+            check_rollups(&s);
+            if s.queued == 0 && s.in_flight == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
         server.drain();
-        let sys = server.system_stats();
-        let serve = sys.serve.expect("serve snapshot present");
-        assert_eq!(serve.completed, 1);
-        assert!(sys.faults.is_clean());
-        assert!(serve.to_string().contains("1 admitted"));
+        let s = server.stats();
+        check_rollups(&s);
+        assert_eq!((s.quota_rejected, s.brownout_rejected), (1, 1));
+        assert_eq!((s.shed, s.brownout.sheds), (3, 2));
+        assert_eq!((s.completed, s.failed), (5, 3));
+        let t1 = s.tenant(TenantId(1)).unwrap();
+        assert_eq!((t1.submitted, t1.rejected, t1.shed), (3, 1, 2));
     }
 }

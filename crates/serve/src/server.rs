@@ -4,7 +4,7 @@
 //! golden-probe re-admission.
 //!
 //! Concurrency shape: one `Mutex<Inner>` holds the scheduler, tenant
-//! table, health states and every counter; three condvars signal
+//! table, health states and the serving ledger; three condvars signal
 //! workers (`work_cv`), blocked submitters (`space_cv`) and drainers
 //! (`idle_cv`). Each array is one OS worker thread owning its
 //! [`ArrayBackend`]; executions and probes run outside the lock.
@@ -17,6 +17,11 @@
 //! and queue-wait EWMA: tier 1 flips nonlinear epilogues to the fast
 //! kernels, tier 2 additionally sheds `Bulk` work; escalation is
 //! immediate, de-escalation waits out a dwell (hysteresis).
+//!
+//! Accounting shape: each request is booked once, in the [`Tally`] of
+//! its (tenant, priority) cell. The fleet, per-tenant and per-priority
+//! figures of [`Server::stats`] are sums of cells, so they agree with
+//! one another by construction.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -33,7 +38,7 @@ use bfp_core::prelude::NonlinearMode;
 use bfp_faults::FleetLedger;
 use bfp_platform::{
     ArrayHealth, ArrayServeStats, BrownoutStats, HealthEvent, Priority, PriorityServeStats,
-    ServeStats, System, SystemStats, TenantId, TenantServeStats,
+    ServeStats, System, TenantId, TenantServeStats,
 };
 use bfp_telemetry::recorder::{FlightAttempt, FlightDump, FlightRecord, TriggerReason};
 use bfp_telemetry::{Registry, ShadowSample, Tracer};
@@ -242,30 +247,67 @@ enum Breaker {
     HalfOpen { probes_left: u32 },
 }
 
+/// The serving ledger of one (tenant, priority) cell: every request is
+/// booked here and nowhere else, from submission to its outcome.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    submitted: u64,
+    admitted: u64,
+    /// Refusals at admission, for any reason; the four counts after it
+    /// break out the typed ones.
+    rejected: u64,
+    quota_rejected: u64,
+    breaker_rejected: u64,
+    deadline_rejected: u64,
+    brownout_rejected: u64,
+    /// Admitted requests that expired, plus refusals whose budget ran out
+    /// while blocked at the gate.
+    deadline_missed: u64,
+    completed: u64,
+    failed: u64,
+    /// Admitted requests evicted from the queue; a subset of `failed`.
+    shed: u64,
+    in_flight: usize,
+}
+
+impl<'a> std::iter::Sum<&'a Tally> for Tally {
+    fn sum<I: Iterator<Item = &'a Tally>>(cells: I) -> Tally {
+        cells.fold(Tally::default(), |acc, c| Tally {
+            submitted: acc.submitted + c.submitted,
+            admitted: acc.admitted + c.admitted,
+            rejected: acc.rejected + c.rejected,
+            quota_rejected: acc.quota_rejected + c.quota_rejected,
+            breaker_rejected: acc.breaker_rejected + c.breaker_rejected,
+            deadline_rejected: acc.deadline_rejected + c.deadline_rejected,
+            brownout_rejected: acc.brownout_rejected + c.brownout_rejected,
+            deadline_missed: acc.deadline_missed + c.deadline_missed,
+            completed: acc.completed + c.completed,
+            failed: acc.failed + c.failed,
+            shed: acc.shed + c.shed,
+            in_flight: acc.in_flight + c.in_flight,
+        })
+    }
+}
+
 struct TenantState {
     quota: TenantQuota,
     tokens: f64,
     last_refill: Instant,
     breaker: Breaker,
     consec_bad: u32,
-    in_flight: usize,
-    stats: TenantServeStats,
+    /// This tenant's ledger cells, indexed by [`Priority::index`].
+    cells: [Tally; 3],
 }
 
 impl TenantState {
-    fn new(tenant: TenantId, quota: TenantQuota, now: Instant) -> Self {
+    fn new(quota: TenantQuota, now: Instant) -> Self {
         TenantState {
             quota,
             tokens: quota.burst.max(1.0),
             last_refill: now,
             breaker: Breaker::Closed,
             consec_bad: 0,
-            in_flight: 0,
-            stats: TenantServeStats {
-                tenant,
-                weight: quota.weight.max(1),
-                ..TenantServeStats::default()
-            },
+            cells: [Tally::default(); 3],
         }
     }
 
@@ -298,34 +340,6 @@ impl TenantState {
 }
 
 #[derive(Default)]
-struct PrioCounters {
-    admitted: u64,
-    completed: u64,
-    failed: u64,
-    shed: u64,
-    in_flight: usize,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: u64,
-    admitted: u64,
-    rejected: u64,
-    shed: u64,
-    completed: u64,
-    failed: u64,
-    deadline_missed: u64,
-    retries: u64,
-    degraded_executions: u64,
-    queue_depth_high_water: usize,
-    quota_rejected: u64,
-    breaker_rejected: u64,
-    deadline_rejected: u64,
-    brownout_rejected: u64,
-    prio: [PrioCounters; 3],
-}
-
-#[derive(Default)]
 struct BrownoutState {
     tier: u8,
     since: Option<Instant>,
@@ -337,11 +351,12 @@ struct BrownoutState {
 struct Inner {
     classes: [ClassSched; 3],
     retryq: VecDeque<Job>,
-    inflight: usize,
     shutdown: bool,
     next_id: u64,
     seq: u64,
-    counters: Counters,
+    /// Executions requeued after a detected fault.
+    retries: u64,
+    queue_depth_high_water: usize,
     arrays: Vec<ArrayState>,
     ledger: FleetLedger,
     tenants: BTreeMap<u64, TenantState>,
@@ -356,6 +371,21 @@ struct Inner {
 impl Inner {
     fn queued_len(&self) -> usize {
         self.classes.iter().map(|c| c.len()).sum::<usize>() + self.retryq.len()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.tenants
+            .values()
+            .flat_map(|ts| &ts.cells)
+            .map(|c| c.in_flight)
+            .sum()
+    }
+
+    /// The ledger cell of `(tenant, priority)`. `submit` enters a tenant
+    /// into the table before it books anything against it.
+    fn cell(&mut self, tenant: TenantId, priority: Priority) -> &mut Tally {
+        let ts = self.tenants.get_mut(&tenant.0).expect("tenant entered");
+        &mut ts.cells[priority.index()]
     }
 }
 
@@ -447,11 +477,11 @@ impl Server {
                     ClassSched::default(),
                 ],
                 retryq: VecDeque::new(),
-                inflight: 0,
                 shutdown: false,
                 next_id: 0,
                 seq: 0,
-                counters: Counters::default(),
+                retries: 0,
+                queue_depth_high_water: 0,
                 arrays: (0..arrays).map(|_| ArrayState::new(now)).collect(),
                 ledger: FleetLedger::new(arrays),
                 tenants: BTreeMap::new(),
@@ -519,17 +549,19 @@ impl Server {
         let deadline = budget.map(|b| t_submit + b);
         let tenant = req.tenant;
         let priority = req.priority;
+        let refuse = |inner: &mut Inner, err, counts_as_bad| {
+            self.refuse(inner, tenant, priority, err, counts_as_bad)
+        };
 
         let mut inner = self.shared.m.lock().unwrap();
-        inner.counters.submitted += 1;
         let quota = cfg.quota_for(tenant);
         let ts = inner
             .tenants
             .entry(tenant.0)
-            .or_insert_with(|| TenantState::new(tenant, quota, t_submit));
-        ts.stats.submitted += 1;
+            .or_insert_with(|| TenantState::new(quota, t_submit));
+        ts.cells[priority.index()].submitted += 1;
         if inner.shutdown {
-            return Err(self.refuse(&mut inner, tenant, ServeError::Shutdown, false));
+            return Err(refuse(&mut inner, ServeError::Shutdown, false));
         }
 
         // Circuit breaker: open refuses outright; an elapsed cooldown
@@ -545,7 +577,7 @@ impl Server {
                 }
             }
             if ts.refusing(t_submit) {
-                return Err(self.refuse(&mut inner, tenant, ServeError::CircuitOpen, false));
+                return Err(refuse(&mut inner, ServeError::CircuitOpen, false));
             }
             if let Breaker::HalfOpen {
                 ref mut probes_left,
@@ -562,13 +594,13 @@ impl Server {
             .unwrap()
             .take_token(t_submit)
         {
-            return Err(self.refuse(&mut inner, tenant, ServeError::QuotaExceeded, true));
+            return Err(refuse(&mut inner, ServeError::QuotaExceeded, true));
         }
 
         // Brownout tier 2 refuses Bulk work at the door.
         update_brownout(&mut inner, &self.shared, t_submit);
         if inner.brownout.tier >= 2 && priority == Priority::Bulk {
-            return Err(self.refuse(&mut inner, tenant, ServeError::Brownout, true));
+            return Err(refuse(&mut inner, ServeError::Brownout, true));
         }
 
         // Early-deadline gate: once calibrated, a budget below the
@@ -577,12 +609,7 @@ impl Server {
         if cfg.deadline_gate && inner.svc_samples >= SVC_CALIBRATION_MIN {
             if let Some(b) = budget {
                 if b.as_secs_f64() < inner.svc_ewma_s {
-                    return Err(self.refuse(
-                        &mut inner,
-                        tenant,
-                        ServeError::DeadlineUnmeetable,
-                        true,
-                    ));
+                    return Err(refuse(&mut inner, ServeError::DeadlineUnmeetable, true));
                 }
             }
         }
@@ -590,7 +617,7 @@ impl Server {
         if inner.queued_len() >= cfg.queue_capacity {
             match cfg.backpressure {
                 Backpressure::Reject => {
-                    return Err(self.refuse(&mut inner, tenant, ServeError::QueueFull, true));
+                    return Err(refuse(&mut inner, ServeError::QueueFull, true));
                 }
                 Backpressure::ShedOldest => {
                     // Shed from the lowest non-Critical class at or
@@ -607,12 +634,7 @@ impl Server {
                             resolve(&mut inner, &self.shared, &victim, Err(ServeError::Shed));
                         }
                         None => {
-                            return Err(self.refuse(
-                                &mut inner,
-                                tenant,
-                                ServeError::QueueFull,
-                                true,
-                            ));
+                            return Err(refuse(&mut inner, ServeError::QueueFull, true));
                         }
                     }
                 }
@@ -633,7 +655,7 @@ impl Server {
                             } else {
                                 (ServeError::AdmissionTimeout, true)
                             };
-                            return Err(self.refuse(&mut inner, tenant, err, is_reason));
+                            return Err(refuse(&mut inner, err, is_reason));
                         }
                         let (guard, _) = self
                             .shared
@@ -643,7 +665,7 @@ impl Server {
                         inner = guard;
                     }
                     if inner.shutdown {
-                        return Err(self.refuse(&mut inner, tenant, ServeError::Shutdown, false));
+                        return Err(refuse(&mut inner, ServeError::Shutdown, false));
                     }
                 }
             }
@@ -676,14 +698,10 @@ impl Server {
             last_array: None,
             ticket: ticket_inner.clone(),
         };
-        inner.counters.admitted += 1;
-        inner.counters.prio[priority.index()].admitted += 1;
-        inner.tenants.get_mut(&tenant.0).unwrap().stats.admitted += 1;
+        inner.cell(tenant, priority).admitted += 1;
         inner.classes[priority.index()].push(job);
         let depth = inner.queued_len();
-        if depth > inner.counters.queue_depth_high_water {
-            inner.counters.queue_depth_high_water = depth;
-        }
+        inner.queue_depth_high_water = inner.queue_depth_high_water.max(depth);
         if let Some(t) = tr(&self.shared) {
             t.counter("serve.queue_depth", "serve", depth as f64);
         }
@@ -692,33 +710,27 @@ impl Server {
         Ok(Ticket::new(id, ticket_inner))
     }
 
-    /// Book an admission refusal: fleet + tenant counters, the typed
-    /// reason counter, the breaker's consecutive-bad feed (skipped for
-    /// refusals that are not the tenant's doing), and the trace
-    /// instant. Returns the error for the caller to propagate.
+    /// Book an admission refusal in the request's ledger cell, with its
+    /// typed reason count, feed the breaker's consecutive-bad count
+    /// (skipped for refusals that are not the tenant's doing), and emit
+    /// the trace instant. Returns the error for the caller to propagate.
     fn refuse(
         &self,
         inner: &mut Inner,
         tenant: TenantId,
+        priority: Priority,
         err: ServeError,
         counts_as_bad: bool,
     ) -> ServeError {
-        inner.counters.rejected += 1;
+        let cell = inner.cell(tenant, priority);
+        cell.rejected += 1;
         match err {
-            ServeError::QuotaExceeded => inner.counters.quota_rejected += 1,
-            ServeError::CircuitOpen => inner.counters.breaker_rejected += 1,
-            ServeError::DeadlineUnmeetable => inner.counters.deadline_rejected += 1,
-            ServeError::Brownout => inner.counters.brownout_rejected += 1,
-            ServeError::DeadlineExceeded => inner.counters.deadline_missed += 1,
+            ServeError::QuotaExceeded => cell.quota_rejected += 1,
+            ServeError::CircuitOpen => cell.breaker_rejected += 1,
+            ServeError::DeadlineUnmeetable => cell.deadline_rejected += 1,
+            ServeError::Brownout => cell.brownout_rejected += 1,
+            ServeError::DeadlineExceeded => cell.deadline_missed += 1,
             _ => {}
-        }
-        if let Some(ts) = inner.tenants.get_mut(&tenant.0) {
-            ts.stats.rejected += 1;
-            match err {
-                ServeError::QuotaExceeded => ts.stats.quota_rejected += 1,
-                ServeError::CircuitOpen => ts.stats.breaker_rejected += 1,
-                _ => {}
-            }
         }
         if counts_as_bad {
             breaker_note_bad(inner, &self.shared, tenant);
@@ -734,7 +746,7 @@ impl Server {
     /// the wait extend it.
     pub fn drain(&self) {
         let mut inner = self.shared.m.lock().unwrap();
-        while !(inner.queued_len() == 0 && inner.inflight == 0) {
+        while !(inner.queued_len() == 0 && inner.in_flight() == 0) {
             inner = self.shared.idle_cv.wait(inner).unwrap();
         }
     }
@@ -754,7 +766,7 @@ impl Server {
                 job.cancel.cancel();
                 resolve(&mut inner, &self.shared, &job, Err(ServeError::Shutdown));
             }
-            if inner.inflight == 0 {
+            if inner.in_flight() == 0 {
                 self.shared.idle_cv.notify_all();
             }
         }
@@ -770,11 +782,12 @@ impl Server {
     /// lock acquisition so the accounting identity
     /// `admitted == completed + failed + queued + in_flight` holds in
     /// every snapshot (fleet-wide, per tenant, and per priority), not
-    /// just at quiescence.
+    /// just at quiescence. Every rollup is a sum of the same ledger
+    /// cells, so the fleet figures equal the per-tenant sums and the
+    /// per-priority sums.
     pub fn stats(&self) -> ServeStats {
         let now = Instant::now();
         let inner = self.shared.m.lock().unwrap();
-        let c = &inner.counters;
 
         // Queued rollups are derived from the scheduler itself — the
         // ground truth — rather than shadow counters.
@@ -793,41 +806,60 @@ impl Server {
 
         let per_tenant = inner
             .tenants
-            .values()
-            .map(|ts| {
-                let mut s = ts.stats.clone();
-                s.queued = tenant_queued.get(&s.tenant.0).copied().unwrap_or(0);
-                s.in_flight = ts.in_flight;
-                s.breaker_open = ts.refusing(now);
-                s
+            .iter()
+            .map(|(&id, ts)| {
+                let t: Tally = ts.cells.iter().sum();
+                TenantServeStats {
+                    tenant: TenantId(id),
+                    weight: ts.quota.weight.max(1),
+                    submitted: t.submitted,
+                    admitted: t.admitted,
+                    rejected: t.rejected,
+                    quota_rejected: t.quota_rejected,
+                    breaker_rejected: t.breaker_rejected,
+                    completed: t.completed,
+                    failed: t.failed,
+                    shed: t.shed,
+                    queued: tenant_queued.get(&id).copied().unwrap_or(0),
+                    in_flight: t.in_flight,
+                    breaker_open: ts.refusing(now),
+                }
             })
             .collect();
-        let per_priority = std::array::from_fn(|i| PriorityServeStats {
-            admitted: c.prio[i].admitted,
-            completed: c.prio[i].completed,
-            failed: c.prio[i].failed,
-            shed: c.prio[i].shed,
-            queued: prio_queued[i],
-            in_flight: c.prio[i].in_flight,
+        let per_priority = std::array::from_fn(|i| {
+            let c: Tally = inner.tenants.values().map(|ts| &ts.cells[i]).sum();
+            PriorityServeStats {
+                admitted: c.admitted,
+                completed: c.completed,
+                failed: c.failed,
+                shed: c.shed,
+                queued: prio_queued[i],
+                in_flight: c.in_flight,
+            }
         });
+        let fleet: Tally = inner.tenants.values().flat_map(|ts| &ts.cells).sum();
 
         ServeStats {
-            submitted: c.submitted,
-            admitted: c.admitted,
-            rejected: c.rejected,
-            shed: c.shed,
-            completed: c.completed,
-            failed: c.failed,
-            deadline_missed: c.deadline_missed,
-            retries: c.retries,
-            degraded_executions: c.degraded_executions,
-            queue_depth_high_water: c.queue_depth_high_water,
-            quota_rejected: c.quota_rejected,
-            breaker_rejected: c.breaker_rejected,
-            deadline_rejected: c.deadline_rejected,
-            brownout_rejected: c.brownout_rejected,
+            submitted: fleet.submitted,
+            admitted: fleet.admitted,
+            rejected: fleet.rejected,
+            shed: fleet.shed,
+            completed: fleet.completed,
+            failed: fleet.failed,
+            deadline_missed: fleet.deadline_missed,
+            retries: inner.retries,
+            degraded_executions: inner
+                .arrays
+                .iter()
+                .map(|a| a.stats.faulted_executions)
+                .sum(),
+            queue_depth_high_water: inner.queue_depth_high_water,
+            quota_rejected: fleet.quota_rejected,
+            breaker_rejected: fleet.breaker_rejected,
+            deadline_rejected: fleet.deadline_rejected,
+            brownout_rejected: fleet.brownout_rejected,
             queued: inner.queued_len(),
-            in_flight: inner.inflight,
+            in_flight: fleet.in_flight,
             brownout: BrownoutStats {
                 tier: inner.brownout.tier,
                 max_tier: inner.brownout.max_tier,
@@ -840,26 +872,12 @@ impl Server {
                 .arrays
                 .iter()
                 .enumerate()
-                .map(|(i, a)| {
-                    let mut s = a.stats.clone();
-                    s.health = a.health;
-                    s.faults = *inner.ledger.total(i);
-                    s
+                .map(|(i, a)| ArrayServeStats {
+                    health: a.health,
+                    faults: *inner.ledger.total(i),
+                    ..a.stats.clone()
                 })
                 .collect(),
-        }
-    }
-
-    /// The serving snapshot in platform clothing: a [`SystemStats`]
-    /// whose `serve` field is populated and whose `faults` is the
-    /// fleet-wide merged report.
-    pub fn system_stats(&self) -> SystemStats {
-        let serve = self.stats();
-        let faults = self.shared.m.lock().unwrap().ledger.fleet_total();
-        SystemStats {
-            faults,
-            serve: Some(serve),
-            ..SystemStats::default()
         }
     }
 
@@ -896,9 +914,9 @@ impl Drop for Server {
     }
 }
 
-/// Fill a ticket and book the outcome into the fleet, tenant, and
-/// priority counters, feeding the tenant's circuit breaker. No-op on a
-/// ticket that already resolved (e.g. shed racing completion).
+/// Fill a ticket and book the outcome into the request's ledger cell,
+/// feeding the tenant's circuit breaker. No-op on a ticket that already
+/// resolved (e.g. shed racing completion).
 fn resolve(
     inner: &mut Inner,
     shared: &Shared,
@@ -913,37 +931,27 @@ fn resolve(
         return;
     }
     observe_resolution(shared, job, &failure);
-    let pi = job.priority.index();
+    let ts = inner
+        .tenants
+        .get_mut(&job.tenant.0)
+        .expect("tenant entered");
+    let cell = &mut ts.cells[job.priority.index()];
     match failure {
         None => {
-            inner.counters.completed += 1;
-            inner.counters.prio[pi].completed += 1;
-            if let Some(ts) = inner.tenants.get_mut(&job.tenant.0) {
-                ts.stats.completed += 1;
-                ts.consec_bad = 0;
-                if matches!(ts.breaker, Breaker::HalfOpen { .. }) {
-                    ts.breaker = Breaker::Closed;
-                }
+            cell.completed += 1;
+            ts.consec_bad = 0;
+            if matches!(ts.breaker, Breaker::HalfOpen { .. }) {
+                ts.breaker = Breaker::Closed;
             }
         }
         Some(e) => {
-            inner.counters.failed += 1;
-            inner.counters.prio[pi].failed += 1;
-            if let Some(ts) = inner.tenants.get_mut(&job.tenant.0) {
-                ts.stats.failed += 1;
-            }
+            cell.failed += 1;
             match e {
                 ServeError::DeadlineExceeded => {
-                    inner.counters.deadline_missed += 1;
+                    cell.deadline_missed += 1;
                     breaker_note_bad(inner, shared, job.tenant);
                 }
-                ServeError::Shed => {
-                    inner.counters.shed += 1;
-                    inner.counters.prio[pi].shed += 1;
-                    if let Some(ts) = inner.tenants.get_mut(&job.tenant.0) {
-                        ts.stats.shed += 1;
-                    }
-                }
+                ServeError::Shed => cell.shed += 1,
                 ServeError::FaultsExhausted { .. } => breaker_note_bad(inner, shared, job.tenant),
                 _ => {}
             }
@@ -1141,7 +1149,6 @@ fn transition(inner: &mut Inner, array: usize, to: ArrayHealth) {
     let st = &mut inner.arrays[array];
     st.health = to;
     st.stats.history.push(HealthEvent { seq, from, to });
-    st.stats.health = to;
 }
 
 /// Apply one user-execution outcome to the strike machine.
@@ -1152,7 +1159,6 @@ fn note_execution(inner: &mut Inner, array: usize, faulted: bool, shared: &Share
         st.strikes = st.strikes.saturating_add(1);
         st.clean_run = 0;
         st.stats.faulted_executions += 1;
-        inner.counters.degraded_executions += 1;
     } else {
         st.clean_run += 1;
         if st.clean_run >= policy.clean_streak && st.strikes > 0 {
@@ -1235,7 +1241,7 @@ fn sweep_expired(inner: &mut Inner, shared: &Shared, now: Instant) {
         resolve(inner, shared, &job, Err(ServeError::DeadlineExceeded));
         shared.space_cv.notify_one();
     }
-    if inner.queued_len() == 0 && inner.inflight == 0 {
+    if inner.queued_len() == 0 && inner.in_flight() == 0 {
         shared.idle_cv.notify_all();
     }
 }
@@ -1384,11 +1390,7 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
             }
         };
 
-        inner.inflight += 1;
-        inner.counters.prio[job.priority.index()].in_flight += 1;
-        if let Some(ts) = inner.tenants.get_mut(&job.tenant.0) {
-            ts.in_flight += 1;
-        }
+        inner.cell(job.tenant, job.priority).in_flight += 1;
         // The dispatch tier decides the nonlinear mode of this attempt.
         let mode = if inner.brownout.tier >= 1 {
             NonlinearMode::Fast
@@ -1571,7 +1573,7 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
                     // critical section, so a concurrent `stats()` never
                     // sees the job double-counted as both queued and
                     // in-flight.
-                    inner.counters.retries += 1;
+                    inner.retries += 1;
                     let backoff = shared.cfg.retry_backoff(job.attempts);
                     let now = Instant::now();
                     job.not_before = now + backoff;
@@ -1610,13 +1612,9 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
                 );
             }
         }
-        inner.inflight -= 1;
-        inner.counters.prio[job_priority.index()].in_flight -= 1;
-        if let Some(ts) = inner.tenants.get_mut(&job_tenant.0) {
-            ts.in_flight -= 1;
-        }
+        inner.cell(job_tenant, job_priority).in_flight -= 1;
         update_brownout(&mut inner, &shared, Instant::now());
-        if inner.queued_len() == 0 && inner.inflight == 0 {
+        if inner.queued_len() == 0 && inner.in_flight() == 0 {
             shared.idle_cv.notify_all();
         }
     }

@@ -35,7 +35,7 @@
 //!
 //! The crate is dependency-free and always safe to link. The rest of the
 //! workspace records into it only once a tracer is attached
-//! (`MixedEngine::attach_telemetry`, `Server::attach_tracer`).
+//! (`MixedEngine::attach_tracer`, `Server::attach_tracer`).
 //!
 //! ## Quickstart
 //!

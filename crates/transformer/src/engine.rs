@@ -10,7 +10,7 @@ use bfp_arith::int8quant::Int8Tensor;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::{EpilogueCtx, PackedBfp, PARALLEL_MIN_SHARD_MACS};
 use bfp_arith::quant::Quantizer;
-use bfp_telemetry::{Counter, Histogram, Registry, Tracer};
+use bfp_telemetry::Tracer;
 
 use crate::layers::{Linear, WeightPack};
 use crate::plan::CompiledVitPlan;
@@ -167,53 +167,6 @@ pub struct PlanCacheStats {
     pub bytes: usize,
 }
 
-/// Everything a [`MixedEngine`] records about itself once a tracer is
-/// attached: the span tracer plus registered hot-path instruments.
-#[derive(Debug, Clone)]
-struct EngineTelemetry {
-    tracer: Tracer,
-    gemms: Counter,
-    macs: Counter,
-    fallbacks: Counter,
-    rhs_resident: Counter,
-    rhs_packed: Counter,
-    gemm_ns: Histogram,
-    quantize_pack_ns: Histogram,
-    fast_mul: Counter,
-    fast_add: Counter,
-    fast_exp_adjust: Counter,
-    fast_lut: Counter,
-    fusion_hits: Counter,
-    fusion_misses: Counter,
-}
-
-impl EngineTelemetry {
-    /// Bind a tracer and register the engine's instruments in `reg`.
-    fn new(tracer: Tracer, reg: &Registry) -> Self {
-        EngineTelemetry {
-            tracer,
-            gemms: reg.counter("engine_gemms_total"),
-            macs: reg.counter("engine_macs_total"),
-            fallbacks: reg.counter("engine_fp32_fallbacks_total"),
-            rhs_resident: reg.counter("engine_rhs_resident_total"),
-            rhs_packed: reg.counter("engine_rhs_packed_total"),
-            gemm_ns: reg.histogram("engine_gemm_ns"),
-            quantize_pack_ns: reg.histogram("engine_quantize_pack_ns"),
-            // The fast nonlinear unit's op mix, one counter per hardware
-            // resource class. Cross-checkable against the analytic cycle
-            // model: `bfp_core::vpucost` prices exactly these four counts.
-            fast_mul: reg.counter("engine_fast_nl_fp_mul_total"),
-            fast_add: reg.counter("engine_fast_nl_fp_add_total"),
-            fast_exp_adjust: reg.counter("engine_fast_nl_exp_adjust_total"),
-            fast_lut: reg.counter("engine_fast_nl_lut_total"),
-            // Compiled-plan routing: GEMMs drained through a fused
-            // epilogue kernel vs GEMMs a plan had to run composed.
-            fusion_hits: reg.counter("engine_fusion_hits_total"),
-            fusion_misses: reg.counter("engine_fusion_misses_total"),
-        }
-    }
-}
-
 /// Wall-clock accumulated per execution phase by [`MixedEngine`], the
 /// breakdown `benchmark/` reports (the paper's Table IV split, measured
 /// on the host simulation). Residual adds and copies are not engine calls,
@@ -342,10 +295,10 @@ pub struct MixedEngine {
     lhs_packs: u64,
     lhs_pack_elems: u64,
     phase: PhaseTimes,
-    /// Attached observability (spans + registered counters); `None`
-    /// until [`Self::attach_telemetry`] is called, which keeps the block
-    /// walk free of node clock reads and node-name strings.
-    tel: Option<EngineTelemetry>,
+    /// Attached span tracer; `None` until [`Self::attach_tracer`] is
+    /// called, which keeps the block walk free of node clock reads and
+    /// node-name strings.
+    tracer: Option<Tracer>,
 }
 
 impl Default for MixedEngine {
@@ -372,34 +325,24 @@ impl MixedEngine {
             lhs_packs: 0,
             lhs_pack_elems: 0,
             phase: PhaseTimes::default(),
-            tel: None,
+            tracer: None,
         }
     }
 
-    /// Attach a tracer and metrics registry: subsequent engine calls
-    /// emit phase and plan-node spans and update the registered
-    /// instruments. Observation only — outputs and counts are unchanged.
-    pub fn attach_telemetry(&mut self, tracer: Tracer, reg: &Registry) {
-        self.tel = Some(EngineTelemetry::new(tracer, reg));
-    }
-
-    /// Note a GEMM degraded to the fp32 reference path (no-op unless a
-    /// tracer is attached).
-    #[inline]
-    fn tel_fallback(&self) {
-        if let Some(tel) = &self.tel {
-            tel.fallbacks.inc();
-            tel.tracer.instant("engine.fp32_fallback", "engine");
-        }
+    /// Attach a span tracer: subsequent engine calls emit phase and
+    /// plan-node spans. Observation only — outputs and counts are
+    /// unchanged; the counts themselves are [`Self::census`],
+    /// [`Self::plan_cache_stats`] and [`Self::fusion_stats`].
+    pub fn attach_tracer(&mut self, tracer: Tracer) {
+        self.tracer = Some(tracer);
     }
 
     /// Record a completed VPU phase span (no-op unless a tracer is
     /// attached).
     #[inline]
     fn tel_phase(&self, name: &'static str, t0: Instant) {
-        if let Some(tel) = &self.tel {
-            tel.tracer
-                .complete_between(name, "engine", t0, Instant::now());
+        if let Some(tracer) = &self.tracer {
+            tracer.complete_between(name, "engine", t0, Instant::now());
         }
     }
 
@@ -498,24 +441,6 @@ impl MixedEngine {
         self.plan_stats
     }
 
-    /// Count one GEMM's RHS as served from a resident pack or packed now.
-    #[inline]
-    fn note_rhs(&mut self, resident: bool) {
-        if resident {
-            self.plan_stats.hits += 1;
-        } else {
-            self.plan_stats.misses += 1;
-        }
-        if let Some(tel) = &self.tel {
-            let counter = if resident {
-                &tel.rhs_resident
-            } else {
-                &tel.rhs_packed
-            };
-            counter.inc();
-        }
-    }
-
     /// A weight's packed RHS under this engine's quantizer, from the
     /// layer that owns it — the one resolution every GEMM against a
     /// weight goes through, composed or fused. Counted on success
@@ -525,7 +450,10 @@ impl MixedEngine {
         if let WeightPack::Filled(p) = &pack {
             self.plan_stats.bytes += p.bytes();
         }
-        self.note_rhs(matches!(pack, WeightPack::Resident(_)));
+        match &pack {
+            WeightPack::Resident(_) => self.plan_stats.hits += 1,
+            _ => self.plan_stats.misses += 1,
+        }
         Ok(pack)
     }
 
@@ -542,18 +470,6 @@ impl MixedEngine {
             NonlinearMode::Fast => VPU_PARALLEL_ELEMS_FAST,
         };
         fork::shards(self.threads, elems as u64, min_shard as u64)
-    }
-
-    /// Publish a fast-mode nonlinear op-mix delta to the registered
-    /// counters (no-op unless a tracer is attached).
-    #[inline]
-    fn tel_fast_mix(&self, delta: &OpCount) {
-        if let Some(tel) = &self.tel {
-            tel.fast_mul.add(delta.fp_mul);
-            tel.fast_add.add(delta.fp_add);
-            tel.fast_exp_adjust.add(delta.exp_adjust);
-            tel.fast_lut.add(delta.lut);
-        }
     }
 
     /// Run a batched VPU kernel over `data` split into [`Self::vpu_shards`]
@@ -622,27 +538,11 @@ impl MixedEngine {
         self.lhs_pack_elems += (m.rows() * m.cols()) as u64;
     }
 
-    #[inline]
-    fn note_fusion_hit(&mut self) {
-        self.fusion_hits += 1;
-        if let Some(tel) = &self.tel {
-            tel.fusion_hits.inc();
-        }
-    }
-
-    #[inline]
-    fn note_fusion_miss(&mut self) {
-        self.fusion_misses += 1;
-        if let Some(tel) = &self.tel {
-            tel.fusion_misses.inc();
-        }
-    }
-
     /// Start timing a plan node: the clock is read only when a tracer is
     /// attached, so an unobserved forward takes no per-node clock reads.
     #[inline]
     fn node_clock(&self) -> Option<Instant> {
-        self.tel.is_some().then(Instant::now)
+        self.tracer.is_some().then(Instant::now)
     }
 
     /// Close a plan node opened by [`Self::node_clock`] as a
@@ -650,26 +550,18 @@ impl MixedEngine {
     /// start time, i.e. only when a tracer is attached.
     #[inline]
     fn tel_node(&self, name: impl fmt::Display, t0: Option<Instant>) {
-        if let (Some(tel), Some(t0)) = (&self.tel, t0) {
-            tel.tracer
-                .complete_between(format!("plan.node.{name}"), "plan", t0, Instant::now());
+        if let (Some(tracer), Some(t0)) = (&self.tracer, t0) {
+            tracer.complete_between(format!("plan.node.{name}"), "plan", t0, Instant::now());
         }
     }
 
-    /// Record a GEMM's counters, histograms, and phase spans. Composed
-    /// and fused GEMMs both report here, so dashboards tell them apart
-    /// only through the fusion counters.
+    /// Record a GEMM's phase spans. Composed and fused GEMMs both report
+    /// here, so a trace tells them apart only through the plan-node spans.
     #[inline]
     fn tel_gemm(&self, macs: u64, t0: Instant, t1: Instant, t2: Instant) {
-        if let Some(tel) = &self.tel {
-            tel.tracer
-                .complete_between("quantize_pack", "engine", t0, t1);
-            tel.tracer
-                .complete_between_with("gemm", "engine", t1, t2, vec![("macs", macs)]);
-            tel.gemms.inc();
-            tel.macs.add(macs);
-            tel.quantize_pack_ns.record_duration(t1.duration_since(t0));
-            tel.gemm_ns.record_duration(t2.duration_since(t1));
+        if let Some(tracer) = &self.tracer {
+            tracer.complete_between("quantize_pack", "engine", t0, t1);
+            tracer.complete_between_with("gemm", "engine", t1, t2, vec![("macs", macs)]);
         }
     }
 
@@ -691,8 +583,8 @@ impl MixedEngine {
     /// so where the pack came from, fusing and threading change
     /// wall-clock only, never a single output bit.
     fn gemm(&mut self, a: &MatF32, b: &MatF32, weight: Option<&Linear>) -> MatF32 {
-        let _mm_span = self.tel.as_ref().map(|tel| {
-            let mut sp = tel.tracer.span("engine.matmul", "engine");
+        let _mm_span = self.tracer.as_ref().map(|tracer| {
+            let mut sp = tracer.span("engine.matmul", "engine");
             sp.set_arg("m", a.rows() as u64);
             sp.set_arg("k", a.cols() as u64);
             sp.set_arg("n", b.cols() as u64);
@@ -708,7 +600,7 @@ impl MixedEngine {
                 Some(lin) => self.weight_pack(lin)?,
                 None => {
                     let pb = PackedBfp::quantize_pack_rhs(&self.quantizer, b)?;
-                    self.note_rhs(false);
+                    self.plan_stats.misses += 1;
                     WeightPack::PerCall(pb)
                 }
             };
@@ -723,7 +615,9 @@ impl MixedEngine {
         let out = packed.and_then(|(pa, pb)| pa.matmul_epilogue_parallel(pb.get(), &mut noops));
         let Ok(out) = out else {
             self.census.fp32_fallbacks += 1;
-            self.tel_fallback();
+            if let Some(tracer) = &self.tracer {
+                tracer.instant("engine.fp32_fallback", "engine");
+            }
             return a.matmul(b);
         };
         // The gemm interval covers the packed kernel end to end: int8
@@ -787,13 +681,10 @@ impl MixedEngine {
         }
         self.vpu.count.merge(&delta);
         self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
         self.phase.quantize_pack += t1.duration_since(t0);
         self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
-        self.note_fusion_hit();
+        self.fusion_hits += 1;
         self.tel_gemm(macs, t0, t1, t2);
         Ok(out)
     }
@@ -813,7 +704,7 @@ impl MixedEngine {
             return composed(self);
         }
         fused(self).unwrap_or_else(|_| {
-            self.note_fusion_miss();
+            self.fusion_misses += 1;
             composed(self)
         })
     }
@@ -878,9 +769,6 @@ impl Engine for MixedEngine {
             vpu.softmax_rows_batch(shard, cols, division, mode)
         });
         self.census.softmax.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
         self.phase.softmax += t0.elapsed();
         self.tel_phase("vpu.softmax", t0);
     }
@@ -893,9 +781,6 @@ impl Engine for MixedEngine {
             vpu.gelu_slice(shard, division, mode)
         });
         self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
         self.phase.gelu += t0.elapsed();
         self.tel_phase("vpu.gelu", t0);
     }
@@ -912,9 +797,6 @@ impl Engine for MixedEngine {
             vpu.layernorm_rows_batch(shard, cols, gamma, beta, eps, division, mode)
         });
         self.census.layernorm.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
         self.phase.layernorm += t0.elapsed();
         self.tel_phase("vpu.layernorm", t0);
     }
@@ -1046,10 +928,10 @@ mod tests {
         x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
     }
 
-    /// Attach a fresh tracer (and a throwaway registry) to `e`.
+    /// Attach a fresh tracer to `e`.
     fn attach(e: &mut MixedEngine) -> Tracer {
         let tracer = Tracer::new();
-        e.attach_telemetry(tracer.clone(), &Registry::new());
+        e.attach_tracer(tracer.clone());
         tracer
     }
 
@@ -1294,10 +1176,8 @@ mod tests {
 
     #[test]
     fn attached_telemetry_records_spans_and_counters() {
-        let reg = Registry::new();
-        let tracer = Tracer::new();
         let mut e = MixedEngine::new();
-        e.attach_telemetry(tracer.clone(), &reg);
+        let tracer = attach(&mut e);
         let lin = &VitModel::new_random(VitConfig::tiny_test(), 3).blocks[0]
             .attn
             .wk;
@@ -1307,11 +1187,10 @@ mod tests {
         let mut m = MatF32::from_fn(4, 16, |i, j| (i + j) as f32 * 0.1);
         e.softmax_rows(&mut m);
 
-        assert_eq!(reg.counter("engine_gemms_total").get(), 2);
-        assert_eq!(reg.counter("engine_macs_total").get(), 2 * 16 * 32 * 32);
-        assert_eq!(reg.counter("engine_rhs_resident_total").get(), 1);
-        assert_eq!(reg.counter("engine_rhs_packed_total").get(), 1);
-        assert_eq!(reg.histogram("engine_gemm_ns").count(), 2);
+        // The counts live in the engine's own census and cache stats.
+        assert_eq!(e.census().matmul_macs, 2 * 16 * 32 * 32);
+        let stats = e.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
 
         let events = tracer.drain();
         let matmuls: Vec<_> = events
@@ -1319,6 +1198,8 @@ mod tests {
             .filter(|e| e.name == "engine.matmul")
             .collect();
         assert_eq!(matmuls.len(), 2);
+        let gemms = events.iter().filter(|e| e.name == "gemm").count();
+        assert_eq!(gemms, 2);
         // Phase spans are children of their matmul span.
         let phases: Vec<_> = events
             .iter()
@@ -1331,38 +1212,6 @@ mod tests {
             assert!(matches!(p.kind, EventKind::Span { .. }));
         }
         assert!(events.iter().any(|e| e.name == "vpu.softmax"));
-    }
-
-    #[test]
-    fn fast_mix_counters_equal_census() {
-        // The engine_fast_nl_* registry counters and the OpCensus are
-        // accumulated by independent code paths (tel_fast_mix vs the
-        // census merge); after any Fast-mode workload they must agree,
-        // which is what lets operators cross-check live telemetry
-        // against the modelled VPU cycle cost.
-        let reg = Registry::new();
-        let tracer = Tracer::new();
-        let mut e = MixedEngine::fast_nonlinear().with_threads(3);
-        e.attach_telemetry(tracer, &reg);
-        let mut m = MatF32::from_fn(17, 33, |i, j| ((i * 33 + j) as f32 * 0.03).sin() * 4.0);
-        e.softmax_rows(&mut m);
-        e.gelu(&mut m);
-        let gamma = vec![1.0; 33];
-        let beta = vec![0.0; 33];
-        e.layernorm(&mut m, &gamma, &beta, 1e-5);
-
-        let c = e.take_census();
-        let mut mix = c.softmax;
-        mix.merge(&c.gelu);
-        mix.merge(&c.layernorm);
-        assert!(mix.lut > 0, "fast path must take LUT hits: {mix:?}");
-        assert_eq!(reg.counter("engine_fast_nl_fp_mul_total").get(), mix.fp_mul);
-        assert_eq!(reg.counter("engine_fast_nl_fp_add_total").get(), mix.fp_add);
-        assert_eq!(
-            reg.counter("engine_fast_nl_exp_adjust_total").get(),
-            mix.exp_adjust
-        );
-        assert_eq!(reg.counter("engine_fast_nl_lut_total").get(), mix.lut);
     }
 
     #[test]
@@ -1849,15 +1698,10 @@ mod tests {
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 7);
         let x = model.synthetic_input(2);
-        let reg = Registry::new();
-        let tracer = Tracer::new();
         let mut e = MixedEngine::new().with_vit_plan(CompiledVitPlan::fuse_all());
-        e.attach_telemetry(tracer.clone(), &reg);
+        let tracer = attach(&mut e);
         let _ = model.forward(&mut e, &x);
-
-        let (hits, misses) = e.fusion_stats();
-        assert_eq!(reg.counter("engine_fusion_hits_total").get(), hits);
-        assert_eq!(reg.counter("engine_fusion_misses_total").get(), misses);
+        assert_eq!(e.fusion_stats(), (6 * cfg.depth as u64, 0));
 
         let events = tracer.drain();
         let node_names: Vec<&str> = events
@@ -1893,7 +1737,7 @@ mod tests {
         // each GEMM phase inside its matmul span, and the Chrome trace
         // names them all.
         let mut e = MixedEngine::fast_nonlinear();
-        e.attach_telemetry(tracer.clone(), &reg);
+        e.attach_tracer(tracer.clone());
         let spans = [
             "engine.matmul",
             "quantize_pack",
