@@ -51,7 +51,8 @@
 //! (`packed::chain_i32_avx2`, lanes as a ninth row and column) while it
 //! stays clean; the scalar loop here replays any chain that does not. The
 //! i16 lanes do not fit `vpdpbusd`'s u8 × i8 operands, so checked chains
-//! and their unverified baseline stay on that tier on an AVX-VNNI host too.
+//! and their unverified baseline stay on that tier on an AVX-512 VNNI host
+//! too.
 //!
 //! With the `faults` feature the scalar loop routes operand/exponent/
 //! product/accumulator accesses through the `bfp-faults` hooks, and runs
@@ -322,7 +323,7 @@ impl AbftPacked {
     /// which only the scalar loop routes through the hooks, so it takes
     /// that loop. The unverified baseline keeps the checked chain's tier,
     /// so what a campaign measures against it is the lanes alone: a plain
-    /// chain [`ChainKernel::select`] puts on the VNNI tier runs on
+    /// chain [`ChainKernel::select`] puts on the `Vnni512` tier runs on
     /// `Avx2I32` here.
     fn chain_kernel(&self, opts: &AbftOptions) -> ChainKernel {
         if injecting() {
@@ -331,7 +332,7 @@ impl AbftPacked {
         let (_, kb) = self.packed.grid();
         match ChainKernel::select(self.packed.block(), kb, !opts.no_verify) {
             #[cfg(target_arch = "x86_64")]
-            ChainKernel::VnniI32 => ChainKernel::Avx2I32,
+            ChainKernel::Vnni512 => ChainKernel::Avx2I32,
             kernel => kernel,
         }
     }
@@ -364,8 +365,8 @@ impl AbftPacked {
         #[cfg(target_arch = "x86_64")]
         assert_ne!(
             kernel,
-            ChainKernel::VnniI32,
-            "the checked chain has no VNNI tier"
+            ChainKernel::Vnni512,
+            "the checked chain has no Vnni512 tier"
         );
         // The register chain's LHS block-row, widened once per `bi`.
         let mut xp = vec![0i32; kernel.staged_words(kb)];

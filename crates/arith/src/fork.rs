@@ -31,11 +31,12 @@ pub fn shards(budget: usize, work: u64, min_per_shard: u64) -> usize {
 /// never forks. A worker's panic panics the caller once every worker has
 /// finished (the worker's own message goes to the panic hook as usual).
 ///
-/// Cost: an empty fork/join of two scoped threads measures ≈ 0.035–0.043 ms
-/// (median of 2000, p90 ≤ 0.061 ms) on the 2-vCPU reference box
-/// (Sapphire-Rapids-class Xeon, measured beside the AVX-VNNI chain);
-/// earlier phases of the same box read ≈ 0.09 ms (p90 ≈ 0.16 ms). The
-/// per-shard minimums callers pass to [`shards`] are sized against it.
+/// Cost: an empty fork/join of two scoped threads measures ≈ 0.035–0.054 ms
+/// (median of 2000, p90 ≤ 0.073 ms) on the 2-vCPU reference box
+/// (Sapphire-Rapids-class Xeon, measured beside the ymm AVX-VNNI chain and
+/// again beside the zmm AVX-512 VNNI chain); earlier phases of the same box
+/// read ≈ 0.09 ms (p90 ≈ 0.16 ms). The per-shard minimums callers pass to
+/// [`shards`] are sized against it.
 pub fn join<W: Send>(workers: &mut [W], f: impl Fn(&mut W) + Sync) {
     if let [one] = workers {
         return f(one);

@@ -22,11 +22,12 @@
 //! exponent-alignment chain in one place: no wide scratch tile is written
 //! and re-read, and no block is ever copied out of the grid. For the
 //! paper's 8×8 blocks the chain keeps its accumulator in registers as i32
-//! for the entire K loop: `chain_i32_vnni` (`vpdpbusd`, u8-offset LHS) on
-//! an AVX-VNNI host, `chain_i32_avx2` (`vpmaddwd`) on any other AVX2 host;
-//! every other case takes the i64 chain loop, which is also both register
-//! kernels' bit oracle. `ChainKernel::select` is the only place a tier
-//! is chosen. Whichever runs, the result is **bit-identical** to
+//! for the entire K loop: `chain_pair_vnni512` (`vpdpbusd` on zmm, two
+//! output tiles per register, u8-offset RHS) on an AVX-512 VNNI host,
+//! `chain_i32_avx2` (`vpmaddwd`) on any other AVX2 host; every other case
+//! takes the i64 chain loop, which is also both register kernels' bit
+//! oracle. `ChainKernel::select` is the only place a tier is chosen.
+//! Whichever runs, the result is **bit-identical** to
 //! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
 //! cycle simulator — the integer tile products are exact, so the kernels
 //! change evaluation order only where integer addition is associative.
@@ -281,21 +282,23 @@ impl PackedBfp {
 /// `min_per_shard` its callers pass to [`crate::fork::shards`]), so a GEMM
 /// forks from 16 M MACs up and stays serial below that.
 ///
-/// Derivation, on the 2-vCPU reference box (AVX-VNNI), against the
-/// fork/join cost stated at [`crate::fork::join`]: the `b == 8` VNNI chain
-/// sustains ≈ 54–60 GMAC/s per core, so 16 M MACs are ≈ 0.27 ms of serial
-/// kernel — seven fork/joins — of which two shards can save at most half.
-/// Measured serial / two-shard time on 197×384×N, three runs of 400
-/// interleaved pairs each: 4.8 M MACs 1.01–1.07 (break-even), 7.3 M
-/// 1.20–1.29, 15 M 1.43–1.44, 19 M 1.42–1.53, 29 M (DeiT-Small's
-/// 197×384×384 projections) 1.57–1.62, 58 M 1.71–1.77, 116 M 1.86–1.89.
-/// The fork point sits at the low end of break-even as measured under the
-/// slower fork/join, where the AVX2 chain broke even at 15–19 M; the AVX2
-/// chain measured beside the table above breaks even at ≈ 5 M as well
-/// (4.8 M: 0.87–1.28), so the lower break-even is the cheaper fork/join's,
-/// not the chain's, and the fork point stays. A per-head attention product
-/// (197×64×197, 2.5 M MACs, ≈ 0.04 ms serial) is a fork/join long and must
-/// never fork. Not measured on a host with more than two cores.
+/// Derivation, on the 2-vCPU reference box (AVX-512 VNNI), against the
+/// fork/join cost stated at [`crate::fork::join`] (≈ 0.046–0.054 ms median
+/// beside this chain): the `b == 8` zmm chain sustains ≈ 50–70 GMAC/s per
+/// core in the box's slow phases (≈ 2× the ymm chain it replaced in the
+/// same phase), so 16 M MACs are ≈ 0.25 ms of serial kernel — about five
+/// fork/joins — of which two shards can save at most half. Measured serial
+/// / two-shard time on 197×384×N, five runs of 400–1000 interleaved pairs
+/// each: 4.8 M MACs 0.87–1.04, 7.3 M 0.89–1.16, 9.7 M 0.92–1.25, 12 M
+/// 0.91–1.11, 15 M 0.94–1.22, 19 M 0.96–1.31 (break-even), 29 M
+/// (DeiT-Small's 197×384×384 projections) 1.07–1.49, 58 M 1.30–1.56,
+/// 116 M 1.31–1.64. The faster chain moved the low end of break-even up,
+/// from ≈ 5 M on the ymm chain to ≈ 7–10 M, still below the fork point,
+/// which stays inside the break-even band; no DeiT-Small GEMM lies between
+/// 2.5 M and 29 M MACs, so any fork point in that band forks the same
+/// ones. A per-head attention product (197×64×197, 2.5 M MACs, ≈ 0.04 ms
+/// serial) is about a fork/join long and must never fork. Not measured on
+/// a host with more than two cores.
 pub const PARALLEL_MIN_SHARD_MACS: u64 = 8_000_000;
 
 /// Geometry of one hot output tile as seen by a fused epilogue: the tile
@@ -395,12 +398,14 @@ impl PackedBfp {
     }
 
     /// Computes output tiles `bi_lo..bi_hi` in `(bi, bj)` row-major order:
-    /// runs each tile's exponent-alignment chain on `kernel`, dequantizes
+    /// runs each tile's exponent-alignment chain on `kernel` (`Vnni512`
+    /// runs two adjacent tiles per call, the others one), dequantizes
     /// it into a `b×b` scratch buffer, applies `epi` to the hot tile, then
     /// copies its valid region into `out_rows`, the row-major f32 buffer
     /// whose first row is output row `bi_lo·b` and whose rows are the full
-    /// logical width. Every kernel produces the same aligned integers, so
-    /// the choice never changes a bit.
+    /// logical width. Every kernel produces the same aligned integers, and
+    /// the lane drain the register kernels use is the scalar drain's IEEE
+    /// operations, so the choice never changes a bit.
     fn fused_rows_on<E>(
         &self,
         kernel: ChainKernel,
@@ -417,41 +422,57 @@ impl PackedBfp {
         let kb = self.block_cols;
         let mut prod = vec![0i32; bb];
         let mut acc64 = vec![0i64; bb];
-        // A register chain's LHS block-row, staged once per `bi` and reused
-        // by all `nb` chains of the row (≤ 24 KB at DeiT's K ≤ 1536).
+        // A register chain's LHS block-row staging, filled once per `bi` and
+        // reused by all chains of the row (≤ 24 KB at DeiT's K ≤ 1536).
         let mut xs = vec![0i32; kernel.staged_words(kb)];
         #[cfg(target_arch = "x86_64")]
-        let mut acc32 = [0i32; 64];
+        let mut acc32 = [[0i32; 64]; 2];
         let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.rows - bi * b);
-            kernel.stage_lhs(&self.man[bi * kb * bb..][..kb * bb], &mut xs);
-            for bj in 0..rhs.block_cols {
-                let hot = &mut tile[..imax * b];
-                match kernel {
+            let x = &self.man[bi * kb * bb..][..kb * bb];
+            kernel.stage_lhs(x, &mut xs);
+            let mut bj = 0;
+            while bj < rhs.block_cols {
+                // How many tiles from `bj` on this call computed, and their
+                // exponents.
+                let (n, exps) = match kernel {
                     #[cfg(target_arch = "x86_64")]
-                    ChainKernel::Avx2I32 | ChainKernel::VnniI32 => {
+                    ChainKernel::Avx2I32 | ChainKernel::Vnni512 => {
                         let x_exps = &self.exps[bi * kb..][..kb];
-                        let exp = kernel.chain_i32(&xs, x_exps, rhs, bj, &mut acc32);
-                        drain(hot, acc32.iter().map(|&a| a as f64), exp);
+                        kernel.chain_i32(x, &xs, x_exps, rhs, bj, &mut acc32)
                     }
                     ChainKernel::I64 => {
                         let exp = self.chain_i64(rhs, bi, bj, &mut prod, &mut acc64);
-                        drain(hot, acc64.iter().map(|&a| a as f64), exp);
+                        (1, [exp, None])
+                    }
+                };
+                for (t, &exp) in exps[..n].iter().enumerate() {
+                    let hot = &mut tile[..imax * b];
+                    match kernel {
+                        // SAFETY: `select` produces a register kernel only
+                        // after detecting AVX2.
+                        #[cfg(target_arch = "x86_64")]
+                        ChainKernel::Avx2I32 | ChainKernel::Vnni512 => unsafe {
+                            drain_lanes(hot, &acc32[t], exp)
+                        },
+                        ChainKernel::I64 => drain(hot, acc64.iter().map(|&a| a as f64), exp),
+                    }
+                    let c0 = (bj + t) * b;
+                    let ctx = EpilogueCtx {
+                        r0: bi * b,
+                        c0,
+                        imax,
+                        jmax: b.min(rhs.cols - c0),
+                        b,
+                    };
+                    epi(&mut tile, &ctx);
+                    for i in 0..ctx.imax {
+                        let dst = &mut out_rows[(ctx.r0 + i - bi_lo * b) * rhs.cols + ctx.c0..];
+                        dst[..ctx.jmax].copy_from_slice(&tile[i * b..][..ctx.jmax]);
                     }
                 }
-                let ctx = EpilogueCtx {
-                    r0: bi * b,
-                    c0: bj * b,
-                    imax,
-                    jmax: b.min(rhs.cols - bj * b),
-                    b,
-                };
-                epi(&mut tile, &ctx);
-                for i in 0..ctx.imax {
-                    let dst = &mut out_rows[(ctx.r0 + i - bi_lo * b) * rhs.cols + ctx.c0..];
-                    dst[..ctx.jmax].copy_from_slice(&tile[i * b..][..ctx.jmax]);
-                }
+                bj += n;
             }
         }
     }
@@ -517,12 +538,14 @@ impl PackedBfp {
 /// `|acc| ≤ n·2¹⁷`: every chain shorter than 2¹⁴ steps (K < 131 072) fits
 /// i32 exactly. Longer chains take the i64 loop.
 ///
-/// The bound holds for [`chain_i32_vnni`] too, offset included: its row
-/// product is `−corr + Σ (x + 128)·y` with `|corr| = |128·Σₖ y| ≤
-/// 128·8·128 = 2¹⁷` and each `vpdpbusd` adding at most `4·255·128 < 2¹⁷`,
-/// so no intermediate reaches 2¹⁸ and the non-saturating `vpdpbusd` never
-/// wraps; the step's final value is the tile product itself, so
-/// `|acc| ≤ n·2¹⁷` is unchanged.
+/// The bound holds for [`chain_pair_vnni512`] too, offset included: its
+/// row product is `c + Σ x·(y + 128)` from the row correction
+/// `c = −128·Σₖ x[i][k]`, `|c| ≤ 128·8·128 = 2¹⁷`, and each `vpdpbusd`
+/// adds less than `4·255·128 < 2¹⁷`, so no intermediate reaches 2¹⁸ and
+/// the non-saturating `vpdpbusd` never wraps; each row ends as the exact
+/// tile product, so `|acc| ≤ n·2¹⁷` is unchanged. Its per-lane `vpsravd`
+/// sign-fills for counts ≥ 32, as `shift_right_trunc` does for every
+/// shift ≥ 32 of a value that fits i32.
 const I32_CHAIN_MAX_KB: usize = 1 << 14;
 
 /// The same bound for a checked chain, whose checksum lanes grow eight
@@ -543,18 +566,20 @@ pub(crate) enum ChainKernel {
     /// proof of AVX2 its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Avx2I32,
-    /// [`chain_i32_vnni`]: plain `b == 8` chains on an AVX2 + AVX-VNNI
-    /// host. Only [`ChainKernel::select`] produces it, which is the proof
-    /// of both features its `unsafe` callers cite.
+    /// [`chain_pair_vnni512`]: plain `b == 8` chains, two output tiles per
+    /// call, on an AVX2 + AVX-512 F, BW and VNNI host. Only
+    /// [`ChainKernel::select`] produces it, which is the proof of those
+    /// features its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
-    VnniI32,
+    Vnni512,
 }
 
 impl ChainKernel {
     /// The fastest kernel for `block`-sized tiles and chains of `kb` steps,
     /// `checked` or plain, on this host (runtime feature detection, once
     /// per call). The checked chain's i16 lanes do not fit `vpdpbusd`'s
-    /// u8 × i8 operands, so only plain chains take the VNNI tier.
+    /// u8 × i8 operands, so only plain chains take the VNNI tier. A host
+    /// with AVX-VNNI but no AVX-512 runs the AVX2 tier.
     pub(crate) fn select(block: usize, kb: usize, checked: bool) -> ChainKernel {
         #[cfg(target_arch = "x86_64")]
         {
@@ -564,8 +589,12 @@ impl ChainKernel {
                 I32_CHAIN_MAX_KB
             };
             if block == 8 && kb < max_kb && is_x86_feature_detected!("avx2") {
-                if !checked && is_x86_feature_detected!("avxvnni") {
-                    return ChainKernel::VnniI32;
+                if !checked
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vnni")
+                {
+                    return ChainKernel::Vnni512;
                 }
                 return ChainKernel::Avx2I32;
             }
@@ -581,13 +610,14 @@ impl ChainKernel {
             #[cfg(target_arch = "x86_64")]
             ChainKernel::Avx2I32 => kb * 32,
             #[cfg(target_arch = "x86_64")]
-            ChainKernel::VnniI32 => kb * 16,
+            ChainKernel::Vnni512 => kb * 8,
         }
     }
 
-    /// Stage an LHS block-row `x` (row-major 8×8 tiles) in the layout this
-    /// kernel's row product broadcasts from: i16 k-pairs for `Avx2I32`,
-    /// u8 k-quads for `VnniI32`. The i64 loop reads the plane itself.
+    /// Stage an LHS block-row `x` (row-major 8×8 tiles) for this kernel's
+    /// row product: i16 k-pairs for `Avx2I32`, the row corrections for
+    /// `Vnni512` (which broadcasts its k-quads from the plane itself). The
+    /// i64 loop reads the plane itself.
     pub(crate) fn stage_lhs(self, x: &[i8], xs: &mut [i32]) {
         match self {
             ChainKernel::I64 => {}
@@ -595,30 +625,35 @@ impl ChainKernel {
             #[cfg(target_arch = "x86_64")]
             ChainKernel::Avx2I32 => unsafe { widen_k_pairs_avx2(x, xs) },
             #[cfg(target_arch = "x86_64")]
-            ChainKernel::VnniI32 => offset_k_quads(x, xs),
+            ChainKernel::Vnni512 => row_corrections(x, xs),
         }
     }
 
-    /// The plain chain of output tile `(·, bj)` on this register kernel,
-    /// from the LHS block-row [`ChainKernel::stage_lhs`] left in `xs`.
+    /// The plain chains from output tile `(·, bj)` on: one tile on
+    /// `Avx2I32`, the pair `(·, bj)`, `(·, bj + 1)` on `Vnni512` (or the
+    /// lone last one). `x` is the LHS block-row and `xs` what
+    /// [`ChainKernel::stage_lhs`] left for it. Leaves tile `t`'s sums in
+    /// `acc[t]` and returns how many tiles it computed and their exponents.
     #[cfg(target_arch = "x86_64")]
     fn chain_i32(
         self,
+        x: &[i8],
         xs: &[i32],
         x_exps: &[i8],
         rhs: &PackedBfp,
         bj: usize,
-        acc: &mut [i32; 64],
-    ) -> Option<i32> {
+        acc: &mut [[i32; 64]; 2],
+    ) -> (usize, [Option<i32>; 2]) {
         // SAFETY: only `select` produces a register kernel, and only after
         // detecting the features it needs.
         unsafe {
             match self {
                 ChainKernel::Avx2I32 => {
                     let mut plain = ChainSums::default();
-                    chain_i32_avx2::<false>(xs, x_exps, rhs, bj, &mut plain, acc)
+                    let exp = chain_i32_avx2::<false>(xs, x_exps, rhs, bj, &mut plain, &mut acc[0]);
+                    (1, [exp, None])
                 }
-                ChainKernel::VnniI32 => chain_i32_vnni(xs, x_exps, rhs, bj, acc),
+                ChainKernel::Vnni512 => chain_pair_vnni512(x, xs, x_exps, rhs, bj, acc),
                 ChainKernel::I64 => unreachable!("the i64 chain is `PackedBfp::chain_i64`"),
             }
         }
@@ -626,20 +661,21 @@ impl ChainKernel {
 }
 
 /// The chain tier a plain bfp8 (`b == 8`) GEMM runs on this host, as
-/// `ChainKernel::select` picks it: `"avx-vnni"`, `"avx2"` or `"i64"`.
+/// `ChainKernel::select` picks it: `"avx512-vnni"`, `"avx2"` or `"i64"`.
 pub fn chain_tier() -> &'static str {
     match ChainKernel::select(8, 1, false) {
         ChainKernel::I64 => "i64",
         #[cfg(target_arch = "x86_64")]
         ChainKernel::Avx2I32 => "avx2",
         #[cfg(target_arch = "x86_64")]
-        ChainKernel::VnniI32 => "avx-vnni",
+        ChainKernel::Vnni512 => "avx512-vnni",
     }
 }
 
 /// Dequantize one chain's aligned sums, `(acc · 2^exp) as f32`; a chain
 /// without steps (`K = 0`, `exp` is `None`) is all zeros, as the reference
-/// kernel leaves them.
+/// kernel leaves them. The i64 tier's drain, and the oracle of
+/// [`drain_lanes`].
 #[inline(always)]
 fn drain(tile: &mut [f32], acc: impl Iterator<Item = f64>, exp: Option<i32>) {
     let Some(exp) = exp else {
@@ -648,6 +684,37 @@ fn drain(tile: &mut [f32], acc: impl Iterator<Item = f64>, exp: Option<i32>) {
     let scale = (exp as f64).exp2();
     for (o, a) in tile.iter_mut().zip(acc) {
         *o = (a * scale) as f32;
+    }
+}
+
+/// [`drain`] on lanes for a register chain's i32 sums, four at a time:
+/// `vcvtdq2pd`, `vmulpd` by `2^exp`, `vcvtpd2ps`. These are the scalar
+/// drain's IEEE operations — an exact widening, a product that is exact
+/// (`|acc·2^exp|` stays inside f64's normal range for every `i8 + i8`
+/// exponent), one round-to-nearest-even narrowing to f32 — so the bits
+/// are its bits, subnormal and overflowing results included.
+///
+/// # Safety
+/// Callers must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn drain_lanes(tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+    use std::arch::x86_64::*;
+    let Some(exp) = exp else {
+        return tile.fill(0.0);
+    };
+    assert!(
+        tile.len().is_multiple_of(4) && tile.len() <= 64,
+        "whole rows of a tile"
+    );
+    let scale = _mm256_set1_pd((exp as f64).exp2());
+    for (o, a) in tile.chunks_exact_mut(4).zip(acc.chunks_exact(4)) {
+        // SAFETY: one 16-byte load and one 16-byte store, each exactly
+        // covering its four-element chunk.
+        unsafe {
+            let wide = _mm256_cvtepi32_pd(_mm_loadu_si128(a.as_ptr() as *const __m128i));
+            _mm_storeu_ps(o.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_mul_pd(wide, scale)));
+        }
     }
 }
 
@@ -673,16 +740,16 @@ unsafe fn widen_k_pairs_avx2(x: &[i8], xp: &mut [i32]) {
     }
 }
 
-/// Offset LHS mantissas to u8, `a ^ 0x80 = a + 128`, and store them as the
-/// i32 k-quads the VNNI chain broadcasts: `xq[n] = (x[4n], …, x[4n+3])`,
-/// low byte first. Tiles are `[i][k]` row-major, so quad `q` of row `i` of
-/// tile `t` is `xq[t·16 + i·2 + q]`.
+/// The VNNI chain's row corrections of an LHS block-row `x` (row-major
+/// 8×8 tiles): `c[t·8 + i] = −128·Σₖ x[t][i][k]`, the value every row-`i`
+/// product of tile step `t` starts from, so that `c + Σ x·(y + 128)` is
+/// the tile product `Σ x·y` — the PE's packed-MAC fix-up, a per-row
+/// constant because the offset sits on the RHS.
 #[cfg(target_arch = "x86_64")]
-fn offset_k_quads(x: &[i8], xq: &mut [i32]) {
-    assert_eq!(x.len(), xq.len() * 4);
-    for (src, dst) in x.chunks_exact(4).zip(xq.iter_mut()) {
-        let quad = [src[0] as u8, src[1] as u8, src[2] as u8, src[3] as u8];
-        *dst = i32::from_le_bytes(quad) ^ 0x8080_8080u32 as i32;
+fn row_corrections(x: &[i8], c: &mut [i32]) {
+    assert_eq!(x.len(), c.len() * 8);
+    for (row, c) in x.chunks_exact(8).zip(c.iter_mut()) {
+        *c = -128 * row.iter().map(|&v| v as i32).sum::<i32>();
     }
 }
 
@@ -965,98 +1032,129 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
     acc_exp
 }
 
-/// The plain register chain of [`chain_i32_avx2`] with a `vpdpbusd` row
-/// product: 32 MACs per instruction instead of `vpmaddwd`'s 16, and no
-/// widening of either operand.
+/// The plain register chain on zmm: the whole K-loop of the two adjacent
+/// output tiles `A = (·, bj)` and `B = (·, bj + 1)` side by side, row `i`
+/// of both accumulators in zmm register `i` as i32, with `vpdpbusd`'s 64
+/// MACs per instruction.
 ///
-/// `vpdpbusd` multiplies u8 by i8, so the LHS k-quads arrive offset by
-/// [`offset_k_quads`], `x + 128`, and every row product starts from the
-/// column correction `−corr`, `corr[j] = 128·Σₖ y[j][k]` — the host twin
-/// of the PE's packed-MAC fix-up. Per tile step the canonical `[j][k]`
-/// RHS tile is two ymm loads; two `vshufps` gather k-quad `q` of all eight
-/// runs, `P_q[j] = y[j][4q..4q+4]`; two `vpdpbusd` of `splat(0x80)`
-/// against `P_0`, `P_1` give `corr`; then each output row is two
-/// `vpbroadcastd` loads of its k-quads and two `vpdpbusd` from `−corr`,
-/// followed by the merge of [`chain_i32_avx2`] unchanged.
+/// `vpdpbusd` multiplies u8 by i8, so the RHS is the u8 side: per tile
+/// step A's and B's canonical `[j][k]` tiles — adjacent 64-byte tiles of
+/// the plane — are two zmm loads; two `vshufps` gather k-quad `q` of all
+/// sixteen runs, `P_q = (y[j][4q..4q+4])`, and two `vpxord` of `0x80`
+/// turn them into `y + 128`. Each output row then starts from a broadcast
+/// of its row correction `c = −128·Σₖ x[i][k]`, staged once per block-row
+/// by [`row_corrections`], and runs two `vpdpbusd` of its i8 k-quads,
+/// broadcast straight from the LHS plane: `c + Σ x·(y + 128) = Σ x·y`.
 ///
-/// Exactness: `|corr| ≤ 128·8·128 = 2¹⁷` and each `vpdpbusd` adds at
-/// most `4·255·128 < 2¹⁷`, so no intermediate reaches 2¹⁸ and the
-/// non-saturating `vpdpbusd` never wraps. The row product ends as the
-/// exact tile product, so the sums, the exponent and the drained bits are
-/// [`PackedBfp::chain_i64`]'s, and `kb <` [`I32_CHAIN_MAX_KB`] bounds the
-/// accumulator exactly as before.
+/// The merge is [`chain_i32_avx2`]'s alignment chain, branch-free per
+/// lane: each tile keeps its own exponent, and `vpsravd` shifts by a count
+/// vector holding A's `max(−d, 0)` in A's lanes and B's in B's (B's lanes
+/// are 2 and 3 of every 128-bit lane, mask `0xCCCC`). The rare step where
+/// either `d > 0` first shifts the accumulators by the same kind of
+/// vector of `max(d, 0)`. `vpsravd` sign-fills for counts ≥ 32, which is
+/// `shift_right_trunc` on a value that fits i32, and the exactness
+/// argument at [`I32_CHAIN_MAX_KB`] bounds every sum, so the sums are the
+/// i64 chain's exactly. A lone last tile (odd `nb`) pairs with a zero
+/// register, whose lanes stay zero and are never returned.
 ///
-/// `vshufps` leaves output column `[0, 1, 4, 5, 2, 3, 6, 7][l]` in lane
-/// `l`; one `vpermd` per row at the final store restores natural order.
-/// Returns the chain's exponent, `None` for `K = 0`.
+/// `vshufps` leaves A's column `[0, 1, 4, 5, 2, 3, 6, 7]`-interleaved
+/// with B's; one `vpermd` per row at the final store puts A's row in the
+/// low half and B's in the high half. Stores tile `t`'s sums in
+/// `acc_out[t]` and returns how many tiles it computed (2, or 1 for a lone
+/// last tile) and their exponents, `None` for `K = 0`.
 ///
 /// # Safety
-/// Callers must have verified AVX2 and AVX-VNNI support.
+/// Callers must have verified AVX2 and AVX-512 F, BW and VNNI support.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avxvnni")]
-unsafe fn chain_i32_vnni(
-    xq: &[i32],
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+unsafe fn chain_pair_vnni512(
+    x: &[i8],
+    corr: &[i32],
     x_exps: &[i8],
     rhs: &PackedBfp,
     bj: usize,
-    acc_out: &mut [i32; 64],
-) -> Option<i32> {
+    acc_out: &mut [[i32; 64]; 2],
+) -> (usize, [Option<i32>; 2]) {
     use std::arch::x86_64::*;
     let kb = x_exps.len();
     let nb = rhs.block_cols;
     assert!(kb < I32_CHAIN_MAX_KB, "chain too long for i32 accumulators");
-    let zero = _mm256_setzero_si256();
-    let offset = _mm256_set1_epi8(-128);
+    assert_eq!((x.len(), corr.len()), (kb * 64, kb * 8));
+    let pair = bj + 1 < nb;
+    let tiles = 1 + pair as usize;
+    let zero = _mm512_setzero_si512();
+    let flip = _mm512_set1_epi8(-128);
     let mut acc = [zero; 8];
-    let mut acc_exp = None;
+    let mut exps = [None; 2];
     for bk in 0..kb {
-        let x: &[i32; 16] = xq[bk * 16..][..16].try_into().expect("8×2 k-quads");
-        let y: &[i8; 64] = rhs.man[(bk * nb + bj) * 64..][..64]
-            .try_into()
-            .expect("8×8 tile");
-        let pexp = x_exps[bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-        let cur = acc_exp.unwrap_or(pexp);
-        let d = pexp - cur;
-        acc_exp = Some(cur.max(pexp));
-        // SAFETY: two 32-byte loads tiling the 64-byte tile.
-        let (y0123, y4567) = unsafe {
-            let yp = y.as_ptr() as *const __m256i;
-            (
-                _mm256_castsi256_ps(_mm256_loadu_si256(yp)),
-                _mm256_castsi256_ps(_mm256_loadu_si256(yp.add(1))),
-            )
+        let t = bk * nb + bj;
+        let y = &rhs.man[t * 64..][..tiles * 64];
+        let xt = &x[bk * 64..][..64];
+        let c = &corr[bk * 8..][..8];
+        let xe = x_exps[bk] as i32;
+        let pexp_a = xe + rhs.exps[t] as i32;
+        // A lone tile's zero partner walks A's exponents.
+        let pexp_b = if pair {
+            xe + rhs.exps[t + 1] as i32
+        } else {
+            pexp_a
+        };
+        let cur_a = exps[0].unwrap_or(pexp_a);
+        let cur_b = exps[1].unwrap_or(pexp_b);
+        let (da, db) = (pexp_a - cur_a, pexp_b - cur_b);
+        exps = [Some(cur_a.max(pexp_a)), Some(cur_b.max(pexp_b))];
+        // SAFETY: one 64-byte load per tile of `y`, which holds `tiles`.
+        let (ya, yb) = unsafe {
+            let yp = y.as_ptr() as *const f32;
+            let yb = if pair {
+                _mm512_loadu_ps(yp.add(16))
+            } else {
+                _mm512_setzero_ps()
+            };
+            (_mm512_loadu_ps(yp), yb)
         };
         // Each 128-bit lane holds two runs as (quad 0, quad 1) pairs; the
-        // even and odd dwords of both registers are quads 0 and 1.
-        let p0 = _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(y0123, y4567));
-        let p1 = _mm256_castps_si256(_mm256_shuffle_ps::<0b11_01_11_01>(y0123, y4567));
-        let corr = _mm256_dpbusd_avx_epi32(_mm256_dpbusd_avx_epi32(zero, offset, p0), offset, p1);
-        let neg_corr = _mm256_sub_epi32(zero, corr);
-        if d > 0 {
-            let sh = _mm_cvtsi32_si128(d);
+        // even and odd dwords are quads 0 and 1, A's in dwords 0, 1 and
+        // B's in dwords 2, 3 of every lane.
+        let p0 = _mm512_castps_si512(_mm512_shuffle_ps::<0b10_00_10_00>(ya, yb));
+        let p1 = _mm512_castps_si512(_mm512_shuffle_ps::<0b11_01_11_01>(ya, yb));
+        let (p0, p1) = (_mm512_xor_si512(p0, flip), _mm512_xor_si512(p1, flip));
+        if da > 0 || db > 0 {
+            let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32(da.max(0)), 0xCCCC, db.max(0));
             for a in acc.iter_mut() {
-                *a = _mm256_sra_epi32(*a, sh);
+                *a = _mm512_srav_epi32(*a, sh);
             }
         }
-        let sh_prod = _mm_cvtsi32_si128((-d).max(0));
+        let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32((-da).max(0)), 0xCCCC, (-db).max(0));
+        let xq = xt.as_ptr() as *const i32;
         for (i, a) in acc.iter_mut().enumerate() {
-            let half = _mm256_dpbusd_avx_epi32(neg_corr, _mm256_set1_epi32(x[2 * i]), p0);
-            let prod = _mm256_dpbusd_avx_epi32(half, _mm256_set1_epi32(x[2 * i + 1]), p1);
-            // The chain merge, i32 width.
-            *a = _mm256_add_epi32(*a, _mm256_sra_epi32(prod, sh_prod));
+            // SAFETY: dwords `2i` and `2i + 1` of the 64-byte tile `xt`,
+            // row `i`'s two k-quads.
+            let (q0, q1) = unsafe {
+                (
+                    xq.add(2 * i).read_unaligned(),
+                    xq.add(2 * i + 1).read_unaligned(),
+                )
+            };
+            let half = _mm512_dpbusd_epi32(_mm512_set1_epi32(c[i]), p0, _mm512_set1_epi32(q0));
+            let prod = _mm512_dpbusd_epi32(half, p1, _mm512_set1_epi32(q1));
+            // The chain merge, i32 width, per lane.
+            *a = _mm512_add_epi32(*a, _mm512_srav_epi32(prod, sh));
         }
     }
-    let natural = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+    let natural = _mm512_setr_epi32(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15);
+    let [out_a, out_b] = acc_out;
     for (i, a) in acc.iter().enumerate() {
-        // SAFETY: eight 32-byte stores tiling the 64-element array.
+        let rows = _mm512_permutexvar_epi32(natural, *a);
+        let (row_a, row_b) = (&mut out_a[i * 8..][..8], &mut out_b[i * 8..][..8]);
+        // SAFETY: one 32-byte store over each tile's eight-element row `i`.
         unsafe {
-            _mm256_storeu_si256(
-                acc_out.as_mut_ptr().add(i * 8) as *mut __m256i,
-                _mm256_permutevar8x32_epi32(*a, natural),
-            );
+            let (row_a, row_b) = (row_a.as_mut_ptr(), row_b.as_mut_ptr());
+            _mm256_storeu_si256(row_a as *mut __m256i, _mm512_castsi512_si256(rows));
+            _mm256_storeu_si256(row_b as *mut __m256i, _mm512_extracti64x4_epi64::<1>(rows));
         }
     }
-    acc_exp
+    (tiles, exps)
 }
 
 /// The kernel that quantises a call's tiles.
@@ -1719,36 +1817,47 @@ pub(crate) mod tests {
     fn register_tiers(kb: usize) -> Vec<ChainKernel> {
         let mut tiers = Vec::new();
         if kb < I32_CHAIN_MAX_KB && is_x86_feature_detected!("avx2") {
-            if is_x86_feature_detected!("avxvnni") {
-                tiers.push(ChainKernel::VnniI32);
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vnni")
+            {
+                tiers.push(ChainKernel::Vnni512);
             }
             tiers.push(ChainKernel::Avx2I32);
         }
         tiers
     }
 
-    /// Every chain of `pa · pb` on every register tier of this host,
-    /// integer for integer against the i64 loop, and the plain GEMM's
-    /// tier is the fastest of them. Returns the tiers that ran, the plain
-    /// GEMM's first; empty when the host has none.
+    /// Every chain of `pa · pb` on every register tier of this host, every
+    /// tile a chain call returns integer for integer against the i64 loop,
+    /// and the plain GEMM's tier is the fastest of them. Returns the tiers
+    /// that ran, the plain GEMM's first; empty when the host has none.
     fn assert_chains_agree(pa: &PackedBfp, pb: &PackedBfp) -> Vec<ChainKernel> {
         assert_eq!((pa.block, pb.block), (8, 8));
         let kb = pa.block_cols;
         let tiers = register_tiers(kb);
         let selected = ChainKernel::select(8, kb, false);
         assert_eq!(selected, tiers.first().copied().unwrap_or(ChainKernel::I64));
-        let (mut acc32, mut prod, mut acc64) = ([0i32; 64], [0i32; 64], [0i64; 64]);
+        let (mut acc32, mut prod, mut acc64) = ([[0i32; 64]; 2], [0i32; 64], [0i64; 64]);
         for &tier in &tiers {
             let mut xs = vec![0i32; tier.staged_words(kb)];
             for bi in 0..pa.block_rows {
-                tier.stage_lhs(&pa.man[bi * kb * 64..][..kb * 64], &mut xs);
-                for bj in 0..pb.block_cols {
+                let x = &pa.man[bi * kb * 64..][..kb * 64];
+                tier.stage_lhs(x, &mut xs);
+                let mut bj = 0;
+                while bj < pb.block_cols {
                     let x_exps = &pa.exps[bi * kb..][..kb];
-                    let got = tier.chain_i32(&xs, x_exps, pb, bj, &mut acc32);
-                    let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
-                    assert_eq!(got, want, "{tier:?}: exponent of chain ({bi},{bj})");
-                    let wide: Vec<i64> = acc32.iter().map(|&a| a as i64).collect();
-                    assert_eq!(wide, acc64, "{tier:?}: sums of chain ({bi},{bj})");
+                    let (n, exps) = tier.chain_i32(x, &xs, x_exps, pb, bj, &mut acc32);
+                    let pairs = tier == ChainKernel::Vnni512;
+                    assert_eq!(n, 1 + (pairs && bj + 1 < pb.block_cols) as usize);
+                    for (t, acc) in acc32[..n].iter().enumerate() {
+                        let bj = bj + t;
+                        let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
+                        assert_eq!(exps[t], want, "{tier:?}: exponent of chain ({bi},{bj})");
+                        let wide: Vec<i64> = acc.iter().map(|&a| a as i64).collect();
+                        assert_eq!(wide, acc64, "{tier:?}: sums of chain ({bi},{bj})");
+                    }
+                    bj += n;
                 }
             }
         }
@@ -1796,33 +1905,66 @@ pub(crate) mod tests {
         // 1, 31, 32, 63 and 73 (the accumulator is shifted), then fall
         // below it by 0, 1, 31, 32, 63, 100 and 200 (the product is
         // shifted), then rise by one more.
-        let pexp = [
+        let even = [
             -100, -100, -99, -68, -36, 27, 100, 100, 99, 69, 68, 37, 0, -100, 101,
         ];
-        let kb = pexp.len();
+        // A second RHS whose odd column tiles walk against the even ones:
+        // down by 1, 32, 31, 63 and 60 while the even tiles rise, then up
+        // by 1, 31, 32, 63 and 1 while they hold and fall. A tile pair then
+        // shifts one tile's accumulator and the other's product in the same
+        // step, both ways round.
+        let odd = [
+            0, 0, -1, -32, -31, -63, -60, 1, 32, 64, 127, 128, -72, 60, 129,
+        ];
+        let kb = even.len();
         let scaled = |e: i32, v: i32| v as f32 * (e as f32).exp2();
         let signed = |i: usize, j: usize| ((i * 37 + j * 11) % 201) as i32 - 100;
         let a = MatF32::from_fn(21, kb * 8, |i, k| {
             let v = if k % 8 == 0 { 100 } else { signed(i, k) };
-            scaled(pexp[k / 8] / 2, v)
-        });
-        let b = MatF32::from_fn(kb * 8, 19, |k, j| {
-            let v = if k % 8 == 0 { -100 } else { signed(j, k) };
-            scaled(pexp[k / 8] - pexp[k / 8] / 2, v)
+            scaled(even[k / 8] / 2, v)
         });
         let q = Quantizer::paper();
-        let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
-        let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
-        // The operands really carry the intended exponent walk.
-        let got: Vec<i32> = (0..kb)
-            .map(|bk| pa.exps[bk] as i32 + pb.exps[bk * 3] as i32)
-            .collect();
-        let walk = |e: &[i32]| e.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
-        assert_eq!(walk(&got), walk(&pexp));
-        let want = qa.try_matmul(&qb).unwrap();
-        assert_bits_eq(&pa.matmul(&pb).unwrap(), &want);
-        assert_bits_eq(&matmul_on(ChainKernel::I64, &pa, &pb), &want);
-        assert_chains_agree(&pa, &pb);
+        let qa = q.quantize(&a).unwrap();
+        let pa = PackedBfp::pack_lhs(&qa);
+        // 19 columns: a tile pair and a lone last tile.
+        for walks in [[even, even], [even, odd]] {
+            let b = MatF32::from_fn(kb * 8, 19, |k, j| {
+                let v = if k % 8 == 0 { -100 } else { signed(j, k) };
+                let e = walks[j / 8 % 2][k / 8];
+                scaled(e - even[k / 8] / 2, v)
+            });
+            let qb = q.quantize(&b).unwrap();
+            let pb = PackedBfp::pack_rhs(&qb);
+            // The operands really carry the intended exponent walks.
+            let pexp = |bj: usize| -> Vec<i32> {
+                (0..kb)
+                    .map(|bk| pa.exps[bk] as i32 + pb.exps[bk * 3 + bj] as i32)
+                    .collect()
+            };
+            let walk = |e: &[i32]| e.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
+            for bj in 0..3 {
+                assert_eq!(walk(&pexp(bj)), walk(&walks[bj % 2]));
+            }
+            if walks[1] == odd {
+                // Step by step, which side each tile of the pair shifts:
+                // 1 the accumulator, −1 the product.
+                let sides = |e: Vec<i32>| {
+                    let mut max = e[0];
+                    let mut side = |p: i32| {
+                        let d = p - max;
+                        max = max.max(p);
+                        d.signum()
+                    };
+                    e.into_iter().map(&mut side).collect::<Vec<_>>()
+                };
+                let split: Vec<_> = sides(pexp(0)).into_iter().zip(sides(pexp(1))).collect();
+                assert!(split.contains(&(1, -1)) && split.contains(&(-1, 1)));
+            }
+            let want = qa.try_matmul(&qb).unwrap();
+            assert_bits_eq(&pa.matmul(&pb).unwrap(), &want);
+            assert_bits_eq(&matmul_on(ChainKernel::I64, &pa, &pb), &want);
+            assert_chains_agree(&pa, &pb);
+        }
     }
 
     #[test]
@@ -1831,8 +1973,8 @@ pub(crate) mod tests {
         // −127·128·8) and nothing is ever shifted away. 2048 steps, and
         // the longest chain the i32 kernel accepts, whose sum 16383·2¹⁷ =
         // 2³¹ − 2¹⁷ is the bound itself.
-        // On the VNNI tier an all-(−128) LHS has u8 offset 0: the whole
-        // product is the column correction.
+        // On the VNNI tier an all-(−128) RHS has u8 offset 0: the whole
+        // product is the row correction.
         for kb in [2048, I32_CHAIN_MAX_KB - 1] {
             for (x, y) in [(-128i8, -128i8), (-128, 127), (127, 127)] {
                 let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 3, |_, _, _| x);
@@ -1851,16 +1993,12 @@ pub(crate) mod tests {
         if is_x86_feature_detected!("avx2") {
             // Plain chains take the fastest tier the CPU has, checked ones
             // the AVX2 tier whatever else it has.
-            let plain = if is_x86_feature_detected!("avxvnni") {
-                ChainKernel::VnniI32
-            } else {
-                ChainKernel::Avx2I32
-            };
+            let plain = register_tiers(I32_CHAIN_MAX_KB - 1)[0];
             assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), plain);
             assert_eq!(
                 chain_tier(),
-                if plain == ChainKernel::VnniI32 {
-                    "avx-vnni"
+                if plain == ChainKernel::Vnni512 {
+                    "avx512-vnni"
                 } else {
                     "avx2"
                 }
@@ -1895,6 +2033,47 @@ pub(crate) mod tests {
             .matmul(&PackedBfp::pack_rhs(&qb))
             .unwrap();
         assert_bits_eq(&got, &qa.try_matmul(&qb).unwrap());
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn lane_drain_is_the_scalar_drain_bit_for_bit() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // The i32 edges, small sums, and sums with more than f32's 24
+        // significant bits, so that narrowing rounds.
+        let edges = [
+            0,
+            1,
+            -1,
+            i32::MIN,
+            i32::MAX,
+            i32::MIN + 1,
+            (1 << 24) + 1,
+            -(1 << 25) - 3,
+            12345,
+            -131072,
+            0x5555_5555,
+        ];
+        let acc: [i32; 64] = std::array::from_fn(|t| match edges.get(t) {
+            Some(&e) => e,
+            None => (t as i32).wrapping_mul(0x2f6b_1d33).rotate_left(t as u32),
+        });
+        let (mut subnormal, mut inf) = (false, false);
+        // Every `i8 + i8` exponent, and `K = 0`.
+        for exp in (-256..=254).map(Some).chain([None]) {
+            for rows in [8, 5, 1] {
+                let (mut lanes, mut scalar) = ([f32::NAN; 64], [f32::NAN; 64]);
+                // SAFETY: AVX2 was detected above.
+                unsafe { drain_lanes(&mut lanes[..rows * 8], &acc, exp) };
+                drain(&mut scalar[..rows * 8], acc.iter().map(|&a| a as f64), exp);
+                assert_eq!(lanes.map(f32::to_bits), scalar.map(f32::to_bits), "{exp:?}");
+                subnormal |= scalar.iter().any(|v| v.is_subnormal());
+                inf |= scalar.contains(&f32::INFINITY) && scalar.contains(&f32::NEG_INFINITY);
+            }
+        }
+        assert!(subnormal && inf, "the drain reaches both ends of f32");
     }
 
     /// Whether this host runs the lane tile quantiser at all.

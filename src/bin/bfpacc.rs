@@ -53,7 +53,7 @@ fn info() {
         sys.theoretical_fp32_gflops(128)
     );
     println!(
-        "  host bfp8 chain  : {} (avx-vnni, avx2 or i64)",
+        "  host bfp8 chain  : {} (avx512-vnni, avx2 or i64)",
         bfp_arith::packed::chain_tier()
     );
 }
