@@ -9,7 +9,8 @@
 //!
 //! [`MulVariant::Exact`] keeps all nine products (reference behaviour);
 //! [`MulVariant::DropLsp`] reproduces the hardware. The difference is bounded
-//! by tests and characterised by the `ablation` bench.
+//! by tests and characterised by the ablation gates in
+//! `tests/repro_numbers.rs`.
 
 use crate::softfp::{SoftFp32, BIAS, FRAC_BITS};
 

@@ -3,7 +3,7 @@
 //! datapath (quantize → int8 block MatMul → aligned accumulation).
 //!
 //! The paper fixes the block at 8×8; other sizes (4, 16, …) are supported
-//! here for the block-size ablation bench, since the accuracy-vs-hardware
+//! here for the block-size ablation, since the accuracy-vs-hardware
 //! trade-off of the block size is one of the design choices DESIGN.md calls
 //! out.
 

@@ -13,7 +13,6 @@ pub mod nonlinear;
 pub mod related;
 pub mod resources;
 pub mod roofline;
-pub mod serving;
 pub mod system;
 pub mod u280;
 
@@ -23,9 +22,5 @@ pub use nonlinear::{NonlinearUnit, VpuOpMix};
 pub use related::{paper_ours_row, prior_works, RelatedWork};
 pub use resources::{ArrayParams, Component, DesignVariant, PuCostModel, ResourceVec};
 pub use roofline::{bfp8_pass_intensity, fp32_stream_intensity, Roofline};
-pub use serving::{
-    ArrayHealth, ArrayServeStats, BrownoutStats, HealthEvent, Priority, PriorityServeStats,
-    ServeStats, TenantId, TenantServeStats,
-};
 pub use system::{System, SystemStats, SHELL};
 pub use u280::{SystemConfig, U280};

@@ -13,7 +13,7 @@ use bfp_arith::fork;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
 use bfp_pu::unit::{grid_from_matrix, BlockGrid, CycleStats, ProcessingUnit, UnitConfig};
-use bfp_telemetry::{fmt_si, Registry, Table};
+use bfp_telemetry::{fmt_si, Table};
 
 use crate::hbm::MemParams;
 use crate::related::RelatedWork;
@@ -63,37 +63,6 @@ impl SystemStats {
         } else {
             self.total_bfp_ops() as f64 / s
         }
-    }
-
-    /// Publish the snapshot into a metrics [`Registry`] as gauges
-    /// (idempotent: re-publishing a newer snapshot overwrites), fault
-    /// counters included.
-    pub fn publish(&self, reg: &Registry) {
-        reg.gauge("system_arrays").set(self.per_array.len() as f64);
-        reg.gauge("system_critical_cycles")
-            .set(self.critical_cycles());
-        reg.gauge("system_mem_overhead_cycles")
-            .set(self.mem_overhead_cycles);
-        reg.gauge("system_bfp_ops").set(self.total_bfp_ops() as f64);
-        let c = &self.faults.counters;
-        reg.gauge("faults_injected").set(c.injected as f64);
-        reg.gauge("faults_ecc_corrected")
-            .set(c.ecc_corrected as f64);
-        reg.gauge("faults_ecc_uncorrected")
-            .set(c.ecc_uncorrected as f64);
-        reg.gauge("faults_tmr_corrected")
-            .set(c.tmr_corrected as f64);
-        reg.gauge("faults_tmr_uncorrected")
-            .set(c.tmr_uncorrected as f64);
-        reg.gauge("faults_stuck_lane_hits")
-            .set(c.stuck_lane_hits as f64);
-        reg.gauge("faults_dropped_partials")
-            .set(c.dropped_partials as f64);
-        reg.gauge("faults_detected")
-            .set(self.faults.detected as f64);
-        reg.gauge("faults_retries").set(self.faults.retries as f64);
-        reg.gauge("faults_fp32_fallbacks")
-            .set(self.faults.fp32_fallbacks as f64);
     }
 }
 
@@ -423,20 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_display_and_publish_cover_the_execution() {
+    fn stats_display_covers_the_execution() {
         let sys = System::paper();
         let (_, stats) = sys.matmul_f32(&ramp(48, 24), &ramp(24, 16));
         let text = stats.to_string();
         assert!(text.contains("system execution"), "{text}");
         assert!(text.contains("30"), "{text}");
 
-        let reg = bfp_telemetry::Registry::new();
-        stats.publish(&reg);
-        let prom = reg.snapshot().to_prometheus_text();
-        assert!(prom.contains("system_arrays 30"), "{prom}");
-        assert!(prom.contains("faults_injected 0"), "{prom}");
-        let bfp_ops = reg.gauge("system_bfp_ops").get();
-        assert_eq!(bfp_ops, stats.total_bfp_ops() as f64);
+        assert_eq!(stats.per_array.len(), 30);
+        assert_eq!(stats.faults.counters.injected, 0);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 
 use std::time::Duration;
 
-use bfp_platform::TenantId;
-
 use crate::observatory::ObservatoryConfig;
+use crate::serving::TenantId;
 
 /// What `submit` does when the admission queue is full. All three
 /// policies are priority-aware: shedding always picks a victim from the
@@ -114,7 +113,7 @@ impl Default for BrownoutPolicy {
 }
 
 /// Strike/probe policy driving the per-array health state machine
-/// (see [`bfp_platform::ArrayHealth`] for the state diagram).
+/// (see [`crate::ArrayHealth`] for the state diagram).
 #[derive(Debug, Clone, Copy)]
 pub struct HealthPolicy {
     /// Detected-fault strikes at which an array turns `Degraded`.

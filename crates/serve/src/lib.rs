@@ -39,12 +39,12 @@
 //!   array while one is available, on the same array after a grace
 //!   window otherwise (a fleet of one never starves a retry).
 //! * **Health state machine** — per array, `Healthy → Degraded →
-//!   Quarantined → Probing` (see [`bfp_platform::ArrayHealth`]):
+//!   Quarantined → Probing` (see [`ArrayHealth`]):
 //!   quarantined arrays are drained and periodically re-certified by a
 //!   golden self-test GEMM bit-checked against the softfp reference,
 //!   then re-admitted.
 //! * **Observability** — [`Server::stats`] snapshots the
-//!   [`bfp_platform::ServeStats`] counters (admission, per-tenant and
+//!   [`ServeStats`] counters (admission, per-tenant and
 //!   per-priority rollups, brownout state, per-array health history)
 //!   under one lock, so the identity
 //!   `admitted == completed + failed + queued + in_flight` holds in
@@ -121,6 +121,7 @@ mod config;
 mod error;
 pub mod observatory;
 mod server;
+mod serving;
 mod ticket;
 
 pub use backend::{
@@ -132,18 +133,18 @@ pub use config::{
 pub use error::ServeError;
 pub use observatory::{Observatory, ObservatoryConfig, SHADOW_ENVELOPE};
 pub use server::{ServeRequest, Server};
-pub use ticket::{AttemptRecord, RequestTimeline, ServeResponse, Ticket};
-
-// Re-export the observability vocabulary so downstream code does not
-// need a direct bfp-platform / bfp-telemetry / bfp-core dependency to
-// inspect snapshots, attach a tracer, or publish metrics.
-pub use bfp_core::prelude::NonlinearMode;
-pub use bfp_platform::{
+pub use serving::{
     ArrayHealth, ArrayServeStats, BrownoutStats, HealthEvent, Priority, PriorityServeStats,
     ServeStats, TenantId, TenantServeStats,
 };
+pub use ticket::{AttemptRecord, RequestTimeline, ServeResponse, Ticket};
+
+// Re-export the observability vocabulary so downstream code does not
+// need a direct bfp-telemetry / bfp-core dependency to pick a mode,
+// attach a tracer, or read a flight dump.
+pub use bfp_core::prelude::NonlinearMode;
 pub use bfp_telemetry::{
-    FlightAttempt, FlightDump, FlightRecord, Registry, ShadowSample, Tracer, TriggerReason,
+    FlightAttempt, FlightDump, FlightRecord, ShadowSample, Tracer, TriggerReason,
 };
 
 #[cfg(test)]
@@ -778,30 +779,6 @@ mod tests {
             .take_flight_dumps()
             .iter()
             .any(|d| d.reason == TriggerReason::BrownoutEscalation));
-
-        // Every sample in the observatory's scrape belongs to a typed
-        // family, and the headline series are among them.
-        let reg = Registry::new();
-        server.publish_observatory(&reg);
-        let text = reg.snapshot().to_prometheus_text();
-        let typed: Vec<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .filter_map(|l| l.split(' ').next())
-            .collect();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let family = line.split(['{', ' ']).next().unwrap();
-            assert!(typed.contains(&family), "untyped sample: {line}\n{text}");
-        }
-        for want in [
-            "serve_slo_burn_rate",
-            "serve_shadow_samples_total",
-            "serve_envelope_violations_total",
-            "serve_flight_records",
-            "serve_flight_dumps_taken",
-        ] {
-            assert!(typed.contains(&want), "{want} missing:\n{text}");
-        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ use bfp_arith::matrix::MatF32;
 use bfp_arith::ulp::{EnvelopeStats, UlpEnvelope};
 use bfp_core::prelude::NonlinearMode;
 use bfp_telemetry::recorder::{FlightDump, FlightRecord, FlightRecorder, TriggerReason};
-use bfp_telemetry::registry::{series, Registry};
 use bfp_telemetry::slo::BurnTracker;
 use bfp_telemetry::ShadowSample;
 
@@ -76,19 +75,14 @@ impl Default for ObservatoryConfig {
     }
 }
 
-/// Aggregated shadow-lane error statistics (lock-free counters; ulp
-/// maxima monotone under CAS-free `fetch_max`).
+/// Shadow-lane tallies (lock-free counters). Per-sample errors travel
+/// in the flight records, and a violation's `max_ulp` in its
+/// `serve.envelope_violation` trace instant.
 #[derive(Debug, Default)]
 struct ShadowCounters {
     tick: AtomicU64,
     samples: AtomicU64,
     violations: AtomicU64,
-    max_ulp: AtomicU64,
-    /// Worst |error| as an f64 bit pattern: non-negative f64s order
-    /// like their bit patterns, so `fetch_max` keeps the maximum.
-    worst_abs_bits: AtomicU64,
-    /// The most recent sample's SQNR as an f64 bit pattern.
-    last_sqnr_bits: AtomicU64,
 }
 
 /// The observatory state owned by a running [`crate::Server`].
@@ -100,7 +94,6 @@ pub struct Observatory {
     burn: Mutex<BTreeMap<(u64, usize), BurnTracker>>,
     dumps: Mutex<Vec<FlightDump>>,
     shadow: ShadowCounters,
-    triggers_suppressed: AtomicU64,
 }
 
 impl Observatory {
@@ -118,7 +111,6 @@ impl Observatory {
             burn: Mutex::new(BTreeMap::new()),
             dumps: Mutex::new(Vec::new()),
             shadow: ShadowCounters::default(),
-            triggers_suppressed: AtomicU64::new(0),
         }
     }
 
@@ -171,15 +163,6 @@ impl Observatory {
             violation: stats.violations > 0,
         };
         self.shadow.samples.fetch_add(1, Ordering::Relaxed);
-        self.shadow
-            .max_ulp
-            .fetch_max(sample.max_ulp, Ordering::Relaxed);
-        self.shadow
-            .worst_abs_bits
-            .fetch_max(sample.max_abs.to_bits(), Ordering::Relaxed);
-        self.shadow
-            .last_sqnr_bits
-            .store(sample.sqnr_db.to_bits(), Ordering::Relaxed);
         if sample.violation {
             self.shadow.violations.fetch_add(1, Ordering::Relaxed);
         }
@@ -234,59 +217,14 @@ impl Observatory {
         if !self.cfg.enabled {
             return;
         }
-        match self.recorder.trigger(reason, self.now_s(), detail) {
-            Some(dump) => self.dumps.lock().unwrap().push(dump),
-            None => {
-                self.triggers_suppressed.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(dump) = self.recorder.trigger(reason, self.now_s(), detail) {
+            self.dumps.lock().unwrap().push(dump);
         }
     }
 
     /// Drain the queued flight-recorder dumps.
     pub fn take_dumps(&self) -> Vec<FlightDump> {
         std::mem::take(&mut *self.dumps.lock().unwrap())
-    }
-
-    /// Publish the observatory's state through `reg`: multi-window
-    /// burn-rate gauges per tenant/priority stream, shadow-lane
-    /// counters, and recorder health.
-    pub fn publish(&self, reg: &Registry) {
-        let now_s = self.now_s();
-        for ((tenant, prio), tracker) in self.burn.lock().unwrap().iter() {
-            let t = tenant.to_string();
-            let p = priority_label(*prio);
-            tracker.publish(
-                reg,
-                "serve_slo_burn_rate",
-                &[("tenant", &t), ("priority", p)],
-                now_s,
-            );
-        }
-        let sc = &self.shadow;
-        reg.counter("serve_shadow_samples_total").add(
-            sc.samples
-                .load(Ordering::Relaxed)
-                .saturating_sub(reg.counter("serve_shadow_samples_total").get()),
-        );
-        reg.counter("serve_envelope_violations_total").add(
-            sc.violations
-                .load(Ordering::Relaxed)
-                .saturating_sub(reg.counter("serve_envelope_violations_total").get()),
-        );
-        reg.gauge("serve_shadow_max_ulp")
-            .set(sc.max_ulp.load(Ordering::Relaxed) as f64);
-        reg.gauge("serve_shadow_worst_abs")
-            .set(f64::from_bits(sc.worst_abs_bits.load(Ordering::Relaxed)));
-        reg.gauge("serve_shadow_last_sqnr_db")
-            .set(f64::from_bits(sc.last_sqnr_bits.load(Ordering::Relaxed)));
-        reg.gauge(&series("serve_flight_records", &[("state", "pushed")]))
-            .set(self.recorder.pushed() as f64);
-        reg.gauge(&series("serve_flight_records", &[("state", "dropped")]))
-            .set(self.recorder.dropped() as f64);
-        reg.gauge("serve_flight_dumps_taken")
-            .set(self.recorder.dumps_taken() as f64);
-        reg.gauge("serve_flight_triggers_suppressed")
-            .set(self.triggers_suppressed.load(Ordering::Relaxed) as f64);
     }
 }
 
@@ -295,14 +233,6 @@ fn priority_index(label: &str) -> usize {
         "bulk" => 0,
         "critical" => 2,
         _ => 1,
-    }
-}
-
-fn priority_label(index: usize) -> &'static str {
-    match index {
-        0 => "bulk",
-        2 => "critical",
-        _ => "standard",
     }
 }
 
@@ -422,31 +352,5 @@ mod tests {
         let s = obs.shadow_sample(&a, &b, ServeOp::GemmGelu, &bad);
         assert!(s.violation);
         assert_eq!(obs.envelope_violations(), 1);
-
-        // A later clean sample does not hide the worst divergence seen.
-        obs.shadow_sample(&a, &b, ServeOp::GemmGelu, &fast);
-        let reg = Registry::new();
-        obs.publish(&reg);
-        let worst = reg.gauge("serve_shadow_worst_abs").get();
-        assert!(worst >= 1.0, "worst |err| {worst} lost to a later sample");
-    }
-
-    #[test]
-    fn publish_exports_burn_and_shadow_series() {
-        let obs = Observatory::new(ObservatoryConfig::default(), Instant::now());
-        obs.record_completion(record(2, "critical", false), false);
-        let reg = Registry::new();
-        obs.publish(&reg);
-        obs.publish(&reg); // idempotent counters (no double-count)
-        let text = reg.snapshot().to_prometheus_text();
-        assert!(
-            text.contains("serve_slo_burn_rate{tenant=\"2\",priority=\"critical\",window="),
-            "{text}"
-        );
-        assert!(text.contains("serve_shadow_samples_total 0"), "{text}");
-        assert!(
-            text.contains("serve_flight_records{state=\"pushed\"} 1"),
-            "{text}"
-        );
     }
 }

@@ -36,17 +36,18 @@ use bfp_arith::quant::Quantizer;
 use bfp_arith::{AddVariant, HwFp32Add, HwFp32Mul, MulVariant};
 use bfp_core::prelude::NonlinearMode;
 use bfp_faults::FleetLedger;
-use bfp_platform::{
-    ArrayHealth, ArrayServeStats, BrownoutStats, HealthEvent, Priority, PriorityServeStats,
-    ServeStats, System, TenantId, TenantServeStats,
-};
+use bfp_platform::System;
 use bfp_telemetry::recorder::{FlightAttempt, FlightDump, FlightRecord, TriggerReason};
-use bfp_telemetry::{Registry, ShadowSample, Tracer};
+use bfp_telemetry::{ShadowSample, Tracer};
 
 use crate::backend::{ArrayBackend, ArrayFaultPlan, ServeOp, SimArrayBackend, Telemetry};
 use crate::config::{Backpressure, ServeConfig, TenantQuota};
 use crate::error::ServeError;
 use crate::observatory::Observatory;
+use crate::serving::{
+    ArrayHealth, ArrayServeStats, BrownoutStats, HealthEvent, Priority, PriorityServeStats,
+    ServeStats, TenantId, TenantServeStats,
+};
 use crate::ticket::{AttemptRecord, RequestTimeline, ServeResponse, Ticket, TicketInner};
 
 /// Executions that calibrate the service estimate before the
@@ -898,13 +899,6 @@ impl Server {
     /// Chrome trace.
     pub fn take_flight_dumps(&self) -> Vec<FlightDump> {
         self.shared.obs.take_dumps()
-    }
-
-    /// Publish the observatory's gauges and counters through `reg`
-    /// (multi-window SLO burn rates per tenant/priority, shadow-lane
-    /// error statistics, recorder health).
-    pub fn publish_observatory(&self, reg: &Registry) {
-        self.shared.obs.publish(reg);
     }
 }
 

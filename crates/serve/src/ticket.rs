@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use bfp_arith::matrix::MatF32;
 use bfp_core::prelude::NonlinearMode;
-use bfp_platform::{Priority, TenantId};
 
 use crate::error::ServeError;
+use crate::serving::{Priority, TenantId};
 
 /// One execution attempt in a request's [`RequestTimeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -20,13 +20,11 @@
 //! the signal: a node drifting hard is one the planner would fuse (or
 //! refuse to fuse) for the wrong reason.
 //!
-//! [`PlanDriftReport`] carries the per-node attribution, publishes it
-//! through a [`Registry`] (gauges + drift histograms), renders as a
-//! [`Table`], and answers the top-K "mispriced nodes" query benches and
-//! dashboards gate on.
+//! [`PlanDriftReport`] carries the per-node attribution, renders as a
+//! [`Table`] or JSON, and answers the top-K "mispriced nodes" query the
+//! drift gates read.
 
 use crate::json;
-use crate::registry::{series, Registry};
 use crate::report::Table;
 
 use std::fmt::Write as _;
@@ -188,30 +186,6 @@ impl PlanDriftReport {
             .map(|n| n.sample.total_cycles())
             .sum::<f64>()
             / total
-    }
-
-    /// Publish the attribution through `reg`: the calibration factor and
-    /// coverage gaps as gauges, and per-node drift as both a gauge (the
-    /// latest ratio) and a log2 histogram of permille ratios (the
-    /// continuous serve-time distribution — repeated publishes
-    /// accumulate).
-    pub fn publish(&self, reg: &Registry) {
-        reg.gauge("plan_drift_calibration_hz")
-            .set(self.calibration_hz);
-        reg.gauge("plan_drift_nodes").set(self.nodes.len() as f64);
-        reg.gauge("plan_drift_unmeasured_nodes")
-            .set(self.unmeasured.len() as f64);
-        reg.gauge("plan_drift_unpriced_nodes")
-            .set(self.unpriced.len() as f64);
-        reg.gauge("plan_drift_weighted_mean_abs_log2")
-            .set(self.weighted_mean_abs_log2_drift());
-        for n in &self.nodes {
-            let labels = [("node", n.sample.name.as_str())];
-            reg.gauge(&series("plan_node_drift_ratio", &labels))
-                .set(n.drift_ratio);
-            reg.histogram(&series("plan_node_drift_permille", &labels))
-                .record((n.drift_ratio * 1000.0).round().max(0.0) as u64);
-        }
     }
 
     /// Render the attribution as a text table, worst mispricing first.
@@ -400,24 +374,6 @@ mod tests {
         assert_eq!(r.max_abs_log2_drift(), 0.0);
         assert!(r.top_mispriced(5).is_empty());
         assert!(r.to_table().is_empty());
-    }
-
-    #[test]
-    fn publish_registers_gauges_and_histograms() {
-        let r = PlanDriftReport::new(vec![
-            sample("a", 100.0, 0.0, 1.0),
-            sample("b", 100.0, 0.0, 3.0),
-        ]);
-        let reg = Registry::new();
-        r.publish(&reg);
-        let snap = reg.snapshot();
-        let text = snap.to_prometheus_text();
-        assert!(text.contains("plan_drift_calibration_hz"), "{text}");
-        assert!(text.contains("plan_node_drift_ratio{node=\"a\"}"), "{text}");
-        assert!(
-            text.contains("plan_node_drift_permille_count{node=\"b\"} 1"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! # bfp-telemetry — the observability substrate of the stack
 //!
 //! Every layer of the reproduction produces numbers about itself: the
-//! engine times its phases, the serving runtime counts admissions and
-//! deadline misses, the fault layer tallies injections. This crate is
-//! the one vocabulary they all publish through, so a single snapshot —
-//! or a single Perfetto timeline — covers the whole system.
+//! engine times its phases, the serving runtime times each request's
+//! queue wait and service, the systolic model emits its waveform. This
+//! crate is the one timeline they all record into, so a single Perfetto
+//! trace covers the whole system. Counts stay with the layer that owns
+//! them (the engine's `census()`, the server's `ServeStats`, the fault
+//! layer's `FaultReport`).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Registry`] — a metrics registry with typed handles. Handle
-//!   *creation* takes a short-lived lock; *recording* through a handle
-//!   is lock-free (relaxed atomics), so hot paths pay one atomic RMW
-//!   per observation. Three instrument kinds: monotonic [`Counter`]s,
-//!   [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s. Snapshots render
-//!   as Prometheus-style text or JSON.
 //! * [`Tracer`] / [`SpanGuard`] — a span/event tracing core with no
 //!   external dependency (the workspace is offline-vendored, so the
 //!   `tracing` ecosystem is out of reach by design). Each thread
@@ -40,14 +36,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use bfp_telemetry::{Registry, Tracer};
-//!
-//! let reg = Registry::new();
-//! let served = reg.counter("requests_served_total");
-//! served.inc();
-//! let lat = reg.histogram("request_ns");
-//! lat.record(1_200_000);
-//! assert!(reg.snapshot().to_prometheus_text().contains("requests_served_total 1"));
+//! use bfp_telemetry::Tracer;
 //!
 //! let tracer = Tracer::new();
 //! {
@@ -62,7 +51,6 @@ pub mod chrome;
 pub mod drift;
 pub mod json;
 pub mod recorder;
-pub mod registry;
 pub mod report;
 pub mod slo;
 pub mod trace;
@@ -72,7 +60,6 @@ pub use drift::{NodeDrift, NodeSample, PlanDriftReport};
 pub use recorder::{
     FlightAttempt, FlightDump, FlightRecord, FlightRecorder, ShadowSample, TriggerReason,
 };
-pub use registry::{series, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use report::{fmt_si, Table};
 pub use slo::BurnTracker;
 pub use trace::{EventKind, SpanGuard, TraceEvent, Tracer};

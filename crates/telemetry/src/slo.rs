@@ -8,16 +8,11 @@
 //! a known trap: a short window pages on noise, a long window pages an
 //! hour late. The standard fix is multi-window burn alerts — fire only
 //! when *both* a fast and a slow window are over threshold — which is
-//! what [`BurnTracker::max_burn`] + per-window gauges enable.
+//! what [`BurnTracker::alerting`] checks, with [`BurnTracker::max_burn`]
+//! as the single worst-window reading.
 //!
 //! Time is an explicit `now_s: f64` parameter rather than `Instant`, so
 //! servers feed modelled/simulated clocks and tests are deterministic.
-
-use crate::registry::{series, Registry};
-
-/// Burn-rate windows, in seconds, fast to slow. Classic multiwindow
-/// ladder scaled down to bench/simulation timescales.
-pub const DEFAULT_WINDOWS_S: [f64; 3] = [5.0, 60.0, 300.0];
 
 /// Event-bucketed burn-rate tracker for one stream (tenant × priority).
 ///
@@ -35,12 +30,7 @@ pub struct BurnTracker {
 }
 
 impl BurnTracker {
-    /// Tracker with the [`DEFAULT_WINDOWS_S`] ladder.
-    pub fn new(budget: f64) -> Self {
-        Self::with_windows(budget, &DEFAULT_WINDOWS_S)
-    }
-
-    /// Tracker over custom windows (seconds, need not be sorted).
+    /// Tracker over `windows_s` (seconds, need not be sorted).
     /// Bucket granularity is 1/10 of the fastest window so the fast
     /// window still has resolution.
     pub fn with_windows(budget: f64, windows_s: &[f64]) -> Self {
@@ -56,16 +46,6 @@ impl BurnTracker {
             granularity_s,
             ring: vec![(u64::MAX, 0, 0); slots],
         }
-    }
-
-    /// The tracker's error budget (bad fraction allowed).
-    pub fn budget(&self) -> f64 {
-        self.budget
-    }
-
-    /// Configured windows, in seconds.
-    pub fn windows_s(&self) -> &[f64] {
-        &self.windows_s
     }
 
     fn bucket_index(&self, now_s: f64) -> u64 {
@@ -127,17 +107,6 @@ impl BurnTracker {
             .iter()
             .all(|&w| self.burn_rate(w, now_s) >= threshold)
     }
-
-    /// Publish one gauge per window (`label` values name the stream,
-    /// e.g. `[("tenant","2"),("priority","critical")]`).
-    pub fn publish(&self, reg: &Registry, name: &str, labels: &[(&str, &str)], now_s: f64) {
-        for &w in &self.windows_s {
-            let win = format!("{w}s");
-            let mut all: Vec<(&str, &str)> = labels.to_vec();
-            all.push(("window", &win));
-            reg.gauge(&series(name, &all)).set(self.burn_rate(w, now_s));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_window_burns_zero() {
-        let t = BurnTracker::new(0.01);
+        let t = BurnTracker::with_windows(0.01, &[5.0, 60.0, 300.0]);
         assert_eq!(t.burn_rate(5.0, 100.0), 0.0);
         assert_eq!(t.max_burn(100.0), 0.0);
         assert!(!t.alerting(1.0, 100.0));
@@ -206,27 +175,5 @@ mod tests {
             let b = t.burn_rate(1.0, base + 0.9);
             assert!((b - expect).abs() < 1e-9, "lap {lap}: {b}");
         }
-    }
-
-    #[test]
-    fn publish_emits_one_gauge_per_window() {
-        let mut t = BurnTracker::with_windows(0.1, &[0.5, 5.0, 60.0]);
-        t.record(1.0, true);
-        let reg = Registry::new();
-        t.publish(&reg, "slo_burn", &[("tenant", "0")], 1.0);
-        let text = reg.snapshot().to_prometheus_text();
-        // A sub-second window keeps its own label.
-        assert!(
-            text.contains("slo_burn{tenant=\"0\",window=\"0.5s\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("slo_burn{tenant=\"0\",window=\"5s\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("slo_burn{tenant=\"0\",window=\"60s\"}"),
-            "{text}"
-        );
     }
 }

@@ -1,46 +1,11 @@
-//! Property tests for the telemetry substrate: histogram accounting
-//! under concurrent recording, and span nesting in exported traces.
+//! Property tests for the telemetry substrate: span nesting in exported
+//! traces.
 
-use bfp_telemetry::{registry::bucket_of, EventKind, Histogram, Registry, Tracer};
+use bfp_telemetry::{EventKind, Tracer};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Bucket counts sum to the observation count (and the sum matches)
-    /// after N threads record concurrently into one histogram.
-    #[test]
-    fn histogram_concurrent_accounting(
-        per_thread in proptest::collection::vec(
-            proptest::collection::vec(any::<u64>(), 1..40),
-            1..6,
-        ),
-    ) {
-        let h = Histogram::new();
-        std::thread::scope(|s| {
-            for chunk in &per_thread {
-                let h = &h;
-                s.spawn(move || {
-                    for &v in chunk {
-                        h.record(v);
-                    }
-                });
-            }
-        });
-        let snap = h.snapshot();
-        let total: u64 = per_thread.iter().map(|c| c.len() as u64).sum();
-        let expect_sum: u64 = per_thread
-            .iter()
-            .flatten()
-            .fold(0u64, |acc, &v| acc.wrapping_add(v));
-        prop_assert_eq!(snap.count, total);
-        prop_assert_eq!(snap.buckets.iter().sum::<u64>(), total);
-        prop_assert_eq!(snap.sum, expect_sum);
-        // Each value landed in its own bucket.
-        for &v in per_thread.iter().flatten() {
-            prop_assert!(snap.buckets[bucket_of(v)] > 0);
-        }
-    }
 
     /// Exported spans nest: every child's interval lies fully inside
     /// its parent's, on the same thread, for arbitrary open/close
@@ -74,24 +39,6 @@ proptest! {
             prop_assert!(ev.ts_ns >= parent.ts_ns);
             prop_assert!(ev.ts_ns + dur_ns <= parent.ts_ns + pdur);
         }
-    }
-
-    /// Counter handles are linearizable enough: concurrent increments
-    /// from N threads all land.
-    #[test]
-    fn counter_concurrent_increments(threads in 1usize..6, per in 1u64..500) {
-        let reg = Registry::new();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let c = reg.counter("events_total");
-                s.spawn(move || {
-                    for _ in 0..per {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        prop_assert_eq!(reg.counter("events_total").get(), threads as u64 * per);
     }
 }
 

@@ -1,8 +1,15 @@
 //! The paper's headline numbers, asserted as tests: if a refactor breaks a
-//! reproduction target, CI catches it here.
+//! reproduction target, CI catches it here. The last three tests are the
+//! design ablations of EXPERIMENTS.md's "Ablations" table; run them with
+//! `--nocapture` to print its rows.
 
+use bfp_arith::fpadd::{AddVariant, HwFp32Add};
+use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
+use bfp_arith::matrix::MatF32;
+use bfp_arith::quant::Quantizer;
+use bfp_arith::stats::ErrorStats;
 use bfp_core::LatencyModel;
-use bfp_platform::{paper_ours_row, DesignVariant, PuCostModel, System, U280};
+use bfp_platform::{paper_ours_row, ArrayParams, DesignVariant, PuCostModel, System, U280};
 use bfp_pu::throughput;
 use bfp_transformer::{analytical_census, VitConfig};
 
@@ -138,4 +145,138 @@ fn footnote_hbm_channel_budget() {
     let cfg = System::paper().cfg;
     assert_eq!(cfg.units * cfg.arrays_per_unit, 30);
     assert!(cfg.units * 2 <= U280::HBM_CHANNELS);
+}
+
+/// 100 000 operand pairs, both of each pair with a magnitude in
+/// `[0.25, 16)` and a random sign: the ablations' fixed sample.
+fn sample_pairs() -> Vec<(f32, f32)> {
+    let mut state = 0x1357_9bdfu32;
+    (0..100_000)
+        .map(|_| {
+            let mut next = || {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                f32::from_bits(
+                    0x3e80_0000u32.wrapping_add((state % 6) << 23) | ((state >> 9) & 0x7f_ffff),
+                ) * if state & 1 == 0 { 1.0 } else { -1.0 }
+            };
+            (next(), next())
+        })
+        .collect()
+}
+
+/// `(max ulp, mean ulp, exact %)` as EXPERIMENTS.md prints them.
+fn ulp_row(stats: &ErrorStats) -> (u64, String, String) {
+    (
+        stats.max_ulp,
+        format!("{:.3}", stats.mean_ulp()),
+        format!("{:.1}", stats.exact_fraction() * 100.0),
+    )
+}
+
+#[test]
+fn ablation_fp32_mul_variants() {
+    // Dropping the least-significant partial product (8 rows instead of
+    // 9) costs almost nothing on top of truncation; the truncating
+    // normaliser is the error source, and it stays within 1 ulp.
+    let pairs = sample_pairs();
+    for (name, variant, round, want) in [
+        (
+            "exact products + truncate",
+            MulVariant::Exact,
+            NormRound::Truncate,
+            (1, "0.500", "50.0"),
+        ),
+        (
+            "drop LSP + truncate (paper)",
+            MulVariant::DropLsp,
+            NormRound::Truncate,
+            (1, "0.501", "49.9"),
+        ),
+        (
+            "exact products + RNE",
+            MulVariant::Exact,
+            NormRound::NearestEven,
+            (0, "0.000", "100.0"),
+        ),
+        (
+            "drop LSP + RNE",
+            MulVariant::DropLsp,
+            NormRound::NearestEven,
+            (1, "0.001", "99.9"),
+        ),
+    ] {
+        let m = HwFp32Mul { variant, round };
+        let mut stats = ErrorStats::new();
+        for &(x, y) in &pairs {
+            stats.push(m.mul(x, y), x * y);
+        }
+        println!("ablation fp32 mul, {name}: {stats}");
+        let (max_ulp, mean, exact) = ulp_row(&stats);
+        assert_eq!((max_ulp, mean.as_str(), exact.as_str()), want, "{name}");
+    }
+}
+
+#[test]
+fn ablation_fp32_add_variants() {
+    // The 48-bit PSU/ACC window keeps fp32 add within 1 ulp; a literal
+    // 24-bit Eqn. 6 alignment loses up to 128 ulp under cancellation.
+    let pairs = sample_pairs();
+    for (name, variant, want) in [
+        (
+            "48-bit align (paper datapath)",
+            AddVariant::Exact48,
+            (1, "0.230", "77.0"),
+        ),
+        (
+            "literal 24-bit Eqn. 6",
+            AddVariant::Truncate24,
+            (128, "0.609", "54.5"),
+        ),
+    ] {
+        let a = HwFp32Add::new(variant);
+        let mut stats = ErrorStats::new();
+        for &(x, y) in &pairs {
+            stats.push(a.add(x, y), x + y);
+        }
+        println!("ablation fp32 add, {name}: {stats}");
+        let (max_ulp, mean, exact) = ulp_row(&stats);
+        assert_eq!((max_ulp, mean.as_str(), exact.as_str()), want, "{name}");
+    }
+}
+
+#[test]
+fn ablation_block_size() {
+    // Outlier-structured 128x128 input: 8x8 keeps 4x4's SQNR at 3.6x its
+    // DSP count, 16x16 loses 4.6 dB. The modelled unit is the array that
+    // matches the block.
+    let m = MatF32::from_fn(128, 128, |i, j| {
+        let base = ((i * 31 + j * 17) % 97) as f32 / 97.0 - 0.5;
+        if (i / 8 + j / 8) % 7 == 0 {
+            base * 50.0
+        } else {
+            base
+        }
+    });
+    for (block, want_sqnr, want_unit) in [
+        (4usize, "45.78", (5426.0, 8211.0, 32.5, 20.0)),
+        (8, "45.77", (7348.0, 10329.0, 57.5, 72.0)),
+        (16, "41.14", (13167.0, 16869.0, 107.5, 272.0)),
+    ] {
+        let sqnr = Quantizer::with_block(block)
+            .quantize(&m)
+            .unwrap()
+            .fidelity(&m)
+            .sqnr_db();
+        let unit = PuCostModel::unit_total(ArrayParams {
+            rows: block,
+            cols: block,
+        });
+        println!("ablation block {block}x{block}: SQNR {sqnr:.2} dB | modelled unit: {unit}");
+        assert_eq!(format!("{sqnr:.2}"), want_sqnr, "{block}x{block}");
+        assert_eq!(
+            (unit.lut.round(), unit.ff.round(), unit.bram, unit.dsp),
+            want_unit,
+            "{block}x{block}"
+        );
+    }
 }
