@@ -101,27 +101,68 @@ impl PackedBfp {
     /// (`quantize_tile_avx2`) pinned to that loop. The composed path stays
     /// scalar as the reference the equivalence tests pin this one against.
     pub fn quantize_pack_lhs(q: &Quantizer, m: &MatF32) -> Result<PackedBfp, ArithError> {
-        Self::quantize_pack(q, m, PackSide::Lhs)
+        Self::quantize_pack(q, m, PackSide::Lhs, 1)
+    }
+
+    /// [`PackedBfp::quantize_pack_lhs`] split into `shards` block-row
+    /// ranges run through [`crate::fork::join`] (the caller picks the
+    /// count with [`crate::fork::shards`] and [`PACK_MIN_SHARD_ELEMS`]).
+    /// Each shard quantises a disjoint range of both planes, so the result
+    /// is the serial pack's for any count: the same planes and, when tiles
+    /// fail, the error of the first failing tile in tile order.
+    ///
+    /// # Panics
+    /// Panics if `shards` is 0.
+    pub fn quantize_pack_lhs_parallel(
+        q: &Quantizer,
+        m: &MatF32,
+        shards: usize,
+    ) -> Result<PackedBfp, ArithError> {
+        Self::quantize_pack(q, m, PackSide::Lhs, shards)
     }
 
     /// Fused quantize-and-pack for the right operand (block-transposed);
     /// see [`PackedBfp::quantize_pack_lhs`].
     pub fn quantize_pack_rhs(q: &Quantizer, m: &MatF32) -> Result<PackedBfp, ArithError> {
-        Self::quantize_pack(q, m, PackSide::Rhs)
+        Self::quantize_pack(q, m, PackSide::Rhs, 1)
     }
 
-    fn quantize_pack(q: &Quantizer, m: &MatF32, side: PackSide) -> Result<PackedBfp, ArithError> {
+    fn quantize_pack(
+        q: &Quantizer,
+        m: &MatF32,
+        side: PackSide,
+        shards: usize,
+    ) -> Result<PackedBfp, ArithError> {
+        assert!(shards > 0, "at least one shard");
         let b = q.block;
         let br = m.rows().div_ceil(b);
         let bc = m.cols().div_ceil(b);
         let bb = b * b;
         let kernel = TileQuantizer::select(q);
-        let mut exps = Vec::with_capacity(br * bc);
+        let mut exps = vec![0i8; br * bc];
         let mut man = vec![0i8; br * bc * bb];
-        for (t, dst) in man.chunks_exact_mut(bb).enumerate() {
-            let tile = TileSrc::of(m, t / bc * b, t % bc * b, b);
-            exps.push(kernel.quantize(q, &tile, side, dst)?);
-        }
+        // Tiles per shard: whole block-rows, so shard `s` starts at tile
+        // `s · per` and owns its own runs of both planes.
+        let per = (br.div_ceil(shards) * bc).max(1);
+        let mut workers: Vec<_> = man
+            .chunks_mut(per * bb)
+            .zip(exps.chunks_mut(per))
+            .enumerate()
+            .map(|(s, (man, exps))| (s * per, man, exps, Ok(())))
+            .collect();
+        crate::fork::join(&mut workers, |(t0, man, exps, res)| {
+            *res = (man.chunks_exact_mut(bb).zip(exps.iter_mut()).enumerate()).try_for_each(
+                |(i, (dst, exp))| {
+                    let t = *t0 + i;
+                    let tile = TileSrc::of(m, t / bc * b, t % bc * b, b);
+                    *exp = kernel.quantize(q, &tile, side, dst)?;
+                    Ok(())
+                },
+            );
+        });
+        // Each shard stopped at its first failing tile, so the first shard
+        // that failed holds the first failing tile in tile order.
+        workers.into_iter().try_for_each(|(.., res)| res)?;
         Ok(PackedBfp {
             rows: m.rows(),
             cols: m.cols(),
@@ -280,26 +321,51 @@ impl PackedBfp {
 
 /// Fewest scalar MACs one shard of a forked packed GEMM should carry (the
 /// `min_per_shard` its callers pass to [`crate::fork::shards`]), so a GEMM
-/// forks from 16 M MACs up and stays serial below that.
+/// forks from 2 M MACs up and stays serial below that.
 ///
-/// Derivation, on the 2-vCPU reference box (AVX-512 VNNI), against the
-/// fork/join cost stated at [`crate::fork::join`] (≈ 0.046–0.054 ms median
-/// beside this chain): the `b == 8` zmm chain sustains ≈ 50–70 GMAC/s per
-/// core in the box's slow phases (≈ 2× the ymm chain it replaced in the
-/// same phase), so 16 M MACs are ≈ 0.25 ms of serial kernel — about five
-/// fork/joins — of which two shards can save at most half. Measured serial
-/// / two-shard time on 197×384×N, five runs of 400–1000 interleaved pairs
-/// each: 4.8 M MACs 0.87–1.04, 7.3 M 0.89–1.16, 9.7 M 0.92–1.25, 12 M
-/// 0.91–1.11, 15 M 0.94–1.22, 19 M 0.96–1.31 (break-even), 29 M
-/// (DeiT-Small's 197×384×384 projections) 1.07–1.49, 58 M 1.30–1.56,
-/// 116 M 1.31–1.64. The faster chain moved the low end of break-even up,
-/// from ≈ 5 M on the ymm chain to ≈ 7–10 M, still below the fork point,
-/// which stays inside the break-even band; no DeiT-Small GEMM lies between
-/// 2.5 M and 29 M MACs, so any fork point in that band forks the same
-/// ones. A per-head attention product (197×64×197, 2.5 M MACs, ≈ 0.04 ms
-/// serial) is about a fork/join long and must never fork. Not measured on
-/// a host with more than two cores.
-pub const PARALLEL_MIN_SHARD_MACS: u64 = 8_000_000;
+/// Measured on the 2-vCPU reference box (AVX-512 VNNI) against the pool
+/// [`crate::fork::join`] runs on (≈ 1 µs per fork): serial ÷ two-shard
+/// time, median (q1–q3) of 300–5000 interleaved pairs; a range is the
+/// spread of medians over two to six runs:
+///
+/// | shape | MACs | serial ÷ two shards |
+/// |---|---|---|
+/// | 197×384×8 | 0.6 M | 1.60–1.74 (q1 ≥ 1.27) |
+/// | 197×384×16 | 1.2 M | 1.70–1.78 (q1 ≥ 1.41) |
+/// | 197×64×98 | 1.2 M | 0.91–1.36 (q1 0.80–1.12) |
+/// | 197×64×197, a head's Q·Kᵀ | 2.5 M | 1.00–1.23 (q1 0.86–1.04) |
+/// | 197×197×64, a head's P·V | 2.5 M | 1.20–1.71 (q1 0.88–1.52) |
+/// | 197×384×32 … 192 | 2.4–14.5 M | 1.22–1.65 |
+/// | 197×384×384, a projection | 29 M | 1.39–1.55 |
+/// | 197×384×1536, 197×1536×384, the MLP | 116 M | 1.82–1.89 (1.53–1.61 cycling 24 weights) |
+///
+/// A long reduction wins from well under 1 M MACs; the short `K = 64`
+/// ones DeiT-Small's attention issues are the weakest case: level at
+/// 1.2 M, and at 2.5 M ahead in five runs of six (Q·Kᵀ) and in all six
+/// (P·V). So a shard carries 1 M: both per-head products fork, the level
+/// 1.2 M shape does not. Not measured on a host with more than two cores.
+pub const PARALLEL_MIN_SHARD_MACS: u64 = 1_000_000;
+
+/// Fewest f32 elements one shard of a forked activation quantize-pack
+/// ([`PackedBfp::quantize_pack_lhs_parallel`]) should carry, so a pack
+/// forks from 12 288 elements up.
+///
+/// Measured like [`PARALLEL_MIN_SHARD_MACS`] (paper quantizer, lane tile
+/// kernel, 3000 interleaved pairs, two runs):
+///
+/// | LHS | elements | serial | serial ÷ two shards |
+/// |---|---|---|---|
+/// | 64×64 | 4.1 k | 2.6–2.9 µs | 0.85–0.87 |
+/// | 128×64 | 8.2 k | 4.6–5.1 µs | 0.95–1.04 |
+/// | 197×64, a head's Q | 12.6 k | 7.1–8.0 µs | 1.13–1.23 (q1 ≥ 1.10) |
+/// | 128×128 | 16.4 k | 8.8–9.8 µs | 1.15–1.31 |
+/// | 197×197, a head's P | 38.8 k | 23 µs | 1.42–1.44 |
+/// | 197×384, q/k/v, proj, fc1 | 75.6 k | 40–43 µs | 1.56–1.62 |
+/// | 197×1536, fc2 | 302.6 k | 169 µs | 1.59 |
+///
+/// 12.6 k is the first size that wins outside its spread, so a shard is
+/// 6 144 and every activation DeiT-Small packs as a left operand forks.
+pub const PACK_MIN_SHARD_ELEMS: u64 = 6_144;
 
 /// Geometry of one hot output tile as seen by a fused epilogue: the tile
 /// is anchored at `(r0, c0)` of the logical output matrix and only its
@@ -1699,17 +1765,88 @@ pub(crate) mod tests {
         use crate::fork::{host_threads, shards};
         let at =
             |budget, (m, k, n): (u64, u64, u64)| shards(budget, m * k * n, PARALLEL_MIN_SHARD_MACS);
-        // A per-head attention product never forks, whatever the budget.
-        assert_eq!(at(64, (197, 64, 197)), 1);
-        // Just under two shards' worth stays serial; a projection forks.
+        let two = 2.min(host_threads());
+        // Just under two shards' worth stays serial, whatever the budget.
         assert_eq!(
-            shards(8, 2 * PARALLEL_MIN_SHARD_MACS - 1, PARALLEL_MIN_SHARD_MACS),
+            shards(64, 2 * PARALLEL_MIN_SHARD_MACS - 1, PARALLEL_MIN_SHARD_MACS),
             1
         );
-        assert_eq!(at(2, (197, 384, 384)), 2.min(host_threads()));
-        // The MLP GEMM: the per-shard minimum caps it at 14 shards.
-        let mlp = at(64, (197, 384, 1536));
-        assert!(mlp <= 14 && mlp <= host_threads(), "{mlp}");
+        // Every DeiT-Small GEMM forks at budget 2: both per-head attention
+        // products, the q/k/v and output projections, and the MLP pair.
+        for gemm in [
+            (197, 64, 197),
+            (197, 197, 64),
+            (197, 384, 384),
+            (197, 384, 1536),
+            (197, 1536, 384),
+        ] {
+            assert_eq!(at(2, gemm), two, "{gemm:?}");
+        }
+        // A per-head product carries two shards; the MLP's 116 M MACs 116.
+        assert_eq!(at(64, (197, 64, 197)), two);
+        let mlp = at(128, (197, 384, 1536));
+        assert!(mlp <= 116 && mlp <= host_threads(), "{mlp}");
+    }
+
+    #[test]
+    fn deit_activation_packs_fork_where_the_shard_minimum_says() {
+        use crate::fork::{host_threads, shards};
+        let at = |budget, (m, k): (u64, u64)| shards(budget, m * k, PACK_MIN_SHARD_ELEMS);
+        let two = 2.min(host_threads());
+        assert_eq!(at(64, (128, 64)), 1);
+        // A head's Q and P, the q/k/v, proj and fc1 input, fc2's input.
+        for lhs in [(197, 64), (197, 197), (197, 384), (197, 1536)] {
+            assert_eq!(at(2, lhs), two, "{lhs:?}");
+        }
+    }
+
+    #[test]
+    fn sharded_quantize_pack_is_the_serial_pack() {
+        let q = Quantizer::paper();
+        for (r, c) in [
+            (0, 0),
+            (0, 16),
+            (5, 0),
+            (1, 1),
+            (9, 17),
+            (197, 64),
+            (197, 384),
+            (64, 1536),
+        ] {
+            let m = spiky(r, c);
+            let want = PackedBfp::quantize_pack_lhs(&q, &m).unwrap();
+            for shards in [1, 2, 3, 7, 64] {
+                let got = PackedBfp::quantize_pack_lhs_parallel(&q, &m, shards).unwrap();
+                assert_eq!(got, want, "{r}x{c} on {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_quantize_pack_reports_the_first_failing_tile() {
+        // Tiles fail in several block-rows, so several shards fail; the
+        // error is the serial pack's, from the first failing tile in tile
+        // order — also when a later shard finishes first.
+        let mut m = spiky(64, 64);
+        for (r, c) in [(45, 20), (60, 3), (13, 50), (30, 9)] {
+            m.set(r, c, f32::NAN);
+        }
+        let strict = Quantizer {
+            saturation: crate::guard::SaturationPolicy::Limit(0),
+            ..Quantizer::paper()
+        };
+        for q in [Quantizer::paper(), strict] {
+            let want = PackedBfp::quantize_pack_lhs(&q, &m).unwrap_err();
+            // Tile (1, 6) comes first in tile order.
+            assert!(
+                matches!(want, ArithError::NonFinite { at: (13, 50) }),
+                "{want:?}"
+            );
+            for shards in [2, 3, 8] {
+                let got = PackedBfp::quantize_pack_lhs_parallel(&q, &m, shards).unwrap_err();
+                assert_eq!(got, want, "{shards} shards");
+            }
+        }
     }
 
     /// The composed oracle for the fused kernels: full GEMM, then the same

@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn parallel_is_bit_identical_to_serial_and_naive() {
         let q = Quantizer::paper();
-        // 336·320·320 ≈ 34 M MACs, four shards' worth of
+        // 336·320·320 ≈ 34 M MACs, well over two shards' worth of
         // PARALLEL_MIN_SHARD_MACS, so a multi-core host really forks.
         let a = spiky(336, 320);
         let b = spiky(320, 320);

@@ -8,7 +8,7 @@ use bfp_arith::error::ArithError;
 use bfp_arith::fork;
 use bfp_arith::int8quant::Int8Tensor;
 use bfp_arith::matrix::MatF32;
-use bfp_arith::packed::{EpilogueCtx, PackedBfp, PARALLEL_MIN_SHARD_MACS};
+use bfp_arith::packed::{EpilogueCtx, PackedBfp, PACK_MIN_SHARD_ELEMS, PARALLEL_MIN_SHARD_MACS};
 use bfp_arith::quant::Quantizer;
 use bfp_telemetry::Tracer;
 
@@ -202,55 +202,38 @@ impl PhaseTimes {
     }
 }
 
-/// Minimum f32 elements per worker shard of an **exact-mode** non-linear
-/// kernel, so a kernel forks from twice this many elements up.
+/// Minimum f32 elements per worker shard of a non-linear kernel, either
+/// kernel family, so a kernel forks from twice this many elements up.
 ///
-/// Measured on the 2-vCPU host in its slower [`fork::join`] phase: serial ÷
-/// two-shard time, median (q1–q3) of 200 interleaved pairs, by total
-/// elements, with the lane kernels at GELU ≈ 28, softmax ≈ 24, LayerNorm
-/// ≈ 11.5 ns/elem (row-per-lane sums):
-///
-/// | total | GELU | softmax (×197) | LayerNorm (×384) |
-/// |---|---|---|---|
-/// | 8 k | 0.97 (0.86–1.06) | 1.03 (0.93–1.10) | 0.53 (0.48–0.59) |
-/// | 16 k | 1.19 (1.01–1.29) | 1.32 (1.22–1.39) | 0.74 (0.68–0.84) |
-/// | 32 k | 1.35 (1.15–1.45) | 1.52 (1.38–1.59) | 0.94 (0.85–1.16) |
-/// | 64 k | 1.62 (1.49–1.72) | 1.62 (1.52–1.68) | 1.31 (1.19–1.45) |
-/// | 128 k | 1.73 (1.66–1.80) | 1.68 (1.62–1.74) | 1.42 (1.28–1.56) |
-/// | 197×197 / 197×384 / 197×1536 | 1.74 (1.63–1.85) | 1.56 (1.47–1.62) | 1.34 (1.26–1.44) |
-///
-/// Kept at 16 k per shard (fork from 32 k). By the first-size-where-all-win
-/// rule LayerNorm, now ≈ 3× cheaper per element, would move it to 32 k per
-/// shard (it is level at 32 k total and wins from 64 k) — but that would
-/// stop forking the 197×197 attention softmax (38.8 k elements, 1.56), the
-/// largest exact VPU phase of a DeiT image, to spare a break-even case no
-/// workload issues: every LayerNorm the models run is 197×384 (75.6 k,
-/// 1.34) or a single row, which never forks. A fused drain tile (64
-/// elements) never can. The scalar kernels (≈ 240 ns/elem), which other
-/// datapath configurations still take, only amortise better. Hosts with
-/// more than two cores are unmeasured.
-const VPU_PARALLEL_ELEMS: usize = 16_384;
-
-/// Minimum elements per shard in **fast** nonlinear mode: the same
-/// protocol over the fast kernels (GELU and softmax on the AVX2 lanes at
-/// ≈ 1.6–2.1 and 2.2–3.0 ns/elem, LayerNorm scalar at ≈ 1.7), where one
-/// fork/join of that phase is worth ≈ 50 k elements of work:
+/// Measured on the 2-vCPU reference box against the pool
+/// [`fork::join`] runs on (≈ 1 µs per fork): serial ÷ two-shard time,
+/// median (q1–q3) of 200 (exact) or 1000–2000 (fast) interleaved pairs
+/// by total elements; two runs give a range of medians. Exact kernels on
+/// the lanes at GELU ≈ 30, softmax ≈ 25, LayerNorm ≈ 10–20 ns/elem; fast
+/// at ≈ 2, 3 and 2:
 ///
 /// | total | GELU | softmax (×197) | LayerNorm (×384) |
 /// |---|---|---|---|
-/// | 64 k | 0.61 (0.56–0.68) | 0.70 (0.62–0.81) | 0.62 (0.52–0.74) |
-/// | 128 k | 0.91 (0.78–1.01) | 0.86 (0.75–1.07) | 0.93 (0.77–1.08) |
-/// | 256 k | 1.14 (1.02–1.27) | 1.15 (0.93–1.33) | 1.15 (0.99–1.28) |
-/// | 512 k | 1.43 (1.31–1.51) | 1.25 (1.15–1.46) | 1.38 (1.27–1.46) |
-/// | 1 M | 1.38 (1.27–1.54) | 1.50 (1.28–1.72) | 1.55 (1.40–1.64) |
+/// | exact 2 k | 1.75 (1.52–1.94) | 1.82 (1.65–1.96) | 1.00 (0.97–1.04) |
+/// | exact 4 k | 1.93 (1.78–2.02) | 1.74 (1.59–1.79) | 1.38 (1.32–1.54) |
+/// | exact 8 k | 1.91 (1.76–2.06) | 2.02 (1.76–2.11) | 1.35 (1.33–1.39) |
+/// | exact 32 k | 2.03 (1.94–2.09) | 2.20 (2.12–2.22) | 1.76 (1.58–1.77) |
+/// | exact DeiT | 2.03 (1.92–2.10) | 2.03 (1.91–2.16) | 1.64 (1.48–1.78) |
+/// | fast 1 k | 0.74 (0.69–0.84) | 1.27 (1.21–1.33) | 0.67 (0.63–0.71) |
+/// | fast 2 k | 0.80 (0.76–0.94) | 1.09 (1.03–1.19) | 1.15 (1.08–1.22) |
+/// | fast 4 k | 1.19–1.46 (q1 ≥ 1.01) | 1.34–1.72 (q1 ≥ 1.14) | 1.17–1.28 (q1 ≥ 1.12) |
+/// | fast 8 k | 1.34–1.46 (q1 ≥ 1.31) | 1.70–1.74 (q1 ≥ 1.63) | 1.47–1.48 (q1 ≥ 1.43) |
+/// | fast 16 k | 1.31–1.42 | 1.32 | 1.41–1.48 |
+/// | fast DeiT | 1.57 (1.40–1.73) | 1.66 (1.26–1.88) | 1.82 (1.49–2.06) |
 ///
-/// 512 k total is the first size where every kernel wins outside its
-/// spread, so a shard is 256 k. Nothing DeiT-Small issues reaches it: the
-/// attention softmax (38.8 k: 0.57) and LayerNorm (75.6 k: 0.71) lose from
-/// forking by a wide margin, and the one shape that would still gain, a
-/// stand-alone 197×1536 GELU (302.6 k: 1.30), is fused into fc1's drain by
-/// every compiled plan.
-const VPU_PARALLEL_ELEMS_FAST: usize = 262_144;
+/// (DeiT: GELU 197×1536, softmax 197×197, LayerNorm 197×384.) Both
+/// families first win in every kernel, outside the spread, at 4 k total
+/// elements — the exact LayerNorm of five rows is level at 2 k, the fast
+/// GELU behind at 2 k — so one minimum, 2 k per shard, serves both. Every
+/// attention softmax and every 197-row LayerNorm of DeiT-Small forks in
+/// both modes; a single-row LayerNorm (384) never does, nor does a fused
+/// drain tile (64). Hosts with more than two cores are unmeasured.
+const VPU_PARALLEL_ELEMS: u64 = 2_048;
 
 /// Where fp32 divisions and square roots execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -462,19 +445,18 @@ impl MixedEngine {
         fork::shards(self.threads, macs, PARALLEL_MIN_SHARD_MACS)
     }
 
-    /// Shards of a non-linear kernel over `elems` f32 values under this
-    /// budget, at the active kernel family's break-even shard size.
-    fn vpu_shards(&self, elems: usize) -> usize {
-        let min_shard = match self.nonlinear {
-            NonlinearMode::Exact => VPU_PARALLEL_ELEMS,
-            NonlinearMode::Fast => VPU_PARALLEL_ELEMS_FAST,
-        };
-        fork::shards(self.threads, elems as u64, min_shard as u64)
+    /// The activation `m` quantize-packed as a GEMM's left operand, sharded
+    /// by block-rows under this budget.
+    fn quantize_pack_lhs(&self, m: &MatF32) -> Result<PackedBfp, ArithError> {
+        let elems = (m.rows() * m.cols()) as u64;
+        let shards = fork::shards(self.threads, elems, PACK_MIN_SHARD_ELEMS);
+        PackedBfp::quantize_pack_lhs_parallel(&self.quantizer, m, shards)
     }
 
-    /// Run a batched VPU kernel over `data` split into [`Self::vpu_shards`]
-    /// disjoint shards of whole `unit`-element groups (rows, or single
-    /// elements for GELU), through [`fork::join`]. Each shard gets a fresh
+    /// Run a batched VPU kernel over `data` split into disjoint shards of
+    /// whole `unit`-element groups (rows, or single elements for GELU),
+    /// as many as [`fork::shards`] gives under this budget at
+    /// [`VPU_PARALLEL_ELEMS`], through [`fork::join`]. Each shard gets a fresh
     /// VPU with the same datapath configuration; shards touch disjoint
     /// data, so outputs are bit-identical to the serial kernel for any
     /// shard count, and the per-shard [`OpCount`]s are merged in shard
@@ -487,7 +469,7 @@ impl MixedEngine {
         f: impl Fn(&mut Vpu, &mut [f32]) + Sync,
     ) -> OpCount {
         debug_assert!(unit > 0 && data.len().is_multiple_of(unit));
-        let shards = self.vpu_shards(data.len());
+        let shards = fork::shards(self.threads, data.len() as u64, VPU_PARALLEL_ELEMS);
         let per = (data.len() / unit).div_ceil(shards) * unit;
         let mut workers: Vec<_> = data
             .chunks_mut(per.max(1))
@@ -570,7 +552,7 @@ impl MixedEngine {
     fn pack_lhs_timed(&mut self, m: &MatF32) -> Result<PackedBfp, ArithError> {
         self.note_lhs_pack(m);
         let t0 = Instant::now();
-        let r = PackedBfp::quantize_pack_lhs(&self.quantizer, m);
+        let r = self.quantize_pack_lhs(m);
         self.phase.quantize_pack += t0.elapsed();
         r
     }
@@ -595,7 +577,7 @@ impl MixedEngine {
         let mut noops = vec![noop; self.gemm_shards(macs)];
         self.note_lhs_pack(a);
         let t0 = Instant::now();
-        let packed = PackedBfp::quantize_pack_lhs(&self.quantizer, a).and_then(|pa| {
+        let packed = self.quantize_pack_lhs(a).and_then(|pa| {
             let pb = match weight {
                 Some(lin) => self.weight_pack(lin)?,
                 None => {
@@ -1278,8 +1260,8 @@ mod tests {
         // OpCounts are merged from per-shard VPUs in shard order; the
         // totals must agree exactly with the single-thread counts even
         // when the batch is large enough to actually fork.
-        let n = 192; // 36 864 elements: two shards of VPU_PARALLEL_ELEMS
-        assert!(n * n >= 2 * VPU_PARALLEL_ELEMS);
+        let n = 192; // 36 864 elements: many shards of VPU_PARALLEL_ELEMS
+        assert!((n * n) as u64 >= 2 * VPU_PARALLEL_ELEMS);
         let src = MatF32::from_fn(n, n, |i, j| ((i * n + j) as f32 * 0.003).sin() * 3.0);
         let gamma = vec![1.0f32; n];
         let beta = vec![0.1f32; n];
@@ -1301,9 +1283,10 @@ mod tests {
 
     #[test]
     fn forked_gemms_and_fused_drains_match_one_thread() {
-        // 40·512·1024 ≈ 21 M MACs is two shards of PARALLEL_MIN_SHARD_MACS,
-        // so a two-thread budget forks the composed GEMM and both fused
-        // drains; the GELU drain's per-shard VPU counts must all merge.
+        // 40·512·1024 ≈ 21 M MACs is over two shards of
+        // PARALLEL_MIN_SHARD_MACS, so a two-thread budget forks the
+        // composed GEMM and both fused drains; the GELU drain's per-shard
+        // VPU counts must all merge.
         use rand::{rngs::StdRng, SeedableRng};
         let lin = Linear::new_random(512, 1024, &mut StdRng::seed_from_u64(53));
         let x = MatF32::from_fn(40, 512, |i, j| ((i * 512 + j) as f32 * 0.013).sin() * 2.0);
@@ -1334,6 +1317,64 @@ mod tests {
             assert!(want_census.gelu.flops() > 0, "{mode:?}");
             assert_eq!(census, want_census, "{mode:?}");
             assert_eq!((fusion, want_fusion), ((2, 0), (2, 0)), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn threaded_engines_fork_deit_attention_and_norm_ops_bit_exactly() {
+        // DeiT-Small's shapes for every op class the shard minimums fork
+        // at budget 2: a head's Q·Kᵀ and P·V GEMMs (and their LHS packs),
+        // the attention softmax, the LayerNorm, and a projection's shared
+        // packed LHS under a fusing plan. Bits and every count must be
+        // the one-thread engine's.
+        use rand::{rngs::StdRng, SeedableRng};
+        let two = 2.min(fork::host_threads());
+        let forks = |work: usize, min: u64| fork::shards(2, work as u64, min) == two;
+        let (seq, dim, head) = (197, 384, 64);
+        assert!(forks(seq * head * seq, PARALLEL_MIN_SHARD_MACS), "Q·Kᵀ");
+        assert!(forks(seq * seq * head, PARALLEL_MIN_SHARD_MACS), "P·V");
+        assert!(forks(seq * head, PACK_MIN_SHARD_ELEMS), "Q pack");
+        assert!(forks(seq * seq, PACK_MIN_SHARD_ELEMS), "P pack");
+        assert!(forks(seq * dim, PACK_MIN_SHARD_ELEMS), "x pack");
+        assert!(forks(seq * seq, VPU_PARALLEL_ELEMS), "softmax");
+        assert!(forks(seq * dim, VPU_PARALLEL_ELEMS), "LayerNorm");
+
+        let wave = |r: usize, c: usize, f: f32| {
+            MatF32::from_fn(r, c, |i, j| ((i * c + j) as f32 * f).sin() * 2.0)
+        };
+        let (q, k, v) = (
+            wave(seq, head, 0.011),
+            wave(head, seq, 0.017),
+            wave(seq, head, 0.023),
+        );
+        let x = wave(seq, dim, 0.005);
+        let lin = Linear::new_random(dim, dim, &mut StdRng::seed_from_u64(71));
+        let (gamma, beta) = (vec![1.25f32; dim], vec![-0.5f32; dim]);
+        for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
+            let run = |threads| {
+                let mut e = MixedEngine::new()
+                    .with_threads(threads)
+                    .with_nonlinear(mode)
+                    .with_vit_plan(CompiledVitPlan::fuse_all());
+                let mut p = e.matmul(&q, &k);
+                e.softmax_rows(&mut p);
+                let ctx = e.matmul(&p, &v);
+                let mut h = e.linear_residual("proj", &lin, &x, &x);
+                e.layernorm(&mut h, &gamma, &beta, 1e-6);
+                let books = (e.census(), e.fusion_stats(), e.lhs_pack_stats());
+                ([p, ctx, h], books)
+            };
+            let (want, want_books) = run(1);
+            let (got, books) = run(2);
+            for (g, w) in got.iter().zip(&want) {
+                assert!(bits_eq(g.data(), w.data()), "{mode:?}");
+            }
+            assert_eq!(books, want_books, "{mode:?}");
+            assert_eq!(want_books.1, (1, 0), "{mode:?}");
+            assert_eq!(
+                want_books.2,
+                (3, (seq * head + seq * seq + seq * dim) as u64)
+            );
         }
     }
 
