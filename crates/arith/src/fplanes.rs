@@ -167,10 +167,10 @@ unsafe fn binop_lanes(
 ///
 /// # Safety
 /// Every function here must only be reached on a host with AVX2 (check
-/// [`available`](super::available)), from a function compiled with
+/// [`available`]), from a function compiled with
 /// `#[target_feature(enable = "avx2")]`. Unless stated otherwise lane
-/// inputs must be finite values produced by [`import`] or by another
-/// lane operation.
+/// inputs must be finite values produced by [`import`](lane::import) or
+/// by another lane operation.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::missing_safety_doc)] // one contract, stated on the module
 pub mod lane {

@@ -4,7 +4,7 @@
 //!
 //! The campaign sweeps **fault site × injection rate × protection
 //! scheme** over DeiT-S GEMM shapes. Every trial installs a seeded
-//! [`FaultPlan`] (SplitMix64 expansion — the same seed always replays
+//! [`FaultPlan`](bfp_faults::FaultPlan) (SplitMix64 expansion — the same seed always replays
 //! the same campaign bit-for-bit), runs one GEMM through the scheme
 //! under test, and classifies the result against a fault-free golden
 //! run:

@@ -6,10 +6,10 @@ use std::time::Duration;
 use crate::observatory::ObservatoryConfig;
 use crate::serving::TenantId;
 
-/// What `submit` does when the admission queue is full. All three
-/// policies are priority-aware: shedding always picks a victim from the
-/// lowest non-`Critical` class at or below the incoming request's
-/// priority — `Critical` work is never evicted.
+/// What `submit` does when the admission queue is full. Shedding is
+/// priority-aware: it always picks a victim from the lowest
+/// non-`Critical` class at or below the incoming request's priority —
+/// `Critical` work is never evicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
     /// Refuse the new request immediately ([`crate::ServeError::QueueFull`]).
@@ -20,16 +20,6 @@ pub enum Backpressure {
     /// when no eligible victim exists (e.g. everything queued is
     /// `Critical`).
     ShedOldest,
-    /// Block the submitter until space frees up, for at most `timeout`
-    /// — further capped by the request's own remaining deadline. A wait
-    /// that exhausts `timeout` refuses with
-    /// [`crate::ServeError::AdmissionTimeout`]; one that exhausts the
-    /// *deadline* refuses with [`crate::ServeError::DeadlineExceeded`]
-    /// and is booked as a deadline miss, not an admission timeout.
-    Block {
-        /// Longest a submitter may be held at the gate.
-        timeout: Duration,
-    },
 }
 
 /// Per-tenant admission quota and scheduling weight.
@@ -52,32 +42,6 @@ impl Default for TenantQuota {
             weight: 1,
             rate_rps: 0.0,
             burst: 8.0,
-        }
-    }
-}
-
-/// Per-tenant circuit breaker: after `trip_after` consecutive
-/// rejections/failures the tenant's work is refused outright
-/// ([`crate::ServeError::CircuitOpen`]) for `cooldown`, then a
-/// half-open window admits `half_open_probes` probe requests — one
-/// success closes the breaker, one failure re-opens it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitPolicy {
-    /// Consecutive bad outcomes (admission rejections or post-admission
-    /// failures) that trip the breaker. `0` disables breakers entirely.
-    pub trip_after: u32,
-    /// How long an open breaker refuses before going half-open.
-    pub cooldown: Duration,
-    /// Probe admissions allowed in the half-open state.
-    pub half_open_probes: u32,
-}
-
-impl Default for CircuitPolicy {
-    fn default() -> Self {
-        CircuitPolicy {
-            trip_after: 0,
-            cooldown: Duration::from_millis(50),
-            half_open_probes: 1,
         }
     }
 }
@@ -153,26 +117,14 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Behaviour when the queue is full.
     pub backpressure: Backpressure,
-    /// Deadline budget applied to requests that do not carry their own.
-    /// `None` means such requests never expire.
-    pub default_budget: Option<Duration>,
     /// Total executions a request may consume (first try + retries)
     /// before it fails with [`crate::ServeError::FaultsExhausted`].
     pub max_attempts: u32,
-    /// Base delay before a faulted request is retried (on a different
-    /// array where possible); doubles per attempt.
-    pub retry_backoff_base: Duration,
-    /// Cap on the retry backoff.
-    pub retry_backoff_cap: Duration,
     /// Health state machine policy.
     pub health: HealthPolicy,
-    /// Per-tenant quotas/weights; tenants not listed use
-    /// `default_quota`.
+    /// Per-tenant quotas/weights; tenants not listed get
+    /// [`TenantQuota::default`] (weight 1, no rate limit).
     pub quotas: Vec<(TenantId, TenantQuota)>,
-    /// Quota applied to tenants absent from `quotas`.
-    pub default_quota: TenantQuota,
-    /// Per-tenant circuit breaker policy (disabled by default).
-    pub breaker: CircuitPolicy,
     /// Overload brownout ladder.
     pub brownout: BrownoutPolicy,
     /// Refuse requests whose deadline budget is below the calibrated
@@ -191,14 +143,9 @@ impl Default for ServeConfig {
             arrays: 4,
             queue_capacity: 64,
             backpressure: Backpressure::Reject,
-            default_budget: None,
             max_attempts: 3,
-            retry_backoff_base: Duration::from_millis(1),
-            retry_backoff_cap: Duration::from_millis(50),
             health: HealthPolicy::default(),
             quotas: Vec::new(),
-            default_quota: TenantQuota::default(),
-            breaker: CircuitPolicy::default(),
             brownout: BrownoutPolicy::default(),
             deadline_gate: true,
             observatory: ObservatoryConfig::default(),
@@ -213,46 +160,13 @@ impl ServeConfig {
             .iter()
             .find(|(t, _)| *t == tenant)
             .map(|(_, q)| *q)
-            .unwrap_or(self.default_quota)
-    }
-
-    /// Retry delay before attempt `attempt` (1-based count of executions
-    /// already consumed): `base << (attempt - 1)`, saturating at the cap.
-    pub fn retry_backoff(&self, attempt: u32) -> Duration {
-        if self.retry_backoff_base.is_zero() || attempt == 0 {
-            return Duration::ZERO;
-        }
-        let shift = (attempt - 1).min(20);
-        self.retry_backoff_base
-            .checked_mul(1u32 << shift)
-            .unwrap_or(self.retry_backoff_cap)
-            .min(self.retry_backoff_cap)
+            .unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retry_backoff_doubles_and_caps() {
-        let cfg = ServeConfig {
-            retry_backoff_base: Duration::from_millis(2),
-            retry_backoff_cap: Duration::from_millis(9),
-            ..Default::default()
-        };
-        assert_eq!(cfg.retry_backoff(0), Duration::ZERO);
-        assert_eq!(cfg.retry_backoff(1), Duration::from_millis(2));
-        assert_eq!(cfg.retry_backoff(2), Duration::from_millis(4));
-        assert_eq!(cfg.retry_backoff(3), Duration::from_millis(8));
-        assert_eq!(cfg.retry_backoff(4), Duration::from_millis(9));
-        assert_eq!(cfg.retry_backoff(u32::MAX), Duration::from_millis(9));
-        let zero = ServeConfig {
-            retry_backoff_base: Duration::ZERO,
-            ..Default::default()
-        };
-        assert_eq!(zero.retry_backoff(5), Duration::ZERO);
-    }
 
     #[test]
     fn quota_lookup_falls_back_to_default() {
@@ -265,14 +179,9 @@ mod tests {
                     burst: 2.0,
                 },
             )],
-            default_quota: TenantQuota {
-                weight: 2,
-                ..Default::default()
-            },
             ..Default::default()
         };
         assert_eq!(cfg.quota_for(TenantId(3)).weight, 4);
-        assert_eq!(cfg.quota_for(TenantId(9)).weight, 2);
-        assert_eq!(cfg.quota_for(TenantId(9)).rate_rps, 0.0);
+        assert_eq!(cfg.quota_for(TenantId(9)), TenantQuota::default());
     }
 }

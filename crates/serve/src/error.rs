@@ -9,14 +9,8 @@ pub enum ServeError {
     /// Refused at admission: the queue was full under
     /// [`crate::Backpressure::Reject`].
     QueueFull,
-    /// Refused at admission: the queue stayed full for the whole
-    /// [`crate::Backpressure::Block`] timeout.
-    AdmissionTimeout,
     /// Refused at admission: the tenant's token bucket was empty.
     QuotaExceeded,
-    /// Refused at admission: the tenant's circuit breaker is open
-    /// (sustained rejections/failures; it re-probes after a cooldown).
-    CircuitOpen,
     /// Refused at admission: the request's deadline budget is below the
     /// calibrated service estimate — queueing it could only produce a
     /// deadline miss.
@@ -28,8 +22,9 @@ pub enum ServeError {
     /// making room for newer work, or by tier-2 brownout shedding of
     /// `Bulk` requests.
     Shed,
-    /// The deadline budget elapsed before a clean answer was produced
-    /// (while queued or mid-execution — the array is released either way).
+    /// Admitted, then the deadline budget elapsed before a clean answer
+    /// was produced (while queued or mid-execution — the array is
+    /// released either way).
     DeadlineExceeded,
     /// Every allowed attempt hit a detected fault; the suspect outputs
     /// were discarded rather than returned.
@@ -45,9 +40,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::QueueFull => write!(f, "admission queue full"),
-            ServeError::AdmissionTimeout => write!(f, "admission blocked past its timeout"),
             ServeError::QuotaExceeded => write!(f, "tenant quota exhausted"),
-            ServeError::CircuitOpen => write!(f, "tenant circuit breaker open"),
             ServeError::DeadlineUnmeetable => {
                 write!(f, "deadline budget below the calibrated service estimate")
             }

@@ -13,14 +13,14 @@
 //!   deficit-weighted round robin across tenants *within* a class, so
 //!   one abusive tenant cannot starve the others (weights come from
 //!   [`TenantQuota`]).
-//! * **Admission control** — applied in order at `submit`: per-tenant
-//!   circuit breaker ([`CircuitPolicy`]), token-bucket quota
-//!   ([`TenantQuota`]), brownout refusal of `Bulk` at tier 2, the
-//!   early-deadline gate (a budget below the calibrated service
-//!   estimate is refused as [`ServeError::DeadlineUnmeetable`] instead
-//!   of queueing doomed work), then queue capacity under the configured
-//!   [`Backpressure`]. Shedding is priority-aware — `Critical` work is
-//!   never evicted.
+//! * **Admission control** — one non-blocking path at `submit`, applied
+//!   in order: shutdown, token-bucket quota ([`TenantQuota`]), brownout
+//!   refusal of `Bulk` at tier 2, the early-deadline gate (a budget
+//!   below the calibrated service estimate is refused as
+//!   [`ServeError::DeadlineUnmeetable`] instead of queueing doomed
+//!   work), then queue capacity under the configured [`Backpressure`]
+//!   (reject the newcomer, or shed the oldest queued request). Shedding
+//!   is priority-aware — `Critical` work is never evicted.
 //! * **Brownout ladder** — under pressure the runtime sheds *quality*
 //!   before *work* ([`BrownoutPolicy`]): tier 1 switches nonlinear
 //!   epilogues to the fast LUT/polynomial kernels, tier 2 additionally
@@ -29,9 +29,8 @@
 //! * **Deadlines** — per-request budgets propagate into the engine as a
 //!   [`bfp_arith::cancel::CancelToken`]; an expired request never
 //!   occupies an array past the next cancellation point and fails fast
-//!   with [`ServeError::DeadlineExceeded`]. A [`Backpressure::Block`]
-//!   wait is capped by the remaining budget and booked as a deadline
-//!   miss, not an admission timeout.
+//!   with [`ServeError::DeadlineExceeded`]. A request without a budget
+//!   never expires.
 //! * **Fault handling** — executions run on the checksum-protected
 //!   (ABFT) kernel. A detected single-element upset is *corrected in
 //!   place* and served bit-exact; anything uncorrectable is *discarded*
@@ -127,9 +126,7 @@ mod ticket;
 pub use backend::{
     reference_bits, ArrayBackend, ArrayFaultPlan, ServeOp, SimArrayBackend, Telemetry,
 };
-pub use config::{
-    Backpressure, BrownoutPolicy, CircuitPolicy, HealthPolicy, ServeConfig, TenantQuota,
-};
+pub use config::{Backpressure, BrownoutPolicy, HealthPolicy, ServeConfig, TenantQuota};
 pub use error::ServeError;
 pub use observatory::{Observatory, ObservatoryConfig, SHADOW_ENVELOPE};
 pub use server::{ServeRequest, Server};
@@ -214,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_evicts_and_block_times_out() {
+    fn shed_oldest_admits_every_request_and_books_each_shed() {
         let cfg = ServeConfig {
             queue_capacity: 1,
             backpressure: Backpressure::ShedOldest,
@@ -233,45 +230,19 @@ mod tests {
             .filter(|t| t.wait() == Err(ServeError::Shed))
             .count() as u64;
         assert_eq!(shed_seen, s.shed);
-
-        // Block-with-timeout: a full queue on an effectively-stuck fleet
-        // turns into AdmissionTimeout, not an indefinite hang.
-        let cfg = ServeConfig {
-            queue_capacity: 1,
-            backpressure: Backpressure::Block {
-                timeout: Duration::from_millis(5),
-            },
-            max_attempts: 1,
-            ..Default::default()
-        };
-        // A latched-faulty single array: requests fail (exhausted) but
-        // slowly; keep the queue full from this thread.
-        let (plan, _heal) = ArrayFaultPlan::latched();
-        let server = Server::simulated(cfg, vec![plan]);
-        let mut timed_out = false;
-        for s in 0..64 {
-            match server.submit(req(s)) {
-                Ok(_) | Err(ServeError::AdmissionTimeout) => {
-                    timed_out |= matches!(server.submit(req(s)), Err(ServeError::AdmissionTimeout));
-                }
-                Err(e) => panic!("unexpected refusal: {e}"),
-            }
-            if timed_out {
-                break;
-            }
-        }
-        assert!(timed_out, "blocked admission must eventually time out");
     }
 
     #[test]
     fn zero_budget_requests_miss_their_deadline() {
         let server = Server::simulated(ServeConfig::default(), vec![ArrayFaultPlan::None]);
         let t = server
-            .submit(ServeRequest::with_budget(
-                MatF32::from_fn(16, 16, |_, _| 1.0),
-                MatF32::from_fn(16, 16, |_, _| 1.0),
-                Duration::ZERO,
-            ))
+            .submit(
+                ServeRequest::new(
+                    MatF32::from_fn(16, 16, |_, _| 1.0),
+                    MatF32::from_fn(16, 16, |_, _| 1.0),
+                )
+                .with_deadline(Duration::ZERO),
+            )
             .unwrap();
         assert_eq!(t.wait(), Err(ServeError::DeadlineExceeded));
         let s = server.stats();
@@ -544,6 +515,17 @@ mod tests {
         }
     }
 
+    /// A ladder driven by queue depth alone, held for the whole test:
+    /// tier 1 from 30% full, tier 2 from `tier2_pressure`.
+    fn queue_ladder(tier2_pressure: f64) -> BrownoutPolicy {
+        BrownoutPolicy {
+            tier1_pressure: 0.3,
+            tier2_pressure,
+            min_dwell: Duration::from_secs(30),
+            latency_target: Duration::from_secs(30),
+        }
+    }
+
     #[test]
     fn strict_priority_then_fifo_within_a_class() {
         let (backends, gate, order) = GateBackend::fleet(1);
@@ -636,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn quota_breaker_trips_opens_and_recovers() {
+    fn quota_refuses_past_the_burst_and_refills() {
         let cfg = ServeConfig {
             quotas: vec![(
                 TenantId(7),
@@ -646,37 +628,25 @@ mod tests {
                     burst: 1.0,
                 },
             )],
-            breaker: CircuitPolicy {
-                trip_after: 3,
-                cooldown: Duration::from_millis(50),
-                half_open_probes: 1,
-            },
             ..Default::default()
         };
         let server = Server::simulated(cfg, vec![ArrayFaultPlan::None]);
         let t7 = |s: u64| req(s).for_tenant(TenantId(7));
         // One token in the bucket: the first request is served…
         server.submit(t7(0)).unwrap().wait().unwrap();
-        // …then three immediate submissions drain into quota rejections,
-        // which trip the breaker.
+        // …then three immediate submissions find it empty.
         for s in 1..4 {
             assert_eq!(server.submit(t7(s)).unwrap_err(), ServeError::QuotaExceeded);
         }
-        assert_eq!(server.submit(t7(4)).unwrap_err(), ServeError::CircuitOpen);
-        assert!(server.stats().tenant(TenantId(7)).unwrap().breaker_open);
-        // Past the cooldown (and with the bucket refilled) a half-open
-        // probe is admitted; its success closes the breaker.
+        // Past a refill interval the bucket holds a token again.
         std::thread::sleep(Duration::from_millis(250));
-        server.submit(t7(5)).unwrap().wait().unwrap();
+        server.submit(t7(4)).unwrap().wait().unwrap();
         server.drain();
         let s = server.stats();
         let ts = s.tenant(TenantId(7)).unwrap();
         assert_eq!(ts.quota_rejected, 3);
-        assert_eq!(ts.breaker_rejected, 1);
         assert_eq!(ts.completed, 2);
-        assert!(!ts.breaker_open, "successful probe closed the breaker");
         assert_eq!(s.quota_rejected, 3);
-        assert_eq!(s.breaker_rejected, 1);
         // Fleet identity including refusals.
         assert_eq!(s.submitted, s.admitted + s.rejected);
     }
@@ -686,14 +656,8 @@ mod tests {
         let (backends, gate, _order) = GateBackend::fleet(1);
         let cfg = ServeConfig {
             queue_capacity: 4,
-            brownout: BrownoutPolicy {
-                // 1/4 queued (the opener) stays tier 0; 2/4 is tier 1,
-                // 3/4 is tier 2.
-                tier1_pressure: 0.3,
-                tier2_pressure: 0.75,
-                min_dwell: Duration::from_secs(30),
-                latency_target: Duration::from_secs(30),
-            },
+            // 1/4 queued stays tier 0; 2/4 is tier 1, 3/4 is tier 2.
+            brownout: queue_ladder(0.75),
             observatory: ObservatoryConfig {
                 shadow_every: 1,
                 ..Default::default()
@@ -842,12 +806,7 @@ mod tests {
         let (backends, gate, _order) = GateBackend::fleet(1);
         let cfg = ServeConfig {
             queue_capacity: 4,
-            brownout: BrownoutPolicy {
-                tier1_pressure: 0.3,
-                tier2_pressure: 1e9, // degrade only, never shed
-                min_dwell: Duration::from_secs(30),
-                latency_target: Duration::from_secs(30),
-            },
+            brownout: queue_ladder(1e9), // degrade only, never shed
             ..Default::default()
         };
         let server = Server::new(cfg, backends);
@@ -937,16 +896,10 @@ mod tests {
         })];
         let cfg = ServeConfig {
             queue_capacity: 4,
-            brownout: BrownoutPolicy {
-                tier1_pressure: 0.3,
-                tier2_pressure: 1e9,
-                min_dwell: Duration::from_secs(30),
-                latency_target: Duration::from_secs(30),
-            },
+            brownout: queue_ladder(1e9),
             observatory: ObservatoryConfig {
                 shadow_every: 1,
                 dump_cooldown: Duration::ZERO,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -996,42 +949,90 @@ mod tests {
     }
 
     #[test]
-    fn blocked_admission_is_capped_by_the_deadline() {
+    fn admission_refusals_follow_the_documented_order() {
+        // Each step fails two adjacent checks of `submit`'s order —
+        // shutdown, quota, brownout tier 2, deadline gate, queue
+        // capacity — and the earlier check's error must win.
         let (backends, gate, _order) = GateBackend::fleet(1);
         let cfg = ServeConfig {
-            queue_capacity: 1,
-            backpressure: Backpressure::Block {
-                timeout: Duration::from_secs(30),
-            },
-            brownout: no_brownout(),
+            queue_capacity: 2,
+            backpressure: Backpressure::Reject,
+            quotas: vec![(
+                TenantId(1),
+                TenantQuota {
+                    weight: 1,
+                    rate_rps: 0.01,
+                    burst: 1.0,
+                },
+            )],
+            // A full two-slot queue is tier 2.
+            brownout: queue_ladder(0.75),
             ..Default::default()
         };
-        let server = Server::new(cfg, backends);
+        let mut server = Server::new(cfg, backends);
+        // Calibrate the deadline gate's service estimate, one request
+        // at a time so the queue never fills.
+        GateBackend::release(&gate, 16);
+        for s in 0..16 {
+            server.submit(req(s)).unwrap().wait().unwrap();
+        }
+        // Hold the array and fill the queue: pressure 2/2 is tier 2.
         let opener = server.submit(tagged(100, Priority::Standard)).unwrap();
         wait_in_flight(&server, 1);
-        let queued = server.submit(tagged(1, Priority::Standard)).unwrap();
-        // The queue is full and the array is held: this submission can
-        // only block. Its 50ms budget expires long before the 30s block
-        // timeout — it must come back as a deadline miss, quickly.
-        let t0 = std::time::Instant::now();
-        let err = server
-            .submit(tagged(2, Priority::Standard).with_deadline(Duration::from_millis(50)))
-            .unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "the wait was capped by the deadline, not the block timeout"
+        let queued: Vec<_> = (1..3)
+            .map(|tag| server.submit(tagged(tag, Priority::Standard)).unwrap())
+            .collect();
+        let doomed = |tag: u64, p: Priority| tagged(tag, p).with_deadline(Duration::from_nanos(1));
+        let t1 = TenantId(1);
+        let refused = |r: ServeRequest| server.submit(r).unwrap_err();
+
+        // Brownout before the deadline gate: tenant 1 spends its only
+        // token on an unmeetable Bulk request, refused for its class.
+        let bulk = Priority::Bulk;
+        assert_eq!(
+            refused(doomed(3, bulk).for_tenant(t1)),
+            ServeError::Brownout
         );
+        assert_eq!(server.stats().brownout.tier, 2);
+        // Quota before brownout: its next Bulk request is over quota.
+        assert_eq!(
+            refused(tagged(4, bulk).for_tenant(t1)),
+            ServeError::QuotaExceeded
+        );
+        // Deadline gate before queue capacity: the queue is full, but an
+        // unmeetable budget is refused as such.
+        let standard = Priority::Standard;
+        assert_eq!(refused(tagged(5, standard)), ServeError::QueueFull);
+        assert_eq!(refused(doomed(6, standard)), ServeError::DeadlineUnmeetable);
+
         GateBackend::release(&gate, 100);
         opener.wait().unwrap();
-        queued.wait().unwrap();
+        for t in &queued {
+            t.wait().unwrap();
+        }
         server.drain();
         let s = server.stats();
-        assert_eq!(s.admitted, 2, "the expired submission was never admitted");
-        assert_eq!(s.rejected, 1);
-        assert_eq!(s.deadline_missed, 1, "booked as a deadline miss");
-        assert_eq!(s.completed, 2);
-        assert_eq!(s.submitted, s.admitted + s.rejected);
+        assert_eq!(
+            (
+                s.brownout_rejected,
+                s.quota_rejected,
+                s.deadline_rejected,
+                s.rejected
+            ),
+            (1, 1, 1, 4)
+        );
+        assert_eq!(s.deadline_missed, 0, "no refused request counts as missed");
+
+        // Shutdown before everything: even an over-quota Bulk request
+        // with an unmeetable budget is refused as shut down.
+        server.shutdown();
+        assert_eq!(
+            server
+                .submit(doomed(7, Priority::Bulk).for_tenant(t1))
+                .unwrap_err(),
+            ServeError::Shutdown
+        );
+        assert_eq!(server.stats().rejected, 5);
     }
 
     #[test]
@@ -1285,12 +1286,7 @@ mod tests {
                     burst: 2.0,
                 },
             )],
-            brownout: BrownoutPolicy {
-                tier1_pressure: 0.3,
-                tier2_pressure: 0.75,
-                min_dwell: Duration::from_secs(30),
-                latency_target: Duration::from_secs(30),
-            },
+            brownout: queue_ladder(0.75),
             ..Default::default()
         };
         let server = Server::new(cfg, backends);

@@ -9,12 +9,14 @@
 //! request (a non-blocking ring push plus an O(1) burn-rate bucket
 //! update), and everything heavier — the exact-oracle shadow re-run,
 //! dump serialization — happens off the scheduler lock or only when a
-//! trigger actually fires. Dumps are held in memory until the embedder
-//! drains them ([`crate::Server::take_flight_dumps`]) and renders them
-//! as JSON ([`FlightDump::to_json`]) or a Perfetto trace
-//! ([`FlightDump::to_chrome_trace`]).
+//! trigger actually fires. The newest [`MAX_PENDING_DUMPS`] dumps are
+//! held in memory until the embedder drains them
+//! ([`crate::Server::take_flight_dumps`]) and renders them as JSON
+//! ([`FlightDump::to_json`]) or a Perfetto trace
+//! ([`FlightDump::to_chrome_trace`]); older undrained dumps are dropped,
+//! so a server nobody drains holds bounded memory.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -36,41 +38,35 @@ use crate::backend::{reference_bits, ServeOp};
 /// trivially inside it.
 pub const SHADOW_ENVELOPE: UlpEnvelope = UlpEnvelope::new(32, 3.0e-6);
 
+/// Undrained flight dumps kept; a newer dump evicts the oldest.
+pub const MAX_PENDING_DUMPS: usize = 16;
+/// Flight-recorder ring capacity (most recent completed requests).
+const RECORDER_CAPACITY: usize = 128;
+/// SLO error budget: allowed deadline-miss fraction per tenant ×
+/// priority stream.
+const SLO_BUDGET: f64 = 0.05;
+/// Burn rate at or above which (on every window) a stream trips the
+/// flight recorder.
+const BURN_ALERT: f64 = 4.0;
+/// Burn-rate windows, seconds. Serve benches run on second timescales,
+/// so the ladder is much faster than wall-clock SLO practice.
+const BURN_WINDOWS_S: [f64; 2] = [0.5, 5.0];
+
 /// Observatory knobs, embedded in [`crate::ServeConfig`].
 #[derive(Debug, Clone)]
 pub struct ObservatoryConfig {
-    /// Master switch. Off, the runtime never touches the recorder, the
-    /// burn trackers, or the shadow lane.
-    pub enabled: bool,
-    /// Flight-recorder ring capacity (most recent completed requests).
-    pub recorder_capacity: usize,
     /// Minimum spacing between flight-recorder dumps.
     pub dump_cooldown: Duration,
     /// Shadow-execute one in `shadow_every` clean fast-mode completions
     /// against the exact oracle (`0` disables the shadow lane).
     pub shadow_every: u64,
-    /// SLO error budget: allowed deadline-miss fraction per
-    /// tenant × priority stream.
-    pub slo_budget: f64,
-    /// Burn-rate at or above which (on every window) a stream trips the
-    /// flight recorder.
-    pub burn_alert: f64,
-    /// Burn-rate windows, seconds. Serve benches run on second
-    /// timescales, so the default ladder is much faster than wall-clock
-    /// SLO practice.
-    pub burn_windows_s: Vec<f64>,
 }
 
 impl Default for ObservatoryConfig {
     fn default() -> Self {
         ObservatoryConfig {
-            enabled: true,
-            recorder_capacity: 128,
             dump_cooldown: Duration::from_millis(250),
             shadow_every: 0,
-            slo_budget: 0.05,
-            burn_alert: 4.0,
-            burn_windows_s: vec![0.5, 5.0],
         }
     }
 }
@@ -92,7 +88,8 @@ pub struct Observatory {
     recorder: FlightRecorder,
     /// Burn tracker per (tenant, priority-index) stream.
     burn: Mutex<BTreeMap<(u64, usize), BurnTracker>>,
-    dumps: Mutex<Vec<FlightDump>>,
+    /// Undrained dumps, oldest first, at most [`MAX_PENDING_DUMPS`].
+    dumps: Mutex<VecDeque<FlightDump>>,
     shadow: ShadowCounters,
 }
 
@@ -100,23 +97,15 @@ impl Observatory {
     /// A fresh observatory; `epoch` anchors the server clock that all
     /// burn windows and dump timestamps are expressed in.
     pub fn new(cfg: ObservatoryConfig, epoch: Instant) -> Self {
-        let recorder = FlightRecorder::new(
-            cfg.recorder_capacity.max(1),
-            cfg.dump_cooldown.as_secs_f64(),
-        );
+        let recorder = FlightRecorder::new(RECORDER_CAPACITY, cfg.dump_cooldown.as_secs_f64());
         Observatory {
             cfg,
             epoch,
             recorder,
             burn: Mutex::new(BTreeMap::new()),
-            dumps: Mutex::new(Vec::new()),
+            dumps: Mutex::new(VecDeque::new()),
             shadow: ShadowCounters::default(),
         }
-    }
-
-    /// Whether the observatory is live.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     /// Seconds on the server clock.
@@ -132,7 +121,7 @@ impl Observatory {
     /// Whether this clean fast-mode completion should be re-run through
     /// the exact oracle (every `shadow_every`-th ticks the lane).
     pub fn should_shadow(&self, mode: NonlinearMode) -> bool {
-        if !self.cfg.enabled || self.cfg.shadow_every == 0 || mode != NonlinearMode::Fast {
+        if self.cfg.shadow_every == 0 || mode != NonlinearMode::Fast {
             return false;
         }
         self.shadow
@@ -189,18 +178,15 @@ impl Observatory {
     /// stream, and a burn-rate trigger check. `bad` marks SLO budget
     /// consumption (deadline misses and sheds).
     pub fn record_completion(&self, record: FlightRecord, bad: bool) {
-        if !self.cfg.enabled {
-            return;
-        }
         let now_s = self.now_s();
         let key = (record.tenant as u64, priority_index(&record.priority));
         self.recorder.push(record);
         let mut burn = self.burn.lock().unwrap();
-        let tracker = burn.entry(key).or_insert_with(|| {
-            BurnTracker::with_windows(self.cfg.slo_budget, &self.cfg.burn_windows_s)
-        });
+        let tracker = burn
+            .entry(key)
+            .or_insert_with(|| BurnTracker::with_windows(SLO_BUDGET, &BURN_WINDOWS_S));
         tracker.record(now_s, bad);
-        let alerting = tracker.alerting(self.cfg.burn_alert, now_s);
+        let alerting = tracker.alerting(BURN_ALERT, now_s);
         let burn_now = tracker.max_burn(now_s);
         drop(burn);
         if alerting {
@@ -212,19 +198,28 @@ impl Observatory {
     }
 
     /// Fire the flight recorder (rate-limited by the dump cooldown);
-    /// the dump is queued for [`Self::take_dumps`].
+    /// the dump is queued for [`Self::take_dumps`], evicting the oldest
+    /// undrained one once [`MAX_PENDING_DUMPS`] are queued.
     pub fn trigger(&self, reason: TriggerReason, detail: impl Into<String>) {
-        if !self.cfg.enabled {
-            return;
-        }
         if let Some(dump) = self.recorder.trigger(reason, self.now_s(), detail) {
-            self.dumps.lock().unwrap().push(dump);
+            let mut dumps = self.dumps.lock().unwrap();
+            if dumps.len() == MAX_PENDING_DUMPS {
+                dumps.pop_front();
+            }
+            dumps.push_back(dump);
         }
     }
 
-    /// Drain the queued flight-recorder dumps.
+    /// Dumps taken since start, drained or not: the ones evicted
+    /// undrained number `dumps_taken` minus those [`Self::take_dumps`]
+    /// returned.
+    pub fn dumps_taken(&self) -> u64 {
+        self.recorder.dumps_taken()
+    }
+
+    /// Drain the queued flight-recorder dumps, oldest first.
     pub fn take_dumps(&self) -> Vec<FlightDump> {
-        std::mem::take(&mut *self.dumps.lock().unwrap())
+        self.dumps.lock().unwrap().drain(..).collect()
     }
 }
 
@@ -293,20 +288,23 @@ mod tests {
     }
 
     #[test]
-    fn disabled_observatory_is_inert() {
+    fn undrained_dumps_keep_only_the_newest() {
         let obs = Observatory::new(
             ObservatoryConfig {
-                enabled: false,
+                dump_cooldown: Duration::ZERO,
                 ..Default::default()
             },
             Instant::now(),
         );
-        for _ in 0..50 {
-            obs.record_completion(record(0, "bulk", true), true);
+        let fired = MAX_PENDING_DUMPS as u64 + 5;
+        for i in 0..fired {
+            obs.trigger(TriggerReason::BrownoutEscalation, format!("escalation {i}"));
         }
-        obs.trigger(TriggerReason::EnvelopeViolation, "ignored");
-        assert!(obs.take_dumps().is_empty());
-        assert!(!obs.should_shadow(NonlinearMode::Fast));
+        assert_eq!(obs.dumps_taken(), fired, "every trigger took a dump");
+        let seqs: Vec<u64> = obs.take_dumps().iter().map(|d| d.seq).collect();
+        let newest: Vec<u64> = (5..fired).collect();
+        assert_eq!(seqs, newest, "the oldest five were evicted undrained");
+        assert!(obs.take_dumps().is_empty(), "drained");
     }
 
     #[test]

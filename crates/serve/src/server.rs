@@ -4,10 +4,11 @@
 //! golden-probe re-admission.
 //!
 //! Concurrency shape: one `Mutex<Inner>` holds the scheduler, tenant
-//! table, health states and the serving ledger; three condvars signal
-//! workers (`work_cv`), blocked submitters (`space_cv`) and drainers
-//! (`idle_cv`). Each array is one OS worker thread owning its
-//! [`ArrayBackend`]; executions and probes run outside the lock.
+//! table, health states and the serving ledger; two condvars signal
+//! workers (`work_cv`) and drainers (`idle_cv`). `submit` never waits:
+//! it admits or refuses under the lock and returns. Each array is one
+//! OS worker thread owning its [`ArrayBackend`]; executions and probes
+//! run outside the lock.
 //!
 //! Scheduling shape: three strict priority classes (`Critical` >
 //! `Standard` > `Bulk`), each a deficit-weighted round robin across
@@ -55,19 +56,23 @@ use crate::ticket::{AttemptRecord, RequestTimeline, ServeResponse, Ticket, Ticke
 const SVC_CALIBRATION_MIN: u64 = 16;
 /// EWMA smoothing for the service estimate and queue-wait signals.
 const EWMA_ALPHA: f64 = 0.2;
+/// Delay before the first retry of a faulted request; doubles per
+/// attempt up to [`RETRY_BACKOFF_CAP`].
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Cap on the retry backoff.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// One request. The deadline budget (if any) starts counting when
-/// `submit` is entered — time spent blocked at the admission gate
-/// burns it.
+/// `submit` is entered.
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
     /// Left operand.
     pub a: MatF32,
     /// Right operand.
     pub b: MatF32,
-    /// Per-request deadline budget; `None` uses the config default.
+    /// Per-request deadline budget; `None` never expires.
     pub budget: Option<Duration>,
-    /// Tenant the request is charged to (quota, weight, breaker).
+    /// Tenant the request is charged to (quota and weight).
     pub tenant: TenantId,
     /// Priority class (scheduling strictness and shed eligibility).
     pub priority: Priority,
@@ -76,8 +81,8 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// A request with the config-default deadline, tenant 0,
-    /// `Standard` priority, and the bare GEMM op.
+    /// A request with no deadline, tenant 0, `Standard` priority, and
+    /// the bare GEMM op.
     pub fn new(a: MatF32, b: MatF32) -> Self {
         ServeRequest {
             a,
@@ -86,14 +91,6 @@ impl ServeRequest {
             tenant: TenantId::default(),
             priority: Priority::default(),
             op: ServeOp::default(),
-        }
-    }
-
-    /// A request with an explicit deadline budget.
-    pub fn with_budget(a: MatF32, b: MatF32, budget: Duration) -> Self {
-        ServeRequest {
-            budget: Some(budget),
-            ..ServeRequest::new(a, b)
         }
     }
 
@@ -115,7 +112,7 @@ impl ServeRequest {
         self
     }
 
-    /// Builder: replace the deadline budget.
+    /// Builder: set the deadline budget.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
         self
@@ -242,27 +239,19 @@ impl ClassSched {
     }
 }
 
-enum Breaker {
-    Closed,
-    Open { until: Instant },
-    HalfOpen { probes_left: u32 },
-}
-
 /// The serving ledger of one (tenant, priority) cell: every request is
 /// booked here and nowhere else, from submission to its outcome.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
     submitted: u64,
     admitted: u64,
-    /// Refusals at admission, for any reason; the four counts after it
+    /// Refusals at admission, for any reason; the three counts after it
     /// break out the typed ones.
     rejected: u64,
     quota_rejected: u64,
-    breaker_rejected: u64,
     deadline_rejected: u64,
     brownout_rejected: u64,
-    /// Admitted requests that expired, plus refusals whose budget ran out
-    /// while blocked at the gate.
+    /// Admitted requests that expired; a subset of `failed`.
     deadline_missed: u64,
     completed: u64,
     failed: u64,
@@ -278,7 +267,6 @@ impl<'a> std::iter::Sum<&'a Tally> for Tally {
             admitted: acc.admitted + c.admitted,
             rejected: acc.rejected + c.rejected,
             quota_rejected: acc.quota_rejected + c.quota_rejected,
-            breaker_rejected: acc.breaker_rejected + c.breaker_rejected,
             deadline_rejected: acc.deadline_rejected + c.deadline_rejected,
             brownout_rejected: acc.brownout_rejected + c.brownout_rejected,
             deadline_missed: acc.deadline_missed + c.deadline_missed,
@@ -294,8 +282,6 @@ struct TenantState {
     quota: TenantQuota,
     tokens: f64,
     last_refill: Instant,
-    breaker: Breaker,
-    consec_bad: u32,
     /// This tenant's ledger cells, indexed by [`Priority::index`].
     cells: [Tally; 3],
 }
@@ -306,8 +292,6 @@ impl TenantState {
             quota,
             tokens: quota.burst.max(1.0),
             last_refill: now,
-            breaker: Breaker::Closed,
-            consec_bad: 0,
             cells: [Tally::default(); 3],
         }
     }
@@ -328,14 +312,6 @@ impl TenantState {
             true
         } else {
             false
-        }
-    }
-
-    fn refusing(&self, now: Instant) -> bool {
-        match self.breaker {
-            Breaker::Open { until } => now < until,
-            Breaker::HalfOpen { probes_left } => probes_left == 0,
-            Breaker::Closed => false,
         }
     }
 }
@@ -393,7 +369,6 @@ impl Inner {
 struct Shared {
     m: Mutex<Inner>,
     work_cv: Condvar,
-    space_cv: Condvar,
     idle_cv: Condvar,
     cfg: ServeConfig,
     golden: Golden,
@@ -492,7 +467,6 @@ impl Server {
                 svc_samples: 0,
             }),
             work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             obs: Observatory::new(cfg.observatory.clone(), now),
             cfg,
@@ -538,21 +512,21 @@ impl Server {
         self.shared.tracer.set(tracer).is_ok()
     }
 
-    /// Offer a request. `Ok(Ticket)` means admitted; the typed errors
-    /// are the admission-time refusals, applied in order: shutdown,
-    /// circuit breaker, quota, brownout (tier 2 refuses `Bulk`),
-    /// early-deadline gate, then queue capacity under the configured
-    /// [`Backpressure`].
+    /// Offer a request. `Ok(Ticket)` means admitted; otherwise the typed
+    /// error is the first refusal in this order: [`ServeError::Shutdown`],
+    /// the tenant's token-bucket quota ([`ServeError::QuotaExceeded`]),
+    /// brownout tier 2 refusing `Bulk` ([`ServeError::Brownout`]), the
+    /// early-deadline gate ([`ServeError::DeadlineUnmeetable`]), then
+    /// queue capacity under the configured [`Backpressure`]
+    /// ([`ServeError::QueueFull`] when nothing can be shed). Never
+    /// blocks.
     pub fn submit(&self, req: ServeRequest) -> Result<Ticket, ServeError> {
         let cfg = &self.shared.cfg;
         let t_submit = Instant::now();
-        let budget = req.budget.or(cfg.default_budget);
-        let deadline = budget.map(|b| t_submit + b);
+        let deadline = req.budget.map(|b| t_submit + b);
         let tenant = req.tenant;
         let priority = req.priority;
-        let refuse = |inner: &mut Inner, err, counts_as_bad| {
-            self.refuse(inner, tenant, priority, err, counts_as_bad)
-        };
+        let refuse = |inner: &mut Inner, err| self.refuse(inner, tenant, priority, err);
 
         let mut inner = self.shared.m.lock().unwrap();
         let quota = cfg.quota_for(tenant);
@@ -562,30 +536,7 @@ impl Server {
             .or_insert_with(|| TenantState::new(quota, t_submit));
         ts.cells[priority.index()].submitted += 1;
         if inner.shutdown {
-            return Err(refuse(&mut inner, ServeError::Shutdown, false));
-        }
-
-        // Circuit breaker: open refuses outright; an elapsed cooldown
-        // moves to half-open, where a limited number of probe
-        // admissions decide whether to close or re-open.
-        if cfg.breaker.trip_after > 0 {
-            let ts = inner.tenants.get_mut(&tenant.0).unwrap();
-            if let Breaker::Open { until } = ts.breaker {
-                if t_submit >= until {
-                    ts.breaker = Breaker::HalfOpen {
-                        probes_left: cfg.breaker.half_open_probes.max(1),
-                    };
-                }
-            }
-            if ts.refusing(t_submit) {
-                return Err(refuse(&mut inner, ServeError::CircuitOpen, false));
-            }
-            if let Breaker::HalfOpen {
-                ref mut probes_left,
-            } = ts.breaker
-            {
-                *probes_left -= 1;
-            }
+            return Err(refuse(&mut inner, ServeError::Shutdown));
         }
 
         // Token-bucket quota.
@@ -595,22 +546,22 @@ impl Server {
             .unwrap()
             .take_token(t_submit)
         {
-            return Err(refuse(&mut inner, ServeError::QuotaExceeded, true));
+            return Err(refuse(&mut inner, ServeError::QuotaExceeded));
         }
 
         // Brownout tier 2 refuses Bulk work at the door.
         update_brownout(&mut inner, &self.shared, t_submit);
         if inner.brownout.tier >= 2 && priority == Priority::Bulk {
-            return Err(refuse(&mut inner, ServeError::Brownout, true));
+            return Err(refuse(&mut inner, ServeError::Brownout));
         }
 
         // Early-deadline gate: once calibrated, a budget below the
         // service estimate can only produce a deadline miss — refuse it
         // now instead of queueing doomed work.
         if cfg.deadline_gate && inner.svc_samples >= SVC_CALIBRATION_MIN {
-            if let Some(b) = budget {
+            if let Some(b) = req.budget {
                 if b.as_secs_f64() < inner.svc_ewma_s {
-                    return Err(refuse(&mut inner, ServeError::DeadlineUnmeetable, true));
+                    return Err(refuse(&mut inner, ServeError::DeadlineUnmeetable));
                 }
             }
         }
@@ -618,7 +569,7 @@ impl Server {
         if inner.queued_len() >= cfg.queue_capacity {
             match cfg.backpressure {
                 Backpressure::Reject => {
-                    return Err(refuse(&mut inner, ServeError::QueueFull, true));
+                    return Err(refuse(&mut inner, ServeError::QueueFull));
                 }
                 Backpressure::ShedOldest => {
                     // Shed from the lowest non-Critical class at or
@@ -635,38 +586,8 @@ impl Server {
                             resolve(&mut inner, &self.shared, &victim, Err(ServeError::Shed));
                         }
                         None => {
-                            return Err(refuse(&mut inner, ServeError::QueueFull, true));
+                            return Err(refuse(&mut inner, ServeError::QueueFull));
                         }
-                    }
-                }
-                Backpressure::Block { timeout } => {
-                    // The wait is capped by the request's own remaining
-                    // deadline: burning the whole budget at the gate is
-                    // a deadline miss, not an admission timeout.
-                    let timeout_gate = t_submit + timeout;
-                    let gate = match deadline {
-                        Some(d) => timeout_gate.min(d),
-                        None => timeout_gate,
-                    };
-                    while inner.queued_len() >= cfg.queue_capacity && !inner.shutdown {
-                        let now = Instant::now();
-                        if now >= gate {
-                            let (err, is_reason) = if deadline.is_some_and(|d| gate == d) {
-                                (ServeError::DeadlineExceeded, true)
-                            } else {
-                                (ServeError::AdmissionTimeout, true)
-                            };
-                            return Err(refuse(&mut inner, err, is_reason));
-                        }
-                        let (guard, _) = self
-                            .shared
-                            .space_cv
-                            .wait_timeout(inner, gate - now)
-                            .unwrap();
-                        inner = guard;
-                    }
-                    if inner.shutdown {
-                        return Err(refuse(&mut inner, ServeError::Shutdown, false));
                     }
                 }
             }
@@ -712,29 +633,22 @@ impl Server {
     }
 
     /// Book an admission refusal in the request's ledger cell, with its
-    /// typed reason count, feed the breaker's consecutive-bad count
-    /// (skipped for refusals that are not the tenant's doing), and emit
-    /// the trace instant. Returns the error for the caller to propagate.
+    /// typed reason count, and emit the trace instant. Returns the error
+    /// for the caller to propagate.
     fn refuse(
         &self,
         inner: &mut Inner,
         tenant: TenantId,
         priority: Priority,
         err: ServeError,
-        counts_as_bad: bool,
     ) -> ServeError {
         let cell = inner.cell(tenant, priority);
         cell.rejected += 1;
         match err {
             ServeError::QuotaExceeded => cell.quota_rejected += 1,
-            ServeError::CircuitOpen => cell.breaker_rejected += 1,
             ServeError::DeadlineUnmeetable => cell.deadline_rejected += 1,
             ServeError::Brownout => cell.brownout_rejected += 1,
-            ServeError::DeadlineExceeded => cell.deadline_missed += 1,
             _ => {}
-        }
-        if counts_as_bad {
-            breaker_note_bad(inner, &self.shared, tenant);
         }
         if let Some(t) = tr(&self.shared) {
             t.instant_with("serve.reject", "serve", vec![("tenant", tenant.0)]);
@@ -772,7 +686,6 @@ impl Server {
             }
         }
         self.shared.work_cv.notify_all();
-        self.shared.space_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -787,7 +700,6 @@ impl Server {
     /// cells, so the fleet figures equal the per-tenant sums and the
     /// per-priority sums.
     pub fn stats(&self) -> ServeStats {
-        let now = Instant::now();
         let inner = self.shared.m.lock().unwrap();
 
         // Queued rollups are derived from the scheduler itself — the
@@ -817,13 +729,11 @@ impl Server {
                     admitted: t.admitted,
                     rejected: t.rejected,
                     quota_rejected: t.quota_rejected,
-                    breaker_rejected: t.breaker_rejected,
                     completed: t.completed,
                     failed: t.failed,
                     shed: t.shed,
                     queued: tenant_queued.get(&id).copied().unwrap_or(0),
                     in_flight: t.in_flight,
-                    breaker_open: ts.refusing(now),
                 }
             })
             .collect();
@@ -856,7 +766,6 @@ impl Server {
                 .sum(),
             queue_depth_high_water: inner.queue_depth_high_water,
             quota_rejected: fleet.quota_rejected,
-            breaker_rejected: fleet.breaker_rejected,
             deadline_rejected: fleet.deadline_rejected,
             brownout_rejected: fleet.brownout_rejected,
             queued: inner.queued_len(),
@@ -882,19 +791,16 @@ impl Server {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ServeConfig {
-        &self.shared.cfg
-    }
-
     /// The serve-time observatory (burn trackers, shadow lane, flight
     /// recorder).
     pub fn observatory(&self) -> &Observatory {
         &self.shared.obs
     }
 
-    /// Drain the flight-recorder dumps triggered so far (burn-rate over
-    /// budget, envelope violations, brownout escalations). Each dump
+    /// Drain the flight-recorder dumps triggered since the last drain
+    /// (burn-rate over budget, envelope violations, brownout
+    /// escalations) — at most the newest
+    /// [`crate::observatory::MAX_PENDING_DUMPS`]. Each dump
     /// renders as JSON (`flight_recorder/v1`) and as a Perfetto-loadable
     /// Chrome trace.
     pub fn take_flight_dumps(&self) -> Vec<FlightDump> {
@@ -908,9 +814,9 @@ impl Drop for Server {
     }
 }
 
-/// Fill a ticket and book the outcome into the request's ledger cell,
-/// feeding the tenant's circuit breaker. No-op on a ticket that already
-/// resolved (e.g. shed racing completion).
+/// Fill a ticket and book the outcome into the request's ledger cell.
+/// No-op on a ticket that already resolved (e.g. shed racing
+/// completion).
 fn resolve(
     inner: &mut Inner,
     shared: &Shared,
@@ -925,28 +831,14 @@ fn resolve(
         return;
     }
     observe_resolution(shared, job, &failure);
-    let ts = inner
-        .tenants
-        .get_mut(&job.tenant.0)
-        .expect("tenant entered");
-    let cell = &mut ts.cells[job.priority.index()];
+    let cell = inner.cell(job.tenant, job.priority);
     match failure {
-        None => {
-            cell.completed += 1;
-            ts.consec_bad = 0;
-            if matches!(ts.breaker, Breaker::HalfOpen { .. }) {
-                ts.breaker = Breaker::Closed;
-            }
-        }
+        None => cell.completed += 1,
         Some(e) => {
             cell.failed += 1;
             match e {
-                ServeError::DeadlineExceeded => {
-                    cell.deadline_missed += 1;
-                    breaker_note_bad(inner, shared, job.tenant);
-                }
+                ServeError::DeadlineExceeded => cell.deadline_missed += 1,
                 ServeError::Shed => cell.shed += 1,
-                ServeError::FaultsExhausted { .. } => breaker_note_bad(inner, shared, job.tenant),
                 _ => {}
             }
         }
@@ -956,12 +848,8 @@ fn resolve(
 /// Feed a resolved request into the observatory: one flight-recorder
 /// ring push plus its stream's SLO burn-rate update. Deadline misses,
 /// sheds, and fault exhaustion all consume error budget — shutdown
-/// doesn't (the operator chose it, the stream didn't fail). No-op when
-/// the observatory is disabled.
+/// doesn't (the operator chose it, the stream didn't fail).
 fn observe_resolution(shared: &Shared, job: &Job, failure: &Option<ServeError>) {
-    if !shared.obs.enabled() {
-        return;
-    }
     let missed = matches!(failure, Some(ServeError::DeadlineExceeded));
     let bad = matches!(failure, Some(e) if !matches!(e, ServeError::Shutdown));
     let outcome = match failure {
@@ -1006,28 +894,18 @@ fn mode_str(mode: NonlinearMode) -> &'static str {
     }
 }
 
-/// Feed one bad outcome (rejection or failure) into a tenant's breaker.
-fn breaker_note_bad(inner: &mut Inner, shared: &Shared, tenant: TenantId) {
-    let policy = &shared.cfg.breaker;
-    if policy.trip_after == 0 {
-        return;
+/// Retry delay before attempt `attempt` (1-based count of executions
+/// already consumed): `RETRY_BACKOFF_BASE << (attempt - 1)`, saturating
+/// at [`RETRY_BACKOFF_CAP`].
+fn retry_backoff(attempt: u32) -> Duration {
+    if attempt == 0 {
+        return Duration::ZERO;
     }
-    let Some(ts) = inner.tenants.get_mut(&tenant.0) else {
-        return;
-    };
-    ts.consec_bad = ts.consec_bad.saturating_add(1);
-    let trip = match ts.breaker {
-        Breaker::Closed => ts.consec_bad >= policy.trip_after,
-        // A failed half-open probe re-opens immediately.
-        Breaker::HalfOpen { .. } => true,
-        Breaker::Open { .. } => false,
-    };
-    if trip {
-        ts.breaker = Breaker::Open {
-            until: Instant::now() + policy.cooldown,
-        };
-        ts.consec_bad = 0;
-    }
+    let shift = (attempt - 1).min(20);
+    RETRY_BACKOFF_BASE
+        .checked_mul(1u32 << shift)
+        .unwrap_or(RETRY_BACKOFF_CAP)
+        .min(RETRY_BACKOFF_CAP)
 }
 
 /// Re-evaluate the brownout ladder from the pressure signals. Escalates
@@ -1128,7 +1006,6 @@ fn shed_bulk(inner: &mut Inner, shared: &Shared) {
             );
         }
         resolve(inner, shared, &job, Err(ServeError::Shed));
-        shared.space_cv.notify_one();
     }
 }
 
@@ -1233,7 +1110,6 @@ fn sweep_expired(inner: &mut Inner, shared: &Shared, now: Instant) {
             t.instant_with("serve.deadline_miss", "serve", vec![("req", job.id)]);
         }
         resolve(inner, shared, &job, Err(ServeError::DeadlineExceeded));
-        shared.space_cv.notify_one();
     }
     if inner.queued_len() == 0 && inner.in_flight() == 0 {
         shared.idle_cv.notify_all();
@@ -1391,7 +1267,6 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
         } else {
             NonlinearMode::Exact
         };
-        shared.space_cv.notify_one();
 
         let dispatched = Instant::now();
         if job.first_dispatch.is_none() {
@@ -1568,7 +1443,7 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
                     // sees the job double-counted as both queued and
                     // in-flight.
                     inner.retries += 1;
-                    let backoff = shared.cfg.retry_backoff(job.attempts);
+                    let backoff = retry_backoff(job.attempts);
                     let now = Instant::now();
                     job.not_before = now + backoff;
                     // Grace window for preferring a different array: one
@@ -1611,5 +1486,21 @@ fn worker_loop(shared: Arc<Shared>, array: usize, mut backend: Box<dyn ArrayBack
         if inner.queued_len() == 0 && inner.in_flight() == 0 {
             shared.idle_cv.notify_all();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_backoff_doubles_and_caps() {
+        let ms = Duration::from_millis;
+        assert_eq!(retry_backoff(0), Duration::ZERO);
+        assert_eq!(retry_backoff(1), ms(1));
+        assert_eq!(retry_backoff(2), ms(2));
+        assert_eq!(retry_backoff(6), ms(32));
+        assert_eq!(retry_backoff(7), ms(50));
+        assert_eq!(retry_backoff(u32::MAX), ms(50));
     }
 }

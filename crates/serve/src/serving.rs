@@ -10,8 +10,7 @@ use bfp_faults::FaultReport;
 use bfp_telemetry::Table;
 
 /// Identity of a serving tenant. The runtime keys quotas, weighted-fair
-/// scheduling deficits, circuit breakers, and the per-tenant counters on
-/// this id; tenant `0` is the implicit default for requests that never
+/// scheduling deficits, and the per-tenant counters on this id; tenant `0` is the implicit default for requests that never
 /// set one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u64);
@@ -173,11 +172,6 @@ impl ArrayServeStats {
             faults: FaultReport::default(),
         }
     }
-
-    /// How many times this array entered `state`.
-    pub fn times_entered(&self, state: ArrayHealth) -> usize {
-        self.history.iter().filter(|e| e.to == state).count()
-    }
 }
 
 impl Default for ArrayServeStats {
@@ -200,12 +194,10 @@ pub struct TenantServeStats {
     /// Requests accepted into the scheduler.
     pub admitted: u64,
     /// Requests refused at admission, for any reason (queue full, quota,
-    /// open breaker, unmeetable deadline, brownout).
+    /// unmeetable deadline, brownout, shutdown).
     pub rejected: u64,
     /// Rejections charged specifically to an empty token bucket.
     pub quota_rejected: u64,
-    /// Rejections charged to this tenant's open circuit breaker.
-    pub breaker_rejected: u64,
     /// Requests answered successfully.
     pub completed: u64,
     /// Admitted requests that ended in a typed error.
@@ -217,8 +209,6 @@ pub struct TenantServeStats {
     pub queued: usize,
     /// Requests executing at snapshot time.
     pub in_flight: usize,
-    /// Whether the tenant's circuit breaker is currently refusing work.
-    pub breaker_open: bool,
 }
 
 /// Serving counters for one priority class (fleet-wide). The same
@@ -272,9 +262,8 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Requests accepted into the queue.
     pub admitted: u64,
-    /// Requests refused at admission, for any reason: shutdown, open
-    /// breaker, quota, brownout, unmeetable or expired deadline, queue
-    /// full, admission timeout.
+    /// Requests refused at admission, for any reason: shutdown, quota,
+    /// brownout, unmeetable deadline, queue full.
     pub rejected: u64,
     /// Admitted requests evicted from the queue, by `ShedOldest`
     /// backpressure or by the brownout ladder's `Bulk` shedding; a subset
@@ -285,14 +274,11 @@ pub struct ServeStats {
     /// Admitted requests that ended in an error (deadline, shed,
     /// shutdown, exhausted retries).
     pub failed: u64,
-    /// Requests that missed their deadline — failed after admission, or
-    /// (under `Block` backpressure) refused at the gate because the
-    /// budget expired while blocked. The latter also count as `rejected`.
+    /// Admitted requests that missed their deadline (expired while
+    /// queued or mid-execution); a subset of `failed`.
     pub deadline_missed: u64,
     /// Rejections charged to empty per-tenant token buckets.
     pub quota_rejected: u64,
-    /// Rejections charged to open per-tenant circuit breakers.
-    pub breaker_rejected: u64,
     /// Rejections by the early-deadline admission check (remaining
     /// budget below the calibrated service estimate: queueing the work
     /// is doomed, so it is refused up front).
@@ -329,19 +315,9 @@ impl ServeStats {
         self.per_array.iter().filter(|a| a.health.serves()).count()
     }
 
-    /// Fleet-wide modelled busy seconds.
-    pub fn modelled_busy_s(&self) -> f64 {
-        self.per_array.iter().map(|a| a.modelled_busy_s).sum()
-    }
-
     /// The counters for one tenant, if it has been seen.
     pub fn tenant(&self, id: TenantId) -> Option<&TenantServeStats> {
         self.per_tenant.iter().find(|t| t.tenant == id)
-    }
-
-    /// The counters for one priority class.
-    pub fn priority(&self, p: Priority) -> &PriorityServeStats {
-        &self.per_priority[p.index()]
     }
 }
 
@@ -366,17 +342,16 @@ impl fmt::Display for ServeStats {
             self.queued,
             self.in_flight,
         )?;
-        if self.brownout.max_tier > 0 || self.quota_rejected > 0 || self.breaker_rejected > 0 {
+        if self.brownout.max_tier > 0 || self.quota_rejected > 0 {
             writeln!(
                 f,
                 "overload: brownout tier {} (max {}, {} transitions, {} sheds) | \
-                 {} quota-rejected, {} breaker-rejected, {} deadline-rejected, {} brownout-rejected",
+                 {} quota-rejected, {} deadline-rejected, {} brownout-rejected",
                 self.brownout.tier,
                 self.brownout.max_tier,
                 self.brownout.transitions,
                 self.brownout.sheds,
                 self.quota_rejected,
-                self.breaker_rejected,
                 self.deadline_rejected,
                 self.brownout_rejected,
             )?;
@@ -393,7 +368,6 @@ impl fmt::Display for ServeStats {
                     "failed",
                     "shed",
                     "queued",
-                    "breaker",
                 ],
             );
             for ts in &self.per_tenant {
@@ -406,7 +380,6 @@ impl fmt::Display for ServeStats {
                     ts.failed.to_string(),
                     ts.shed.to_string(),
                     format!("{}+{}", ts.queued, ts.in_flight),
-                    if ts.breaker_open { "open" } else { "closed" }.to_string(),
                 ]);
             }
             write!(f, "{}", t.render())?;
@@ -457,17 +430,15 @@ mod tests {
     }
 
     #[test]
-    fn tenant_and_priority_accessors() {
+    fn tenant_accessor() {
         let mut s = ServeStats::default();
         s.per_tenant.push(TenantServeStats {
             tenant: TenantId(3),
             completed: 5,
             ..Default::default()
         });
-        s.per_priority[Priority::Critical.index()].admitted = 2;
         assert_eq!(s.tenant(TenantId(3)).unwrap().completed, 5);
         assert!(s.tenant(TenantId(4)).is_none());
-        assert_eq!(s.priority(Priority::Critical).admitted, 2);
     }
 
     #[test]
@@ -511,7 +482,6 @@ mod tests {
         };
         let mut a0 = ArrayServeStats::new();
         a0.completed = 7;
-        a0.modelled_busy_s = 0.5;
         let mut a1 = ArrayServeStats::new();
         a1.health = ArrayHealth::Quarantined;
         a1.history.push(HealthEvent {
@@ -522,8 +492,6 @@ mod tests {
         s.per_array = vec![a0, a1];
 
         assert_eq!(s.serving_arrays(), 1);
-        assert!((s.modelled_busy_s() - 0.5).abs() < 1e-12);
-        assert_eq!(s.per_array[1].times_entered(ArrayHealth::Quarantined), 1);
         let text = s.to_string();
         assert!(text.contains("8 admitted"));
         assert!(text.contains("0 queued, 0 in-flight"));

@@ -361,11 +361,10 @@ fn deadline_missed_requests_never_occupy_an_array() {
     let tickets: Vec<_> = (0..16)
         .map(|s| {
             server
-                .submit(ServeRequest::with_budget(
-                    seeded(16, 16, s),
-                    seeded(16, 16, s ^ 99),
-                    Duration::ZERO,
-                ))
+                .submit(
+                    ServeRequest::new(seeded(16, 16, s), seeded(16, 16, s ^ 99))
+                        .with_deadline(Duration::ZERO),
+                )
                 .unwrap()
         })
         .collect();
@@ -391,11 +390,10 @@ fn generous_deadlines_complete_and_count_nothing_missed() {
     let tickets: Vec<_> = (0..8)
         .map(|s| {
             server
-                .submit(ServeRequest::with_budget(
-                    seeded(16, 16, s),
-                    seeded(16, 16, s ^ 7),
-                    Duration::from_secs(30),
-                ))
+                .submit(
+                    ServeRequest::new(seeded(16, 16, s), seeded(16, 16, s ^ 7))
+                        .with_deadline(Duration::from_secs(30)),
+                )
                 .unwrap()
         })
         .collect();
