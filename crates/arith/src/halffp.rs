@@ -4,7 +4,7 @@
 //! accelerator in Table III.
 //!
 //! fp16 has a 5-bit exponent (max finite value 65504) and an 11-bit
-//! significand. The `motivation` reproduction binary shows exactly how that
+//! significand. The `extension_motivation` reproduction test shows how that
 //! fails a softmax: `e^x` overflows fp16 for logits above ~11, while fp32
 //! shrugs. Conversions round to nearest-even; subnormals are supported on
 //! conversion (they matter for the underflow behaviour of `exp`).

@@ -6,7 +6,8 @@
 //!
 //! One scale for the whole tensor means a single outlier crushes the
 //! resolution of everything else; bfp8's per-8×8-block exponents localise
-//! that damage. The `motivation` reproduction binary quantifies the gap.
+//! that damage. The `extension_motivation` reproduction test quantifies
+//! the gap.
 
 use crate::error::ArithError;
 use crate::int8::round_i8_rne;

@@ -7,8 +7,9 @@
 //! explicit mantissa; values are emulated by rounding every operation
 //! result back into the format (round-to-nearest-even, saturate to ±inf on
 //! exponent overflow, flush to zero on underflow). Presets cover the
-//! industry formats between fp16 and fp32, so the `futurework` binary can
-//! sweep "how much precision do the non-linear layers actually need?".
+//! industry formats between fp16 and fp32, so the `extension_futurework`
+//! reproduction test can sweep "how much precision do the non-linear
+//! layers actually need?".
 
 /// A floating-point format with reduced exponent/mantissa widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the reproduction binaries.
+//! Plain-text table rendering for the reproduction tests.
 //!
 //! The implementation moved to `bfp_telemetry::report` so the stats
 //! types below `bfp-core` in the dependency graph (platform, serve)

@@ -878,20 +878,12 @@ fn observe_resolution(shared: &Shared, job: &Job, failure: &Option<ServeError>) 
                 array: a.array,
                 modelled_s: a.modelled_s,
                 faulted: a.faulted,
-                mode: mode_str(a.mode).to_string(),
+                mode: a.mode.as_str().to_string(),
             })
             .collect(),
         shadow: job.shadow.clone(),
     };
     shared.obs.record_completion(record, bad);
-}
-
-/// Stable lowercase label for a nonlinear mode.
-fn mode_str(mode: NonlinearMode) -> &'static str {
-    match mode {
-        NonlinearMode::Exact => "exact",
-        NonlinearMode::Fast => "fast",
-    }
 }
 
 /// Retry delay before attempt `attempt` (1-based count of executions

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the reproduction binaries: every table
+//! Plain-text table rendering for the reproduction tests: every table
 //! and figure of the paper is printed in the same row/column shape it has
 //! in print, so outputs can be compared side by side.
 

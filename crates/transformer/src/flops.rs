@@ -55,7 +55,7 @@ pub fn analytical_census_mode(cfg: &VitConfig, mode: NonlinearMode) -> OpCensus 
 }
 
 /// The numbers Table IV prints for DeiT-Small, kept verbatim so the
-/// reproduction binary can show paper-vs-ours side by side.
+/// reproduction tests can show paper-vs-ours side by side.
 pub mod paper_table4 {
     /// bfp8 MatMul OPs ("2465M").
     pub const BFP8_MATMUL_OPS: f64 = 2465.0e6;
