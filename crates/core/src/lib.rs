@@ -40,7 +40,6 @@ pub mod planner;
 pub mod report;
 pub mod resilient;
 pub mod scheduler;
-pub mod vprog;
 pub mod vpucost;
 
 pub use accelerator::{Accelerator, GemmReport, InferenceReport};
@@ -57,9 +56,6 @@ pub use resilient::{
 pub use scheduler::{abft_overhead_cycles, quantize_pack_cycles, schedule, Level, Schedule};
 // Fault accounting types surface through `GemmReport`/`SystemStats`.
 pub use bfp_faults::{FaultCounters, FaultReport};
-pub use vprog::{
-    compile_exp, compile_recip, compile_softmax, DivMode, VBuilder, VInstr, VMachine, VProgram,
-};
 pub use vpucost::{nonlinear_cycles, op_mix};
 
 /// Commonly used types from across the workspace.

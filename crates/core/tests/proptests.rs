@@ -1,12 +1,11 @@
-//! Property tests for the compiler, scheduler and vector-program layers.
+//! Property tests for the compiler and scheduler layers.
 
 use bfp_arith::matrix::MatF32;
-use bfp_core::vprog::{compile_exp, compile_recip, compile_softmax, DivMode, VBuilder, VMachine};
 use bfp_core::{compile_gemm, lower_vit, schedule};
 use bfp_platform::{System, SystemConfig};
 use bfp_pu::isa::Interpreter;
 use bfp_pu::unit::ProcessingUnit;
-use bfp_transformer::{VitConfig, Vpu};
+use bfp_transformer::VitConfig;
 use proptest::prelude::*;
 
 proptest! {
@@ -56,56 +55,5 @@ proptest! {
         // Level cycle totals plus switches reconstruct the makespan.
         let level_sum: f64 = s.levels.iter().map(|l| l.cycles).sum();
         prop_assert!((level_sum + s.switch_cycles - s.makespan_cycles).abs() < 1e-6);
-    }
-
-    #[test]
-    fn compiled_exp_matches_kernel_for_any_operands(
-        xs in proptest::collection::vec(-80.0f32..80.0, 1..40)
-    ) {
-        let mut m = VMachine::new();
-        let x = m.alloc(xs.clone());
-        let mut b = VBuilder::new(m.regs.len());
-        let out = compile_exp(&mut b, x);
-        m.run(&b.prog);
-        let mut vpu = Vpu::new();
-        for (k, &xv) in xs.iter().enumerate() {
-            // The compiled program has no range clamp; compare inside the
-            // kernel's clamp window.
-            if (-87.0..=88.0).contains(&xv) {
-                prop_assert_eq!(m.regs[out][k].to_bits(), vpu.exp(xv).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_softmax_always_normalises(
-        xs in proptest::collection::vec(-12.0f32..12.0, 2..50),
-        onchip in any::<bool>(),
-    ) {
-        let mut m = VMachine::new();
-        let x = m.alloc(xs.clone());
-        let mut b = VBuilder::new(m.regs.len());
-        let mode = if onchip { DivMode::OnChip } else { DivMode::Host };
-        let out = compile_softmax(&mut b, x, mode);
-        m.run(&b.prog);
-        let sum: f64 = m.regs[out].iter().map(|&v| v as f64).sum();
-        prop_assert!((sum - 1.0).abs() < 1e-4, "sum {sum}");
-        if onchip {
-            prop_assert_eq!(m.vpu.count.host_div, 0);
-        } else {
-            prop_assert_eq!(m.vpu.count.host_div, xs.len() as u64);
-        }
-    }
-
-    #[test]
-    fn compiled_recip_accuracy(x in 0.01f32..1000.0) {
-        let mut m = VMachine::new();
-        let reg = m.alloc(vec![x]);
-        let mut b = VBuilder::new(m.regs.len());
-        let out = compile_recip(&mut b, reg, 3);
-        m.run(&b.prog);
-        let got = m.regs[out][0] as f64;
-        let want = 1.0 / x as f64;
-        prop_assert!(((got - want) / want).abs() < 3e-6, "recip({x}) = {got}");
     }
 }

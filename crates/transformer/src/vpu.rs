@@ -24,6 +24,8 @@ mod fast_lanes;
 mod lane_equivalence;
 #[cfg(target_arch = "x86_64")]
 mod lanes;
+#[cfg(target_arch = "x86_64")]
+mod prog;
 
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
@@ -163,10 +165,11 @@ const EXP2_POLY: [f32; 6] = [
 const GELU_C: f32 = 0.797_884_6;
 const GELU_A: f32 = 0.044_715;
 
-/// The straight-line regime of both GELU kernels (exact and fast), which
-/// is what their lane twins run: `|u| = C·|x + A·x³| ≤ 12.5` at `|x| = 6`,
-/// so neither `tanh`'s ±15 clamp nor `exp`'s range clamps (`|2u| ≤ 25`)
-/// can fire and every intermediate is far inside the finite range.
+/// The straight-line regime of both GELU kernels (exact and fast), where
+/// the GELU program and the fast lane twin run: `|u| = C·|x + A·x³| ≤
+/// 12.5` at `|x| = 6`, so neither `tanh`'s ±15 clamp nor `exp`'s range
+/// clamps (`|2u| ≤ 25`) can fire and every intermediate is far inside the
+/// finite range.
 #[cfg(target_arch = "x86_64")]
 const GELU_LANE_MAX_ABS: f32 = 6.0;
 
@@ -582,10 +585,12 @@ impl Vpu {
     // contract); the `Fast` arms run the [`fast`] kernels and charge
     // their analytic per-element op mixes in one merge, since the fast
     // unit is a pipeline whose cost is data-independent. On an AVX2 host
-    // the `(Exact, Host)` arms of the paper datapath and the `Fast` GELU
-    // and softmax arms run their kernel's lane twin (`lanes`,
-    // `fast_lanes`) — selected here from the datapath and the CPU alone,
-    // the same bits and the same counts as the scalar loop below them.
+    // the `(Exact, Host)` arms of the paper datapath run their element-wise
+    // passes as compiled vector programs (`prog`) on the lane executor
+    // (`lanes`), and the `Fast` GELU and softmax arms run their kernel's
+    // lane twin (`fast_lanes`) — selected here from the datapath and the
+    // CPU alone, the same bits and the same counts as the scalar loop
+    // below them.
     // ------------------------------------------------------------------
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a

@@ -13,11 +13,11 @@ use super::{fast, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
 use NonlinearMode::{Exact, Fast};
 
-/// Lengths around every group width (16 / 8 / 4), the 64-element fused
-/// tile, a DeiT row and a DeiT shard.
+/// Lengths around every group width (32 / 8 / 4, and 16 for the row
+/// blocks), the 64-element fused tile, a DeiT row and a DeiT shard.
 fn lengths() -> Vec<usize> {
     let mut v: Vec<usize> = (0..=17).collect();
-    v.extend([63, 64, 65, 197, 197 * 8]);
+    v.extend([31, 32, 33, 63, 64, 65, 197, 197 * 8]);
     v
 }
 
@@ -171,7 +171,7 @@ fn gelu_slice_equals_the_scalar_kernel_in_bits_and_counts() {
         }
     }
     // Every outlier alone in an otherwise vectorisable slice, in every
-    // lane of every vector of the 16-element group.
+    // lane of the first four vectors of the 32-element group.
     let base = uniform(7, 32, 2.0);
     for (k, &o) in outliers().iter().enumerate() {
         for lane in 0..16 {
@@ -549,7 +549,7 @@ fn a_row_block_with_an_outlier_falls_back_without_moving_its_neighbours() {
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
-    use super::{fast_lanes, lanes};
+    use super::{fast_lanes, lanes, prog};
     if !bfp_arith::fplanes::available() {
         return;
     }
@@ -578,7 +578,17 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     vpu.softmax_rows_batch(&mut scores, seq, Host, Fast);
     assert_eq!(fast_lanes::route::take(), (0, (seq * (seq / 8)) as u64));
 
-    // Exact: 197 rows are 12 blocks of 16, one of 4 and a single row, so
+    // Exact: every whole group of 32, then of 8, then of 4 runs its
+    // program — GELU 197·1536 / 32 groups, softmax six of 32 and one of 4
+    // per 197-wide row, LayerNorm 384 / 32 per row in each of its two
+    // passes …
+    let groups = |cols: usize| (cols / 32 + cols % 32 / 8 + cols % 8 / 4) as u64;
+    let mut fc1 = uniform(1, seq * hidden, 3.0);
+    prog::route::take_groups();
+    vpu.gelu_slice(&mut fc1, Host, Exact);
+    assert_eq!(prog::route::take_groups(), ((seq * hidden / 32) as u64, 0));
+
+    // … 197 rows are 12 blocks of 16, one of 4 and a single row, so
     // 196 of 197 sums (softmax) and 392 of 394 (LayerNorm) are lock-step …
     let (gamma, beta) = (vec![1.1; dim], vec![0.2; dim]);
     let mut scores = uniform(2, seq * seq, 4.0);
@@ -586,8 +596,14 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     lanes::route::take();
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
     assert_eq!(lanes::route::take(), (196, 1));
+    assert_eq!(prog::route::take_groups(), (seq as u64 * groups(seq), 0));
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
     assert_eq!(lanes::route::take(), (392, 2));
+    assert_eq!(
+        prog::route::take_groups(),
+        (2 * seq as u64 * groups(dim), 0)
+    );
+
     // … and none when every block holds an operand outside the sums' regime.
     let mut scores = uniform(2, seq * seq, 4.0);
     let mut tokens = uniform(3, seq * dim, 2.0);
@@ -600,6 +616,33 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     assert_eq!(lanes::route::take(), (0, 197));
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
     assert_eq!(lanes::route::take(), (0, 394));
+
+    // A planted outlier sends exactly its own group to the scalar kernel:
+    // GELU beyond |x| = 6, a softmax element whose `v − max` is below −87,
+    // and a LayerNorm operand above 2⁴⁰, which fails the centre pass's
+    // bound and, centred, the affine pass's.
+    let mut fc1 = uniform(1, seq * hidden, 3.0);
+    fc1[1000] = 7.0;
+    prog::route::take_groups();
+    vpu.gelu_slice(&mut fc1, Host, Exact);
+    assert_eq!(
+        prog::route::take_groups(),
+        ((seq * hidden / 32 - 1) as u64, 1)
+    );
+    let mut scores = uniform(2, seq * seq, 4.0);
+    scores[5 * seq + 40] = -1e4;
+    vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
+    assert_eq!(
+        prog::route::take_groups(),
+        (seq as u64 * groups(seq) - 1, 1)
+    );
+    let mut tokens = uniform(3, seq * dim, 2.0);
+    tokens[7 * dim + 100] = 2.2e12;
+    vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
+    assert_eq!(
+        prog::route::take_groups(),
+        (2 * seq as u64 * groups(dim) - 2, 2)
+    );
 }
 
 /// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
@@ -624,4 +667,63 @@ fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
         s.spawn(|| sweep(0..1 << 15));
         s.spawn(|| sweep(1 << 15..1 << 16));
     });
+}
+
+/// The exact GELU program on the executor against [`Vpu::gelu`], in bits
+/// and counts: every 97th f32 pattern of `|x| ≤ 6` in both signs
+/// (2.2·10⁷), all of them on the program, then the regime's edges.
+#[test]
+#[cfg(target_arch = "x86_64")]
+#[ignore = "2.2·10⁷ patterns: release sweep, run by CI's envelope step"]
+fn exact_gelu_program_equals_the_scalar_kernel_on_a_dense_sweep() {
+    use super::prog::route;
+    if !bfp_arith::fplanes::available() {
+        return;
+    }
+    let six = 6.0f32.to_bits();
+    // Calls of 2¹⁶ patterns: 2 048 groups of 32 each, then the last call's.
+    let patterns = (six / 97 + 1) as usize;
+    let tail = patterns % (1 << 16);
+    let groups = patterns / (1 << 16) * 2048 + tail / 32 + tail % 32 / 8 + tail % 8 / 4;
+    let sweep = |sign: u32| {
+        let (mut batch, mut scalar) = (Vpu::new(), Vpu::new());
+        let mut bits = (0..=six).step_by(97).map(|b| b | sign).peekable();
+        route::take_groups();
+        while bits.peek().is_some() {
+            let src: Vec<f32> = bits.by_ref().take(1 << 16).map(f32::from_bits).collect();
+            let mut got = src.clone();
+            batch.gelu_slice(&mut got, Host, Exact);
+            for (g, &x) in got.iter().zip(&src) {
+                assert_eq!(g.to_bits(), scalar.gelu(x).to_bits(), "gelu({x:e})");
+            }
+        }
+        assert_eq!(batch.count, scalar.count);
+        assert_eq!(route::take_groups(), (groups as u64, 0));
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| sweep(0));
+        s.spawn(|| sweep(1 << 31));
+    });
+
+    // A group of each edge: ±6, ±0 and subnormals run the program,
+    // ±(6 + 1 ulp) does not.
+    let edges = [
+        (6.0, true),
+        (-6.0, true),
+        (0.0, true),
+        (-0.0, true),
+        (f32::from_bits(1), true),
+        (f32::from_bits(0x807f_ffff), true),
+        (f32::MIN_POSITIVE, true),
+        (f32::from_bits(six + 1), false),
+        (-f32::from_bits(six + 1), false),
+    ];
+    for (x, program) in edges {
+        check_gelu(&Vpu::new(), &format!("edge {x:e}"), &[x; 32]);
+        assert_eq!(
+            route::take_groups(),
+            (program as u64, !program as u64),
+            "{x:e}"
+        );
+    }
 }
