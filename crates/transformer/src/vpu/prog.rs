@@ -359,17 +359,17 @@ pub(super) enum Bind<'a> {
     Splat(f32),
 }
 
-/// An input register's source as the executor reads it.
+/// An input register's source as the executor reads it: a slice, or a
+/// splat in lane format and as the scalar kernel takes it.
 #[derive(Clone, Copy)]
 enum Src {
     At(*const f32),
-    Splat(F64x4),
+    Splat(F64x4, f32),
 }
 
 /// One run's operands: input registers read `src`, outputs go to `dst`.
 struct Frame<'a> {
     prog: &'a VProgram,
-    binds: &'a [Bind<'a>],
     len: usize,
     src: [Src; MAX_IO],
     dst: [*mut f32; MAX_IO],
@@ -396,7 +396,7 @@ impl Frame<'_> {
                         (*regs.add(r))[i] = lane::import(v);
                     }
                 }
-                Src::Splat(v) => *regs.add(r) = [v; G],
+                Src::Splat(v, _) => *regs.add(r) = [v; G],
             }
         }
         if !ok {
@@ -515,11 +515,10 @@ impl Frame<'_> {
         let (mut x, mut y) = ([0f32; MAX_IO], [0f32; MAX_IO]);
         for j in lo..hi {
             // SAFETY (reads and writes): `j < len`.
-            x[0] = *self.dst[0].add(j);
-            for (x, bind) in x[1..].iter_mut().zip(self.binds) {
-                *x = match *bind {
-                    Bind::Slice(v) => v[j],
-                    Bind::Splat(v) => v,
+            for (x, src) in x.iter_mut().zip(&self.src[..ins]) {
+                *x = match *src {
+                    Src::At(p) => *p.add(j),
+                    Src::Splat(_, v) => v,
                 };
             }
             (self.prog.scalar)(vpu, &x[..ins], &mut y[..outs]);
@@ -550,7 +549,6 @@ pub(super) unsafe fn run(
     let data = data.as_mut_ptr();
     let mut frame = Frame {
         prog,
-        binds,
         len,
         src: [Src::At(data); MAX_IO],
         dst: [data; MAX_IO],
@@ -564,7 +562,7 @@ pub(super) unsafe fn run(
             }
             Bind::Splat(v) => {
                 splats_ok &= v.abs() <= prog.bound;
-                Src::Splat(imm(v))
+                Src::Splat(imm(v), v)
             }
         };
     }
@@ -674,6 +672,7 @@ mod tests {
         assert_eq!(count, cost::exp().times(args.len() as u64));
         assert_eq!(route, (groups(args.len()), 0), "all in range");
     }
+
     #[test]
     fn a_brand_new_activation_compiles_from_the_same_isa() {
         // The run-time-programmability claim: SiLU never existed when the
