@@ -56,11 +56,6 @@ impl CancelToken {
         }
     }
 
-    /// A token that expires `budget` from now.
-    pub fn with_budget(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
-    }
-
     /// Request cancellation. Idempotent; all clones observe it.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn future_deadline_is_live_with_budget() {
-        let t = CancelToken::with_budget(Duration::from_secs(3600));
+        let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         let rem = t.remaining().expect("bounded");
         assert!(rem > Duration::from_secs(3500));

@@ -25,41 +25,12 @@ pub enum ArithError {
     },
     /// The 48-bit accumulator datapath would have overflowed.
     AccumulatorOverflow,
-    /// A NaN was produced or encountered where the guardrails forbid it.
-    NaN {
-        /// Row/column position of the first NaN.
-        at: (usize, usize),
-    },
-    /// Mantissa saturation exceeded the configured policy: more elements
-    /// clamped to the representable range than the caller allows.
-    Saturated {
-        /// Number of elements that hit the clamp.
-        count: u64,
-    },
     /// The operation was abandoned at a cooperative checkpoint because
     /// its [`crate::cancel::CancelToken`] fired.
     Cancelled {
         /// `true` when a deadline expired, `false` for an explicit cancel
         /// (shutdown, shed).
         expired: bool,
-    },
-    /// A quantized block's round-trip error exceeded the analytic bound
-    /// for its mantissa width — the signature of a corrupted shared
-    /// exponent or mantissa word.
-    QuantBoundExceeded {
-        /// Grid position `(block_row, block_col)` of the offending block.
-        block: (usize, usize),
-        /// Worst observed absolute error in the block.
-        observed: f64,
-        /// The bound the block was required to meet.
-        bound: f64,
-    },
-    /// A checked GEMM's output block-row stayed faulty with recovery
-    /// disabled: a checksum mismatch the kernel could not repair, an
-    /// ECC/TMR-uncorrected hardware event, or a non-finite output.
-    UncorrectedFault {
-        /// Output block-row whose chains could not be trusted.
-        block_row: usize,
     },
 }
 
@@ -85,32 +56,12 @@ impl fmt::Display for ArithError {
             ArithError::AccumulatorOverflow => {
                 write!(f, "48-bit accumulator overflow")
             }
-            ArithError::NaN { at } => {
-                write!(f, "NaN at ({}, {})", at.0, at.1)
-            }
-            ArithError::Saturated { count } => {
-                write!(f, "{count} elements saturated beyond the configured policy")
-            }
             ArithError::Cancelled { expired } => {
                 if *expired {
                     write!(f, "deadline expired before the operation completed")
                 } else {
                     write!(f, "operation cancelled")
                 }
-            }
-            ArithError::QuantBoundExceeded {
-                block,
-                observed,
-                bound,
-            } => {
-                write!(
-                    f,
-                    "block ({}, {}) round-trip error {observed:.3e} exceeds bound {bound:.3e}",
-                    block.0, block.1
-                )
-            }
-            ArithError::UncorrectedFault { block_row } => {
-                write!(f, "uncorrected fault in output block-row {block_row}")
             }
         }
     }
@@ -140,9 +91,6 @@ mod tests {
         assert!(ArithError::AccumulatorOverflow
             .to_string()
             .contains("48-bit"));
-
-        let e = ArithError::UncorrectedFault { block_row: 3 };
-        assert!(e.to_string().contains("block-row 3"));
     }
 
     #[test]

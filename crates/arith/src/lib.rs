@@ -53,7 +53,6 @@ pub mod fork;
 pub mod fpadd;
 pub mod fplanes;
 pub mod fpmul;
-pub mod guard;
 pub mod halffp;
 pub mod int8;
 pub mod int8quant;
@@ -71,7 +70,6 @@ pub use cancel::CancelToken;
 pub use error::ArithError;
 pub use fpadd::{AddVariant, HwFp32Add};
 pub use fpmul::{HwFp32Mul, MulVariant, PartialProduct};
-pub use guard::{GuardFlags, SaturationPolicy};
 pub use int8quant::Int8Tensor;
 pub use matrix::MatF32;
 pub use packed::{PackSide, PackedBfp};

@@ -1267,8 +1267,7 @@ impl TileQuantizer {
         if self == TileQuantizer::Avx2 {
             let man: &mut [i8; 64] = man.try_into().expect("b == 8 tile slot");
             // SAFETY: `Avx2` is only selected after detecting AVX2.
-            if let Some((exp, saturated)) = unsafe { quantize_tile_avx2(t, side, man) } {
-                q.saturation.check(saturated)?;
+            if let Some(exp) = unsafe { quantize_tile_avx2(t, side, man) } {
                 return Ok(exp);
             }
         }
@@ -1303,9 +1302,9 @@ fn exp_from_max_bits(max_bits: u32) -> Option<i32> {
 /// quantizer (8×8 tiles, 8-bit mantissas, round to nearest even), the host
 /// counterpart of the streaming fp32→bfp8 converter on the PU's output
 /// path: block maximum, shared exponent, align, round, all 64 mantissas in
-/// final packed order. Returns the exponent and the clamp count, or `None`
-/// for a tile it declines — the caller then runs the scalar loop, which
-/// also owns every error.
+/// final packed order. Returns the exponent, or `None` for a tile it
+/// declines — the caller then runs the scalar loop, which also owns every
+/// error.
 ///
 /// The block maximum is taken over `bits & 0x7fff_ffff`, which orders
 /// magnitudes and puts every NaN and infinity at or above `0x7f80_0000`,
@@ -1315,17 +1314,18 @@ fn exp_from_max_bits(max_bits: u32) -> Option<i32> {
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn quantize_tile_avx2(t: &TileSrc, side: PackSide, man: &mut [i8; 64]) -> Option<(i8, u64)> {
+unsafe fn quantize_tile_avx2(t: &TileSrc, side: PackSide, man: &mut [i8; 64]) -> Option<i8> {
     // SAFETY: the caller verified AVX2; the helpers ask nothing else.
     unsafe {
         let rows = tile_lanes::load(t);
         let max_bits = tile_lanes::max_abs_bits(&rows);
         if max_bits == 0 {
             // All-zero tile: canonical exponent 0, mantissas stay 0.
-            return Some((0, 0));
+            return Some(0);
         }
         let exp = exp_from_max_bits(max_bits)?;
-        Some((exp as i8, tile_lanes::round_into(&rows, exp, side, man)))
+        tile_lanes::round_into(&rows, exp, side, man);
+        Some(exp as i8)
     }
 }
 
@@ -1396,16 +1396,15 @@ mod tile_lanes {
     }
 
     /// Align, round and store all 64 mantissas against `exp` (within ±120,
-    /// so the scale `2^−exp`, built from bits, is a normal f32); returns
-    /// the clamp count.
+    /// so the scale `2^−exp`, built from bits, is a normal f32).
     ///
     /// `vmulps` by a power of two is exact unless the product falls below
     /// 2⁻¹²⁶, where the exact value and whatever the multiply returns both
     /// round to 0, so `vcvtps2dq` (nearest even under the default MXCSR) is
     /// `round_i8_rne` of the scalar loop's f64 product. Two saturating
-    /// packs (`vpackssdw`, `vpacksswb`) narrow to bytes; `−128` is counted
-    /// and clamped to `−127` as `Quantizer::round_elem` does — against the
-    /// tile's own exponent no product passes 127.5 and neither fires. The
+    /// packs (`vpackssdw`, `vpacksswb`) narrow to bytes and `vpmaxsb`
+    /// clamps `−128` to `−127` as `Quantizer::round_elem` does — against
+    /// the tile's own exponent no product passes 127.5 and neither fires. The
     /// packs leave each register as the 4×4 byte blocks `rows 0–3 | 4–7` ×
     /// `cols 0–3 | 4–7`: one `vpermd` per register interleaves them
     /// row-major for [`PackSide::Lhs`]; for [`PackSide::Rhs`] a `vpshufb`
@@ -1417,7 +1416,7 @@ mod tile_lanes {
         exp: i32,
         side: PackSide,
         man: &mut [i8; 64],
-    ) -> u64 {
+    ) {
         let scale = _mm256_set1_ps(f32::from_bits(((127 - exp) as u32) << 23));
         let mut q = [_mm256_setzero_si256(); 8];
         for (q, r) in q.iter_mut().zip(rows) {
@@ -1432,8 +1431,6 @@ mod tile_lanes {
             _mm256_packs_epi32(q[6], q[7]),
         );
         let floor = _mm256_set1_epi8(-127);
-        let below = _mm256_movemask_epi8(_mm256_cmpgt_epi8(floor, top)) as u32 as u64
-            | (_mm256_movemask_epi8(_mm256_cmpgt_epi8(floor, bottom)) as u32 as u64) << 32;
         let (top, bottom) = (_mm256_max_epi8(top, floor), _mm256_max_epi8(bottom, floor));
         let (lo, hi) = match side {
             PackSide::Lhs => {
@@ -1466,7 +1463,6 @@ mod tile_lanes {
             _mm256_storeu_si256(man.as_mut_ptr() as *mut __m256i, lo);
             _mm256_storeu_si256(man.as_mut_ptr().add(32) as *mut __m256i, hi);
         }
-        below.count_ones() as u64
     }
 }
 
@@ -1831,21 +1827,16 @@ pub(crate) mod tests {
         for (r, c) in [(45, 20), (60, 3), (13, 50), (30, 9)] {
             m.set(r, c, f32::NAN);
         }
-        let strict = Quantizer {
-            saturation: crate::guard::SaturationPolicy::Limit(0),
-            ..Quantizer::paper()
-        };
-        for q in [Quantizer::paper(), strict] {
-            let want = PackedBfp::quantize_pack_lhs(&q, &m).unwrap_err();
-            // Tile (1, 6) comes first in tile order.
-            assert!(
-                matches!(want, ArithError::NonFinite { at: (13, 50) }),
-                "{want:?}"
-            );
-            for shards in [2, 3, 8] {
-                let got = PackedBfp::quantize_pack_lhs_parallel(&q, &m, shards).unwrap_err();
-                assert_eq!(got, want, "{shards} shards");
-            }
+        let q = Quantizer::paper();
+        let want = PackedBfp::quantize_pack_lhs(&q, &m).unwrap_err();
+        // Tile (1, 6) comes first in tile order.
+        assert!(
+            matches!(want, ArithError::NonFinite { at: (13, 50) }),
+            "{want:?}"
+        );
+        for shards in [2, 3, 8] {
+            let got = PackedBfp::quantize_pack_lhs_parallel(&q, &m, shards).unwrap_err();
+            assert_eq!(got, want, "{shards} shards");
         }
     }
 
@@ -2220,22 +2211,22 @@ pub(crate) mod tests {
 
     /// `quantize_tile_avx2` called directly: `None` when it declines the
     /// tile, when `q` is not its quantizer, or when the host lacks AVX2.
-    fn lane_tile(q: &Quantizer, t: &TileSrc, side: PackSide) -> Option<(i8, [i8; 64], u64)> {
+    fn lane_tile(q: &Quantizer, t: &TileSrc, side: PackSide) -> Option<(i8, [i8; 64])> {
         #[cfg(target_arch = "x86_64")]
         if TileQuantizer::select(q) == TileQuantizer::Avx2 {
             let mut man = [0i8; 64];
             // SAFETY: `select` returned the AVX2 kernel, so the host has AVX2.
-            return unsafe { quantize_tile_avx2(t, side, &mut man) }.map(|(e, sat)| (e, man, sat));
+            return unsafe { quantize_tile_avx2(t, side, &mut man) }.map(|e| (e, man));
         }
         None
     }
 
     /// [`tile_lanes::round_into`] against a chosen exponent instead of the
     /// tile's own — the only way to reach the saturating packs and the
-    /// clamp. Returns the mantissas and the clamp count.
+    /// clamp. Returns the mantissas.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn lane_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> ([i8; 64], u64) {
+    unsafe fn lane_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> [i8; 64] {
         let t = TileSrc {
             data: vals,
             stride: 8,
@@ -2246,25 +2237,22 @@ pub(crate) mod tests {
         };
         let mut man = [0i8; 64];
         // SAFETY: the caller verified AVX2.
-        let saturated =
-            unsafe { tile_lanes::round_into(&tile_lanes::load(&t), exp, side, &mut man) };
-        (man, saturated)
+        unsafe { tile_lanes::round_into(&tile_lanes::load(&t), exp, side, &mut man) };
+        man
     }
 
     /// What `lane_round_at` must return: `Quantizer::round_elem` per element.
-    fn scalar_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> ([i8; 64], u64) {
+    fn scalar_round_at(vals: &[f32; 64], exp: i32, side: PackSide) -> [i8; 64] {
         let q = Quantizer::paper();
-        let (mut man, mut saturated) = ([0i8; 64], 0);
+        let mut man = [0i8; 64];
         for (t, &v) in vals.iter().enumerate() {
-            let (m, sat) = q.round_elem(v, (-exp as f64).exp2(), t / 8, t % 8, 127);
-            saturated += sat as u64;
             man[if side == PackSide::Lhs {
                 t
             } else {
                 t % 8 * 8 + t / 8
-            }] = m;
+            }] = q.round_elem(v, (-exp as f64).exp2(), t / 8, t % 8, 127);
         }
-        (man, saturated)
+        man
     }
 
     /// One tile source on every route and both sides: the scalar tile loop
@@ -2284,13 +2272,9 @@ pub(crate) mod tests {
                 .quantize(q, t, side, &mut man)
                 .map(|e| (e, man));
             assert_eq!(got, want, "dispatch vs scalar loop, {side:?}");
-            if let Some((exp, man, saturated)) = lane_tile(q, t, side) {
+            if let Some(got) = lane_tile(q, t, side) {
                 took = true;
-                assert_eq!(Ok((exp, man)), want, "lane kernel vs scalar loop, {side:?}");
-                assert_eq!(
-                    saturated, 0,
-                    "nothing passes 127.5 at the tile's own exponent"
-                );
+                assert_eq!(Ok(got), want, "lane kernel vs scalar loop, {side:?}");
             }
             out = want.map(|(e, _)| e);
         }
@@ -2385,7 +2369,7 @@ pub(crate) mod tests {
             assert_eq!(took, lanes());
         }
         // All of them against exponent 0, where they are ties: −127.5
-        // rounds to −128, which is clamped and counted.
+        // rounds to −128, which is clamped to −127.
         #[cfg(target_arch = "x86_64")]
         if lanes() {
             for (chunk, side) in ties
@@ -2396,17 +2380,17 @@ pub(crate) mod tests {
                 // SAFETY: `lanes()` saw the AVX2 kernel selected.
                 let got = unsafe { lane_round_at(&vals, 0, side) };
                 assert_eq!(got, scalar_round_at(&vals, 0, side));
-                assert_eq!(got.1, vals.contains(&-127.5) as u64);
+                assert!(!got.contains(&-128));
             }
         }
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn tile_quantizer_saturates_clamps_and_counts_like_round_elem() {
+    fn tile_quantizer_saturates_and_clamps_like_round_elem() {
         // Against an exponent smaller than the tile's own, products pass
-        // ±127.5: the packs saturate, −128 becomes −127 and is counted,
-        // +127 is not — `round_i8_rne` and `round_elem`, element for element.
+        // ±127.5: the packs saturate, −128 becomes −127 and +127 stays —
+        // `round_i8_rne` and `round_elem`, element for element.
         if !lanes() {
             return;
         }
@@ -2430,59 +2414,58 @@ pub(crate) mod tests {
                 // SAFETY: `lanes()` saw the AVX2 kernel selected.
                 let got = unsafe { lane_round_at(&vals, exp, side) };
                 assert_eq!(got, scalar_round_at(&vals, exp, side), "{side:?} exp {exp}");
-                assert!(got.0.iter().all(|&m| m != -128));
+                assert!(got.iter().all(|&m| m != -128));
             }
             // SAFETY: as above.
-            let (_, saturated) = unsafe { lane_round_at(&vals, 0, side) };
-            let clamped = vals.iter().filter(|&&v| v <= -127.5).count() as u64;
+            let man = unsafe { lane_round_at(&vals, 0, side) };
+            let at = |t: usize| match side {
+                PackSide::Lhs => t,
+                PackSide::Rhs => t % 8 * 8 + t / 8,
+            };
+            let clamped: Vec<usize> = (0..64).filter(|&t| vals[t] <= -127.5).collect();
             assert!(
-                clamped > 20 && saturated == clamped,
-                "every product at or below −127.5"
+                clamped.len() > 20 && clamped.iter().all(|&t| man[at(t)] == -127),
+                "every product at or below −127.5 clamps to −127"
             );
         }
     }
 
     #[test]
     fn tile_quantizer_handles_zeros_subnormals_and_the_edges_of_its_regime() {
-        let limit0 = Quantizer {
-            saturation: crate::guard::SaturationPolicy::Limit(0),
-            ..Quantizer::paper()
-        };
-        for q in [Quantizer::paper(), limit0] {
-            // All-zero tiles, either sign of zero: exponent 0, taken.
-            for zero in [
-                [0.0f32; 64],
-                [-0.0; 64],
-                std::array::from_fn(|t| if t % 3 == 0 { -0.0 } else { 0.0 }),
-            ] {
-                assert_eq!(tile_on_every_route(&q, &zero), (Ok(0), lanes()));
-            }
-            // Signed zeros beside real values.
-            let vals: [f32; 64] = std::array::from_fn(|t| [0.0, -0.0, 3.25, -1e-3][t % 4]);
-            assert_eq!(tile_on_every_route(&q, &vals), (Ok(-5), lanes()));
-            // Subnormals only: the scalar loop's, with its exponent clamp.
-            let vals: [f32; 64] = std::array::from_fn(|t| f32::from_bits(1 + t as u32 * 0x1_0101));
-            assert_eq!(tile_on_every_route(&q, &vals), (Ok(-128), false));
-            // exp = E − 133 (+1 at the threshold): −121 | −120 … 120 | 121.
-            let edges = [
-                (12u32, 0u32, -121, false),
-                (12, 0x7f_0000, -120, true),
-                (13, 0, -120, true),
-            ];
-            let edges = edges.into_iter().chain([
-                (253, 0, 120, true),
-                (253, 0x7f_0000, 121, false),
-                (254, 0, 121, false),
-            ]);
-            for (biased, frac, exp, proven) in edges {
-                let max = f32::from_bits(biased << 23 | frac);
-                let vals: [f32; 64] = std::array::from_fn(|t| max * (1.0 - t as f32 / 40.0));
-                assert_eq!(
-                    tile_on_every_route(&q, &vals),
-                    (Ok(exp), proven && lanes()),
-                    "{biased} {frac:#x}"
-                );
-            }
+        let q = Quantizer::paper();
+        // All-zero tiles, either sign of zero: exponent 0, taken.
+        for zero in [
+            [0.0f32; 64],
+            [-0.0; 64],
+            std::array::from_fn(|t| if t % 3 == 0 { -0.0 } else { 0.0 }),
+        ] {
+            assert_eq!(tile_on_every_route(&q, &zero), (Ok(0), lanes()));
+        }
+        // Signed zeros beside real values.
+        let vals: [f32; 64] = std::array::from_fn(|t| [0.0, -0.0, 3.25, -1e-3][t % 4]);
+        assert_eq!(tile_on_every_route(&q, &vals), (Ok(-5), lanes()));
+        // Subnormals only: the scalar loop's, with its exponent clamp.
+        let vals: [f32; 64] = std::array::from_fn(|t| f32::from_bits(1 + t as u32 * 0x1_0101));
+        assert_eq!(tile_on_every_route(&q, &vals), (Ok(-128), false));
+        // exp = E − 133 (+1 at the threshold): −121 | −120 … 120 | 121.
+        let edges = [
+            (12u32, 0u32, -121, false),
+            (12, 0x7f_0000, -120, true),
+            (13, 0, -120, true),
+        ];
+        let edges = edges.into_iter().chain([
+            (253, 0, 120, true),
+            (253, 0x7f_0000, 121, false),
+            (254, 0, 121, false),
+        ]);
+        for (biased, frac, exp, proven) in edges {
+            let max = f32::from_bits(biased << 23 | frac);
+            let vals: [f32; 64] = std::array::from_fn(|t| max * (1.0 - t as f32 / 40.0));
+            assert_eq!(
+                tile_on_every_route(&q, &vals),
+                (Ok(exp), proven && lanes()),
+                "{biased} {frac:#x}"
+            );
         }
     }
 
@@ -2543,7 +2526,7 @@ pub(crate) mod tests {
             let (exp, took) = tile_routes_agree(&q, &t);
             assert_eq!((exp, took), (Ok(-4), lanes()), "{imax}x{jmax}");
             // The padding of the slot is zero, as the scalar loop leaves it.
-            let (_, man, _) = lane_tile(&q, &t, PackSide::Rhs).unwrap_or((0, [0; 64], 0));
+            let (_, man) = lane_tile(&q, &t, PackSide::Rhs).unwrap_or((0, [0; 64]));
             assert!((0..64).all(|s| (s % 8 < imax && s / 8 < jmax) || man[s] == 0));
             // And a NaN inside the valid region keeps its coordinates.
             let mut bad = buf;

@@ -9,7 +9,6 @@
 
 use crate::bfp::{shift_right_trunc, BfpBlock, BLOCK};
 use crate::error::ArithError;
-use crate::guard::SaturationPolicy;
 use crate::int8::{mix_hash, round_i8_rne, round_i8_stochastic, round_i8_trunc};
 use crate::matrix::MatF32;
 use crate::packed::PackSide;
@@ -51,8 +50,6 @@ pub struct Quantizer {
     /// Mantissa width in bits, 2..=8 (8 in the paper's bfp8; smaller
     /// widths support the SqueezeBlock-style bitwidth ablation).
     pub man_bits: u32,
-    /// What to do when rounding pushes a mantissa past the clamp.
-    pub saturation: SaturationPolicy,
 }
 
 impl Default for Quantizer {
@@ -61,7 +58,6 @@ impl Default for Quantizer {
             block: BLOCK,
             round: RoundMode::NearestEven,
             man_bits: 8,
-            saturation: SaturationPolicy::Saturate,
         }
     }
 }
@@ -211,16 +207,10 @@ impl Quantizer {
     }
 
     /// Round one element at absolute position `(r, c)` against a tile scale;
-    /// returns the clamped mantissa and whether the clamp fired.
+    /// returns the mantissa clamped to `±clamp`, silently, as the
+    /// hardware does.
     #[inline]
-    pub(crate) fn round_elem(
-        &self,
-        v: f32,
-        scale: f64,
-        r: usize,
-        c: usize,
-        clamp: i8,
-    ) -> (i8, bool) {
+    pub(crate) fn round_elem(&self, v: f32, scale: f64, r: usize, c: usize, clamp: i8) -> i8 {
         let scaled = v as f64 * scale;
         let q = match self.round {
             RoundMode::NearestEven => round_i8_rne(scaled),
@@ -229,44 +219,34 @@ impl Quantizer {
                 round_i8_stochastic(scaled, mix_hash(r, c, (scaled as f32).to_bits()))
             }
         };
-        (q.clamp(-clamp, clamp), q < -clamp || q > clamp)
+        q.clamp(-clamp, clamp)
     }
 
     /// Round a scanned tile's valid region against its shared exponent
     /// into `man` (a zeroed `block²` slot: row-major for
-    /// [`PackSide::Lhs`], transposed for [`PackSide::Rhs`]), settle the
-    /// tile's saturation count and return the exponent.
-    fn round_tile(
-        &self,
-        scanned: Option<i8>,
-        t: &TileSrc,
-        side: PackSide,
-        man: &mut [i8],
-    ) -> Result<i8, ArithError> {
+    /// [`PackSide::Lhs`], transposed for [`PackSide::Rhs`]) and return
+    /// the exponent.
+    fn round_tile(&self, scanned: Option<i8>, t: &TileSrc, side: PackSide, man: &mut [i8]) -> i8 {
         // All-zero tile: canonical exponent 0, mantissas stay 0.
-        let Some(exp) = scanned else { return Ok(0) };
+        let Some(exp) = scanned else { return 0 };
         let b = self.block;
         let scale = (-(exp as i32) as f64).exp2();
         let clamp = self.max_mag() as i8;
-        let mut saturated = 0u64;
         for i in 0..t.imax {
             let row = &t.data[i * t.stride..][..t.jmax];
             for (j, &v) in row.iter().enumerate() {
-                let (q, sat) = self.round_elem(v, scale, t.r0 + i, t.c0 + j, clamp);
-                saturated += sat as u64;
                 man[match side {
                     PackSide::Lhs => i * b + j,
                     PackSide::Rhs => j * b + i,
-                }] = q;
+                }] = self.round_elem(v, scale, t.r0 + i, t.c0 + j, clamp);
             }
         }
-        self.saturation.check(saturated)?;
-        Ok(exp)
+        exp
     }
 
     /// The one scalar tile loop: scan (the slice scan, or the reference
     /// scan [`Quantizer::quantize_reference`] asks for), shared exponent,
-    /// rounding walk and saturation tail of one tile, mantissas into `man`
+    /// rounding walk and clamp of one tile, mantissas into `man`
     /// (zeroed on entry; an all-zero tile and the padding leave it
     /// untouched) in `side`'s layout. Returns the tile's exponent.
     /// [`Quantizer::quantize`] and the fused quantize-pack both run this,
@@ -285,7 +265,7 @@ impl Quantizer {
         } else {
             self.tile_exp(t)?
         };
-        self.round_tile(scanned, t, side, man)
+        Ok(self.round_tile(scanned, t, side, man))
     }
 
     fn quantize_tile(
@@ -514,16 +494,6 @@ impl BfpMatrix {
             });
         }
         Ok(())
-    }
-
-    /// Flip `mask` bits of one block's shared exponent — the observable
-    /// effect of an uncorrected upset in the exponent BRAM. Exposed so
-    /// fault-injection demos and guardrail tests can corrupt a quantized
-    /// matrix without reaching into its representation.
-    pub fn corrupt_block_exp_for_test(&mut self, bi: usize, bj: usize, mask: u8) {
-        assert!(bi < self.block_rows && bj < self.block_cols);
-        let g = &mut self.blocks[bi * self.block_cols + bj];
-        g.exp = (g.exp as u8 ^ mask) as i8;
     }
 
     /// Quantization fidelity against the original matrix.

@@ -55,7 +55,7 @@ mod campaign {
     use bfp_arith::quant::Quantizer;
     use bfp_arith::{AbftOptions, AbftPacked};
     use bfp_core::scheduler::gemm_cycles_one_array;
-    use bfp_core::{abft_overhead_cycles, resilient_matmul, RecoveryPolicy};
+    use bfp_core::{abft_overhead_cycles, resilient_matmul};
     use bfp_faults::{FaultPlan, FaultSpec};
     use bfp_platform::MemParams;
 
@@ -392,8 +392,7 @@ mod campaign {
                 )
             }
             Scheme::AbftRetry => {
-                let o = resilient_matmul(&ctx.a, &ctx.b, q, &RecoveryPolicy::default())
-                    .expect("resilient gemm");
+                let o = resilient_matmul(&ctx.a, &ctx.b, q).expect("resilient gemm");
                 let r = &o.report;
                 let corrected = r.abft_corrections > 0 || r.retries > 0;
                 (bits_of(&o.out) == ctx.golden, r.detected > 0, corrected)

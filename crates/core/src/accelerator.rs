@@ -8,7 +8,7 @@ use bfp_platform::{System, SystemStats};
 use bfp_transformer::{MixedEngine, OpCensus, RefEngine, VitModel};
 
 use crate::latency::{Breakdown, LatencyModel};
-use crate::resilient::{resilient_matmul, RecoveryPolicy};
+use crate::resilient::resilient_matmul;
 use bfp_arith::error::ArithError;
 use bfp_arith::quant::Quantizer;
 
@@ -34,20 +34,9 @@ impl Accelerator {
         Accelerator { system, latency }
     }
 
-    /// Build around a custom system model.
-    pub fn with_system(system: System) -> Self {
-        let latency = LatencyModel::from_system(&system);
-        Accelerator { system, latency }
-    }
-
     /// The underlying system model.
     pub fn system(&self) -> &System {
         &self.system
-    }
-
-    /// The latency operating points in use.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
     }
 
     /// bfp8 GEMM on the modelled card (quantize → parallel block MatMul
@@ -60,7 +49,7 @@ impl Accelerator {
         self.try_gemm(a, b).unwrap_or_else(|e| panic!("gemm: {e}"))
     }
 
-    /// Fallible [`Accelerator::gemm`]: the guardrail errors of
+    /// Fallible [`Accelerator::gemm`]: the errors of
     /// [`System::try_matmul_f32`] (non-finite operands, dimension
     /// mismatches) propagate as typed errors instead of panicking the
     /// batch path.
@@ -82,7 +71,7 @@ impl Accelerator {
 
     /// Fault-tolerant bfp8 GEMM: each output block-row runs on the
     /// checksum-protected kernel, repairs single-element upsets in place,
-    /// retries what it cannot repair with capped backoff, and degrades to
+    /// retries what it cannot repair twice with backoff, and degrades to
     /// fp32 if a defect persists (see [`crate::resilient`]).
     ///
     /// Recovery is firmware-serialised onto one array, so throughput is
@@ -92,9 +81,8 @@ impl Accelerator {
         &self,
         a: &MatF32,
         b: &MatF32,
-        policy: &RecoveryPolicy,
     ) -> Result<(MatF32, GemmReport), ArithError> {
-        let outcome = resilient_matmul(a, b, &Quantizer::paper(), policy)?;
+        let outcome = resilient_matmul(a, b, &Quantizer::paper())?;
         let mut stats = SystemStats::default();
         stats.per_array.push(outcome.stats);
         // Backoff stalls the card just like memory overhead does.

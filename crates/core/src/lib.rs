@@ -50,9 +50,7 @@ pub use graph::{lower_vit, Graph, OpKind, OpNode};
 pub use latency::{Breakdown, LatencyModel, Partition};
 pub use planner::{plan_fusion, FuseDecision, FuseKind, FusePlan, PlanNode, PlanTiming};
 pub use report::{fmt_si, Table};
-pub use resilient::{
-    abft_fault_report, resilient_matmul, resilient_matmul_with, RecoveryPolicy, ResilientOutcome,
-};
+pub use resilient::{abft_fault_report, resilient_matmul, ResilientOutcome};
 pub use scheduler::{abft_overhead_cycles, quantize_pack_cycles, schedule, Level, Schedule};
 // Fault accounting types surface through `GemmReport`/`SystemStats`.
 pub use bfp_faults::{FaultCounters, FaultReport};

@@ -1,6 +1,6 @@
 //! Graceful degradation: execute GEMMs one output block-row at a time on
-//! the checksum-protected kernel, with capped-backoff retry and per-row
-//! fp32 fallback.
+//! the checksum-protected kernel, with backoff retry and per-row fp32
+//! fallback.
 //!
 //! The pipeline mirrors what a radiation-tolerant deployment of the card
 //! would do in firmware:
@@ -15,13 +15,16 @@
 //!    hardware protection counters (ECC/TMR uncorrected events are
 //!    hardware-visible, and some — a shared-exponent double-bit upset —
 //!    move data and checksums together) and reject non-finite outputs.
-//! 3. **Retry** — a detected-but-uncorrected block-row is re-executed
-//!    after a capped exponential backoff (transient upsets de-assert;
-//!    `nth`-triggered plan entries have already fired, so replays are
-//!    clean).
+//! 3. **Retry** — a detected-but-uncorrected block-row is re-executed up
+//!    to twice, after a backoff of 32 and then 64 cycles (transient
+//!    upsets de-assert; `nth`-triggered plan entries have already fired,
+//!    so replays are clean).
 //! 4. **Fall back** — a block-row that stays faulty across all retries
 //!    (a persistent defect: stuck lane, latched BRAM cell) is recomputed
 //!    in fp32 on the vector path, and the degradation is counted.
+//!
+//! The ladder is fixed and always ends in fp32, so a fault is never
+//! returned as an error.
 //!
 //! Every action is accounted in a [`FaultReport`], which callers surface
 //! through [`crate::GemmReport`] / `SystemStats`. [`abft_fault_report`]
@@ -29,72 +32,18 @@
 //! serving backend uses it too.
 
 use bfp_arith::abft::{AbftOptions, AbftPacked, AbftReport};
-use bfp_arith::cancel::CancelToken;
 use bfp_arith::error::ArithError;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
 use bfp_faults::{FaultCounters, FaultReport};
 use bfp_pu::CycleStats;
 
-/// How hard the recovery layer tries before degrading precision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Re-executions allowed per block-row after a detected fault.
-    pub max_retries: u32,
-    /// Backoff before the first retry, in cycles.
-    pub backoff_base_cycles: u64,
-    /// Ceiling for the exponential backoff, in cycles.
-    pub backoff_cap_cycles: u64,
-    /// Recompute irrecoverable block-rows (and unquantizable layers) in
-    /// fp32 instead of returning an error.
-    pub fp32_fallback: bool,
-}
+/// Re-executions per block-row after a detected fault.
+const MAX_RETRIES: u32 = 2;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_cycles: 32,
-            backoff_cap_cycles: 256,
-            fp32_fallback: true,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// No recovery: the checksums still verify and repair in place, but a
-    /// fault they cannot repair is immediately a typed error — no retry,
-    /// no fp32 fallback.
-    pub fn strict() -> Self {
-        RecoveryPolicy {
-            max_retries: 0,
-            fp32_fallback: false,
-            ..Self::default()
-        }
-    }
-
-    /// Backoff before retry number `attempt` (zero-based), capped.
-    ///
-    /// `base << attempt` is computed with explicit saturation: a shift
-    /// that would push any set bit out of the u64 yields `u64::MAX` (then
-    /// the cap), never a silently wrapped small value — a wrapped backoff
-    /// of 0 cycles would turn a capped retry loop into a hot spin.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        if self.backoff_base_cycles == 0 {
-            // 0 << n is 0 for every n; without this case the saturation
-            // guard below would misreport u64::MAX for large attempts.
-            return 0;
-        }
-        // The top set bit of `base` sits at 63 - leading_zeros; shifting
-        // by more than leading_zeros loses bits, so saturate there.
-        let shifted = if attempt > self.backoff_base_cycles.leading_zeros() {
-            u64::MAX
-        } else {
-            self.backoff_base_cycles << attempt
-        };
-        shifted.min(self.backoff_cap_cycles)
-    }
-}
+/// Backoff before the first retry, in cycles; retry `n` waits
+/// `BACKOFF_BASE_CYCLES << n`.
+const BACKOFF_BASE_CYCLES: u64 = 32;
 
 /// Outcome of a resilient GEMM: the (possibly partially degraded) result
 /// plus everything that happened along the way.
@@ -131,31 +80,12 @@ pub fn abft_fault_report(r: &AbftReport) -> FaultReport {
 /// Execute `a × b` in bfp8 with the full verify → detect → retry →
 /// fall-back pipeline, one output block-row at a time.
 ///
-/// Returns a typed error only when recovery is disabled by `policy` (or
-/// for dimension mismatches, which no amount of retrying fixes).
+/// Returns a typed error only for dimension mismatches, which no amount
+/// of retrying fixes.
 pub fn resilient_matmul(
     a: &MatF32,
     b: &MatF32,
     quantizer: &Quantizer,
-    policy: &RecoveryPolicy,
-) -> Result<ResilientOutcome, ArithError> {
-    resilient_matmul_with(a, b, quantizer, policy, &CancelToken::new())
-}
-
-/// [`resilient_matmul`] with a cooperative cancel/deadline token.
-///
-/// The token is polled at every block-row boundary and before every
-/// backoff retry — the executor's natural preemption points — so a
-/// serving runtime can revoke a GEMM whose deadline has passed (or whose
-/// array is being drained for quarantine) without waiting for the whole
-/// product. A fired token surfaces as [`ArithError::Cancelled`]; rows
-/// already committed are discarded with the partial output.
-pub fn resilient_matmul_with(
-    a: &MatF32,
-    b: &MatF32,
-    quantizer: &Quantizer,
-    policy: &RecoveryPolicy,
-    cancel: &CancelToken,
 ) -> Result<ResilientOutcome, ArithError> {
     if a.cols() != b.rows() {
         return Err(ArithError::DimensionMismatch {
@@ -175,22 +105,17 @@ pub fn resilient_matmul_with(
     // back to fp32 — the same policy `MixedEngine` applies.
     let packed = AbftPacked::quantize_pack_lhs(quantizer, a)
         .and_then(|pa| Ok((pa, AbftPacked::quantize_pack_rhs(quantizer, b)?)));
-    let (pa, pb) = match packed {
-        Ok(p) => p,
-        Err(err) if !policy.fp32_fallback => return Err(err),
-        Err(_) => {
-            let report = FaultReport {
-                detected: 1,
-                fp32_fallbacks: 1,
-                ..FaultReport::default()
-            };
-            let stats = CycleStats::default();
-            return Ok(ResilientOutcome {
-                out: a.matmul(b),
-                report,
-                stats,
-            });
-        }
+    let Ok((pa, pb)) = packed else {
+        let report = FaultReport {
+            detected: 1,
+            fp32_fallbacks: 1,
+            ..FaultReport::default()
+        };
+        return Ok(ResilientOutcome {
+            out: a.matmul(b),
+            report,
+            stats: CycleStats::default(),
+        });
     };
 
     let blk = pa.packed().block();
@@ -202,7 +127,6 @@ pub fn resilient_matmul_with(
     let mem = bfp_platform::MemParams::paper_calibrated();
 
     for bi in 0..mb {
-        cancel.check()?;
         let r0 = bi * blk;
         let r1 = ((bi + 1) * blk).min(a.rows());
         let mut attempt = 0u32;
@@ -234,21 +158,15 @@ pub fn resilient_matmul_with(
                 break;
             }
 
-            if attempt < policy.max_retries {
-                // A retry burns backoff cycles; don't start one the
-                // deadline can no longer afford.
-                cancel.check()?;
+            if attempt < MAX_RETRIES {
                 report.retries += 1;
-                report.backoff_cycles += policy.backoff(attempt);
+                report.backoff_cycles += BACKOFF_BASE_CYCLES << attempt;
                 attempt += 1;
                 continue;
             }
 
             // Retries exhausted: persistent defect. Degrade this
             // block-row to fp32 on the vector path.
-            if !policy.fp32_fallback {
-                return Err(ArithError::UncorrectedFault { block_row: bi });
-            }
             report.fp32_fallbacks += 1;
             let rows = MatF32::from_vec(r1 - r0, k, a.data()[r0 * k..r1 * k].to_vec());
             buf.copy_from_slice(rows.matmul(b).data());
@@ -273,7 +191,7 @@ mod tests {
         let a = ramp(24, 16);
         let b = ramp(16, 24);
         let q = Quantizer::paper();
-        let got = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        let got = resilient_matmul(&a, &b, &q).unwrap();
         assert!(got.report.is_clean(), "{}", got.report);
         assert_eq!(got.out, a.matmul(&b), "exact integer inputs stay exact");
         assert!(got.stats.cycles > 0);
@@ -286,7 +204,7 @@ mod tests {
         let a = MatF32::from_fn(21, 40, |i, j| ((i * 7 + j * 3) as f32 * 0.37).sin() * 2.5);
         let b = MatF32::from_fn(40, 19, |i, j| ((i * 5 + j * 11) as f32 * 0.23).cos() * 0.8);
         let q = Quantizer::paper();
-        let got = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        let got = resilient_matmul(&a, &b, &q).unwrap();
         assert!(got.report.is_clean(), "{}", got.report);
 
         let cfg = UnitConfig {
@@ -311,7 +229,7 @@ mod tests {
         let a = ramp(13, 24);
         let b = ramp(24, 10);
         let q = Quantizer::paper();
-        let got = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        let got = resilient_matmul(&a, &b, &q).unwrap();
         assert!(got.report.is_clean(), "{}", got.report);
         assert_eq!(got.out, a.matmul(&b));
     }
@@ -319,8 +237,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_typed_not_panicking() {
         let q = Quantizer::paper();
-        let err = resilient_matmul(&ramp(8, 8), &ramp(16, 8), &q, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = resilient_matmul(&ramp(8, 8), &ramp(16, 8), &q).unwrap_err();
         assert!(matches!(err, ArithError::DimensionMismatch { .. }));
     }
 
@@ -330,20 +247,11 @@ mod tests {
         a.set(0, 0, f32::NAN);
         let b = ramp(8, 8);
         let q = Quantizer::paper();
-        let got = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        let got = resilient_matmul(&a, &b, &q).unwrap();
         assert_eq!(got.report.fp32_fallbacks, 1);
         assert_eq!(got.report.detected, 1);
         // Clean rows still compute; the NaN propagates exactly as fp32.
         assert_eq!(got.out.get(8, 0), a.matmul(&b).get(8, 0));
-    }
-
-    #[test]
-    fn strict_policy_surfaces_the_error_instead() {
-        let mut a = ramp(16, 8);
-        a.set(0, 0, f32::INFINITY);
-        let q = Quantizer::paper();
-        let err = resilient_matmul(&a, &ramp(8, 8), &q, &RecoveryPolicy::strict()).unwrap_err();
-        assert!(matches!(err, ArithError::NonFinite { at: (0, 0) }));
     }
 
     #[test]
@@ -359,70 +267,5 @@ mod tests {
         assert_eq!((f.detected, f.abft_detections), (3, 3));
         assert_eq!((f.abft_corrections, f.uncorrected_detections()), (2, 1));
         assert!(abft_fault_report(&AbftReport::default()).is_clean());
-    }
-
-    #[test]
-    fn cancelled_token_aborts_between_tiles() {
-        let a = ramp(24, 16);
-        let b = ramp(16, 24);
-        let q = Quantizer::paper();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = resilient_matmul_with(&a, &b, &q, &RecoveryPolicy::default(), &token)
-            .expect_err("cancelled before the first tile");
-        assert_eq!(err, ArithError::Cancelled { expired: false });
-        // A live token changes nothing.
-        let got =
-            resilient_matmul_with(&a, &b, &q, &RecoveryPolicy::default(), &CancelToken::new())
-                .unwrap();
-        assert_eq!(got.out, a.matmul(&b));
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.backoff(0), 32);
-        assert_eq!(p.backoff(1), 64);
-        assert_eq!(p.backoff(2), 128);
-        assert_eq!(p.backoff(3), 256);
-        assert_eq!(p.backoff(10), 256, "capped");
-        assert_eq!(p.backoff(200), 256, "shift saturates");
-    }
-
-    #[test]
-    fn backoff_saturates_at_the_cap_boundary_instead_of_overflowing() {
-        // Uncapped policy: the doubling itself must saturate. The top set
-        // bit of base=3 is at position 1, so attempt 62 is the last exact
-        // shift and 63 is the first that would lose a bit.
-        let p = RecoveryPolicy {
-            backoff_base_cycles: 3,
-            backoff_cap_cycles: u64::MAX,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(p.backoff(62), 3u64 << 62, "last exact doubling");
-        assert_eq!(p.backoff(63), u64::MAX, "first lossy shift saturates");
-        assert_eq!(p.backoff(u32::MAX), u64::MAX, "never wraps");
-
-        // base << attempt exceeding u64 still lands exactly on the cap.
-        let p = RecoveryPolicy {
-            backoff_base_cycles: 1 << 40,
-            backoff_cap_cycles: 1 << 50,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(p.backoff(9), 1 << 49);
-        assert_eq!(p.backoff(10), 1 << 50, "reaches the cap exactly");
-        assert_eq!(p.backoff(11), 1 << 50);
-        assert_eq!(p.backoff(64), 1 << 50, "saturated shift is capped");
-
-        // A zero base never backs off, no matter how many retries: the
-        // saturation guard must not turn 0 << n into u64::MAX.
-        let p = RecoveryPolicy {
-            backoff_base_cycles: 0,
-            backoff_cap_cycles: u64::MAX,
-            ..RecoveryPolicy::default()
-        };
-        for attempt in [0, 1, 63, 64, 65, u32::MAX] {
-            assert_eq!(p.backoff(attempt), 0, "attempt {attempt}");
-        }
     }
 }

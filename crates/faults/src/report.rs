@@ -92,14 +92,14 @@ pub struct FaultReport {
     /// Hardware-level events during the covered execution.
     pub counters: FaultCounters,
     /// Faults the detection layer acted on (uncorrected events plus
-    /// numeric-guardrail trips).
+    /// operands the quantizer rejected as non-finite).
     pub detected: u64,
     /// Tile re-executions after a detected fault.
     pub retries: u64,
-    /// Idle cycles spent in capped exponential backoff before retries.
+    /// Idle cycles spent in exponential backoff before retries.
     pub backoff_cycles: u64,
     /// ABFT checksum mismatches observed (corrected or not). Distinct
-    /// from `detected`, which also counts guardrail trips and hardware
+    /// from `detected`, which also counts non-finite operands and hardware
     /// uncorrected events.
     pub abft_detections: u64,
     /// ABFT mismatches repaired algebraically in place (single-element

@@ -345,40 +345,17 @@ impl MixedEngine {
     /// (`0` is clamped to 1). Outputs are bit-identical for any value;
     /// the effective parallelism additionally never exceeds the host's
     /// core count.
-    pub fn set_threads(&mut self, threads: usize) {
+    pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
+        self
     }
 
     /// Select the nonlinear kernel family for subsequent VPU calls.
     /// [`NonlinearMode::Exact`] is bit-identical to the pre-knob engine;
     /// [`NonlinearMode::Fast`] trades a tested ULP envelope for the
     /// LUT/polynomial unit's throughput.
-    pub fn set_nonlinear_mode(&mut self, mode: NonlinearMode) {
-        self.nonlinear = mode;
-    }
-
-    /// Builder form of [`Self::set_nonlinear_mode`].
     pub fn with_nonlinear(mut self, mode: NonlinearMode) -> Self {
-        self.set_nonlinear_mode(mode);
-        self
-    }
-
-    /// The configured nonlinear kernel family.
-    pub fn nonlinear_mode(&self) -> NonlinearMode {
-        self.nonlinear
-    }
-
-    /// The paper-configured engine with the fast nonlinear unit enabled.
-    pub fn fast_nonlinear() -> Self {
-        MixedEngine {
-            nonlinear: NonlinearMode::Fast,
-            ..Self::new()
-        }
-    }
-
-    /// Builder form of [`Self::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
+        self.nonlinear = mode;
         self
     }
 
@@ -1777,7 +1754,7 @@ mod tests {
         // A plan-less fast-nonlinear forward emits every engine phase span,
         // each GEMM phase inside its matmul span, and the Chrome trace
         // names them all.
-        let mut e = MixedEngine::fast_nonlinear();
+        let mut e = MixedEngine::new().with_nonlinear(NonlinearMode::Fast);
         e.attach_tracer(tracer.clone());
         let spans = [
             "engine.matmul",

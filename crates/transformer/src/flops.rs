@@ -116,7 +116,7 @@ mod tests {
         let cfg = VitConfig::tiny_test();
         let model = VitModel::new_random(cfg, 3);
         let x = model.synthetic_input(4);
-        let mut e = MixedEngine::fast_nonlinear();
+        let mut e = MixedEngine::new().with_nonlinear(NonlinearMode::Fast);
         let _ = model.forward(&mut e, &x);
         let live = e.census();
         let analytic = analytical_census_mode(&cfg, NonlinearMode::Fast);

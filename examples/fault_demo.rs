@@ -9,7 +9,6 @@
 //! ```
 
 use bfp_arith::matrix::MatF32;
-use bfp_core::resilient::RecoveryPolicy;
 use bfp_core::Accelerator;
 use bfp_faults::{FaultPlan, FaultSpec};
 
@@ -42,7 +41,7 @@ fn main() {
     let _session = bfp_faults::install(plan);
     let acc = Accelerator::u280();
     let (out, report) = acc
-        .gemm_resilient(&a, &b, &RecoveryPolicy::default())
+        .gemm_resilient(&a, &b)
         .expect("recovery handles every injected fault");
 
     let worst = out

@@ -9,11 +9,11 @@
 
 use std::sync::Mutex;
 
-use bfp_arith::error::ArithError;
+use bfp_arith::abft::plane_site;
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::Quantizer;
 use bfp_arith::AbftPacked;
-use bfp_core::resilient::{resilient_matmul, RecoveryPolicy, ResilientOutcome};
+use bfp_core::resilient::{resilient_matmul, ResilientOutcome};
 use bfp_core::Accelerator;
 use bfp_faults::{FaultPlan, FaultSpec};
 use bfp_pu::unit::{grid_from_matrix, Fidelity, ProcessingUnit, UnitConfig};
@@ -150,7 +150,7 @@ proptest! {
             bits: vec![b1, b2],
         });
         let guard = bfp_faults::install(plan);
-        let outcome = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+        let outcome = resilient_matmul(&a, &b, &q).unwrap();
         drop(guard);
 
         // Detected whenever it actually perturbed a read…
@@ -199,8 +199,7 @@ fn deit_layer_survives_uncorrected_bram_fault() {
     });
     let guard = bfp_faults::install(plan);
     let acc = Accelerator::u280();
-    let policy = RecoveryPolicy::default();
-    let (out, report) = acc.gemm_resilient(&a, &b, &policy).unwrap();
+    let (out, report) = acc.gemm_resilient(&a, &b).unwrap();
     drop(guard);
 
     let f = &report.stats.faults;
@@ -223,10 +222,7 @@ fn deit_layer_survives_uncorrected_bram_fault() {
 /// Run the ladder on fixed 24×16 · 16×16 inputs while one-shot flips of
 /// accumulator bit 44 hit `cells` of the first output chain. Returns the
 /// outcome and the healthy quantized product.
-fn ladder_under_psu_flips(
-    cells: &[(usize, usize)],
-    policy: &RecoveryPolicy,
-) -> (Result<ResilientOutcome, ArithError>, MatF32) {
+fn ladder_under_psu_flips(cells: &[(usize, usize)]) -> (ResilientOutcome, MatF32) {
     let _x = lock();
     let a = seeded(24, 16, 0xBEEF);
     let b = seeded(16, 16, 0xFEED);
@@ -240,7 +236,7 @@ fn ladder_under_psu_flips(
         })
     });
     let guard = bfp_faults::install(plan);
-    let got = resilient_matmul(&a, &b, &q, policy);
+    let got = resilient_matmul(&a, &b, &q).unwrap();
     drop(guard);
     let healthy = q.quantize(&a).unwrap().matmul(&q.quantize(&b).unwrap());
     (got, healthy)
@@ -252,8 +248,7 @@ fn ladder_under_psu_flips(
 /// retry replays the block-row clean — no fp32 degradation.
 #[test]
 fn transient_psu_flip_heals_with_one_retry() {
-    let (got, healthy) = ladder_under_psu_flips(&[(0, 0), (1, 1)], &RecoveryPolicy::default());
-    let outcome = got.unwrap();
+    let (outcome, healthy) = ladder_under_psu_flips(&[(0, 0), (1, 1)]);
     let r = &outcome.report;
     assert_eq!(r.abft_detections, 1, "{r}");
     assert_eq!(r.abft_corrections, 0, "not localizable: {r}");
@@ -264,22 +259,12 @@ fn transient_psu_flip_heals_with_one_retry() {
     assert!(bits_eq(&outcome.out, &healthy));
 }
 
-/// With recovery disabled, the same uncorrectable chain is a typed error
-/// naming the block-row, not a retry and not an fp32 fallback.
-#[test]
-fn strict_policy_reports_the_uncorrected_block_row() {
-    let (got, _) = ladder_under_psu_flips(&[(0, 0), (1, 1)], &RecoveryPolicy::strict());
-    let err = got.unwrap_err();
-    assert_eq!(err, ArithError::UncorrectedFault { block_row: 0 });
-}
-
 /// A single transient PSU upset never needs a retry: the checksum
 /// invariant localizes the flipped accumulator element via the
 /// row×column intersection and repairs it in place.
 #[test]
 fn abft_corrects_transient_psu_flip_in_place() {
-    let (got, healthy) = ladder_under_psu_flips(&[(0, 0)], &RecoveryPolicy::default());
-    let outcome = got.unwrap();
+    let (outcome, healthy) = ladder_under_psu_flips(&[(0, 0)]);
     let r = &outcome.report;
     assert!(r.abft_detections > 0, "{r}");
     assert!(r.abft_corrections > 0, "{r}");
@@ -298,9 +283,10 @@ fn abft_corrects_transient_psu_flip_in_place() {
 }
 
 /// A persistent multi-bit BRAM defect defeats ABFT's single-fault
-/// correction model, so the default mode walks the full ladder: detect,
-/// retry with backoff, and finally degrade the affected rows to fp32 —
-/// with the output still inside the bfp8 quantization envelope.
+/// correction model, so every block-row that reads it walks the full
+/// ladder: detect, retry twice with 32- then 64-cycle backoff, and finally
+/// degrade to fp32 — with the output still inside the bfp8 quantization
+/// envelope.
 #[test]
 fn abft_escalates_persistent_bram_fault_to_fp32() {
     let _x = lock();
@@ -319,21 +305,40 @@ fn abft_escalates_persistent_bram_fault_to_fp32() {
     // Double-bit upset in the first word of BRAM 0: SECDED flags it on
     // every read, the corrupted payload breaks the checksum invariant
     // across multiple columns, and no retry can outlast it.
+    let (bram, addr) = (0, 0);
     let plan = FaultPlan::new().with(FaultSpec::BramFlip {
-        bram: 0,
-        addr: 0,
+        bram,
+        addr,
         bits: vec![3, 7],
     });
     let guard = bfp_faults::install(plan);
-    let outcome = resilient_matmul(&a, &b, &q, &RecoveryPolicy::default()).unwrap();
+    let outcome = resilient_matmul(&a, &b, &q).unwrap();
     drop(guard);
+
+    // The block-rows that read the upset word: block-row `bi` reads its
+    // own LHS tiles `bi·kb ..` and every RHS tile, and both planes sit in
+    // the one BRAM pool `plane_site` maps.
+    let (mb, kb, nb) = (a.rows() / 8, a.cols() / 8, b.cols() / 8);
+    let reads_site = |tiles: std::ops::Range<usize>| {
+        tiles
+            .flat_map(|t| (0..64).map(move |e| plane_site(t, e, 64)))
+            .any(|site| site == (bram, addr))
+    };
+    let degraded = (0..mb)
+        .filter(|&bi| reads_site(bi * kb..(bi + 1) * kb) || reads_site(0..kb * nb))
+        .count() as u64;
+    assert!(degraded > 0);
 
     let r = &outcome.report;
     assert!(r.counters.ecc_uncorrected > 0, "{r}");
     assert!(r.detected > 0, "{r}");
-    assert!(r.retries > 0, "{r}");
-    assert!(r.backoff_cycles > 0, "{r}");
-    assert!(r.fp32_fallbacks > 0, "{r}");
+    assert_eq!(r.retries, 2 * degraded, "two retries per block-row: {r}");
+    assert_eq!(
+        r.backoff_cycles,
+        (32 + 64) * degraded,
+        "32 then 64 backoff cycles per block-row: {r}"
+    );
+    assert_eq!(r.fp32_fallbacks, degraded, "{r}");
 
     for (got, want) in outcome.out.data().iter().zip(exact.data()) {
         assert!(
