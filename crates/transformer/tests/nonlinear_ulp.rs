@@ -4,7 +4,9 @@
 //!    bit-identical to the pre-fast-path implementation. The hex vectors
 //!    below were captured from the exact kernels before the fast path
 //!    existed (`examples/golden_dump.rs`); any drift here is a silent
-//!    change to the bit-level hardware model and fails the suite.
+//!    change to the bit-level hardware model and fails the suite. The
+//!    same dump pins the on-chip `tanh`, every fast-unit kernel and the
+//!    reduced-precision formats' softmax and LayerNorm rows.
 //!
 //! 2. **Envelope sweeps** — every fast kernel carries a pinned
 //!    [`UlpEnvelope`] against the exact oracle, and the envelope must
@@ -17,6 +19,7 @@
 //!    the `#[ignore]`d heavy sweeps (run in release in CI) use denser
 //!    grids against 2x-relaxed envelopes.
 
+use bfp_arith::redfp::RedFp;
 use bfp_arith::ulp::{EnvelopeStats, UlpEnvelope};
 use bfp_arith::{AddVariant, MulVariant};
 use bfp_transformer::engine::DivisionPolicy;
@@ -472,6 +475,81 @@ const GOLDEN_LAYERNORM: [u32; 11] = [
     0xc01241c8, 0xc001f3f6, 0xbfa30450,
 ];
 
+const GOLDEN_TANH_ONCHIP: [u32; 16] = [
+    0xbf7ffffc, 0xbf7f2694, 0xbf42f7d6, 0xbdfeacd0, 0xb5800000, 0x34000000, 0x34000000, 0x35800000,
+    0x3ea3152a, 0x3f42f7d5, 0x3f7db2aa, 0x3f7ffa0c, 0x3f7fffff, 0x34000000, 0x3f800000, 0xbf800000,
+];
+
+// The fast unit's kernels on the same inputs and rows.
+
+const GOLDEN_FAST_EXP: [u32; 16] = [
+    0x39555a1f, 0x3d26f643, 0x3ebc5ab2, 0x3f61eb50, 0x3f7fffec, 0x3f800000, 0x3f800000, 0x3f800008,
+    0x3fb20b3f, 0x402df854, 0x416e1362, 0x431469c5, 0x460bed2b, 0x3f800000, 0x7f800000, 0x00000000,
+];
+
+const GOLDEN_FAST_TANH: [u32; 16] = [
+    0xbf800000, 0xbf7f2694, 0xbf42f7d4, 0xbdfeacd0, 0xb5900000, 0x00000000, 0x00000000, 0x35800000,
+    0x3ea31526, 0x3f42f7d5, 0x3f7db2aa, 0x3f7ffa0d, 0x3f800000, 0x00000000, 0x3f800000, 0xbf800000,
+];
+
+const GOLDEN_FAST_GELU: [u32; 16] = [
+    0x80000000, 0xbaf50ccd, 0xbe229e90, 0xbd6688cc, 0xb50637b5, 0x80000000, 0x00000000, 0x350637c3,
+    0x3e54a63c, 0x3f57585c, 0x402c3b2f, 0x409fffff, 0x4111999a, 0x00000000, 0x7f7fffff, 0x80000000,
+];
+
+/// `None` where the input is negative (the fast rsqrt panics there).
+const GOLDEN_FAST_RSQRT: [Option<u32>; 16] = [
+    None,
+    None,
+    None,
+    None,
+    None,
+    Some(0x7f800000),
+    Some(0x7f800000),
+    Some(0x447a0001),
+    Some(0x3fded1c4),
+    Some(0x3f7fffff),
+    Some(0x3f1bcbf1),
+    Some(0x3ee4f92d),
+    Some(0x3ea9b9f1),
+    Some(0x7f800000),
+    Some(0x1f7ffffe),
+    None,
+];
+
+const GOLDEN_FAST_SOFTMAX: [u32; 11] = [
+    0x3c0c3a33, 0x3dad58be, 0x3ebb8717, 0x3ed15434, 0x3de7ba50, 0x3c4a2c40, 0x3a9a94b0, 0x397195cf,
+    0x392dda14, 0x3a01bbf8, 0x3b875622,
+];
+
+const GOLDEN_FAST_LAYERNORM: [u32; 11] = [
+    0x3f8118ff, 0x3fe7b052, 0x400f068e, 0x40058598, 0x3fad29bd, 0x3e6175ad, 0xbf7c73d8, 0xbff4709c,
+    0xc01241c9, 0xc001f3f8, 0xbfa30451,
+];
+
+/// `(format, softmax digest, layernorm digest)` of the reduced-precision
+/// rows on `extension_futurework`'s 384-wide inputs (see [`digest`]).
+const GOLDEN_REDFP: [(&str, u64, u64); 5] = [
+    ("fp32", 0xcfe16979a2ecb07e, 0x15c6fb3ce8da8abc),
+    ("fp24", 0x996831d7c1c58e28, 0x7af601bf2a3809eb),
+    ("tf32", 0x65c3a62e083b2854, 0x2c072a6574a48ff9),
+    ("bf16", 0x564c3d30ea5c7d33, 0xbe52e18906fdc369),
+    ("fp16", 0xb7db5e721141d303, 0x6ab05ef9aa8b9b25),
+];
+
+/// FNV-1a over a row's bit patterns: one word pins a 384-wide row.
+fn digest(row: &[f32]) -> u64 {
+    row.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
 fn golden_row() -> Vec<f32> {
     (0..11).map(|k| (k as f32 * 0.61).sin() * 4.0).collect()
 }
@@ -525,4 +603,68 @@ fn exact_batched_kernels_match_pre_fast_path_goldens() {
     vpu.gelu_slice(&mut g, DivisionPolicy::OnChip, NonlinearMode::Exact);
     let bits: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
     assert_eq!(&bits[..], &GOLDEN_GELU_ONCHIP[..], "gelu_slice onchip");
+}
+
+#[test]
+fn onchip_tanh_and_fast_kernels_match_their_goldens() {
+    let mut vpu = Vpu::new();
+    for (i, &x) in GOLDEN_XS.iter().enumerate() {
+        let onchip = vpu.tanh_onchip(x).to_bits();
+        assert_eq!(onchip, GOLDEN_TANH_ONCHIP[i], "tanh_onchip x={x:e}");
+        assert_eq!(
+            fast::exp(x).to_bits(),
+            GOLDEN_FAST_EXP[i],
+            "fast exp x={x:e}"
+        );
+        assert_eq!(
+            fast::tanh(x).to_bits(),
+            GOLDEN_FAST_TANH[i],
+            "fast tanh x={x:e}"
+        );
+        assert_eq!(
+            fast::gelu(x).to_bits(),
+            GOLDEN_FAST_GELU[i],
+            "fast gelu x={x:e}"
+        );
+        if let Some(want) = GOLDEN_FAST_RSQRT[i] {
+            assert_eq!(fast::rsqrt(x).to_bits(), want, "fast rsqrt x={x:e}");
+        }
+    }
+    let mut r = golden_row();
+    fast::softmax_row(&mut r);
+    assert_eq!(bits(&r), GOLDEN_FAST_SOFTMAX, "fast softmax row");
+    let mut r = golden_row();
+    vpu.softmax_rows_batch(&mut r, 11, DivisionPolicy::Host, NonlinearMode::Fast);
+    assert_eq!(bits(&r), GOLDEN_FAST_SOFTMAX, "fast softmax batch");
+    let gamma: Vec<f32> = (0..11).map(|j| 1.0 + j as f32 * 0.01).collect();
+    let beta: Vec<f32> = (0..11).map(|j| (j as f32 * 0.3).cos()).collect();
+    let mut r = golden_row();
+    fast::layernorm_row(&mut r, &gamma, &beta, 1e-6);
+    assert_eq!(bits(&r), GOLDEN_FAST_LAYERNORM, "fast layernorm row");
+    let mut r = golden_row();
+    let (div, mode) = (DivisionPolicy::Host, NonlinearMode::Fast);
+    vpu.layernorm_rows_batch(&mut r, 11, &gamma, &beta, 1e-6, div, mode);
+    assert_eq!(bits(&r), GOLDEN_FAST_LAYERNORM, "fast layernorm batch");
+}
+
+#[test]
+fn reduced_precision_rows_match_their_goldens() {
+    let n = 384;
+    let (gamma, beta) = (vec![1.0f32; n], vec![0.0f32; n]);
+    let ln_src: Vec<f32> = (0..n)
+        .map(|j| match (j % 64 == 7, j % 128 == 7) {
+            (true, true) => 110.0,
+            (true, false) => -110.0,
+            _ => (j as f32 * 0.21).sin() * 3.0 + 0.5,
+        })
+        .collect();
+    let sm_src: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).cos() * 6.0).collect();
+    for ((name, f), (want_name, want_sm, want_ln)) in RedFp::PRESETS.into_iter().zip(GOLDEN_REDFP) {
+        assert_eq!(name, want_name);
+        let (mut sm, mut ln) = (sm_src.clone(), ln_src.clone());
+        f.softmax_row(&mut sm);
+        f.layernorm_row(&mut ln, &gamma, &beta, 1e-6);
+        assert_eq!(digest(&sm), want_sm, "{name} softmax row");
+        assert_eq!(digest(&ln), want_ln, "{name} layernorm row");
+    }
 }
