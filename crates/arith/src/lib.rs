@@ -53,7 +53,6 @@ pub mod fork;
 pub mod fpadd;
 pub mod fplanes;
 pub mod fpmul;
-pub mod halffp;
 pub mod int8;
 pub mod int8quant;
 pub mod matrix;

@@ -259,6 +259,8 @@ impl ArrayBackend for SimArrayBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfp_transformer::vpu::fast::Unit;
+    use bfp_transformer::Datapath;
 
     fn mats() -> (MatF32, MatF32) {
         let a = MatF32::from_fn(16, 16, |i, j| ((i * 7 + j * 5) % 3) as f32 - 1.0);
@@ -431,7 +433,7 @@ mod tests {
                     // GEMM bits through the scalar kernel, one at a time.
                     let mut scalar = reference_bits(a, b, ServeOp::Gemm, mode);
                     for v in scalar.data_mut() {
-                        *v = bfp_transformer::vpu::fast::gelu(*v);
+                        *v = Unit.gelu(*v);
                     }
                     assert_eq!(out, scalar, "fast drain vs the scalar kernel");
                 }

@@ -9,7 +9,7 @@ use bfp_arith::ulp::ulp_distance;
 use bfp_arith::{AddVariant, MulVariant};
 use bfp_transformer::engine::DivisionPolicy;
 use bfp_transformer::vpu::fast;
-use bfp_transformer::{NonlinearMode, Vpu};
+use bfp_transformer::{Datapath, NonlinearMode, Vpu};
 
 const DATAPATHS: [(MulVariant, AddVariant); 4] = [
     (MulVariant::DropLsp, AddVariant::Exact48),
@@ -73,17 +73,21 @@ fn sweep(
 }
 
 fn main() {
-    sweep("exp  ", -126, 6, true, |v, x| (fast::exp(x), v.exp(x)));
+    sweep("exp  ", -126, 6, true, |v, x| (fast::Unit.exp(x), v.exp(x)));
     sweep("tanh ", -126, 4, true, |v, x| {
-        (fast::tanh(x), v.tanh_onchip(x))
+        (fast::Unit.tanh(x), v.onchip().tanh(x))
     });
-    sweep("tanhH", -126, 4, true, |v, x| (fast::tanh(x), v.tanh(x)));
+    sweep("tanhH", -126, 4, true, |v, x| {
+        (fast::Unit.tanh(x), v.tanh(x))
+    });
     sweep("gelu ", -126, 5, true, |v, x| {
-        (fast::gelu(x), v.gelu_onchip(x))
+        (fast::Unit.gelu(x), v.onchip().gelu(x))
     });
-    sweep("geluH", -126, 5, true, |v, x| (fast::gelu(x), v.gelu(x)));
+    sweep("geluH", -126, 5, true, |v, x| {
+        (fast::Unit.gelu(x), v.gelu(x))
+    });
     sweep("rsqrt", -126, 127, false, |v, x| {
-        (fast::rsqrt(x), v.rsqrt_onchip(x, 3))
+        (fast::Unit.rsqrt(x), v.onchip().rsqrt_nr(x))
     });
 
     // Row kernels: softmax + layernorm over synthetic rows.
@@ -98,7 +102,7 @@ fn main() {
                         .collect();
                     let mut a = row.clone();
                     let mut b = row.clone();
-                    fast::softmax_row(&mut a);
+                    fast::Unit.softmax_row(&mut a);
                     vpu.softmax_rows_batch(&mut b, n, DivisionPolicy::OnChip, NonlinearMode::Exact);
                     for (g, w) in a.iter().zip(&b) {
                         pairs.push((ulp_distance(*g, *w), (*g as f64 - *w as f64).abs()));
@@ -117,7 +121,7 @@ fn main() {
                     .collect();
                 let mut a = row.clone();
                 let mut b = row.clone();
-                fast::layernorm_row(&mut a, &gamma, &beta, 1e-6);
+                fast::Unit.layernorm_row(&mut a, &gamma, &beta, 1e-6);
                 vpu.layernorm_rows_batch(
                     &mut b,
                     n,

@@ -4,7 +4,7 @@
 use bfp_arith::redfp::RedFp;
 use bfp_transformer::engine::DivisionPolicy;
 use bfp_transformer::vpu::fast;
-use bfp_transformer::{NonlinearMode, Vpu};
+use bfp_transformer::{Datapath, NonlinearMode, Vpu};
 
 fn hex_row(name: &str, row: &[f32]) {
     print!("{name}: ");
@@ -50,7 +50,7 @@ fn main() {
     println!();
     print!("gelu_onchip: ");
     for &x in &xs {
-        print!("0x{:08x},", vpu.gelu_onchip(x).to_bits());
+        print!("0x{:08x},", vpu.onchip().gelu(x).to_bits());
     }
     println!();
     print!("exp: ");
@@ -66,7 +66,7 @@ fn main() {
     print!("rsqrt: ");
     for &x in &xs {
         if x >= 0.0 {
-            print!("0x{:08x},", vpu.rsqrt_onchip(x, 3).to_bits());
+            print!("0x{:08x},", vpu.onchip().rsqrt_nr(x).to_bits());
         } else {
             print!("skip,");
         }
@@ -102,26 +102,26 @@ fn main() {
     }
     print!("tanh_onchip: ");
     for &x in &xs {
-        print!("0x{:08x},", vpu.tanh_onchip(x).to_bits());
+        print!("0x{:08x},", vpu.onchip().tanh(x).to_bits());
     }
     println!();
-    hex_row("fast_exp", &xs.map(fast::exp));
-    hex_row("fast_tanh", &xs.map(fast::tanh));
-    hex_row("fast_gelu", &xs.map(fast::gelu));
+    hex_row("fast_exp", &xs.map(|x| fast::Unit.exp(x)));
+    hex_row("fast_tanh", &xs.map(|x| fast::Unit.tanh(x)));
+    hex_row("fast_gelu", &xs.map(|x| fast::Unit.gelu(x)));
     print!("fast_rsqrt: ");
     for &x in &xs {
         if x >= 0.0 {
-            print!("0x{:08x},", fast::rsqrt(x).to_bits());
+            print!("0x{:08x},", fast::Unit.rsqrt(x).to_bits());
         } else {
             print!("skip,");
         }
     }
     println!();
     let mut r = row.clone();
-    fast::softmax_row(&mut r);
+    fast::Unit.softmax_row(&mut r);
     hex_row("fast_softmax", &r);
     let mut r = row.clone();
-    fast::layernorm_row(&mut r, &gamma, &beta, 1e-6);
+    fast::Unit.layernorm_row(&mut r, &gamma, &beta, 1e-6);
     hex_row("fast_layernorm", &r);
     // The format sweep's rows (`extension_futurework`'s inputs), digested.
     let n = 384;
@@ -134,7 +134,7 @@ fn main() {
         })
         .collect();
     let sm_src: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).cos() * 6.0).collect();
-    for (name, f) in RedFp::PRESETS {
+    for (name, mut f) in RedFp::PRESETS {
         let (mut sm, mut ln) = (sm_src.clone(), ln_src.clone());
         f.softmax_row(&mut sm);
         f.layernorm_row(&mut ln, &gamma, &beta, 1e-6);

@@ -39,4 +39,4 @@ pub use flops::{analytical_census, analytical_census_mode};
 pub use layers::{LayerNormParams, Linear};
 pub use model::{Block, VitModel};
 pub use plan::CompiledVitPlan;
-pub use vpu::{NonlinearMode, OpCount, Vpu};
+pub use vpu::{Datapath, NonlinearMode, OpCount, Vpu};

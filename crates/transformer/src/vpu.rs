@@ -1,19 +1,32 @@
-//! The programmable fp32 vector-unit kernels for the Transformer's
-//! non-linear layers, built **only** from the operations the reconfigured
-//! array supports: hardware fp32 multiply (sliced, LSP-dropped, truncating),
-//! hardware fp32 add (48-bit align path), the exponent unit's integer
-//! exponent adjustment, and — exactly as the paper concedes — **division on
-//! the host CPU** ("the division operations in fp32 ... are executed on the
-//! host CPU due to lack of support", §III-B). Square roots ride the same
-//! host escape hatch.
+//! The Transformer's nonlinear kernels — GELU, `tanh`, softmax, LayerNorm
+//! and the Newton–Raphson `1/√x` — written once, as the default methods
+//! of [`Datapath`], over the fp32 vector datapath they run on. The paper
+//! runs every nonlinear layer as an fp32 vector program on one
+//! reconfigured array (§III-B), and its §V extensions change only the
+//! division step or the number format; so do the four datapaths here:
 //!
-//! Every kernel counts its operations; those counts drive the Table IV
+//! * [`Vpu`], the paper's prototype: the array's hardware fp32 multiply
+//!   (sliced, LSP-dropped, truncating) and add (48-bit align path), the
+//!   exponent unit's integer exponent adjustment, and — exactly as the
+//!   paper concedes — **division and square root on the host CPU** ("the
+//!   division operations in fp32 ... are executed on the host CPU due to
+//!   lack of support", §III-B);
+//! * [`OnChip`], the same datapath with §V's Newton–Raphson reciprocal
+//!   and `1/√x` on the array in place of the host round-trip;
+//! * [`fast::Unit`], the optimised LUT/polynomial unit, in native f32;
+//! * [`RedFp`], a reduced-precision format (fp24 … fp16) that rounds
+//!   every result, for the §V format sweep.
+//!
+//! A datapath supplies only its primitives: `mul`/`add`/`sub`, its own
+//! `exp`, the division step, the per-row reciprocal and `1/√x`. The exact
+//! datapaths count their operations; those counts drive the Table IV
 //! latency split and are cross-checked against the analytical census in
 //! [`crate::flops`].
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 use bfp_arith::packed::EpilogueCtx;
+use bfp_arith::redfp::RedFp;
 
 use crate::engine::DivisionPolicy;
 
@@ -30,13 +43,14 @@ mod prog;
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
 ///
-/// `Exact` is the bit-level emulated hardware datapath — every multiply
-/// and add goes through `HwFp32Mul`/`HwFp32Add`, and it is the oracle the
-/// [`fast`] kernels' ULP envelopes are proven against. `Fast` models the
-/// optimised LUT/polynomial nonlinear unit (range reduction + 64-entry
-/// `2^f` ROM + degree-2 residual polynomial + NR reciprocal/rsqrt), which
-/// in simulation evaluates in native f32 — the kernels themselves live in
-/// [`fast`], and their per-element hardware op mixes in [`fast::cost`].
+/// `Exact` runs the kernels on the bit-level emulated hardware datapath
+/// ([`Vpu`], or its [`OnChip`] view) — every multiply and add goes
+/// through `HwFp32Mul`/`HwFp32Add`, and it is the oracle the fast unit's
+/// ULP envelopes are proven against. `Fast` runs them on the optimised
+/// LUT/polynomial nonlinear unit ([`fast::Unit`]: range reduction +
+/// 64-entry `2^f` ROM + degree-2 residual polynomial + NR
+/// reciprocal/rsqrt), which in simulation evaluates in native f32; its
+/// per-element hardware op mixes are in [`fast::cost`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NonlinearMode {
     /// Bit-exact emulated hardware kernels (the oracle path).
@@ -111,11 +125,156 @@ impl OpCount {
     }
 }
 
-/// The vector processing unit: hardware-faithful scalar kernels with
-/// operation accounting.
+/// Tanh-form GELU: `0.5·x·(1 + tanh(C·(x + A·x³)))` with `C = √(2/π)`.
+const GELU_C: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.044_715;
+
+/// An fp32 vector datapath, and the nonlinear kernels written once over
+/// it. An implementation supplies the primitives; the kernels are the
+/// default methods, so every datapath runs the same operation sequence
+/// and they differ only in how each primitive rounds and what it counts.
+pub trait Datapath {
+    /// `a × b`.
+    fn mul(&mut self, a: f32, b: f32) -> f32;
+    /// `a + b`.
+    fn add(&mut self, a: f32, b: f32) -> f32;
+    /// `a − b`.
+    fn sub(&mut self, a: f32, b: f32) -> f32;
+    /// `e^x`, by the datapath's own range reduction and polynomial.
+    fn exp(&mut self, x: f32) -> f32;
+    /// The division step `a / b`.
+    fn div(&mut self, a: f32, b: f32) -> f32;
+    /// The reciprocal a softmax row is multiplied by once its sum is
+    /// known; `None` (the default) divides every element by the sum.
+    fn row_recip(&mut self, _sum: f32) -> Option<f32> {
+        None
+    }
+    /// `1/√x`, LayerNorm's normaliser: [`Self::rsqrt_nr`] by default.
+    fn rsqrt(&mut self, x: f32) -> f32 {
+        self.rsqrt_nr(x)
+    }
+    /// Counts one comparator operation (softmax's max reduction).
+    fn count_cmp(&mut self) {}
+    /// Counts one exponent-unit operation ([`Self::rsqrt_nr`]'s seed).
+    fn count_exp_adjust(&mut self) {}
+
+    /// `tanh(u) = 1 − 2 / (e^{2u} + 1)`, saturated beyond `|u| > 15`.
+    fn tanh(&mut self, u: f32) -> f32 {
+        if u > 15.0 {
+            return 1.0;
+        }
+        if u < -15.0 {
+            return -1.0;
+        }
+        let two_u = self.mul(u, 2.0);
+        let e = self.exp(two_u);
+        let d = self.add(e, 1.0);
+        let q = self.div(2.0, d);
+        self.sub(1.0, q)
+    }
+
+    /// Tanh-form GELU.
+    fn gelu(&mut self, x: f32) -> f32 {
+        let x2 = self.mul(x, x);
+        let x3 = self.mul(x2, x);
+        let ax3 = self.mul(x3, GELU_A);
+        let inner = self.add(x, ax3);
+        let u = self.mul(inner, GELU_C);
+        let t = self.tanh(u);
+        let one_t = self.add(1.0, t);
+        let hx = self.mul(x, 0.5);
+        self.mul(hx, one_t)
+    }
+
+    /// `1/√x` on the array: a magic-constant seed (an exponent-unit
+    /// operation) refined by three Newton–Raphson steps
+    /// `y ← y·(1.5 − 0.5·x·y²)`.
+    ///
+    /// # Panics
+    /// Panics on negative input (LayerNorm variances are non-negative).
+    fn rsqrt_nr(&mut self, x: f32) -> f32 {
+        assert!(x >= 0.0, "rsqrt of a negative value");
+        if x == 0.0 {
+            return f32::INFINITY;
+        }
+        self.count_exp_adjust();
+        let mut y = f32::from_bits(0x5f37_59dfu32.wrapping_sub(x.to_bits() >> 1));
+        for _ in 0..3 {
+            let y2 = self.mul(y, y);
+            let xy2 = self.mul(x, y2);
+            let h = self.mul(xy2, 0.5);
+            let e = self.sub(1.5, h);
+            y = self.mul(y, e);
+        }
+        y
+    }
+
+    /// Row-wise softmax: comparator max-reduction, subtract, exp, sum, then
+    /// one reciprocal or a division per element.
+    fn softmax_row(&mut self, row: &mut [f32]) {
+        if row.is_empty() {
+            return;
+        }
+        let mut max = row[0];
+        for &v in &row[1..] {
+            self.count_cmp();
+            if v > max {
+                max = v;
+            }
+        }
+        let mut sum = 0f32;
+        for v in row.iter_mut() {
+            let shifted = self.sub(*v, max);
+            *v = self.exp(shifted);
+            sum = self.add(sum, *v);
+        }
+        match self.row_recip(sum) {
+            Some(inv) => row.iter_mut().for_each(|v| *v = self.mul(*v, inv)),
+            None => row.iter_mut().for_each(|v| *v = self.div(*v, sum)),
+        }
+    }
+
+    /// Row-wise LayerNorm: mean and variance on the adder, `1/√·`, then
+    /// the affine on the multiplier.
+    ///
+    /// # Panics
+    /// Panics if `gamma`/`beta` lengths differ from the row length.
+    fn layernorm_row(&mut self, row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+        let n = row.len();
+        assert_eq!(gamma.len(), n, "gamma length");
+        assert_eq!(beta.len(), n, "beta length");
+        if n == 0 {
+            return;
+        }
+        let inv_n = 1.0 / n as f32; // compile-time constant in hardware
+        let mut sum = 0f32;
+        for &v in row.iter() {
+            sum = self.add(sum, v);
+        }
+        let mean = self.mul(sum, inv_n);
+        let mut var_sum = 0f32;
+        for v in row.iter_mut() {
+            let d = self.sub(*v, mean);
+            *v = d;
+            let d2 = self.mul(d, d);
+            var_sum = self.add(var_sum, d2);
+        }
+        let var = self.mul(var_sum, inv_n);
+        let ve = self.add(var, eps);
+        let inv = self.rsqrt(ve);
+        for (j, v) in row.iter_mut().enumerate() {
+            let nrm = self.mul(*v, inv);
+            let g = self.mul(nrm, gamma[j]);
+            *v = self.add(g, beta[j]);
+        }
+    }
+}
+
+/// The vector processing unit: the paper's exact datapath, host division
+/// included, with operation accounting.
 ///
 /// ```
-/// use bfp_transformer::Vpu;
+/// use bfp_transformer::{Datapath, Vpu};
 ///
 /// let mut vpu = Vpu::new();
 /// let mut row = vec![1.0f32, 2.0, 3.0];
@@ -124,10 +283,10 @@ impl OpCount {
 /// assert!((sum - 1.0).abs() < 1e-5);
 /// assert_eq!(vpu.count.host_div, 3);  // the prototype divides on the host
 ///
-/// // The future-work kernel keeps everything on the array:
+/// // The same kernel on the on-chip view keeps everything on the array:
 /// let mut row = vec![1.0f32, 2.0, 3.0];
 /// vpu.take_count();
-/// vpu.softmax_row_onchip(&mut row);
+/// vpu.onchip().softmax_row(&mut row);
 /// assert_eq!(vpu.count.host_div, 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -160,10 +319,6 @@ const EXP2_POLY: [f32; 6] = [
     0.009_618_13,
     0.001_333_36,
 ];
-
-/// Tanh-form GELU: `0.5·x·(1 + tanh(C·(x + A·x³)))` with `C = √(2/π)`.
-const GELU_C: f32 = 0.797_884_6;
-const GELU_A: f32 = 0.044_715;
 
 /// The straight-line regime of both GELU kernels (exact and fast), where
 /// the GELU program and the fast lane twin run: `|u| = C·|x + A·x³| ≤
@@ -282,86 +437,15 @@ impl Vpu {
     #[inline]
     pub fn scale_exp2(&mut self, x: f32, k: i32) -> f32 {
         self.count.exp_adjust += 1;
-        if x == 0.0 {
-            return x;
-        }
-        let bits = x.to_bits();
-        let e = ((bits >> 23) & 0xff) as i32 + k;
-        if e <= 0 {
-            return 0.0; // FTZ underflow
-        }
-        if e >= 255 {
-            return if x > 0.0 {
-                f32::INFINITY
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-        f32::from_bits((bits & 0x807f_ffff) | ((e as u32) << 23))
-    }
-
-    /// `e^x` by range reduction (`x = k ln2 + f ln2`) and a degree-5
-    /// polynomial for `2^f`: 6 multiplies, 9 adds, 1 exponent adjust.
-    pub fn exp(&mut self, x: f32) -> f32 {
-        // Control logic clamps the representable range.
-        if x > 88.0 {
-            return f32::INFINITY;
-        }
-        if x < -87.0 {
-            return 0.0;
-        }
-        let t = self.m(x, std::f32::consts::LOG2_E);
-        // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
-        // constant pushes the fraction off the mantissa, and truncation
-        // floors it.
-        let th = self.a(t, 0.5);
-        let shifted = self.a(th, ROUND_MAGIC);
-        let kf = self.s(shifted, ROUND_MAGIC);
-        let f = self.s(t, kf);
-        // Horner: 2^f ≈ Σ c_i f^i.
-        let mut p = EXP2_POLY[5];
-        for c in EXP2_POLY[..5].iter().rev() {
-            let pf = self.m(p, f);
-            p = self.a(pf, *c);
-        }
-        self.scale_exp2(p, kf as i32)
-    }
-
-    /// `tanh(u) = 1 − 2 / (e^{2u} + 1)`: one exp, plus 1 mul, 2 adds, and a
-    /// host division.
-    pub fn tanh(&mut self, u: f32) -> f32 {
-        if u > 15.0 {
-            return 1.0;
-        }
-        if u < -15.0 {
-            return -1.0;
-        }
-        let two_u = self.m(u, 2.0);
-        let e = self.exp(two_u);
-        let d = self.a(e, 1.0);
-        let q = self.div_host(2.0, d);
-        self.s(1.0, q)
-    }
-
-    /// Tanh-form GELU on the VPU.
-    pub fn gelu(&mut self, x: f32) -> f32 {
-        let x2 = self.m(x, x);
-        let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, GELU_A);
-        let inner = self.a(x, ax3);
-        let u = self.m(inner, GELU_C);
-        let t = self.tanh(u);
-        let one_t = self.a(1.0, t);
-        let hx = self.m(x, 0.5);
-        self.m(hx, one_t)
+        scale_exp2(x, k)
     }
 
     // ------------------------------------------------------------------
     // Future-work extension (paper §V: "The vector processing unit is
     // also being optimized to improve non-linear function performance"):
-    // division and reciprocal square root *on the array*, via
-    // Newton–Raphson iterations built only from hardware multiply/add —
-    // eliminating the host round-trip the prototype needed.
+    // division *on the array*, via Newton–Raphson iterations built only
+    // from hardware multiply/add — eliminating the host round-trip the
+    // prototype needed. [`OnChip`] runs the kernels on it.
     // ------------------------------------------------------------------
 
     /// Reciprocal `1/x` on the array: exponent-negation initial guess
@@ -400,177 +484,10 @@ impl Vpu {
         self.m(a, r)
     }
 
-    /// Reciprocal square root on the array: magic-constant seed +
-    /// Newton–Raphson `y ← y·(1.5 − 0.5·x·y²)`.
-    ///
-    /// # Panics
-    /// Panics on negative input (LayerNorm variances are non-negative).
-    pub fn rsqrt_onchip(&mut self, x: f32, iters: u32) -> f32 {
-        assert!(x >= 0.0, "rsqrt of a negative value");
-        if x == 0.0 {
-            return f32::INFINITY;
-        }
-        self.count.exp_adjust += 1;
-        let mut y = f32::from_bits(0x5f37_59dfu32.wrapping_sub(x.to_bits() >> 1));
-        for _ in 0..iters {
-            let y2 = self.m(y, y);
-            let xy2 = self.m(x, y2);
-            let h = self.m(xy2, 0.5);
-            let e = self.s(1.5, h);
-            y = self.m(y, e);
-        }
-        y
-    }
-
-    /// `tanh` with the Newton–Raphson reciprocal instead of the host
-    /// division.
-    pub fn tanh_onchip(&mut self, u: f32) -> f32 {
-        if u > 15.0 {
-            return 1.0;
-        }
-        if u < -15.0 {
-            return -1.0;
-        }
-        let two_u = self.m(u, 2.0);
-        let e = self.exp(two_u);
-        let d = self.a(e, 1.0);
-        let r = self.recip(d, 3);
-        let q = self.m(2.0, r);
-        self.s(1.0, q)
-    }
-
-    /// Tanh-form GELU computed entirely on the array.
-    pub fn gelu_onchip(&mut self, x: f32) -> f32 {
-        let x2 = self.m(x, x);
-        let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, GELU_A);
-        let inner = self.a(x, ax3);
-        let u = self.m(inner, GELU_C);
-        let t = self.tanh_onchip(u);
-        let one_t = self.a(1.0, t);
-        let hx = self.m(x, 0.5);
-        self.m(hx, one_t)
-    }
-
-    /// Row-wise softmax with **on-chip** normalisation: one reciprocal per
-    /// row instead of N host divisions — the optimised kernel the paper's
-    /// future-work section points at.
-    pub fn softmax_row_onchip(&mut self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        let mut max = row[0];
-        for &v in &row[1..] {
-            self.count.cmp += 1;
-            if v > max {
-                max = v;
-            }
-        }
-        let mut sum = 0f32;
-        for v in row.iter_mut() {
-            let shifted = self.s(*v, max);
-            *v = self.exp(shifted);
-            sum = self.a(sum, *v);
-        }
-        let inv = self.recip(sum, 3);
-        for v in row.iter_mut() {
-            *v = self.m(*v, inv);
-        }
-    }
-
-    /// Row-wise LayerNorm fully on the array (NR reciprocal square root
-    /// instead of the host sqrt + division).
-    ///
-    /// # Panics
-    /// Panics if `gamma`/`beta` lengths differ from the row length.
-    pub fn layernorm_row_onchip(&mut self, row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
-        let n = row.len();
-        assert_eq!(gamma.len(), n, "gamma length");
-        assert_eq!(beta.len(), n, "beta length");
-        if n == 0 {
-            return;
-        }
-        let inv_n = 1.0 / n as f32;
-        let mut sum = 0f32;
-        for &v in row.iter() {
-            sum = self.a(sum, v);
-        }
-        let mean = self.m(sum, inv_n);
-        let mut var_sum = 0f32;
-        for v in row.iter_mut() {
-            let d = self.s(*v, mean);
-            *v = d;
-            let d2 = self.m(d, d);
-            var_sum = self.a(var_sum, d2);
-        }
-        let var = self.m(var_sum, inv_n);
-        let ve = self.a(var, eps);
-        let inv = self.rsqrt_onchip(ve, 3);
-        for (j, v) in row.iter_mut().enumerate() {
-            let nrm = self.m(*v, inv);
-            let g = self.m(nrm, gamma[j]);
-            *v = self.a(g, beta[j]);
-        }
-    }
-
-    /// Row-wise softmax: comparator max-reduction, subtract, exp, sum, and
-    /// the **host-side divisions** the paper calls out.
-    pub fn softmax_row(&mut self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        let mut max = row[0];
-        for &v in &row[1..] {
-            self.count.cmp += 1;
-            if v > max {
-                max = v;
-            }
-        }
-        let mut sum = 0f32;
-        for v in row.iter_mut() {
-            let shifted = self.s(*v, max);
-            *v = self.exp(shifted);
-            sum = self.a(sum, *v);
-        }
-        for v in row.iter_mut() {
-            *v = self.div_host(*v, sum);
-        }
-    }
-
-    /// Row-wise LayerNorm: mean/variance on the adder tree, 1/√· on the
-    /// host, affine on the multiplier.
-    ///
-    /// # Panics
-    /// Panics if `gamma`/`beta` lengths differ from the row length.
-    pub fn layernorm_row(&mut self, row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
-        let n = row.len();
-        assert_eq!(gamma.len(), n, "gamma length");
-        assert_eq!(beta.len(), n, "beta length");
-        if n == 0 {
-            return;
-        }
-        let inv_n = 1.0 / n as f32; // compile-time constant in hardware
-        let mut sum = 0f32;
-        for &v in row.iter() {
-            sum = self.a(sum, v);
-        }
-        let mean = self.m(sum, inv_n);
-        let mut var_sum = 0f32;
-        for v in row.iter_mut() {
-            let d = self.s(*v, mean);
-            *v = d;
-            let d2 = self.m(d, d);
-            var_sum = self.a(var_sum, d2);
-        }
-        let var = self.m(var_sum, inv_n);
-        let ve = self.a(var, eps);
-        let sd = self.sqrt_host(ve);
-        let inv = self.div_host(1.0, sd);
-        for (j, v) in row.iter_mut().enumerate() {
-            let nrm = self.m(*v, inv);
-            let g = self.m(nrm, gamma[j]);
-            *v = self.a(g, beta[j]);
-        }
+    /// The on-chip view of this VPU: the same datapath and counters, with
+    /// the Newton–Raphson division and `1/√x` in place of the host's.
+    pub fn onchip(&mut self) -> OnChip<'_> {
+        OnChip(self)
     }
 
     // ------------------------------------------------------------------
@@ -578,7 +495,7 @@ impl Vpu {
     // its row-sharded parallel path) drives. The `(NonlinearMode,
     // DivisionPolicy)` match happens once per batch here — not once per
     // row or per element as the engine's old loops did — so each arm is a
-    // monomorphized straight loop over one scalar kernel, and the
+    // monomorphized straight loop over one [`Datapath`] kernel, and the
     // multiplier/adder rounding-path configuration is a fixed field of
     // `self`, resolved once when the VPU is built. The `Exact` arms are
     // bit-identical to calling the scalar kernels directly (oracle
@@ -622,8 +539,9 @@ impl Vpu {
                 }
             }
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
+                let mut chip = self.onchip();
                 for row in data.chunks_exact_mut(cols) {
-                    self.softmax_row_onchip(row);
+                    chip.softmax_row(row);
                 }
             }
             // The fast unit never leaves the array; DivisionPolicy is moot.
@@ -642,7 +560,7 @@ impl Vpu {
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {
-                    fast::softmax_row(row);
+                    fast::Unit.softmax_row(row);
                 }
             }
         }
@@ -664,8 +582,9 @@ impl Vpu {
                 }
             }
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
+                let mut chip = self.onchip();
                 for v in data.iter_mut() {
-                    *v = self.gelu_onchip(*v);
+                    *v = chip.gelu(*v);
                 }
             }
             // Groups of eight in-regime elements on the AVX2 twin, the
@@ -680,7 +599,7 @@ impl Vpu {
                     return;
                 }
                 for v in data.iter_mut() {
-                    *v = fast::gelu(*v);
+                    *v = fast::Unit.gelu(*v);
                 }
             }
         }
@@ -743,14 +662,15 @@ impl Vpu {
                 }
             }
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
+                let mut chip = self.onchip();
                 for row in data.chunks_exact_mut(cols) {
-                    self.layernorm_row_onchip(row, gamma, beta, eps);
+                    chip.layernorm_row(row, gamma, beta, eps);
                 }
             }
             (NonlinearMode::Fast, _) => {
                 let rows = (data.len() / cols) as u64;
                 for row in data.chunks_exact_mut(cols) {
-                    fast::layernorm_row(row, gamma, beta, eps);
+                    fast::Unit.layernorm_row(row, gamma, beta, eps);
                 }
                 self.count
                     .merge(&fast::cost::layernorm_row(cols as u64).times(rows));
@@ -759,13 +679,167 @@ impl Vpu {
     }
 }
 
-/// Per-element / per-row operation-count formulas for the kernels above
-/// (used by the analytical census and verified against live counts).
+impl Datapath for Vpu {
+    fn mul(&mut self, a: f32, b: f32) -> f32 {
+        self.m(a, b)
+    }
+
+    fn add(&mut self, a: f32, b: f32) -> f32 {
+        self.a(a, b)
+    }
+
+    fn sub(&mut self, a: f32, b: f32) -> f32 {
+        self.s(a, b)
+    }
+
+    /// `e^x` by range reduction (`x = k ln2 + f ln2`) and a degree-5
+    /// polynomial for `2^f`: 6 multiplies, 9 adds, 1 exponent adjust.
+    fn exp(&mut self, x: f32) -> f32 {
+        // Control logic clamps the representable range.
+        if x > 88.0 {
+            return f32::INFINITY;
+        }
+        if x < -87.0 {
+            return 0.0;
+        }
+        let t = self.m(x, std::f32::consts::LOG2_E);
+        // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
+        // constant pushes the fraction off the mantissa, and truncation
+        // floors it.
+        let th = self.a(t, 0.5);
+        let shifted = self.a(th, ROUND_MAGIC);
+        let kf = self.s(shifted, ROUND_MAGIC);
+        let f = self.s(t, kf);
+        // Horner: 2^f ≈ Σ c_i f^i.
+        let mut p = EXP2_POLY[5];
+        for c in EXP2_POLY[..5].iter().rev() {
+            let pf = self.m(p, f);
+            p = self.a(pf, *c);
+        }
+        self.scale_exp2(p, kf as i32)
+    }
+
+    fn div(&mut self, a: f32, b: f32) -> f32 {
+        self.div_host(a, b)
+    }
+
+    /// `1/√x` on the host: a square root and a division.
+    fn rsqrt(&mut self, x: f32) -> f32 {
+        let sd = self.sqrt_host(x);
+        self.div_host(1.0, sd)
+    }
+
+    fn count_cmp(&mut self) {
+        self.count.cmp += 1;
+    }
+
+    fn count_exp_adjust(&mut self) {
+        self.count.exp_adjust += 1;
+    }
+}
+
+/// A [`Vpu`] with §V's on-chip division ([`Vpu::onchip`]): the same exact
+/// `mul`/`add`/`sub`/`exp`, with the Newton–Raphson reciprocal and
+/// [`Datapath::rsqrt_nr`] on the array in place of the host's division
+/// and square root. Its operations count on the `Vpu`.
+pub struct OnChip<'a>(&'a mut Vpu);
+
+impl Datapath for OnChip<'_> {
+    fn mul(&mut self, a: f32, b: f32) -> f32 {
+        self.0.m(a, b)
+    }
+
+    fn add(&mut self, a: f32, b: f32) -> f32 {
+        self.0.a(a, b)
+    }
+
+    fn sub(&mut self, a: f32, b: f32) -> f32 {
+        self.0.s(a, b)
+    }
+
+    fn exp(&mut self, x: f32) -> f32 {
+        self.0.exp(x)
+    }
+
+    fn div(&mut self, a: f32, b: f32) -> f32 {
+        self.0.div_onchip(a, b)
+    }
+
+    fn row_recip(&mut self, sum: f32) -> Option<f32> {
+        Some(self.0.recip(sum, 3))
+    }
+
+    fn count_cmp(&mut self) {
+        self.0.count_cmp();
+    }
+
+    fn count_exp_adjust(&mut self) {
+        self.0.count_exp_adjust();
+    }
+}
+
+/// A reduced-precision format as a datapath: every operand and result
+/// rounded into the format, the division and `1/√x` included, and no
+/// operation counted.
+impl Datapath for RedFp {
+    fn mul(&mut self, a: f32, b: f32) -> f32 {
+        self.quantize(self.quantize(a) * self.quantize(b))
+    }
+
+    fn add(&mut self, a: f32, b: f32) -> f32 {
+        self.quantize(self.quantize(a) + self.quantize(b))
+    }
+
+    /// `a + (−b)`: the format's rounding is sign-symmetric.
+    fn sub(&mut self, a: f32, b: f32) -> f32 {
+        self.add(a, -b)
+    }
+
+    fn exp(&mut self, x: f32) -> f32 {
+        self.quantize(self.quantize(x).exp())
+    }
+
+    fn div(&mut self, a: f32, b: f32) -> f32 {
+        self.quantize(self.quantize(a) / self.quantize(b))
+    }
+
+    fn rsqrt(&mut self, x: f32) -> f32 {
+        self.quantize(1.0 / self.quantize(x).sqrt())
+    }
+}
+
+/// Scale by `2^k` on the exponent unit: an integer add on the exponent
+/// field, flushing to zero on underflow and saturating to ±inf on
+/// overflow. Uncounted; [`Vpu::scale_exp2`] counts it.
+#[inline]
+pub(crate) fn scale_exp2(x: f32, k: i32) -> f32 {
+    if x == 0.0 {
+        return x;
+    }
+    let bits = x.to_bits();
+    let e = ((bits >> 23) & 0xff) as i32 + k;
+    if e <= 0 {
+        return 0.0; // FTZ underflow
+    }
+    if e >= 255 {
+        return if x > 0.0 {
+            f32::INFINITY
+        } else {
+            f32::NEG_INFINITY
+        };
+    }
+    f32::from_bits((bits & 0x807f_ffff) | ((e as u32) << 23))
+}
+
+/// Per-element / per-row operation-count formulas for the kernels on a
+/// host-division [`Vpu`] (used by the analytical census and verified
+/// against live counts).
 pub mod cost {
     use super::OpCount;
 
-    /// Cost of one [`super::Vpu::exp`] call (in range): 1 range-reduction
-    /// multiply + 5 Horner multiplies; 4 rounding adds + 5 Horner adds.
+    /// Cost of one exact `exp` (in range, on a [`Vpu`](super::Vpu)): 1
+    /// range-reduction multiply + 5 Horner multiplies; 4 rounding adds + 5
+    /// Horner adds.
     pub const fn exp() -> OpCount {
         OpCount {
             fp_mul: 6,
@@ -778,8 +852,8 @@ pub mod cost {
         }
     }
 
-    /// Cost of one [`super::Vpu::gelu`] call: 6 own muls + 2 own adds, plus
-    /// tanh (1 mul, 2 adds, 1 host div) around one exp.
+    /// Cost of one exact GELU with host division: 6 own muls + 2 own
+    /// adds, plus tanh (1 mul, 2 adds, 1 host div) around one exp.
     pub const fn gelu() -> OpCount {
         OpCount {
             fp_mul: 6 + 1 + exp().fp_mul,
@@ -991,12 +1065,12 @@ mod tests {
         let mut vpu = Vpu::new();
         for k in -40..=40 {
             let x = (k as f32 * 0.61).exp2();
-            let got = vpu.rsqrt_onchip(x, 3) as f64;
+            let got = vpu.onchip().rsqrt_nr(x) as f64;
             let want = 1.0 / (x as f64).sqrt();
             let rel = ((got - want) / want).abs();
             assert!(rel < 2e-6, "rsqrt({x}): {got} vs {want} rel {rel}");
         }
-        assert_eq!(vpu.rsqrt_onchip(0.0, 3), f32::INFINITY);
+        assert_eq!(vpu.onchip().rsqrt_nr(0.0), f32::INFINITY);
     }
 
     #[test]
@@ -1007,7 +1081,7 @@ mod tests {
         let mut a = src.clone();
         let mut b = src.clone();
         host.softmax_row(&mut a);
-        chip.softmax_row_onchip(&mut b);
+        chip.onchip().softmax_row(&mut b);
         for j in 0..33 {
             assert!((a[j] - b[j]).abs() < 1e-5, "j={j}: {} vs {}", a[j], b[j]);
         }
@@ -1035,7 +1109,7 @@ mod tests {
         let mut a = src.clone();
         let mut b = src.clone();
         host.layernorm_row(&mut a, &gamma, &beta, 1e-6);
-        chip.layernorm_row_onchip(&mut b, &gamma, &beta, 1e-6);
+        chip.onchip().layernorm_row(&mut b, &gamma, &beta, 1e-6);
         for j in 0..n {
             assert!((a[j] - b[j]).abs() < 5e-5, "j={j}: {} vs {}", a[j], b[j]);
         }
@@ -1050,6 +1124,87 @@ mod tests {
         assert_eq!(
             vpu.count.host_div, 3,
             "every softmax output is a host division"
+        );
+    }
+
+    // The reduced-precision formats through the same kernels.
+
+    #[test]
+    fn redfp_softmax_quality_degrades_monotonically_with_mantissa() {
+        let logits: Vec<f32> = (0..64).map(|k| (k as f32 * 0.41).sin() * 5.0).collect();
+        let mut reference = logits.clone();
+        let mut fp32 = RedFp::FP32;
+        fp32.softmax_row(&mut reference);
+        let mut prev_err = 0.0f32;
+        for (name, mut f) in [
+            ("fp24", RedFp::FP24),
+            ("tf32", RedFp::TF32),
+            ("bf16", RedFp::BF16),
+        ] {
+            let mut row = logits.clone();
+            f.softmax_row(&mut row);
+            let err = row
+                .iter()
+                .zip(&reference)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0f32, f32::max);
+            assert!(
+                err >= prev_err,
+                "{name}: error must not shrink with fewer bits"
+            );
+            prev_err = err;
+        }
+        // bf16 softmax stays *usable* on in-range logits (range matters
+        // more than mantissa here) ...
+        assert!(prev_err < 1e-2);
+    }
+
+    #[test]
+    fn redfp_fp16_softmax_breaks_where_bf16_survives() {
+        // The dynamic-range story: shifted logits are <= 0, so exp <= 1
+        // never overflows; the failure is underflow: shifted logits below
+        // ln(2^-14) ~ -9.7 flush to zero and lose all tail mass.
+        let (mut fp32, mut fp16, mut bf16) = (RedFp::FP32, RedFp::FP16, RedFp::BF16);
+        let mut row: Vec<f32> = (0..32).map(|k| -(k as f32)).collect(); // 0..-31
+        let mut reference = row.clone();
+        fp32.softmax_row(&mut reference);
+        let mut f16row = row.clone();
+        fp16.softmax_row(&mut f16row);
+        bf16.softmax_row(&mut row);
+        // In fp16 every entry beyond position ~10 is exactly zero.
+        assert_eq!(f16row[20], 0.0);
+        assert!(reference[20] > 0.0);
+        // bf16 keeps the tail alive thanks to its 8-bit exponent.
+        assert!(row[20] > 0.0, "bf16 preserves tail mass");
+    }
+
+    #[test]
+    fn redfp_layernorm_needs_mantissa_not_range() {
+        // Complementary story: LayerNorm accuracy tracks mantissa width.
+        let n = 384;
+        let gamma = vec![1.0f32; n];
+        let beta = vec![0.0f32; n];
+        let src: Vec<f32> = (0..n)
+            .map(|j| (j as f32 * 0.17).sin() * 2.0 + 0.3)
+            .collect();
+        let run = |mut f: RedFp| {
+            let mut row = src.clone();
+            f.layernorm_row(&mut row, &gamma, &beta, 1e-6);
+            row
+        };
+        let reference = run(RedFp::FP32);
+        let err = |row: &[f32]| {
+            row.iter()
+                .zip(&reference)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0f32, f32::max)
+        };
+        let e_fp24 = err(&run(RedFp::FP24));
+        let e_bf16 = err(&run(RedFp::BF16));
+        assert!(e_fp24 < e_bf16, "more mantissa -> better LayerNorm");
+        assert!(
+            e_bf16 < 0.2,
+            "bf16 LayerNorm is degraded but not broken: {e_bf16}"
         );
     }
 }

@@ -1,12 +1,13 @@
-//! The fast nonlinear kernel layer: LUT-seeded, range-reduced
-//! GELU / exp / tanh / rsqrt selected by [`super::NonlinearMode::Fast`].
+//! The fast nonlinear unit, selected by [`super::NonlinearMode::Fast`]:
+//! the LUT-seeded, range-reduced datapath [`Unit`] that the kernels of
+//! [`Datapath`] run on.
 //!
-//! The exact kernels in [`super::Vpu`] evaluate every fp32 operation
-//! through the bit-level hardware emulation (`HwFp32Mul`/`HwFp32Add`) —
-//! faithful, and the reason GELU dominated the fast path's wall clock
-//! (~50 % of the toy encoder's fast-path time before this layer). The kernels here model
-//! the *optimised* VPU the paper's future-work section points at: a
-//! pipelined unit built from
+//! On the exact [`Vpu`](super::Vpu) every fp32 operation goes through the
+//! bit-level hardware emulation (`HwFp32Mul`/`HwFp32Add`) — faithful, and
+//! the reason GELU dominated the fast path's wall clock (~50 % of the toy
+//! encoder's fast-path time before this unit). [`Unit`] models the
+//! *optimised* VPU the paper's future-work section points at: a pipelined
+//! unit built from
 //!
 //! * **range reduction** on the exponent unit (`x·log2e` split into an
 //!   integer scale `k` and a fraction `f ∈ [0, 1)`),
@@ -19,15 +20,14 @@
 //!
 //! In this simulation the arithmetic runs on native f32 (the pipelined
 //! unit rounds once per op, like the host FPU) — which is also why the
-//! fast path is fast in software: no per-op bit-level emulation. The
-//! functions in this file are the scalar definition of every kernel: the
-//! batched GELU and softmax entry points run them eight elements per AVX2
-//! vector where the host allows (`fast_lanes`, the same IEEE operations
-//! per lane, bit for bit) and per element everywhere else. Every
-//! kernel deliberately **mirrors the operation order of its exact
-//! oracle**, so the divergence between the two paths is the accumulation
-//! of per-op rounding differences, not of algorithmic differences; the
-//! resulting envelopes are proven by sweep in
+//! fast path is fast in software: no per-op bit-level emulation. Only the
+//! primitives live here (`exp` is this unit's own); GELU, `tanh`, softmax,
+//! LayerNorm and `1/√x` are the same [`Datapath`] kernels the exact
+//! datapath runs, so the two paths differ by per-op rounding, never by
+//! algorithm. The batched GELU and softmax entry points run them eight
+//! elements per AVX2 vector where the host allows (`fast_lanes`, the same
+//! IEEE operations per lane, bit for bit) and per element everywhere else.
+//! The resulting envelopes are proven by sweep in
 //! `crates/transformer/tests/nonlinear_ulp.rs` and documented in
 //! `DESIGN.md`.
 //!
@@ -37,6 +37,8 @@
 //! convention `Vpu::scale_exp2` established. The mix is priced in
 //! `bfp_platform::nonlinear` and cross-checked against live engine
 //! censuses in `bfp_core::vpucost`.
+
+use super::{scale_exp2, Datapath};
 
 /// `2^(j/64)` for `j ∈ 0..64`, pinned as IEEE-754 bit patterns: these are
 /// the ROM contents a synthesised unit would carry, so the table cannot
@@ -79,157 +81,61 @@ fn rom_address(s: f32) -> (usize, f32) {
     (j as usize, s - j as f32) // fp_add; r ∈ [0, 1] in 1/64 units
 }
 
-/// Exponent-unit scale by `2^k` with FTZ underflow and saturating
-/// overflow — identical semantics to [`super::Vpu::scale_exp2`], minus
-/// the op accounting (batched callers charge analytically).
-#[inline]
-pub(super) fn scale2k(x: f32, k: i32) -> f32 {
-    if x == 0.0 {
-        return x;
-    }
-    let bits = x.to_bits();
-    let e = ((bits >> 23) & 0xff) as i32 + k;
-    if e <= 0 {
-        return 0.0; // FTZ underflow
-    }
-    if e >= 255 {
-        return if x > 0.0 {
-            f32::INFINITY
-        } else {
-            f32::NEG_INFINITY
-        };
-    }
-    f32::from_bits((bits & 0x807f_ffff) | ((e as u32) << 23))
-}
+/// The fast unit as a [`Datapath`]: native f32 operations, this
+/// module's ROM-based `exp`, on-unit reciprocals (native division here;
+/// the unit runs the LUT-seeded NR steps [`cost::recip`] charges) and the
+/// NR `1/√x` from a seed ROM. It counts nothing: the pipeline's cost is
+/// data-independent, so the batched callers charge [`cost`] per element.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unit;
 
-/// `e^x` by range reduction + 64-entry ROM + degree-2 residual
-/// polynomial. Clamp thresholds mirror the exact kernel exactly, so the
-/// two paths agree bit-for-bit on the saturated regions.
-#[inline]
-pub fn exp(x: f32) -> f32 {
-    if x > 88.0 {
-        return f32::INFINITY;
+impl Datapath for Unit {
+    #[inline]
+    fn mul(&mut self, a: f32, b: f32) -> f32 {
+        a * b
     }
-    if x < -87.0 {
-        return 0.0;
-    }
-    let t = x * core::f32::consts::LOG2_E; // fp_mul
-    let kf = t.floor(); // 2 fp_add (magic-constant round on hw)
-    let f = t - kf; // fp_add; f ∈ [0, 1)
-    let s = f * 64.0; // exp_adjust (power-of-two scale)
-    let (j, r) = rom_address(s);
-    let rl = r * LN2_OVER_64; // fp_mul
-    let h = 0.5 * rl; // exp_adjust
-    let p = (1.0 + rl) + h * rl; // fp_mul + 2 fp_add: 2^r to < 2⁻³¹
-    scale2k(EXP2_LUT[j] * p, kf as i32) // fp_mul + lut + exp_adjust
-}
 
-/// `tanh(u) = 1 − 2/(e^{2u} + 1)`, the exact oracle's formula with the
-/// fast exp and an on-unit reciprocal (native division here; charged as
-/// the LUT-seeded 2-step NR reciprocal the unit would run).
-#[inline]
-pub fn tanh(u: f32) -> f32 {
-    if u > 15.0 {
-        return 1.0;
+    #[inline]
+    fn add(&mut self, a: f32, b: f32) -> f32 {
+        a + b
     }
-    if u < -15.0 {
-        return -1.0;
-    }
-    let e = exp(2.0 * u); // exp_adjust + exp
-    let d = e + 1.0; // fp_add
-    let q = 2.0 / d; // recip: lut + 4 fp_mul + 2 fp_add, then exp_adjust
-    1.0 - q // fp_add
-}
 
-/// Tanh-form GELU, operation order mirroring [`super::Vpu::gelu`].
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // √(2/π)
-    const A: f32 = 0.044_715;
-    let x2 = x * x; // fp_mul
-    let x3 = x2 * x; // fp_mul
-    let ax3 = x3 * A; // fp_mul
-    let inner = x + ax3; // fp_add
-    let u = inner * C; // fp_mul
-    let t = tanh(u);
-    let one_t = 1.0 + t; // fp_add
-    let hx = 0.5 * x; // exp_adjust
-    hx * one_t // fp_mul
-}
+    #[inline]
+    fn sub(&mut self, a: f32, b: f32) -> f32 {
+        a - b
+    }
 
-/// Reciprocal square root: the exact oracle's magic seed (modelled as a
-/// seed ROM) + 3 Newton–Raphson steps in the oracle's operation order.
-///
-/// # Panics
-/// Panics on negative input (LayerNorm variances are non-negative).
-#[inline]
-pub fn rsqrt(x: f32) -> f32 {
-    assert!(x >= 0.0, "rsqrt of a negative value");
-    if x == 0.0 {
-        return f32::INFINITY;
-    }
-    let mut y = f32::from_bits(0x5f37_59dfu32.wrapping_sub(x.to_bits() >> 1)); // lut (seed)
-    for _ in 0..3 {
-        let y2 = y * y; // fp_mul
-        let xy2 = x * y2; // fp_mul
-        let h = xy2 * 0.5; // exp_adjust
-        let e = 1.5 - h; // fp_add
-        y *= e; // fp_mul
-    }
-    y
-}
-
-/// Row-wise softmax: comparator max-reduction, fast exp, one reciprocal
-/// (no host divisions, no per-element divisions).
-pub fn softmax_row(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
-    }
-    let mut max = row[0];
-    for &v in &row[1..] {
-        if v > max {
-            max = v;
+    /// `e^x` by range reduction + 64-entry ROM + degree-2 residual
+    /// polynomial. Clamp thresholds mirror the exact kernel exactly, so
+    /// the two paths agree bit-for-bit on the saturated regions.
+    #[inline]
+    fn exp(&mut self, x: f32) -> f32 {
+        if x > 88.0 {
+            return f32::INFINITY;
         }
+        if x < -87.0 {
+            return 0.0;
+        }
+        let t = x * core::f32::consts::LOG2_E; // fp_mul
+        let kf = t.floor(); // 2 fp_add (magic-constant round on hw)
+        let f = t - kf; // fp_add; f ∈ [0, 1)
+        let s = f * 64.0; // exp_adjust (power-of-two scale)
+        let (j, r) = rom_address(s);
+        let rl = r * LN2_OVER_64; // fp_mul
+        let h = 0.5 * rl; // exp_adjust
+        let p = (1.0 + rl) + h * rl; // fp_mul + 2 fp_add: 2^r to < 2⁻³¹
+        scale_exp2(EXP2_LUT[j] * p, kf as i32) // fp_mul + lut + exp_adjust
     }
-    let mut sum = 0f32;
-    for v in row.iter_mut() {
-        *v = exp(*v - max);
-        sum += *v;
-    }
-    let inv = 1.0 / sum; // recip model: lut + 4 fp_mul + 2 fp_add
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
-}
 
-/// Row-wise LayerNorm with the fast reciprocal square root, operation
-/// order mirroring [`super::Vpu::layernorm_row_onchip`].
-///
-/// # Panics
-/// Panics if `gamma`/`beta` lengths differ from the row length.
-pub fn layernorm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
-    let n = row.len();
-    assert_eq!(gamma.len(), n, "gamma length");
-    assert_eq!(beta.len(), n, "beta length");
-    if n == 0 {
-        return;
+    /// Charged as the NR reciprocal: lut + 4 fp_mul + 2 fp_add.
+    #[inline]
+    fn div(&mut self, a: f32, b: f32) -> f32 {
+        a / b
     }
-    let inv_n = 1.0 / n as f32; // compile-time constant in hardware
-    let mut sum = 0f32;
-    for &v in row.iter() {
-        sum += v;
-    }
-    let mean = sum * inv_n;
-    let mut var_sum = 0f32;
-    for v in row.iter_mut() {
-        let d = *v - mean;
-        *v = d;
-        var_sum += d * d;
-    }
-    let var = var_sum * inv_n;
-    let inv = rsqrt(var + eps);
-    for (j, v) in row.iter_mut().enumerate() {
-        *v = (*v * inv) * gamma[j] + beta[j];
+
+    #[inline]
+    fn row_recip(&mut self, sum: f32) -> Option<f32> {
+        Some(1.0 / sum)
     }
 }
 
@@ -244,9 +150,9 @@ pub fn layernorm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
 pub mod cost {
     use crate::vpu::OpCount;
 
-    /// One [`super::exp`]: range reduction (1 mul + 3 adds), ROM lookup,
-    /// degree-2 residual poly (2 muls + 2 adds), ROM product (1 mul),
-    /// power-of-two scales on the exponent unit (3).
+    /// One [`Unit`](super::Unit) `exp`: range reduction (1 mul + 3 adds),
+    /// ROM lookup, degree-2 residual poly (2 muls + 2 adds), ROM product
+    /// (1 mul), power-of-two scales on the exponent unit (3).
     pub const fn exp() -> OpCount {
         OpCount {
             fp_mul: 4,
@@ -274,7 +180,7 @@ pub mod cost {
         }
     }
 
-    /// One [`super::tanh`]: exp + reciprocal + 2 adds + 2 exponent-unit
+    /// One `tanh`: exp + reciprocal + 2 adds + 2 exponent-unit
     /// doublings.
     pub const fn tanh() -> OpCount {
         OpCount {
@@ -288,7 +194,7 @@ pub mod cost {
         }
     }
 
-    /// One [`super::gelu`]: tanh + 5 own muls + 2 own adds + the ½x
+    /// One GELU: tanh + 5 own muls + 2 own adds + the ½x
     /// exponent-unit halving.
     pub const fn gelu() -> OpCount {
         OpCount {
@@ -302,7 +208,7 @@ pub mod cost {
         }
     }
 
-    /// One [`super::rsqrt`]: seed ROM + 3 NR steps of 3 muls, 1 add and
+    /// One `rsqrt`: seed ROM + 3 NR steps of 3 muls, 1 add and
     /// one exponent-unit halving each.
     pub const fn rsqrt() -> OpCount {
         OpCount {
@@ -371,24 +277,24 @@ mod tests {
         // the same profile the exact kernel shows (its bound is 1e-5).
         for k in -2000..=2000 {
             let x = k as f32 * 0.043;
-            let got = exp(x) as f64;
+            let got = Unit.exp(x) as f64;
             let want = (x as f64).exp();
             let rel = ((got - want) / want).abs();
             // worst case ln2 · ½ulp(t) with t = x·log2e: ≈ 1.2e-7·|x|.
             let bound = 5e-7 + 1.3e-7 * x.abs() as f64;
             assert!(rel < bound, "exp({x}): {got} vs {want} rel {rel}");
         }
-        assert_eq!(exp(1000.0), f32::INFINITY);
-        assert_eq!(exp(-1000.0), 0.0);
+        assert_eq!(Unit.exp(1000.0), f32::INFINITY);
+        assert_eq!(Unit.exp(-1000.0), 0.0);
     }
 
     #[test]
     fn fast_tanh_and_gelu_track_libm() {
         for k in -400..=400 {
             let x = k as f32 * 0.04;
-            let t = tanh(x) as f64;
+            let t = Unit.tanh(x) as f64;
             assert!((t - (x as f64).tanh()).abs() < 1e-6, "tanh({x}) = {t}");
-            let g = gelu(x) as f64;
+            let g = Unit.gelu(x) as f64;
             let xx = x as f64;
             let want = 0.5 * xx * (1.0 + (0.7978845608 * (xx + 0.044715 * xx * xx * xx)).tanh());
             assert!((g - want).abs() < 1e-5, "gelu({x}) = {g} vs {want}");
@@ -399,18 +305,18 @@ mod tests {
     fn fast_rsqrt_tracks_libm_over_the_normal_range() {
         for k in -120..=120 {
             let x = (k as f32 * 0.7).exp2();
-            let got = rsqrt(x) as f64;
+            let got = Unit.rsqrt(x) as f64;
             let want = 1.0 / (x as f64).sqrt();
             let rel = ((got - want) / want).abs();
             assert!(rel < 2e-6, "rsqrt({x}): {got} vs {want} rel {rel}");
         }
-        assert_eq!(rsqrt(0.0), f32::INFINITY);
+        assert_eq!(Unit.rsqrt(0.0), f32::INFINITY);
     }
 
     #[test]
     fn fast_softmax_row_normalises() {
         let mut row: Vec<f32> = (0..33).map(|k| (k as f32 * 0.47).sin() * 6.0).collect();
-        softmax_row(&mut row);
+        Unit.softmax_row(&mut row);
         let s: f32 = row.iter().sum();
         assert!((s - 1.0).abs() < 1e-5, "sum {s}");
         assert!(row.iter().all(|v| *v >= 0.0));
@@ -430,13 +336,13 @@ mod tests {
             -f32::EPSILON / 4.0,
         ];
         for x in tiny {
-            let got = exp(x);
+            let got = Unit.exp(x);
             assert!(got.is_finite() && got > 0.0, "exp({x:e}) = {got}");
             let ulps = (got.to_bits() as i64 - 1.0f32.to_bits() as i64).abs();
             assert!(ulps <= 8, "exp({x:e}) = {got} is {ulps} ulp from 1.0");
         }
         // The saturated address lands 4 ulp under 1.0.
-        assert_eq!(exp(-1e-9).to_bits(), 0x3f7f_fffc);
+        assert_eq!(Unit.exp(-1e-9).to_bits(), 0x3f7f_fffc);
     }
 
     #[test]

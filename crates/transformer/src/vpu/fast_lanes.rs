@@ -1,4 +1,4 @@
-//! The fast GELU / exp / softmax kernels of [`super::fast`], eight
+//! The GELU / exp / softmax kernels on the fast unit ([`Unit`]), eight
 //! elements per AVX2 vector, bit for bit.
 //!
 //! Identity is by construction, not by envelope. The scalar kernels are
@@ -6,18 +6,18 @@
 //! `[0, 64]` and one table read; `vmulps`, `vaddps`, `vsubps`, `vdivps`,
 //! `vroundps`, `vcvttps2dq` and `vgatherdps` are those IEEE operations per
 //! lane. Nothing here may fuse a multiply with an add (`p = (1 + rl) +
-//! h·rl` is three roundings in [`fast::exp`]): only `avx2` is enabled, and
+//! h·rl` is three roundings in `Unit::exp`): only `avx2` is enabled, and
 //! no multiply-add intrinsic is used.
 //!
 //! Only the straight-line regime runs here. A group of eight elements is
 //! vectorised only when every lane takes none of the scalar kernels'
-//! data-dependent branches ([`fast::tanh`]'s ±15 clamp, [`fast::exp`]'s
+//! data-dependent branches (`tanh`'s ±15 clamp, `exp`'s
 //! range clamps; the compares are ordered, so a NaN lane fails); any other
 //! group, and every remainder, calls the scalar function per element.
 //! Whatever the scalar kernel computes *in order* keeps its order: softmax
 //! carries several rows at once, each through its own scalar max scan and
 //! running sum, and never re-associates within a row. The callers charge
-//! [`fast::cost`] per element either way, so
+//! [`super::fast::cost`] per element either way, so
 //! [`OpCount`](super::OpCount) cannot tell the routes apart.
 //!
 //! # Safety
@@ -28,13 +28,13 @@
 
 use std::arch::x86_64::*;
 
-use super::fast::{self, EXP2_LUT, LN2_OVER_64};
-use super::{GELU_A, GELU_C, GELU_LANE_MAX_ABS};
+use super::fast::{Unit, EXP2_LUT, LN2_OVER_64};
+use super::{Datapath, GELU_A, GELU_C, GELU_LANE_MAX_ABS};
 
 /// f32 elements per vector.
 const LANES: usize = 8;
 
-/// [`fast::exp`] clamps outside `[-87, 88]`.
+/// The fast `exp` clamps outside `[-87, 88]`.
 const EXP_MIN: f32 = -87.0;
 const EXP_MAX: f32 = 88.0;
 
@@ -76,7 +76,7 @@ unsafe fn splat(c: f32) -> __m256 {
     _mm256_set1_ps(c)
 }
 
-/// [`fast::scale2k`] per lane: the integer exponent add, with the scalar's
+/// [`scale_exp2`](super::scale_exp2) per lane: the integer exponent add, with the scalar's
 /// three early returns (zero in, FTZ underflow, saturating overflow) as
 /// muxes in the scalar's priority order.
 #[inline(always)]
@@ -99,14 +99,14 @@ unsafe fn scale2k8(x: __m256, k: __m256i) -> __m256 {
     _mm256_blendv_ps(r, x, _mm256_cmp_ps::<_CMP_EQ_OQ>(x, zero))
 }
 
-/// [`fast::exp`] for arguments inside `[EXP_MIN, EXP_MAX]`.
+/// The fast `exp` for arguments inside `[EXP_MIN, EXP_MAX]`.
 #[inline(always)]
 unsafe fn exp8(x: __m256) -> __m256 {
     let t = _mm256_mul_ps(x, splat(std::f32::consts::LOG2_E));
     let kf = _mm256_floor_ps(t);
     let f = _mm256_sub_ps(t, kf);
     let s = _mm256_mul_ps(f, splat(64.0));
-    // `fast::rom_address`: the saturation is unsigned, so no lane content
+    // `rom_address`: the saturation is unsigned, so no lane content
     // can address outside the 64-entry table.
     let j = _mm256_min_epu32(_mm256_cvttps_epi32(s), _mm256_set1_epi32(63));
     let r = _mm256_sub_ps(s, _mm256_cvtepi32_ps(j));
@@ -118,8 +118,8 @@ unsafe fn exp8(x: __m256) -> __m256 {
     scale2k8(_mm256_mul_ps(rom, p), _mm256_cvttps_epi32(kf))
 }
 
-/// [`fast::gelu`] for `|x| ≤ GELU_LANE_MAX_ABS`, where `|u| ≤ 12.5` keeps
-/// [`fast::tanh`] off its clamps and `|2u| ≤ 25` inside `exp8`'s range.
+/// The fast GELU for `|x| ≤ GELU_LANE_MAX_ABS`, where `|u| ≤ 12.5` keeps
+/// `tanh` off its clamps and `|2u| ≤ 25` inside `exp8`'s range.
 #[inline(always)]
 unsafe fn gelu8(x: __m256) -> __m256 {
     let one = splat(1.0);
@@ -138,10 +138,10 @@ unsafe fn gelu8(x: __m256) -> __m256 {
     _mm256_mul_ps(hx, one_t)
 }
 
-/// [`fast::gelu`] over a slice.
+/// The fast GELU over a slice.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn gelu_slice(data: &mut [f32]) {
-    let scalar = |g: &mut [f32]| g.iter_mut().for_each(|v| *v = fast::gelu(*v));
+    let scalar = |g: &mut [f32]| g.iter_mut().for_each(|v| *v = Unit.gelu(*v));
     let mut groups = data.chunks_exact_mut(LANES);
     for g in &mut groups {
         // SAFETY (load and store): `g` holds eight elements.
@@ -162,7 +162,7 @@ pub(super) unsafe fn gelu_slice(data: &mut [f32]) {
 /// Softmax's `v ← exp(v − max)` over one row.
 #[inline(always)]
 unsafe fn shifted_exp_row(row: &mut [f32], max: f32) {
-    let scalar = |g: &mut [f32]| g.iter_mut().for_each(|v| *v = fast::exp(*v - max));
+    let scalar = |g: &mut [f32]| g.iter_mut().for_each(|v| *v = Unit.exp(*v - max));
     let mut groups = row.chunks_exact_mut(LANES);
     for g in &mut groups {
         // SAFETY (load and store): `g` holds eight elements.
@@ -182,7 +182,7 @@ unsafe fn shifted_exp_row(row: &mut [f32], max: f32) {
     scalar(groups.into_remainder());
 }
 
-/// [`fast::softmax_row`] over `R` rows at once. The max scan and the sum
+/// The fast softmax over `R` rows at once. The max scan and the sum
 /// are the scalar kernel's own loops, one independent chain per row, each
 /// in its row's element order; only the element-wise passes between and
 /// after them run on the lanes.
@@ -218,7 +218,7 @@ unsafe fn softmax_block<const R: usize>(block: &mut [f32], cols: usize) {
     }
 }
 
-/// [`fast::softmax_row`] over every `cols`-wide row of `data`.
+/// The fast softmax over every `cols`-wide row of `data`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn softmax_rows(data: &mut [f32], cols: usize) {
     let mut blocks = data.chunks_exact_mut(ROWS_IN_FLIGHT * cols);
@@ -247,7 +247,7 @@ mod tests {
     }
 
     /// `exp8` where the softmax pass would use it, the scalar kernel
-    /// elsewhere, checked against [`fast::exp`] in bits: returns whether
+    /// elsewhere, checked against the scalar `exp` in bits: returns whether
     /// the group ran on the lanes.
     #[target_feature(enable = "avx2")]
     unsafe fn exp_group(x: [f32; 8]) -> bool {
@@ -255,7 +255,7 @@ mod tests {
         route::take();
         shifted_exp_row(&mut got, 0.0);
         for (g, x) in got.iter().zip(x) {
-            assert_eq!(g.to_bits(), fast::exp(x).to_bits(), "exp({x:e})");
+            assert_eq!(g.to_bits(), Unit.exp(x).to_bits(), "exp({x:e})");
         }
         route::take() == (1, 0)
     }
@@ -298,7 +298,7 @@ mod tests {
                 // SAFETY: AVX2 was detected above.
                 let got = unsafe { scaled(x, k) };
                 for i in 0..8 {
-                    let want = fast::scale2k(x[i], k);
+                    let want = crate::vpu::scale_exp2(x[i], k);
                     assert_eq!(got[i].to_bits(), want.to_bits(), "{:e} · 2^{k}", x[i]);
                 }
             }

@@ -9,7 +9,7 @@ use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 use bfp_arith::packed::EpilogueCtx;
 
-use super::{fast, NonlinearMode, OpCount, Vpu};
+use super::{fast, Datapath, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
 use NonlinearMode::{Exact, Fast};
 
@@ -144,7 +144,7 @@ fn check_fast_gelu(what: &str, src: &[f32]) {
     let mut vpu = Vpu::new();
     let mut got = src.to_vec();
     vpu.gelu_slice(&mut got, Host, Fast);
-    let want: Vec<f32> = src.iter().map(|&x| fast::gelu(x)).collect();
+    let want: Vec<f32> = src.iter().map(|&x| fast::Unit.gelu(x)).collect();
     let charged = fast::cost::gelu().times(src.len() as u64);
     assert_same(what, &got, &want, vpu.count, charged);
 }
@@ -154,7 +154,8 @@ fn check_fast_softmax(what: &str, src: &[f32], cols: usize) {
     let mut got = src.to_vec();
     vpu.softmax_rows_batch(&mut got, cols, Host, Fast);
     let mut want = src.to_vec();
-    want.chunks_exact_mut(cols).for_each(fast::softmax_row);
+    want.chunks_exact_mut(cols)
+        .for_each(|r| fast::Unit.softmax_row(r));
     let charged = fast::cost::softmax_row(cols as u64).times((src.len() / cols) as u64);
     assert_same(what, &got, &want, vpu.count, charged);
 }
@@ -332,20 +333,20 @@ fn onchip_division_stays_on_its_scalar_kernels() {
 
     let mut got = data.clone();
     batch.gelu_slice(&mut got, OnChip, Exact);
-    let want: Vec<f32> = data.iter().map(|&x| scalar.gelu_onchip(x)).collect();
+    let want: Vec<f32> = data.iter().map(|&x| scalar.onchip().gelu(x)).collect();
     assert_same("gelu", &got, &want, batch.count, scalar.count);
 
     let (mut got, mut want) = (data.clone(), data.clone());
     batch.softmax_rows_batch(&mut got, 65, OnChip, Exact);
     want.chunks_exact_mut(65)
-        .for_each(|r| scalar.softmax_row_onchip(r));
+        .for_each(|r| scalar.onchip().softmax_row(r));
     assert_same("softmax", &got, &want, batch.count, scalar.count);
 
     let clean = uniform(13, 3 * 65, 4.0);
     let (mut got, mut want) = (clean.clone(), clean);
     batch.layernorm_rows_batch(&mut got, 65, &gamma, &beta, 1e-6, OnChip, Exact);
     want.chunks_exact_mut(65)
-        .for_each(|r| scalar.layernorm_row_onchip(r, &gamma, &beta, 1e-6));
+        .for_each(|r| scalar.onchip().layernorm_row(r, &gamma, &beta, 1e-6));
     assert_same("layernorm", &got, &want, batch.count, scalar.count);
 }
 
@@ -396,7 +397,7 @@ fn fast_gelu_tile_equals_the_scalar_kernel_and_leaves_the_padding_alone() {
             vpu.gelu_tile(&mut got, &ctx, Host, Fast);
             let want: Vec<f32> = (0..b * b)
                 .map(|at| match (at / b < imax, at % b < jmax) {
-                    (true, true) => fast::gelu(src[at]),
+                    (true, true) => fast::Unit.gelu(src[at]),
                     _ => src[at],
                 })
                 .collect();
@@ -659,7 +660,7 @@ fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
             let mut got = src.clone();
             vpu.gelu_slice(&mut got, Host, Fast);
             for (g, x) in got.iter().zip(&src) {
-                assert_eq!(g.to_bits(), fast::gelu(*x).to_bits(), "gelu({x:e})");
+                assert_eq!(g.to_bits(), fast::Unit.gelu(*x).to_bits(), "gelu({x:e})");
             }
         }
     };

@@ -61,7 +61,7 @@ pub(super) mod route {
     }
 }
 
-/// [`Vpu::gelu`] over a slice.
+/// The [`Vpu`]'s GELU over a slice.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn gelu_slice(vpu: &mut Vpu, data: &mut [f32]) {
     run(vpu, &GELU, data, &[], &mut []);
@@ -175,7 +175,7 @@ fn next_block<'a>(rest: &mut &'a mut [f32], cols: usize) -> Option<&'a mut [f32]
     rest.split_off_mut(..rows * cols)
 }
 
-/// [`Vpu::softmax_row`] over every `cols`-wide row of `data`: the max scan
+/// The [`Vpu`]'s softmax over every `cols`-wide row of `data`: the max scan
 /// and the exponentials row by row, the sums a block at a time.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn softmax_rows(vpu: &mut Vpu, data: &mut [f32], cols: usize) {
@@ -203,7 +203,7 @@ pub(super) unsafe fn softmax_rows(vpu: &mut Vpu, data: &mut [f32], cols: usize) 
     }
 }
 
-/// [`Vpu::layernorm_row`] over every `cols`-wide row of `data`: centre
+/// The [`Vpu`]'s LayerNorm over every `cols`-wide row of `data`: centre
 /// and affine passes row by row, `sum` and `var_sum` a block at a time
 /// (the squares wait in a `16·cols` scratch).
 #[target_feature(enable = "avx2")]

@@ -6,7 +6,7 @@
 //! The paper makes its vector unit run-time programmable because nonlinear
 //! functions keep changing (§III-B). Here a function's operation sequence
 //! is data: [`compile_exp`] and [`compile_gelu`] emit the multiplies, adds,
-//! exponent adjust and host division of [`Vpu::exp`] and [`Vpu::gelu`] in
+//! exponent adjust and host division of the [`Vpu`]'s `exp` and GELU in
 //! the same order on the same operands, so inside its regime a program
 //! computes the scalar kernel's bits, and its per-element op mix, read off
 //! its instructions, is the kernel's [`cost`](super::cost) formula.
@@ -41,7 +41,7 @@ use std::sync::LazyLock;
 use bfp_arith::fplanes::lane::{self, F64x4};
 use bfp_arith::fplanes::LANES;
 
-use super::{OpCount, Vpu, EXP2_POLY, GELU_A, GELU_C, GELU_LANE_MAX_ABS, ROUND_MAGIC};
+use super::{Datapath, OpCount, Vpu, EXP2_POLY, GELU_A, GELU_C, GELU_LANE_MAX_ABS, ROUND_MAGIC};
 
 /// A vector register: one value per element of a group.
 type VReg = usize;
@@ -276,7 +276,7 @@ fn compile_gelu(b: &mut VBuilder, x: VReg) -> VReg {
     b.mul(hx, one_t)
 }
 
-/// [`Vpu::gelu`] element-wise.
+/// The [`Vpu`]'s GELU element-wise.
 pub(super) static GELU: LazyLock<VProgram> = LazyLock::new(|| {
     let mut b = VBuilder::new(1);
     let y = compile_gelu(&mut b, 0);
@@ -637,7 +637,7 @@ mod tests {
         (out, vpu.count, route::take_groups())
     }
 
-    /// [`Vpu::exp`] as a program: its unclamped range on the lanes.
+    /// The [`Vpu`]'s `exp` as a program: its unclamped range on the lanes.
     fn exp_program() -> VProgram {
         let mut b = VBuilder::new(1);
         b.within(0, EXP_MIN, EXP_MAX);

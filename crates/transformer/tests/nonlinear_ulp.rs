@@ -24,7 +24,7 @@ use bfp_arith::ulp::{EnvelopeStats, UlpEnvelope};
 use bfp_arith::{AddVariant, MulVariant};
 use bfp_transformer::engine::DivisionPolicy;
 use bfp_transformer::vpu::fast;
-use bfp_transformer::{NonlinearMode, Vpu};
+use bfp_transformer::{Datapath, NonlinearMode, Vpu};
 
 const DATAPATHS: [(MulVariant, AddVariant); 4] = [
     (MulVariant::DropLsp, AddVariant::Exact48),
@@ -156,7 +156,9 @@ fn exp_envelope_holds_across_round_modes() {
         f32::MAX,          // clamp to +inf
         f32::MIN,          // clamp to 0
     ]);
-    check_scalar("exp", &xs, env_exp, false, |v, x| (fast::exp(x), v.exp(x)));
+    check_scalar("exp", &xs, env_exp, false, |v, x| {
+        (fast::Unit.exp(x), v.exp(x))
+    });
 }
 
 #[test]
@@ -174,10 +176,10 @@ fn tanh_envelope_holds_across_round_modes() {
     ]);
     // Both the on-chip oracle (NR reciprocal) and the host-division oracle.
     check_scalar("tanh/onchip", &xs, env_tanh, false, |v, x| {
-        (fast::tanh(x), v.tanh_onchip(x))
+        (fast::Unit.tanh(x), v.onchip().tanh(x))
     });
     check_scalar("tanh/host", &xs, env_tanh, false, |v, x| {
-        (fast::tanh(x), v.tanh(x))
+        (fast::Unit.tanh(x), v.tanh(x))
     });
 }
 
@@ -186,10 +188,10 @@ fn gelu_envelope_holds_across_round_modes() {
     let mut xs = with_signs(grid(-126, 5, 16));
     xs.extend([f32::MAX, f32::MIN, f32::from_bits(1), -f32::from_bits(1)]);
     check_scalar("gelu/onchip", &xs, env_gelu, false, |v, x| {
-        (fast::gelu(x), v.gelu_onchip(x))
+        (fast::Unit.gelu(x), v.onchip().gelu(x))
     });
     check_scalar("gelu/host", &xs, env_gelu, false, |v, x| {
-        (fast::gelu(x), v.gelu(x))
+        (fast::Unit.gelu(x), v.gelu(x))
     });
 }
 
@@ -198,7 +200,7 @@ fn rsqrt_envelope_holds_across_round_modes() {
     let mut xs = grid(-126, 127, 16);
     xs.extend([0.0, f32::from_bits(1), f32::MAX]);
     check_scalar("rsqrt", &xs, env_rsqrt, false, |v, x| {
-        (fast::rsqrt(x), v.rsqrt_onchip(x, 3))
+        (fast::Unit.rsqrt(x), v.onchip().rsqrt_nr(x))
     });
 }
 
@@ -224,7 +226,7 @@ fn softmax_rows_within(
                         .collect();
                     let mut a = row.clone();
                     let mut b = row.clone();
-                    fast::softmax_row(&mut a);
+                    fast::Unit.softmax_row(&mut a);
                     vpu.softmax_rows_batch(&mut b, n, DivisionPolicy::OnChip, NonlinearMode::Exact);
                     for (g, w) in a.iter().zip(&b) {
                         assert!(
@@ -253,7 +255,7 @@ fn layernorm_rows_within(seeds: std::ops::Range<usize>, sizes: &[usize], heavy: 
                     .collect();
                 let mut a = row.clone();
                 let mut b = row.clone();
-                fast::layernorm_row(&mut a, &gamma, &beta, 1e-6);
+                fast::Unit.layernorm_row(&mut a, &gamma, &beta, 1e-6);
                 vpu.layernorm_rows_batch(
                     &mut b,
                     n,
@@ -296,25 +298,31 @@ fn layernorm_row_envelope_holds_across_round_modes() {
 fn clamp_regions_are_bit_identical_to_exact() {
     let mut vpu = Vpu::new();
     for x in [88.001f32, 200.0, f32::MAX] {
-        assert_eq!(fast::exp(x).to_bits(), vpu.exp(x).to_bits());
-        assert_eq!(fast::exp(x), f32::INFINITY);
+        assert_eq!(fast::Unit.exp(x).to_bits(), vpu.exp(x).to_bits());
+        assert_eq!(fast::Unit.exp(x), f32::INFINITY);
     }
     for x in [-87.001f32, -200.0, f32::MIN] {
-        assert_eq!(fast::exp(x).to_bits(), vpu.exp(x).to_bits());
-        assert_eq!(fast::exp(x), 0.0);
+        assert_eq!(fast::Unit.exp(x).to_bits(), vpu.exp(x).to_bits());
+        assert_eq!(fast::Unit.exp(x), 0.0);
     }
     for x in [15.001f32, 1.0e4, f32::MAX] {
-        assert_eq!(fast::tanh(x).to_bits(), vpu.tanh_onchip(x).to_bits());
-        assert_eq!(fast::tanh(-x).to_bits(), vpu.tanh_onchip(-x).to_bits());
+        assert_eq!(fast::Unit.tanh(x).to_bits(), vpu.onchip().tanh(x).to_bits());
+        assert_eq!(
+            fast::Unit.tanh(-x).to_bits(),
+            vpu.onchip().tanh(-x).to_bits()
+        );
     }
     // GELU passes large positives through and flushes large negatives to
     // a signed zero; both ends must match the oracle exactly.
     for x in [9.1f32, 64.0, f32::MAX] {
-        assert_eq!(fast::gelu(x).to_bits(), vpu.gelu_onchip(x).to_bits());
-        assert_eq!(fast::gelu(-x).to_bits(), vpu.gelu_onchip(-x).to_bits());
+        assert_eq!(fast::Unit.gelu(x).to_bits(), vpu.onchip().gelu(x).to_bits());
+        assert_eq!(
+            fast::Unit.gelu(-x).to_bits(),
+            vpu.onchip().gelu(-x).to_bits()
+        );
     }
-    assert_eq!(fast::rsqrt(0.0), f32::INFINITY);
-    assert_eq!(vpu.rsqrt_onchip(0.0, 3), f32::INFINITY);
+    assert_eq!(fast::Unit.rsqrt(0.0), f32::INFINITY);
+    assert_eq!(vpu.onchip().rsqrt_nr(0.0), f32::INFINITY);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,7 +334,9 @@ fn clamp_regions_are_bit_identical_to_exact() {
 #[ignore = "heavy sweep: run in release (CI ulp-suite job)"]
 fn heavy_exp_envelope_dense_grid() {
     let xs = with_signs(grid(-126, 6, 64));
-    check_scalar("exp", &xs, env_exp, true, |v, x| (fast::exp(x), v.exp(x)));
+    check_scalar("exp", &xs, env_exp, true, |v, x| {
+        (fast::Unit.exp(x), v.exp(x))
+    });
 }
 
 #[test]
@@ -335,11 +345,11 @@ fn heavy_tanh_gelu_envelope_dense_grid() {
     let mut xs = with_signs(grid(-126, 4, 64));
     xs.extend([14.999f32, -14.999]);
     check_scalar("tanh/onchip", &xs, env_tanh, true, |v, x| {
-        (fast::tanh(x), v.tanh_onchip(x))
+        (fast::Unit.tanh(x), v.onchip().tanh(x))
     });
     let xs = with_signs(grid(-126, 5, 64));
     check_scalar("gelu/onchip", &xs, env_gelu, true, |v, x| {
-        (fast::gelu(x), v.gelu_onchip(x))
+        (fast::Unit.gelu(x), v.onchip().gelu(x))
     });
 }
 
@@ -348,7 +358,7 @@ fn heavy_tanh_gelu_envelope_dense_grid() {
 fn heavy_rsqrt_envelope_dense_grid() {
     let xs = grid(-126, 127, 64);
     check_scalar("rsqrt", &xs, env_rsqrt, true, |v, x| {
-        (fast::rsqrt(x), v.rsqrt_onchip(x, 3))
+        (fast::Unit.rsqrt(x), v.onchip().rsqrt_nr(x))
     });
 }
 
@@ -369,12 +379,12 @@ fn heavy_exp_gelu_lcg_bit_patterns() {
                 continue; // NaN propagation is outside the kernel contract
             }
             n += 1;
-            let (g, w) = (fast::exp(x), vpu.exp(x));
+            let (g, w) = (fast::Unit.exp(x), vpu.exp(x));
             assert!(
                 eexp.admits(g, w),
                 "exp {mv:?}/{av:?} x={x:e}: {g:e} vs {w:e}"
             );
-            let (g, w) = (fast::gelu(x), vpu.gelu_onchip(x));
+            let (g, w) = (fast::Unit.gelu(x), vpu.onchip().gelu(x));
             assert!(
                 egelu.admits(g, w),
                 "gelu {mv:?}/{av:?} x={x:e}: {g:e} vs {w:e}"
@@ -560,14 +570,14 @@ fn exact_scalar_kernels_match_pre_fast_path_goldens() {
     for (i, &x) in GOLDEN_XS.iter().enumerate() {
         assert_eq!(vpu.gelu(x).to_bits(), GOLDEN_GELU_HOST[i], "gelu x={x:e}");
         assert_eq!(
-            vpu.gelu_onchip(x).to_bits(),
+            vpu.onchip().gelu(x).to_bits(),
             GOLDEN_GELU_ONCHIP[i],
             "gelu_onchip x={x:e}"
         );
         assert_eq!(vpu.exp(x).to_bits(), GOLDEN_EXP[i], "exp x={x:e}");
         assert_eq!(vpu.tanh(x).to_bits(), GOLDEN_TANH[i], "tanh x={x:e}");
         if let Some(bits) = GOLDEN_RSQRT[i] {
-            assert_eq!(vpu.rsqrt_onchip(x, 3).to_bits(), bits, "rsqrt x={x:e}");
+            assert_eq!(vpu.onchip().rsqrt_nr(x).to_bits(), bits, "rsqrt x={x:e}");
         }
     }
 }
@@ -609,29 +619,29 @@ fn exact_batched_kernels_match_pre_fast_path_goldens() {
 fn onchip_tanh_and_fast_kernels_match_their_goldens() {
     let mut vpu = Vpu::new();
     for (i, &x) in GOLDEN_XS.iter().enumerate() {
-        let onchip = vpu.tanh_onchip(x).to_bits();
+        let onchip = vpu.onchip().tanh(x).to_bits();
         assert_eq!(onchip, GOLDEN_TANH_ONCHIP[i], "tanh_onchip x={x:e}");
         assert_eq!(
-            fast::exp(x).to_bits(),
+            fast::Unit.exp(x).to_bits(),
             GOLDEN_FAST_EXP[i],
             "fast exp x={x:e}"
         );
         assert_eq!(
-            fast::tanh(x).to_bits(),
+            fast::Unit.tanh(x).to_bits(),
             GOLDEN_FAST_TANH[i],
             "fast tanh x={x:e}"
         );
         assert_eq!(
-            fast::gelu(x).to_bits(),
+            fast::Unit.gelu(x).to_bits(),
             GOLDEN_FAST_GELU[i],
             "fast gelu x={x:e}"
         );
         if let Some(want) = GOLDEN_FAST_RSQRT[i] {
-            assert_eq!(fast::rsqrt(x).to_bits(), want, "fast rsqrt x={x:e}");
+            assert_eq!(fast::Unit.rsqrt(x).to_bits(), want, "fast rsqrt x={x:e}");
         }
     }
     let mut r = golden_row();
-    fast::softmax_row(&mut r);
+    fast::Unit.softmax_row(&mut r);
     assert_eq!(bits(&r), GOLDEN_FAST_SOFTMAX, "fast softmax row");
     let mut r = golden_row();
     vpu.softmax_rows_batch(&mut r, 11, DivisionPolicy::Host, NonlinearMode::Fast);
@@ -639,7 +649,7 @@ fn onchip_tanh_and_fast_kernels_match_their_goldens() {
     let gamma: Vec<f32> = (0..11).map(|j| 1.0 + j as f32 * 0.01).collect();
     let beta: Vec<f32> = (0..11).map(|j| (j as f32 * 0.3).cos()).collect();
     let mut r = golden_row();
-    fast::layernorm_row(&mut r, &gamma, &beta, 1e-6);
+    fast::Unit.layernorm_row(&mut r, &gamma, &beta, 1e-6);
     assert_eq!(bits(&r), GOLDEN_FAST_LAYERNORM, "fast layernorm row");
     let mut r = golden_row();
     let (div, mode) = (DivisionPolicy::Host, NonlinearMode::Fast);
@@ -659,7 +669,9 @@ fn reduced_precision_rows_match_their_goldens() {
         })
         .collect();
     let sm_src: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).cos() * 6.0).collect();
-    for ((name, f), (want_name, want_sm, want_ln)) in RedFp::PRESETS.into_iter().zip(GOLDEN_REDFP) {
+    for ((name, mut f), (want_name, want_sm, want_ln)) in
+        RedFp::PRESETS.into_iter().zip(GOLDEN_REDFP)
+    {
         assert_eq!(name, want_name);
         let (mut sm, mut ln) = (sm_src.clone(), ln_src.clone());
         f.softmax_row(&mut sm);

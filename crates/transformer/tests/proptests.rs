@@ -2,7 +2,7 @@
 
 use bfp_arith::matrix::MatF32;
 use bfp_arith::stats::ErrorStats;
-use bfp_transformer::{Engine, MixedEngine, RefEngine, Vpu};
+use bfp_transformer::{Datapath, Engine, MixedEngine, RefEngine, Vpu};
 use proptest::prelude::*;
 
 fn moderate_f32() -> impl Strategy<Value = f32> {
@@ -56,7 +56,7 @@ proptest! {
         let mut v1 = row.clone();
         let mut v2 = row.clone();
         Vpu::new().softmax_row(&mut v1);
-        Vpu::new().softmax_row_onchip(&mut v2);
+        Vpu::new().onchip().softmax_row(&mut v2);
         for (a, b) in v1.iter().zip(&v2) {
             prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }

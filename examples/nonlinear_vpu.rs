@@ -9,7 +9,7 @@
 
 use bfp_arith::matrix::MatF32;
 use bfp_transformer::reference;
-use bfp_transformer::Vpu;
+use bfp_transformer::{Datapath, Vpu};
 
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter()

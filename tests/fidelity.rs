@@ -9,7 +9,7 @@ use bfp_arith::fpmul::{HwFp32Mul, MulVariant};
 use bfp_arith::matrix::MatF32;
 use bfp_arith::stats::ErrorStats;
 use bfp_arith::ulp::ulp_distance;
-use bfp_transformer::{MixedEngine, RefEngine, VitConfig, VitModel};
+use bfp_transformer::{Datapath, MixedEngine, RefEngine, VitConfig, VitModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -13,7 +13,6 @@
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
-use bfp_arith::halffp::{self, ops as f16ops};
 use bfp_arith::matrix::MatF32;
 use bfp_arith::quant::{Quantizer, RoundMode};
 use bfp_arith::redfp::RedFp;
@@ -28,7 +27,7 @@ use bfp_platform::{
 use bfp_pu::throughput;
 use bfp_pu::unit::ProcessingUnit;
 use bfp_transformer::{
-    analytical_census, reference, MixedEngine, RefEngine, VitConfig, VitModel, Vpu,
+    analytical_census, reference, Datapath, MixedEngine, RefEngine, VitConfig, VitModel, Vpu,
 };
 
 const F300: f64 = 300.0e6;
@@ -684,8 +683,17 @@ fn extension_motivation() {
     let logits: Vec<f32> = (0..197)
         .map(|k| ((k as f32 * 0.61).sin() + 1.0) * 7.5)
         .collect();
+    // The naive kernel (no max subtraction), every operation in fp16.
+    let mut fp16 = RedFp::FP16;
     let mut f16_row = logits.clone();
-    halffp::softmax_row_f16(&mut f16_row);
+    let mut f16_row_sum = 0f32;
+    for v in f16_row.iter_mut() {
+        *v = fp16.exp(*v);
+        f16_row_sum = fp16.add(f16_row_sum, *v);
+    }
+    for v in f16_row.iter_mut() {
+        *v = fp16.div(*v, f16_row_sum);
+    }
     let nan_logits: Vec<f32> = logits
         .iter()
         .zip(&f16_row)
@@ -709,7 +717,7 @@ fn extension_motivation() {
     // exceeds the addend.
     let (mut f16_sum, mut f32_sum) = (0f32, 0f32);
     for _ in 0..4096 {
-        f16_sum = f16ops::add(f16_sum, 1.0);
+        f16_sum = fp16.add(f16_sum, 1.0);
         f32_sum += 1.0;
     }
     println!("sum of 4096 ones: fp16 {f16_sum}, fp32 {f32_sum}");
@@ -726,7 +734,7 @@ fn extension_futurework() {
     let (mut host, mut chip) = (Vpu::new(), Vpu::new());
     let (mut row_host, mut row_chip) = (logits.clone(), logits);
     host.softmax_row(&mut row_host);
-    chip.softmax_row_onchip(&mut row_chip);
+    chip.onchip().softmax_row(&mut row_chip);
     let (host_count, chip_count) = (host.take_count(), chip.take_count());
     let rows = [
         ("paper prototype (host div)", host_count, &row_host),
@@ -771,7 +779,7 @@ fn extension_futurework() {
     reference::layernorm_rows(&mut ln_ref, &gamma, &beta, 1e-6);
     let mut sm_ref = MatF32::from_vec(1, n, sm_src.clone());
     reference::softmax_rows(&mut sm_ref);
-    let rows = RedFp::PRESETS.map(|(name, f)| {
+    let rows = RedFp::PRESETS.map(|(name, mut f)| {
         let (mut sm, mut ln) = (sm_src.clone(), ln_src.clone());
         f.softmax_row(&mut sm);
         f.layernorm_row(&mut ln, &gamma, &beta, 1e-6);
