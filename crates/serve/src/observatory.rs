@@ -29,6 +29,7 @@ use bfp_telemetry::slo::BurnTracker;
 use bfp_telemetry::ShadowSample;
 
 use crate::backend::{reference_bits, ServeOp};
+use crate::serving::Priority;
 
 /// Serve-time envelope for a fast-mode output against the exact
 /// oracle. A fast `GemmGelu` differs from exact only in the GELU
@@ -175,11 +176,11 @@ impl Observatory {
     }
 
     /// Record one resolved request: ring push, burn-rate update for its
-    /// stream, and a burn-rate trigger check. `bad` marks SLO budget
-    /// consumption (deadline misses and sheds).
-    pub fn record_completion(&self, record: FlightRecord, bad: bool) {
+    /// `priority` stream, and a burn-rate trigger check. `bad` marks SLO
+    /// budget consumption (deadline misses and sheds).
+    pub fn record_completion(&self, record: FlightRecord, priority: Priority, bad: bool) {
         let now_s = self.now_s();
-        let key = (record.tenant as u64, priority_index(&record.priority));
+        let key = (record.tenant as u64, priority.index());
         self.recorder.push(record);
         let mut burn = self.burn.lock().unwrap();
         let tracker = burn
@@ -223,14 +224,6 @@ impl Observatory {
     }
 }
 
-fn priority_index(label: &str) -> usize {
-    match label {
-        "bulk" => 0,
-        "critical" => 2,
-        _ => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +261,7 @@ mod tests {
         // 100% deadline misses against a 5% budget: burn 20x on every
         // window → exactly one dump (cooldown suppresses the rest).
         for _ in 0..50 {
-            obs.record_completion(record(3, "standard", true), true);
+            obs.record_completion(record(3, "standard", true), Priority::Standard, true);
         }
         let dumps = obs.take_dumps();
         assert_eq!(dumps.len(), 1);
@@ -282,7 +275,7 @@ mod tests {
     fn clean_traffic_never_triggers() {
         let obs = Observatory::new(ObservatoryConfig::default(), Instant::now());
         for _ in 0..200 {
-            obs.record_completion(record(0, "critical", false), false);
+            obs.record_completion(record(0, "critical", false), Priority::Critical, false);
         }
         assert!(obs.take_dumps().is_empty());
     }

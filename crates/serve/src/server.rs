@@ -883,7 +883,7 @@ fn observe_resolution(shared: &Shared, job: &Job, failure: &Option<ServeError>) 
             .collect(),
         shadow: job.shadow.clone(),
     };
-    shared.obs.record_completion(record, bad);
+    shared.obs.record_completion(record, job.priority, bad);
 }
 
 /// Retry delay before attempt `attempt` (1-based count of executions

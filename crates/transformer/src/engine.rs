@@ -437,8 +437,7 @@ impl MixedEngine {
     /// VPU with the same datapath configuration; shards touch disjoint
     /// data, so outputs are bit-identical to the serial kernel for any
     /// shard count, and the per-shard [`OpCount`]s are merged in shard
-    /// order — deterministic — into both the live VPU counter and the
-    /// returned delta.
+    /// order — deterministic — into the returned delta.
     fn vpu_parallel(
         &mut self,
         data: &mut [f32],
@@ -457,7 +456,6 @@ impl MixedEngine {
         for (vpu, _) in &workers {
             total.merge(&vpu.count);
         }
-        self.vpu.count.merge(&total);
         total
     }
 
@@ -593,9 +591,9 @@ impl MixedEngine {
     /// takes `drain` before it is written out, in exactly the element
     /// order of the composed `Linear::forward` (+ `residual_add` /
     /// `Engine::gelu`) sequence. The GELU drain runs per tile on a
-    /// per-shard VPU; counts merge in shard order into the live VPU and
-    /// the gelu census, matching the composed totals (GELU is
-    /// element-independent, so tile order cannot change bits or counts).
+    /// per-shard VPU; counts merge in shard order into the gelu census,
+    /// matching the composed totals (GELU is element-independent, so tile
+    /// order cannot change bits or counts).
     ///
     /// Accounting on success mirrors `Engine::matmul_weight`: resolving
     /// the weight's pack bills quantize_pack, the fused kernel bills gemm,
@@ -638,7 +636,6 @@ impl MixedEngine {
         for v in &vpus {
             delta.merge(&v.count);
         }
-        self.vpu.count.merge(&delta);
         self.census.gelu.merge(&delta);
         self.phase.quantize_pack += t1.duration_since(t0);
         self.phase.gemm += t2.duration_since(t1);
