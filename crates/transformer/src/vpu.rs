@@ -393,31 +393,6 @@ impl Vpu {
         std::mem::take(&mut self.count)
     }
 
-    /// Hardware multiply.
-    #[inline]
-    pub fn m(&mut self, a: f32, b: f32) -> f32 {
-        self.count.fp_mul += 1;
-        if self.via_partials {
-            self.mul.mul_via_partials(a, b)
-        } else {
-            self.mul.mul(a, b)
-        }
-    }
-
-    /// Hardware add.
-    #[inline]
-    pub fn a(&mut self, a: f32, b: f32) -> f32 {
-        self.count.fp_add += 1;
-        self.add.add(a, b)
-    }
-
-    /// Hardware subtract (sign flip through the XOR gate + add).
-    #[inline]
-    pub fn s(&mut self, a: f32, b: f32) -> f32 {
-        self.count.fp_add += 1;
-        self.add.sub(a, b)
-    }
-
     /// Host division.
     #[inline]
     pub fn div_host(&mut self, a: f32, b: f32) -> f32 {
@@ -471,9 +446,9 @@ impl Vpu {
             y = -y;
         }
         for _ in 0..iters {
-            let xy = self.m(x, y);
-            let e = self.s(2.0, xy);
-            y = self.m(y, e);
+            let xy = self.mul(x, y);
+            let e = self.sub(2.0, xy);
+            y = self.mul(y, e);
         }
         y
     }
@@ -481,7 +456,7 @@ impl Vpu {
     /// Division on the array: `a × recip(b)`.
     pub fn div_onchip(&mut self, a: f32, b: f32) -> f32 {
         let r = self.recip(b, 3);
-        self.m(a, r)
+        self.mul(a, r)
     }
 
     /// The on-chip view of this VPU: the same datapath and counters, with
@@ -680,16 +655,29 @@ impl Vpu {
 }
 
 impl Datapath for Vpu {
+    /// Hardware multiply.
+    #[inline]
     fn mul(&mut self, a: f32, b: f32) -> f32 {
-        self.m(a, b)
+        self.count.fp_mul += 1;
+        if self.via_partials {
+            self.mul.mul_via_partials(a, b)
+        } else {
+            self.mul.mul(a, b)
+        }
     }
 
+    /// Hardware add.
+    #[inline]
     fn add(&mut self, a: f32, b: f32) -> f32 {
-        self.a(a, b)
+        self.count.fp_add += 1;
+        self.add.add(a, b)
     }
 
+    /// Hardware subtract (sign flip through the XOR gate + add).
+    #[inline]
     fn sub(&mut self, a: f32, b: f32) -> f32 {
-        self.s(a, b)
+        self.count.fp_add += 1;
+        self.add.sub(a, b)
     }
 
     /// `e^x` by range reduction (`x = k ln2 + f ln2`) and a degree-5
@@ -702,19 +690,19 @@ impl Datapath for Vpu {
         if x < -87.0 {
             return 0.0;
         }
-        let t = self.m(x, std::f32::consts::LOG2_E);
+        let t = self.mul(x, std::f32::consts::LOG2_E);
         // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
         // constant pushes the fraction off the mantissa, and truncation
         // floors it.
-        let th = self.a(t, 0.5);
-        let shifted = self.a(th, ROUND_MAGIC);
-        let kf = self.s(shifted, ROUND_MAGIC);
-        let f = self.s(t, kf);
+        let th = self.add(t, 0.5);
+        let shifted = self.add(th, ROUND_MAGIC);
+        let kf = self.sub(shifted, ROUND_MAGIC);
+        let f = self.sub(t, kf);
         // Horner: 2^f ≈ Σ c_i f^i.
         let mut p = EXP2_POLY[5];
         for c in EXP2_POLY[..5].iter().rev() {
-            let pf = self.m(p, f);
-            p = self.a(pf, *c);
+            let pf = self.mul(p, f);
+            p = self.add(pf, *c);
         }
         self.scale_exp2(p, kf as i32)
     }
@@ -746,15 +734,15 @@ pub struct OnChip<'a>(&'a mut Vpu);
 
 impl Datapath for OnChip<'_> {
     fn mul(&mut self, a: f32, b: f32) -> f32 {
-        self.0.m(a, b)
+        self.0.mul(a, b)
     }
 
     fn add(&mut self, a: f32, b: f32) -> f32 {
-        self.0.a(a, b)
+        self.0.add(a, b)
     }
 
     fn sub(&mut self, a: f32, b: f32) -> f32 {
-        self.0.s(a, b)
+        self.0.sub(a, b)
     }
 
     fn exp(&mut self, x: f32) -> f32 {

@@ -86,7 +86,7 @@ fn rom_address(s: f32) -> (usize, f32) {
 /// the unit runs the LUT-seeded NR steps [`cost::recip`] charges) and the
 /// NR `1/√x` from a seed ROM. It counts nothing: the pipeline's cost is
 /// data-independent, so the batched callers charge [`cost`] per element.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Unit;
 
 impl Datapath for Unit {

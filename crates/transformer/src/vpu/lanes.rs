@@ -30,7 +30,7 @@ use bfp_arith::fplanes::lane;
 use bfp_arith::fplanes::LANES;
 
 use super::prog::{run, Bind, AFFINE, CENTRE, GELU, SHIFTED_EXP};
-use super::Vpu;
+use super::{Datapath, Vpu};
 
 /// Rows per lock-step block: four accumulator vectors of four rows each.
 const BLOCK_ROWS: usize = 4 * LANES;
@@ -147,7 +147,7 @@ unsafe fn row_sums(vpu: &mut Vpu, block: &[f32], cols: usize, sums: &mut [f32]) 
         for (row, sum) in block.chunks_exact(cols).zip(sums.iter_mut()) {
             *sum = 0.0;
             for &v in row {
-                *sum = vpu.a(*sum, v);
+                *sum = vpu.add(*sum, v);
             }
         }
     }
@@ -229,13 +229,13 @@ pub(super) unsafe fn layernorm_rows(
             .chunks_exact_mut(cols)
             .zip(squares.chunks_exact_mut(cols));
         for ((row, sq), &sum) in rows.zip(sums.iter()) {
-            let mean = vpu.m(sum, inv_n);
+            let mean = vpu.mul(sum, inv_n);
             run(vpu, &CENTRE, row, &[Bind::Splat(mean)], &mut [sq]);
         }
         row_sums(vpu, squares, cols, sums);
         for (row, &var_sum) in block.chunks_exact_mut(cols).zip(sums.iter()) {
-            let var = vpu.m(var_sum, inv_n);
-            let ve = vpu.a(var, eps);
+            let var = vpu.mul(var_sum, inv_n);
+            let ve = vpu.add(var, eps);
             let sd = vpu.sqrt_host(ve);
             let inv = vpu.div_host(1.0, sd);
             let binds = [Bind::Splat(inv), Bind::Slice(gamma), Bind::Slice(beta)];

@@ -290,7 +290,7 @@ pub(super) static SHIFTED_EXP: LazyLock<VProgram> = LazyLock::new(|| {
     b.within(shifted, EXP_MIN, EXP_MAX);
     let y = compile_exp(&mut b, shifted);
     b.finish(&[y], f32::MAX, |vpu, x, y| {
-        let shifted = vpu.s(x[0], x[1]);
+        let shifted = vpu.sub(x[0], x[1]);
         y[0] = vpu.exp(shifted);
     })
 });
@@ -302,8 +302,8 @@ pub(super) static CENTRE: LazyLock<VProgram> = LazyLock::new(|| {
     let d = b.sub(0, 1);
     let sq = b.mul(d, d);
     b.finish(&[d, sq], LAYERNORM_MAX_ABS, |vpu, x, y| {
-        y[0] = vpu.s(x[0], x[1]);
-        y[1] = vpu.m(y[0], y[0]);
+        y[0] = vpu.sub(x[0], x[1]);
+        y[1] = vpu.mul(y[0], y[0]);
     })
 });
 
@@ -315,9 +315,9 @@ pub(super) static AFFINE: LazyLock<VProgram> = LazyLock::new(|| {
     let scaled = b.mul(nrm, 2);
     let y = b.add(scaled, 3);
     b.finish(&[y], LAYERNORM_MAX_ABS, |vpu, x, y| {
-        let nrm = vpu.m(x[0], x[1]);
-        let scaled = vpu.m(nrm, x[2]);
-        y[0] = vpu.a(scaled, x[3]);
+        let nrm = vpu.mul(x[0], x[1]);
+        let scaled = vpu.mul(nrm, x[2]);
+        y[0] = vpu.add(scaled, x[3]);
     })
 });
 
@@ -689,11 +689,11 @@ mod tests {
         let r = b.host_div_i(1.0, d);
         let y = b.mul(0, r);
         let silu = b.finish(&[y], f32::MAX, |vpu, x, y| {
-            let neg = vpu.m(x[0], -1.0);
+            let neg = vpu.mul(x[0], -1.0);
             let e = vpu.exp(neg);
-            let d = vpu.a(e, 1.0);
+            let d = vpu.add(e, 1.0);
             let r = vpu.div_host(1.0, d);
-            y[0] = vpu.m(x[0], r);
+            y[0] = vpu.mul(x[0], r);
         });
         let src: Vec<f32> = (-30..=30).map(|k| k as f32 * 0.2).collect();
         let (got, count, route) = on_lanes(&silu, &src);

@@ -76,7 +76,7 @@ proptest! {
         prop_assume!(x.abs() > 1e-3);
         let mut vpu = Vpu::new();
         let r = vpu.recip(x, 3);
-        let prod = vpu.m(x, r);
+        let prod = vpu.mul(x, r);
         prop_assert!((prod - 1.0).abs() < 1e-5, "x*recip(x) = {prod}");
     }
 

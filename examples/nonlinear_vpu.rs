@@ -75,9 +75,9 @@ fn main() {
     // programmable rather than hard-wired.
     let silu = |vpu: &mut Vpu, x: f32| -> f32 {
         let e = vpu.exp(-x);
-        let d = vpu.a(e, 1.0);
+        let d = vpu.add(e, 1.0);
         let s = vpu.div_host(1.0, d);
-        vpu.m(x, s)
+        vpu.mul(x, s)
     };
     let hw: Vec<f32> = xs.iter().map(|&x| silu(&mut vpu, x)).collect();
     let rf: Vec<f32> = xs.iter().map(|&x| x * (1.0 / (1.0 + (-x).exp()))).collect();

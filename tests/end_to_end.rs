@@ -6,7 +6,7 @@ use bfp_core::prelude::*;
 use bfp_core::{compile_gemm, Accelerator};
 use bfp_pu::isa::Interpreter;
 use bfp_pu::unit::{grid_from_matrix, Fidelity, UnitConfig};
-use bfp_transformer::{Engine, MixedEngine};
+use bfp_transformer::{Datapath, Engine, MixedEngine};
 
 fn smooth(rows: usize, cols: usize, phase: f32) -> MatF32 {
     MatF32::from_fn(rows, cols, |i, j| {
@@ -115,7 +115,7 @@ fn fp32_streams_on_unit_match_vpu_scalars() {
     for k in 0..97 {
         assert_eq!(
             stream[k].to_bits(),
-            vpu.m(xs[k], ys[k]).to_bits(),
+            vpu.mul(xs[k], ys[k]).to_bits(),
             "element {k}"
         );
     }
