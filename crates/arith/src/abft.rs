@@ -48,11 +48,13 @@
 //! down the detection ladder (see DESIGN.md "Detection ladder").
 //!
 //! For the paper's 8×8 blocks on an AVX2 host a chain runs on registers
-//! (`packed::chain_i32_avx2`, lanes as a ninth row and column) while it
-//! stays clean; the scalar loop here replays any chain that does not. The
-//! i16 lanes do not fit `vpdpbusd`'s u8 × i8 operands, so checked chains
-//! and their unverified baseline stay on that tier on an AVX-512 VNNI host
-//! too.
+//! while it stays clean, on the tier the plain GEMM takes: the zmm pair
+//! kernel (`packed::chain_pair_vnni512`) on an AVX-512 VNNI host, the ymm
+//! one (`packed::chain_i32_avx2`) on any other, each the plain chain's
+//! body with the lanes as a ninth row and column. The scalar loop here
+//! replays any chain that does not stay clean. The unverified baseline is
+//! that tier's plain chain, so what a campaign measures against it is the
+//! lanes alone.
 //!
 //! With the `faults` feature the scalar loop routes operand/exponent/
 //! product/accumulator accesses through the `bfp-faults` hooks, and runs
@@ -65,9 +67,7 @@
 use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
 use crate::matrix::MatF32;
-#[cfg(target_arch = "x86_64")]
-use crate::packed::{chain_i32_avx2, ChainSums};
-use crate::packed::{dot_i8, ChainKernel, EpilogueCtx, PackedBfp};
+use crate::packed::{dot_i8, ChainKernel, ChainSums, EpilogueCtx, PackedBfp};
 use crate::quant::{BfpMatrix, Quantizer};
 
 /// Fused per-tile epilogue for the checked kernel: applied to an output
@@ -318,31 +318,26 @@ impl AbftPacked {
         self.rows_checked_on(kernel, rhs, bi_lo, bi_hi, out_rows, opts, report, epi);
     }
 
-    /// The chain kernel a checked call runs on. A live `bfp-faults`
-    /// session perturbs single operand, product and accumulator accesses,
-    /// which only the scalar loop routes through the hooks, so it takes
-    /// that loop. The unverified baseline keeps the checked chain's tier,
-    /// so what a campaign measures against it is the lanes alone: a plain
-    /// chain [`ChainKernel::select`] puts on the `Vnni512` tier runs on
-    /// `Avx2I32` here.
+    /// The chain kernel a checked call runs on: [`ChainKernel::select`]'s
+    /// pick, the plain GEMM's tier. A live `bfp-faults` session perturbs
+    /// single operand, product and accumulator accesses, which only the
+    /// scalar loop routes through the hooks, so it takes that loop.
     fn chain_kernel(&self, opts: &AbftOptions) -> ChainKernel {
         if injecting() {
             return ChainKernel::I64;
         }
         let (_, kb) = self.packed.grid();
-        match ChainKernel::select(self.packed.block(), kb, !opts.no_verify) {
-            #[cfg(target_arch = "x86_64")]
-            ChainKernel::Vnni512 => ChainKernel::Avx2I32,
-            kernel => kernel,
-        }
+        ChainKernel::select(self.packed.block(), kb, !opts.no_verify)
     }
 
     /// Runs every `(bi, bj)` chain of the block-row range and then its
     /// tail: tamper seam, committed-value verify and repair, epilogue,
-    /// drain. On [`ChainKernel::Avx2I32`] a chain runs on registers, which
-    /// can only answer "clean so far": one that sees a mismatch is replayed
-    /// from its first step on the scalar loop, the kernel that localises
-    /// and repairs — and the bit *and report* oracle of the register one.
+    /// drain. A register kernel runs one chain per call (`Avx2I32`) or the
+    /// pair `bj`, `bj + 1` (`Vnni512`), and can only answer "clean so far"
+    /// for each: a chain that sees a mismatch is replayed from its first
+    /// step on the scalar loop, the kernel that localises and repairs — and
+    /// the bit *and report* oracle of the register ones — while its partner
+    /// keeps its register result.
     #[allow(clippy::too_many_arguments)]
     fn rows_checked_on(
         &self,
@@ -362,134 +357,112 @@ impl AbftPacked {
         let (_, kb) = self.packed.grid();
         let (_, nb) = rhs.packed.grid();
         let mut s = Scratch::new(b);
+        // The register chain's LHS block-row and its lanes, staged once per
+        // `bi`.
+        let mut xs = vec![0i32; kernel.staged_words(kb)];
+        let mut xl = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        assert_ne!(
-            kernel,
-            ChainKernel::Vnni512,
-            "the checked chain has no Vnni512 tier"
-        );
-        // The register chain's LHS block-row, widened once per `bi`.
-        let mut xp = vec![0i32; kernel.staged_words(kb)];
+        let mut acc32 = [[0i32; 64]; 2];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.packed.rows() - bi * b);
-            kernel.stage_lhs(
-                &self.packed.man_plane()[bi * kb * b * b..][..kb * b * b],
-                &mut xp,
-            );
-            for bj in 0..nb {
-                let jmax = b.min(rhs.packed.cols() - bj * b);
-                let mut chain = None;
+            let x = &self.packed.man_plane()[bi * kb * b * b..][..kb * b * b];
+            kernel.stage_lhs(x, &mut xs);
+            if verify {
+                kernel.stage_lanes(x, &self.csum[bi * kb * b..][..kb * b], &mut xl);
+            }
+            let mut bj = 0;
+            while bj < nb {
+                // The register kernel's chains from `bj` on: how many, their
+                // exponents and lanes.
+                let mut n = 1;
+                let mut regs: Option<([Option<i32>; 2], ChainSums)> = None;
                 #[cfg(target_arch = "x86_64")]
-                if kernel == ChainKernel::Avx2I32 {
-                    let clean = self.chain_on_registers(rhs, bi, bj, verify, &xp, &mut s, report);
-                    chain = clean.map(|exp| (exp, false));
+                if kernel != ChainKernel::I64 {
+                    let mut sums = ChainSums {
+                        xc: &xl,
+                        yc: &rhs.csum,
+                        #[cfg(test)]
+                        upset: [bj, bj + 1].map(|bj| tests::mid_chain_upset(bi, bj)),
+                        ..ChainSums::default()
+                    };
+                    let (x_exps, y) = (&self.packed.exp_plane()[bi * kb..][..kb], &rhs.packed);
+                    let (tiles, exps) = if verify {
+                        kernel.chain_i32::<true>(x, &xs, x_exps, y, bj, &mut sums, &mut acc32)
+                    } else {
+                        kernel.chain_i32::<false>(x, &xs, x_exps, y, bj, &mut sums, &mut acc32)
+                    };
+                    n = tiles;
+                    regs = Some((exps, sums));
                 }
-                let (acc_exp, dirty) =
-                    chain.unwrap_or_else(|| self.chain_scalar(rhs, bi, bj, verify, &mut s, report));
-                let (acc, etile) = (&mut s.acc, &mut s.etile);
-                let ctx = EpilogueCtx {
-                    r0: bi * b,
-                    c0: bj * b,
-                    imax,
-                    jmax,
-                    b,
-                };
-                // Whether the tile may enter the epilogue. A `K = 0` chain
-                // may: the reference kernel leaves zeros there, and a fused
-                // epilogue still runs over the zero tile, as the composed
-                // path's element pass covers the zero region.
-                let mut chain_ok = true;
-                if let Some(acc_exp) = acc_exp {
-                    report.chains += 1;
-                    if let Some(t) = opts.tamper.as_mut() {
-                        report.tampered += t(bi, bj, acc);
-                    }
-                    if injecting() {
-                        for i in 0..b {
-                            for j in 0..b {
-                                acc[i * b + j] = commit_acc(i, j, acc[i * b + j]);
+                for t in 0..n {
+                    let bj = bj + t;
+                    let jmax = b.min(rhs.packed.cols() - bj * b);
+                    let (acc_exp, dirty) = match &regs {
+                        #[cfg(target_arch = "x86_64")]
+                        Some((exps, sums)) if !sums.mismatch[t] => {
+                            report.checks += sums.checks[t];
+                            for (w, &a) in s.acc.iter_mut().zip(&acc32[t]) {
+                                *w = a as i64;
+                            }
+                            for j in 0..8 {
+                                s.chk[j] = sums.chk[t][j] as i64;
+                                s.rchk[j] = sums.rchk[t][j] as i64;
+                            }
+                            (exps[t], false)
+                        }
+                        _ => {
+                            #[cfg(test)]
+                            if regs.is_some() {
+                                tests::REPLAYS.set(tests::REPLAYS.get() + 1);
+                            }
+                            self.chain_scalar(rhs, bi, bj, verify, &mut s, report)
+                        }
+                    };
+                    let (acc, etile) = (&mut s.acc, &mut s.etile);
+                    let ctx = EpilogueCtx {
+                        r0: bi * b,
+                        c0: bj * b,
+                        imax,
+                        jmax,
+                        b,
+                    };
+                    // Whether the tile may enter the epilogue. A `K = 0` chain
+                    // may: the reference kernel leaves zeros there, and a
+                    // fused epilogue still runs over the zero tile, as the
+                    // composed path's element pass covers the zero region.
+                    let mut chain_ok = true;
+                    if acc_exp.is_some() {
+                        report.chains += 1;
+                        if let Some(t) = opts.tamper.as_mut() {
+                            report.tampered += t(bi, bj, acc);
+                        }
+                        if injecting() {
+                            for i in 0..b {
+                                for j in 0..b {
+                                    acc[i * b + j] = commit_acc(i, j, acc[i * b + j]);
+                                }
+                            }
+                        }
+                        if verify {
+                            chain_ok =
+                                !dirty && verify_correct(acc, b, &mut s.chk, &mut s.rchk, report);
+                            if !chain_ok {
+                                report.uncorrected.push((bi, bj));
                             }
                         }
                     }
-                    if verify {
-                        chain_ok =
-                            !dirty && verify_correct(acc, b, &mut s.chk, &mut s.rchk, report);
-                        if !chain_ok {
-                            report.uncorrected.push((bi, bj));
-                        }
+                    kernel.drain_wide(&mut etile[..imax * b], acc, acc_exp);
+                    if let (Some(e), true) = (epi.as_mut(), chain_ok) {
+                        e(etile, &ctx);
                     }
-                    let scale = (acc_exp as f64).exp2();
                     for i in 0..imax {
-                        let tr = &mut etile[i * b..][..jmax];
-                        for (o, &a) in tr.iter_mut().zip(&acc[i * b..][..b]) {
-                            *o = (a as f64 * scale) as f32;
-                        }
-                    }
-                } else {
-                    for i in 0..imax {
-                        etile[i * b..][..jmax].fill(0.0);
+                        out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax]
+                            .copy_from_slice(&etile[i * b..][..jmax]);
                     }
                 }
-                if let (Some(e), true) = (epi.as_mut(), chain_ok) {
-                    e(etile, &ctx);
-                }
-                for i in 0..imax {
-                    out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax]
-                        .copy_from_slice(&etile[i * b..][..jmax]);
-                }
+                bj += n;
             }
         }
-    }
-
-    /// Chain `(bi, bj)` on [`chain_i32_avx2`], checked when `verify`. A clean
-    /// run leaves its end state (accumulator, lanes) widened in `s`, books
-    /// its checks and returns the chain's exponent; `None` outright: a
-    /// verification failed, nothing was booked, the scalar loop replays.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    fn chain_on_registers(
-        &self,
-        rhs: &AbftPacked,
-        bi: usize,
-        bj: usize,
-        verify: bool,
-        xp: &[i32],
-        s: &mut Scratch,
-        report: &mut AbftReport,
-    ) -> Option<Option<i32>> {
-        let (_, kb) = self.packed.grid();
-        let x_exps = &self.packed.exp_plane()[bi * kb..][..kb];
-        let mut acc32 = [0i32; 64];
-        let mut sums = ChainSums {
-            xc: &self.csum[bi * kb * 8..][..kb * 8],
-            yc: &rhs.csum,
-            #[cfg(test)]
-            upset: tests::mid_chain_upset(bi, bj),
-            ..ChainSums::default()
-        };
-        // SAFETY: the caller holds `ChainKernel::Avx2I32`, which is only
-        // selected after detecting AVX2.
-        let exp = unsafe {
-            if verify {
-                chain_i32_avx2::<true>(xp, x_exps, &rhs.packed, bj, &mut sums, &mut acc32)
-            } else {
-                chain_i32_avx2::<false>(xp, x_exps, &rhs.packed, bj, &mut sums, &mut acc32)
-            }
-        };
-        if sums.mismatch {
-            #[cfg(test)]
-            tests::REPLAYS.set(tests::REPLAYS.get() + 1);
-            return None;
-        }
-        report.checks += sums.checks;
-        for (w, &a) in s.acc.iter_mut().zip(&acc32) {
-            *w = a as i64;
-        }
-        for j in 0..8 {
-            s.chk[j] = sums.chk[j] as i64;
-            s.rchk[j] = sums.rchk[j] as i64;
-        }
-        Some(exp)
     }
 
     /// Chain `(bi, bj)` on the scalar i64 loop: any block size, any `K`,
@@ -831,7 +804,7 @@ fn commit_acc(row: usize, col: usize, v: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::tests::raw;
+    use crate::packed::tests::{checked_tiers, raw};
     use crate::packed::PackSide;
 
     /// Test-only seam: adds `delta` to accumulator element `elem` of chain
@@ -935,12 +908,17 @@ mod tests {
         let pa = AbftPacked::quantize_pack_lhs(&Quantizer::paper(), &spiky(24, 32)).unwrap();
         let checked = pa.chain_kernel(&AbftOptions::default());
         let unverified = pa.chain_kernel(&AbftOptions::unverified());
-        // Whatever the plain GEMM takes (the VNNI tier, where there is
-        // one), the baseline runs the checked chain's tier, not the loop.
+        // The checked chain and its baseline both run the plain GEMM's tier
+        // (the VNNI pair kernel, where there is one), not the loop.
         assert_eq!(unverified, checked);
-        if is_x86_feature_detected!("avx2") {
-            assert_eq!(unverified, ChainKernel::Avx2I32);
-        }
+        assert_eq!(checked, ChainKernel::select(8, 4, false));
+        assert_eq!(
+            checked,
+            checked_tiers(4)
+                .first()
+                .copied()
+                .unwrap_or(ChainKernel::I64)
+        );
     }
 
     #[test]
@@ -1174,14 +1152,26 @@ mod tests {
         (out, report, applied)
     }
 
-    /// Runs `pa · pb` on the kernel the host selects (the register chain
-    /// where there is AVX2) and on the forced scalar loop, plain and
-    /// fused, whole and sharded by block-row; asserts every run agrees in
-    /// bits with [`PackedBfp::matmul`] and field for field in its report.
-    /// Returns that report.
+    /// The checked chain tiers of this host for chains of `kb` steps,
+    /// fastest first, then the scalar loop.
+    fn every_kernel(kb: usize) -> Vec<ChainKernel> {
+        let mut kernels = checked_tiers(kb);
+        assert_eq!(
+            ChainKernel::select(8, kb, true),
+            kernels.first().copied().unwrap_or(ChainKernel::I64)
+        );
+        kernels.push(ChainKernel::I64);
+        kernels
+    }
+
+    /// Runs `pa · pb` on every checked register tier of this host (the
+    /// zmm pair kernel and the AVX2 one on an AVX-512 VNNI host) and on the
+    /// forced scalar loop, plain and fused, whole and sharded by
+    /// block-row; asserts every run agrees in bits with
+    /// [`PackedBfp::matmul`] and field for field in its report. Returns
+    /// that report.
     fn assert_kernels_agree(pa: &AbftPacked, pb: &AbftPacked) -> AbftReport {
         let (mb, kb) = pa.packed.grid();
-        let host = ChainKernel::select(8, kb, true);
         let replays = REPLAYS.get();
         let want = pa.packed.matmul(&pb.packed).unwrap();
         let plus_one = MatF32::from_fn(want.rows(), want.cols(), |i, j| want.get(i, j) + 1.0);
@@ -1189,7 +1179,7 @@ mod tests {
         let (o, oracle, _) = checked_on(ChainKernel::I64, pa, pb, &mut opts(), false);
         assert_bits_eq(&o, &want);
         assert!(oracle.clean(), "{oracle:?}");
-        for kernel in [host, ChainKernel::I64] {
+        for kernel in every_kernel(kb) {
             for fused in [false, true] {
                 let (o, r, applied) = checked_on(kernel, pa, pb, &mut opts(), fused);
                 assert_bits_eq(&o, if fused { &plus_one } else { &want });
@@ -1279,27 +1269,46 @@ mod tests {
         // 1, 31, 32, 63 and 73 (the accumulator is verified and shifted),
         // then fall below it by 0, 1, 31, 32, 63, 100 and 200 (the product
         // is), then rise by one more.
-        let pexp = [
+        let even = [
             -100, -100, -99, -68, -36, 27, 100, 100, 99, 69, 68, 37, 0, -100, 101,
         ];
-        let (pa, pb) = raw_pair(
-            (21, pexp.len(), 19),
-            (|_, bk| (pexp[bk] / 2) as i8, mixed),
-            (
-                |bk, _| (pexp[bk] - pexp[bk] / 2) as i8,
-                |bk, bj, t| mixed(bj, bk, t + 5),
-            ),
-        );
-        let r = assert_kernels_agree(&pa, &pb);
-        // One check per step off the running maximum, one at the end.
-        let mut max = pexp[0];
-        let events = pexp[1..].iter().filter(|&&e| {
-            let event = e != max;
-            max = max.max(e);
-            event
-        });
-        assert_eq!(r.checks, r.chains * (events.count() as u64 + 1));
-        assert_eq!(r.checks, 9 * 13);
+        // Odd column tiles of the second RHS walk against the even ones, so
+        // that a tile pair verifies and shifts one tile's accumulator and
+        // the other's product in the same step, both ways round.
+        let odd = [
+            0, 0, -1, -32, -31, -63, -60, 1, 32, 64, 127, 128, -72, 60, 129,
+        ];
+        // Per step, which side of a chain is verified and shifted: 1 the
+        // accumulator, −1 the product, 0 neither.
+        let sides = |walk: &[i32]| {
+            let mut max = walk[0];
+            walk.iter()
+                .map(|&e| {
+                    let d = e - max;
+                    max = max.max(e);
+                    d.signum()
+                })
+                .collect::<Vec<_>>()
+        };
+        let split: Vec<_> = sides(&even).into_iter().zip(sides(&odd)).collect();
+        assert!(split.contains(&(1, -1)) && split.contains(&(-1, 1)));
+        for walks in [[even, even], [even, odd]] {
+            // 21 × 19: three block-rows, each a tile pair and a lone last
+            // tile.
+            let (pa, pb) = raw_pair(
+                (21, even.len(), 19),
+                (|_, bk| (even[bk] / 2) as i8, mixed),
+                (
+                    |bk, bj| (walks[bj % 2][bk] - even[bk] / 2) as i8,
+                    |bk, bj, t| mixed(bj, bk, t + 5),
+                ),
+            );
+            let r = assert_kernels_agree(&pa, &pb);
+            // One check per step off the running maximum, one at the end.
+            let checks = |bj: usize| sides(&walks[bj % 2]).iter().filter(|&&s| s != 0).count() + 1;
+            assert_eq!(r.checks, 3 * (0..3).map(checks).sum::<usize>() as u64);
+            assert_eq!(checks(0), 13);
+        }
     }
 
     #[test]
@@ -1346,7 +1355,7 @@ mod tests {
         // Chain (0,0): 3-element smear, uncorrectable, no epilogue there.
         // Chain (1,1): single-bit flip, repaired before the epilogue.
         let mut runs = Vec::new();
-        for kernel in [ChainKernel::select(8, 4, true), ChainKernel::I64] {
+        for kernel in every_kernel(4) {
             let mut tamper = |bi: usize, bj: usize, acc: &mut [i64]| -> u64 {
                 if (bi, bj) == (0, 0) {
                     acc[0] += 1 << 12;
@@ -1381,7 +1390,7 @@ mod tests {
             }
             runs.push((got, report));
         }
-        assert_eq!(runs[0], runs[1]);
+        assert!(runs.iter().all(|r| *r == runs[0]));
     }
 
     /// Arms [`MID_CHAIN_UPSET`] for the current test thread until dropped.
@@ -1407,12 +1416,15 @@ mod tests {
 
     #[test]
     fn mid_chain_upset_of_the_register_state_is_replayed_and_repaired() {
-        // Chain (1, 2) walks 0, 0, 0, +4, −2, 0: an accumulator upset before
+        // Every chain walks 0, 0, 0, +4, −2, 0: an accumulator upset before
         // step 2 meets the accumulator check of step 3; one before step 4,
         // past every accumulator check, is left to the final verify. Either
         // way the bits must come out clean: a kernel that shifted the
         // corrupted accumulator unverified would resynchronise its lanes
         // from the damage and answer wrong bits with a clean report.
+        // Chain (1, 2) is the lone last tile of its block-row on the pair
+        // kernel, chain (1, 1) the second tile of a pair whose first stays
+        // healthy.
         let pexp = [0i8, 0, 0, 4, 2, 4];
         let (pa, pb) = raw_pair(
             (24, pexp.len(), 24),
@@ -1421,26 +1433,34 @@ mod tests {
         );
         let want = pa.packed.matmul(&pb.packed).unwrap();
         let clean = assert_kernels_agree(&pa, &pb);
-        for (bk, elem, delta) in [(2, 27, 1 << 9), (2, 0, -77), (4, 63, 1 << 20)] {
-            let _armed = Upset::arm((1, 2), bk, elem, delta);
-            let replays = REPLAYS.get();
-            let mut runs = Vec::new();
-            for kernel in [ChainKernel::select(8, pexp.len(), true), ChainKernel::I64] {
-                let (got, r, _) = checked_on(kernel, &pa, &pb, &mut AbftOptions::default(), true);
-                assert_eq!(
-                    (r.detections, r.corrected_elements),
-                    (1, 1),
-                    "{kernel:?} {r:?}"
-                );
-                assert!(r.uncorrected.is_empty() && r.checks == clean.checks);
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    assert_eq!(g.to_bits(), (w + 1.0).to_bits(), "{kernel:?} step {bk}");
+        for chain in [(1, 2), (1, 1)] {
+            for (bk, elem, delta) in [(2, 27, 1 << 9), (2, 0, -77), (4, 63, 1 << 20)] {
+                let _armed = Upset::arm(chain, bk, elem, delta);
+                let mut runs = Vec::new();
+                for kernel in every_kernel(pexp.len()) {
+                    let replays = REPLAYS.get();
+                    let (got, r, _) =
+                        checked_on(kernel, &pa, &pb, &mut AbftOptions::default(), true);
+                    assert_eq!(
+                        (r.detections, r.corrected_elements),
+                        (1, 1),
+                        "{kernel:?} {r:?}"
+                    );
+                    assert!(r.uncorrected.is_empty() && r.checks == clean.checks);
+                    for (g, w) in got.data().iter().zip(want.data()) {
+                        assert_eq!(g.to_bits(), (w + 1.0).to_bits(), "{kernel:?} step {bk}");
+                    }
+                    // Only the upset chain is replayed, and only when a
+                    // register kernel's own check met the upset.
+                    let on_registers = kernel != ChainKernel::I64;
+                    assert_eq!(REPLAYS.get() - replays, (on_registers && bk == 2) as u64);
+                    runs.push(r);
                 }
-                runs.push(r);
+                assert!(
+                    runs.iter().all(|r| *r == runs[0]),
+                    "upset of {chain:?} before step {bk}"
+                );
             }
-            assert_eq!(runs[0], runs[1], "upset before step {bk}");
-            let on_registers = ChainKernel::select(8, pexp.len(), true) != ChainKernel::I64;
-            assert_eq!(REPLAYS.get() - replays, (on_registers && bk == 2) as u64);
         }
     }
 
@@ -1491,8 +1511,6 @@ mod tests {
                 };
             }
             for fused in [false, true] {
-                let host = ChainKernel::select(8, pexp.len(), true);
-                let (got, r, _) = checked_on(host, &pa, &pb, &mut AbftOptions::default(), fused);
                 let (want, oracle, _) = checked_on(
                     ChainKernel::I64,
                     &pa,
@@ -1504,8 +1522,12 @@ mod tests {
                     oracle.detections > 0 && oracle.checks == clean.checks,
                     "{oracle:?}"
                 );
-                assert_eq!(r, oracle, "lane={lane} rhs={rhs} fused={fused}");
-                assert_bits_eq(&got, &want);
+                for tier in checked_tiers(pexp.len()) {
+                    let opts = &mut AbftOptions::default();
+                    let (got, r, _) = checked_on(tier, &pa, &pb, opts, fused);
+                    assert_eq!(r, oracle, "{tier:?} lane={lane} rhs={rhs} fused={fused}");
+                    assert_bits_eq(&got, &want);
+                }
             }
         }
     }

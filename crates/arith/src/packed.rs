@@ -26,7 +26,9 @@
 //! output tiles per register, u8-offset RHS) on an AVX-512 VNNI host,
 //! `chain_i32_avx2` (`vpmaddwd`) on any other AVX2 host; every other case
 //! takes the i64 chain loop, which is also both register kernels' bit
-//! oracle. `ChainKernel::select` is the only place a tier is chosen.
+//! oracle. Each register kernel is one body for plain chains and the
+//! ABFT-checked ones of [`crate::abft`] (a `const CHECKED: bool`), and
+//! `ChainKernel::select` is the only place a tier is chosen.
 //! Whichever runs, the result is **bit-identical** to
 //! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
 //! cycle simulator — the integer tile products are exact, so the kernels
@@ -506,7 +508,8 @@ impl PackedBfp {
                     #[cfg(target_arch = "x86_64")]
                     ChainKernel::Avx2I32 | ChainKernel::Vnni512 => {
                         let x_exps = &self.exps[bi * kb..][..kb];
-                        kernel.chain_i32(x, &xs, x_exps, rhs, bj, &mut acc32)
+                        let plain = &mut ChainSums::default();
+                        kernel.chain_i32::<false>(x, &xs, x_exps, rhs, bj, plain, &mut acc32)
                     }
                     ChainKernel::I64 => {
                         let exp = self.chain_i64(rhs, bi, bj, &mut prod, &mut acc64);
@@ -620,6 +623,12 @@ const I32_CHAIN_MAX_KB: usize = 1 << 14;
 /// lane entry sums eight mantissas, `|xc| ≤ 2¹⁰`, and the checksum product
 /// is `|cp| ≤ 8·2¹⁰·2⁷ = 2²⁰`). Chains shorter than 2¹¹ steps (K < 16 384)
 /// keep the lanes inside i32.
+///
+/// The offset does not move it. [`chain_pair_vnni512`] grows `cp` from the
+/// u8 RHS `y + 128`, starting from `−128·Σₖ xc[k]` (`|·| ≤ 2²⁰`) and adding
+/// `Σ xc·(y + 128)` (`< 8·2¹⁰·2⁸ = 2²¹`), so no intermediate reaches 2²²
+/// and the non-saturating `vpdpwssd` never wraps; the step ends as the
+/// exact `cp`, and the lanes grow by `|cp| ≤ 2²⁰` as before.
 const CHECKED_CHAIN_MAX_KB: usize = 1 << 11;
 
 /// The kernel that runs a call's `(bi, bj)` alignment chains.
@@ -632,10 +641,10 @@ pub(crate) enum ChainKernel {
     /// proof of AVX2 its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Avx2I32,
-    /// [`chain_pair_vnni512`]: plain `b == 8` chains, two output tiles per
-    /// call, on an AVX2 + AVX-512 F, BW and VNNI host. Only
-    /// [`ChainKernel::select`] produces it, which is the proof of those
-    /// features its `unsafe` callers cite.
+    /// [`chain_pair_vnni512`]: `b == 8` chains, plain or checked, two
+    /// output tiles per call, on an AVX2 + AVX-512 F, BW and VNNI host.
+    /// Only [`ChainKernel::select`] produces it, which is the proof of
+    /// those features its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Vnni512,
 }
@@ -643,9 +652,9 @@ pub(crate) enum ChainKernel {
 impl ChainKernel {
     /// The fastest kernel for `block`-sized tiles and chains of `kb` steps,
     /// `checked` or plain, on this host (runtime feature detection, once
-    /// per call). The checked chain's i16 lanes do not fit `vpdpbusd`'s
-    /// u8 × i8 operands, so only plain chains take the VNNI tier. A host
-    /// with AVX-VNNI but no AVX-512 runs the AVX2 tier.
+    /// per call). Checked and plain chains take the same tier; a checked
+    /// chain's lanes bound it to shorter chains. A host with AVX-VNNI but
+    /// no AVX-512 runs the AVX2 tier.
     pub(crate) fn select(block: usize, kb: usize, checked: bool) -> ChainKernel {
         #[cfg(target_arch = "x86_64")]
         {
@@ -655,8 +664,7 @@ impl ChainKernel {
                 I32_CHAIN_MAX_KB
             };
             if block == 8 && kb < max_kb && is_x86_feature_detected!("avx2") {
-                if !checked
-                    && is_x86_feature_detected!("avx512f")
+                if is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512bw")
                     && is_x86_feature_detected!("avx512vnni")
                 {
@@ -695,19 +703,62 @@ impl ChainKernel {
         }
     }
 
-    /// The plain chains from output tile `(·, bj)` on: one tile on
-    /// `Avx2I32`, the pair `(·, bj)`, `(·, bj + 1)` on `Vnni512` (or the
-    /// lone last one). `x` is the LHS block-row and `xs` what
-    /// [`ChainKernel::stage_lhs`] left for it. Leaves tile `t`'s sums in
-    /// `acc[t]` and returns how many tiles it computed and their exponents.
+    /// Stage what a checked chain's lanes take from an LHS block-row `x`
+    /// and its pack-time column-sum lanes `xc` (eight i16 per tile step),
+    /// into [`ChainSums::xc`]. Per step for `Avx2I32` the lane's four
+    /// k-pairs `(xc[2n], xc[2n+1])`, its ninth row (its ninth column reads
+    /// [`ChainKernel::stage_lhs`]'s k-pairs); for `Vnni512`
+    /// [`VNNI_LANE_WORDS`] words: the offset term `−128·Σₖ xc[k]`, per
+    /// k-quad `q` the pairs `(xc[4q], xc[4q+2])` and `(xc[4q+1], xc[4q+3])`
+    /// that meet the quad's even and odd bytes, then the four registers of
+    /// the ninth column's LHS side, the rows' i16 k-pairs in `rchk`'s order.
+    pub(crate) fn stage_lanes(self, x: &[i8], xc: &[i16], out: &mut Vec<i32>) {
+        let pair = |a: i16, b: i16| (a as u16 as i32) | (b as i32) << 16;
+        out.clear();
+        match self {
+            ChainKernel::I64 => {}
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::Avx2I32 => {
+                for c in xc.chunks_exact(8) {
+                    out.extend((0..4).map(|n| pair(c[2 * n], c[2 * n + 1])));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            ChainKernel::Vnni512 => {
+                out.resize(xc.len() / 8 * VNNI_LANE_WORDS, 0);
+                let steps = out.chunks_exact_mut(VNNI_LANE_WORDS);
+                for (c, out) in xc.chunks_exact(8).zip(steps) {
+                    out[0] = -128 * c.iter().map(|&v| v as i32).sum::<i32>();
+                    out[1..5].copy_from_slice(&[
+                        pair(c[0], c[2]),
+                        pair(c[1], c[3]),
+                        pair(c[4], c[6]),
+                        pair(c[5], c[7]),
+                    ]);
+                }
+                // SAFETY: `Vnni512` is only selected after detecting AVX-512
+                // F and BW.
+                unsafe { ninth_column_pairs_avx512(x, out) }
+            }
+        }
+    }
+
+    /// The chains from output tile `(·, bj)` on, `CHECKED` or plain: one
+    /// tile on `Avx2I32`, the pair `(·, bj)`, `(·, bj + 1)` on `Vnni512`
+    /// (or the lone last one). `x` is the LHS block-row and `xs` what
+    /// [`ChainKernel::stage_lhs`] left for it; `sums` carries a checked
+    /// call's lanes in and out. Leaves tile `t`'s sums in `acc[t]` and
+    /// returns how many tiles it computed and their exponents.
     #[cfg(target_arch = "x86_64")]
-    fn chain_i32(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn chain_i32<const CHECKED: bool>(
         self,
         x: &[i8],
         xs: &[i32],
         x_exps: &[i8],
         rhs: &PackedBfp,
         bj: usize,
+        sums: &mut ChainSums<'_>,
         acc: &mut [[i32; 64]; 2],
     ) -> (usize, [Option<i32>; 2]) {
         // SAFETY: only `select` produces a register kernel, and only after
@@ -715,21 +766,44 @@ impl ChainKernel {
         unsafe {
             match self {
                 ChainKernel::Avx2I32 => {
-                    let mut plain = ChainSums::default();
-                    let exp = chain_i32_avx2::<false>(xs, x_exps, rhs, bj, &mut plain, &mut acc[0]);
+                    let exp = chain_i32_avx2::<CHECKED>(xs, x_exps, rhs, bj, sums, &mut acc[0]);
                     (1, [exp, None])
                 }
-                ChainKernel::Vnni512 => chain_pair_vnni512(x, xs, x_exps, rhs, bj, acc),
+                ChainKernel::Vnni512 => {
+                    chain_pair_vnni512::<CHECKED>(x, xs, x_exps, rhs, bj, sums, acc)
+                }
                 ChainKernel::I64 => unreachable!("the i64 chain is `PackedBfp::chain_i64`"),
             }
         }
     }
+
+    /// [`drain`] of a chain's wide sums on this kernel: through
+    /// [`drain_lanes`] on a register kernel when every sum fits i32 (its
+    /// bits are [`drain`]'s), else the scalar loop.
+    pub(crate) fn drain_wide(self, tile: &mut [f32], acc: &[i64], exp: Option<i32>) {
+        #[cfg(target_arch = "x86_64")]
+        if self != ChainKernel::I64 {
+            let mut narrow = [0i32; 64];
+            let mut fits = acc.len() == 64;
+            for (n, &a) in narrow.iter_mut().zip(acc) {
+                *n = a as i32;
+                fits &= *n as i64 == a;
+            }
+            if fits {
+                // SAFETY: a register kernel is only selected after detecting
+                // AVX2.
+                return unsafe { drain_lanes(tile, &narrow, exp) };
+            }
+        }
+        drain(tile, acc.iter().map(|&a| a as f64), exp)
+    }
 }
 
-/// The chain tier a plain bfp8 (`b == 8`) GEMM runs on this host, as
-/// `ChainKernel::select` picks it: `"avx512-vnni"`, `"avx2"` or `"i64"`.
-pub fn chain_tier() -> &'static str {
-    match ChainKernel::select(8, 1, false) {
+/// The chain tier a bfp8 (`b == 8`) GEMM, `checked` or plain, runs on this
+/// host, as `ChainKernel::select` picks it: `"avx512-vnni"`, `"avx2"` or
+/// `"i64"`.
+pub fn chain_tier(checked: bool) -> &'static str {
+    match ChainKernel::select(8, 1, checked) {
         ChainKernel::I64 => "i64",
         #[cfg(target_arch = "x86_64")]
         ChainKernel::Avx2I32 => "avx2",
@@ -819,26 +893,70 @@ fn row_corrections(x: &[i8], c: &mut [i32]) {
     }
 }
 
+/// Words [`ChainKernel::stage_lanes`] stages per tile step for
+/// [`chain_pair_vnni512`]'s lanes: five broadcast words, then four
+/// 16-word registers.
+#[cfg(target_arch = "x86_64")]
+const VNNI_LANE_WORDS: usize = 5 + 4 * 16;
+
+/// Fills the ninth-column registers of every step of `out`
+/// ([`ChainKernel::stage_lanes`]'s `Vnni512` layout) from the LHS block-row
+/// `x`: register `p` holds k-pair `p` of row `i`, `(x[i][2p], x[i][2p+1])`
+/// as i16, in dwords `2i` and `2i + 1`, one for each tile of the pair.
+///
+/// # Safety
+/// Callers must have verified AVX-512 F and BW support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw")]
+unsafe fn ninth_column_pairs_avx512(x: &[i8], out: &mut [i32]) {
+    use std::arch::x86_64::*;
+    assert_eq!(x.len() / 64 * VNNI_LANE_WORDS, out.len());
+    // Widened, a half-tile holds pair `p` of its row `i` in dword `4i + p`.
+    let by_row = _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
+    for (x, step) in x
+        .chunks_exact(64)
+        .zip(out.chunks_exact_mut(VNNI_LANE_WORDS))
+    {
+        let regs = &mut step[5..];
+        // SAFETY: two 32-byte loads tiling the 64-byte tile and four 64-byte
+        // stores tiling the step's 64 register words.
+        unsafe {
+            let xp = x.as_ptr() as *const __m256i;
+            let lo = _mm512_cvtepi8_epi16(_mm256_loadu_si256(xp));
+            let hi = _mm512_cvtepi8_epi16(_mm256_loadu_si256(xp.add(1)));
+            for (p, reg) in regs.chunks_exact_mut(16).enumerate() {
+                let idx = _mm512_add_epi32(by_row, _mm512_set1_epi32(p as i32));
+                _mm512_storeu_epi32(reg.as_mut_ptr(), _mm512_permutex2var_epi32(lo, idx, hi));
+            }
+        }
+    }
+}
+
 /// The checksum side of a checked register chain: in, the operands'
-/// pack-time lanes; out, the lanes of the accumulator the chain returns.
-/// The plain chain never touches it.
+/// pack-time lanes; out, per output tile of the call (the second only on
+/// the pair kernel), the lanes of the accumulator it returns. The plain
+/// chain never touches it.
 #[derive(Default)]
 pub(crate) struct ChainSums<'a> {
-    /// Column sums of the LHS block-row's tiles, eight per tile step.
-    pub xc: &'a [i16],
+    /// Column sums of the LHS block-row's tiles and what else its lanes
+    /// take from the block-row, as [`ChainKernel::stage_lanes`] staged them
+    /// for this kernel.
+    pub xc: &'a [i32],
     /// Row sums of every RHS tile, eight per tile, grid row-major.
     pub yc: &'a [i16],
-    /// Column sums (`chk`) and row sums of the returned accumulator.
-    pub chk: [i32; 8],
-    pub rchk: [i32; 8],
-    /// Truncation events verified on the way.
-    pub checks: u64,
-    /// A verification failed: the chain stopped there and returned nothing
-    /// usable. The caller replays it on the scalar loop, which localises.
-    pub mismatch: bool,
-    /// Test-only seam: before step `.0`, add `.2` to accumulator element `.1`.
+    /// Column sums (`chk`) and row sums of each returned accumulator.
+    pub chk: [[i32; 8]; 2],
+    pub rchk: [[i32; 8]; 2],
+    /// Truncation events verified on the way, per tile.
+    pub checks: [u64; 2],
+    /// A verification of the tile failed: what the call returned for it is
+    /// unusable. The caller replays that chain on the scalar loop, which
+    /// localises.
+    pub mismatch: [bool; 2],
+    /// Test-only seam, per tile: before step `.0`, add `.2` to accumulator
+    /// element `.1`.
     #[cfg(test)]
-    pub upset: Option<(usize, usize, i32)>,
+    pub upset: [Option<(usize, usize, i32)>; 2],
 }
 
 /// The register-resident `b == 8` chain: the whole K-loop of one `(·, bj)`
@@ -884,7 +1002,7 @@ pub(crate) struct ChainSums<'a> {
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
+unsafe fn chain_i32_avx2<const CHECKED: bool>(
     xp: &[i32],
     x_exps: &[i8],
     rhs: &PackedBfp,
@@ -909,22 +1027,20 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
     }
 
     /// One step's checksum products from the pack-time lanes: `cp`, the
-    /// LHS lane of tile `xt` as a ninth row, and `rp`, the tile's k-pairs
+    /// LHS lane of step `bk` as a ninth row, and `rp`, the tile's k-pairs
     /// against the RHS lane of tile `yt`, rows in lane order
     /// `[0, 2, 4, 6, 1, 3, 5, 7]`. Called after the row products, so their
     /// k-pair broadcasts stay loads instead of shuffles of `rp`'s operands.
     #[inline(always)]
     unsafe fn ninth_row_and_column(
         sums: &ChainSums<'_>,
-        xt: usize,
+        bk: usize,
         yt: usize,
         x: &[i32; 32],
         p: &[__m256i; 4],
     ) -> (__m256i, __m256i) {
-        let xc = &sums.xc[xt * 8..][..8];
         let yc = &sums.yc[yt * 8..][..8];
-        let pair = |n: usize| (xc[2 * n] as u16 as i32) | (xc[2 * n + 1] as i32) << 16;
-        let cp = row_product(&[pair(0), pair(1), pair(2), pair(3)], p);
+        let cp = row_product(&sums.xc[bk * 4..][..4], p);
         // SAFETY: one 16-byte load of the lane's eight i16 and four 32-byte
         // loads tiling the 32 k-pairs, two rows each.
         let yc = _mm256_broadcastsi128_si256(_mm_loadu_si128(yc.as_ptr() as *const __m128i));
@@ -988,7 +1104,7 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
         let d = pexp - cur;
         acc_exp = Some(cur.max(pexp));
         #[cfg(test)]
-        if let Some((_, e, delta)) = sums.upset.filter(|u| CHECKED && u.0 == bk) {
+        if let Some((_, e, delta)) = sums.upset[0].filter(|u| CHECKED && u.0 == bk) {
             let mut row = [0i32; 8];
             // SAFETY: one 32-byte store and load over the 8-element array.
             unsafe {
@@ -1024,7 +1140,7 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
         }
         if d > 0 {
             if CHECKED && !lanes_hold(chk, rchk, &acc) {
-                sums.mismatch = true;
+                sums.mismatch[0] = true;
                 return None;
             }
             let sh = _mm_cvtsi32_si128(d);
@@ -1049,7 +1165,7 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
             }
             (cp, rp) = ninth_row_and_column(sums, bk, bk * nb + bj, x, &p);
             if !lanes_hold(cp, rp, &prod) {
-                sums.mismatch = true;
+                sums.mismatch[0] = true;
                 return None;
             }
             for (a, t) in acc.iter_mut().zip(prod.iter_mut()) {
@@ -1089,19 +1205,19 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
                 _mm256_permutevar8x32_epi32(chk, natural),
                 _mm256_permutevar8x32_epi32(rchk, natural),
             );
-            _mm256_storeu_si256(sums.chk.as_mut_ptr() as *mut __m256i, chk);
-            _mm256_storeu_si256(sums.rchk.as_mut_ptr() as *mut __m256i, rchk);
+            _mm256_storeu_si256(sums.chk[0].as_mut_ptr() as *mut __m256i, chk);
+            _mm256_storeu_si256(sums.rchk[0].as_mut_ptr() as *mut __m256i, rchk);
         }
-        sums.checks = checks;
-        sums.mismatch = false;
+        sums.checks[0] = checks;
+        sums.mismatch[0] = false;
     }
     acc_exp
 }
 
-/// The plain register chain on zmm: the whole K-loop of the two adjacent
-/// output tiles `A = (·, bj)` and `B = (·, bj + 1)` side by side, row `i`
-/// of both accumulators in zmm register `i` as i32, with `vpdpbusd`'s 64
-/// MACs per instruction.
+/// The register chain on zmm, plain or `CHECKED`: the whole K-loop of the
+/// two adjacent output tiles `A = (·, bj)` and `B = (·, bj + 1)` side by
+/// side, row `i` of both accumulators in zmm register `i` as i32, with
+/// `vpdpbusd`'s 64 MACs per instruction.
 ///
 /// `vpdpbusd` multiplies u8 by i8, so the RHS is the u8 side: per tile
 /// step A's and B's canonical `[j][k]` tiles — adjacent 64-byte tiles of
@@ -1123,6 +1239,29 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
 /// i64 chain's exactly. A lone last tile (odd `nb`) pairs with a zero
 /// register, whose lanes stay zero and are never returned.
 ///
+/// `CHECKED` carries both tiles' ABFT lanes in two more registers. `chk`,
+/// the column sums, is laid out like a data row and grows by a **ninth
+/// LHS row**: the pack-time lane `xc` in i16 k-pairs against the even and
+/// odd bytes of `P_q` (`vpand`, `vpsrlw`, four `vpdpwssd`), started from
+/// the staged offset term `−128·Σₖ xc[k]`. `rchk`, the row sums, holds row
+/// `i` of tile `t` in dword `2i + t` and grows by a **ninth RHS column**:
+/// each row's i16 k-pairs (staged per block-row by
+/// [`ChainKernel::stage_lanes`]) against its tile's lane `yc` (four
+/// `vpermd`), four `vpdpwssd`. A step where either tile has `d ≠ 0`
+/// verifies, for that tile, whatever is about to lose bits — the
+/// accumulator for `d > 0`, the product for `d < 0` — against its lanes
+/// before it truncates (column sums by vertical adds, row sums by a
+/// `vshufps`/`vshufi32x4` tree), as [`chain_i32_avx2`] and the scalar
+/// kernel do; the other tile's lanes keep their checksum products. The
+/// lanes then follow the truncated values, the scalar kernel's
+/// resynchronisation, in two parts: an accumulator shift takes the shifted
+/// rows' sums at once, and a product's truncated rows go to eight
+/// registers `trunc` whose sums are taken at the tile's next accumulator
+/// check and at the end, one tree instead of one per step. A tile whose
+/// check fails is marked in [`ChainSums::mismatch`] and the chain runs on
+/// for its partner; `kb <` [`CHECKED_CHAIN_MAX_KB`] keeps the lanes
+/// inside i32.
+///
 /// `vshufps` leaves A's column `[0, 1, 4, 5, 2, 3, 6, 7]`-interleaved
 /// with B's; one `vpermd` per row at the final store puts A's row in the
 /// low half and B's in the high half. Stores tile `t`'s sums in
@@ -1133,25 +1272,107 @@ pub(crate) unsafe fn chain_i32_avx2<const CHECKED: bool>(
 /// Callers must have verified AVX2 and AVX-512 F, BW and VNNI support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
-unsafe fn chain_pair_vnni512(
+unsafe fn chain_pair_vnni512<const CHECKED: bool>(
     x: &[i8],
     corr: &[i32],
     x_exps: &[i8],
     rhs: &PackedBfp,
     bj: usize,
+    sums: &mut ChainSums<'_>,
     acc_out: &mut [[i32; 64]; 2],
 ) -> (usize, [Option<i32>; 2]) {
     use std::arch::x86_64::*;
+
+    // The helpers below are `#[inline(always)]` and carry no
+    // `target_feature` of their own, so they fold into this function.
+
+    /// Tile A's dwords in a column-ordered register (a data row, `chk`) and
+    /// in a row-ordered one (`rchk`); B's are the rest.
+    const COLS_A: u16 = 0x3333;
+    const ROWS_A: u16 = 0x5555;
+
+    /// The dwords of the tiles `on` picks, in a register whose tile-A
+    /// dwords are `a`.
+    #[inline(always)]
+    fn lanes_of(on: [bool; 2], a: u16) -> u16 {
+        (if on[0] { a } else { 0 }) | (if on[1] { !a } else { 0 })
+    }
+
+    /// Per 128-bit lane `(r A, r B, s A, s B)`: the lane's share of two
+    /// rows' sums, by the data path's own two `vshufps`.
+    #[inline(always)]
+    unsafe fn row_pair(r: __m512i, s: __m512i) -> __m512i {
+        let (r, s) = (_mm512_castsi512_ps(r), _mm512_castsi512_ps(s));
+        _mm512_add_epi32(
+            _mm512_castps_si512(_mm512_shuffle_ps::<0b10_00_10_00>(r, s)),
+            _mm512_castps_si512(_mm512_shuffle_ps::<0b11_01_11_01>(r, s)),
+        )
+    }
+
+    /// Adjacent 128-bit lanes added, `u`'s pairs low and `v`'s high.
+    #[inline(always)]
+    unsafe fn fold(u: __m512i, v: __m512i) -> __m512i {
+        _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0b10_00_10_00>(u, v),
+            _mm512_shuffle_i32x4::<0b11_01_11_01>(u, v),
+        )
+    }
+
+    /// Column sums of eight rows (column order) and their row sums (row
+    /// `i` of tile `t` in dword `2i + t`).
+    #[inline(always)]
+    unsafe fn sums_of(r: &[__m512i; 8]) -> (__m512i, __m512i) {
+        let cols = _mm512_add_epi32(
+            _mm512_add_epi32(_mm512_add_epi32(r[0], r[1]), _mm512_add_epi32(r[2], r[3])),
+            _mm512_add_epi32(_mm512_add_epi32(r[4], r[5]), _mm512_add_epi32(r[6], r[7])),
+        );
+        let rows = fold(
+            fold(row_pair(r[0], r[1]), row_pair(r[2], r[3])),
+            fold(row_pair(r[4], r[5]), row_pair(r[6], r[7])),
+        );
+        (cols, rows)
+    }
+
+    /// The dwords where the column and row sums of `rows` miss the lanes
+    /// `chk` and `rchk`.
+    #[inline(always)]
+    unsafe fn misses(rows: &[__m512i; 8], chk: __m512i, rchk: __m512i) -> (u16, u16) {
+        let (cols, sums) = sums_of(rows);
+        (
+            _mm512_cmpneq_epi32_mask(cols, chk),
+            _mm512_cmpneq_epi32_mask(sums, rchk),
+        )
+    }
+
     let kb = x_exps.len();
     let nb = rhs.block_cols;
-    assert!(kb < I32_CHAIN_MAX_KB, "chain too long for i32 accumulators");
+    let max_kb = if CHECKED {
+        CHECKED_CHAIN_MAX_KB
+    } else {
+        I32_CHAIN_MAX_KB
+    };
+    assert!(kb < max_kb, "chain too long for i32 accumulators");
     assert_eq!((x.len(), corr.len()), (kb * 64, kb * 8));
     let pair = bj + 1 < nb;
     let tiles = 1 + pair as usize;
     let zero = _mm512_setzero_si512();
     let flip = _mm512_set1_epi8(-128);
+    let even_bytes = _mm512_set1_epi16(0xFF);
+    // `rchk`'s dword `2i + t` gathers k-pair `p` of tile `t`'s lane `yc`
+    // from the lanes of both tiles (`4t + p`).
+    let y_pairs = _mm512_setr_epi32(0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4);
     let mut acc = [zero; 8];
     let mut exps = [None; 2];
+    // A checked chain's lanes are `chk`, `rchk` plus the sums of `trunc`:
+    // the lanes grow by each step's checksum products, except where a tile
+    // verified its product and merged it truncated, which `trunc` collects
+    // until the tile's next accumulator check or the end, where its sums
+    // are taken.
+    let (mut chk, mut rchk) = (zero, zero);
+    let mut trunc = [zero; 8];
+    let mut checks = [0u64; 2];
+    // The dwords of failed checks, column- and row-ordered.
+    let (mut bad_cols, mut bad_rows) = (0u16, 0u16);
     for bk in 0..kb {
         let t = bk * nb + bj;
         let y = &rhs.man[t * 64..][..tiles * 64];
@@ -1169,6 +1390,19 @@ unsafe fn chain_pair_vnni512(
         let cur_b = exps[1].unwrap_or(pexp_b);
         let (da, db) = (pexp_a - cur_a, pexp_b - cur_b);
         exps = [Some(cur_a.max(pexp_a)), Some(cur_b.max(pexp_b))];
+        #[cfg(test)]
+        for (tile, u) in sums.upset.iter().enumerate() {
+            if let Some((_, e, delta)) = u.filter(|u| CHECKED && u.0 == bk) {
+                let (i, j) = (e / 8, e % 8);
+                let mut row = [0i32; 16];
+                // SAFETY: one 64-byte store and load over the 16-element array.
+                unsafe {
+                    _mm512_storeu_epi32(row.as_mut_ptr(), acc[i]);
+                    row[j / 2 * 4 + tile * 2 + j % 2] += delta;
+                    acc[i] = _mm512_loadu_epi32(row.as_ptr());
+                }
+            }
+        }
         // SAFETY: one 64-byte load per tile of `y`, which holds `tiles`.
         let (ya, yb) = unsafe {
             let yp = y.as_ptr() as *const f32;
@@ -1185,15 +1419,65 @@ unsafe fn chain_pair_vnni512(
         let p0 = _mm512_castps_si512(_mm512_shuffle_ps::<0b10_00_10_00>(ya, yb));
         let p1 = _mm512_castps_si512(_mm512_shuffle_ps::<0b11_01_11_01>(ya, yb));
         let (p0, p1) = (_mm512_xor_si512(p0, flip), _mm512_xor_si512(p1, flip));
+        // This step's checksum products.
+        let (mut cp, mut rp) = (zero, zero);
+        if CHECKED {
+            checks[0] += (da != 0) as u64;
+            checks[1] += (db != 0) as u64;
+            let xl = &sums.xc[bk * VNNI_LANE_WORDS..][..VNNI_LANE_WORDS];
+            cp = _mm512_set1_epi32(xl[0]);
+            for (q, p) in [p0, p1].into_iter().enumerate() {
+                let lo = _mm512_and_si512(p, even_bytes);
+                let hi = _mm512_srli_epi16::<8>(p);
+                cp = _mm512_dpwssd_epi32(cp, lo, _mm512_set1_epi32(xl[1 + 2 * q]));
+                cp = _mm512_dpwssd_epi32(cp, hi, _mm512_set1_epi32(xl[2 + 2 * q]));
+            }
+            // SAFETY: one 16-byte load of each tile's eight-entry lane.
+            let yc = unsafe {
+                let yc = sums.yc[t * 8..][..tiles * 8].as_ptr() as *const __m128i;
+                let yb = if pair {
+                    _mm_loadu_si128(yc.add(1))
+                } else {
+                    _mm_setzero_si128()
+                };
+                _mm512_castsi256_si512(_mm256_set_m128i(yb, _mm_loadu_si128(yc)))
+            };
+            for (p, xs) in xl[5..].chunks_exact(16).enumerate() {
+                // SAFETY: one 64-byte load of the 16-word register.
+                let xs = unsafe { _mm512_loadu_epi32(xs.as_ptr()) };
+                let idx = _mm512_add_epi32(y_pairs, _mm512_set1_epi32(p as i32));
+                rp = _mm512_dpwssd_epi32(rp, xs, _mm512_permutexvar_epi32(idx, yc));
+            }
+        }
         if da > 0 || db > 0 {
+            let grow = [da > 0, db > 0];
+            let (cols, rows) = (lanes_of(grow, COLS_A), lanes_of(grow, ROWS_A));
+            if CHECKED {
+                // The growing tile's accumulator, less `trunc`, against
+                // the lanes.
+                let mut rest = acc;
+                for (r, e) in rest.iter_mut().zip(&trunc) {
+                    *r = _mm512_sub_epi32(*r, *e);
+                }
+                let (c, r) = misses(&rest, chk, rchk);
+                (bad_cols, bad_rows) = (bad_cols | c & cols, bad_rows | r & rows);
+            }
             let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32(da.max(0)), 0xCCCC, db.max(0));
             for a in acc.iter_mut() {
                 *a = _mm512_srav_epi32(*a, sh);
             }
+            if CHECKED {
+                let (c, r) = sums_of(&acc);
+                chk = _mm512_mask_blend_epi32(cols, chk, c);
+                rchk = _mm512_mask_blend_epi32(rows, rchk, r);
+                for e in trunc.iter_mut() {
+                    *e = _mm512_mask_mov_epi32(*e, cols, zero);
+                }
+            }
         }
         let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32((-da).max(0)), 0xCCCC, (-db).max(0));
         let xq = xt.as_ptr() as *const i32;
-        for (i, a) in acc.iter_mut().enumerate() {
+        let row_product = |i: usize| {
             // SAFETY: dwords `2i` and `2i + 1` of the 64-byte tile `xt`,
             // row `i`'s two k-quads.
             let (q0, q1) = unsafe {
@@ -1203,9 +1487,43 @@ unsafe fn chain_pair_vnni512(
                 )
             };
             let half = _mm512_dpbusd_epi32(_mm512_set1_epi32(c[i]), p0, _mm512_set1_epi32(q0));
-            let prod = _mm512_dpbusd_epi32(half, p1, _mm512_set1_epi32(q1));
-            // The chain merge, i32 width, per lane.
-            *a = _mm512_add_epi32(*a, _mm512_srav_epi32(prod, sh));
+            _mm512_dpbusd_epi32(half, p1, _mm512_set1_epi32(q1))
+        };
+        if CHECKED && (da < 0 || db < 0) {
+            // A product is about to lose bits: hold both tiles', verify the
+            // falling tile's against its checksum products, then merge the
+            // truncated rows, and collect the falling tile's in `trunc`.
+            let fall = [da < 0, db < 0];
+            let (cols, rows) = (lanes_of(fall, COLS_A), lanes_of(fall, ROWS_A));
+            let mut prod = [zero; 8];
+            for (i, t) in prod.iter_mut().enumerate() {
+                *t = row_product(i);
+            }
+            let (c, r) = misses(&prod, cp, rp);
+            (bad_cols, bad_rows) = (bad_cols | c & cols, bad_rows | r & rows);
+            for ((a, e), t) in acc.iter_mut().zip(trunc.iter_mut()).zip(prod) {
+                let t = _mm512_srav_epi32(t, sh);
+                *a = _mm512_add_epi32(*a, t);
+                *e = _mm512_mask_add_epi32(*e, cols, *e, t);
+            }
+            cp = _mm512_maskz_mov_epi32(!cols, cp);
+            rp = _mm512_maskz_mov_epi32(!rows, rp);
+        } else {
+            for (i, a) in acc.iter_mut().enumerate() {
+                // The chain merge, i32 width, per lane; no lane of a checked
+                // step gets here with a shift.
+                let prod = row_product(i);
+                let prod = if CHECKED {
+                    prod
+                } else {
+                    _mm512_srav_epi32(prod, sh)
+                };
+                *a = _mm512_add_epi32(*a, prod);
+            }
+        }
+        if CHECKED {
+            chk = _mm512_add_epi32(chk, cp);
+            rchk = _mm512_add_epi32(rchk, rp);
         }
     }
     let natural = _mm512_setr_epi32(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15);
@@ -1219,6 +1537,24 @@ unsafe fn chain_pair_vnni512(
             _mm256_storeu_si256(row_a as *mut __m256i, _mm512_castsi512_si256(rows));
             _mm256_storeu_si256(row_b as *mut __m256i, _mm512_extracti64x4_epi64::<1>(rows));
         }
+    }
+    if CHECKED {
+        let (c, r) = sums_of(&trunc);
+        let (chk, rchk) = (_mm512_add_epi32(chk, c), _mm512_add_epi32(rchk, r));
+        let by_row = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+        let (mut cols, mut rows) = ([0i32; 16], [0i32; 16]);
+        // SAFETY: one 64-byte store over each 16-element array.
+        unsafe {
+            _mm512_storeu_epi32(cols.as_mut_ptr(), _mm512_permutexvar_epi32(natural, chk));
+            _mm512_storeu_epi32(rows.as_mut_ptr(), _mm512_permutexvar_epi32(by_row, rchk));
+        }
+        for t in 0..2 {
+            sums.chk[t].copy_from_slice(&cols[t * 8..][..8]);
+            sums.rchk[t].copy_from_slice(&rows[t * 8..][..8]);
+        }
+        let bad = |cols: u16, rows: u16| bad_cols & cols | bad_rows & rows != 0;
+        sums.checks = checks;
+        sums.mismatch = [bad(COLS_A, ROWS_A), bad(!COLS_A, !ROWS_A)];
     }
     (tiles, exps)
 }
@@ -1942,9 +2278,19 @@ pub(crate) mod tests {
 
     /// Every register tier this host's CPU flags allow for plain chains of
     /// `kb` steps, fastest first.
-    fn register_tiers(kb: usize) -> Vec<ChainKernel> {
+    pub(crate) fn register_tiers(kb: usize) -> Vec<ChainKernel> {
+        tiers_below(kb, I32_CHAIN_MAX_KB)
+    }
+
+    /// Every register tier this host's CPU flags allow for checked chains
+    /// of `kb` steps, fastest first.
+    pub(crate) fn checked_tiers(kb: usize) -> Vec<ChainKernel> {
+        tiers_below(kb, CHECKED_CHAIN_MAX_KB)
+    }
+
+    fn tiers_below(kb: usize, max_kb: usize) -> Vec<ChainKernel> {
         let mut tiers = Vec::new();
-        if kb < I32_CHAIN_MAX_KB && is_x86_feature_detected!("avx2") {
+        if kb < max_kb && is_x86_feature_detected!("avx2") {
             if is_x86_feature_detected!("avx512f")
                 && is_x86_feature_detected!("avx512bw")
                 && is_x86_feature_detected!("avx512vnni")
@@ -1975,7 +2321,9 @@ pub(crate) mod tests {
                 let mut bj = 0;
                 while bj < pb.block_cols {
                     let x_exps = &pa.exps[bi * kb..][..kb];
-                    let (n, exps) = tier.chain_i32(x, &xs, x_exps, pb, bj, &mut acc32);
+                    let plain = &mut ChainSums::default();
+                    let (n, exps) =
+                        tier.chain_i32::<false>(x, &xs, x_exps, pb, bj, plain, &mut acc32);
                     let pairs = tier == ChainKernel::Vnni512;
                     assert_eq!(n, 1 + (pairs && bj + 1 < pb.block_cols) as usize);
                     for (t, acc) in acc32[..n].iter().enumerate() {
@@ -2119,23 +2467,18 @@ pub(crate) mod tests {
     #[test]
     fn i32_chain_hands_over_to_i64_at_its_bound() {
         if is_x86_feature_detected!("avx2") {
-            // Plain chains take the fastest tier the CPU has, checked ones
-            // the AVX2 tier whatever else it has.
+            // Plain and checked chains take the fastest tier the CPU has.
             let plain = register_tiers(I32_CHAIN_MAX_KB - 1)[0];
             assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), plain);
-            assert_eq!(
-                chain_tier(),
-                if plain == ChainKernel::Vnni512 {
-                    "avx512-vnni"
-                } else {
-                    "avx2"
-                }
-            );
+            let name = if plain == ChainKernel::Vnni512 {
+                "avx512-vnni"
+            } else {
+                "avx2"
+            };
+            assert_eq!((chain_tier(false), chain_tier(true)), (name, name));
             let longest_checked = CHECKED_CHAIN_MAX_KB - 1;
-            assert_eq!(
-                ChainKernel::select(8, longest_checked, true),
-                ChainKernel::Avx2I32
-            );
+            assert_eq!(checked_tiers(longest_checked)[0], plain);
+            assert_eq!(ChainKernel::select(8, longest_checked, true), plain);
             assert_eq!(ChainKernel::select(16, 4, false), ChainKernel::I64);
         }
         assert_eq!(

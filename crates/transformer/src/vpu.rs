@@ -306,6 +306,9 @@ impl Default for Vpu {
     }
 }
 
+/// Newton–Raphson steps of [`Vpu::recip`].
+const RECIP_STEPS: u32 = 3;
+
 /// Magic constant: adding then subtracting `1.5 × 2^23` rounds an fp32 with
 /// |x| < 2^22 to the nearest integer using only the adder.
 const ROUND_MAGIC: f32 = 12_582_912.0;
@@ -424,12 +427,12 @@ impl Vpu {
     // ------------------------------------------------------------------
 
     /// Reciprocal `1/x` on the array: exponent-negation initial guess
-    /// (an EU operation) refined by `iters` Newton–Raphson steps
-    /// `y ← y·(2 − x·y)`. Three iterations reach < 1e-6 relative error
-    /// over the full normal range.
+    /// (an EU operation) refined by three Newton–Raphson steps
+    /// `y ← y·(2 − x·y)`, which reach < 1e-6 relative error over the full
+    /// normal range.
     ///
-    /// Cost: `2·iters` muls and `iters` adds, plus one exponent adjust.
-    pub fn recip(&mut self, x: f32, iters: u32) -> f32 {
+    /// Cost: 6 muls and 3 adds, plus one exponent adjust.
+    pub fn recip(&mut self, x: f32) -> f32 {
         if x == 0.0 {
             return if x.is_sign_negative() {
                 f32::NEG_INFINITY
@@ -445,7 +448,7 @@ impl Vpu {
         if x < 0.0 {
             y = -y;
         }
-        for _ in 0..iters {
+        for _ in 0..RECIP_STEPS {
             let xy = self.mul(x, y);
             let e = self.sub(2.0, xy);
             y = self.mul(y, e);
@@ -455,7 +458,7 @@ impl Vpu {
 
     /// Division on the array: `a × recip(b)`.
     pub fn div_onchip(&mut self, a: f32, b: f32) -> f32 {
-        let r = self.recip(b, 3);
+        let r = self.recip(b);
         self.mul(a, r)
     }
 
@@ -754,7 +757,7 @@ impl Datapath for OnChip<'_> {
     }
 
     fn row_recip(&mut self, sum: f32) -> Option<f32> {
-        Some(self.0.recip(sum, 3))
+        Some(self.0.recip(sum))
     }
 
     fn count_cmp(&mut self) {
@@ -1024,13 +1027,13 @@ mod tests {
                 continue;
             }
             let x = (k as f32 * 0.77).exp2() * if k % 2 == 0 { 1.0 } else { -1.3 };
-            let got = vpu.recip(x, 3) as f64;
+            let got = vpu.recip(x) as f64;
             let want = 1.0 / x as f64;
             let rel = ((got - want) / want).abs();
             assert!(rel < 2e-6, "recip({x}): {got} vs {want} rel {rel}");
         }
-        assert_eq!(vpu.recip(0.0, 3), f32::INFINITY);
-        assert_eq!(vpu.recip(-0.0, 3), f32::NEG_INFINITY);
+        assert_eq!(vpu.recip(0.0), f32::INFINITY);
+        assert_eq!(vpu.recip(-0.0), f32::NEG_INFINITY);
     }
 
     #[test]

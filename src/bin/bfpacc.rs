@@ -1,7 +1,7 @@
 //! `bfpacc` — command-line driver for the modelled accelerator.
 //!
 //! ```text
-//! bfpacc info    system configuration, resources, host chain tier
+//! bfpacc info    system configuration, resources, host chain tiers
 //! ```
 //!
 //! GEMMs, inference reports, throughput sweeps and cycle traces are the
@@ -53,7 +53,8 @@ fn info() {
         sys.theoretical_fp32_gflops(128)
     );
     println!(
-        "  host bfp8 chain  : {} (avx512-vnni, avx2 or i64)",
-        bfp_arith::packed::chain_tier()
+        "  host bfp8 chain  : {} (checked: {})",
+        bfp_arith::packed::chain_tier(false),
+        bfp_arith::packed::chain_tier(true)
     );
 }
