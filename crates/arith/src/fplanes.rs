@@ -40,14 +40,23 @@
 //! value must not feed another lane operation. No fused multiply-add
 //! anywhere: the exactness argument is per IEEE operation.
 //!
+//! **Two widths.** [`lane`] runs four lanes per AVX2 instruction stream
+//! (`F64x4`), [`lane8`] eight per AVX-512 one (`F64x8`): the same functions
+//! and the same IEEE operations, `lane8`'s compares and selects in k-masks.
+//! [`Width`] names both ([`Ymm`], [`Zmm`]), so code written once over
+//! `W: Width` compiles to either, and [`tier`] is the widest this host
+//! runs — the one run-time choice.
+//!
 //! The scalar types remain the bit oracle and the hardware-faithful model;
-//! [`mul_slices`] / [`add_slices`] are the safe entry points tests and
-//! benches compare against them.
+//! [`mul_slices`] / [`add_slices`] run one tier's lanes and are the safe
+//! entry points tests compare against them.
+
+use std::fmt;
 
 use crate::fpadd::{AddVariant, HwFp32Add};
 use crate::fpmul::{HwFp32Mul, MulVariant};
 
-/// f32 elements per lane vector.
+/// f32 elements per [`lane`] vector.
 pub const LANES: usize = 4;
 
 /// True when this host can run the lane datapath: x86-64 with AVX2
@@ -64,106 +73,248 @@ pub fn available() -> bool {
     }
 }
 
-/// `out[i] = HwFp32Mul::new(DropLsp).mul(x[i], y[i])`, four at a time on
-/// the lane datapath where the host has it and all four pairs are finite;
-/// the scalar multiplier everywhere else. Bit-identical either way.
+/// A width of the lane datapath a host can run, narrowest first: a host
+/// that runs a tier runs every tier below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// No lanes: the scalar datapath.
+    Scalar,
+    /// [`lane`], four lanes: AVX2.
+    Avx2,
+    /// [`lane8`], eight lanes: AVX2 and AVX-512 F, DQ and VL.
+    Avx512,
+}
+
+impl fmt::Display for Tier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2 (4 lanes)",
+            Tier::Avx512 => "avx512 (8 lanes)",
+        })
+    }
+}
+
+/// The widest [`Tier`] this host runs, by run-time CPU detection.
+#[inline]
+pub fn tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+        {
+            return Tier::Avx512;
+        }
+        return Tier::Avx2;
+    }
+    Tier::Scalar
+}
+
+/// `out[i] = HwFp32Mul::new(DropLsp).mul(x[i], y[i])`, a vector at a time
+/// on `tier`'s lanes where all its pairs are finite, the scalar multiplier
+/// everywhere else. Bit-identical on every tier.
 ///
 /// # Panics
-/// Panics if the three slices differ in length.
-pub fn mul_slices(x: &[f32], y: &[f32], out: &mut [f32]) {
-    let hw = HwFp32Mul::new(MulVariant::DropLsp);
-    #[cfg(target_arch = "x86_64")]
-    if available() {
-        // SAFETY: AVX2 was just detected.
-        unsafe { mul_slices_avx2(x, y, out, &hw) };
-        return;
-    }
-    binop_scalar(x, y, out, |a, b| hw.mul(a, b));
+/// Panics if the three slices differ in length, or if the host cannot run
+/// `tier` (it is above [`tier()`]).
+pub fn mul_slices(tier: Tier, x: &[f32], y: &[f32], out: &mut [f32]) {
+    binop(tier, BinOp::Mul, x, y, out);
 }
 
 /// `out[i] = HwFp32Add::new(Exact48).add(x[i], y[i])`; see [`mul_slices`].
 ///
 /// # Panics
-/// Panics if the three slices differ in length.
-pub fn add_slices(x: &[f32], y: &[f32], out: &mut [f32]) {
-    let hw = HwFp32Add::new(AddVariant::Exact48);
-    #[cfg(target_arch = "x86_64")]
-    if available() {
-        // SAFETY: AVX2 was just detected.
-        unsafe { add_slices_avx2(x, y, out, &hw) };
-        return;
-    }
-    binop_scalar(x, y, out, |a, b| hw.add(a, b));
+/// As [`mul_slices`].
+pub fn add_slices(tier: Tier, x: &[f32], y: &[f32], out: &mut [f32]) {
+    binop(tier, BinOp::Add, x, y, out);
 }
 
-fn binop_scalar(x: &[f32], y: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-    assert_eq!(x.len(), out.len(), "operand length");
-    assert_eq!(y.len(), out.len(), "operand length");
-    for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
-        *o = f(a, b);
-    }
+#[derive(Clone, Copy)]
+enum BinOp {
+    Mul,
+    Add,
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_slices_avx2(x: &[f32], y: &[f32], out: &mut [f32], hw: &HwFp32Mul) {
-    // SAFETY: the caller detected AVX2.
-    binop_lanes(
-        x,
-        y,
-        out,
-        |a, b| unsafe { lane::mul(a, b) },
-        |a, b| hw.mul(a, b),
-    );
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_slices_avx2(x: &[f32], y: &[f32], out: &mut [f32], hw: &HwFp32Add) {
-    // SAFETY: the caller detected AVX2.
-    binop_lanes(
-        x,
-        y,
-        out,
-        |a, b| unsafe { lane::add(a, b) },
-        |a, b| hw.add(a, b),
-    );
-}
-
-/// Groups of four finite pairs through `vector`, everything else (a group
-/// with a NaN/infinite operand, the slice remainder) through `scalar`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn binop_lanes(
-    x: &[f32],
-    y: &[f32],
-    out: &mut [f32],
-    vector: impl Fn(lane::F64x4, lane::F64x4) -> lane::F64x4,
-    scalar: impl Fn(f32, f32) -> f32,
-) {
-    assert_eq!(x.len(), out.len(), "operand length");
-    assert_eq!(y.len(), out.len(), "operand length");
-    let groups = out
-        .chunks_exact_mut(LANES)
-        .zip(x.chunks_exact(LANES).zip(y.chunks_exact(LANES)));
-    for (o, (a, b)) in groups {
-        // SAFETY: every chunk is exactly `LANES` f32s.
-        let (va, vb) = unsafe { (lane::load(a.as_ptr()), lane::load(b.as_ptr())) };
-        if unsafe { lane::all_finite(va) && lane::all_finite(vb) } {
-            let r = vector(unsafe { lane::import(va) }, unsafe { lane::import(vb) });
-            // SAFETY: `o` is exactly `LANES` f32s.
-            unsafe { lane::store(o.as_mut_ptr(), lane::export(r)) };
-        } else {
-            binop_scalar(a, b, o, &scalar);
+impl BinOp {
+    fn scalar(self, x: f32, y: f32) -> f32 {
+        match self {
+            BinOp::Mul => HwFp32Mul::new(MulVariant::DropLsp).mul(x, y),
+            BinOp::Add => HwFp32Add::new(AddVariant::Exact48).add(x, y),
         }
     }
-    let done = out.len() - out.len() % LANES;
-    binop_scalar(&x[done..], &y[done..], &mut out[done..], scalar);
 }
 
-/// The lane operations themselves. Every function is `#[inline(always)]`
-/// and carries no `target_feature` of its own, so it folds into a caller
-/// compiled with AVX2 enabled.
+fn binop(on: Tier, op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "operand length");
+    assert_eq!(y.len(), out.len(), "operand length");
+    assert!(on <= tier(), "this host cannot run the {on} tier");
+    let done = match on {
+        // SAFETY (both arms): the host runs the tier, asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { binop_avx512(op, x, y, out) },
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { binop_avx2(op, x, y, out) },
+        _ => 0,
+    };
+    for i in done..out.len() {
+        out[i] = op.scalar(x[i], y[i]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn binop_avx2(op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]) -> usize {
+    binop_lanes::<Ymm>(op, x, y, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+unsafe fn binop_avx512(op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]) -> usize {
+    binop_lanes::<Zmm>(op, x, y, out)
+}
+
+/// Whole vectors of finite pairs through `W`'s lanes, a vector with a
+/// NaN/infinite operand through the scalar op; returns the elements done
+/// (all but the `< W::LANES` remainder).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn binop_lanes<W: Width>(op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]) -> usize {
+    let groups = out
+        .chunks_exact_mut(W::LANES)
+        .zip(x.chunks_exact(W::LANES).zip(y.chunks_exact(W::LANES)));
+    for (o, (a, b)) in groups {
+        // SAFETY: every chunk is exactly `W::LANES` f32s.
+        let (va, vb) = unsafe { (W::load(a.as_ptr()), W::load(b.as_ptr())) };
+        if unsafe { W::all_abs_le(va, f32::MAX) && W::all_abs_le(vb, f32::MAX) } {
+            let (va, vb) = unsafe { (W::import(va), W::import(vb)) };
+            let r = match op {
+                BinOp::Mul => unsafe { W::mul(va, vb) },
+                BinOp::Add => unsafe { W::add(va, vb) },
+            };
+            // SAFETY: `o` is exactly `W::LANES` f32s.
+            unsafe { W::store(o.as_mut_ptr(), W::export(r)) };
+        } else {
+            for ((o, &a), &b) in o.iter_mut().zip(a).zip(b) {
+                *o = op.scalar(a, b);
+            }
+        }
+    }
+    out.len() - out.len() % W::LANES
+}
+
+/// One width of the lane datapath, [`Ymm`] or [`Zmm`]: every function
+/// forwards to the width's module ([`lane`] or [`lane8`]) under that
+/// module's contract — a caller compiled with the width's features, on a
+/// host that has them.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)] // the modules' contract
+pub trait Width {
+    /// f32 elements per vector.
+    const LANES: usize;
+    /// Lane values: fp32 values widened to f64.
+    type V: Copy;
+    /// f32s in memory format.
+    type F: Copy;
+    /// One i32 per lane.
+    type I: Copy;
+    unsafe fn load(p: *const f32) -> Self::F;
+    unsafe fn store(p: *mut f32, v: Self::F);
+    unsafe fn splat(x: f32) -> Self::F;
+    unsafe fn all_abs_le(x: Self::F, bound: f32) -> bool;
+    unsafe fn all_within(v: Self::V, lo: f64, hi: f64) -> bool;
+    unsafe fn import(x: Self::F) -> Self::V;
+    unsafe fn export(v: Self::V) -> Self::F;
+    unsafe fn mul(x: Self::V, y: Self::V) -> Self::V;
+    unsafe fn add(x: Self::V, y: Self::V) -> Self::V;
+    unsafe fn sub(x: Self::V, y: Self::V) -> Self::V;
+    unsafe fn scale_exp2(x: Self::V, k: Self::I) -> Self::V;
+    unsafe fn to_i32(v: Self::V) -> Self::I;
+    /// The host's correctly rounded IEEE divide `a / b`, lane for lane.
+    unsafe fn div(a: Self::F, b: Self::F) -> Self::F;
+}
+
+macro_rules! width {
+    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $v:ty, $f:ty, $i:ty, $div:ident) => {
+        $(#[$doc])*
+        #[cfg(target_arch = "x86_64")]
+        #[derive(Debug, Clone, Copy)]
+        pub struct $name;
+
+        #[cfg(target_arch = "x86_64")]
+        impl Width for $name {
+            const LANES: usize = $lanes;
+            type V = $v;
+            type F = $f;
+            type I = $i;
+            #[inline(always)]
+            unsafe fn load(p: *const f32) -> $f {
+                $m::load(p)
+            }
+            #[inline(always)]
+            unsafe fn store(p: *mut f32, v: $f) {
+                $m::store(p, v)
+            }
+            #[inline(always)]
+            unsafe fn splat(x: f32) -> $f {
+                $m::splat(x)
+            }
+            #[inline(always)]
+            unsafe fn all_abs_le(x: $f, bound: f32) -> bool {
+                $m::all_abs_le(x, bound)
+            }
+            #[inline(always)]
+            unsafe fn all_within(v: $v, lo: f64, hi: f64) -> bool {
+                $m::all_within(v, lo, hi)
+            }
+            #[inline(always)]
+            unsafe fn import(x: $f) -> $v {
+                $m::import(x)
+            }
+            #[inline(always)]
+            unsafe fn export(v: $v) -> $f {
+                $m::export(v)
+            }
+            #[inline(always)]
+            unsafe fn mul(x: $v, y: $v) -> $v {
+                $m::mul(x, y)
+            }
+            #[inline(always)]
+            unsafe fn add(x: $v, y: $v) -> $v {
+                $m::add(x, y)
+            }
+            #[inline(always)]
+            unsafe fn sub(x: $v, y: $v) -> $v {
+                $m::sub(x, y)
+            }
+            #[inline(always)]
+            unsafe fn scale_exp2(x: $v, k: $i) -> $v {
+                $m::scale_exp2(x, k)
+            }
+            #[inline(always)]
+            unsafe fn to_i32(v: $v) -> $i {
+                $m::to_i32(v)
+            }
+            #[inline(always)]
+            unsafe fn div(a: $f, b: $f) -> $f {
+                std::arch::x86_64::$div(a, b)
+            }
+        }
+    };
+}
+
+width!(
+    /// [`lane`]'s four lanes: the [`Tier::Avx2`] width.
+    Ymm = lane, 4, lane::F64x4, lane::F32x4, std::arch::x86_64::__m128i, _mm_div_ps
+);
+width!(
+    /// [`lane8`]'s eight lanes: the [`Tier::Avx512`] width.
+    Zmm = lane8, 8, lane8::F64x8, lane8::F32x8, std::arch::x86_64::__m256i, _mm256_div_ps
+);
+
+/// The lane operations four lanes wide. Every function is
+/// `#[inline(always)]` and carries no `target_feature` of its own, so it
+/// folds into a caller compiled with AVX2 enabled.
 ///
 /// # Safety
 /// Every function here must only be reached on a host with AVX2 (check
@@ -181,22 +332,22 @@ pub mod lane {
     /// Four fp32 values in memory format.
     pub type F32x4 = __m128;
 
-    const SIGN: u64 = 1 << 63;
-    const EXP_FIELD: u64 = 0x7ff << 52;
+    pub(super) const SIGN: u64 = 1 << 63;
+    pub(super) const EXP_FIELD: u64 = 0x7ff << 52;
     /// Clears `man(0)`: the low 8 of the 24 mantissa bits sit at f64
     /// fraction bits 29..=36 (everything below is zero in a lane value).
-    const CLEAR_MAN0: u64 = !((1 << 37) - 1);
+    pub(super) const CLEAR_MAN0: u64 = !((1 << 37) - 1);
     /// Truncates to 24 significant bits (drops fraction bits 0..=28) and
     /// drops the sign.
-    const TRUNC24_ABS: u64 = !((1 << 29) - 1) & !SIGN;
+    pub(super) const TRUNC24_ABS: u64 = !((1 << 29) - 1) & !SIGN;
     /// 2⁻¹²⁶, the smallest magnitude `pack` does not flush.
-    const TINY: u64 = (1023 - 126) << 52;
+    pub(super) const TINY: u64 = (1023 - 126) << 52;
     /// 2¹²⁸, the smallest magnitude `pack` saturates.
-    const HUGE: u64 = (1023 + 128) << 52;
+    pub(super) const HUGE: u64 = (1023 + 128) << 52;
     /// The adder window: `q = me · 2⁻⁴⁷`, `1/q = 2⁴⁷ / me` for the
     /// power of two `me = 2^(e−127)`, both by exponent-field arithmetic.
-    const WINDOW: i64 = 47 << 52;
-    const WINDOW_INV: i64 = ((2 * 1023 + 47u64) << 52) as i64;
+    pub(super) const WINDOW: i64 = 47 << 52;
+    pub(super) const WINDOW_INV: i64 = ((2 * 1023 + 47u64) << 52) as i64;
 
     #[inline(always)]
     unsafe fn bits(v: u64) -> F64x4 {
@@ -223,12 +374,6 @@ pub mod lane {
     #[inline(always)]
     pub unsafe fn splat(x: f32) -> F32x4 {
         _mm_set1_ps(x)
-    }
-
-    /// True when no lane is NaN or infinite (any f32 input).
-    #[inline(always)]
-    pub unsafe fn all_finite(x: F32x4) -> bool {
-        all_abs_le(x, f32::MAX)
     }
 
     /// True when every lane has `|x| ≤ bound`; a NaN lane fails (any f32
@@ -338,6 +483,161 @@ pub mod lane {
     }
 }
 
+/// The lane operations eight lanes wide: [`lane`]'s functions on `F64x8`
+/// vectors, the same IEEE operations in the same order, the compares and
+/// selects in k-masks. Every function is `#[inline(always)]` and carries
+/// no `target_feature` of its own.
+///
+/// # Safety
+/// Every function here must only be reached on a host with AVX2 and
+/// AVX-512 F, DQ and VL (check [`tier`]), from a function compiled with
+/// `#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]`; the
+/// lane inputs are [`lane`]'s.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)] // one contract, stated on the module
+pub mod lane8 {
+    use std::arch::x86_64::*;
+
+    use super::lane::{CLEAR_MAN0, EXP_FIELD, HUGE, SIGN, TINY, TRUNC24_ABS, WINDOW, WINDOW_INV};
+
+    /// Eight fp32 values widened to f64, one per lane.
+    pub type F64x8 = __m512d;
+    /// Eight fp32 values in memory format.
+    pub type F32x8 = __m256;
+
+    #[inline(always)]
+    unsafe fn bits(v: u64) -> F64x8 {
+        _mm512_castsi512_pd(_mm512_set1_epi64(v as i64))
+    }
+
+    /// Eight consecutive f32s.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading eight f32s (any alignment).
+    #[inline(always)]
+    pub unsafe fn load(p: *const f32) -> F32x8 {
+        _mm256_loadu_ps(p)
+    }
+
+    /// # Safety
+    /// `p` must be valid for writing eight f32s (any alignment).
+    #[inline(always)]
+    pub unsafe fn store(p: *mut f32, v: F32x8) {
+        _mm256_storeu_ps(p, v)
+    }
+
+    /// The same f32 in all eight lanes.
+    #[inline(always)]
+    pub unsafe fn splat(x: f32) -> F32x8 {
+        _mm256_set1_ps(x)
+    }
+
+    /// True when every lane has `|x| ≤ bound`; a NaN lane fails (any f32
+    /// input).
+    #[inline(always)]
+    pub unsafe fn all_abs_le(x: F32x8, bound: f32) -> bool {
+        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), x);
+        _mm256_cmp_ps_mask::<_CMP_LE_OQ>(abs, _mm256_set1_ps(bound)) == 0xff
+    }
+
+    /// True when every lane lies in `[lo, hi]` (lane values, ±inf allowed).
+    #[inline(always)]
+    pub unsafe fn all_within(v: F64x8, lo: f64, hi: f64) -> bool {
+        let ge = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_set1_pd(lo));
+        _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(ge, v, _mm512_set1_pd(hi)) == 0xff
+    }
+
+    /// Widen to lane format with `SoftFp32::unpack`'s flush: a subnormal
+    /// becomes a zero of its sign. Infinities pass through unchanged.
+    #[inline(always)]
+    pub unsafe fn import(x: F32x8) -> F64x8 {
+        let v = _mm512_cvtps_pd(x);
+        let normal = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_abs_pd(v), bits(TINY));
+        _mm512_mask_mov_pd(_mm512_and_pd(v, bits(SIGN)), normal, v)
+    }
+
+    /// Back to memory format. Exact: a lane value is an fp32 value.
+    #[inline(always)]
+    pub unsafe fn export(v: F64x8) -> F32x8 {
+        _mm512_cvtpd_ps(v)
+    }
+
+    /// `SoftFp32::pack` on a truncated magnitude: flush below 2⁻¹²⁶,
+    /// saturate from 2¹²⁸, attach the sign (which survives both).
+    #[inline(always)]
+    unsafe fn pack(mag: F64x8, sign: F64x8) -> F64x8 {
+        let normal = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(mag, bits(TINY));
+        let over = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(mag, bits(HUGE));
+        let mag = _mm512_mask_mov_pd(_mm512_maskz_mov_pd(normal, mag), over, bits(EXP_FIELD));
+        _mm512_or_pd(mag, sign)
+    }
+
+    /// `HwFp32Mul { DropLsp, Truncate }::mul` per lane.
+    #[inline(always)]
+    pub unsafe fn mul(x: F64x8, y: F64x8) -> F64x8 {
+        let sign = _mm512_and_pd(_mm512_xor_pd(x, y), bits(SIGN));
+        let xh = _mm512_and_pd(x, bits(CLEAR_MAN0));
+        let yh = _mm512_and_pd(y, bits(CLEAR_MAN0));
+        let yl = _mm512_sub_pd(y, yh);
+        // x·y − xl·yl = x·yh + xh·yl; 40-bit + 24-bit products, 48-bit sum.
+        let full = _mm512_add_pd(_mm512_mul_pd(x, yh), _mm512_mul_pd(xh, yl));
+        pack(_mm512_and_pd(full, bits(TRUNC24_ABS)), sign)
+    }
+
+    /// `HwFp32Add { Exact48, Truncate }::add` per lane.
+    #[inline(always)]
+    pub unsafe fn add(x: F64x8, y: F64x8) -> F64x8 {
+        // me = 2^(max(exp_x, exp_y, 1) − 127), as in `lane::add`.
+        let ex = _mm512_and_pd(x, bits(EXP_FIELD));
+        let ey = _mm512_and_pd(y, bits(EXP_FIELD));
+        let me = _mm512_castpd_si512(_mm512_max_pd(_mm512_max_pd(ex, ey), bits(TINY)));
+        let q = _mm512_castsi512_pd(_mm512_sub_epi64(me, _mm512_set1_epi64(WINDOW)));
+        let q_inv = _mm512_castsi512_pd(_mm512_sub_epi64(_mm512_set1_epi64(WINDOW_INV), me));
+        const TO_ZERO: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+        let tx = _mm512_roundscale_pd::<TO_ZERO>(_mm512_mul_pd(x, q_inv));
+        let ty = _mm512_roundscale_pd::<TO_ZERO>(_mm512_mul_pd(y, q_inv));
+        let sum = _mm512_mul_pd(_mm512_add_pd(tx, ty), q);
+        pack(
+            _mm512_and_pd(sum, bits(TRUNC24_ABS)),
+            _mm512_and_pd(sum, bits(SIGN)),
+        )
+    }
+
+    /// `HwFp32Add::sub`: the sign flip through the XOR gate, then [`add`].
+    #[inline(always)]
+    pub unsafe fn sub(x: F64x8, y: F64x8) -> F64x8 {
+        add(x, _mm512_xor_pd(y, bits(SIGN)))
+    }
+
+    /// The exponent unit's `x · 2^k` (`Vpu::scale_exp2`) for any `k`, as
+    /// [`lane::scale_exp2`](super::lane::scale_exp2).
+    #[inline(always)]
+    pub unsafe fn scale_exp2(x: F64x8, k: __m256i) -> F64x8 {
+        let k = _mm256_max_epi32(
+            _mm256_min_epi32(k, _mm256_set1_epi32(300)),
+            _mm256_set1_epi32(-300),
+        );
+        let pow = _mm512_slli_epi64::<52>(_mm512_add_epi64(
+            _mm512_cvtepi32_epi64(k),
+            _mm512_set1_epi64(1023),
+        ));
+        let r = _mm512_mul_pd(x, _mm512_castsi512_pd(pow));
+        let mag = _mm512_abs_pd(r);
+        let normal = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(mag, bits(TINY));
+        let zero_in = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(x, _mm512_setzero_pd());
+        let sign = _mm512_maskz_and_pd(normal | zero_in, r, bits(SIGN));
+        let over = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(mag, bits(HUGE));
+        let mag = _mm512_mask_mov_pd(_mm512_maskz_mov_pd(normal, mag), over, bits(EXP_FIELD));
+        _mm512_or_pd(mag, sign)
+    }
+
+    /// `v as i32` for integer-valued lanes (the `kf as i32` of `Vpu::exp`).
+    #[inline(always)]
+    pub unsafe fn to_i32(v: F64x8) -> __m256i {
+        _mm512_cvttpd_epi32(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,28 +670,30 @@ mod tests {
             HwFp32Mul::new(MulVariant::DropLsp),
             HwFp32Add::new(AddVariant::Exact48),
         );
-        let mut got = [0f32; 9];
-        mul_slices(&x, &y, &mut got);
-        for i in 0..9 {
-            assert_eq!(
-                got[i].to_bits(),
-                hm.mul(x[i], y[i]).to_bits(),
-                "mul lane {i}"
-            );
-        }
-        add_slices(&x, &y, &mut got);
-        for i in 0..9 {
-            assert_eq!(
-                got[i].to_bits(),
-                ha.add(x[i], y[i]).to_bits(),
-                "add lane {i}"
-            );
+        let mut tiers = vec![Tier::Scalar];
+        tiers.extend(
+            [Tier::Avx2, Tier::Avx512]
+                .into_iter()
+                .filter(|&t| t <= tier()),
+        );
+        for on in tiers {
+            let mut got = [0f32; 9];
+            mul_slices(on, &x, &y, &mut got);
+            for i in 0..9 {
+                let want = hm.mul(x[i], y[i]);
+                assert_eq!(got[i].to_bits(), want.to_bits(), "{on} mul lane {i}");
+            }
+            add_slices(on, &x, &y, &mut got);
+            for i in 0..9 {
+                let want = ha.add(x[i], y[i]);
+                assert_eq!(got[i].to_bits(), want.to_bits(), "{on} add lane {i}");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "operand length")]
     fn slices_reject_ragged_operands() {
-        mul_slices(&[1.0; 4], &[1.0; 3], &mut [0.0; 4]);
+        mul_slices(Tier::Scalar, &[1.0; 4], &[1.0; 3], &mut [0.0; 4]);
     }
 }

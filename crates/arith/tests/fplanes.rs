@@ -1,12 +1,30 @@
 //! The lane datapath (`bfp_arith::fplanes`) against its scalar oracle,
 //! `HwFp32Mul::new(DropLsp)` / `HwFp32Add::new(Exact48)`, bit for bit: a
 //! seeded sweep plus directed cases that each pin one rule of the
-//! datapath. On a host without AVX2 both sides are the scalar code and
-//! the file passes vacuously.
+//! datapath, on every lane tier the host runs (`lane8` and `lane` on an
+//! AVX-512 host). On a host without AVX2 both sides are the scalar code
+//! and the file passes vacuously.
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
-use bfp_arith::fplanes::{add_slices, mul_slices};
+use bfp_arith::fplanes::{add_slices, mul_slices, tier, Tier};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant};
+
+type Slices = fn(Tier, &[f32], &[f32], &mut [f32]);
+
+/// Every lane tier this host runs, widest first; `[Scalar]` on a host
+/// with none.
+fn tiers() -> Vec<Tier> {
+    let host = tier();
+    let lanes: Vec<Tier> = [Tier::Avx512, Tier::Avx2]
+        .into_iter()
+        .filter(|&t| t <= host)
+        .collect();
+    if lanes.is_empty() {
+        vec![Tier::Scalar]
+    } else {
+        lanes
+    }
+}
 
 fn hw_mul(x: f32, y: f32) -> f32 {
     HwFp32Mul::new(MulVariant::DropLsp).mul(x, y)
@@ -16,18 +34,19 @@ fn hw_add(x: f32, y: f32) -> f32 {
     HwFp32Add::new(AddVariant::Exact48).add(x, y)
 }
 
-/// Run `cases` through a slice entry point in both operand orders —
-/// padded to whole vectors so every finite case takes the lane path — and
-/// compare with the scalar oracle. Returns the lane results in case order.
+/// Run `cases` through a slice entry point on every tier in both operand
+/// orders — padded to whole vectors so every finite case takes the lane
+/// path — and compare with the scalar oracle. Returns the lane results in
+/// case order, the same on every tier.
 fn check(
     what: &str,
     cases: &[(f32, f32)],
-    slices: fn(&[f32], &[f32], &mut [f32]),
+    slices: Slices,
     oracle: fn(f32, f32) -> f32,
 ) -> Vec<f32> {
     let mut x: Vec<f32> = cases.iter().map(|c| c.0).collect();
     let mut y: Vec<f32> = cases.iter().map(|c| c.1).collect();
-    while !x.len().is_multiple_of(4) {
+    while !x.len().is_multiple_of(8) {
         x.push(1.0);
         y.push(1.0);
     }
@@ -35,31 +54,37 @@ fn check(
         x.iter().chain(&y).all(|v| v.is_finite()),
         "directed cases must be finite to reach the lanes"
     );
-    let mut fwd = vec![0f32; x.len()];
-    let mut rev = vec![0f32; x.len()];
-    slices(&x, &y, &mut fwd);
-    slices(&y, &x, &mut rev);
-    for i in 0..cases.len() {
-        let (a, b) = cases[i];
-        assert_eq!(
-            fwd[i].to_bits(),
-            oracle(a, b).to_bits(),
-            "{what}: {a:e} ({:#010x}) op {b:e} ({:#010x}): lanes {:e}, scalar {:e}",
-            a.to_bits(),
-            b.to_bits(),
-            fwd[i],
-            oracle(a, b)
-        );
-        assert_eq!(
-            rev[i].to_bits(),
-            oracle(b, a).to_bits(),
-            "{what} (swapped): {b:e} op {a:e}: lanes {:e}, scalar {:e}",
-            rev[i],
-            oracle(b, a)
-        );
-    }
-    fwd.truncate(cases.len());
-    fwd
+    let results: Vec<Vec<f32>> = tiers()
+        .into_iter()
+        .map(|on| {
+            let mut fwd = vec![0f32; x.len()];
+            let mut rev = vec![0f32; x.len()];
+            slices(on, &x, &y, &mut fwd);
+            slices(on, &y, &x, &mut rev);
+            for i in 0..cases.len() {
+                let (a, b) = cases[i];
+                assert_eq!(
+                    fwd[i].to_bits(),
+                    oracle(a, b).to_bits(),
+                    "{what} on {on}: {a:e} ({:#010x}) op {b:e} ({:#010x}): lanes {:e}, scalar {:e}",
+                    a.to_bits(),
+                    b.to_bits(),
+                    fwd[i],
+                    oracle(a, b)
+                );
+                assert_eq!(
+                    rev[i].to_bits(),
+                    oracle(b, a).to_bits(),
+                    "{what} on {on} (swapped): {b:e} op {a:e}: lanes {:e}, scalar {:e}",
+                    rev[i],
+                    oracle(b, a)
+                );
+            }
+            fwd.truncate(cases.len());
+            fwd
+        })
+        .collect();
+    results[0].clone()
 }
 
 fn check_mul(cases: &[(f32, f32)]) -> Vec<f32> {
@@ -130,7 +155,14 @@ fn sweep_pair(rng: &mut SplitMix64) -> (f32, f32) {
     }
 }
 
+/// `pairs` pairs of the seed's sweep through every tier's lanes.
 fn sweep(seed: u64, pairs: usize) {
+    for on in tiers() {
+        sweep_on(on, seed, pairs);
+    }
+}
+
+fn sweep_on(on: Tier, seed: u64, pairs: usize) {
     const BATCH: usize = 4096;
     let mut rng = SplitMix64(seed);
     let (mut x, mut y) = (vec![0f32; BATCH], vec![0f32; BATCH]);
@@ -139,21 +171,21 @@ fn sweep(seed: u64, pairs: usize) {
         for i in 0..BATCH {
             (x[i], y[i]) = sweep_pair(&mut rng);
         }
-        mul_slices(&x, &y, &mut prod);
-        add_slices(&x, &y, &mut sum);
+        mul_slices(on, &x, &y, &mut prod);
+        add_slices(on, &x, &y, &mut sum);
         for i in 0..BATCH {
             let (a, b) = (x[i], y[i]);
             assert_eq!(
                 prod[i].to_bits(),
                 hw_mul(a, b).to_bits(),
-                "{:#010x} * {:#010x}",
+                "{on}: {:#010x} * {:#010x}",
                 a.to_bits(),
                 b.to_bits()
             );
             assert_eq!(
                 sum[i].to_bits(),
                 hw_add(a, b).to_bits(),
-                "{:#010x} + {:#010x}",
+                "{on}: {:#010x} + {:#010x}",
                 a.to_bits(),
                 b.to_bits()
             );

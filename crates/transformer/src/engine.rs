@@ -209,7 +209,7 @@ impl PhaseTimes {
 /// [`fork::join`] runs on (≈ 1 µs per fork): serial ÷ two-shard time,
 /// median (q1–q3) of 200 (exact) or 1000–2000 (fast) interleaved pairs
 /// by total elements; two runs give a range of medians. Exact kernels on
-/// the lanes at GELU ≈ 30, softmax ≈ 25, LayerNorm ≈ 10–20 ns/elem; fast
+/// four lanes at GELU ≈ 30, softmax ≈ 25, LayerNorm ≈ 10–20 ns/elem; fast
 /// at ≈ 2, 3 and 2:
 ///
 /// | total | GELU | softmax (×197) | LayerNorm (×384) |
@@ -233,6 +233,15 @@ impl PhaseTimes {
 /// attention softmax and every 197-row LayerNorm of DeiT-Small forks in
 /// both modes; a single-row LayerNorm (384) never does, nor does a fused
 /// drain tile (64). Hosts with more than two cores are unmeasured.
+///
+/// On eight lanes (AVX-512) the exact kernels run at GELU ≈ 16,
+/// softmax ≈ 18, LayerNorm ≈ 7.5–9 ns/elem. A second probe, the same
+/// interleaved pairs against the four-lane build on one box, read at
+/// 4 k total GELU 1.86–1.90 (four lanes 1.24–1.50), softmax 1.53–1.56
+/// (1.51) and LayerNorm 1.15–1.25 (1.12–1.32): forking from 4 k still
+/// pays, so 2 k per shard stands. (That probe reads the five-row
+/// LayerNorm at 2 k below 1 on both builds, 0.66 and 0.73: it splits
+/// five rows 3 + 2. At 2 k a kernel does not fork.)
 const VPU_PARALLEL_ELEMS: u64 = 2_048;
 
 /// Where fp32 divisions and square roots execute.

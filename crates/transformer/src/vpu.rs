@@ -378,9 +378,13 @@ impl Vpu {
 
     /// True when the exact host-division batch kernels run on the lane
     /// datapath ([`bfp_arith::fplanes`]): this VPU is the paper datapath —
-    /// the only one the lanes are a twin of — and the host has AVX2. Every
-    /// other configuration stays on the scalar kernels, which are the bit
-    /// oracle either way.
+    /// the only one the lanes are a twin of — and the host has AVX2. Their
+    /// programs then run on the host's widest tier, [`fplanes::tier`]
+    /// (eight lanes on AVX-512 F + DQ + VL, four on AVX2), and the
+    /// lock-step row sums on four. Every other configuration stays on the
+    /// scalar kernels, which are the bit oracle either way.
+    ///
+    /// [`fplanes::tier`]: bfp_arith::fplanes::tier
     #[cfg_attr(not(any(target_arch = "x86_64", test)), allow(dead_code))]
     fn lane_datapath(&self) -> bool {
         !self.via_partials
@@ -551,8 +555,7 @@ impl Vpu {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    // SAFETY: `lane_datapath` detected AVX2.
-                    unsafe { lanes::gelu_slice(self, data) };
+                    prog::run(self, &prog::GELU, data, &[], &mut []);
                     return;
                 }
                 for v in data.iter_mut() {

@@ -3,14 +3,20 @@
 //! mixes of lane groups, lock-step row blocks, out-of-regime groups and
 //! remainders, nothing observable may differ — and the route counters show
 //! that in-regime inputs did take the lanes, so nothing passes by falling
-//! back. On a host without AVX2 both sides are the scalar kernels.
+//! back. The exact kernels' tests run once per executor tier the host has
+//! (AVX-512 and AVX2), asserting that the tier's vectors ran. On a host
+//! without AVX2 both sides are the scalar kernels.
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 use bfp_arith::packed::EpilogueCtx;
 
+#[cfg(target_arch = "x86_64")]
+use super::prog::route::{exec_tiers, on_tier, take_widths};
 use super::{fast, Datapath, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
+#[cfg(target_arch = "x86_64")]
+use bfp_arith::fplanes::Tier;
 use NonlinearMode::{Exact, Fast};
 
 /// Lengths around every group width (32 / 8 / 4, and 16 for the row
@@ -92,6 +98,30 @@ fn planted_from(out: &[f32], base: &[f32], k: usize, stride: usize, phase: usize
     v
 }
 
+/// `f()` once on every executor tier this host has, asserting that the
+/// tier's vectors ran and no other's: groups of `F64x8` on AVX-512
+/// (whose 4-element groups are `F64x4`), of `F64x4` alone on AVX2. Once
+/// on the scalar kernels on a host without AVX2.
+fn on_exec_tiers(f: impl Fn()) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let tiers = exec_tiers();
+        for &tier in &tiers {
+            take_widths();
+            on_tier(tier, &f);
+            let (zmm, ymm) = take_widths();
+            match tier {
+                Tier::Avx512 => assert!(zmm > 0, "no group ran on eight lanes"),
+                _ => assert!(zmm == 0 && ymm > 0, "{tier}: {zmm} zmm, {ymm} ymm groups"),
+            }
+        }
+        if !tiers.is_empty() {
+            return;
+        }
+    }
+    f();
+}
+
 fn assert_same(what: &str, got: &[f32], want: &[f32], got_count: OpCount, want_count: OpCount) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(
@@ -162,166 +192,175 @@ fn check_fast_softmax(what: &str, src: &[f32], cols: usize) {
 
 #[test]
 fn gelu_slice_equals_the_scalar_kernel_in_bits_and_counts() {
-    let vpu = Vpu::new();
-    for n in lengths() {
-        let base = uniform(n as u64 + 1, n, 5.0);
-        check_gelu(&vpu, "in regime", &base);
-        for k in 0..outliers().len() {
-            check_gelu(&vpu, "planted", &planted(&base, k, 5, k % 5));
-            check_gelu(&vpu, "sparse", &planted(&base, k, 23, k));
+    on_exec_tiers(|| {
+        let vpu = Vpu::new();
+        for n in lengths() {
+            let base = uniform(n as u64 + 1, n, 5.0);
+            check_gelu(&vpu, "in regime", &base);
+            for k in 0..outliers().len() {
+                check_gelu(&vpu, "planted", &planted(&base, k, 5, k % 5));
+                check_gelu(&vpu, "sparse", &planted(&base, k, 23, k));
+            }
         }
-    }
-    // Every outlier alone in an otherwise vectorisable slice, in every
-    // lane of the first four vectors of the 32-element group.
-    let base = uniform(7, 32, 2.0);
-    for (k, &o) in outliers().iter().enumerate() {
-        for lane in 0..16 {
-            let mut v = base.clone();
-            v[lane] = o;
-            check_gelu(&vpu, &format!("outlier {k} in lane {lane}"), &v);
+        // Every outlier alone in an otherwise vectorisable slice, in every
+        // lane of the 32-element group's first four `F64x4` vectors (its
+        // first two `F64x8`).
+        let base = uniform(7, 32, 2.0);
+        for (k, &o) in outliers().iter().enumerate() {
+            for lane in 0..16 {
+                let mut v = base.clone();
+                v[lane] = o;
+                check_gelu(&vpu, &format!("outlier {k} in lane {lane}"), &v);
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn softmax_rows_equal_the_scalar_kernel_in_bits_and_counts() {
-    let vpu = Vpu::new();
-    for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
-        let base = uniform(cols as u64, 3 * cols, 8.0);
-        check_softmax(&vpu, "in regime", &base, cols);
-        check_softmax(&vpu, "all equal", &vec![0.731; 3 * cols], cols);
-        check_softmax(
-            &vpu,
-            "wide spread",
-            &uniform(cols as u64, 3 * cols, 120.0),
-            cols,
-        );
-        for k in 0..outliers().len() {
-            check_softmax(&vpu, "planted", &planted(&base, k, 7, k % 7), cols);
-        }
-        // The named rows: a −1e4 outlier (exp clamps to 0), +Inf as the
-        // maximum, −Inf below it, NaN anywhere.
-        for (name, o) in [
-            ("-1e4 outlier", -1e4),
-            ("+inf", f32::INFINITY),
-            ("-inf", f32::NEG_INFINITY),
-            ("nan", f32::NAN),
-        ] {
-            for at in [0, cols / 2, cols - 1] {
-                let mut v = base.clone();
-                v[cols + at] = o;
-                check_softmax(&vpu, name, &v, cols);
+    on_exec_tiers(|| {
+        let vpu = Vpu::new();
+        for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
+            let base = uniform(cols as u64, 3 * cols, 8.0);
+            check_softmax(&vpu, "in regime", &base, cols);
+            check_softmax(&vpu, "all equal", &vec![0.731; 3 * cols], cols);
+            check_softmax(
+                &vpu,
+                "wide spread",
+                &uniform(cols as u64, 3 * cols, 120.0),
+                cols,
+            );
+            for k in 0..outliers().len() {
+                check_softmax(&vpu, "planted", &planted(&base, k, 7, k % 7), cols);
+            }
+            // The named rows: a −1e4 outlier (exp clamps to 0), +Inf as the
+            // maximum, −Inf below it, NaN anywhere.
+            for (name, o) in [
+                ("-1e4 outlier", -1e4),
+                ("+inf", f32::INFINITY),
+                ("-inf", f32::NEG_INFINITY),
+                ("nan", f32::NAN),
+            ] {
+                for at in [0, cols / 2, cols - 1] {
+                    let mut v = base.clone();
+                    v[cols + at] = o;
+                    check_softmax(&vpu, name, &v, cols);
+                }
             }
         }
-    }
-    check_softmax(&vpu, "shard", &uniform(99, 197 * 8, 4.0), 197);
+        check_softmax(&vpu, "shard", &uniform(99, 197 * 8, 4.0), 197);
+    });
 }
 
 #[test]
 fn layernorm_rows_equal_the_scalar_kernel_in_bits_and_counts() {
-    let vpu = Vpu::new();
-    for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
-        let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
-        let beta = uniform(4, cols, 0.1);
-        let base = uniform(cols as u64, 3 * cols, 3.0);
-        check_layernorm(&vpu, "in regime", &base, &gamma, &beta);
-        check_layernorm(&vpu, "all equal", &vec![-2.5; 3 * cols], &gamma, &beta);
-        check_layernorm(&vpu, "tiny", &uniform(5, 3 * cols, 1e-30), &gamma, &beta);
-        check_layernorm(&vpu, "huge", &uniform(6, 3 * cols, 3e37), &gamma, &beta);
-        if cols >= 3 {
-            // A finite mean whose distance to an element is not: the
-            // centre pass saturates, and a square of ±inf is control logic.
-            let mut v = base.clone();
-            v[cols..cols + 3].copy_from_slice(&[f32::MAX, -f32::MAX, -f32::MAX]);
-            v[cols + 3..2 * cols].fill(0.0);
-            check_layernorm(&vpu, "overflowing centre", &v, &gamma, &beta);
+    on_exec_tiers(|| {
+        let vpu = Vpu::new();
+        for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
+            let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
+            let beta = uniform(4, cols, 0.1);
+            let base = uniform(cols as u64, 3 * cols, 3.0);
+            check_layernorm(&vpu, "in regime", &base, &gamma, &beta);
+            check_layernorm(&vpu, "all equal", &vec![-2.5; 3 * cols], &gamma, &beta);
+            check_layernorm(&vpu, "tiny", &uniform(5, 3 * cols, 1e-30), &gamma, &beta);
+            check_layernorm(&vpu, "huge", &uniform(6, 3 * cols, 3e37), &gamma, &beta);
+            if cols >= 3 {
+                // A finite mean whose distance to an element is not: the
+                // centre pass saturates, and a square of ±inf is control logic.
+                let mut v = base.clone();
+                v[cols..cols + 3].copy_from_slice(&[f32::MAX, -f32::MAX, -f32::MAX]);
+                v[cols + 3..2 * cols].fill(0.0);
+                check_layernorm(&vpu, "overflowing centre", &v, &gamma, &beta);
+            }
+            for k in 0..outliers().len() {
+                let v = planted(&base, k, 7, k % 7);
+                check_layernorm(&vpu, "planted data", &v, &gamma, &beta);
+                check_layernorm(
+                    &vpu,
+                    "planted gamma",
+                    &base,
+                    &planted(&gamma, k, 5, k % 5),
+                    &beta,
+                );
+                check_layernorm(
+                    &vpu,
+                    "planted beta",
+                    &base,
+                    &gamma,
+                    &planted(&beta, k, 5, k % 5),
+                );
+            }
         }
-        for k in 0..outliers().len() {
-            let v = planted(&base, k, 7, k % 7);
-            check_layernorm(&vpu, "planted data", &v, &gamma, &beta);
-            check_layernorm(
-                &vpu,
-                "planted gamma",
-                &base,
-                &planted(&gamma, k, 5, k % 5),
-                &beta,
-            );
-            check_layernorm(
-                &vpu,
-                "planted beta",
-                &base,
-                &gamma,
-                &planted(&beta, k, 5, k % 5),
-            );
-        }
-    }
-    let gamma = vec![1.25; 384];
-    let beta = vec![-0.5; 384];
-    check_layernorm(&vpu, "shard", &uniform(98, 384 * 8, 2.0), &gamma, &beta);
+        let gamma = vec![1.25; 384];
+        let beta = vec![-0.5; 384];
+        check_layernorm(&vpu, "shard", &uniform(98, 384 * 8, 2.0), &gamma, &beta);
+    });
 }
 
 #[test]
 fn only_the_paper_datapath_selects_the_lanes() {
-    assert_eq!(Vpu::new().lane_datapath(), bfp_arith::fplanes::available());
-    let mut scalar_arm = vec![("via_partials".to_string(), Vpu::via_partials())];
-    for mul in [MulVariant::Exact, MulVariant::DropLsp] {
-        for add in [AddVariant::Exact48, AddVariant::Truncate24] {
-            let vpu = Vpu::with_datapath(mul, add);
-            if (mul, add) == (MulVariant::DropLsp, AddVariant::Exact48) {
-                assert_eq!(vpu.lane_datapath(), Vpu::new().lane_datapath());
-            } else {
-                scalar_arm.push((format!("{mul:?}/{add:?}"), vpu));
+    on_exec_tiers(|| {
+        assert_eq!(Vpu::new().lane_datapath(), bfp_arith::fplanes::available());
+        let mut scalar_arm = vec![("via_partials".to_string(), Vpu::via_partials())];
+        for mul in [MulVariant::Exact, MulVariant::DropLsp] {
+            for add in [AddVariant::Exact48, AddVariant::Truncate24] {
+                let vpu = Vpu::with_datapath(mul, add);
+                if (mul, add) == (MulVariant::DropLsp, AddVariant::Exact48) {
+                    assert_eq!(vpu.lane_datapath(), Vpu::new().lane_datapath());
+                } else {
+                    scalar_arm.push((format!("{mul:?}/{add:?}"), vpu));
+                }
             }
         }
-    }
-    let rne = NormRound::NearestEven;
-    scalar_arm.push((
-        "rounding multiplier".into(),
-        Vpu {
-            mul: HwFp32Mul {
-                variant: MulVariant::DropLsp,
-                round: rne,
+        let rne = NormRound::NearestEven;
+        scalar_arm.push((
+            "rounding multiplier".into(),
+            Vpu {
+                mul: HwFp32Mul {
+                    variant: MulVariant::DropLsp,
+                    round: rne,
+                },
+                ..Vpu::new()
             },
-            ..Vpu::new()
-        },
-    ));
-    scalar_arm.push((
-        "rounding adder".into(),
-        Vpu {
-            add: HwFp32Add {
-                variant: AddVariant::Exact48,
-                round: rne,
+        ));
+        scalar_arm.push((
+            "rounding adder".into(),
+            Vpu {
+                add: HwFp32Add {
+                    variant: AddVariant::Exact48,
+                    round: rne,
+                },
+                ..Vpu::new()
             },
-            ..Vpu::new()
-        },
-    ));
+        ));
 
-    let data = planted(&uniform(11, 197, 4.0), 0, 29, 3);
-    let gamma = vec![1.1; 197];
-    let beta = vec![0.2; 197];
-    for (name, vpu) in &scalar_arm {
-        assert!(
-            !vpu.lane_datapath(),
-            "{name} must stay on the scalar kernels"
-        );
-        check_gelu(vpu, name, &data);
-        check_softmax(vpu, name, &data, 197);
-        check_layernorm(vpu, name, &data, &gamma, &beta);
-    }
+        let data = planted(&uniform(11, 197, 4.0), 0, 29, 3);
+        let gamma = vec![1.1; 197];
+        let beta = vec![0.2; 197];
+        for (name, vpu) in &scalar_arm {
+            assert!(
+                !vpu.lane_datapath(),
+                "{name} must stay on the scalar kernels"
+            );
+            check_gelu(vpu, name, &data);
+            check_softmax(vpu, name, &data, 197);
+            check_layernorm(vpu, name, &data, &gamma, &beta);
+        }
 
-    // `via_partials` is the same datapath by another route: its scalar
-    // arm must reproduce what the lane arm computes.
-    let (mut lanes, mut partials) = (Vpu::new(), Vpu::via_partials());
-    let (mut a, mut b) = (data.clone(), data.clone());
-    lanes.gelu_slice(&mut a, Host, Exact);
-    partials.gelu_slice(&mut b, Host, Exact);
-    assert_same("via_partials gelu", &a, &b, lanes.count, partials.count);
-    let (mut a, mut b) = (data.clone(), data.clone());
-    lanes.softmax_rows_batch(&mut a, 197, Host, Exact);
-    partials.softmax_rows_batch(&mut b, 197, Host, Exact);
-    lanes.layernorm_rows_batch(&mut a, 197, &gamma, &beta, 1e-6, Host, Exact);
-    partials.layernorm_rows_batch(&mut b, 197, &gamma, &beta, 1e-6, Host, Exact);
-    assert_same("via_partials rows", &a, &b, lanes.count, partials.count);
+        // `via_partials` is the same datapath by another route: its scalar
+        // arm must reproduce what the lane arm computes.
+        let (mut lanes, mut partials) = (Vpu::new(), Vpu::via_partials());
+        let (mut a, mut b) = (data.clone(), data.clone());
+        lanes.gelu_slice(&mut a, Host, Exact);
+        partials.gelu_slice(&mut b, Host, Exact);
+        assert_same("via_partials gelu", &a, &b, lanes.count, partials.count);
+        let (mut a, mut b) = (data.clone(), data.clone());
+        lanes.softmax_rows_batch(&mut a, 197, Host, Exact);
+        partials.softmax_rows_batch(&mut b, 197, Host, Exact);
+        lanes.layernorm_rows_batch(&mut a, 197, &gamma, &beta, 1e-6, Host, Exact);
+        partials.layernorm_rows_batch(&mut b, 197, &gamma, &beta, 1e-6, Host, Exact);
+        assert_same("via_partials rows", &a, &b, lanes.count, partials.count);
+    });
 }
 
 #[test]
@@ -477,85 +516,89 @@ fn fast_softmax_rows_equal_the_scalar_kernel_in_bits_and_counts() {
 
 #[test]
 fn row_blocks_equal_the_scalar_kernels_in_bits_and_counts() {
-    let vpu = Vpu::new();
-    for rows in [4, 7, 8, 12, 16, 29, 45, 99] {
-        for cols in [1, 3, 4, 5, 8, 17, 64, 197, 384] {
-            let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
-            let beta = uniform(4, cols, 0.1);
-            for amp in [1e-30, 1e-3, 1.0, 8.0, 120.0, 3e37] {
-                let what = format!("{rows}×{cols} at {amp:e}");
-                let base = uniform((rows * cols) as u64, rows * cols, amp);
-                check_softmax(&vpu, &what, &base, cols);
-                check_layernorm(&vpu, &what, &base, &gamma, &beta);
+    on_exec_tiers(|| {
+        let vpu = Vpu::new();
+        for rows in [4, 7, 8, 12, 16, 29, 45, 99] {
+            for cols in [1, 3, 4, 5, 8, 17, 64, 197, 384] {
+                let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
+                let beta = uniform(4, cols, 0.1);
+                for amp in [1e-30, 1e-3, 1.0, 8.0, 120.0, 3e37] {
+                    let what = format!("{rows}×{cols} at {amp:e}");
+                    let base = uniform((rows * cols) as u64, rows * cols, amp);
+                    check_softmax(&vpu, &what, &base, cols);
+                    check_layernorm(&vpu, &what, &base, &gamma, &beta);
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn a_row_block_with_an_outlier_falls_back_without_moving_its_neighbours() {
-    let vpu = Vpu::new();
-    // 45 rows: two blocks of 16, one of 8, one of 4, one single row.
-    let rows = 45;
-    let mut out = outliers();
-    out.extend([1e29, -1e29, 7e28, -3e38]);
-    for cols in [5, 64, 197] {
-        let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
-        let beta = uniform(4, cols, 0.1);
-        let base = uniform(cols as u64, rows * cols, 3.0);
-        for (k, &o) in out.iter().enumerate() {
-            let mut v = base.clone();
-            v[(k * 7 % rows) * cols + k * 3 % cols] = o;
-            let what = format!("{o:e} in row {} of {rows}×{cols}", k * 7 % rows);
-            check_softmax(&vpu, &what, &v, cols);
-            check_layernorm(&vpu, &what, &v, &gamma, &beta);
-            check_layernorm(&vpu, "gamma", &base, &planted(&gamma, k, 5, k % 5), &beta);
-            check_layernorm(&vpu, "beta", &base, &gamma, &planted(&beta, k, 5, k % 5));
-        }
+    on_exec_tiers(|| {
+        let vpu = Vpu::new();
+        // 45 rows: two blocks of 16, one of 8, one of 4, one single row.
+        let rows = 45;
+        let mut out = outliers();
+        out.extend([1e29, -1e29, 7e28, -3e38]);
+        for cols in [5, 64, 197] {
+            let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
+            let beta = uniform(4, cols, 0.1);
+            let base = uniform(cols as u64, rows * cols, 3.0);
+            for (k, &o) in out.iter().enumerate() {
+                let mut v = base.clone();
+                v[(k * 7 % rows) * cols + k * 3 % cols] = o;
+                let what = format!("{o:e} in row {} of {rows}×{cols}", k * 7 % rows);
+                check_softmax(&vpu, &what, &v, cols);
+                check_layernorm(&vpu, &what, &v, &gamma, &beta);
+                check_layernorm(&vpu, "gamma", &base, &planted(&gamma, k, 5, k % 5), &beta);
+                check_layernorm(&vpu, "beta", &base, &gamma, &planted(&beta, k, 5, k % 5));
+            }
 
-        // Sums whose bits depend on the adder's special cases: rows of −0
-        // (0 + −0 is +0), subnormals among the smallest normals (flushed
-        // on the way in), partial sums that saturate, and both infinities.
-        // β = −0 lets the sign and the last bits of a tiny `v − mean`
-        // through to the output, where any other β would absorb them.
-        let silent = vec![-0.0; cols];
-        let minus_zero = vec![-0.0; 16 * cols];
-        check_layernorm(&vpu, "all −0", &minus_zero, &gamma, &silent);
-        check_softmax(&vpu, "all −0", &minus_zero, cols);
-        let grain: Vec<f32> = uniform(21, 16 * cols, 3e-38)
-            .iter()
-            .map(|v| v.abs())
-            .collect();
-        check_layernorm(&vpu, "subnormal mix", &grain, &gamma, &silent);
-        let huge: Vec<f32> = uniform(22, 16 * cols, 3e38)
-            .iter()
-            .map(|v| v.abs())
-            .collect();
-        check_layernorm(&vpu, "saturating sums", &huge, &gamma, &beta);
-        let mut both = uniform(23, 16 * cols, 2.0);
-        both[5 * cols] = f32::INFINITY;
-        both[5 * cols + cols - 1] = f32::NEG_INFINITY;
-        check_layernorm(&vpu, "+inf then −inf", &both, &gamma, &beta);
+            // Sums whose bits depend on the adder's special cases: rows of −0
+            // (0 + −0 is +0), subnormals among the smallest normals (flushed
+            // on the way in), partial sums that saturate, and both infinities.
+            // β = −0 lets the sign and the last bits of a tiny `v − mean`
+            // through to the output, where any other β would absorb them.
+            let silent = vec![-0.0; cols];
+            let minus_zero = vec![-0.0; 16 * cols];
+            check_layernorm(&vpu, "all −0", &minus_zero, &gamma, &silent);
+            check_softmax(&vpu, "all −0", &minus_zero, cols);
+            let grain: Vec<f32> = uniform(21, 16 * cols, 3e-38)
+                .iter()
+                .map(|v| v.abs())
+                .collect();
+            check_layernorm(&vpu, "subnormal mix", &grain, &gamma, &silent);
+            let huge: Vec<f32> = uniform(22, 16 * cols, 3e38)
+                .iter()
+                .map(|v| v.abs())
+                .collect();
+            check_layernorm(&vpu, "saturating sums", &huge, &gamma, &beta);
+            let mut both = uniform(23, 16 * cols, 2.0);
+            both[5 * cols] = f32::INFINITY;
+            both[5 * cols + cols - 1] = f32::NEG_INFINITY;
+            check_layernorm(&vpu, "+inf then −inf", &both, &gamma, &beta);
 
-        if cols >= 3 {
-            // The overflowing centre of the per-row test, inside a block.
-            let mut v = uniform(24, 16 * cols, 3.0);
-            v[5 * cols..5 * cols + 3].copy_from_slice(&[f32::MAX, -f32::MAX, -f32::MAX]);
-            v[5 * cols + 3..6 * cols].fill(0.0);
-            check_layernorm(&vpu, "overflowing centre", &v, &gamma, &beta);
+            if cols >= 3 {
+                // The overflowing centre of the per-row test, inside a block.
+                let mut v = uniform(24, 16 * cols, 3.0);
+                v[5 * cols..5 * cols + 3].copy_from_slice(&[f32::MAX, -f32::MAX, -f32::MAX]);
+                v[5 * cols + 3..6 * cols].fill(0.0);
+                check_layernorm(&vpu, "overflowing centre", &v, &gamma, &beta);
+            }
         }
-    }
+    });
 }
 
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
-    use super::{fast_lanes, lanes, prog};
+    use super::fast_lanes;
     if !bfp_arith::fplanes::available() {
         return;
     }
     let mut vpu = Vpu::new();
-    let (seq, dim, hidden) = (197, 384, 1536);
+    let (seq, hidden) = (197, 1536);
 
     // Fast: every whole group of eight on the lanes …
     let mut fc1 = uniform(1, seq * hidden, 3.0);
@@ -579,15 +622,39 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     vpu.softmax_rows_batch(&mut scores, seq, Host, Fast);
     assert_eq!(fast_lanes::route::take(), (0, (seq * (seq / 8)) as u64));
 
-    // Exact: every whole group of 32, then of 8, then of 4 runs its
-    // program — GELU 197·1536 / 32 groups, softmax six of 32 and one of 4
-    // per 197-wide row, LayerNorm 384 / 32 per row in each of its two
-    // passes …
-    let groups = |cols: usize| (cols / 32 + cols % 32 / 8 + cols % 8 / 4) as u64;
+    // Exact, on every executor tier: every whole group of 32, then of 8,
+    // then of 4 runs its program, on the tier's vectors — GELU
+    // 197·1536 / 32 groups, softmax six of 32 and one of 4 per 197-wide
+    // row, LayerNorm 384 / 32 per row in each of its two passes …
+    for tier in exec_tiers() {
+        on_tier(tier, || exact_deit_shapes_take_the_lanes(tier));
+    }
+}
+
+/// The exact half of [`in_regime_deit_shapes_take_the_lanes_and_outliers_do_not`]
+/// on the executor's `tier`.
+#[cfg(target_arch = "x86_64")]
+fn exact_deit_shapes_take_the_lanes(tier: Tier) {
+    use super::{lanes, prog::route};
+    let mut vpu = Vpu::new();
+    let (seq, dim, hidden) = (197, 384, 1536);
+    // The program's and the scalar kernel's groups, and the tier's widths
+    // for `calls` runs over `n` elements each.
+    let runs = |calls: u64, n: usize, fallbacks: u64| {
+        let (zmm, ymm) = route::widths(tier, n);
+        let total = calls * route::groups(n);
+        assert_eq!(
+            route::take_groups(),
+            (total - fallbacks, fallbacks),
+            "{tier}"
+        );
+        assert_eq!(route::take_widths(), (calls * zmm, calls * ymm), "{tier}");
+    };
     let mut fc1 = uniform(1, seq * hidden, 3.0);
-    prog::route::take_groups();
+    route::take_groups();
+    route::take_widths();
     vpu.gelu_slice(&mut fc1, Host, Exact);
-    assert_eq!(prog::route::take_groups(), ((seq * hidden / 32) as u64, 0));
+    runs(1, seq * hidden, 0);
 
     // … 197 rows are 12 blocks of 16, one of 4 and a single row, so
     // 196 of 197 sums (softmax) and 392 of 394 (LayerNorm) are lock-step …
@@ -597,13 +664,10 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     lanes::route::take();
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
     assert_eq!(lanes::route::take(), (196, 1));
-    assert_eq!(prog::route::take_groups(), (seq as u64 * groups(seq), 0));
+    runs(seq as u64, seq, 0);
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
     assert_eq!(lanes::route::take(), (392, 2));
-    assert_eq!(
-        prog::route::take_groups(),
-        (2 * seq as u64 * groups(dim), 0)
-    );
+    runs(2 * seq as u64, dim, 0);
 
     // … and none when every block holds an operand outside the sums' regime.
     let mut scores = uniform(2, seq * seq, 4.0);
@@ -617,6 +681,8 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     assert_eq!(lanes::route::take(), (0, 197));
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
     assert_eq!(lanes::route::take(), (0, 394));
+    route::take_groups();
+    route::take_widths();
 
     // A planted outlier sends exactly its own group to the scalar kernel:
     // GELU beyond |x| = 6, a softmax element whose `v − max` is below −87,
@@ -624,26 +690,16 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     // bound and, centred, the affine pass's.
     let mut fc1 = uniform(1, seq * hidden, 3.0);
     fc1[1000] = 7.0;
-    prog::route::take_groups();
     vpu.gelu_slice(&mut fc1, Host, Exact);
-    assert_eq!(
-        prog::route::take_groups(),
-        ((seq * hidden / 32 - 1) as u64, 1)
-    );
+    runs(1, seq * hidden, 1);
     let mut scores = uniform(2, seq * seq, 4.0);
     scores[5 * seq + 40] = -1e4;
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
-    assert_eq!(
-        prog::route::take_groups(),
-        (seq as u64 * groups(seq) - 1, 1)
-    );
+    runs(seq as u64, seq, 1);
     let mut tokens = uniform(3, seq * dim, 2.0);
     tokens[7 * dim + 100] = 2.2e12;
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
-    assert_eq!(
-        prog::route::take_groups(),
-        (2 * seq as u64 * groups(dim) - 2, 2)
-    );
+    runs(2 * seq as u64, dim, 2);
 }
 
 /// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
@@ -671,35 +727,48 @@ fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
 }
 
 /// The exact GELU program on the executor against [`Vpu::gelu`], in bits
-/// and counts: every 97th f32 pattern of `|x| ≤ 6` in both signs
-/// (2.2·10⁷), all of them on the program, then the regime's edges.
+/// and counts on every executor tier: every 97th f32 pattern of `|x| ≤ 6`
+/// in both signs (2.2·10⁷), all of them on the program, then the regime's
+/// edges.
 #[test]
 #[cfg(target_arch = "x86_64")]
 #[ignore = "2.2·10⁷ patterns: release sweep, run by CI's envelope step"]
 fn exact_gelu_program_equals_the_scalar_kernel_on_a_dense_sweep() {
-    use super::prog::route;
-    if !bfp_arith::fplanes::available() {
-        return;
+    for tier in exec_tiers() {
+        exact_gelu_sweep_on(tier);
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn exact_gelu_sweep_on(tier: Tier) {
+    use super::prog::route;
     let six = 6.0f32.to_bits();
     // Calls of 2¹⁶ patterns: 2 048 groups of 32 each, then the last call's.
     let patterns = (six / 97 + 1) as usize;
-    let tail = patterns % (1 << 16);
-    let groups = patterns / (1 << 16) * 2048 + tail / 32 + tail % 32 / 8 + tail % 8 / 4;
+    let groups = patterns / (1 << 16) * 2048 + route::groups(patterns % (1 << 16)) as usize;
     let sweep = |sign: u32| {
         let (mut batch, mut scalar) = (Vpu::new(), Vpu::new());
         let mut bits = (0..=six).step_by(97).map(|b| b | sign).peekable();
         route::take_groups();
-        while bits.peek().is_some() {
-            let src: Vec<f32> = bits.by_ref().take(1 << 16).map(f32::from_bits).collect();
-            let mut got = src.clone();
-            batch.gelu_slice(&mut got, Host, Exact);
-            for (g, &x) in got.iter().zip(&src) {
-                assert_eq!(g.to_bits(), scalar.gelu(x).to_bits(), "gelu({x:e})");
+        on_tier(tier, || {
+            while bits.peek().is_some() {
+                let src: Vec<f32> = bits.by_ref().take(1 << 16).map(f32::from_bits).collect();
+                let mut got = src.clone();
+                batch.gelu_slice(&mut got, Host, Exact);
+                for (g, &x) in got.iter().zip(&src) {
+                    assert_eq!(
+                        g.to_bits(),
+                        scalar.gelu(x).to_bits(),
+                        "gelu({x:e}) on {tier}"
+                    );
+                }
             }
-        }
+        });
         assert_eq!(batch.count, scalar.count);
         assert_eq!(route::take_groups(), (groups as u64, 0));
+        let (zmm, ymm) = route::take_widths();
+        assert_eq!(zmm + ymm, groups as u64);
+        assert_eq!(zmm > 0, tier == Tier::Avx512, "{tier}: {zmm} zmm groups");
     };
     std::thread::scope(|s| {
         s.spawn(|| sweep(0));
@@ -720,11 +789,14 @@ fn exact_gelu_program_equals_the_scalar_kernel_on_a_dense_sweep() {
         (-f32::from_bits(six + 1), false),
     ];
     for (x, program) in edges {
-        check_gelu(&Vpu::new(), &format!("edge {x:e}"), &[x; 32]);
+        on_tier(tier, || {
+            check_gelu(&Vpu::new(), &format!("edge {x:e} on {tier}"), &[x; 32])
+        });
         assert_eq!(
             route::take_groups(),
             (program as u64, !program as u64),
             "{x:e}"
         );
+        assert_eq!(route::take_widths(), route::widths(tier, 32));
     }
 }

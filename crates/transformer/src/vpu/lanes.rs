@@ -1,7 +1,8 @@
-//! The exact GELU / softmax / LayerNorm batch kernels on the lane
-//! datapath ([`bfp_arith::fplanes`]): their element-wise passes run as
-//! compiled vector programs on the executor of [`super::prog`]; what
-//! stays here is the accumulator path and the host's share.
+//! The exact softmax / LayerNorm batch kernels on the lane datapath
+//! ([`bfp_arith::fplanes`]): their element-wise passes run as compiled
+//! vector programs on the executor of [`super::prog`] (as GELU's one
+//! pass does, straight from [`Vpu::gelu_slice`]); what stays here is the
+//! accumulator path and the host's share.
 //!
 //! The order-dependent reductions (softmax's `sum`, LayerNorm's `sum` and
 //! `var_sum`) run one **row per lane**: a block of 16 rows (then at most
@@ -29,7 +30,7 @@ use std::arch::x86_64::{
 use bfp_arith::fplanes::lane;
 use bfp_arith::fplanes::LANES;
 
-use super::prog::{run, Bind, AFFINE, CENTRE, GELU, SHIFTED_EXP};
+use super::prog::{run, Bind, AFFINE, CENTRE, SHIFTED_EXP};
 use super::{Datapath, Vpu};
 
 /// Rows per lock-step block: four accumulator vectors of four rows each.
@@ -59,12 +60,6 @@ pub(super) mod route {
     pub fn take() -> (u64, u64) {
         (LOCKSTEP_ROWS.take(), SCALAR_ROWS.take())
     }
-}
-
-/// The [`Vpu`]'s GELU over a slice.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn gelu_slice(vpu: &mut Vpu, data: &mut [f32]) {
-    run(vpu, &GELU, data, &[], &mut []);
 }
 
 /// True when every element has `|x| ≤ bound` (NaN fails).
@@ -247,19 +242,44 @@ pub(super) unsafe fn layernorm_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::arch::x86_64::{_mm_set1_epi32, _mm_storeu_ps};
+    use bfp_arith::fplanes::{Tier, Width, Ymm, Zmm};
+
+    /// `x[i] · 2^k` on `W`'s lanes, a vector at a time; `k` reaches the
+    /// lanes as `to_i32` of an imported splat, exact for `|k| < 2²⁴`.
+    #[inline(always)]
+    unsafe fn scaled<W: Width>(x: &[f32], k: i32) -> Vec<f32> {
+        let k = W::to_i32(W::import(W::splat(k as f32)));
+        let mut out = x.to_vec();
+        for v in out.chunks_exact_mut(W::LANES) {
+            let r = W::scale_exp2(W::import(W::load(v.as_ptr())), k);
+            W::store(v.as_mut_ptr(), W::export(r));
+        }
+        out
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn scaled_avx2(x: &[f32], k: i32) -> Vec<f32> {
+        scaled::<Ymm>(x, k)
+    }
+
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    unsafe fn scaled_avx512(x: &[f32], k: i32) -> Vec<f32> {
+        scaled::<Zmm>(x, k)
+    }
+
+    type Scaled = fn(&[f32], i32) -> Vec<f32>;
 
     #[test]
     fn scale_exp2_lanes_equal_the_exponent_unit() {
-        if !bfp_arith::fplanes::available() {
-            return;
+        let host = bfp_arith::fplanes::tier();
+        // SAFETY (both closures): each is listed only where the host runs
+        // its tier.
+        let mut tiers: Vec<(Tier, Scaled)> = Vec::new();
+        if host >= Tier::Avx2 {
+            tiers.push((Tier::Avx2, |x, k| unsafe { scaled_avx2(x, k) }));
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn scaled(x: [f32; 4], k: i32) -> [f32; 4] {
-            let v = lane::scale_exp2(lane::import(lane::load(x.as_ptr())), _mm_set1_epi32(k));
-            let mut out = [0f32; 4];
-            _mm_storeu_ps(out.as_mut_ptr(), lane::export(v));
-            out
+        if host >= Tier::Avx512 {
+            tiers.push((Tier::Avx512, |x, k| unsafe { scaled_avx512(x, k) }));
         }
         let mut vpu = Vpu::new();
         // Zeros and normals: a lane value is never subnormal.
@@ -268,15 +288,14 @@ mod tests {
             [1.5, -0.75, f32::MIN_POSITIVE, -f32::MIN_POSITIVE],
             [f32::MAX, -f32::MAX, 1.999_999_9, -1.175_494_5e-38],
             [3.0e-20, -7.0e20, 1.0e38, -2.0e-38],
-        ];
+        ]
+        .concat();
         let ks = (-300..=300).chain([-100_000, 100_000, -2047, 2047]);
         for k in ks {
-            for x in xs {
-                // SAFETY: AVX2 was detected above.
-                let got = unsafe { scaled(x, k) };
-                for i in 0..4 {
-                    let want = vpu.scale_exp2(x[i], k);
-                    assert_eq!(got[i].to_bits(), want.to_bits(), "{:e} · 2^{k}", x[i]);
+            let want: Vec<f32> = xs.iter().map(|&x| vpu.scale_exp2(x, k)).collect();
+            for (tier, scaled) in &tiers {
+                for ((g, w), x) in scaled(&xs, k).iter().zip(&want).zip(&xs) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{x:e} · 2^{k} on {tier}");
                 }
             }
         }

@@ -11,35 +11,36 @@
 //! computes the scalar kernel's bits, and its per-element op mix, read off
 //! its instructions, is the kernel's [`cost`](super::cost) formula.
 //!
-//! **The executor.** A program runs over groups of eight `F64x4` vectors
-//! (32 elements, so two groups tile the 64-element drain), then over
-//! groups of two and of one, then the scalar kernel takes the last `< 4`
-//! elements.
+//! **The executor.** A program runs over groups of 32 elements, then of 8
+//! and of 4, then the scalar kernel takes the last `< 4` elements. The
+//! interpreter ([`Frame::group`]) is written once over the lane width
+//! ([`Width`]); [`run`] picks the host's [`fplanes::tier`]. On an
+//! AVX-512 host a 32-element group is four `F64x8` vectors and an
+//! 8-element group is one; on AVX2 they are eight and two `F64x4`. A
+//! 4-element group is one `F64x4` on both.
 //! Each instruction runs over the whole group before the next one starts,
-//! its operands and result in a register file on the stack (eight vectors
-//! in flight keep the ports busy where one lane operation's dependent
-//! chain would leave them idle). A group runs only inside its program's
-//! regime: every bound element and splat at most the program's bound in
-//! magnitude, checked before the lanes take them in (NaN fails), and every
-//! `Within` guard met. Any other group calls the program's scalar kernel
-//! per element. A completed group is charged the program's op mix per
-//! element, and a scalar element counts itself, so
-//! [`OpCount`] is the same number either way.
+//! its operands and result in a register file on the stack (several
+//! vectors in flight keep the ports busy where one lane operation's
+//! dependent chain would leave them idle). A group runs only inside its
+//! program's regime: every bound element and splat at most the program's
+//! bound in magnitude, checked before the lanes take them in (NaN fails),
+//! and every `Within` guard met. Any other group calls the program's
+//! scalar kernel per element. A completed group is charged the program's
+//! op mix per element, and a scalar element counts itself, so [`OpCount`]
+//! is the same number either way — and so are the group boundaries, on
+//! every tier.
 //!
 //! # Safety
-//! The executor requires AVX2; its callers are the batch entry points
-//! that just checked [`Vpu::lane_datapath`]. Its register file is not
-//! initialised, so it relies on what [`VBuilder`] checks of every program:
-//! at most [`MAX_REGS`] registers, and no read of a register before the
-//! inputs' binding or the instruction that writes it. `VProgram`'s fields
-//! are private to this module, so every program passed those checks.
+//! The executor's register file is not initialised, so it relies on what
+//! [`VBuilder`] checks of every program: at most [`MAX_REGS`] registers,
+//! and no read of a register before the inputs' binding or the
+//! instruction that writes it. `VProgram`'s fields are private to this
+//! module, so every program passed those checks.
 
-use std::arch::x86_64::_mm_div_ps;
 use std::mem::MaybeUninit;
 use std::sync::LazyLock;
 
-use bfp_arith::fplanes::lane::{self, F64x4};
-use bfp_arith::fplanes::LANES;
+use bfp_arith::fplanes::{self, Tier, Width, Ymm, Zmm};
 
 use super::{Datapath, OpCount, Vpu, EXP2_POLY, GELU_A, GELU_C, GELU_LANE_MAX_ABS, ROUND_MAGIC};
 
@@ -322,14 +323,22 @@ pub(super) static AFFINE: LazyLock<VProgram> = LazyLock::new(|| {
 });
 
 /// Which route each group took, per test thread: the tests assert that
-/// in-regime shapes really run their programs.
+/// in-regime shapes really run their programs, on the tier they forced.
 #[cfg(test)]
 pub(super) mod route {
     use std::cell::Cell;
 
+    use bfp_arith::fplanes::{self, Tier};
+
     thread_local! {
         pub static PROGRAM_GROUPS: Cell<u64> = const { Cell::new(0) };
         pub static SCALAR_GROUPS: Cell<u64> = const { Cell::new(0) };
+        /// Groups of `F64x8` / `F64x4` vectors, whichever route they took.
+        pub static ZMM_GROUPS: Cell<u64> = const { Cell::new(0) };
+        pub static YMM_GROUPS: Cell<u64> = const { Cell::new(0) };
+        /// The tier [`super::run`] takes on this thread instead of the
+        /// host's.
+        pub static FORCED: Cell<Option<Tier>> = const { Cell::new(None) };
     }
 
     /// `(groups the program ran, groups sent to the scalar kernel)` since
@@ -337,18 +346,64 @@ pub(super) mod route {
     pub fn take_groups() -> (u64, u64) {
         (PROGRAM_GROUPS.take(), SCALAR_GROUPS.take())
     }
+
+    /// `(groups of F64x8, groups of F64x4)` since the last call.
+    pub fn take_widths() -> (u64, u64) {
+        (ZMM_GROUPS.take(), YMM_GROUPS.take())
+    }
+
+    /// The executor's groups over `n` elements: 32, then 8, then 4 each.
+    pub fn groups(n: usize) -> u64 {
+        (n / 32 + n % 32 / 8 + n % 8 / 4) as u64
+    }
+
+    /// [`take_widths`] after a run over `n` elements on `tier`.
+    pub fn widths(tier: Tier, n: usize) -> (u64, u64) {
+        match tier {
+            Tier::Avx512 => ((n / 32 + n % 32 / 8) as u64, (n % 8 / 4) as u64),
+            Tier::Avx2 => (0, groups(n)),
+            Tier::Scalar => (0, 0),
+        }
+    }
+
+    /// Every executor tier this host runs, fastest first (none without
+    /// AVX2).
+    pub fn exec_tiers() -> Vec<Tier> {
+        let host = fplanes::tier();
+        [Tier::Avx512, Tier::Avx2]
+            .into_iter()
+            .filter(|&t| t <= host)
+            .collect()
+    }
+
+    /// `f()` with the executor on `tier` on this thread.
+    ///
+    /// # Panics
+    /// Panics if the host cannot run `tier`.
+    pub fn on_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+        assert!(tier <= fplanes::tier(), "this host cannot run {tier}");
+        let was = FORCED.replace(Some(tier));
+        let r = f();
+        FORCED.set(was);
+        r
+    }
 }
 
-/// Vectors per wide group: 32 elements, two to a 64-element drain tile.
-/// A call's tail then runs in groups of two vectors: one vector at a time
-/// is a single dependent chain, which made 8-element calls ≈ 2× slower.
-const WIDE: usize = 8;
+/// The executor's tier: the host's, or the one a test forced.
+fn exec_tier() -> Tier {
+    #[cfg(test)]
+    if let Some(tier) = route::FORCED.get() {
+        return tier;
+    }
+    fplanes::tier()
+}
 
 /// An immediate in lane format. (A function, not a closure: a closure
-/// would be compiled without AVX2, and the intrinsics could not inline.)
+/// would be compiled without the lane features, and the intrinsics could
+/// not inline.)
 #[inline(always)]
-unsafe fn imm(c: f32) -> F64x4 {
-    lane::import(lane::splat(c))
+unsafe fn imm<W: Width>(c: f32) -> W::V {
+    W::import(W::splat(c))
 }
 
 /// What a program's input register reads: a slice as long as the data, or
@@ -359,12 +414,12 @@ pub(super) enum Bind<'a> {
     Splat(f32),
 }
 
-/// An input register's source as the executor reads it: a slice, or a
-/// splat in lane format and as the scalar kernel takes it.
+/// An input register's source as the executor reads it: a slice, or one
+/// value for every element.
 #[derive(Clone, Copy)]
 enum Src {
     At(*const f32),
-    Splat(F64x4, f32),
+    Splat(f32),
 }
 
 /// One run's operands: input registers read `src`, outputs go to `dst`.
@@ -376,27 +431,27 @@ struct Frame<'a> {
 }
 
 impl Frame<'_> {
-    /// Run the program on the group of `G` vectors at element `at`, or
-    /// return false, storing nothing, when it is outside the regime.
+    /// Run the program on the group of `G` vectors of `W` at element `at`,
+    /// or return false, storing nothing, when it is outside the regime.
     ///
     /// # Safety
-    /// AVX2; `at + 4·G ≤ len`; `regs` points to a register file of
-    /// `MAX_REGS` registers, initialised or not.
+    /// The host runs `W` and the caller is compiled with its features;
+    /// `at + W::LANES·G ≤ len`; `regs` points to a register file of
+    /// `MAX_REGS` registers whose splat inputs are bound, the others
+    /// initialised or not.
     #[inline(always)]
-    unsafe fn group<const G: usize>(&self, at: usize, regs: *mut [F64x4; G]) -> bool {
+    unsafe fn group<W: Width, const G: usize>(&self, at: usize, regs: *mut [W::V; G]) -> bool {
         let prog = self.prog;
         let mut ok = true;
         for (r, src) in self.src[..prog.inputs].iter().enumerate() {
-            match *src {
-                Src::At(p) => {
-                    for i in 0..G {
-                        // SAFETY: `at + 4·G ≤ len`, the length of every slice.
-                        let v = lane::load(p.add(at + i * LANES));
-                        ok &= lane::all_abs_le(v, prog.bound);
-                        (*regs.add(r))[i] = lane::import(v);
-                    }
+            if let Src::At(p) = *src {
+                for i in 0..G {
+                    // SAFETY: `at + W::LANES·G ≤ len`, the length of every
+                    // slice.
+                    let v = W::load(p.add(at + i * W::LANES));
+                    ok &= W::all_abs_le(v, prog.bound);
+                    (*regs.add(r))[i] = W::import(v);
                 }
-                Src::Splat(v, _) => *regs.add(r) = [v; G],
             }
         }
         if !ok {
@@ -410,56 +465,53 @@ impl Frame<'_> {
             match *instr {
                 VInstr::Add { a, b, dst } => {
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::add((*regs.add(a))[i], (*regs.add(b))[i]);
+                        (*regs.add(dst))[i] = W::add((*regs.add(a))[i], (*regs.add(b))[i]);
                     }
                 }
                 VInstr::Sub { a, b, dst } => {
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::sub((*regs.add(a))[i], (*regs.add(b))[i]);
+                        (*regs.add(dst))[i] = W::sub((*regs.add(a))[i], (*regs.add(b))[i]);
                     }
                 }
                 VInstr::Mul { a, b, dst } => {
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::mul((*regs.add(a))[i], (*regs.add(b))[i]);
+                        (*regs.add(dst))[i] = W::mul((*regs.add(a))[i], (*regs.add(b))[i]);
                     }
                 }
                 VInstr::AddI { a, imm: c, dst } => {
-                    let c = imm(c);
+                    let c = imm::<W>(c);
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::add((*regs.add(a))[i], c);
+                        (*regs.add(dst))[i] = W::add((*regs.add(a))[i], c);
                     }
                 }
                 VInstr::RSubI { a, imm: c, dst } => {
-                    let c = imm(c);
+                    let c = imm::<W>(c);
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::sub(c, (*regs.add(a))[i]);
+                        (*regs.add(dst))[i] = W::sub(c, (*regs.add(a))[i]);
                     }
                 }
                 VInstr::MulI { a, imm: c, dst } => {
-                    let c = imm(c);
+                    let c = imm::<W>(c);
                     for i in 0..G {
-                        (*regs.add(dst))[i] = lane::mul((*regs.add(a))[i], c);
+                        (*regs.add(dst))[i] = W::mul((*regs.add(a))[i], c);
                     }
                 }
                 VInstr::ScaleExp2 { a, k, dst } => {
                     for i in 0..G {
                         (*regs.add(dst))[i] =
-                            lane::scale_exp2((*regs.add(a))[i], lane::to_i32((*regs.add(k))[i]));
+                            W::scale_exp2((*regs.add(a))[i], W::to_i32((*regs.add(k))[i]));
                     }
                 }
-                // The host's IEEE divide, which the packed `divps` is lane
-                // for lane.
                 VInstr::HostDivI { imm: c, a, dst } => {
-                    let c = lane::splat(c);
+                    let c = W::splat(c);
                     for i in 0..G {
-                        (*regs.add(dst))[i] =
-                            lane::import(_mm_div_ps(c, lane::export((*regs.add(a))[i])));
+                        (*regs.add(dst))[i] = W::import(W::div(c, W::export((*regs.add(a))[i])));
                     }
                 }
                 VInstr::Within { a, lo, hi } => {
                     let mut inside = true;
                     for i in 0..G {
-                        inside &= lane::all_within((*regs.add(a))[i], lo.into(), hi.into());
+                        inside &= W::all_within((*regs.add(a))[i], lo.into(), hi.into());
                     }
                     if !inside {
                         return false;
@@ -470,40 +522,73 @@ impl Frame<'_> {
         for (&r, &p) in prog.outputs.iter().zip(&self.dst) {
             for i in 0..G {
                 // SAFETY: as for the loads.
-                lane::store(p.add(at + i * LANES), lane::export((*regs.add(r))[i]));
+                W::store(p.add(at + i * W::LANES), W::export((*regs.add(r))[i]));
             }
         }
         true
     }
 
-    /// The whole groups of `G` vectors from element `*at` on, each through
-    /// the program or the scalar kernel; returns the elements the program
-    /// ran.
+    /// The whole groups of `G` vectors of `W` from element `*at` on, each
+    /// through the program or the scalar kernel; returns the elements the
+    /// program ran.
+    ///
+    /// # Safety
+    /// The host runs `W` and the caller is compiled with its features.
     #[inline(always)]
-    unsafe fn groups<const G: usize>(&self, vpu: &mut Vpu, at: &mut usize) -> u64 {
+    unsafe fn groups<W: Width, const G: usize>(&self, vpu: &mut Vpu, at: &mut usize) -> u64 {
+        let step = G * W::LANES;
         // Not zeroed: 8 KiB per call was ≈ 10% of a 64-element drain.
-        let mut file = MaybeUninit::<[[F64x4; G]; MAX_REGS]>::uninit();
-        let regs = file.as_mut_ptr().cast::<[F64x4; G]>();
+        let mut file = MaybeUninit::<[[W::V; G]; MAX_REGS]>::uninit();
+        let regs = file.as_mut_ptr().cast::<[W::V; G]>();
+        // Splats are bound once: no instruction writes an input register.
+        for (r, src) in self.src[..self.prog.inputs].iter().enumerate() {
+            if let Src::Splat(v) = *src {
+                *regs.add(r) = [imm::<W>(v); G];
+            }
+        }
         let mut ran = 0;
-        while *at + G * LANES <= self.len {
-            let ok = self.group::<G>(*at, regs);
+        while *at + step <= self.len {
+            let ok = self.group::<W, G>(*at, regs);
             if ok {
-                ran += (G * LANES) as u64;
+                ran += step as u64;
             } else {
-                self.scalar(vpu, *at, *at + G * LANES);
+                self.scalar(vpu, *at, *at + step);
             }
             #[cfg(test)]
-            {
-                let tally = if ok {
-                    &route::PROGRAM_GROUPS
-                } else {
-                    &route::SCALAR_GROUPS
-                };
-                tally.set(tally.get() + 1);
+            for (tally, yes) in [
+                (&route::PROGRAM_GROUPS, ok),
+                (&route::SCALAR_GROUPS, !ok),
+                (&route::ZMM_GROUPS, W::LANES == 8),
+                (&route::YMM_GROUPS, W::LANES == 4),
+            ] {
+                tally.set(tally.get() + yes as u64);
             }
-            *at += G * LANES;
+            *at += step;
         }
         ran
+    }
+
+    /// The AVX2 tier's groups: eight `F64x4` vectors (32 elements, two to
+    /// a 64-element drain tile), then two, then one. A tail of eight runs
+    /// as two vectors: one vector at a time is a single dependent chain,
+    /// which made 8-element calls ≈ 2× slower.
+    #[target_feature(enable = "avx2")]
+    unsafe fn groups_avx2(&self, vpu: &mut Vpu, at: &mut usize) -> u64 {
+        let mut ran = self.groups::<Ymm, 8>(vpu, at);
+        ran += self.groups::<Ymm, 2>(vpu, at);
+        ran + self.groups::<Ymm, 1>(vpu, at)
+    }
+
+    /// The AVX-512 tier's groups: four `F64x8` vectors, then one, then one
+    /// `F64x4` — the AVX2 tier's boundaries. A tail of eight is one
+    /// `F64x8` rather than two `F64x4`: one thread, ns per element over
+    /// four interleaved rounds, 49–60 against 59–64 in 8-element calls and
+    /// 23–26 against 26–28 in 40-element ones.
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    unsafe fn groups_avx512(&self, vpu: &mut Vpu, at: &mut usize) -> u64 {
+        let mut ran = self.groups::<Zmm, 4>(vpu, at);
+        ran += self.groups::<Zmm, 1>(vpu, at);
+        ran + self.groups::<Ymm, 1>(vpu, at)
     }
 
     /// The program's scalar kernel on elements `lo..hi`.
@@ -518,7 +603,7 @@ impl Frame<'_> {
             for (x, src) in x.iter_mut().zip(&self.src[..ins]) {
                 *x = match *src {
                     Src::At(p) => *p.add(j),
-                    Src::Splat(_, v) => v,
+                    Src::Splat(v) => v,
                 };
             }
             (self.prog.scalar)(vpu, &x[..ins], &mut y[..outs]);
@@ -529,14 +614,11 @@ impl Frame<'_> {
     }
 }
 
-/// Run `prog` over `data`: register 0 reads `data` and the next ones
-/// `binds`; the first output is stored back to `data`, the others to
+/// Run `prog` over `data` on the host's lane tier (the scalar kernel
+/// alone on a host without lanes): register 0 reads `data` and the next
+/// ones `binds`; the first output is stored back to `data`, the others to
 /// `outs`. Completed groups are charged the program's op mix.
-///
-/// # Safety
-/// The host has AVX2 and the caller is compiled with it.
-#[inline(always)]
-pub(super) unsafe fn run(
+pub(super) fn run(
     vpu: &mut Vpu,
     prog: &VProgram,
     data: &mut [f32],
@@ -562,7 +644,7 @@ pub(super) unsafe fn run(
             }
             Bind::Splat(v) => {
                 splats_ok &= v.abs() <= prog.bound;
-                Src::Splat(imm(v), v)
+                Src::Splat(v)
             }
         };
     }
@@ -571,23 +653,25 @@ pub(super) unsafe fn run(
         *dst = out.as_mut_ptr();
     }
     let mut at = 0;
-    let mut ran = 0;
-    // SAFETY: every slice the frame points into holds `len` elements
-    // (asserted above), and `groups` stops at the last whole group.
-    if splats_ok {
-        ran += frame.groups::<WIDE>(vpu, &mut at);
-        ran += frame.groups::<2>(vpu, &mut at);
-        ran += frame.groups::<1>(vpu, &mut at);
-    }
-    frame.scalar(vpu, at, len);
+    // SAFETY: the host runs the tier (detected, or forced by a test to one
+    // the host runs); every slice the frame points into holds `len`
+    // elements (asserted above), and `groups` stops at the last whole
+    // group.
+    let ran = match exec_tier() {
+        Tier::Avx512 if splats_ok => unsafe { frame.groups_avx512(vpu, &mut at) },
+        Tier::Avx2 if splats_ok => unsafe { frame.groups_avx2(vpu, &mut at) },
+        _ => 0,
+    };
+    // SAFETY: `at ≤ len`.
+    unsafe { frame.scalar(vpu, at, len) };
     vpu.count.merge(&prog.mix.times(ran));
 }
 
 #[cfg(test)]
 mod tests {
+    use super::route::{exec_tiers, groups, on_tier, widths};
     use super::*;
     use crate::vpu::cost;
-    use bfp_arith::fplanes::available;
     use proptest::prelude::*;
 
     #[test]
@@ -617,23 +701,16 @@ mod tests {
         );
     }
 
-    /// The executor's groups over `n` elements: 32, then 8, then 4 each.
-    fn groups(n: usize) -> u64 {
-        (n / 32 + n % 32 / 8 + n % 8 / 4) as u64
-    }
-
-    /// `prog` over `data` on the executor: the output, the count and the
-    /// `(program, scalar)` groups.
-    fn on_lanes(prog: &VProgram, data: &[f32]) -> (Vec<f32>, OpCount, (u64, u64)) {
-        #[target_feature(enable = "avx2")]
-        unsafe fn exec(vpu: &mut Vpu, prog: &VProgram, data: &mut [f32]) {
-            run(vpu, prog, data, &[], &mut []);
-        }
+    /// `prog` over `data` on the executor's `tier`: the output, the count
+    /// and the `(program, scalar)` groups, after asserting that every
+    /// group ran on the tier's vectors.
+    fn on_lanes(tier: Tier, prog: &VProgram, data: &[f32]) -> (Vec<f32>, OpCount, (u64, u64)) {
         let mut vpu = Vpu::new();
         let mut out = data.to_vec();
         route::take_groups();
-        // SAFETY: every caller detected AVX2.
-        unsafe { exec(&mut vpu, prog, &mut out) };
+        route::take_widths();
+        on_tier(tier, || run(&mut vpu, prog, &mut out, &[], &mut []));
+        assert_eq!(route::take_widths(), widths(tier, data.len()), "{tier}");
         (out, vpu.count, route::take_groups())
     }
 
@@ -647,9 +724,6 @@ mod tests {
 
     #[test]
     fn compiled_exp_equals_the_scalar_kernel_across_the_whole_unclamped_range() {
-        if !available() {
-            return;
-        }
         let mut vpu = Vpu::new();
         let mut args: Vec<f32> = vec![-87.0, 88.0, -0.0, 0.0, 1e-30, -1e-30, 0.5, -0.5];
         args.extend([
@@ -665,12 +739,15 @@ mod tests {
         while !args.len().is_multiple_of(4) {
             args.push(0.0);
         }
-        let (got, count, route) = on_lanes(&exp_program(), &args);
-        for (g, &x) in got.iter().zip(&args) {
-            assert_eq!(g.to_bits(), vpu.exp(x).to_bits(), "exp({x:e})");
+        let want: Vec<u32> = args.iter().map(|&x| vpu.exp(x).to_bits()).collect();
+        for tier in exec_tiers() {
+            let (got, count, route) = on_lanes(tier, &exp_program(), &args);
+            for ((g, w), &x) in got.iter().zip(&want).zip(&args) {
+                assert_eq!(g.to_bits(), *w, "exp({x:e}) on {tier}");
+            }
+            assert_eq!(count, cost::exp().times(args.len() as u64));
+            assert_eq!(route, (groups(args.len()), 0), "all in range");
         }
-        assert_eq!(count, cost::exp().times(args.len() as u64));
-        assert_eq!(route, (groups(args.len()), 0), "all in range");
     }
 
     #[test]
@@ -678,9 +755,6 @@ mod tests {
         // The run-time-programmability claim: SiLU never existed when the
         // "hardware" was built, yet it compiles to the same instructions and
         // runs on the same executor. silu(x) = x / (1 + e^(−x)).
-        if !available() {
-            return;
-        }
         let mut b = VBuilder::new(1);
         let neg = b.mul_i(0, -1.0);
         b.within(neg, EXP_MIN, EXP_MAX);
@@ -696,20 +770,23 @@ mod tests {
             y[0] = vpu.mul(x[0], r);
         });
         let src: Vec<f32> = (-30..=30).map(|k| k as f32 * 0.2).collect();
-        let (got, count, route) = on_lanes(&silu, &src);
-        // 61 elements: groups of 32, 3 × 8 and 4, one on the scalar kernel.
-        assert_eq!(route, (groups(src.len()), 0));
-        assert_eq!(groups(src.len()), 5);
-        let mut vpu = Vpu::new();
-        for (&g, &x) in got.iter().zip(&src) {
-            let want = x as f64 / (1.0 + (-x as f64).exp());
-            assert!((g as f64 - want).abs() < 2e-5, "silu({x}): {g} vs {want}");
-            let mut scalar = [0f32];
-            (silu.scalar)(&mut vpu, &[x], &mut scalar);
-            assert_eq!(g.to_bits(), scalar[0].to_bits(), "silu({x})");
+        for tier in exec_tiers() {
+            let (got, count, route) = on_lanes(tier, &silu, &src);
+            // 61 elements: groups of 32, 3 × 8 and 4, one on the scalar
+            // kernel.
+            assert_eq!(route, (groups(src.len()), 0), "{tier}");
+            assert_eq!(groups(src.len()), 5);
+            let mut vpu = Vpu::new();
+            for (&g, &x) in got.iter().zip(&src) {
+                let want = x as f64 / (1.0 + (-x as f64).exp());
+                assert!((g as f64 - want).abs() < 2e-5, "silu({x}): {g} vs {want}");
+                let mut scalar = [0f32];
+                (silu.scalar)(&mut vpu, &[x], &mut scalar);
+                assert_eq!(g.to_bits(), scalar[0].to_bits(), "silu({x}) on {tier}");
+            }
+            assert_eq!(count, vpu.count);
+            assert_eq!(count.host_div, src.len() as u64);
         }
-        assert_eq!(count, vpu.count);
-        assert_eq!(count.host_div, src.len() as u64);
     }
 
     proptest! {
@@ -719,8 +796,8 @@ mod tests {
         fn compiled_exp_matches_kernel_for_any_operands(
             xs in proptest::collection::vec(-100.0f32..100.0, 1..80)
         ) {
-            if available() {
-                let (got, count, _) = on_lanes(&exp_program(), &xs);
+            for tier in exec_tiers() {
+                let (got, count, _) = on_lanes(tier, &exp_program(), &xs);
                 let mut vpu = Vpu::new();
                 for (g, &x) in got.iter().zip(&xs) {
                     prop_assert_eq!(g.to_bits(), vpu.exp(x).to_bits(), "exp({:e})", x);

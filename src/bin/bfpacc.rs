@@ -1,7 +1,7 @@
 //! `bfpacc` — command-line driver for the modelled accelerator.
 //!
 //! ```text
-//! bfpacc info    system configuration, resources, host chain tiers
+//! bfpacc info    system configuration, resources, host lane tiers
 //! ```
 //!
 //! GEMMs, inference reports, throughput sweeps and cycle traces are the
@@ -57,4 +57,5 @@ fn info() {
         bfp_arith::packed::chain_tier(false),
         bfp_arith::packed::chain_tier(true)
     );
+    println!("  host exact VPU   : {}", bfp_arith::fplanes::tier());
 }
