@@ -49,9 +49,10 @@
 //!
 //! For the paper's 8×8 blocks on an AVX2 host a chain runs on registers
 //! while it stays clean, on the tier the plain GEMM takes: the zmm pair
-//! kernel (`packed::chain_pair_vnni512`) on an AVX-512 VNNI host, the ymm
-//! one (`packed::chain_i32_avx2`) on any other, each the plain chain's
-//! body with the lanes as a ninth row and column. The scalar loop here
+//! kernel (`packed::chain_pair_vnni512`, the plain four-tile body's row
+//! product and lane layout on two tiles) on an AVX-512 VNNI host, the ymm
+//! one (`packed::chain_i32_avx2`, the plain chain's own body) on any
+//! other, each with the lanes as a ninth row and column. The scalar loop here
 //! replays any chain that does not stay clean. The unverified baseline is
 //! that tier's plain chain, so what a campaign measures against it is the
 //! lanes alone.
@@ -332,12 +333,14 @@ impl AbftPacked {
 
     /// Runs every `(bi, bj)` chain of the block-row range and then its
     /// tail: tamper seam, committed-value verify and repair, epilogue,
-    /// drain. A register kernel runs one chain per call (`Avx2I32`) or the
-    /// pair `bj`, `bj + 1` (`Vnni512`), and can only answer "clean so far"
-    /// for each: a chain that sees a mismatch is replayed from its first
-    /// step on the scalar loop, the kernel that localises and repairs — and
-    /// the bit *and report* oracle of the register ones — while its partner
-    /// keeps its register result.
+    /// drain. A register kernel runs one chain per call (`Avx2I32`), or on
+    /// `Vnni512` the pair `bj`, `bj + 1` of a verified walk and the four
+    /// tiles from `bj` on of an unverified one, which is a plain chain.
+    /// A checked call can only answer "clean so far" for each tile: a chain
+    /// that sees a mismatch is replayed from its first step on the scalar
+    /// loop, the kernel that localises and repairs — and the bit *and
+    /// report* oracle of the register ones — while its partner keeps its
+    /// register result.
     #[allow(clippy::too_many_arguments)]
     fn rows_checked_on(
         &self,
@@ -362,7 +365,7 @@ impl AbftPacked {
         let mut xs = vec![0i32; kernel.staged_words(kb)];
         let mut xl = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        let mut acc32 = [[0i32; 64]; 2];
+        let mut acc32 = [[0i32; 64]; 4];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.packed.rows() - bi * b);
             let x = &self.packed.man_plane()[bi * kb * b * b..][..kb * b * b];
@@ -375,7 +378,7 @@ impl AbftPacked {
                 // The register kernel's chains from `bj` on: how many, their
                 // exponents and lanes.
                 let mut n = 1;
-                let mut regs: Option<([Option<i32>; 2], ChainSums)> = None;
+                let mut regs: Option<([Option<i32>; 4], ChainSums)> = None;
                 #[cfg(target_arch = "x86_64")]
                 if kernel != ChainKernel::I64 {
                     let mut sums = ChainSums {
@@ -399,14 +402,16 @@ impl AbftPacked {
                     let jmax = b.min(rhs.packed.cols() - bj * b);
                     let (acc_exp, dirty) = match &regs {
                         #[cfg(target_arch = "x86_64")]
-                        Some((exps, sums)) if !sums.mismatch[t] => {
-                            report.checks += sums.checks[t];
+                        Some((exps, sums)) if !verify || !sums.mismatch[t] => {
                             for (w, &a) in s.acc.iter_mut().zip(&acc32[t]) {
                                 *w = a as i64;
                             }
-                            for j in 0..8 {
-                                s.chk[j] = sums.chk[t][j] as i64;
-                                s.rchk[j] = sums.rchk[t][j] as i64;
+                            if verify {
+                                report.checks += sums.checks[t];
+                                for j in 0..8 {
+                                    s.chk[j] = sums.chk[t][j] as i64;
+                                    s.rchk[j] = sums.rchk[t][j] as i64;
+                                }
                             }
                             (exps[t], false)
                         }

@@ -22,12 +22,14 @@
 //! exponent-alignment chain in one place: no wide scratch tile is written
 //! and re-read, and no block is ever copied out of the grid. For the
 //! paper's 8×8 blocks the chain keeps its accumulator in registers as i32
-//! for the entire K loop: `chain_pair_vnni512` (`vpdpbusd` on zmm, two
-//! output tiles per register, u8-offset RHS) on an AVX-512 VNNI host,
-//! `chain_i32_avx2` (`vpmaddwd`) on any other AVX2 host; every other case
-//! takes the i64 chain loop, which is also both register kernels' bit
-//! oracle. Each register kernel is one body for plain chains and the
-//! ABFT-checked ones of [`crate::abft`] (a `const CHECKED: bool`), and
+//! for the entire K loop. On an AVX-512 VNNI host a plain chain runs on
+//! `chain_quad_vnni512` (`vpdpbusd` on zmm, four output tiles per call,
+//! u8-offset RHS, the steps where no tile's exponent moves accumulated
+//! directly) and an ABFT-checked one of [`crate::abft`] on
+//! `chain_pair_vnni512` (two tiles per call); on any other AVX2 host both
+//! run `chain_i32_avx2` (`vpmaddwd`, one body for plain and checked
+//! chains, a `const CHECKED: bool`). Every other case takes the i64 chain
+//! loop, which is also every register kernel's bit oracle.
 //! `ChainKernel::select` is the only place a tier is chosen.
 //! Whichever runs, the result is **bit-identical** to
 //! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
@@ -467,12 +469,12 @@ impl PackedBfp {
 
     /// Computes output tiles `bi_lo..bi_hi` in `(bi, bj)` row-major order:
     /// runs each tile's exponent-alignment chain on `kernel` (`Vnni512`
-    /// runs two adjacent tiles per call, the others one), dequantizes
+    /// runs four adjacent tiles per call, the others one), dequantizes
     /// it into a `b×b` scratch buffer, applies `epi` to the hot tile, then
     /// copies its valid region into `out_rows`, the row-major f32 buffer
     /// whose first row is output row `bi_lo·b` and whose rows are the full
     /// logical width. Every kernel produces the same aligned integers, and
-    /// the lane drain the register kernels use is the scalar drain's IEEE
+    /// the lane drains the register kernels use are the scalar drain's IEEE
     /// operations, so the choice never changes a bit.
     fn fused_rows_on<E>(
         &self,
@@ -494,7 +496,7 @@ impl PackedBfp {
         // reused by all chains of the row (≤ 24 KB at DeiT's K ≤ 1536).
         let mut xs = vec![0i32; kernel.staged_words(kb)];
         #[cfg(target_arch = "x86_64")]
-        let mut acc32 = [[0i32; 64]; 2];
+        let mut acc32 = [[0i32; 64]; 4];
         let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.rows - bi * b);
@@ -513,18 +515,16 @@ impl PackedBfp {
                     }
                     ChainKernel::I64 => {
                         let exp = self.chain_i64(rhs, bi, bj, &mut prod, &mut acc64);
-                        (1, [exp, None])
+                        (1, [exp, None, None, None])
                     }
                 };
                 for (t, &exp) in exps[..n].iter().enumerate() {
                     let hot = &mut tile[..imax * b];
                     match kernel {
-                        // SAFETY: `select` produces a register kernel only
-                        // after detecting AVX2.
                         #[cfg(target_arch = "x86_64")]
-                        ChainKernel::Avx2I32 | ChainKernel::Vnni512 => unsafe {
-                            drain_lanes(hot, &acc32[t], exp)
-                        },
+                        ChainKernel::Avx2I32 | ChainKernel::Vnni512 => {
+                            kernel.drain_i32(hot, &acc32[t], exp)
+                        }
                         ChainKernel::I64 => drain(hot, acc64.iter().map(|&a| a as f64), exp),
                     }
                     let c0 = (bj + t) * b;
@@ -538,7 +538,17 @@ impl PackedBfp {
                     epi(&mut tile, &ctx);
                     for i in 0..ctx.imax {
                         let dst = &mut out_rows[(ctx.r0 + i - bi_lo * b) * rhs.cols + ctx.c0..];
-                        dst[..ctx.jmax].copy_from_slice(&tile[i * b..][..ctx.jmax]);
+                        let src = &tile[i * b..][..ctx.jmax];
+                        if let (Ok(dst), Ok(src)) = (
+                            <&mut [f32; 8]>::try_from(&mut dst[..ctx.jmax]),
+                            <&[f32; 8]>::try_from(src),
+                        ) {
+                            // A full 8-wide row: one fixed 32-byte copy
+                            // rather than a `memcpy` call per row.
+                            *dst = *src;
+                        } else {
+                            dst[..ctx.jmax].copy_from_slice(src);
+                        }
                     }
                 }
                 bj += n;
@@ -607,14 +617,24 @@ impl PackedBfp {
 /// `|acc| ≤ n·2¹⁷`: every chain shorter than 2¹⁴ steps (K < 131 072) fits
 /// i32 exactly. Longer chains take the i64 loop.
 ///
-/// The bound holds for [`chain_pair_vnni512`] too, offset included: its
+/// The bound holds for the VNNI chains too, offset included. A merged
 /// row product is `c + Σ x·(y + 128)` from the row correction
 /// `c = −128·Σₖ x[i][k]`, `|c| ≤ 128·8·128 = 2¹⁷`, and each `vpdpbusd`
 /// adds less than `4·255·128 < 2¹⁷`, so no intermediate reaches 2¹⁸ and
 /// the non-saturating `vpdpbusd` never wraps; each row ends as the exact
-/// tile product, so `|acc| ≤ n·2¹⁷` is unchanged. Its per-lane `vpsravd`
-/// sign-fills for counts ≥ 32, as `shift_right_trunc` does for every
-/// shift ≥ 32 of a value that fits i32.
+/// tile product, so `|acc| ≤ n·2¹⁷` is unchanged. Their per-lane
+/// `vpsravd` sign-fills for counts ≥ 32, as `shift_right_trunc` does for
+/// every shift ≥ 32 of a value that fits i32.
+///
+/// [`chain_quad_vnni512`]'s direct stretches are exact under the same
+/// bound although their partial sums may leave i32. Inside a stretch the
+/// accumulators take `Σ x·(y + 128)` without the corrections, which wait
+/// in a register of their own, so a partial sum can pass 2³¹. But
+/// `vpdpbusd` is the wrapping form and every operation up to the stretch's
+/// fold is an addition mod 2³². The fold adds the corrections before any
+/// `vpsravd` of the accumulators and before the drain, so every value that
+/// is shifted or drained is congruent mod 2³² to the true sum, and that
+/// sum lies inside i32 by `|acc| ≤ n·2¹⁷`: it is the true sum.
 const I32_CHAIN_MAX_KB: usize = 1 << 14;
 
 /// The same bound for a checked chain, whose checksum lanes grow eight
@@ -641,10 +661,11 @@ pub(crate) enum ChainKernel {
     /// proof of AVX2 its `unsafe` callers cite.
     #[cfg(target_arch = "x86_64")]
     Avx2I32,
-    /// [`chain_pair_vnni512`]: `b == 8` chains, plain or checked, two
-    /// output tiles per call, on an AVX2 + AVX-512 F, BW and VNNI host.
-    /// Only [`ChainKernel::select`] produces it, which is the proof of
-    /// those features its `unsafe` callers cite.
+    /// `b == 8` chains on an AVX2 + AVX-512 F, BW and VNNI host: plain
+    /// ones on [`chain_quad_vnni512`], four output tiles per call, checked
+    /// ones on [`chain_pair_vnni512`], two. Only [`ChainKernel::select`]
+    /// produces it, which is the proof of those features its `unsafe`
+    /// callers cite.
     #[cfg(target_arch = "x86_64")]
     Vnni512,
 }
@@ -744,11 +765,12 @@ impl ChainKernel {
     }
 
     /// The chains from output tile `(·, bj)` on, `CHECKED` or plain: one
-    /// tile on `Avx2I32`, the pair `(·, bj)`, `(·, bj + 1)` on `Vnni512`
-    /// (or the lone last one). `x` is the LHS block-row and `xs` what
-    /// [`ChainKernel::stage_lhs`] left for it; `sums` carries a checked
-    /// call's lanes in and out. Leaves tile `t`'s sums in `acc[t]` and
-    /// returns how many tiles it computed and their exponents.
+    /// tile on `Avx2I32`; on `Vnni512` the pair `(·, bj)`, `(·, bj + 1)`
+    /// of a checked call and the four tiles from `(·, bj)` on of a plain
+    /// one (fewer at the grid's right edge). `x` is the LHS block-row and
+    /// `xs` what [`ChainKernel::stage_lhs`] left for it; `sums` carries a
+    /// checked call's lanes in and out. Leaves tile `t`'s sums in `acc[t]`
+    /// and returns how many tiles it computed and their exponents.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn chain_i32<const CHECKED: bool>(
@@ -759,27 +781,46 @@ impl ChainKernel {
         rhs: &PackedBfp,
         bj: usize,
         sums: &mut ChainSums<'_>,
-        acc: &mut [[i32; 64]; 2],
-    ) -> (usize, [Option<i32>; 2]) {
+        acc: &mut [[i32; 64]; 4],
+    ) -> (usize, [Option<i32>; 4]) {
         // SAFETY: only `select` produces a register kernel, and only after
         // detecting the features it needs.
         unsafe {
             match self {
                 ChainKernel::Avx2I32 => {
                     let exp = chain_i32_avx2::<CHECKED>(xs, x_exps, rhs, bj, sums, &mut acc[0]);
-                    (1, [exp, None])
+                    (1, [exp, None, None, None])
                 }
-                ChainKernel::Vnni512 => {
-                    chain_pair_vnni512::<CHECKED>(x, xs, x_exps, rhs, bj, sums, acc)
+                ChainKernel::Vnni512 if CHECKED => {
+                    let [a, b, ..] = acc;
+                    let (n, [ea, eb]) = chain_pair_vnni512(x, xs, x_exps, rhs, bj, sums, [a, b]);
+                    (n, [ea, eb, None, None])
                 }
+                ChainKernel::Vnni512 => chain_quad_vnni512(x, xs, x_exps, rhs, bj, acc),
                 ChainKernel::I64 => unreachable!("the i64 chain is `PackedBfp::chain_i64`"),
             }
         }
     }
 
+    /// [`drain`] of a register chain's i32 sums on this kernel's lanes:
+    /// eight at a time on `Vnni512`, four on `Avx2I32`. Both are the scalar
+    /// drain's IEEE operations, so the bits are its bits.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn drain_i32(self, tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+        // SAFETY: only `select` produces a register kernel, and only after
+        // detecting AVX2 (and AVX-512 F for `Vnni512`).
+        unsafe {
+            match self {
+                ChainKernel::Vnni512 => drain_lanes512(tile, acc, exp),
+                ChainKernel::Avx2I32 => drain_lanes(tile, acc, exp),
+                ChainKernel::I64 => unreachable!("the i64 chain drains through `drain`"),
+            }
+        }
+    }
+
     /// [`drain`] of a chain's wide sums on this kernel: through
-    /// [`drain_lanes`] on a register kernel when every sum fits i32 (its
-    /// bits are [`drain`]'s), else the scalar loop.
+    /// [`ChainKernel::drain_i32`] on a register kernel when every sum fits
+    /// i32, else the scalar loop.
     pub(crate) fn drain_wide(self, tile: &mut [f32], acc: &[i64], exp: Option<i32>) {
         #[cfg(target_arch = "x86_64")]
         if self != ChainKernel::I64 {
@@ -790,25 +831,26 @@ impl ChainKernel {
                 fits &= *n as i64 == a;
             }
             if fits {
-                // SAFETY: a register kernel is only selected after detecting
-                // AVX2.
-                return unsafe { drain_lanes(tile, &narrow, exp) };
+                return self.drain_i32(tile, &narrow, exp);
             }
         }
         drain(tile, acc.iter().map(|&a| a as f64), exp)
     }
 }
 
-/// The chain tier a bfp8 (`b == 8`) GEMM, `checked` or plain, runs on this
-/// host, as `ChainKernel::select` picks it: `"avx512-vnni"`, `"avx2"` or
-/// `"i64"`.
+/// The chain body a bfp8 (`b == 8`) GEMM, `checked` or plain, runs on this
+/// host, as `ChainKernel::select` picks it: `"avx512-vnni (4 tiles)"` for a
+/// plain chain and `"avx512-vnni (2 tiles)"` for a checked one, else
+/// `"avx2"` or `"i64"`.
 pub fn chain_tier(checked: bool) -> &'static str {
     match ChainKernel::select(8, 1, checked) {
         ChainKernel::I64 => "i64",
         #[cfg(target_arch = "x86_64")]
         ChainKernel::Avx2I32 => "avx2",
         #[cfg(target_arch = "x86_64")]
-        ChainKernel::Vnni512 => "avx512-vnni",
+        ChainKernel::Vnni512 if checked => "avx512-vnni (2 tiles)",
+        #[cfg(target_arch = "x86_64")]
+        ChainKernel::Vnni512 => "avx512-vnni (4 tiles)",
     }
 }
 
@@ -854,6 +896,34 @@ unsafe fn drain_lanes(tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
         unsafe {
             let wide = _mm256_cvtepi32_pd(_mm_loadu_si128(a.as_ptr() as *const __m128i));
             _mm_storeu_ps(o.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_mul_pd(wide, scale)));
+        }
+    }
+}
+
+/// [`drain_lanes`] eight at a time on zmm: `vcvtdq2pd`, `vmulpd` by
+/// `2^exp`, `vcvtpd2ps`, the same IEEE operations, so the same bits. The
+/// scale is built from its bits: every `i8 + i8` exponent is a normal f64.
+///
+/// # Safety
+/// Callers must have verified AVX-512 F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+unsafe fn drain_lanes512(tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+    use std::arch::x86_64::*;
+    let Some(exp) = exp else {
+        return tile.fill(0.0);
+    };
+    assert!(
+        tile.len().is_multiple_of(8) && tile.len() <= 64 && (-1022..=1023).contains(&exp),
+        "whole rows of a tile, and a normal scale"
+    );
+    let scale = _mm512_set1_pd(f64::from_bits(((exp + 1023) as u64) << 52));
+    for (o, a) in tile.chunks_exact_mut(8).zip(acc.chunks_exact(8)) {
+        // SAFETY: one 32-byte load and one 32-byte store, each exactly
+        // covering its eight-element chunk.
+        unsafe {
+            let wide = _mm512_cvtepi32_pd(_mm256_loadu_si256(a.as_ptr() as *const __m256i));
+            _mm256_storeu_ps(o.as_mut_ptr(), _mm512_cvtpd_ps(_mm512_mul_pd(wide, scale)));
         }
     }
 }
@@ -1214,10 +1284,12 @@ unsafe fn chain_i32_avx2<const CHECKED: bool>(
     acc_exp
 }
 
-/// The register chain on zmm, plain or `CHECKED`: the whole K-loop of the
-/// two adjacent output tiles `A = (·, bj)` and `B = (·, bj + 1)` side by
-/// side, row `i` of both accumulators in zmm register `i` as i32, with
-/// `vpdpbusd`'s 64 MACs per instruction.
+/// The checked register chain on zmm: the whole K-loop of the two
+/// adjacent output tiles `A = (·, bj)` and `B = (·, bj + 1)` side by side,
+/// row `i` of both accumulators in zmm register `i` as i32, with
+/// `vpdpbusd`'s 64 MACs per instruction, and both tiles' ABFT lanes. The
+/// plain chain is [`chain_quad_vnni512`], which shares its row product,
+/// lane layout and per-lane merge.
 ///
 /// `vpdpbusd` multiplies u8 by i8, so the RHS is the u8 side: per tile
 /// step A's and B's canonical `[j][k]` tiles — adjacent 64-byte tiles of
@@ -1239,7 +1311,7 @@ unsafe fn chain_i32_avx2<const CHECKED: bool>(
 /// i64 chain's exactly. A lone last tile (odd `nb`) pairs with a zero
 /// register, whose lanes stay zero and are never returned.
 ///
-/// `CHECKED` carries both tiles' ABFT lanes in two more registers. `chk`,
+/// Both tiles' ABFT lanes ride in two more registers. `chk`,
 /// the column sums, is laid out like a data row and grows by a **ninth
 /// LHS row**: the pack-time lane `xc` in i16 k-pairs against the even and
 /// odd bytes of `P_q` (`vpand`, `vpsrlw`, four `vpdpwssd`), started from
@@ -1272,14 +1344,14 @@ unsafe fn chain_i32_avx2<const CHECKED: bool>(
 /// Callers must have verified AVX2 and AVX-512 F, BW and VNNI support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
-unsafe fn chain_pair_vnni512<const CHECKED: bool>(
+unsafe fn chain_pair_vnni512(
     x: &[i8],
     corr: &[i32],
     x_exps: &[i8],
     rhs: &PackedBfp,
     bj: usize,
     sums: &mut ChainSums<'_>,
-    acc_out: &mut [[i32; 64]; 2],
+    acc_out: [&mut [i32; 64]; 2],
 ) -> (usize, [Option<i32>; 2]) {
     use std::arch::x86_64::*;
 
@@ -1346,12 +1418,7 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
 
     let kb = x_exps.len();
     let nb = rhs.block_cols;
-    let max_kb = if CHECKED {
-        CHECKED_CHAIN_MAX_KB
-    } else {
-        I32_CHAIN_MAX_KB
-    };
-    assert!(kb < max_kb, "chain too long for i32 accumulators");
+    assert!(kb < CHECKED_CHAIN_MAX_KB, "chain too long for i32 lanes");
     assert_eq!((x.len(), corr.len()), (kb * 64, kb * 8));
     let pair = bj + 1 < nb;
     let tiles = 1 + pair as usize;
@@ -1363,7 +1430,7 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
     let y_pairs = _mm512_setr_epi32(0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4);
     let mut acc = [zero; 8];
     let mut exps = [None; 2];
-    // A checked chain's lanes are `chk`, `rchk` plus the sums of `trunc`:
+    // The lanes are `chk`, `rchk` plus the sums of `trunc`:
     // the lanes grow by each step's checksum products, except where a tile
     // verified its product and merged it truncated, which `trunc` collects
     // until the tile's next accumulator check or the end, where its sums
@@ -1392,7 +1459,7 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
         exps = [Some(cur_a.max(pexp_a)), Some(cur_b.max(pexp_b))];
         #[cfg(test)]
         for (tile, u) in sums.upset.iter().enumerate() {
-            if let Some((_, e, delta)) = u.filter(|u| CHECKED && u.0 == bk) {
+            if let Some((_, e, delta)) = u.filter(|u| u.0 == bk) {
                 let (i, j) = (e / 8, e % 8);
                 let mut row = [0i32; 16];
                 // SAFETY: one 64-byte store and load over the 16-element array.
@@ -1420,59 +1487,53 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
         let p1 = _mm512_castps_si512(_mm512_shuffle_ps::<0b11_01_11_01>(ya, yb));
         let (p0, p1) = (_mm512_xor_si512(p0, flip), _mm512_xor_si512(p1, flip));
         // This step's checksum products.
-        let (mut cp, mut rp) = (zero, zero);
-        if CHECKED {
-            checks[0] += (da != 0) as u64;
-            checks[1] += (db != 0) as u64;
-            let xl = &sums.xc[bk * VNNI_LANE_WORDS..][..VNNI_LANE_WORDS];
-            cp = _mm512_set1_epi32(xl[0]);
-            for (q, p) in [p0, p1].into_iter().enumerate() {
-                let lo = _mm512_and_si512(p, even_bytes);
-                let hi = _mm512_srli_epi16::<8>(p);
-                cp = _mm512_dpwssd_epi32(cp, lo, _mm512_set1_epi32(xl[1 + 2 * q]));
-                cp = _mm512_dpwssd_epi32(cp, hi, _mm512_set1_epi32(xl[2 + 2 * q]));
-            }
-            // SAFETY: one 16-byte load of each tile's eight-entry lane.
-            let yc = unsafe {
-                let yc = sums.yc[t * 8..][..tiles * 8].as_ptr() as *const __m128i;
-                let yb = if pair {
-                    _mm_loadu_si128(yc.add(1))
-                } else {
-                    _mm_setzero_si128()
-                };
-                _mm512_castsi256_si512(_mm256_set_m128i(yb, _mm_loadu_si128(yc)))
+        checks[0] += (da != 0) as u64;
+        checks[1] += (db != 0) as u64;
+        let xl = &sums.xc[bk * VNNI_LANE_WORDS..][..VNNI_LANE_WORDS];
+        let mut cp = _mm512_set1_epi32(xl[0]);
+        for (q, p) in [p0, p1].into_iter().enumerate() {
+            let lo = _mm512_and_si512(p, even_bytes);
+            let hi = _mm512_srli_epi16::<8>(p);
+            cp = _mm512_dpwssd_epi32(cp, lo, _mm512_set1_epi32(xl[1 + 2 * q]));
+            cp = _mm512_dpwssd_epi32(cp, hi, _mm512_set1_epi32(xl[2 + 2 * q]));
+        }
+        // SAFETY: one 16-byte load of each tile's eight-entry lane.
+        let yc = unsafe {
+            let yc = sums.yc[t * 8..][..tiles * 8].as_ptr() as *const __m128i;
+            let yb = if pair {
+                _mm_loadu_si128(yc.add(1))
+            } else {
+                _mm_setzero_si128()
             };
-            for (p, xs) in xl[5..].chunks_exact(16).enumerate() {
-                // SAFETY: one 64-byte load of the 16-word register.
-                let xs = unsafe { _mm512_loadu_epi32(xs.as_ptr()) };
-                let idx = _mm512_add_epi32(y_pairs, _mm512_set1_epi32(p as i32));
-                rp = _mm512_dpwssd_epi32(rp, xs, _mm512_permutexvar_epi32(idx, yc));
-            }
+            _mm512_castsi256_si512(_mm256_set_m128i(yb, _mm_loadu_si128(yc)))
+        };
+        let mut rp = zero;
+        for (p, xs) in xl[5..].chunks_exact(16).enumerate() {
+            // SAFETY: one 64-byte load of the 16-word register.
+            let xs = unsafe { _mm512_loadu_epi32(xs.as_ptr()) };
+            let idx = _mm512_add_epi32(y_pairs, _mm512_set1_epi32(p as i32));
+            rp = _mm512_dpwssd_epi32(rp, xs, _mm512_permutexvar_epi32(idx, yc));
         }
         if da > 0 || db > 0 {
             let grow = [da > 0, db > 0];
             let (cols, rows) = (lanes_of(grow, COLS_A), lanes_of(grow, ROWS_A));
-            if CHECKED {
-                // The growing tile's accumulator, less `trunc`, against
-                // the lanes.
-                let mut rest = acc;
-                for (r, e) in rest.iter_mut().zip(&trunc) {
-                    *r = _mm512_sub_epi32(*r, *e);
-                }
-                let (c, r) = misses(&rest, chk, rchk);
-                (bad_cols, bad_rows) = (bad_cols | c & cols, bad_rows | r & rows);
+            // The growing tile's accumulator, less `trunc`, against the
+            // lanes.
+            let mut rest = acc;
+            for (r, e) in rest.iter_mut().zip(&trunc) {
+                *r = _mm512_sub_epi32(*r, *e);
             }
+            let (c, r) = misses(&rest, chk, rchk);
+            (bad_cols, bad_rows) = (bad_cols | c & cols, bad_rows | r & rows);
             let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32(da.max(0)), 0xCCCC, db.max(0));
             for a in acc.iter_mut() {
                 *a = _mm512_srav_epi32(*a, sh);
             }
-            if CHECKED {
-                let (c, r) = sums_of(&acc);
-                chk = _mm512_mask_blend_epi32(cols, chk, c);
-                rchk = _mm512_mask_blend_epi32(rows, rchk, r);
-                for e in trunc.iter_mut() {
-                    *e = _mm512_mask_mov_epi32(*e, cols, zero);
-                }
+            let (c, r) = sums_of(&acc);
+            chk = _mm512_mask_blend_epi32(cols, chk, c);
+            rchk = _mm512_mask_blend_epi32(rows, rchk, r);
+            for e in trunc.iter_mut() {
+                *e = _mm512_mask_mov_epi32(*e, cols, zero);
             }
         }
         let sh = _mm512_mask_set1_epi32(_mm512_set1_epi32((-da).max(0)), 0xCCCC, (-db).max(0));
@@ -1489,7 +1550,7 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
             let half = _mm512_dpbusd_epi32(_mm512_set1_epi32(c[i]), p0, _mm512_set1_epi32(q0));
             _mm512_dpbusd_epi32(half, p1, _mm512_set1_epi32(q1))
         };
-        if CHECKED && (da < 0 || db < 0) {
+        if da < 0 || db < 0 {
             // A product is about to lose bits: hold both tiles', verify the
             // falling tile's against its checksum products, then merge the
             // truncated rows, and collect the falling tile's in `trunc`.
@@ -1510,21 +1571,13 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
             rp = _mm512_maskz_mov_epi32(!rows, rp);
         } else {
             for (i, a) in acc.iter_mut().enumerate() {
-                // The chain merge, i32 width, per lane; no lane of a checked
-                // step gets here with a shift.
-                let prod = row_product(i);
-                let prod = if CHECKED {
-                    prod
-                } else {
-                    _mm512_srav_epi32(prod, sh)
-                };
-                *a = _mm512_add_epi32(*a, prod);
+                // The chain merge, i32 width; no lane gets here with a
+                // product shift.
+                *a = _mm512_add_epi32(*a, row_product(i));
             }
         }
-        if CHECKED {
-            chk = _mm512_add_epi32(chk, cp);
-            rchk = _mm512_add_epi32(rchk, rp);
-        }
+        chk = _mm512_add_epi32(chk, cp);
+        rchk = _mm512_add_epi32(rchk, rp);
     }
     let natural = _mm512_setr_epi32(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15);
     let [out_a, out_b] = acc_out;
@@ -1538,25 +1591,317 @@ unsafe fn chain_pair_vnni512<const CHECKED: bool>(
             _mm256_storeu_si256(row_b as *mut __m256i, _mm512_extracti64x4_epi64::<1>(rows));
         }
     }
-    if CHECKED {
-        let (c, r) = sums_of(&trunc);
-        let (chk, rchk) = (_mm512_add_epi32(chk, c), _mm512_add_epi32(rchk, r));
-        let by_row = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
-        let (mut cols, mut rows) = ([0i32; 16], [0i32; 16]);
-        // SAFETY: one 64-byte store over each 16-element array.
-        unsafe {
-            _mm512_storeu_epi32(cols.as_mut_ptr(), _mm512_permutexvar_epi32(natural, chk));
-            _mm512_storeu_epi32(rows.as_mut_ptr(), _mm512_permutexvar_epi32(by_row, rchk));
-        }
-        for t in 0..2 {
-            sums.chk[t].copy_from_slice(&cols[t * 8..][..8]);
-            sums.rchk[t].copy_from_slice(&rows[t * 8..][..8]);
-        }
-        let bad = |cols: u16, rows: u16| bad_cols & cols | bad_rows & rows != 0;
-        sums.checks = checks;
-        sums.mismatch = [bad(COLS_A, ROWS_A), bad(!COLS_A, !ROWS_A)];
+    let (c, r) = sums_of(&trunc);
+    let (chk, rchk) = (_mm512_add_epi32(chk, c), _mm512_add_epi32(rchk, r));
+    let by_row = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+    let (mut cols, mut rows) = ([0i32; 16], [0i32; 16]);
+    // SAFETY: one 64-byte store over each 16-element array.
+    unsafe {
+        _mm512_storeu_epi32(cols.as_mut_ptr(), _mm512_permutexvar_epi32(natural, chk));
+        _mm512_storeu_epi32(rows.as_mut_ptr(), _mm512_permutexvar_epi32(by_row, rchk));
     }
+    for t in 0..2 {
+        sums.chk[t].copy_from_slice(&cols[t * 8..][..8]);
+        sums.rchk[t].copy_from_slice(&rows[t * 8..][..8]);
+    }
+    let bad = |cols: u16, rows: u16| bad_cols & cols | bad_rows & rows != 0;
+    sums.checks = checks;
+    sums.mismatch = [bad(COLS_A, ROWS_A), bad(!COLS_A, !ROWS_A)];
     (tiles, exps)
+}
+
+/// Tile steps one [`chain_quad_vnni512`] pass schedules at a time, so the
+/// schedule is a fixed stack array (1 KiB, written only as far as a pass
+/// reaches) of at most one word per step; DeiT's chains (`kb ≤ 192`) take
+/// one pass. A stretch that a pass boundary cuts folds at the boundary.
+#[cfg(target_arch = "x86_64")]
+const QUAD_PASS_STEPS: usize = 256;
+
+/// The plain register chain on zmm: the whole K-loop of the four adjacent
+/// output tiles `A, B, C, D = (·, bj) … (·, bj + 3)`, as two of
+/// [`chain_pair_vnni512`]'s pair registers per row — `(A, B)` and
+/// `(C, D)`, the same lane layout — so sixteen accumulators. Like the
+/// paper's PE array, which broadcasts one operand along a PE row and
+/// reuses it across the row's columns, each row's correction broadcast and
+/// its two LHS k-quad broadcasts feed both pairs.
+///
+/// **Schedule.** Before any mantissa is read, one pass over the exponent
+/// planes alone fixes every step's alignment shifts (as Zhao et al. fix
+/// theirs ahead of the mantissa datapath): running maxima give each
+/// tile's `e = acc_exp − pexp`, clamped to ±64 (every count ≥ 32
+/// sign-fills alike), and byte `t` of the step's schedule word holds tile
+/// `t`'s. A word of 0 means all four tiles are at `d = 0`: nothing shifts.
+///
+/// **Direct stretches.** Each maximal run of zero words runs as a direct
+/// loop: `vpdpbusd` straight into the accumulators, the stretch's row
+/// corrections summed in one ymm register and folded in at the stretch's
+/// end. [`I32_CHAIN_MAX_KB`] holds the argument that the wrapping partial
+/// sums are exact.
+///
+/// **Merge steps.** Every other step runs [`chain_pair_vnni512`]'s
+/// per-lane merge on both pairs: a fresh row product from the correction,
+/// shifted right by `max(e, 0)` with `vpsravd` and added. The counts are
+/// decoded on lanes from one broadcast of the word (`vpsllvd` lifts tile
+/// `t`'s byte to the top of its dwords, `vpsrad` brings it down signed).
+/// A step where some running maximum grows (a negative byte, found by a
+/// mask test of the word) first shifts that tile's accumulator by `−e`.
+///
+/// Tiles past the grid's right edge are zero registers, loaded under a
+/// zero mask so nothing past the plane is read; their schedule bytes copy
+/// the last real tile's and their lanes are never returned. Stores tile
+/// `t`'s sums in `acc_out[t]` and returns how many tiles it computed (1 to
+/// 4) and their exponents, `None` for `K = 0`.
+///
+/// # Safety
+/// Callers must have verified AVX2 and AVX-512 F, BW and VNNI support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+unsafe fn chain_quad_vnni512(
+    x: &[i8],
+    corr: &[i32],
+    x_exps: &[i8],
+    rhs: &PackedBfp,
+    bj: usize,
+    acc_out: &mut [[i32; 64]; 4],
+) -> (usize, [Option<i32>; 4]) {
+    use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    /// Step `bk`'s RHS k-quads of both pairs, `[p0, p1]` of `(A, B)` then
+    /// of `(C, D)`, as u8 (`y + 128`): [`chain_pair_vnni512`]'s two
+    /// `vshufps` per pair. `y` points at tile A of the step; `load[t]`
+    /// masks tile `t + 1`.
+    ///
+    /// # Safety
+    /// Tile A and every tile a full mask loads lie inside the RHS plane.
+    #[inline(always)]
+    unsafe fn rhs_quads(y: *const f32, load: [__mmask16; 3]) -> [__m512i; 4] {
+        let flip = _mm512_set1_epi8(-128);
+        // SAFETY: the caller's promise; a zero mask reads nothing.
+        let (ya, yb, yc, yd) = unsafe {
+            (
+                _mm512_loadu_ps(y),
+                _mm512_maskz_loadu_ps(load[0], y.wrapping_add(16)),
+                _mm512_maskz_loadu_ps(load[1], y.wrapping_add(32)),
+                _mm512_maskz_loadu_ps(load[2], y.wrapping_add(48)),
+            )
+        };
+        let (p0, p1) = (shuffle_even(ya, yb), shuffle_odd(ya, yb));
+        let (q0, q1) = (shuffle_even(yc, yd), shuffle_odd(yc, yd));
+        [p0, p1, q0, q1].map(|p| _mm512_xor_si512(p, flip))
+    }
+
+    /// Quad 0 (`even`) or quad 1 (`odd`) of every run of two tiles: per
+    /// 128-bit lane, the first tile's two runs, then the second's.
+    #[inline(always)]
+    unsafe fn shuffle_even(u: __m512, v: __m512) -> __m512i {
+        _mm512_castps_si512(_mm512_shuffle_ps::<0b10_00_10_00>(u, v))
+    }
+    #[inline(always)]
+    unsafe fn shuffle_odd(u: __m512, v: __m512) -> __m512i {
+        _mm512_castps_si512(_mm512_shuffle_ps::<0b11_01_11_01>(u, v))
+    }
+
+    /// Row `i`'s two k-quads of the 64-byte LHS tile at `xt`, broadcast.
+    ///
+    /// # Safety
+    /// `xt` points at a whole LHS tile and `i < 8`.
+    #[inline(always)]
+    unsafe fn lhs_quads(xt: *const i32, i: usize) -> (__m512i, __m512i) {
+        // SAFETY: dwords `2i` and `2i + 1` of the tile the caller names.
+        unsafe {
+            (
+                _mm512_set1_epi32(xt.add(2 * i).read_unaligned()),
+                _mm512_set1_epi32(xt.add(2 * i + 1).read_unaligned()),
+            )
+        }
+    }
+
+    let kb = x_exps.len();
+    let nb = rhs.block_cols;
+    assert!(kb < I32_CHAIN_MAX_KB, "chain too long for i32 accumulators");
+    assert_eq!((x.len(), corr.len()), (kb * 64, kb * 8));
+    assert!(
+        bj < nb && rhs.man.len() == kb * nb * 64 && rhs.exps.len() == kb * nb,
+        "a tile of the RHS"
+    );
+    let tiles = (nb - bj).min(4);
+    let load = [1, 2, 3].map(|t| if t < tiles { !0 } else { 0 });
+    let y_exps = rhs.exps[bj..].as_ptr();
+    // Step `bk`'s four product exponents, one per dword.
+    let pexp = |bk: usize| {
+        let y = if tiles == 4 {
+            // SAFETY: step `bk`'s four tiles of the exponent plane (the
+            // assert above).
+            unsafe { y_exps.add(bk * nb).cast::<i32>().read_unaligned() }
+        } else {
+            let y = &rhs.exps[bk * nb + bj..][..tiles];
+            i32::from_le_bytes([0, 1, 2, 3].map(|t| y[t.min(tiles - 1)] as u8))
+        };
+        let x = _mm_set1_epi32(x_exps[bk] as i32);
+        _mm_add_epi32(x, _mm_cvtepi8_epi32(_mm_cvtsi32_si128(y)))
+    };
+    // The low byte of each dword.
+    let low_bytes = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+    let (floor, ceil) = (_mm_set1_epi32(-64), _mm_set1_epi32(64));
+    let yman = rhs.man.as_ptr();
+    let zero = _mm512_setzero_si512();
+    // Shifts lifting schedule byte `t` to the top of tile `t`'s dwords:
+    // A's and C's are dwords 0 and 1 of every 128-bit lane, B's and D's 2
+    // and 3.
+    let lift = [
+        _mm512_setr_epi32(
+            24, 24, 16, 16, 24, 24, 16, 16, 24, 24, 16, 16, 24, 24, 16, 16,
+        ),
+        _mm512_setr_epi32(8, 8, 0, 0, 8, 8, 0, 0, 8, 8, 0, 0, 8, 8, 0, 0),
+    ];
+    // Row `i` of tiles A and B, and of C and D.
+    let (mut ab, mut cd) = ([zero; 8], [zero; 8]);
+    // The running maxima; the first product meets a zero accumulator at
+    // its own exponent.
+    let mut max = if kb > 0 { pexp(0) } else { _mm_setzero_si128() };
+    let mut words = [MaybeUninit::<u32>::uninit(); QUAD_PASS_STEPS + 1];
+    // Stretches, direct steps and merge steps, for the tests' route
+    // counters: kept in registers, published once per call.
+    #[cfg(test)]
+    let mut counts = [0u64; 3];
+    let mut k0 = 0;
+    while k0 < kb {
+        let steps = (kb - k0).min(QUAD_PASS_STEPS);
+        for (s, word) in words[..steps].iter_mut().enumerate() {
+            let p = pexp(k0 + s);
+            let e = _mm_min_epi32(_mm_max_epi32(_mm_sub_epi32(max, p), floor), ceil);
+            max = _mm_max_epi32(max, p);
+            word.write(_mm_cvtsi128_si32(_mm_shuffle_epi8(e, low_bytes)) as u32);
+        }
+        // A non-zero sentinel ends the pass's last stretch.
+        words[steps].write(1);
+        // SAFETY: words `0..=steps` were just written, and `MaybeUninit<u32>`
+        // has `u32`'s layout.
+        let sched = unsafe { &*(&words[..=steps] as *const [MaybeUninit<u32>] as *const [u32]) };
+        let mut s = 0;
+        while s < steps {
+            if sched[s] == 0 {
+                let mut csum = _mm256_setzero_si256();
+                #[cfg(test)]
+                let start = s;
+                while sched[s] == 0 {
+                    let bk = k0 + s;
+                    // SAFETY: step `bk`'s tiles of both planes (the asserts
+                    // above) and its eight corrections.
+                    let ([p0, p1, q0, q1], xt, c) = unsafe {
+                        (
+                            rhs_quads(yman.add((bk * nb + bj) * 64).cast(), load),
+                            x.as_ptr().add(bk * 64).cast::<i32>(),
+                            _mm256_loadu_si256(corr.as_ptr().add(bk * 8).cast()),
+                        )
+                    };
+                    for (i, (ab, cd)) in ab.iter_mut().zip(&mut cd).enumerate() {
+                        let (x0, x1) = lhs_quads(xt, i);
+                        *ab = _mm512_dpbusd_epi32(_mm512_dpbusd_epi32(*ab, p0, x0), p1, x1);
+                        *cd = _mm512_dpbusd_epi32(_mm512_dpbusd_epi32(*cd, q0, x0), q1, x1);
+                    }
+                    csum = _mm256_add_epi32(csum, c);
+                    s += 1;
+                }
+                #[cfg(test)]
+                {
+                    counts[0] += 1;
+                    counts[1] += (s - start) as u64;
+                }
+                // The fold: every accumulator holds its true sum again.
+                let mut c = [0i32; 8];
+                // SAFETY: one 32-byte store over the eight-element array.
+                unsafe { _mm256_storeu_si256(c.as_mut_ptr().cast(), csum) };
+                for ((ab, cd), &c) in ab.iter_mut().zip(&mut cd).zip(&c) {
+                    let c = _mm512_set1_epi32(c);
+                    (*ab, *cd) = (_mm512_add_epi32(*ab, c), _mm512_add_epi32(*cd, c));
+                }
+                continue;
+            }
+            let (bk, word) = (k0 + s, sched[s]);
+            #[cfg(test)]
+            {
+                counts[2] += 1;
+            }
+            let w = _mm512_set1_epi32(word as i32);
+            let mut sh = lift.map(|l| _mm512_srai_epi32::<24>(_mm512_sllv_epi32(w, l)));
+            if word & 0x8080_8080 != 0 {
+                // A running maximum grows: that tile's accumulator loses
+                // `−e` bits first.
+                for (acc, sh) in [&mut ab, &mut cd].into_iter().zip(&mut sh) {
+                    let grow = _mm512_max_epi32(_mm512_sub_epi32(zero, *sh), zero);
+                    for a in acc.iter_mut() {
+                        *a = _mm512_srav_epi32(*a, grow);
+                    }
+                    *sh = _mm512_max_epi32(*sh, zero);
+                }
+            }
+            // SAFETY: step `bk`'s tiles of both planes (the asserts above).
+            let ([p0, p1, q0, q1], xt) = unsafe {
+                (
+                    rhs_quads(yman.add((bk * nb + bj) * 64).cast(), load),
+                    x.as_ptr().add(bk * 64).cast::<i32>(),
+                )
+            };
+            let c = &corr[bk * 8..][..8];
+            for (i, (ab, cd)) in ab.iter_mut().zip(&mut cd).enumerate() {
+                let (x0, x1) = lhs_quads(xt, i);
+                let c = _mm512_set1_epi32(c[i]);
+                // The chain merge, i32 width, per lane.
+                let prod = _mm512_dpbusd_epi32(_mm512_dpbusd_epi32(c, p0, x0), p1, x1);
+                *ab = _mm512_add_epi32(*ab, _mm512_srav_epi32(prod, sh[0]));
+                let prod = _mm512_dpbusd_epi32(_mm512_dpbusd_epi32(c, q0, x0), q1, x1);
+                *cd = _mm512_add_epi32(*cd, _mm512_srav_epi32(prod, sh[1]));
+            }
+            s += 1;
+        }
+        k0 += steps;
+    }
+    #[cfg(test)]
+    route::add(counts);
+    let natural = _mm512_setr_epi32(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15);
+    let [a, b, c, d] = acc_out;
+    for (acc, [lo, hi]) in [ab, cd].iter().zip([[a, b], [c, d]]) {
+        for (i, r) in acc.iter().enumerate() {
+            let rows = _mm512_permutexvar_epi32(natural, *r);
+            let (lo, hi) = (&mut lo[i * 8..][..8], &mut hi[i * 8..][..8]);
+            // SAFETY: one 32-byte store over each tile's eight-element row.
+            unsafe {
+                _mm256_storeu_si256(lo.as_mut_ptr().cast(), _mm512_castsi512_si256(rows));
+                _mm256_storeu_si256(hi.as_mut_ptr().cast(), _mm512_extracti64x4_epi64::<1>(rows));
+            }
+        }
+    }
+    let mut exps = [0i32; 4];
+    // SAFETY: one 16-byte store over the four-element array.
+    unsafe { _mm_storeu_si128(exps.as_mut_ptr().cast(), max) };
+    (tiles, exps.map(|e| (kb > 0).then_some(e)))
+}
+
+/// Direct stretches and merge steps [`chain_quad_vnni512`] ran, per test
+/// thread: the tests assert that their operands reach both.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) mod route {
+    use std::cell::Cell;
+
+    thread_local! {
+        static STRETCHES: Cell<u64> = const { Cell::new(0) };
+        static DIRECT_STEPS: Cell<u64> = const { Cell::new(0) };
+        static MERGE_STEPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Adds one call's `[stretches, direct steps, merge steps]`.
+    pub(super) fn add([stretches, direct, merges]: [u64; 3]) {
+        STRETCHES.set(STRETCHES.get() + stretches);
+        DIRECT_STEPS.set(DIRECT_STEPS.get() + direct);
+        MERGE_STEPS.set(MERGE_STEPS.get() + merges);
+    }
+
+    /// `(stretches, direct steps, merge steps)` since the last call.
+    pub(crate) fn take() -> (u64, u64, u64) {
+        (STRETCHES.take(), DIRECT_STEPS.take(), MERGE_STEPS.take())
+    }
 }
 
 /// The kernel that quantises a call's tiles.
@@ -2312,7 +2657,7 @@ pub(crate) mod tests {
         let tiers = register_tiers(kb);
         let selected = ChainKernel::select(8, kb, false);
         assert_eq!(selected, tiers.first().copied().unwrap_or(ChainKernel::I64));
-        let (mut acc32, mut prod, mut acc64) = ([[0i32; 64]; 2], [0i32; 64], [0i64; 64]);
+        let (mut acc32, mut prod, mut acc64) = ([[0i32; 64]; 4], [0i32; 64], [0i64; 64]);
         for &tier in &tiers {
             let mut xs = vec![0i32; tier.staged_words(kb)];
             for bi in 0..pa.block_rows {
@@ -2324,8 +2669,8 @@ pub(crate) mod tests {
                     let plain = &mut ChainSums::default();
                     let (n, exps) =
                         tier.chain_i32::<false>(x, &xs, x_exps, pb, bj, plain, &mut acc32);
-                    let pairs = tier == ChainKernel::Vnni512;
-                    assert_eq!(n, 1 + (pairs && bj + 1 < pb.block_cols) as usize);
+                    let width = if tier == ChainKernel::Vnni512 { 4 } else { 1 };
+                    assert_eq!(n, width.min(pb.block_cols - bj));
                     for (t, acc) in acc32[..n].iter().enumerate() {
                         let bj = bj + t;
                         let want = pa.chain_i64(pb, bi, bj, &mut prod, &mut acc64);
@@ -2392,6 +2737,15 @@ pub(crate) mod tests {
         let odd = [
             0, 0, -1, -32, -31, -63, -60, 1, 32, 64, 127, 128, -72, 60, 129,
         ];
+        // Two more walks for the third and fourth tile of a quad: one that
+        // rises by 1, 32, 32 and 1 on steps where the others do not, and
+        // one that holds in long runs and rises twice.
+        let third = [
+            40, -40, 40, 41, 41, 20, 73, 73, 73, 10, 105, 105, -10, 60, 106,
+        ];
+        let fourth = [
+            -20, -20, -20, -20, 12, 12, 12, 12, 12, 75, 75, 75, 75, 70, 75,
+        ];
         let kb = even.len();
         let scaled = |e: i32, v: i32| v as f32 * (e as f32).exp2();
         let signed = |i: usize, j: usize| ((i * 37 + j * 11) % 201) as i32 - 100;
@@ -2402,44 +2756,295 @@ pub(crate) mod tests {
         let q = Quantizer::paper();
         let qa = q.quantize(&a).unwrap();
         let pa = PackedBfp::pack_lhs(&qa);
-        // 19 columns: a tile pair and a lone last tile.
-        for walks in [[even, even], [even, odd]] {
-            let b = MatF32::from_fn(kb * 8, 19, |k, j| {
+        // Step by step, which side a walk shifts: 1 the accumulator, −1
+        // the product.
+        let sides = |e: &[i32]| {
+            let mut max = e[0];
+            let mut side = |&p: &i32| {
+                let d = p - max;
+                max = max.max(p);
+                d.signum()
+            };
+            e.iter().map(&mut side).collect::<Vec<_>>()
+        };
+        // 19 columns: a tile pair and a lone last tile, or three tiles of a
+        // quad. 40, 48 and 55: a quad and a tail of one, two and three.
+        let cases = [
+            (19, [even, even, even, even]),
+            (19, [even, odd, even, odd]),
+            (40, [even, odd, third, fourth]),
+            (48, [even, odd, third, fourth]),
+            (55, [even, odd, third, fourth]),
+        ];
+        let _ = route::take();
+        for (n, walks) in cases {
+            let b = MatF32::from_fn(kb * 8, n, |k, j| {
                 let v = if k % 8 == 0 { -100 } else { signed(j, k) };
-                let e = walks[j / 8 % 2][k / 8];
+                let e = walks[j / 8 % 4][k / 8];
                 scaled(e - even[k / 8] / 2, v)
             });
             let qb = q.quantize(&b).unwrap();
             let pb = PackedBfp::pack_rhs(&qb);
+            let nb = pb.block_cols;
             // The operands really carry the intended exponent walks.
             let pexp = |bj: usize| -> Vec<i32> {
                 (0..kb)
-                    .map(|bk| pa.exps[bk] as i32 + pb.exps[bk * 3 + bj] as i32)
+                    .map(|bk| pa.exps[bk] as i32 + pb.exps[bk * nb + bj] as i32)
                     .collect()
             };
             let walk = |e: &[i32]| e.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
-            for bj in 0..3 {
-                assert_eq!(walk(&pexp(bj)), walk(&walks[bj % 2]));
+            for bj in 0..nb {
+                assert_eq!(walk(&pexp(bj)), walk(&walks[bj % 4]));
             }
             if walks[1] == odd {
-                // Step by step, which side each tile of the pair shifts:
-                // 1 the accumulator, −1 the product.
-                let sides = |e: Vec<i32>| {
-                    let mut max = e[0];
-                    let mut side = |p: i32| {
-                        let d = p - max;
-                        max = max.max(p);
-                        d.signum()
-                    };
-                    e.into_iter().map(&mut side).collect::<Vec<_>>()
-                };
-                let split: Vec<_> = sides(pexp(0)).into_iter().zip(sides(pexp(1))).collect();
+                // A pair's tiles shift opposite sides in some step, both ways
+                // round.
+                let split: Vec<_> = sides(&pexp(0)).into_iter().zip(sides(&pexp(1))).collect();
                 assert!(split.contains(&(1, -1)) && split.contains(&(-1, 1)));
+            }
+            if walks[3] == fourth {
+                // The four tiles of a quad shift on different steps.
+                let quad: Vec<_> = (0..4).map(|bj| sides(&pexp(bj))).collect();
+                for (t, u) in quad.iter().enumerate() {
+                    assert!(quad[t + 1..].iter().all(|v| v != u), "tile {t}");
+                }
             }
             let want = qa.try_matmul(&qb).unwrap();
             assert_bits_eq(&pa.matmul(&pb).unwrap(), &want);
             assert_bits_eq(&matmul_on(ChainKernel::I64, &pa, &pb), &want);
             assert_chains_agree(&pa, &pb);
+        }
+        if register_tiers(kb).first() == Some(&ChainKernel::Vnni512) {
+            let (stretches, direct, merges) = route::take();
+            assert!(stretches > 0 && direct > 0 && merges > 0);
+        }
+    }
+
+    #[test]
+    fn quad_stretches_fold_at_every_boundary() {
+        // RHS exponents along K, one walk per quad tile, and the stretches
+        // and merge steps the schedule makes of them. Steps 0–2 hold (a
+        // stretch at the start), 3 rises and 4 falls (merges), 5 holds
+        // alone (a 1-step stretch), 6 rises, 7–8 hold (a stretch at the
+        // end).
+        let walk = [0, 0, 0, 5, 2, 5, 9, 9, 9];
+        // The same with one tile dipping at step 5: that step merges too.
+        let dip = [0, 0, 0, 5, 2, 4, 9, 9, 9];
+        let flat = [3; 9];
+        let cases = [
+            ([walk; 4], (3, 6, 3)),
+            ([walk, walk, dip, walk], (2, 5, 4)),
+            // The whole chain one stretch.
+            ([flat; 4], (1, 9, 0)),
+        ];
+        let tiers = register_tiers(9);
+        for (walks, (stretches, direct, merges)) in cases {
+            let pa = raw(
+                PackSide::Lhs,
+                (16, 72),
+                |_, bk| -(bk as i8),
+                |bi, bk, t| ((bi * 131 + bk * 17 + t * 29) % 255) as i8,
+            );
+            // Columns 0–31 the quad, 32–39 a lone tail tile on `walk`.
+            let pb = raw(
+                PackSide::Rhs,
+                (72, 40),
+                |bk, bj| (walks.get(bj).unwrap_or(&walk)[bk] + bk as i32) as i8,
+                |bk, bj, t| ((bk * 53 + bj * 7 + t * 91) % 256) as i8,
+            );
+            let _ = route::take();
+            assert_chains_agree(&pa, &pb);
+            if tiers.first() == Some(&ChainKernel::Vnni512) {
+                // Two block-rows, each one quad and one lone tile.
+                let (s, d, m) = route::take();
+                let (ls, ld, lm) = (3, 6, 3);
+                assert_eq!(
+                    (s, d, m),
+                    (2 * (stretches + ls), 2 * (direct + ld), 2 * (merges + lm)),
+                    "{walks:?}"
+                );
+            }
+        }
+    }
+
+    /// One synthetic pass over all chains of `pa · pb` on the real quad
+    /// kernel's RHS walk, `PAIRS` pair registers per call: per step the
+    /// call's tiles loaded and shuffled to u8 k-quads (the walk clamps at
+    /// the right edge), then per row either two `vpdpbusd` into each
+    /// accumulator (`MERGE` false; with `BROADCAST` false the LHS operands
+    /// stay in registers) or a product from the row's correction, shifted
+    /// by a count the compiler cannot see is zero and added (`MERGE`).
+    /// Returns a fold of the accumulators.
+    ///
+    /// # Safety
+    /// Callers must have verified AVX-512 F, BW and VNNI support.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+    unsafe fn synthetic_chains<const PAIRS: usize, const MERGE: bool, const BROADCAST: bool>(
+        pa: &PackedBfp,
+        corr: &[i32],
+        pb: &PackedBfp,
+    ) -> i32 {
+        use std::arch::x86_64::*;
+        let (kb, nb) = (pa.block_cols, pb.block_cols);
+        let zero = _mm512_setzero_si512();
+        let flip = _mm512_set1_epi8(-128);
+        let sh = std::hint::black_box(zero);
+        let regs = (
+            _mm512_set1_epi32(0x0102_0304),
+            _mm512_set1_epi32(0x0506_0708),
+        );
+        let mut out = zero;
+        for bi in 0..pa.block_rows {
+            let x = &pa.man[bi * kb * 64..][..kb * 64];
+            let c = &corr[bi * kb * 8..][..kb * 8];
+            for bj in (0..nb).step_by(2 * PAIRS) {
+                let mut acc = [[zero; 8]; PAIRS];
+                for bk in 0..kb {
+                    let tile = |t: usize| {
+                        let y = &pb.man[(bk * nb + (bj + t).min(nb - 1)) * 64..][..64];
+                        // SAFETY: one 64-byte load of the 64-byte tile.
+                        unsafe { _mm512_loadu_ps(y.as_ptr().cast()) }
+                    };
+                    let mut p = [[zero; 2]; PAIRS];
+                    for (n, p) in p.iter_mut().enumerate() {
+                        let (u, v) = (tile(2 * n), tile(2 * n + 1));
+                        let q0 = _mm512_shuffle_ps::<0b10_00_10_00>(u, v);
+                        let q1 = _mm512_shuffle_ps::<0b11_01_11_01>(u, v);
+                        *p = [q0, q1].map(|q| _mm512_xor_si512(_mm512_castps_si512(q), flip));
+                    }
+                    let xq = &x[bk * 64..][..64];
+                    for i in 0..8 {
+                        let (x0, x1) = if BROADCAST {
+                            let q = |n: usize| {
+                                let q: [i8; 4] = xq[n * 4..][..4].try_into().unwrap();
+                                i32::from_le_bytes(q.map(|b| b as u8))
+                            };
+                            (_mm512_set1_epi32(q(2 * i)), _mm512_set1_epi32(q(2 * i + 1)))
+                        } else {
+                            regs
+                        };
+                        for (acc, p) in acc.iter_mut().zip(&p) {
+                            acc[i] = if MERGE {
+                                let prod = _mm512_set1_epi32(c[bk * 8 + i]);
+                                let prod = _mm512_dpbusd_epi32(prod, p[0], x0);
+                                let prod = _mm512_dpbusd_epi32(prod, p[1], x1);
+                                _mm512_add_epi32(acc[i], _mm512_srav_epi32(prod, sh))
+                            } else {
+                                let a = _mm512_dpbusd_epi32(acc[i], p[0], x0);
+                                _mm512_dpbusd_epi32(a, p[1], x1)
+                            };
+                        }
+                    }
+                }
+                for a in acc.iter().flatten() {
+                    out = _mm512_xor_si512(out, *a);
+                }
+            }
+        }
+        _mm512_reduce_add_epi32(out)
+    }
+
+    /// Every chain of `pa · pb` on the `Vnni512` plain body, without the
+    /// drain, epilogue or row copy. Returns a fold of the sums.
+    #[cfg(target_arch = "x86_64")]
+    fn chains_alone(pa: &PackedBfp, pb: &PackedBfp) -> i32 {
+        let (kernel, kb) = (ChainKernel::Vnni512, pa.block_cols);
+        let mut xs = vec![0i32; kernel.staged_words(kb)];
+        let (mut acc, mut fold) = ([[0i32; 64]; 4], 0);
+        for bi in 0..pa.block_rows {
+            let x = &pa.man[bi * kb * 64..][..kb * 64];
+            let x_exps = &pa.exps[bi * kb..][..kb];
+            kernel.stage_lhs(x, &mut xs);
+            let mut bj = 0;
+            while bj < pb.block_cols {
+                let plain = &mut ChainSums::default();
+                bj += kernel
+                    .chain_i32::<false>(x, &xs, x_exps, pb, bj, plain, &mut acc)
+                    .0;
+                fold ^= acc[0][0];
+            }
+        }
+        fold
+    }
+
+    /// The chain's roofline on this host: GMAC/s per DeiT-Small shape of
+    /// the real plain GEMM (one thread, drain and row copy included) and
+    /// of its chains alone, beside four synthetic loops over the same RHS
+    /// walk — `vpdpbusd` with register LHS operands, the pair merge, the
+    /// quad merge and the quad's direct loop — timed interleaved, median
+    /// of 25 rounds, on uniform operands. Every column counts
+    /// `8·⌈M/8⌉·K·N` MACs; the last is the share of the quad body's steps
+    /// that ran direct. Run it with `cargo test --release -p bfp-arith
+    /// --lib chain_roofline -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "release timing probe; prints a table"]
+    #[cfg(target_arch = "x86_64")]
+    fn chain_roofline_probe() {
+        if register_tiers(1).first() != Some(&ChainKernel::Vnni512) {
+            println!("no AVX-512 VNNI: nothing to probe");
+            return;
+        }
+        let q = Quantizer::paper();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut uniform = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        println!(
+            "GMAC/s: shape | real | chains alone | reg operands | pair merge | quad merge \
+             | quad direct | direct steps"
+        );
+        for (m, k, n) in [
+            (197, 384, 384),
+            (197, 384, 1536),
+            (197, 1536, 384),
+            (197, 64, 197),
+            (197, 197, 64),
+        ] {
+            let a = MatF32::from_fn(m, k, |_, _| uniform());
+            let b = MatF32::from_fn(k, n, |_, _| uniform());
+            let pa = PackedBfp::quantize_pack_lhs(&q, &a).unwrap();
+            let pb = PackedBfp::quantize_pack_rhs(&q, &b).unwrap();
+            let mut corr = vec![0i32; pa.man.len() / 8];
+            row_corrections(&pa.man, &mut corr);
+            let macs = (pa.block_rows * 8 * k * n) as f64;
+            let mut secs = vec![Vec::new(); 6];
+            let _ = route::take();
+            for _ in 0..25 {
+                for (v, secs) in secs.iter_mut().enumerate() {
+                    let t = std::time::Instant::now();
+                    // SAFETY: `register_tiers` saw AVX-512 F, BW and VNNI.
+                    let fold = unsafe {
+                        match v {
+                            0 => pa.matmul(&pb).unwrap().get(0, 0) as i32,
+                            1 => chains_alone(&pa, &pb),
+                            2 => synthetic_chains::<2, false, false>(&pa, &corr, &pb),
+                            3 => synthetic_chains::<1, true, true>(&pa, &corr, &pb),
+                            4 => synthetic_chains::<2, true, true>(&pa, &corr, &pb),
+                            _ => synthetic_chains::<2, false, true>(&pa, &corr, &pb),
+                        }
+                    };
+                    std::hint::black_box(fold);
+                    secs.push(t.elapsed().as_secs_f64());
+                }
+            }
+            let gmacs: Vec<String> = secs
+                .iter_mut()
+                .map(|secs| {
+                    secs.sort_by(f64::total_cmp);
+                    format!("{:.0}", macs / secs[secs.len() / 2] / 1e9)
+                })
+                .collect();
+            let (_, direct, merges) = route::take();
+            let share = direct as f64 / (direct + merges) as f64;
+            println!(
+                "{m}x{k}x{n} | {} | {:.0}%",
+                gmacs.join(" | "),
+                100.0 * share
+            );
         }
     }
 
@@ -2450,12 +3055,31 @@ pub(crate) mod tests {
         // the longest chain the i32 kernel accepts, whose sum 16383·2¹⁷ =
         // 2³¹ − 2¹⁷ is the bound itself.
         // On the VNNI tier an all-(−128) RHS has u8 offset 0: the whole
-        // product is the row correction.
+        // product is the row correction. 32 columns are a quad, whose chain
+        // is all direct stretches, one per schedule pass: with `y = 127`
+        // their partial sums without the corrections wrap i32 before the
+        // fold.
         for kb in [2048, I32_CHAIN_MAX_KB - 1] {
             for (x, y) in [(-128i8, -128i8), (-128, 127), (127, 127)] {
                 let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 3, |_, _, _| x);
-                let pb = raw(PackSide::Rhs, (kb * 8, 8), |_, _| -5, |_, _, _| y);
-                if !assert_chains_agree(&pa, &pb).is_empty() {
+                let pb = raw(PackSide::Rhs, (kb * 8, 32), |_, _| -5, |_, _, _| y);
+                let _ = route::take();
+                let tiers = assert_chains_agree(&pa, &pb);
+                if tiers.first() == Some(&ChainKernel::Vnni512) {
+                    let passes = kb.div_ceil(QUAD_PASS_STEPS) as u64;
+                    assert_eq!(route::take(), (passes, kb as u64, 0));
+                    // At the bound the partial sums of the last pass's
+                    // stretch (a row's true product `t` per step so far,
+                    // then `u` without its correction) really leave i32.
+                    let (t, u) = (8 * x as i64 * y as i64, 8 * x as i64 * (y as i64 + 128));
+                    let wraps = (0..kb).any(|k| {
+                        let start = k / QUAD_PASS_STEPS * QUAD_PASS_STEPS;
+                        let partial = start as i64 * t + (k + 1 - start) as i64 * u;
+                        partial != partial as i32 as i64
+                    });
+                    assert_eq!(wraps, (x, y, kb) == (-128, 127, I32_CHAIN_MAX_KB - 1));
+                }
+                if !tiers.is_empty() {
                     let sum = kb as f64 * 8.0 * x as f64 * y as f64;
                     let out = pa.matmul(&pb).unwrap();
                     assert!(out.data().iter().all(|&v| v == (sum * 0.25) as f32));
@@ -2470,12 +3094,12 @@ pub(crate) mod tests {
             // Plain and checked chains take the fastest tier the CPU has.
             let plain = register_tiers(I32_CHAIN_MAX_KB - 1)[0];
             assert_eq!(ChainKernel::select(8, I32_CHAIN_MAX_KB - 1, false), plain);
-            let name = if plain == ChainKernel::Vnni512 {
-                "avx512-vnni"
+            let names = if plain == ChainKernel::Vnni512 {
+                ("avx512-vnni (4 tiles)", "avx512-vnni (2 tiles)")
             } else {
-                "avx2"
+                ("avx2", "avx2")
             };
-            assert_eq!((chain_tier(false), chain_tier(true)), (name, name));
+            assert_eq!((chain_tier(false), chain_tier(true)), names);
             let longest_checked = CHECKED_CHAIN_MAX_KB - 1;
             assert_eq!(checked_tiers(longest_checked)[0], plain);
             assert_eq!(ChainKernel::select(8, longest_checked, true), plain);
@@ -2489,16 +3113,17 @@ pub(crate) mod tests {
             ChainKernel::select(8, CHECKED_CHAIN_MAX_KB, true),
             ChainKernel::I64
         );
-        // One chain of 2¹⁴ steps whose every product is 2¹⁷: 2³¹ does not
-        // fit i32, the i64 loop the dispatch picks returns it exactly.
+        // Chains of 2¹⁴ steps, a quad wide, whose every product is 2¹⁷:
+        // 2³¹ does not fit i32, the i64 loop the dispatch picks returns it
+        // exactly.
         let kb = I32_CHAIN_MAX_KB;
         let pa = raw(PackSide::Lhs, (8, kb * 8), |_, _| 0, |_, _, _| -128);
-        let pb = raw(PackSide::Rhs, (kb * 8, 8), |_, _| 0, |_, _, _| -128);
+        let pb = raw(PackSide::Rhs, (kb * 8, 32), |_, _| 0, |_, _, _| -128);
         let out = pa.matmul(&pb).unwrap();
         assert!(out.data().iter().all(|&v| v == 2147483648.0));
         // And on quantized operands it is still the reference kernel's bits.
         let q = Quantizer::paper();
-        let (a, b) = (spiky(8, kb * 8), spiky(kb * 8, 8));
+        let (a, b) = (spiky(8, kb * 8), spiky(kb * 8, 32));
         let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
         let got = PackedBfp::pack_lhs(&qa)
             .matmul(&PackedBfp::pack_rhs(&qb))
@@ -2532,6 +3157,7 @@ pub(crate) mod tests {
             None => (t as i32).wrapping_mul(0x2f6b_1d33).rotate_left(t as u32),
         });
         let (mut subnormal, mut inf) = (false, false);
+        let zmm = is_x86_feature_detected!("avx512f");
         // Every `i8 + i8` exponent, and `K = 0`.
         for exp in (-256..=254).map(Some).chain([None]) {
             for rows in [8, 5, 1] {
@@ -2540,6 +3166,12 @@ pub(crate) mod tests {
                 unsafe { drain_lanes(&mut lanes[..rows * 8], &acc, exp) };
                 drain(&mut scalar[..rows * 8], acc.iter().map(|&a| a as f64), exp);
                 assert_eq!(lanes.map(f32::to_bits), scalar.map(f32::to_bits), "{exp:?}");
+                if zmm {
+                    let mut lanes = [f32::NAN; 64];
+                    // SAFETY: AVX-512 F was detected above.
+                    unsafe { drain_lanes512(&mut lanes[..rows * 8], &acc, exp) };
+                    assert_eq!(lanes.map(f32::to_bits), scalar.map(f32::to_bits), "{exp:?}");
+                }
                 subnormal |= scalar.iter().any(|v| v.is_subnormal());
                 inf |= scalar.contains(&f32::INFINITY) && scalar.contains(&f32::NEG_INFINITY);
             }

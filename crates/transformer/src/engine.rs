@@ -244,6 +244,32 @@ impl PhaseTimes {
 /// five rows 3 + 2. At 2 k a kernel does not fork.)
 const VPU_PARALLEL_ELEMS: u64 = 2_048;
 
+/// Groups (rows, or elements for GELU) a VPU shard holds a multiple of,
+/// except the last: the exact VPU's lock-step sums run 16 rows at a time
+/// (then one block of 8 and one of 4; `vpu::lanes`), so only the last
+/// shard leaves rows to the scalar adder, as many as the serial call does.
+const VPU_SHARD_GROUPS: usize = 16;
+
+/// How [`MixedEngine::vpu_parallel`] cuts `groups` into at most `shards`
+/// runs: each but the last a multiple of [`VPU_SHARD_GROUPS`], as close to
+/// an even split as that allows, the last the rest. 197 rows on two
+/// shards are 96 + 101, 21 rows 16 + 5.
+pub(crate) fn vpu_shard_groups(groups: usize, shards: usize) -> Vec<usize> {
+    let per = (groups.div_ceil(shards.max(1)) / VPU_SHARD_GROUPS).max(1) * VPU_SHARD_GROUPS;
+    let mut left = groups;
+    let mut runs = Vec::with_capacity(shards);
+    while left > 0 {
+        let run = if runs.len() + 1 == shards {
+            left
+        } else {
+            per.min(left)
+        };
+        runs.push(run);
+        left -= run;
+    }
+    runs
+}
+
 /// Where fp32 divisions and square roots execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DivisionPolicy {
@@ -442,11 +468,12 @@ impl MixedEngine {
     /// Run a batched VPU kernel over `data` split into disjoint shards of
     /// whole `unit`-element groups (rows, or single elements for GELU),
     /// as many as [`fork::shards`] gives under this budget at
-    /// [`VPU_PARALLEL_ELEMS`], through [`fork::join`]. Each shard gets a fresh
-    /// VPU with the same datapath configuration; shards touch disjoint
-    /// data, so outputs are bit-identical to the serial kernel for any
-    /// shard count, and the per-shard [`OpCount`]s are merged in shard
-    /// order — deterministic — into the returned delta.
+    /// [`VPU_PARALLEL_ELEMS`], cut by [`vpu_shard_groups`], through
+    /// [`fork::join`]. Each shard gets a fresh VPU with the same datapath
+    /// configuration; shards touch disjoint data, so outputs are
+    /// bit-identical to the serial kernel for any shard count, and the
+    /// per-shard [`OpCount`]s are merged in shard order — deterministic —
+    /// into the returned delta.
     fn vpu_parallel(
         &mut self,
         data: &mut [f32],
@@ -455,10 +482,14 @@ impl MixedEngine {
     ) -> OpCount {
         debug_assert!(unit > 0 && data.len().is_multiple_of(unit));
         let shards = fork::shards(self.threads, data.len() as u64, VPU_PARALLEL_ELEMS);
-        let per = (data.len() / unit).div_ceil(shards) * unit;
-        let mut workers: Vec<_> = data
-            .chunks_mut(per.max(1))
-            .map(|run| (self.vpu.fresh(), run))
+        let mut rest = data;
+        let mut workers: Vec<_> = vpu_shard_groups(rest.len() / unit, shards)
+            .into_iter()
+            .map(|groups| {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(groups * unit);
+                rest = tail;
+                (self.vpu.fresh(), run)
+            })
             .collect();
         fork::join(&mut workers, |(vpu, run)| f(vpu, run));
         let mut total = OpCount::default();

@@ -704,6 +704,51 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
 
 /// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
 /// the scalar kernel beyond), 2¹⁶ consecutive patterns per call.
+/// The engine's VPU shards cut on lock-step blocks: run shard by shard on
+/// this thread, a two-shard softmax or LayerNorm of DeiT's 197 rows, and
+/// of the 21 rows of a small batch, sends as many rows to the scalar adder
+/// as the serial call, with the serial call's bits and counts.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn vpu_shards_keep_the_serial_lock_step_split() {
+    use super::lanes;
+    use crate::engine::vpu_shard_groups;
+    assert_eq!(vpu_shard_groups(197, 2), [96, 101]);
+    assert_eq!(vpu_shard_groups(21, 2), [16, 5]);
+    if !bfp_arith::fplanes::available() {
+        return;
+    }
+    let (gamma, beta) = (vec![1.1; 384], vec![0.2; 384]);
+    for rows in [197, 21] {
+        for (cols, softmax) in [(197, true), (384, false)] {
+            let run = |vpu: &mut Vpu, m: &mut [f32]| {
+                if softmax {
+                    vpu.softmax_rows_batch(m, cols, Host, Exact);
+                } else {
+                    vpu.layernorm_rows_batch(m, cols, &gamma, &beta, 1e-6, Host, Exact);
+                }
+            };
+            let src = uniform(rows as u64, rows * cols, 4.0);
+            let (mut serial, mut vpu) = (src.clone(), Vpu::new());
+            lanes::route::take();
+            run(&mut vpu, &mut serial);
+            let want = lanes::route::take();
+            assert_eq!(want.1, if softmax { 1 } else { 2 }, "{rows}x{cols}");
+            let (mut sharded, mut count) = (src, OpCount::default());
+            let mut rest = &mut sharded[..];
+            for groups in vpu_shard_groups(rows, 2) {
+                let (shard, tail) = std::mem::take(&mut rest).split_at_mut(groups * cols);
+                rest = tail;
+                let mut vpu = Vpu::new();
+                run(&mut vpu, shard);
+                count.merge(&vpu.count);
+            }
+            assert_eq!(lanes::route::take(), want, "{rows}x{cols}");
+            assert_same("sharded", &sharded, &serial, count, vpu.count);
+        }
+    }
+}
+
 #[test]
 #[ignore = "2³² patterns: release sweep, run by CI's envelope step"]
 fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
