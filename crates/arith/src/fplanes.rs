@@ -56,9 +56,6 @@ use std::fmt;
 use crate::fpadd::{AddVariant, HwFp32Add};
 use crate::fpmul::{HwFp32Mul, MulVariant};
 
-/// f32 elements per [`lane`] vector.
-pub const LANES: usize = 4;
-
 /// True when this host can run the lane datapath: x86-64 with AVX2
 /// detected at run time.
 #[inline]
@@ -204,9 +201,9 @@ unsafe fn binop_lanes<W: Width>(op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]
 }
 
 /// One width of the lane datapath, [`Ymm`] or [`Zmm`]: every function
-/// forwards to the width's module ([`lane`] or [`lane8`]) under that
-/// module's contract — a caller compiled with the width's features, on a
-/// host that has them.
+/// forwards to the width's module ([`lane`] or [`lane8`]) or intrinsic,
+/// under that module's contract — a caller compiled with the width's
+/// features, on a host that has them.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::missing_safety_doc)] // the modules' contract
 pub trait Width {
@@ -221,21 +218,30 @@ pub trait Width {
     unsafe fn load(p: *const f32) -> Self::F;
     unsafe fn store(p: *mut f32, v: Self::F);
     unsafe fn splat(x: f32) -> Self::F;
+    unsafe fn gather(p: *const f32, stride: usize) -> Self::F;
     unsafe fn all_abs_le(x: Self::F, bound: f32) -> bool;
     unsafe fn all_within(v: Self::V, lo: f64, hi: f64) -> bool;
     unsafe fn import(x: Self::F) -> Self::V;
+    /// `x` in a lane register's low half, bit for bit, for the host and
+    /// the comparator, which read values as stored; and back.
+    unsafe fn raw(x: Self::F) -> Self::V;
+    unsafe fn unraw(v: Self::V) -> Self::F;
     unsafe fn export(v: Self::V) -> Self::F;
     unsafe fn mul(x: Self::V, y: Self::V) -> Self::V;
     unsafe fn add(x: Self::V, y: Self::V) -> Self::V;
     unsafe fn sub(x: Self::V, y: Self::V) -> Self::V;
     unsafe fn scale_exp2(x: Self::V, k: Self::I) -> Self::V;
     unsafe fn to_i32(v: Self::V) -> Self::I;
+    /// The comparator's `x > y ? x : y` per lane, `y` on a tie (±0
+    /// included) and when either is NaN.
+    unsafe fn max(x: Self::F, y: Self::F) -> Self::F;
     /// The host's correctly rounded IEEE divide `a / b`, lane for lane.
     unsafe fn div(a: Self::F, b: Self::F) -> Self::F;
 }
 
 macro_rules! width {
-    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $v:ty, $f:ty, $i:ty, $div:ident) => {
+    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $v:ty, $f:ty, $i:ty, $div:ident,
+     $max:ident, $raw:ident($to_pd:ident), $unraw:ident($low:ident)) => {
         $(#[$doc])*
         #[cfg(target_arch = "x86_64")]
         #[derive(Debug, Clone, Copy)]
@@ -247,69 +253,64 @@ macro_rules! width {
             type V = $v;
             type F = $f;
             type I = $i;
-            #[inline(always)]
-            unsafe fn load(p: *const f32) -> $f {
-                $m::load(p)
-            }
-            #[inline(always)]
-            unsafe fn store(p: *mut f32, v: $f) {
-                $m::store(p, v)
-            }
-            #[inline(always)]
-            unsafe fn splat(x: f32) -> $f {
-                $m::splat(x)
-            }
-            #[inline(always)]
-            unsafe fn all_abs_le(x: $f, bound: f32) -> bool {
-                $m::all_abs_le(x, bound)
-            }
-            #[inline(always)]
-            unsafe fn all_within(v: $v, lo: f64, hi: f64) -> bool {
-                $m::all_within(v, lo, hi)
-            }
-            #[inline(always)]
-            unsafe fn import(x: $f) -> $v {
-                $m::import(x)
-            }
-            #[inline(always)]
-            unsafe fn export(v: $v) -> $f {
-                $m::export(v)
-            }
-            #[inline(always)]
-            unsafe fn mul(x: $v, y: $v) -> $v {
-                $m::mul(x, y)
-            }
-            #[inline(always)]
-            unsafe fn add(x: $v, y: $v) -> $v {
-                $m::add(x, y)
-            }
-            #[inline(always)]
-            unsafe fn sub(x: $v, y: $v) -> $v {
-                $m::sub(x, y)
-            }
-            #[inline(always)]
-            unsafe fn scale_exp2(x: $v, k: $i) -> $v {
-                $m::scale_exp2(x, k)
-            }
-            #[inline(always)]
-            unsafe fn to_i32(v: $v) -> $i {
-                $m::to_i32(v)
-            }
+            forward!($m:
+                load(p: *const f32) -> $f;
+                store(p: *mut f32, v: $f) -> ();
+                splat(x: f32) -> $f;
+                gather(p: *const f32, stride: usize) -> $f;
+                all_abs_le(x: $f, bound: f32) -> bool;
+                all_within(v: $v, lo: f64, hi: f64) -> bool;
+                import(x: $f) -> $v;
+                export(v: $v) -> $f;
+                mul(x: $v, y: $v) -> $v;
+                add(x: $v, y: $v) -> $v;
+                sub(x: $v, y: $v) -> $v;
+                scale_exp2(x: $v, k: $i) -> $v;
+                to_i32(v: $v) -> $i;
+            );
             #[inline(always)]
             unsafe fn div(a: $f, b: $f) -> $f {
                 std::arch::x86_64::$div(a, b)
+            }
+            #[inline(always)]
+            unsafe fn raw(x: $f) -> $v {
+                std::arch::x86_64::$raw(std::arch::x86_64::$to_pd(x))
+            }
+            #[inline(always)]
+            unsafe fn unraw(v: $v) -> $f {
+                std::arch::x86_64::$unraw(std::arch::x86_64::$low(v))
+            }
+            #[inline(always)]
+            unsafe fn max(x: $f, y: $f) -> $f {
+                std::arch::x86_64::$max(x, y)
             }
         }
     };
 }
 
+/// `Width` functions that call the width module's function of that name.
+macro_rules! forward {
+    ($m:ident: $($f:ident($($a:ident: $t:ty),*) -> $r:ty;)*) => {
+        $(
+            #[inline(always)]
+            unsafe fn $f($($a: $t),*) -> $r {
+                $m::$f($($a),*)
+            }
+        )*
+    };
+}
+
 width!(
     /// [`lane`]'s four lanes: the [`Tier::Avx2`] width.
-    Ymm = lane, 4, lane::F64x4, lane::F32x4, std::arch::x86_64::__m128i, _mm_div_ps
+    Ymm = lane, 4, lane::F64x4, lane::F32x4, std::arch::x86_64::__m128i, _mm_div_ps,
+    _mm_max_ps, _mm256_zextpd128_pd256(_mm_castps_pd),
+    _mm_castpd_ps(_mm256_castpd256_pd128)
 );
 width!(
     /// [`lane8`]'s eight lanes: the [`Tier::Avx512`] width.
-    Zmm = lane8, 8, lane8::F64x8, lane8::F32x8, std::arch::x86_64::__m256i, _mm256_div_ps
+    Zmm = lane8, 8, lane8::F64x8, lane8::F32x8, std::arch::x86_64::__m256i, _mm256_div_ps,
+    _mm256_max_ps, _mm512_zextpd256_pd512(_mm256_castps_pd),
+    _mm256_castpd_ps(_mm512_castpd512_pd256)
 );
 
 /// The lane operations four lanes wide. Every function is
@@ -374,6 +375,16 @@ pub mod lane {
     #[inline(always)]
     pub unsafe fn splat(x: f32) -> F32x4 {
         _mm_set1_ps(x)
+    }
+
+    /// Lane `i` reads `p[i·stride]`: a column of four rows.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading those four f32s.
+    #[inline(always)]
+    pub unsafe fn gather(p: *const f32, stride: usize) -> F32x4 {
+        let s = stride as i64;
+        _mm256_i64gather_ps::<4>(p, _mm256_set_epi64x(3 * s, 2 * s, s, 0))
     }
 
     /// True when every lane has `|x| ≤ bound`; a NaN lane fails (any f32
@@ -530,6 +541,17 @@ pub mod lane8 {
     #[inline(always)]
     pub unsafe fn splat(x: f32) -> F32x8 {
         _mm256_set1_ps(x)
+    }
+
+    /// Eight f32s `stride` apart, as [`lane::gather`](super::lane::gather).
+    ///
+    /// # Safety
+    /// `p` must be valid for reading those eight f32s.
+    #[inline(always)]
+    pub unsafe fn gather(p: *const f32, stride: usize) -> F32x8 {
+        let s = stride as i64;
+        let at = _mm512_set_epi64(7 * s, 6 * s, 5 * s, 4 * s, 3 * s, 2 * s, s, 0);
+        _mm512_i64gather_ps::<4>(at, p)
     }
 
     /// True when every lane has `|x| ≤ bound`; a NaN lane fails (any f32

@@ -245,15 +245,19 @@ impl PhaseTimes {
 const VPU_PARALLEL_ELEMS: u64 = 2_048;
 
 /// Groups (rows, or elements for GELU) a VPU shard holds a multiple of,
-/// except the last: the exact VPU's lock-step sums run 16 rows at a time
-/// (then one block of 8 and one of 4; `vpu::lanes`), so only the last
-/// shard leaves rows to the scalar adder, as many as the serial call does.
-const VPU_SHARD_GROUPS: usize = 16;
+/// except the last: the exact VPU's executor runs groups of this many rows
+/// or elements (then of 8 and of 4; `vpu::prog`), so only the last shard
+/// leaves rows to the scalar kernels, as many as the serial call does.
+#[cfg(target_arch = "x86_64")]
+const VPU_SHARD_GROUPS: usize = crate::vpu::prog::MAX_GROUP;
+/// Without the executor any cut keeps the serial call's work.
+#[cfg(not(target_arch = "x86_64"))]
+const VPU_SHARD_GROUPS: usize = 1;
 
 /// How [`MixedEngine::vpu_parallel`] cuts `groups` into at most `shards`
 /// runs: each but the last a multiple of [`VPU_SHARD_GROUPS`], as close to
 /// an even split as that allows, the last the rest. 197 rows on two
-/// shards are 96 + 101, 21 rows 16 + 5.
+/// shards are 96 + 101; 21 rows stay one shard.
 pub(crate) fn vpu_shard_groups(groups: usize, shards: usize) -> Vec<usize> {
     let per = (groups.div_ceil(shards.max(1)) / VPU_SHARD_GROUPS).max(1) * VPU_SHARD_GROUPS;
     let mut left = groups;

@@ -36,9 +36,10 @@ mod fast_lanes;
 #[cfg(test)]
 mod lane_equivalence;
 #[cfg(target_arch = "x86_64")]
-mod lanes;
+pub(crate) mod prog;
+
 #[cfg(target_arch = "x86_64")]
-mod prog;
+use prog::{run, run_rows, Bind, MAX_GROUP};
 
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
@@ -379,9 +380,9 @@ impl Vpu {
     /// True when the exact host-division batch kernels run on the lane
     /// datapath ([`bfp_arith::fplanes`]): this VPU is the paper datapath —
     /// the only one the lanes are a twin of — and the host has AVX2. Their
-    /// programs then run on the host's widest tier, [`fplanes::tier`]
-    /// (eight lanes on AVX-512 F + DQ + VL, four on AVX2), and the
-    /// lock-step row sums on four. Every other configuration stays on the
+    /// programs, element-wise passes and row reductions alike, then run on
+    /// the host's widest tier, [`fplanes::tier`] (eight lanes on AVX-512
+    /// F + DQ + VL, four on AVX2). Every other configuration stays on the
     /// scalar kernels, which are the bit oracle either way.
     ///
     /// [`fplanes::tier`]: bfp_arith::fplanes::tier
@@ -484,12 +485,11 @@ impl Vpu {
     // contract); the `Fast` arms run the [`fast`] kernels and charge
     // their analytic per-element op mixes in one merge, since the fast
     // unit is a pipeline whose cost is data-independent. On an AVX2 host
-    // the `(Exact, Host)` arms of the paper datapath run their element-wise
-    // passes as compiled vector programs (`prog`) on the lane executor
-    // (`lanes`), and the `Fast` GELU and softmax arms run their kernel's
-    // lane twin (`fast_lanes`) — selected here from the datapath and the
-    // CPU alone, the same bits and the same counts as the scalar loop
-    // below them.
+    // the `(Exact, Host)` arms of the paper datapath run as vector programs
+    // on one lane executor (`prog`), element- or row-wise, and the `Fast`
+    // GELU and softmax arms run their kernel's lane twin (`fast_lanes`) —
+    // selected here from the datapath and the CPU alone, the same bits and
+    // the same counts as the scalar loop below them.
     // ------------------------------------------------------------------
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a
@@ -510,10 +510,21 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
+                // A row group at a time: max, exponentials, sum, divides.
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    // SAFETY: `lane_datapath` detected AVX2.
-                    unsafe { lanes::softmax_rows(self, data, cols) };
+                    let mut stats = [0f32; MAX_GROUP];
+                    for block in data.chunks_mut(MAX_GROUP * cols) {
+                        let stats = &mut stats[..block.len() / cols];
+                        run_rows(self, &prog::ROW_MAX, block, cols, stats);
+                        for (row, &max) in block.chunks_exact_mut(cols).zip(stats.iter()) {
+                            run(self, &prog::SHIFTED_EXP, row, &[Bind::Splat(max)], &mut []);
+                        }
+                        run_rows(self, &prog::ROW_SUM, block, cols, stats);
+                        for (row, &sum) in block.chunks_exact_mut(cols).zip(stats.iter()) {
+                            run(self, &prog::DIVIDE, row, &[Bind::Splat(sum)], &mut []);
+                        }
+                    }
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {
@@ -555,7 +566,7 @@ impl Vpu {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    prog::run(self, &prog::GELU, data, &[], &mut []);
+                    run(self, &prog::GELU, data, &[], &mut []);
                     return;
                 }
                 for v in data.iter_mut() {
@@ -632,10 +643,32 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
+                // A row group at a time: sum, centre, sum of squares, affine.
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    // SAFETY: `lane_datapath` detected AVX2.
-                    unsafe { lanes::layernorm_rows(self, data, cols, gamma, beta, eps) };
+                    let inv_n = 1.0 / cols as f32;
+                    let mut squares = vec![0f32; data.len().min(MAX_GROUP * cols)];
+                    let mut sums = [0f32; MAX_GROUP];
+                    for block in data.chunks_mut(MAX_GROUP * cols) {
+                        let squares = &mut squares[..block.len()];
+                        let sums = &mut sums[..block.len() / cols];
+                        run_rows(self, &prog::ROW_SUM, block, cols, sums);
+                        let rows = block
+                            .chunks_exact_mut(cols)
+                            .zip(squares.chunks_exact_mut(cols));
+                        for ((row, sq), &sum) in rows.zip(&*sums) {
+                            let mean = self.mul(sum, inv_n);
+                            run(self, &prog::CENTRE, row, &[Bind::Splat(mean)], &mut [sq]);
+                        }
+                        run_rows(self, &prog::ROW_SUM, squares, cols, sums);
+                        for (row, &var_sum) in block.chunks_exact_mut(cols).zip(&*sums) {
+                            let var = self.mul(var_sum, inv_n);
+                            let ve = self.add(var, eps);
+                            let inv = self.rsqrt(ve);
+                            let binds = [Bind::Splat(inv), Bind::Slice(gamma), Bind::Slice(beta)];
+                            run(self, &prog::AFFINE, row, &binds, &mut []);
+                        }
+                    }
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {

@@ -1,6 +1,6 @@
 //! The batch entry points of both kernel families against the
 //! per-element scalar kernels, in bits **and** [`OpCount`]: whatever a call
-//! mixes of lane groups, lock-step row blocks, out-of-regime groups and
+//! mixes of element groups, row groups, out-of-regime groups and
 //! remainders, nothing observable may differ — and the route counters show
 //! that in-regime inputs did take the lanes, so nothing passes by falling
 //! back. The exact kernels' tests run once per executor tier the host has
@@ -12,15 +12,17 @@ use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 use bfp_arith::packed::EpilogueCtx;
 
 #[cfg(target_arch = "x86_64")]
-use super::prog::route::{exec_tiers, on_tier, take_widths};
+use super::prog::route::take_widths;
+#[cfg(target_arch = "x86_64")]
+use super::prog::tests::{exec_tiers, groups, on_tier, widths};
 use super::{fast, Datapath, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
 #[cfg(target_arch = "x86_64")]
 use bfp_arith::fplanes::Tier;
 use NonlinearMode::{Exact, Fast};
 
-/// Lengths around every group width (32 / 8 / 4, and 16 for the row
-/// blocks), the 64-element fused tile, a DeiT row and a DeiT shard.
+/// Lengths around every group width (32 / 8 / 4), the 64-element fused
+/// tile, a DeiT row and a DeiT shard.
 fn lengths() -> Vec<usize> {
     let mut v: Vec<usize> = (0..=17).collect();
     v.extend([31, 32, 33, 63, 64, 65, 197, 197 * 8]);
@@ -537,7 +539,7 @@ fn row_blocks_equal_the_scalar_kernels_in_bits_and_counts() {
 fn a_row_block_with_an_outlier_falls_back_without_moving_its_neighbours() {
     on_exec_tiers(|| {
         let vpu = Vpu::new();
-        // 45 rows: two blocks of 16, one of 8, one of 4, one single row.
+        // 45 rows: row groups of 32, 8 and 4, and one single row.
         let rows = 45;
         let mut out = outliers();
         out.extend([1e29, -1e29, 7e28, -3e38]);
@@ -635,41 +637,51 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
 /// on the executor's `tier`.
 #[cfg(target_arch = "x86_64")]
 fn exact_deit_shapes_take_the_lanes(tier: Tier) {
-    use super::{lanes, prog::route};
+    use super::prog::route;
     let mut vpu = Vpu::new();
     let (seq, dim, hidden) = (197, 384, 1536);
-    // The program's and the scalar kernel's groups, and the tier's widths
-    // for `calls` runs over `n` elements each.
-    let runs = |calls: u64, n: usize, fallbacks: u64| {
-        let (zmm, ymm) = route::widths(tier, n);
-        let total = calls * route::groups(n);
+    // The element programs' and the scalar kernel's groups for `calls`
+    // runs over `n` elements each, and the tier's widths for those and
+    // for `row_runs` row-program runs over `seq` rows.
+    let runs = |calls: u64, n: usize, fallbacks: u64, row_runs: u64| {
+        let (zmm, ymm) = widths(tier, n);
+        let (row_zmm, row_ymm) = widths(tier, seq);
+        let total = calls * groups(n);
         assert_eq!(
             route::take_groups(),
             (total - fallbacks, fallbacks),
             "{tier}"
         );
-        assert_eq!(route::take_widths(), (calls * zmm, calls * ymm), "{tier}");
+        let want = (
+            calls * zmm + row_runs * row_zmm,
+            calls * ymm + row_runs * row_ymm,
+        );
+        assert_eq!(route::take_widths(), want, "{tier}");
     };
     let mut fc1 = uniform(1, seq * hidden, 3.0);
     route::take_groups();
     route::take_widths();
     vpu.gelu_slice(&mut fc1, Host, Exact);
-    runs(1, seq * hidden, 0);
+    runs(1, seq * hidden, 0, 0);
 
-    // … 197 rows are 12 blocks of 16, one of 4 and a single row, so
-    // 196 of 197 sums (softmax) and 392 of 394 (LayerNorm) are lock-step …
+    // … 197 rows are six row groups of 32, one of 4 and a single row, so
+    // each row program (softmax's max and sum, LayerNorm's two sums) runs
+    // 196 of 197 rows on the lanes; softmax's exponentials and divides
+    // and LayerNorm's centre and affine passes run per row …
     let (gamma, beta) = (vec![1.1; dim], vec![0.2; dim]);
     let mut scores = uniform(2, seq * seq, 4.0);
     let mut tokens = uniform(3, seq * dim, 2.0);
-    lanes::route::take();
+    route::take_rows();
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
-    assert_eq!(lanes::route::take(), (196, 1));
-    runs(seq as u64, seq, 0);
+    assert_eq!(route::take_rows(), (2 * 196, 2), "{tier}");
+    runs(2 * seq as u64, seq, 0, 2);
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
-    assert_eq!(lanes::route::take(), (392, 2));
-    runs(2 * seq as u64, dim, 0);
+    assert_eq!(route::take_rows(), (392, 2), "{tier}");
+    runs(2 * seq as u64, dim, 0, 2);
 
-    // … and none when every block holds an operand outside the sums' regime.
+    // … and none when every row group holds an operand outside the
+    // regime: a NaN fails the max and, through the exponentials, the sum;
+    // 1e29 fails the sum and, squared, the sum of squares.
     let mut scores = uniform(2, seq * seq, 4.0);
     let mut tokens = uniform(3, seq * dim, 2.0);
     scores
@@ -678,9 +690,9 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
         .for_each(|v| *v = f32::NAN);
     tokens.iter_mut().step_by(4 * dim).for_each(|v| *v = 1e29);
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
-    assert_eq!(lanes::route::take(), (0, 197));
+    assert_eq!(route::take_rows(), (0, 2 * 197), "{tier}");
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
-    assert_eq!(lanes::route::take(), (0, 394));
+    assert_eq!(route::take_rows(), (0, 394), "{tier}");
     route::take_groups();
     route::take_widths();
 
@@ -691,64 +703,67 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     let mut fc1 = uniform(1, seq * hidden, 3.0);
     fc1[1000] = 7.0;
     vpu.gelu_slice(&mut fc1, Host, Exact);
-    runs(1, seq * hidden, 1);
+    runs(1, seq * hidden, 1, 0);
     let mut scores = uniform(2, seq * seq, 4.0);
     scores[5 * seq + 40] = -1e4;
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
-    runs(seq as u64, seq, 1);
+    runs(2 * seq as u64, seq, 1, 2);
     let mut tokens = uniform(3, seq * dim, 2.0);
     tokens[7 * dim + 100] = 2.2e12;
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
-    runs(2 * seq as u64, dim, 2);
+    runs(2 * seq as u64, dim, 2, 2);
+    assert_eq!(route::take_rows(), (4 * 196, 4), "{tier}");
 }
 
-/// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
-/// the scalar kernel beyond), 2¹⁶ consecutive patterns per call.
-/// The engine's VPU shards cut on lock-step blocks: run shard by shard on
-/// this thread, a two-shard softmax or LayerNorm of DeiT's 197 rows, and
-/// of the 21 rows of a small batch, sends as many rows to the scalar adder
-/// as the serial call, with the serial call's bits and counts.
+/// The engine's VPU shards cut on the executor's row groups: run shard by
+/// shard on this thread, on every executor tier, a two-shard softmax or
+/// LayerNorm of DeiT's 197 rows, and of the 21 rows of a small batch,
+/// sends as many rows to the scalar kernels as the serial call, with the
+/// serial call's bits and counts.
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn vpu_shards_keep_the_serial_lock_step_split() {
-    use super::lanes;
+    use super::prog::route;
     use crate::engine::vpu_shard_groups;
     assert_eq!(vpu_shard_groups(197, 2), [96, 101]);
-    assert_eq!(vpu_shard_groups(21, 2), [16, 5]);
-    if !bfp_arith::fplanes::available() {
-        return;
-    }
+    assert_eq!(vpu_shard_groups(21, 2), [21]);
     let (gamma, beta) = (vec![1.1; 384], vec![0.2; 384]);
-    for rows in [197, 21] {
-        for (cols, softmax) in [(197, true), (384, false)] {
-            let run = |vpu: &mut Vpu, m: &mut [f32]| {
-                if softmax {
-                    vpu.softmax_rows_batch(m, cols, Host, Exact);
-                } else {
-                    vpu.layernorm_rows_batch(m, cols, &gamma, &beta, 1e-6, Host, Exact);
+    for tier in exec_tiers() {
+        for rows in [197, 21] {
+            for (cols, softmax) in [(197, true), (384, false)] {
+                let run = |vpu: &mut Vpu, m: &mut [f32]| {
+                    on_tier(tier, || {
+                        if softmax {
+                            vpu.softmax_rows_batch(m, cols, Host, Exact);
+                        } else {
+                            vpu.layernorm_rows_batch(m, cols, &gamma, &beta, 1e-6, Host, Exact);
+                        }
+                    })
+                };
+                let src = uniform(rows as u64, rows * cols, 4.0);
+                let (mut serial, mut vpu) = (src.clone(), Vpu::new());
+                route::take_rows();
+                run(&mut vpu, &mut serial);
+                let want = route::take_rows();
+                assert_eq!(want.1, 2, "{rows}x{cols} on {tier}");
+                let (mut sharded, mut count) = (src, OpCount::default());
+                let mut rest = &mut sharded[..];
+                for groups in vpu_shard_groups(rows, 2) {
+                    let (shard, tail) = std::mem::take(&mut rest).split_at_mut(groups * cols);
+                    rest = tail;
+                    let mut vpu = Vpu::new();
+                    run(&mut vpu, shard);
+                    count.merge(&vpu.count);
                 }
-            };
-            let src = uniform(rows as u64, rows * cols, 4.0);
-            let (mut serial, mut vpu) = (src.clone(), Vpu::new());
-            lanes::route::take();
-            run(&mut vpu, &mut serial);
-            let want = lanes::route::take();
-            assert_eq!(want.1, if softmax { 1 } else { 2 }, "{rows}x{cols}");
-            let (mut sharded, mut count) = (src, OpCount::default());
-            let mut rest = &mut sharded[..];
-            for groups in vpu_shard_groups(rows, 2) {
-                let (shard, tail) = std::mem::take(&mut rest).split_at_mut(groups * cols);
-                rest = tail;
-                let mut vpu = Vpu::new();
-                run(&mut vpu, shard);
-                count.merge(&vpu.count);
+                assert_eq!(route::take_rows(), want, "{rows}x{cols} on {tier}");
+                assert_same("sharded", &sharded, &serial, count, vpu.count);
             }
-            assert_eq!(lanes::route::take(), want, "{rows}x{cols}");
-            assert_same("sharded", &sharded, &serial, count, vpu.count);
         }
     }
 }
 
+/// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
+/// the scalar kernel beyond), 2¹⁶ consecutive patterns per call.
 #[test]
 #[ignore = "2³² patterns: release sweep, run by CI's envelope step"]
 fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
@@ -790,7 +805,7 @@ fn exact_gelu_sweep_on(tier: Tier) {
     let six = 6.0f32.to_bits();
     // Calls of 2¹⁶ patterns: 2 048 groups of 32 each, then the last call's.
     let patterns = (six / 97 + 1) as usize;
-    let groups = patterns / (1 << 16) * 2048 + route::groups(patterns % (1 << 16)) as usize;
+    let groups = patterns / (1 << 16) * 2048 + groups(patterns % (1 << 16)) as usize;
     let sweep = |sign: u32| {
         let (mut batch, mut scalar) = (Vpu::new(), Vpu::new());
         let mut bits = (0..=six).step_by(97).map(|b| b | sign).peekable();
@@ -842,6 +857,6 @@ fn exact_gelu_sweep_on(tier: Tier) {
             (program as u64, !program as u64),
             "{x:e}"
         );
-        assert_eq!(route::take_widths(), route::widths(tier, 32));
+        assert_eq!(route::take_widths(), widths(tier, 32));
     }
 }
