@@ -30,7 +30,9 @@
 //! run `chain_i32_avx2` (`vpmaddwd`, one body for plain and checked
 //! chains, a `const CHECKED: bool`). Every other case takes the i64 chain
 //! loop, which is also every register kernel's bit oracle.
-//! `ChainKernel::select` is the only place a tier is chosen.
+//! `ChainKernel::select` is the only place a tier is chosen. A chain
+//! call's tiles leave as one row-major strip (8×32 for a quad): one drain
+//! call, one epilogue call, one copy per strip row into the output.
 //! Whichever runs, the result is **bit-identical** to
 //! [`crate::quant::BfpMatrix::try_matmul`] and therefore to the `bfp-pu`
 //! cycle simulator — the integer tile products are exact, so the kernels
@@ -371,37 +373,42 @@ pub const PARALLEL_MIN_SHARD_MACS: u64 = 1_000_000;
 /// 6 144 and every activation DeiT-Small packs as a left operand forks.
 pub const PACK_MIN_SHARD_ELEMS: u64 = 6_144;
 
-/// Geometry of one hot output tile as seen by a fused epilogue: the tile
-/// is anchored at `(r0, c0)` of the logical output matrix and only its
-/// `imax × jmax` top-left region holds real (unpadded) elements.
+/// Geometry of one hot output buffer as seen by a fused epilogue: `imax`
+/// rows `b` apart, anchored at `(r0, c0)` of the logical output matrix,
+/// whose `imax × jmax` top-left region holds real (unpadded) elements —
+/// one strip per chain call (the call's tiles side by side) from the
+/// packed GEMM, one tile from the ABFT-checked one.
 #[derive(Debug, Clone, Copy)]
 pub struct EpilogueCtx {
-    /// Absolute output row of the tile's first element.
+    /// Absolute output row of the buffer's first element.
     pub r0: usize,
-    /// Absolute output column of the tile's first element.
+    /// Absolute output column of the buffer's first element.
     pub c0: usize,
-    /// Valid rows in this tile (`<= block`).
+    /// Valid rows in this buffer (`<= block`).
     pub imax: usize,
-    /// Valid columns in this tile (`<= block`).
+    /// Valid columns in this buffer (`<= b`).
     pub jmax: usize,
-    /// Block side length; the tile buffer is `block × block` row-major.
+    /// The buffer's row stride: `n · block` for a strip of `n` tiles
+    /// (`block` for a single tile).
     pub b: usize,
 }
 
 impl PackedBfp {
-    /// Packed GEMM with a fused per-tile epilogue: each output tile is
-    /// dequantized into a `b×b` scratch buffer, handed to `epi` while
-    /// still register/L1-hot, and only then written to the f32 output.
+    /// Packed GEMM with a fused epilogue: each chain call's output tiles
+    /// are dequantized side by side into one strip (four 8×8 tiles on the
+    /// AVX-512 VNNI tier, one tile elsewhere; see [`EpilogueCtx`]), handed
+    /// to `epi` while still L1-hot, and only then written to the f32
+    /// output.
     ///
     /// The GEMM bits entering the epilogue are identical to
     /// [`PackedBfp::matmul`]'s output (same accumulation chain, same
     /// `(acc · 2^exp) as f32` dequantize), so an element-wise epilogue —
     /// bias add, activation, residual add — produces exactly the bits the
     /// composed GEMM-then-separate-pass pipeline produces, without
-    /// materialising the intermediate matrix twice. Tiles are visited in
-    /// the same `(bi, bj)` row-major order as the serial kernel.
+    /// materialising the intermediate matrix twice. Strips are visited in
+    /// `(bi, bj)` row-major order.
     ///
-    /// `K = 0` chains still run the epilogue over an all-zero tile, just
+    /// `K = 0` chains still run the epilogue over an all-zero strip, just
     /// as the composed path applies its element passes to the zero matrix.
     pub fn matmul_epilogue<E>(&self, rhs: &PackedBfp, mut epi: E) -> Result<MatF32, ArithError>
     where
@@ -467,14 +474,15 @@ impl PackedBfp {
         self.fused_rows_on(kernel, rhs, bi_lo, bi_hi, epi, out_rows)
     }
 
-    /// Computes output tiles `bi_lo..bi_hi` in `(bi, bj)` row-major order:
-    /// runs each tile's exponent-alignment chain on `kernel` (`Vnni512`
-    /// runs four adjacent tiles per call, the others one), dequantizes
-    /// it into a `b×b` scratch buffer, applies `epi` to the hot tile, then
-    /// copies its valid region into `out_rows`, the row-major f32 buffer
-    /// whose first row is output row `bi_lo·b` and whose rows are the full
-    /// logical width. Every kernel produces the same aligned integers, and
-    /// the lane drains the register kernels use are the scalar drain's IEEE
+    /// Computes output tiles `bi_lo..bi_hi` in `(bi, bj)` row-major order,
+    /// one chain call at a time: runs the call's exponent-alignment chains
+    /// on `kernel` (`Vnni512` runs four adjacent tiles per call, the others
+    /// one), drains its `n` tiles into one `imax × n·b` row-major strip,
+    /// applies `epi` once to the hot strip, then copies each strip row's
+    /// valid region into `out_rows`, the row-major f32 buffer whose first
+    /// row is output row `bi_lo·b` and whose rows are the full logical
+    /// width. Every kernel produces the same aligned integers, and the lane
+    /// drains the register kernels use are the scalar drain's IEEE
     /// operations, so the choice never changes a bit.
     fn fused_rows_on<E>(
         &self,
@@ -497,11 +505,13 @@ impl PackedBfp {
         let mut xs = vec![0i32; kernel.staged_words(kb)];
         #[cfg(target_arch = "x86_64")]
         let mut acc32 = [[0i32; 64]; 4];
-        let mut tile = vec![0f32; bb];
+        // A chain call computes at most four tiles.
+        let mut strip = vec![0f32; 4 * bb];
         for bi in bi_lo..bi_hi {
             let imax = b.min(self.rows - bi * b);
             let x = &self.man[bi * kb * bb..][..kb * bb];
             kernel.stage_lhs(x, &mut xs);
+            let out_block = &mut out_rows[(bi - bi_lo) * b * rhs.cols..];
             let mut bj = 0;
             while bj < rhs.block_cols {
                 // How many tiles from `bj` on this call computed, and their
@@ -518,38 +528,25 @@ impl PackedBfp {
                         (1, [exp, None, None, None])
                     }
                 };
-                for (t, &exp) in exps[..n].iter().enumerate() {
-                    let hot = &mut tile[..imax * b];
-                    match kernel {
-                        #[cfg(target_arch = "x86_64")]
-                        ChainKernel::Avx2I32 | ChainKernel::Vnni512 => {
-                            kernel.drain_i32(hot, &acc32[t], exp)
-                        }
-                        ChainKernel::I64 => drain(hot, acc64.iter().map(|&a| a as f64), exp),
+                let (c0, stride) = (bj * b, n * b);
+                let hot = &mut strip[..imax * stride];
+                match kernel {
+                    #[cfg(target_arch = "x86_64")]
+                    ChainKernel::Avx2I32 | ChainKernel::Vnni512 => {
+                        kernel.drain_i32(hot, &acc32[..n], &exps[..n])
                     }
-                    let c0 = (bj + t) * b;
-                    let ctx = EpilogueCtx {
-                        r0: bi * b,
-                        c0,
-                        imax,
-                        jmax: b.min(rhs.cols - c0),
-                        b,
-                    };
-                    epi(&mut tile, &ctx);
-                    for i in 0..ctx.imax {
-                        let dst = &mut out_rows[(ctx.r0 + i - bi_lo * b) * rhs.cols + ctx.c0..];
-                        let src = &tile[i * b..][..ctx.jmax];
-                        if let (Ok(dst), Ok(src)) = (
-                            <&mut [f32; 8]>::try_from(&mut dst[..ctx.jmax]),
-                            <&[f32; 8]>::try_from(src),
-                        ) {
-                            // A full 8-wide row: one fixed 32-byte copy
-                            // rather than a `memcpy` call per row.
-                            *dst = *src;
-                        } else {
-                            dst[..ctx.jmax].copy_from_slice(src);
-                        }
-                    }
+                    ChainKernel::I64 => drain(hot, acc64.iter().map(|&a| a as f64), exps[0]),
+                }
+                let ctx = EpilogueCtx {
+                    r0: bi * b,
+                    c0,
+                    imax,
+                    jmax: stride.min(rhs.cols - c0),
+                    b: stride,
+                };
+                epi(hot, &ctx);
+                for (dst, src) in out_block.chunks_mut(rhs.cols).zip(hot.chunks_exact(stride)) {
+                    dst[c0..][..ctx.jmax].copy_from_slice(&src[..ctx.jmax]);
                 }
                 bj += n;
             }
@@ -802,17 +799,19 @@ impl ChainKernel {
         }
     }
 
-    /// [`drain`] of a register chain's i32 sums on this kernel's lanes:
-    /// eight at a time on `Vnni512`, four on `Avx2I32`. Both are the scalar
-    /// drain's IEEE operations, so the bits are its bits.
+    /// [`drain`] of a register chain call's i32 sums on this kernel's
+    /// lanes, eight at a time on `Vnni512`, four on `Avx2I32`: tile `t`'s
+    /// sums `acc[t]` at exponent `exps[t]` into columns `8t..8t + 8` of the
+    /// row-major `strip`, whose rows are `8·acc.len()` wide. Both are the
+    /// scalar drain's IEEE operations, so the bits are its bits.
     #[cfg(target_arch = "x86_64")]
-    pub(crate) fn drain_i32(self, tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+    pub(crate) fn drain_i32(self, strip: &mut [f32], acc: &[[i32; 64]], exps: &[Option<i32>]) {
         // SAFETY: only `select` produces a register kernel, and only after
         // detecting AVX2 (and AVX-512 F for `Vnni512`).
         unsafe {
             match self {
-                ChainKernel::Vnni512 => drain_lanes512(tile, acc, exp),
-                ChainKernel::Avx2I32 => drain_lanes(tile, acc, exp),
+                ChainKernel::Vnni512 => drain_lanes512(strip, acc, exps),
+                ChainKernel::Avx2I32 => drain_lanes(strip, acc, exps),
                 ChainKernel::I64 => unreachable!("the i64 chain drains through `drain`"),
             }
         }
@@ -831,7 +830,7 @@ impl ChainKernel {
                 fits &= *n as i64 == a;
             }
             if fits {
-                return self.drain_i32(tile, &narrow, exp);
+                return self.drain_i32(tile, &[narrow], &[exp]);
             }
         }
         drain(tile, acc.iter().map(|&a| a as f64), exp)
@@ -869,62 +868,100 @@ fn drain(tile: &mut [f32], acc: impl Iterator<Item = f64>, exp: Option<i32>) {
     }
 }
 
-/// [`drain`] on lanes for a register chain's i32 sums, four at a time:
-/// `vcvtdq2pd`, `vmulpd` by `2^exp`, `vcvtpd2ps`. These are the scalar
-/// drain's IEEE operations — an exact widening, a product that is exact
-/// (`|acc·2^exp|` stays inside f64's normal range for every `i8 + i8`
-/// exponent), one round-to-nearest-even narrowing to f32 — so the bits
-/// are its bits, subnormal and overflowing results included.
+/// [`drain`] on lanes for a register chain call's i32 sums, four at a
+/// time: tile `t`'s sums `acc[t]` at exponent `exps[t]` into columns
+/// `8t..8t + 8` of every row of the row-major `strip`, whose rows are
+/// `8·acc.len()` wide. Per tile `vcvtdq2pd`, `vmulpd` by its own `2^exp`,
+/// `vcvtpd2ps`. These are the scalar drain's IEEE operations — an exact
+/// widening, a product that is exact (`|acc·2^exp|` stays inside f64's
+/// normal range for every `i8 + i8` exponent), one round-to-nearest-even
+/// narrowing to f32 — so the bits are its bits, subnormal and overflowing
+/// results included.
 ///
 /// # Safety
 /// Callers must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn drain_lanes(tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+#[inline]
+unsafe fn drain_lanes(strip: &mut [f32], acc: &[[i32; 64]], exps: &[Option<i32>]) {
     use std::arch::x86_64::*;
-    let Some(exp) = exp else {
-        return tile.fill(0.0);
-    };
-    assert!(
-        tile.len().is_multiple_of(4) && tile.len() <= 64,
-        "whole rows of a tile"
-    );
-    let scale = _mm256_set1_pd((exp as f64).exp2());
-    for (o, a) in tile.chunks_exact_mut(4).zip(acc.chunks_exact(4)) {
-        // SAFETY: one 16-byte load and one 16-byte store, each exactly
-        // covering its four-element chunk.
-        unsafe {
-            let wide = _mm256_cvtepi32_pd(_mm_loadu_si128(a.as_ptr() as *const __m128i));
-            _mm_storeu_ps(o.as_mut_ptr(), _mm256_cvtpd_ps(_mm256_mul_pd(wide, scale)));
+    let stride = strip_stride(strip, acc, exps);
+    for (t, (a, &exp)) in acc.iter().zip(exps).enumerate() {
+        let Some(exp) = exp else {
+            zero_columns(strip, stride, t);
+            continue;
+        };
+        let scale = _mm256_set1_pd((exp as f64).exp2());
+        for (row, a) in strip.chunks_exact_mut(stride).zip(a.chunks_exact(8)) {
+            for h in [0, 4] {
+                // SAFETY: a 16-byte load inside the row's eight sums and a
+                // 16-byte store inside the row's columns `8t..8t + 8`,
+                // which `8t + 8 <= stride` keeps in the row.
+                unsafe {
+                    let wide = _mm256_cvtepi32_pd(_mm_loadu_si128(a.as_ptr().add(h).cast()));
+                    let narrow = _mm256_cvtpd_ps(_mm256_mul_pd(wide, scale));
+                    _mm_storeu_ps(row.as_mut_ptr().add(8 * t + h), narrow);
+                }
+            }
         }
     }
 }
 
-/// [`drain_lanes`] eight at a time on zmm: `vcvtdq2pd`, `vmulpd` by
-/// `2^exp`, `vcvtpd2ps`, the same IEEE operations, so the same bits. The
-/// scale is built from its bits: every `i8 + i8` exponent is a normal f64.
+/// [`drain_lanes`] eight at a time on zmm: `vcvtdq2pd`, `vmulpd` by each
+/// tile's `2^exp`, `vcvtpd2ps`, the same IEEE operations, so the same
+/// bits. The scale is built from its bits: every `i8 + i8` exponent is a
+/// normal f64.
 ///
 /// # Safety
 /// Callers must have verified AVX-512 F support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f")]
-unsafe fn drain_lanes512(tile: &mut [f32], acc: &[i32; 64], exp: Option<i32>) {
+#[inline]
+unsafe fn drain_lanes512(strip: &mut [f32], acc: &[[i32; 64]], exps: &[Option<i32>]) {
     use std::arch::x86_64::*;
-    let Some(exp) = exp else {
-        return tile.fill(0.0);
-    };
-    assert!(
-        tile.len().is_multiple_of(8) && tile.len() <= 64 && (-1022..=1023).contains(&exp),
-        "whole rows of a tile, and a normal scale"
-    );
-    let scale = _mm512_set1_pd(f64::from_bits(((exp + 1023) as u64) << 52));
-    for (o, a) in tile.chunks_exact_mut(8).zip(acc.chunks_exact(8)) {
-        // SAFETY: one 32-byte load and one 32-byte store, each exactly
-        // covering its eight-element chunk.
-        unsafe {
-            let wide = _mm512_cvtepi32_pd(_mm256_loadu_si256(a.as_ptr() as *const __m256i));
-            _mm256_storeu_ps(o.as_mut_ptr(), _mm512_cvtpd_ps(_mm512_mul_pd(wide, scale)));
+    let stride = strip_stride(strip, acc, exps);
+    for (t, (a, &exp)) in acc.iter().zip(exps).enumerate() {
+        let Some(exp) = exp else {
+            zero_columns(strip, stride, t);
+            continue;
+        };
+        assert!((-1022..=1023).contains(&exp), "a normal scale");
+        let scale = _mm512_set1_pd(f64::from_bits(((exp + 1023) as u64) << 52));
+        for (row, a) in strip.chunks_exact_mut(stride).zip(a.chunks_exact(8)) {
+            // SAFETY: a 32-byte load of the row's eight sums and a 32-byte
+            // store of the row's columns `8t..8t + 8`, which `8t + 8 <=
+            // stride` keeps in the row.
+            unsafe {
+                let wide = _mm512_cvtepi32_pd(_mm256_loadu_si256(a.as_ptr().cast()));
+                let narrow = _mm512_cvtpd_ps(_mm512_mul_pd(wide, scale));
+                _mm256_storeu_ps(row.as_mut_ptr().add(8 * t), narrow);
+            }
         }
+    }
+}
+
+/// `8·acc.len()`, the row stride of a lane drain's strip, once the strip
+/// is at most eight whole rows of it and every tile has an exponent.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn strip_stride(strip: &[f32], acc: &[[i32; 64]], exps: &[Option<i32>]) -> usize {
+    let stride = 8 * acc.len();
+    assert!(
+        acc.len() == exps.len()
+            && stride > 0
+            && strip.len().is_multiple_of(stride)
+            && strip.len() <= 8 * stride,
+        "whole rows of a strip, one exponent per tile"
+    );
+    stride
+}
+
+/// A `K = 0` tile's columns `8t..8t + 8` of every strip row: zeros, as
+/// [`drain`] leaves them.
+#[cfg(target_arch = "x86_64")]
+fn zero_columns(strip: &mut [f32], stride: usize, t: usize) {
+    for row in strip.chunks_exact_mut(stride) {
+        row[8 * t..][..8].fill(0.0);
     }
 }
 
@@ -1727,7 +1764,8 @@ unsafe fn chain_quad_vnni512(
     );
     let tiles = (nb - bj).min(4);
     let load = [1, 2, 3].map(|t| if t < tiles { !0 } else { 0 });
-    let y_exps = rhs.exps[bj..].as_ptr();
+    // Wrapping: a `K = 0` plane is empty and `pexp` never runs.
+    let y_exps = rhs.exps.as_ptr().wrapping_add(bj);
     // Step `bk`'s four product exponents, one per dword.
     let pexp = |bk: usize| {
         let y = if tiles == 4 {
@@ -2613,6 +2651,73 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every tier's strips, on spiky operands whose tiles in one chain call
+    /// carry different exponents: one epilogue call per chain call (per
+    /// `(bi, ⌈nb/4⌉)` strip on `Vnni512`), a row stride of the call's
+    /// `n·b` with the valid columns inside it, regions that cover the
+    /// output exactly once, and — through a position-stamping epilogue —
+    /// the reference kernel's bits under the same element pass.
+    #[test]
+    fn strips_drain_once_per_chain_call_and_cover_the_output() {
+        // `(block, M, K, N)`. N = 197 is six quads and a lone tile, N = 64
+        // two quads, N = 9..=31 ragged strips; M = 197 ends on a five-row
+        // block-row.
+        let mut cases = vec![
+            (8, 197, 40, 197),
+            (8, 197, 24, 64),
+            (8, 197, 0, 40),
+            (4, 197, 21, 37),
+            (16, 19, 40, 45),
+            (16, 19, 0, 45),
+        ];
+        cases.extend((9..=31).map(|n| (8, 13, 16, n)));
+        for (blk, m, k, n) in cases {
+            let q = Quantizer::with_block(blk);
+            let (qa, qb) = (
+                q.quantize(&spiky(m, k)).unwrap(),
+                q.quantize(&spiky(k, n)).unwrap(),
+            );
+            let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+            let stamp = |v: f32, r: usize, c: usize| v.mul_add(0.5, (r * n + c) as f32);
+            let reference = qa.try_matmul(&qb).unwrap();
+            let want = MatF32::from_fn(m, n, |r, c| stamp(reference.get(r, c), r, c));
+            let nb = pb.block_cols;
+            let mut tiers = if blk == 8 {
+                register_tiers(pa.block_cols)
+            } else {
+                Vec::new()
+            };
+            tiers.push(ChainKernel::I64);
+            for tier in tiers {
+                let width = if tier == ChainKernel::Vnni512 { 4 } else { 1 };
+                let (mut calls, mut cover) = (0, vec![0u8; m * n]);
+                let mut epi = |strip: &mut [f32], ctx: &EpilogueCtx| {
+                    calls += 1;
+                    let tiles = width.min(nb - ctx.c0 / blk);
+                    assert_eq!(ctx.b, tiles * blk, "{tier:?}: the strip's row stride");
+                    assert!(ctx.jmax <= ctx.b && ctx.imax <= blk, "{tier:?}: {ctx:?}");
+                    assert_eq!(strip.len(), ctx.imax * ctx.b, "{tier:?}: whole strip rows");
+                    for i in 0..ctx.imax {
+                        for (j, v) in strip[i * ctx.b..][..ctx.jmax].iter_mut().enumerate() {
+                            let (r, c) = (ctx.r0 + i, ctx.c0 + j);
+                            cover[r * n + c] += 1;
+                            *v = stamp(*v, r, c);
+                        }
+                    }
+                };
+                let mut got = MatF32::zeros(m, n);
+                pa.fused_rows_on(tier, &pb, 0, pa.block_rows, &mut epi, got.data_mut());
+                let strips = pa.block_rows * nb.div_ceil(width);
+                assert_eq!(calls, strips, "{tier:?}: one epilogue call per chain call");
+                assert!(
+                    cover.iter().all(|&c| c == 1),
+                    "{tier:?}: every element once"
+                );
+                assert_bits_eq(&got, &want);
+            }
+        }
+    }
+
     /// Plain GEMM forced onto one chain kernel.
     fn matmul_on(kernel: ChainKernel, pa: &PackedBfp, pb: &PackedBfp) -> MatF32 {
         let mut out = MatF32::zeros(pa.rows, pb.cols);
@@ -2969,14 +3074,17 @@ pub(crate) mod tests {
     }
 
     /// The chain's roofline on this host: GMAC/s per DeiT-Small shape of
-    /// the real plain GEMM (one thread, drain and row copy included) and
-    /// of its chains alone, beside four synthetic loops over the same RHS
-    /// walk — `vpdpbusd` with register LHS operands, the pair merge, the
-    /// quad merge and the quad's direct loop — timed interleaved, median
-    /// of 25 rounds, on uniform operands. Every column counts
-    /// `8·⌈M/8⌉·K·N` MACs; the last is the share of the quad body's steps
-    /// that ran direct. Run it with `cargo test --release -p bfp-arith
-    /// --lib chain_roofline -- --ignored --nocapture`.
+    /// the real plain GEMM (one thread, strip drains and row copies
+    /// included) and of its chains alone, beside four synthetic loops over
+    /// the same RHS walk — `vpdpbusd` with register LHS operands, the pair
+    /// merge, the quad merge and the quad's direct loop — timed
+    /// interleaved, median of 25 rounds, on uniform operands. Every GMAC/s
+    /// column counts `8·⌈M/8⌉·K·N` MACs. Then the share of the quad body's
+    /// steps that ran direct, and `real ÷ chains`, the real GEMM's rate
+    /// over its chains': the share of the GEMM's time its chains take, 1
+    /// when the drains, epilogue calls and row copies cost nothing. Run it
+    /// with `cargo test --release -p bfp-arith --lib chain_roofline --
+    /// --ignored --nocapture`.
     #[test]
     #[ignore = "release timing probe; prints a table"]
     #[cfg(target_arch = "x86_64")]
@@ -2995,7 +3103,7 @@ pub(crate) mod tests {
         };
         println!(
             "GMAC/s: shape | real | chains alone | reg operands | pair merge | quad merge \
-             | quad direct | direct steps"
+             | quad direct | direct steps | real ÷ chains"
         );
         for (m, k, n) in [
             (197, 384, 384),
@@ -3031,19 +3139,21 @@ pub(crate) mod tests {
                     secs.push(t.elapsed().as_secs_f64());
                 }
             }
-            let gmacs: Vec<String> = secs
+            let gmacs: Vec<f64> = secs
                 .iter_mut()
                 .map(|secs| {
                     secs.sort_by(f64::total_cmp);
-                    format!("{:.0}", macs / secs[secs.len() / 2] / 1e9)
+                    macs / secs[secs.len() / 2] / 1e9
                 })
                 .collect();
             let (_, direct, merges) = route::take();
             let share = direct as f64 / (direct + merges) as f64;
+            let cols: Vec<String> = gmacs.iter().map(|g| format!("{g:.0}")).collect();
             println!(
-                "{m}x{k}x{n} | {} | {:.0}%",
-                gmacs.join(" | "),
-                100.0 * share
+                "{m}x{k}x{n} | {} | {:.0}% | {:.2}",
+                cols.join(" | "),
+                100.0 * share,
+                gmacs[0] / gmacs[1]
             );
         }
     }
@@ -3158,22 +3268,51 @@ pub(crate) mod tests {
         });
         let (mut subnormal, mut inf) = (false, false);
         let zmm = is_x86_feature_detected!("avx512f");
-        // Every `i8 + i8` exponent, and `K = 0`.
+        // Every `i8 + i8` exponent, and `K = 0`; a lone tile and a strip of
+        // four whose tiles hold different sums at different exponents.
         for exp in (-256..=254).map(Some).chain([None]) {
-            for rows in [8, 5, 1] {
-                let (mut lanes, mut scalar) = ([f32::NAN; 64], [f32::NAN; 64]);
-                // SAFETY: AVX2 was detected above.
-                unsafe { drain_lanes(&mut lanes[..rows * 8], &acc, exp) };
-                drain(&mut scalar[..rows * 8], acc.iter().map(|&a| a as f64), exp);
-                assert_eq!(lanes.map(f32::to_bits), scalar.map(f32::to_bits), "{exp:?}");
-                if zmm {
-                    let mut lanes = [f32::NAN; 64];
-                    // SAFETY: AVX-512 F was detected above.
-                    unsafe { drain_lanes512(&mut lanes[..rows * 8], &acc, exp) };
-                    assert_eq!(lanes.map(f32::to_bits), scalar.map(f32::to_bits), "{exp:?}");
+            for n in [1, 4] {
+                let tiles: Vec<[i32; 64]> = (0..n)
+                    .map(|t| {
+                        let mut a = acc;
+                        a.rotate_left(9 * t);
+                        a
+                    })
+                    .collect();
+                let exps: Vec<_> = (0..n)
+                    .map(|t| exp.map(|e| (e + 256 + 131 * t as i32) % 511 - 256))
+                    .collect();
+                for rows in [8, 5, 1] {
+                    let stride = 8 * n;
+                    let mut scalar = [f32::NAN; 256];
+                    for (t, (a, &e)) in tiles.iter().zip(&exps).enumerate() {
+                        let mut tile = [f32::NAN; 64];
+                        drain(&mut tile[..rows * 8], a.iter().map(|&a| a as f64), e);
+                        for i in 0..rows {
+                            scalar[i * stride + 8 * t..][..8].copy_from_slice(&tile[i * 8..][..8]);
+                        }
+                    }
+                    let mut lanes = [f32::NAN; 256];
+                    // SAFETY: AVX2 was detected above.
+                    unsafe { drain_lanes(&mut lanes[..rows * stride], &tiles, &exps) };
+                    assert_eq!(
+                        lanes.map(f32::to_bits),
+                        scalar.map(f32::to_bits),
+                        "{exps:?}"
+                    );
+                    if zmm {
+                        let mut lanes = [f32::NAN; 256];
+                        // SAFETY: AVX-512 F was detected above.
+                        unsafe { drain_lanes512(&mut lanes[..rows * stride], &tiles, &exps) };
+                        assert_eq!(
+                            lanes.map(f32::to_bits),
+                            scalar.map(f32::to_bits),
+                            "{exps:?}"
+                        );
+                    }
+                    subnormal |= scalar.iter().any(|v| v.is_subnormal());
+                    inf |= scalar.contains(&f32::INFINITY) && scalar.contains(&f32::NEG_INFINITY);
                 }
-                subnormal |= scalar.iter().any(|v| v.is_subnormal());
-                inf |= scalar.contains(&f32::INFINITY) && scalar.contains(&f32::NEG_INFINITY);
             }
         }
         assert!(subnormal && inf, "the drain reaches both ends of f32");

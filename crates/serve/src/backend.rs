@@ -412,8 +412,8 @@ mod tests {
     #[test]
     fn gelu_epilogue_is_bit_exact_for_the_mode_it_ran_in() {
         let (a, b) = mats();
-        // A ragged pair too: its right-edge tiles take the epilogue's
-        // per-row arm, the rest one call per tile.
+        // A ragged pair too: its right-edge strips take the epilogue's
+        // per-row arm, the rest one call per strip.
         let ragged = (
             MatF32::from_fn(13, 16, |i, j| ((i * 7 + j * 5) % 5) as f32 - 2.0),
             MatF32::from_fn(16, 11, |i, j| ((i * 3 + j * 11) % 7) as f32 * 0.25 - 0.75),

@@ -148,7 +148,7 @@ pub use bfp_telemetry::{
 mod tests {
     use super::*;
     use bfp_arith::matrix::MatF32;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn req(seed: u64) -> ServeRequest {
         let a = MatF32::from_fn(16, 16, |i, j| {
@@ -1116,16 +1116,15 @@ mod tests {
         let server = Server::simulated(cfg, vec![ArrayFaultPlan::transient(1), latched]);
         // Batches until the latched array has eaten enough work to
         // quarantine — one batch usually suffices, but worker scheduling
-        // under machine load can starve it of jobs for a while.
+        // under machine load can starve it of jobs for a while, so the
+        // bound is a wall-clock deadline rather than a round count.
+        let deadline = Instant::now() + Duration::from_secs(60);
         let mut submitted = 0u64;
-        for _round in 0..20 {
+        while server.stats().serving_arrays() != 1 && Instant::now() < deadline {
             let tickets: Vec<_> = (0..8).map(|s| server.submit(req(s)).unwrap()).collect();
             submitted += 8;
             for t in tickets {
                 t.wait().unwrap();
-            }
-            if server.stats().serving_arrays() == 1 {
-                break;
             }
         }
         server.drain();

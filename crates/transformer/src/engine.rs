@@ -631,12 +631,12 @@ impl MixedEngine {
         out
     }
 
-    /// One fused GEMM over an already-packed LHS: every hot output tile
+    /// One fused GEMM over an already-packed LHS: every hot output strip
     /// takes `drain` before it is written out, in exactly the element
     /// order of the composed `Linear::forward` (+ `residual_add` /
-    /// `Engine::gelu`) sequence. The GELU drain runs per tile on a
+    /// `Engine::gelu`) sequence. The GELU drain runs per strip on a
     /// per-shard VPU; counts merge in shard order into the gelu census,
-    /// matching the composed totals (GELU is element-independent, so tile
+    /// matching the composed totals (GELU is element-independent, so strip
     /// order cannot change bits or counts).
     ///
     /// Accounting on success mirrors `Engine::matmul_weight`: resolving
@@ -710,7 +710,7 @@ impl MixedEngine {
     }
 }
 
-/// What a fused GEMM does to each hot output tile on its way out — the
+/// What a fused GEMM does to each hot output strip on its way out — the
 /// `epilogue` of a planned `Gemm` op.
 #[derive(Clone, Copy)]
 enum Drain<'a> {
@@ -722,8 +722,9 @@ enum Drain<'a> {
     BiasGelu,
 }
 
-/// Bias-add drain over one hot output tile: the element order of the
-/// composed `Linear::forward` bias loop restricted to the tile.
+/// Bias-add drain over one hot output strip (`ctx.b` is its row stride,
+/// up to 32 wide): the element order of the composed `Linear::forward`
+/// bias loop restricted to the strip.
 #[inline]
 fn bias_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32]) {
     let bias = &bias[ctx.c0..][..ctx.jmax];
@@ -734,8 +735,9 @@ fn bias_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32]) {
     }
 }
 
-/// Bias + residual drain: `skip + (y + bias)`, the exact operand order of
-/// `Linear::forward` followed by `residual_add(skip, y)`.
+/// Bias + residual drain over one hot output strip: `skip + (y + bias)`,
+/// the exact operand order of `Linear::forward` followed by
+/// `residual_add(skip, y)`, a strip row at a time.
 #[inline]
 fn bias_residual_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32], skip: &MatF32) {
     let bias = &bias[ctx.c0..][..ctx.jmax];

@@ -597,12 +597,14 @@ impl Vpu {
         }
     }
 
-    /// GELU drain over one hot GEMM tile. Full-width tiles (the common
-    /// case — every model dimension here is a multiple of the block) take
-    /// a single slice call over the contiguous valid region; only
-    /// right-edge partial tiles pay one call per row. GELU is
+    /// GELU drain over one hot GEMM strip (see [`EpilogueCtx`]: a chain
+    /// call's tiles side by side, 8×32 on the AVX-512 VNNI tier). A
+    /// full-width strip (the common case — every model dimension here is
+    /// a multiple of the block) takes a single slice call over its
+    /// contiguous valid region, 256 elements for an 8×32 strip; only a
+    /// ragged right-edge strip pays one call per row. GELU is
     /// element-independent and the VPU op cost is per-element, so
-    /// tile-order evaluation is bit- and count-identical to the composed
+    /// strip-order evaluation is bit- and count-identical to the composed
     /// whole-matrix pass either way.
     #[inline]
     pub fn gelu_tile(
