@@ -234,23 +234,31 @@ impl PhaseTimes {
 /// both modes; a single-row LayerNorm (384) never does, nor does a fused
 /// drain tile (64). Hosts with more than two cores are unmeasured.
 ///
-/// On eight lanes (AVX-512) the exact kernels run at GELU ≈ 16,
-/// softmax ≈ 18, LayerNorm ≈ 7.5–9 ns/elem. A second probe, the same
-/// interleaved pairs against the four-lane build on one box, read at
-/// 4 k total GELU 1.86–1.90 (four lanes 1.24–1.50), softmax 1.53–1.56
-/// (1.51) and LayerNorm 1.15–1.25 (1.12–1.32): forking from 4 k still
-/// pays, so 2 k per shard stands. (That probe reads the five-row
-/// LayerNorm at 2 k below 1 on both builds, 0.66 and 0.73: it splits
-/// five rows 3 + 2. At 2 k a kernel does not fork.)
+/// On eight lanes (AVX-512) the exact kernels, then an interpreter of
+/// vector programs, ran at GELU ≈ 16, softmax ≈ 18, LayerNorm ≈ 7.5–9
+/// ns/elem in the box's slow phases. A second probe, the same interleaved
+/// pairs against the four-lane build on one box, read at 4 k total GELU
+/// 1.86–1.90 (four lanes 1.24–1.50), softmax 1.53–1.56 (1.51) and
+/// LayerNorm 1.15–1.25 (1.12–1.32): forking from 4 k still paid, so 2 k
+/// per shard stood. (That probe reads the five-row LayerNorm at 2 k
+/// below 1 on both builds, 0.66 and 0.73: it splits five rows 3 + 2. At
+/// 2 k a kernel does not fork.) The straight-line kernel bodies that
+/// replaced the interpreter read GELU ≈ 4.0, softmax ≈ 4.9 and LayerNorm
+/// ≈ 2.4 ns/elem on one thread in a fast phase, against 7.3, 7.9 and 3.3
+/// for the interpreter in the same phase: between the fast kernels and
+/// the interpreted ones, both of which pay from 4 k. The minimum has not
+/// been re-measured at those rates.
 const VPU_PARALLEL_ELEMS: u64 = 2_048;
 
 /// Groups (rows, or elements for GELU) a VPU shard holds a multiple of,
-/// except the last: the exact VPU's executor runs groups of this many rows
-/// or elements (then of 8 and of 4; `vpu::prog`), so only the last shard
-/// leaves rows to the scalar kernels, as many as the serial call does.
+/// except the last: the exact VPU's row passes run groups of this many
+/// rows (then of 8 and of 4; `vpu::lanes`), so only the last shard leaves
+/// rows to the scalar kernels, as many as the serial call does. GELU's
+/// element groups of 64 on AVX-512 may straddle a cut at 32 elements;
+/// that moves no bit and no count, only which group runs where.
 #[cfg(target_arch = "x86_64")]
-const VPU_SHARD_GROUPS: usize = crate::vpu::prog::MAX_GROUP;
-/// Without the executor any cut keeps the serial call's work.
+const VPU_SHARD_GROUPS: usize = crate::vpu::lanes::ROW_GROUP;
+/// Without the lanes any cut keeps the serial call's work.
 #[cfg(not(target_arch = "x86_64"))]
 const VPU_SHARD_GROUPS: usize = 1;
 

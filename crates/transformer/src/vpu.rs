@@ -22,6 +22,12 @@
 //! datapaths count their operations; those counts drive the Table IV
 //! latency split and are cross-checked against the analytical census in
 //! [`crate::flops`].
+//!
+//! The kernel bodies themselves (`exp`, `tanh`, GELU and the softmax and
+//! LayerNorm passes) live in `kernels`, generic over the value they
+//! compute on: the default methods run them on one `f32`, and on an AVX2
+//! host the exact batch kernels of the paper datapath run the same bodies
+//! on bundles of lane vectors (`lanes`), bit- and count-identical.
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
@@ -33,13 +39,15 @@ use crate::engine::DivisionPolicy;
 pub mod fast;
 #[cfg(target_arch = "x86_64")]
 mod fast_lanes;
+mod kernels;
 #[cfg(test)]
 mod lane_equivalence;
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod prog;
+pub(crate) mod lanes;
 
 #[cfg(target_arch = "x86_64")]
-use prog::{run, run_rows, Bind, MAX_GROUP};
+use kernels::{mix, Gelu};
+use kernels::{Affine, Body, Centre, Divide, Max, ShiftedExp, Sum};
 
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
@@ -161,30 +169,12 @@ pub trait Datapath {
 
     /// `tanh(u) = 1 − 2 / (e^{2u} + 1)`, saturated beyond `|u| > 15`.
     fn tanh(&mut self, u: f32) -> f32 {
-        if u > 15.0 {
-            return 1.0;
-        }
-        if u < -15.0 {
-            return -1.0;
-        }
-        let two_u = self.mul(u, 2.0);
-        let e = self.exp(two_u);
-        let d = self.add(e, 1.0);
-        let q = self.div(2.0, d);
-        self.sub(1.0, q)
+        kernels::tanh(self, u)
     }
 
     /// Tanh-form GELU.
     fn gelu(&mut self, x: f32) -> f32 {
-        let x2 = self.mul(x, x);
-        let x3 = self.mul(x2, x);
-        let ax3 = self.mul(x3, GELU_A);
-        let inner = self.add(x, ax3);
-        let u = self.mul(inner, GELU_C);
-        let t = self.tanh(u);
-        let one_t = self.add(1.0, t);
-        let hx = self.mul(x, 0.5);
-        self.mul(hx, one_t)
+        kernels::gelu(self, x)
     }
 
     /// `1/√x` on the array: a magic-constant seed (an exponent-unit
@@ -218,20 +208,18 @@ pub trait Datapath {
         }
         let mut max = row[0];
         for &v in &row[1..] {
-            self.count_cmp();
-            if v > max {
-                max = v;
-            }
+            [max] = Max::run(self, [max, v]);
         }
         let mut sum = 0f32;
         for v in row.iter_mut() {
-            let shifted = self.sub(*v, max);
-            *v = self.exp(shifted);
-            sum = self.add(sum, *v);
+            [*v] = ShiftedExp::run(self, [*v, max]);
+            [sum] = Sum::run(self, [sum, *v]);
         }
         match self.row_recip(sum) {
             Some(inv) => row.iter_mut().for_each(|v| *v = self.mul(*v, inv)),
-            None => row.iter_mut().for_each(|v| *v = self.div(*v, sum)),
+            None => row
+                .iter_mut()
+                .for_each(|v| [*v] = Divide::run(self, [*v, sum])),
         }
     }
 
@@ -250,23 +238,20 @@ pub trait Datapath {
         let inv_n = 1.0 / n as f32; // compile-time constant in hardware
         let mut sum = 0f32;
         for &v in row.iter() {
-            sum = self.add(sum, v);
+            [sum] = Sum::run(self, [sum, v]);
         }
         let mean = self.mul(sum, inv_n);
         let mut var_sum = 0f32;
         for v in row.iter_mut() {
-            let d = self.sub(*v, mean);
+            let [d, d2] = Centre::run(self, [*v, mean]);
             *v = d;
-            let d2 = self.mul(d, d);
-            var_sum = self.add(var_sum, d2);
+            [var_sum] = Sum::run(self, [var_sum, d2]);
         }
         let var = self.mul(var_sum, inv_n);
         let ve = self.add(var, eps);
         let inv = self.rsqrt(ve);
         for (j, v) in row.iter_mut().enumerate() {
-            let nrm = self.mul(*v, inv);
-            let g = self.mul(nrm, gamma[j]);
-            *v = self.add(g, beta[j]);
+            [*v] = Affine::run(self, [*v, inv, gamma[j], beta[j]]);
         }
     }
 }
@@ -325,11 +310,9 @@ const EXP2_POLY: [f32; 6] = [
 ];
 
 /// The straight-line regime of both GELU kernels (exact and fast), where
-/// the GELU program and the fast lane twin run: `|u| = C·|x + A·x³| ≤
-/// 12.5` at `|x| = 6`, so neither `tanh`'s ±15 clamp nor `exp`'s range
-/// clamps (`|2u| ≤ 25`) can fire and every intermediate is far inside the
-/// finite range.
-#[cfg(target_arch = "x86_64")]
+/// their lanes run: `|u| = C·|x + A·x³| ≤ 12.5` at `|x| = 6`, so neither
+/// `tanh`'s ±15 clamp nor `exp`'s range clamps (`|2u| ≤ 25`) can fire and
+/// every intermediate is far inside the finite range.
 const GELU_LANE_MAX_ABS: f32 = 6.0;
 
 impl Vpu {
@@ -380,8 +363,8 @@ impl Vpu {
     /// True when the exact host-division batch kernels run on the lane
     /// datapath ([`bfp_arith::fplanes`]): this VPU is the paper datapath —
     /// the only one the lanes are a twin of — and the host has AVX2. Their
-    /// programs, element-wise passes and row reductions alike, then run on
-    /// the host's widest tier, [`fplanes::tier`] (eight lanes on AVX-512
+    /// passes, element-wise and row reductions alike, then run on the
+    /// host's widest tier, [`fplanes::tier`] (eight lanes on AVX-512
     /// F + DQ + VL, four on AVX2). Every other configuration stays on the
     /// scalar kernels, which are the bit oracle either way.
     ///
@@ -485,11 +468,12 @@ impl Vpu {
     // contract); the `Fast` arms run the [`fast`] kernels and charge
     // their analytic per-element op mixes in one merge, since the fast
     // unit is a pipeline whose cost is data-independent. On an AVX2 host
-    // the `(Exact, Host)` arms of the paper datapath run as vector programs
-    // on one lane executor (`prog`), element- or row-wise, and the `Fast`
-    // GELU and softmax arms run their kernel's lane twin (`fast_lanes`) —
-    // selected here from the datapath and the CPU alone, the same bits and
-    // the same counts as the scalar loop below them.
+    // the `(Exact, Host)` arms of the paper datapath run the same kernel
+    // bodies on bundles of lanes (`lanes`), one pass over the whole block
+    // at a time, element- or row-wise, and the `Fast` GELU and softmax arms
+    // run their kernel's lane twin (`fast_lanes`) — selected here from the
+    // datapath and the CPU alone, the same bits and the same counts as the
+    // scalar loop below them.
     // ------------------------------------------------------------------
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a
@@ -510,21 +494,26 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                // A row group at a time: max, exponentials, sum, divides.
+                // A pass over the whole block at a time: max, exponentials,
+                // sum, then the host's divides.
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    let mut stats = [0f32; MAX_GROUP];
-                    for block in data.chunks_mut(MAX_GROUP * cols) {
-                        let stats = &mut stats[..block.len() / cols];
-                        run_rows(self, &prog::ROW_MAX, block, cols, stats);
-                        for (row, &max) in block.chunks_exact_mut(cols).zip(stats.iter()) {
-                            run(self, &prog::SHIFTED_EXP, row, &[Bind::Splat(max)], &mut []);
-                        }
-                        run_rows(self, &prog::ROW_SUM, block, cols, stats);
-                        for (row, &sum) in block.chunks_exact_mut(cols).zip(stats.iter()) {
-                            run(self, &prog::DIVIDE, row, &[Bind::Splat(sum)], &mut []);
-                        }
+                    let mut stats = vec![0f32; data.len() / cols];
+                    lanes::rows::<Max>(self, data, cols, &mut stats);
+                    lanes::elements::<ShiftedExp, 2, 1>(
+                        self,
+                        data,
+                        cols,
+                        &stats,
+                        [&[]; 2],
+                        &mut [],
+                    );
+                    lanes::rows::<Sum>(self, data, cols, &mut stats);
+                    for (row, &sum) in data.chunks_exact_mut(cols).zip(&stats) {
+                        row.iter_mut().for_each(|v| *v /= sum);
                     }
+                    self.count
+                        .merge(&mix::<Divide, 2, 1>().times(data.len() as u64));
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {
@@ -566,7 +555,8 @@ impl Vpu {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
-                    run(self, &prog::GELU, data, &[], &mut []);
+                    let cols = data.len();
+                    lanes::elements::<Gelu, 1, 1>(self, data, cols, &[], [&[]; 2], &mut []);
                     return;
                 }
                 for v in data.iter_mut() {
@@ -645,32 +635,40 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                // A row group at a time: sum, centre, sum of squares, affine.
+                // A pass over the whole block at a time: sum, centre, sum of
+                // squares, affine; each row's mean, variance and `1/sd` on
+                // the scalar datapath between them.
                 #[cfg(target_arch = "x86_64")]
                 if self.lane_datapath() {
                     let inv_n = 1.0 / cols as f32;
-                    let mut squares = vec![0f32; data.len().min(MAX_GROUP * cols)];
-                    let mut sums = [0f32; MAX_GROUP];
-                    for block in data.chunks_mut(MAX_GROUP * cols) {
-                        let squares = &mut squares[..block.len()];
-                        let sums = &mut sums[..block.len() / cols];
-                        run_rows(self, &prog::ROW_SUM, block, cols, sums);
-                        let rows = block
-                            .chunks_exact_mut(cols)
-                            .zip(squares.chunks_exact_mut(cols));
-                        for ((row, sq), &sum) in rows.zip(&*sums) {
-                            let mean = self.mul(sum, inv_n);
-                            run(self, &prog::CENTRE, row, &[Bind::Splat(mean)], &mut [sq]);
-                        }
-                        run_rows(self, &prog::ROW_SUM, squares, cols, sums);
-                        for (row, &var_sum) in block.chunks_exact_mut(cols).zip(&*sums) {
-                            let var = self.mul(var_sum, inv_n);
-                            let ve = self.add(var, eps);
-                            let inv = self.rsqrt(ve);
-                            let binds = [Bind::Splat(inv), Bind::Slice(gamma), Bind::Slice(beta)];
-                            run(self, &prog::AFFINE, row, &binds, &mut []);
-                        }
+                    let mut stats = vec![0f32; data.len() / cols];
+                    let mut squares = vec![0f32; data.len()];
+                    lanes::rows::<Sum>(self, data, cols, &mut stats);
+                    for s in stats.iter_mut() {
+                        *s = self.mul(*s, inv_n);
                     }
+                    lanes::elements::<Centre, 2, 2>(
+                        self,
+                        data,
+                        cols,
+                        &stats,
+                        [&[]; 2],
+                        &mut squares,
+                    );
+                    lanes::rows::<Sum>(self, &squares, cols, &mut stats);
+                    for s in stats.iter_mut() {
+                        let var = self.mul(*s, inv_n);
+                        let ve = self.add(var, eps);
+                        *s = self.rsqrt(ve);
+                    }
+                    lanes::elements::<Affine, 4, 1>(
+                        self,
+                        data,
+                        cols,
+                        &stats,
+                        [gamma, beta],
+                        &mut [],
+                    );
                     return;
                 }
                 for row in data.chunks_exact_mut(cols) {
@@ -724,28 +722,7 @@ impl Datapath for Vpu {
     /// `e^x` by range reduction (`x = k ln2 + f ln2`) and a degree-5
     /// polynomial for `2^f`: 6 multiplies, 9 adds, 1 exponent adjust.
     fn exp(&mut self, x: f32) -> f32 {
-        // Control logic clamps the representable range.
-        if x > 88.0 {
-            return f32::INFINITY;
-        }
-        if x < -87.0 {
-            return 0.0;
-        }
-        let t = self.mul(x, std::f32::consts::LOG2_E);
-        // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
-        // constant pushes the fraction off the mantissa, and truncation
-        // floors it.
-        let th = self.add(t, 0.5);
-        let shifted = self.add(th, ROUND_MAGIC);
-        let kf = self.sub(shifted, ROUND_MAGIC);
-        let f = self.sub(t, kf);
-        // Horner: 2^f ≈ Σ c_i f^i.
-        let mut p = EXP2_POLY[5];
-        for c in EXP2_POLY[..5].iter().rev() {
-            let pf = self.mul(p, f);
-            p = self.add(pf, *c);
-        }
-        self.scale_exp2(p, kf as i32)
+        kernels::exp(self, x)
     }
 
     fn div(&mut self, a: f32, b: f32) -> f32 {

@@ -3,7 +3,7 @@
 //! mixes of element groups, row groups, out-of-regime groups and
 //! remainders, nothing observable may differ — and the route counters show
 //! that in-regime inputs did take the lanes, so nothing passes by falling
-//! back. The exact kernels' tests run once per executor tier the host has
+//! back. The exact kernels' tests run once per lane tier the host has
 //! (AVX-512 and AVX2), asserting that the tier's vectors ran. On a host
 //! without AVX2 both sides are the scalar kernels.
 
@@ -12,17 +12,17 @@ use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
 use bfp_arith::packed::EpilogueCtx;
 
 #[cfg(target_arch = "x86_64")]
-use super::prog::route::take_widths;
+use super::lanes::tests::route::take_widths;
 #[cfg(target_arch = "x86_64")]
-use super::prog::tests::{exec_tiers, groups, on_tier, widths};
+use super::lanes::tests::{element_group, exec_tiers, groups, on_tier, widths};
 use super::{fast, Datapath, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
 #[cfg(target_arch = "x86_64")]
 use bfp_arith::fplanes::Tier;
 use NonlinearMode::{Exact, Fast};
 
-/// Lengths around every group width (32 / 8 / 4), the 64-element fused
-/// tile, a DeiT row and a DeiT shard.
+/// Lengths around every group width (64 / 32 / 8 / 4), the 64-element
+/// fused tile, a DeiT row and a DeiT shard.
 fn lengths() -> Vec<usize> {
     let mut v: Vec<usize> = (0..=17).collect();
     v.extend([31, 32, 33, 63, 64, 65, 197, 197 * 8]);
@@ -100,7 +100,7 @@ fn planted_from(out: &[f32], base: &[f32], k: usize, stride: usize, phase: usize
     v
 }
 
-/// `f()` once on every executor tier this host has, asserting that the
+/// `f()` once on every lane tier this host has, asserting that the
 /// tier's vectors ran and no other's: groups of `F64x8` on AVX-512
 /// (whose 4-element groups are `F64x4`), of `F64x4` alone on AVX2. Once
 /// on the scalar kernels on a host without AVX2.
@@ -205,9 +205,9 @@ fn gelu_slice_equals_the_scalar_kernel_in_bits_and_counts() {
             }
         }
         // Every outlier alone in an otherwise vectorisable slice, in every
-        // lane of the 32-element group's first four `F64x4` vectors (its
-        // first two `F64x8`).
-        let base = uniform(7, 32, 2.0);
+        // lane of the 64-element group's first two `F64x8` vectors (of the
+        // 32-element group's first four `F64x4`).
+        let base = uniform(7, 64, 2.0);
         for (k, &o) in outliers().iter().enumerate() {
             for lane in 0..16 {
                 let mut v = base.clone();
@@ -624,29 +624,30 @@ fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
     vpu.softmax_rows_batch(&mut scores, seq, Host, Fast);
     assert_eq!(fast_lanes::route::take(), (0, (seq * (seq / 8)) as u64));
 
-    // Exact, on every executor tier: every whole group of 32, then of 8,
-    // then of 4 runs its program, on the tier's vectors — GELU
-    // 197·1536 / 32 groups, softmax six of 32 and one of 4 per 197-wide
-    // row, LayerNorm 384 / 32 per row in each of its two passes …
+    // Exact, on every lane tier: every whole group of 64 (AVX-512) or 32
+    // (AVX2), then of half as many, of 8 and of 4 runs on the tier's
+    // vectors — GELU
+    // 197·1536 / 64 groups, softmax three of 64 and one of 4 per 197-wide
+    // row, LayerNorm 384 / 64 per row in each of its two passes …
     for tier in exec_tiers() {
         on_tier(tier, || exact_deit_shapes_take_the_lanes(tier));
     }
 }
 
 /// The exact half of [`in_regime_deit_shapes_take_the_lanes_and_outliers_do_not`]
-/// on the executor's `tier`.
+/// on the lanes' `tier`.
 #[cfg(target_arch = "x86_64")]
 fn exact_deit_shapes_take_the_lanes(tier: Tier) {
-    use super::prog::route;
+    use super::lanes::tests::route;
     let mut vpu = Vpu::new();
     let (seq, dim, hidden) = (197, 384, 1536);
-    // The element programs' and the scalar kernel's groups for `calls`
-    // runs over `n` elements each, and the tier's widths for those and
-    // for `row_runs` row-program runs over `seq` rows.
+    // The element passes' and the scalar body's groups for `calls` rows
+    // of `n` elements each, and the tier's widths for those and for
+    // `row_runs` row passes over `seq` rows.
     let runs = |calls: u64, n: usize, fallbacks: u64, row_runs: u64| {
-        let (zmm, ymm) = widths(tier, n);
-        let (row_zmm, row_ymm) = widths(tier, seq);
-        let total = calls * groups(n);
+        let (zmm, ymm) = widths(tier, n, false);
+        let (row_zmm, row_ymm) = widths(tier, seq, true);
+        let total = calls * groups(tier, n, false);
         assert_eq!(
             route::take_groups(),
             (total - fallbacks, fallbacks),
@@ -665,16 +666,17 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     runs(1, seq * hidden, 0, 0);
 
     // … 197 rows are six row groups of 32, one of 4 and a single row, so
-    // each row program (softmax's max and sum, LayerNorm's two sums) runs
-    // 196 of 197 rows on the lanes; softmax's exponentials and divides
-    // and LayerNorm's centre and affine passes run per row …
+    // each row pass (softmax's max and sum, LayerNorm's two sums) runs 196
+    // of 197 rows on the lanes; softmax's exponentials and LayerNorm's
+    // centre and affine passes run row by row, and the divides on the
+    // host …
     let (gamma, beta) = (vec![1.1; dim], vec![0.2; dim]);
     let mut scores = uniform(2, seq * seq, 4.0);
     let mut tokens = uniform(3, seq * dim, 2.0);
     route::take_rows();
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
     assert_eq!(route::take_rows(), (2 * 196, 2), "{tier}");
-    runs(2 * seq as u64, seq, 0, 2);
+    runs(seq as u64, seq, 0, 2);
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
     assert_eq!(route::take_rows(), (392, 2), "{tier}");
     runs(2 * seq as u64, dim, 0, 2);
@@ -696,7 +698,7 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     route::take_groups();
     route::take_widths();
 
-    // A planted outlier sends exactly its own group to the scalar kernel:
+    // A planted outlier sends exactly its own group to the scalar body:
     // GELU beyond |x| = 6, a softmax element whose `v − max` is below −87,
     // and a LayerNorm operand above 2⁴⁰, which fails the centre pass's
     // bound and, centred, the affine pass's.
@@ -707,7 +709,7 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     let mut scores = uniform(2, seq * seq, 4.0);
     scores[5 * seq + 40] = -1e4;
     vpu.softmax_rows_batch(&mut scores, seq, Host, Exact);
-    runs(2 * seq as u64, seq, 1, 2);
+    runs(seq as u64, seq, 1, 2);
     let mut tokens = uniform(3, seq * dim, 2.0);
     tokens[7 * dim + 100] = 2.2e12;
     vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Exact);
@@ -715,15 +717,15 @@ fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     assert_eq!(route::take_rows(), (4 * 196, 4), "{tier}");
 }
 
-/// The engine's VPU shards cut on the executor's row groups: run shard by
-/// shard on this thread, on every executor tier, a two-shard softmax or
+/// The engine's VPU shards cut on the lanes' row groups: run shard by
+/// shard on this thread, on every lane tier, a two-shard softmax or
 /// LayerNorm of DeiT's 197 rows, and of the 21 rows of a small batch,
 /// sends as many rows to the scalar kernels as the serial call, with the
 /// serial call's bits and counts.
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn vpu_shards_keep_the_serial_lock_step_split() {
-    use super::prog::route;
+    use super::lanes::tests::route;
     use crate::engine::vpu_shard_groups;
     assert_eq!(vpu_shard_groups(197, 2), [96, 101]);
     assert_eq!(vpu_shard_groups(21, 2), [21]);
@@ -786,14 +788,13 @@ fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
     });
 }
 
-/// The exact GELU program on the executor against [`Vpu::gelu`], in bits
-/// and counts on every executor tier: every 97th f32 pattern of `|x| ≤ 6`
-/// in both signs (2.2·10⁷), all of them on the program, then the regime's
-/// edges.
+/// The exact GELU body on the lanes against [`Vpu::gelu`], in bits and
+/// counts on every lane tier: every 97th f32 pattern of `|x| ≤ 6` in both
+/// signs (2.2·10⁷), all of them on the lanes, then the regime's edges.
 #[test]
 #[cfg(target_arch = "x86_64")]
 #[ignore = "2.2·10⁷ patterns: release sweep, run by CI's envelope step"]
-fn exact_gelu_program_equals_the_scalar_kernel_on_a_dense_sweep() {
+fn exact_gelu_lanes_equal_the_scalar_kernel_on_a_dense_sweep() {
     for tier in exec_tiers() {
         exact_gelu_sweep_on(tier);
     }
@@ -801,11 +802,13 @@ fn exact_gelu_program_equals_the_scalar_kernel_on_a_dense_sweep() {
 
 #[cfg(target_arch = "x86_64")]
 fn exact_gelu_sweep_on(tier: Tier) {
-    use super::prog::route;
+    use super::lanes::tests::route;
     let six = 6.0f32.to_bits();
-    // Calls of 2¹⁶ patterns: 2 048 groups of 32 each, then the last call's.
+    // Calls of 2¹⁶ patterns: 1 024 groups of 64 or 2 048 of 32 each, then
+    // the last call's.
     let patterns = (six / 97 + 1) as usize;
-    let groups = patterns / (1 << 16) * 2048 + groups(patterns % (1 << 16)) as usize;
+    let groups = patterns / (1 << 16) * groups(tier, 1 << 16, false) as usize
+        + groups(tier, patterns % (1 << 16), false) as usize;
     let sweep = |sign: u32| {
         let (mut batch, mut scalar) = (Vpu::new(), Vpu::new());
         let mut bits = (0..=six).step_by(97).map(|b| b | sign).peekable();
@@ -835,7 +838,7 @@ fn exact_gelu_sweep_on(tier: Tier) {
         s.spawn(|| sweep(1 << 31));
     });
 
-    // A group of each edge: ±6, ±0 and subnormals run the program,
+    // A group of each edge: ±6, ±0 and subnormals run on the lanes,
     // ±(6 + 1 ulp) does not.
     let edges = [
         (6.0, true),
@@ -848,15 +851,12 @@ fn exact_gelu_sweep_on(tier: Tier) {
         (f32::from_bits(six + 1), false),
         (-f32::from_bits(six + 1), false),
     ];
-    for (x, program) in edges {
+    let n = element_group(tier);
+    for (x, lanes) in edges {
         on_tier(tier, || {
-            check_gelu(&Vpu::new(), &format!("edge {x:e} on {tier}"), &[x; 32])
+            check_gelu(&Vpu::new(), &format!("edge {x:e} on {tier}"), &vec![x; n])
         });
-        assert_eq!(
-            route::take_groups(),
-            (program as u64, !program as u64),
-            "{x:e}"
-        );
-        assert_eq!(route::take_widths(), widths(tier, 32));
+        assert_eq!(route::take_groups(), (lanes as u64, !lanes as u64), "{x:e}");
+        assert_eq!(route::take_widths(), widths(tier, n, false));
     }
 }
