@@ -47,6 +47,14 @@
 //! `W: Width` compiles to either, and [`tier`] is the widest this host
 //! runs — the one run-time choice.
 //!
+//! **Native widths.** A datapath that *is* IEEE f32 — the fast nonlinear
+//! unit — needs no twin: [`native8`] ([`NativeYmm`], eight lanes per AVX2
+//! vector) and [`native16`] ([`NativeZmm`], sixteen per AVX-512 one) are
+//! [`Width`]s whose import and export are identities and whose operations
+//! are the IEEE f32 operations per lane, with no fused multiply-add.
+//! Their `scale_exp2` keeps the scalar exponent unit's three early returns
+//! as muxes, so it equals it on every f32 and every integer `k`.
+//!
 //! The scalar types remain the bit oracle and the hardware-faithful model;
 //! [`mul_slices`] / [`add_slices`] run one tier's lanes and are the safe
 //! entry points tests compare against them.
@@ -55,20 +63,6 @@ use std::fmt;
 
 use crate::fpadd::{AddVariant, HwFp32Add};
 use crate::fpmul::{HwFp32Mul, MulVariant};
-
-/// True when this host can run the lane datapath: x86-64 with AVX2
-/// detected at run time.
-#[inline]
-pub fn available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// A width of the lane datapath a host can run, narrowest first: a host
 /// that runs a tier runs every tier below it.
@@ -200,27 +194,27 @@ unsafe fn binop_lanes<W: Width>(op: BinOp, x: &[f32], y: &[f32], out: &mut [f32]
     out.len() - out.len() % W::LANES
 }
 
-/// One width of the lane datapath, [`Ymm`] or [`Zmm`]: every function
-/// forwards to the width's module ([`lane`] or [`lane8`]) or intrinsic,
-/// under that module's contract — a caller compiled with the width's
-/// features, on a host that has them.
+/// One width of a lane datapath, [`Ymm`] or [`Zmm`] (fp32 widened to f64),
+/// [`NativeYmm`] or [`NativeZmm`] (native f32): every function forwards to
+/// the width's module ([`lane`], [`lane8`], [`native8`], [`native16`]) or
+/// intrinsic, under that module's contract — a caller compiled with the
+/// width's features, on a host that has them.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::missing_safety_doc)] // the modules' contract
 pub trait Width {
     /// f32 elements per vector.
     const LANES: usize;
-    /// Lane values: fp32 values widened to f64.
+    /// Lane values: fp32 values widened to f64, or the f32s themselves.
     type V: Copy;
     /// f32s in memory format.
     type F: Copy;
-    /// One i32 per lane.
-    type I: Copy;
+    /// `LANES` consecutive f32s from `p`, valid for reading them (any
+    /// alignment); [`Width::store`] writes them back.
     unsafe fn load(p: *const f32) -> Self::F;
     unsafe fn store(p: *mut f32, v: Self::F);
     unsafe fn splat(x: f32) -> Self::F;
-    unsafe fn gather(p: *const f32, stride: usize) -> Self::F;
     unsafe fn all_abs_le(x: Self::F, bound: f32) -> bool;
-    unsafe fn all_within(v: Self::V, lo: f64, hi: f64) -> bool;
+    unsafe fn all_within(v: Self::V, lo: f32, hi: f32) -> bool;
     unsafe fn import(x: Self::F) -> Self::V;
     /// `x` in a lane register's low half, bit for bit, for the host and
     /// the comparator, which read values as stored; and back.
@@ -230,8 +224,13 @@ pub trait Width {
     unsafe fn mul(x: Self::V, y: Self::V) -> Self::V;
     unsafe fn add(x: Self::V, y: Self::V) -> Self::V;
     unsafe fn sub(x: Self::V, y: Self::V) -> Self::V;
-    unsafe fn scale_exp2(x: Self::V, k: Self::I) -> Self::V;
-    unsafe fn to_i32(v: Self::V) -> Self::I;
+    /// `x · 2^k` for integer-valued lanes `k`, `|k| < 2³¹`.
+    unsafe fn scale_exp2(x: Self::V, k: Self::V) -> Self::V;
+    unsafe fn floor(v: Self::V) -> Self::V;
+    /// Entry `j = min(trunc s, 63)` of a 64-entry ROM, and `j` as a lane
+    /// value, for `s ≥ 0`; the saturation is unsigned, so no lane content
+    /// can address outside the table.
+    unsafe fn rom(table: &[f32; 64], s: Self::V) -> (Self::V, Self::V);
     /// The comparator's `x > y ? x : y` per lane, `y` on a tie (±0
     /// included) and when either is NaN.
     unsafe fn max(x: Self::F, y: Self::F) -> Self::F;
@@ -239,9 +238,17 @@ pub trait Width {
     unsafe fn div(a: Self::F, b: Self::F) -> Self::F;
 }
 
+/// A width that reads a column: lane `i` loads `p[i·stride]`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)] // the modules' contract
+pub trait Gather: Width {
+    unsafe fn gather(p: *const f32, stride: usize) -> Self::F;
+}
+
 macro_rules! width {
-    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $v:ty, $f:ty, $i:ty, $div:ident,
-     $max:ident, $raw:ident($to_pd:ident), $unraw:ident($low:ident)) => {
+    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $v:ty, $f:ty,
+     [$load:ident, $store:ident, $splat:ident, $div:ident, $max:ident],
+     $raw:ident($to_pd:ident), $unraw:ident($low:ident)) => {
         $(#[$doc])*
         #[cfg(target_arch = "x86_64")]
         #[derive(Debug, Clone, Copy)]
@@ -252,26 +259,25 @@ macro_rules! width {
             const LANES: usize = $lanes;
             type V = $v;
             type F = $f;
-            type I = $i;
             forward!($m:
-                load(p: *const f32) -> $f;
-                store(p: *mut f32, v: $f) -> ();
-                splat(x: f32) -> $f;
-                gather(p: *const f32, stride: usize) -> $f;
                 all_abs_le(x: $f, bound: f32) -> bool;
-                all_within(v: $v, lo: f64, hi: f64) -> bool;
+                all_within(v: $v, lo: f32, hi: f32) -> bool;
                 import(x: $f) -> $v;
                 export(v: $v) -> $f;
                 mul(x: $v, y: $v) -> $v;
                 add(x: $v, y: $v) -> $v;
                 sub(x: $v, y: $v) -> $v;
-                scale_exp2(x: $v, k: $i) -> $v;
-                to_i32(v: $v) -> $i;
+                scale_exp2(x: $v, k: $v) -> $v;
+                floor(v: $v) -> $v;
+                rom(table: &[f32; 64], s: $v) -> ($v, $v);
             );
-            #[inline(always)]
-            unsafe fn div(a: $f, b: $f) -> $f {
-                std::arch::x86_64::$div(a, b)
-            }
+            direct!(
+                load(p: *const f32) -> $f = $load;
+                store(p: *mut f32, v: $f) -> () = $store;
+                splat(x: f32) -> $f = $splat;
+                div(a: $f, b: $f) -> $f = $div;
+                max(x: $f, y: $f) -> $f = $max;
+            );
             #[inline(always)]
             unsafe fn raw(x: $f) -> $v {
                 std::arch::x86_64::$raw(std::arch::x86_64::$to_pd(x))
@@ -280,11 +286,67 @@ macro_rules! width {
             unsafe fn unraw(v: $v) -> $f {
                 std::arch::x86_64::$unraw(std::arch::x86_64::$low(v))
             }
-            #[inline(always)]
-            unsafe fn max(x: $f, y: $f) -> $f {
-                std::arch::x86_64::$max(x, y)
-            }
         }
+
+        #[cfg(target_arch = "x86_64")]
+        impl Gather for $name {
+            forward!($m: gather(p: *const f32, stride: usize) -> $f;);
+        }
+    };
+}
+
+/// A native width: `Width` over `$m`'s functions and one intrinsic per
+/// operation, whose lane values are the f32s.
+macro_rules! native {
+    ($(#[$doc:meta])* $name:ident = $m:ident, $lanes:expr, $f:ty,
+     [$load:ident, $store:ident, $splat:ident, $mul:ident, $add:ident, $sub:ident, $div:ident,
+      $max:ident]) => {
+        $(#[$doc])*
+        #[cfg(target_arch = "x86_64")]
+        #[derive(Debug, Clone, Copy)]
+        pub struct $name;
+
+        #[cfg(target_arch = "x86_64")]
+        impl Width for $name {
+            const LANES: usize = $lanes;
+            type V = $f;
+            type F = $f;
+            /// `all_within(x, −bound, bound)`: a NaN lane fails both.
+            #[inline(always)]
+            unsafe fn all_abs_le(x: $f, bound: f32) -> bool {
+                $m::all_within(x, -bound, bound)
+            }
+            forward!($m:
+                all_within(v: $f, lo: f32, hi: f32) -> bool;
+                scale_exp2(x: $f, k: $f) -> $f;
+                floor(v: $f) -> $f;
+                rom(table: &[f32; 64], s: $f) -> ($f, $f);
+            );
+            direct!(
+                load(p: *const f32) -> $f = $load;
+                store(p: *mut f32, v: $f) -> () = $store;
+                splat(x: f32) -> $f = $splat;
+                mul(x: $f, y: $f) -> $f = $mul;
+                add(x: $f, y: $f) -> $f = $add;
+                sub(x: $f, y: $f) -> $f = $sub;
+                div(a: $f, b: $f) -> $f = $div;
+                max(x: $f, y: $f) -> $f = $max;
+            );
+            identity!($f: import, export, raw, unraw);
+        }
+    };
+}
+
+/// `Width` functions that return their operand: a native width's lane
+/// values are its f32s as stored.
+macro_rules! identity {
+    ($f:ty: $($name:ident),*) => {
+        $(
+            #[inline(always)]
+            unsafe fn $name(x: $f) -> $f {
+                x
+            }
+        )*
     };
 }
 
@@ -300,17 +362,42 @@ macro_rules! forward {
     };
 }
 
+/// `Width` functions that are one intrinsic each.
+macro_rules! direct {
+    ($($f:ident($($a:ident: $t:ty),*) -> $r:ty = $intr:ident;)*) => {
+        $(
+            #[inline(always)]
+            unsafe fn $f($($a: $t),*) -> $r {
+                std::arch::x86_64::$intr($($a),*)
+            }
+        )*
+    };
+}
+
 width!(
     /// [`lane`]'s four lanes: the [`Tier::Avx2`] width.
-    Ymm = lane, 4, lane::F64x4, lane::F32x4, std::arch::x86_64::__m128i, _mm_div_ps,
-    _mm_max_ps, _mm256_zextpd128_pd256(_mm_castps_pd),
-    _mm_castpd_ps(_mm256_castpd256_pd128)
+    Ymm = lane, 4, lane::F64x4, lane::F32x4,
+    [_mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_div_ps, _mm_max_ps],
+    _mm256_zextpd128_pd256(_mm_castps_pd), _mm_castpd_ps(_mm256_castpd256_pd128)
 );
 width!(
     /// [`lane8`]'s eight lanes: the [`Tier::Avx512`] width.
-    Zmm = lane8, 8, lane8::F64x8, lane8::F32x8, std::arch::x86_64::__m256i, _mm256_div_ps,
-    _mm256_max_ps, _mm512_zextpd256_pd512(_mm256_castps_pd),
-    _mm256_castpd_ps(_mm512_castpd512_pd256)
+    Zmm = lane8, 8, lane8::F64x8, lane8::F32x8,
+    [_mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_div_ps, _mm256_max_ps],
+    _mm512_zextpd256_pd512(_mm256_castps_pd), _mm256_castpd_ps(_mm512_castpd512_pd256)
+);
+native!(
+    /// [`native8`]'s eight f32 lanes: the native width on [`Tier::Avx2`].
+    NativeYmm = native8, 8, std::arch::x86_64::__m256,
+    [_mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps, _mm256_add_ps,
+     _mm256_sub_ps, _mm256_div_ps, _mm256_max_ps]
+);
+native!(
+    /// [`native16`]'s sixteen f32 lanes: the native width on
+    /// [`Tier::Avx512`].
+    NativeZmm = native16, 16, std::arch::x86_64::__m512,
+    [_mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps, _mm512_add_ps,
+     _mm512_sub_ps, _mm512_div_ps, _mm512_max_ps]
 );
 
 /// The lane operations four lanes wide. Every function is
@@ -319,7 +406,7 @@ width!(
 ///
 /// # Safety
 /// Every function here must only be reached on a host with AVX2 (check
-/// [`available`]), from a function compiled with
+/// [`tier`]), from a function compiled with
 /// `#[target_feature(enable = "avx2")]`. Unless stated otherwise lane
 /// inputs must be finite values produced by [`import`](lane::import) or
 /// by another lane operation.
@@ -355,28 +442,6 @@ pub mod lane {
         _mm256_castsi256_pd(_mm256_set1_epi64x(v as i64))
     }
 
-    /// Four consecutive f32s.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading four f32s (any alignment).
-    #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> F32x4 {
-        _mm_loadu_ps(p)
-    }
-
-    /// # Safety
-    /// `p` must be valid for writing four f32s (any alignment).
-    #[inline(always)]
-    pub unsafe fn store(p: *mut f32, v: F32x4) {
-        _mm_storeu_ps(p, v)
-    }
-
-    /// The same f32 in all four lanes.
-    #[inline(always)]
-    pub unsafe fn splat(x: f32) -> F32x4 {
-        _mm_set1_ps(x)
-    }
-
     /// Lane `i` reads `p[i·stride]`: a column of four rows.
     ///
     /// # Safety
@@ -397,9 +462,9 @@ pub mod lane {
 
     /// True when every lane lies in `[lo, hi]` (lane values, ±inf allowed).
     #[inline(always)]
-    pub unsafe fn all_within(v: F64x4, lo: f64, hi: f64) -> bool {
-        let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(v, _mm256_set1_pd(lo));
-        let le = _mm256_cmp_pd::<_CMP_LE_OQ>(v, _mm256_set1_pd(hi));
+    pub unsafe fn all_within(v: F64x4, lo: f32, hi: f32) -> bool {
+        let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(v, _mm256_set1_pd(lo.into()));
+        let le = _mm256_cmp_pd::<_CMP_LE_OQ>(v, _mm256_set1_pd(hi.into()));
         _mm256_movemask_pd(_mm256_and_pd(ge, le)) == 0b1111
     }
 
@@ -469,9 +534,10 @@ pub mod lane {
     /// zero keeps its sign, underflow flushes to **+0**, overflow
     /// saturates to ±inf.
     #[inline(always)]
-    pub unsafe fn scale_exp2(x: F64x4, k: __m128i) -> F64x4 {
+    pub unsafe fn scale_exp2(x: F64x4, k: F64x4) -> F64x4 {
         // |k| ≥ 280 already decides under/overflow for every fp32
         // exponent, and keeps 2^k a normal f64.
+        let k = _mm256_cvttpd_epi32(k);
         let k = _mm_max_epi32(_mm_min_epi32(k, _mm_set1_epi32(300)), _mm_set1_epi32(-300));
         let pow = _mm256_slli_epi64::<52>(_mm256_add_epi64(
             _mm256_cvtepi32_epi64(k),
@@ -487,10 +553,18 @@ pub mod lane {
         _mm256_or_pd(mag, sign)
     }
 
-    /// `v as i32` for integer-valued lanes (the `kf as i32` of `Vpu::exp`).
+    /// `⌊v⌋`, exact on a lane value.
     #[inline(always)]
-    pub unsafe fn to_i32(v: F64x4) -> __m128i {
-        _mm256_cvttpd_epi32(v)
+    pub unsafe fn floor(v: F64x4) -> F64x4 {
+        _mm256_floor_pd(v)
+    }
+
+    /// [`Width::rom`](super::Width::rom).
+    #[inline(always)]
+    pub unsafe fn rom(table: &[f32; 64], s: F64x4) -> (F64x4, F64x4) {
+        let j = _mm_min_epu32(_mm256_cvttpd_epi32(s), _mm_set1_epi32(63));
+        let entry = _mm_i32gather_ps::<4>(table.as_ptr(), j);
+        (_mm256_cvtps_pd(entry), _mm256_cvtepi32_pd(j))
     }
 }
 
@@ -521,28 +595,6 @@ pub mod lane8 {
         _mm512_castsi512_pd(_mm512_set1_epi64(v as i64))
     }
 
-    /// Eight consecutive f32s.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading eight f32s (any alignment).
-    #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> F32x8 {
-        _mm256_loadu_ps(p)
-    }
-
-    /// # Safety
-    /// `p` must be valid for writing eight f32s (any alignment).
-    #[inline(always)]
-    pub unsafe fn store(p: *mut f32, v: F32x8) {
-        _mm256_storeu_ps(p, v)
-    }
-
-    /// The same f32 in all eight lanes.
-    #[inline(always)]
-    pub unsafe fn splat(x: f32) -> F32x8 {
-        _mm256_set1_ps(x)
-    }
-
     /// Eight f32s `stride` apart, as [`lane::gather`](super::lane::gather).
     ///
     /// # Safety
@@ -564,9 +616,9 @@ pub mod lane8 {
 
     /// True when every lane lies in `[lo, hi]` (lane values, ±inf allowed).
     #[inline(always)]
-    pub unsafe fn all_within(v: F64x8, lo: f64, hi: f64) -> bool {
-        let ge = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_set1_pd(lo));
-        _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(ge, v, _mm512_set1_pd(hi)) == 0xff
+    pub unsafe fn all_within(v: F64x8, lo: f32, hi: f32) -> bool {
+        let ge = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_set1_pd(lo.into()));
+        _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(ge, v, _mm512_set1_pd(hi.into())) == 0xff
     }
 
     /// Widen to lane format with `SoftFp32::unpack`'s flush: a subnormal
@@ -634,9 +686,9 @@ pub mod lane8 {
     /// The exponent unit's `x · 2^k` (`Vpu::scale_exp2`) for any `k`, as
     /// [`lane::scale_exp2`](super::lane::scale_exp2).
     #[inline(always)]
-    pub unsafe fn scale_exp2(x: F64x8, k: __m256i) -> F64x8 {
+    pub unsafe fn scale_exp2(x: F64x8, k: F64x8) -> F64x8 {
         let k = _mm256_max_epi32(
-            _mm256_min_epi32(k, _mm256_set1_epi32(300)),
+            _mm256_min_epi32(_mm512_cvttpd_epi32(k), _mm256_set1_epi32(300)),
             _mm256_set1_epi32(-300),
         );
         let pow = _mm512_slli_epi64::<52>(_mm512_add_epi64(
@@ -653,10 +705,129 @@ pub mod lane8 {
         _mm512_or_pd(mag, sign)
     }
 
-    /// `v as i32` for integer-valued lanes (the `kf as i32` of `Vpu::exp`).
+    /// `⌊v⌋`, exact on a lane value.
     #[inline(always)]
-    pub unsafe fn to_i32(v: F64x8) -> __m256i {
-        _mm512_cvttpd_epi32(v)
+    pub unsafe fn floor(v: F64x8) -> F64x8 {
+        _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(v)
+    }
+
+    /// [`Width::rom`](super::Width::rom).
+    #[inline(always)]
+    pub unsafe fn rom(table: &[f32; 64], s: F64x8) -> (F64x8, F64x8) {
+        let j = _mm256_min_epu32(_mm512_cvttpd_epi32(s), _mm256_set1_epi32(63));
+        let entry = _mm256_i32gather_ps::<4>(table.as_ptr(), j);
+        (_mm512_cvtps_pd(entry), _mm512_cvtepi32_pd(j))
+    }
+}
+
+/// The native widths' operations beyond one intrinsic, eight lanes wide
+/// ([`NativeYmm`]); the rest are the IEEE f32 instructions themselves.
+///
+/// # Safety
+/// Every function here must only be reached on a host with AVX2, from a
+/// function compiled with `#[target_feature(enable = "avx2")]`. Any f32
+/// is a lane value.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)] // one contract, stated on the module
+pub mod native8 {
+    use std::arch::x86_64::*;
+
+    /// True when every lane lies in `[lo, hi]`; a NaN lane fails.
+    #[inline(always)]
+    pub unsafe fn all_within(v: __m256, lo: f32, hi: f32) -> bool {
+        let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(v, _mm256_set1_ps(lo));
+        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(v, _mm256_set1_ps(hi));
+        _mm256_movemask_ps(_mm256_and_ps(ge, le)) == 0xff
+    }
+
+    /// The exponent unit's `x · 2^k` (`vpu::scale_exp2`) on any f32: the
+    /// integer add on the exponent field, with the scalar's three early
+    /// returns (zero in, FTZ underflow to +0, overflow saturating by the
+    /// sign of `x > 0`) as muxes in its priority order.
+    #[inline(always)]
+    pub unsafe fn scale_exp2(x: __m256, k: __m256) -> __m256 {
+        let bits = _mm256_castps_si256(x);
+        let field = _mm256_and_si256(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(0xff));
+        let e = _mm256_add_epi32(field, _mm256_cvttps_epi32(k));
+        let kept = _mm256_and_si256(bits, _mm256_set1_epi32(0x807f_ffffu32 as i32));
+        let scaled = _mm256_castsi256_ps(_mm256_or_si256(kept, _mm256_slli_epi32::<23>(e)));
+        let zero = _mm256_setzero_ps();
+        let positive = _mm256_cmp_ps::<_CMP_GT_OQ>(x, zero);
+        let (neg_inf, inf) = (
+            _mm256_set1_ps(f32::NEG_INFINITY),
+            _mm256_set1_ps(f32::INFINITY),
+        );
+        let inf = _mm256_blendv_ps(neg_inf, inf, positive);
+        let over = _mm256_castsi256_ps(_mm256_cmpgt_epi32(e, _mm256_set1_epi32(254)));
+        let under = _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(1), e));
+        let r = _mm256_andnot_ps(under, _mm256_blendv_ps(scaled, inf, over));
+        _mm256_blendv_ps(r, x, _mm256_cmp_ps::<_CMP_EQ_OQ>(x, zero))
+    }
+
+    #[inline(always)]
+    pub unsafe fn floor(v: __m256) -> __m256 {
+        _mm256_floor_ps(v)
+    }
+
+    /// [`Width::rom`](super::Width::rom).
+    #[inline(always)]
+    pub unsafe fn rom(table: &[f32; 64], s: __m256) -> (__m256, __m256) {
+        let j = _mm256_min_epu32(_mm256_cvttps_epi32(s), _mm256_set1_epi32(63));
+        let entry = _mm256_i32gather_ps::<4>(table.as_ptr(), j);
+        (entry, _mm256_cvtepi32_ps(j))
+    }
+}
+
+/// [`native8`]'s functions sixteen lanes wide ([`NativeZmm`]), the
+/// compares and selects in k-masks.
+///
+/// # Safety
+/// As [`lane8`]: a host with AVX2 and AVX-512 F, DQ and VL, a caller
+/// compiled with those features. Any f32 is a lane value.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::missing_safety_doc)] // one contract, stated on the module
+pub mod native16 {
+    use std::arch::x86_64::*;
+
+    /// True when every lane lies in `[lo, hi]`; a NaN lane fails.
+    #[inline(always)]
+    pub unsafe fn all_within(v: __m512, lo: f32, hi: f32) -> bool {
+        let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, _mm512_set1_ps(lo));
+        _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(ge, v, _mm512_set1_ps(hi)) == 0xffff
+    }
+
+    /// [`native8::scale_exp2`](super::native8::scale_exp2).
+    #[inline(always)]
+    pub unsafe fn scale_exp2(x: __m512, k: __m512) -> __m512 {
+        let bits = _mm512_castps_si512(x);
+        let field = _mm512_and_si512(_mm512_srli_epi32::<23>(bits), _mm512_set1_epi32(0xff));
+        let e = _mm512_add_epi32(field, _mm512_cvttps_epi32(k));
+        let kept = _mm512_and_si512(bits, _mm512_set1_epi32(0x807f_ffffu32 as i32));
+        let scaled = _mm512_castsi512_ps(_mm512_or_si512(kept, _mm512_slli_epi32::<23>(e)));
+        let zero = _mm512_setzero_ps();
+        let positive = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, zero);
+        let (neg_inf, inf) = (
+            _mm512_set1_ps(f32::NEG_INFINITY),
+            _mm512_set1_ps(f32::INFINITY),
+        );
+        let inf = _mm512_mask_blend_ps(positive, neg_inf, inf);
+        let over = _mm512_cmpgt_epi32_mask(e, _mm512_set1_epi32(254));
+        let under = _mm512_cmplt_epi32_mask(e, _mm512_set1_epi32(1));
+        let r = _mm512_maskz_mov_ps(!under, _mm512_mask_mov_ps(scaled, over, inf));
+        _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(x, zero), x)
+    }
+
+    #[inline(always)]
+    pub unsafe fn floor(v: __m512) -> __m512 {
+        _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(v)
+    }
+
+    /// [`Width::rom`](super::Width::rom).
+    #[inline(always)]
+    pub unsafe fn rom(table: &[f32; 64], s: __m512) -> (__m512, __m512) {
+        let j = _mm512_min_epu32(_mm512_cvttps_epi32(s), _mm512_set1_epi32(63));
+        let entry = _mm512_i32gather_ps::<4>(j, table.as_ptr());
+        (entry, _mm512_cvtepi32_ps(j))
     }
 }
 

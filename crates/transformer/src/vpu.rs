@@ -23,30 +23,27 @@
 //! latency split and are cross-checked against the analytical census in
 //! [`crate::flops`].
 //!
-//! The kernel bodies themselves (`exp`, `tanh`, GELU and the softmax and
-//! LayerNorm passes) live in `kernels`, generic over the value they
+//! The kernel bodies themselves (both `exp`s, `tanh`, GELU and the softmax
+//! and LayerNorm passes) live in `kernels`, generic over the value they
 //! compute on: the default methods run them on one `f32`, and on an AVX2
-//! host the exact batch kernels of the paper datapath run the same bodies
-//! on bundles of lane vectors (`lanes`), bit- and count-identical.
+//! host the batch kernels of the paper datapath and of the fast unit run
+//! the same bodies on bundles of lane vectors (`lanes`: fp32 widened to
+//! f64 for the first, native f32 for the second), bit- and count-identical.
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
-use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
+use bfp_arith::fpmul::{HwFp32Mul, MulVariant};
 use bfp_arith::packed::EpilogueCtx;
 use bfp_arith::redfp::RedFp;
 
 use crate::engine::DivisionPolicy;
 
 pub mod fast;
-#[cfg(target_arch = "x86_64")]
-mod fast_lanes;
 mod kernels;
 #[cfg(test)]
 mod lane_equivalence;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod lanes;
 
-#[cfg(target_arch = "x86_64")]
-use kernels::{mix, Gelu};
 use kernels::{Affine, Body, Centre, Divide, Max, ShiftedExp, Sum};
 
 /// Selects which nonlinear kernel family the batched VPU entry points
@@ -182,9 +179,10 @@ pub trait Datapath {
     /// `y ← y·(1.5 − 0.5·x·y²)`.
     ///
     /// # Panics
-    /// Panics on negative input (LayerNorm variances are non-negative).
+    /// Panics on negative input (LayerNorm variances are non-negative); a
+    /// NaN, the variance of a row holding one, gives NaN.
     fn rsqrt_nr(&mut self, x: f32) -> f32 {
-        assert!(x >= 0.0, "rsqrt of a negative value");
+        assert!(x >= 0.0 || x.is_nan(), "rsqrt of a negative value");
         if x == 0.0 {
             return f32::INFINITY;
         }
@@ -215,12 +213,7 @@ pub trait Datapath {
             [*v] = ShiftedExp::run(self, [*v, max]);
             [sum] = Sum::run(self, [sum, *v]);
         }
-        match self.row_recip(sum) {
-            Some(inv) => row.iter_mut().for_each(|v| *v = self.mul(*v, inv)),
-            None => row
-                .iter_mut()
-                .for_each(|v| [*v] = Divide::run(self, [*v, sum])),
-        }
+        normalise(self, row, sum);
     }
 
     /// Row-wise LayerNorm: mean and variance on the adder, `1/√·`, then
@@ -360,25 +353,6 @@ impl Vpu {
         }
     }
 
-    /// True when the exact host-division batch kernels run on the lane
-    /// datapath ([`bfp_arith::fplanes`]): this VPU is the paper datapath —
-    /// the only one the lanes are a twin of — and the host has AVX2. Their
-    /// passes, element-wise and row reductions alike, then run on the
-    /// host's widest tier, [`fplanes::tier`] (eight lanes on AVX-512
-    /// F + DQ + VL, four on AVX2). Every other configuration stays on the
-    /// scalar kernels, which are the bit oracle either way.
-    ///
-    /// [`fplanes::tier`]: bfp_arith::fplanes::tier
-    #[cfg_attr(not(any(target_arch = "x86_64", test)), allow(dead_code))]
-    fn lane_datapath(&self) -> bool {
-        !self.via_partials
-            && self.mul.variant == MulVariant::DropLsp
-            && self.mul.round == NormRound::Truncate
-            && self.add.variant == AddVariant::Exact48
-            && self.add.round == NormRound::Truncate
-            && bfp_arith::fplanes::available()
-    }
-
     /// Reset the counters, returning the previous values.
     pub fn take_count(&mut self) -> OpCount {
         std::mem::take(&mut self.count)
@@ -459,21 +433,14 @@ impl Vpu {
     // ------------------------------------------------------------------
     // Batched slice kernels: the per-batch entry points the engine (and
     // its row-sharded parallel path) drives. The `(NonlinearMode,
-    // DivisionPolicy)` match happens once per batch here — not once per
-    // row or per element as the engine's old loops did — so each arm is a
-    // monomorphized straight loop over one [`Datapath`] kernel, and the
-    // multiplier/adder rounding-path configuration is a fixed field of
-    // `self`, resolved once when the VPU is built. The `Exact` arms are
-    // bit-identical to calling the scalar kernels directly (oracle
-    // contract); the `Fast` arms run the [`fast`] kernels and charge
-    // their analytic per-element op mixes in one merge, since the fast
-    // unit is a pipeline whose cost is data-independent. On an AVX2 host
-    // the `(Exact, Host)` arms of the paper datapath run the same kernel
-    // bodies on bundles of lanes (`lanes`), one pass over the whole block
-    // at a time, element- or row-wise, and the `Fast` GELU and softmax arms
-    // run their kernel's lane twin (`fast_lanes`) — selected here from the
-    // datapath and the CPU alone, the same bits and the same counts as the
-    // scalar loop below them.
+    // DivisionPolicy)` match happens once per batch here, and the
+    // host-division `Exact` arm and the `Fast` arm run one pass sequence
+    // (`lanes`) over their datapath, the `Vpu` or the fast unit: the
+    // kernel bodies on the datapath's lanes where the host and the datapath
+    // allow, on its scalar kernels everywhere else — the same bits and
+    // counts as the scalar kernels row by row. The fast unit counts
+    // nothing; its arm charges the analytic op mix per element, since the
+    // unit is a pipeline whose cost is data-independent.
     // ------------------------------------------------------------------
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a
@@ -493,33 +460,7 @@ impl Vpu {
         }
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
-            (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                // A pass over the whole block at a time: max, exponentials,
-                // sum, then the host's divides.
-                #[cfg(target_arch = "x86_64")]
-                if self.lane_datapath() {
-                    let mut stats = vec![0f32; data.len() / cols];
-                    lanes::rows::<Max>(self, data, cols, &mut stats);
-                    lanes::elements::<ShiftedExp, 2, 1>(
-                        self,
-                        data,
-                        cols,
-                        &stats,
-                        [&[]; 2],
-                        &mut [],
-                    );
-                    lanes::rows::<Sum>(self, data, cols, &mut stats);
-                    for (row, &sum) in data.chunks_exact_mut(cols).zip(&stats) {
-                        row.iter_mut().for_each(|v| *v /= sum);
-                    }
-                    self.count
-                        .merge(&mix::<Divide, 2, 1>().times(data.len() as u64));
-                    return;
-                }
-                for row in data.chunks_exact_mut(cols) {
-                    self.softmax_row(row);
-                }
-            }
+            (NonlinearMode::Exact, DivisionPolicy::Host) => lanes::softmax(self, data, cols),
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
                 let mut chip = self.onchip();
                 for row in data.chunks_exact_mut(cols) {
@@ -527,23 +468,11 @@ impl Vpu {
                 }
             }
             // The fast unit never leaves the array; DivisionPolicy is moot.
-            // Its cost is data-independent, so the charge does not depend
-            // on the route: eight lanes per vector and several rows in
-            // flight where the host has AVX2, bit-identical to the scalar
-            // kernel row by row.
             (NonlinearMode::Fast, _) => {
                 let rows = (data.len() / cols) as u64;
                 self.count
                     .merge(&fast::cost::softmax_row(cols as u64).times(rows));
-                #[cfg(target_arch = "x86_64")]
-                if bfp_arith::fplanes::available() {
-                    // SAFETY: AVX2 was just detected.
-                    unsafe { fast_lanes::softmax_rows(data, cols) };
-                    return;
-                }
-                for row in data.chunks_exact_mut(cols) {
-                    fast::Unit.softmax_row(row);
-                }
+                lanes::softmax(&mut fast::Unit, data, cols);
             }
         }
     }
@@ -552,37 +481,17 @@ impl Vpu {
     /// row structure, so shards may cut anywhere).
     pub fn gelu_slice(&mut self, data: &mut [f32], division: DivisionPolicy, mode: NonlinearMode) {
         match (mode, division) {
-            (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                #[cfg(target_arch = "x86_64")]
-                if self.lane_datapath() {
-                    let cols = data.len();
-                    lanes::elements::<Gelu, 1, 1>(self, data, cols, &[], [&[]; 2], &mut []);
-                    return;
-                }
-                for v in data.iter_mut() {
-                    *v = self.gelu(*v);
-                }
-            }
+            (NonlinearMode::Exact, DivisionPolicy::Host) => lanes::gelu(self, data),
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
                 let mut chip = self.onchip();
                 for v in data.iter_mut() {
                     *v = chip.gelu(*v);
                 }
             }
-            // Groups of eight in-regime elements on the AVX2 twin, the
-            // rest on the scalar kernel: the same bits and the same charge.
             (NonlinearMode::Fast, _) => {
                 self.count
                     .merge(&fast::cost::gelu().times(data.len() as u64));
-                #[cfg(target_arch = "x86_64")]
-                if bfp_arith::fplanes::available() {
-                    // SAFETY: AVX2 was just detected.
-                    unsafe { fast_lanes::gelu_slice(data) };
-                    return;
-                }
-                for v in data.iter_mut() {
-                    *v = fast::Unit.gelu(*v);
-                }
+                lanes::gelu(&mut fast::Unit, data);
             }
         }
     }
@@ -635,45 +544,7 @@ impl Vpu {
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
         match (mode, division) {
             (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                // A pass over the whole block at a time: sum, centre, sum of
-                // squares, affine; each row's mean, variance and `1/sd` on
-                // the scalar datapath between them.
-                #[cfg(target_arch = "x86_64")]
-                if self.lane_datapath() {
-                    let inv_n = 1.0 / cols as f32;
-                    let mut stats = vec![0f32; data.len() / cols];
-                    let mut squares = vec![0f32; data.len()];
-                    lanes::rows::<Sum>(self, data, cols, &mut stats);
-                    for s in stats.iter_mut() {
-                        *s = self.mul(*s, inv_n);
-                    }
-                    lanes::elements::<Centre, 2, 2>(
-                        self,
-                        data,
-                        cols,
-                        &stats,
-                        [&[]; 2],
-                        &mut squares,
-                    );
-                    lanes::rows::<Sum>(self, &squares, cols, &mut stats);
-                    for s in stats.iter_mut() {
-                        let var = self.mul(*s, inv_n);
-                        let ve = self.add(var, eps);
-                        *s = self.rsqrt(ve);
-                    }
-                    lanes::elements::<Affine, 4, 1>(
-                        self,
-                        data,
-                        cols,
-                        &stats,
-                        [gamma, beta],
-                        &mut [],
-                    );
-                    return;
-                }
-                for row in data.chunks_exact_mut(cols) {
-                    self.layernorm_row(row, gamma, beta, eps);
-                }
+                lanes::layernorm(self, data, cols, gamma, beta, eps)
             }
             (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
                 let mut chip = self.onchip();
@@ -683,12 +554,48 @@ impl Vpu {
             }
             (NonlinearMode::Fast, _) => {
                 let rows = (data.len() / cols) as u64;
-                for row in data.chunks_exact_mut(cols) {
-                    fast::Unit.layernorm_row(row, gamma, beta, eps);
-                }
                 self.count
                     .merge(&fast::cost::layernorm_row(cols as u64).times(rows));
+                lanes::layernorm(&mut fast::Unit, data, cols, gamma, beta, eps);
             }
+        }
+    }
+}
+
+/// Softmax's last step on a row that sums to `sum`: `d`'s row reciprocal
+/// times each element, or each divided by the sum.
+fn normalise<D: Datapath + ?Sized>(d: &mut D, row: &mut [f32], sum: f32) {
+    match d.row_recip(sum) {
+        Some(inv) => row.iter_mut().for_each(|v| *v = d.mul(*v, inv)),
+        None => row
+            .iter_mut()
+            .for_each(|v| [*v] = Divide::run(d, [*v, sum])),
+    }
+}
+
+/// Without lanes, each pass sequence is its datapath's scalar kernel.
+#[cfg(not(target_arch = "x86_64"))]
+mod lanes {
+    use super::Datapath;
+
+    pub(super) fn gelu<D: Datapath>(d: &mut D, data: &mut [f32]) {
+        data.iter_mut().for_each(|v| *v = d.gelu(*v));
+    }
+
+    pub(super) fn softmax<D: Datapath>(d: &mut D, data: &mut [f32], cols: usize) {
+        data.chunks_exact_mut(cols).for_each(|r| d.softmax_row(r));
+    }
+
+    pub(super) fn layernorm<D: Datapath>(
+        d: &mut D,
+        data: &mut [f32],
+        cols: usize,
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+    ) {
+        for row in data.chunks_exact_mut(cols) {
+            d.layernorm_row(row, gamma, beta, eps);
         }
     }
 }

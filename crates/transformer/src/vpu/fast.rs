@@ -21,12 +21,14 @@
 //! In this simulation the arithmetic runs on native f32 (the pipelined
 //! unit rounds once per op, like the host FPU) — which is also why the
 //! fast path is fast in software: no per-op bit-level emulation. Only the
-//! primitives live here (`exp` is this unit's own); GELU, `tanh`, softmax,
-//! LayerNorm and `1/√x` are the same [`Datapath`] kernels the exact
-//! datapath runs, so the two paths differ by per-op rounding, never by
-//! algorithm. The batched GELU and softmax entry points run them eight
-//! elements per AVX2 vector where the host allows (`fast_lanes`, the same
-//! IEEE operations per lane, bit for bit) and per element everywhere else.
+//! primitives live here; `exp` is this unit's own, the ROM body
+//! `kernels::rom_exp`, and GELU, `tanh`, softmax, LayerNorm and `1/√x` are
+//! the same [`Datapath`] kernels the exact datapath runs, so the two paths
+//! differ by per-op rounding, never by algorithm. The batched entry points
+//! run those bodies on native f32 lanes (`bfp_arith::fplanes`' native
+//! widths: sixteen elements per AVX-512 vector, eight per AVX2 one), whose
+//! operations are these IEEE operations per lane, bit for bit; a group
+//! outside its body's regime, and every remainder, runs the scalar body.
 //! The resulting envelopes are proven by sweep in
 //! `crates/transformer/tests/nonlinear_ulp.rs` and documented in
 //! `DESIGN.md`.
@@ -38,7 +40,7 @@
 //! `bfp_platform::nonlinear` and cross-checked against live engine
 //! censuses in `bfp_core::vpucost`.
 
-use super::{scale_exp2, Datapath};
+use super::{kernels, Datapath};
 
 /// `2^(j/64)` for `j ∈ 0..64`, pinned as IEEE-754 bit patterns: these are
 /// the ROM contents a synthesised unit would carry, so the table cannot
@@ -69,18 +71,6 @@ pub const EXP2_LUT: [f32; 64] = {
 /// natural-log domain for the degree-2 polynomial.
 pub(super) const LN2_OVER_64: f32 = core::f32::consts::LN_2 / 64.0;
 
-/// ROM address `j` (the top 6 fraction bits) and residual `r = s − j` of
-/// the scaled fraction `s = 64·f ∈ [0, 64]`. For |x| below ½ulp(1), `f`
-/// rounds up to exactly 1.0 and `s` to 64.0: the address saturates at the
-/// last entry and `r` carries the final 1/64 step, still inside the
-/// polynomial's range. Mirrored lane for lane by the AVX2 twin, so the
-/// saturation cannot be lost in one of them.
-#[inline]
-fn rom_address(s: f32) -> (usize, f32) {
-    let j = (s as i32).min(63);
-    (j as usize, s - j as f32) // fp_add; r ∈ [0, 1] in 1/64 units
-}
-
 /// The fast unit as a [`Datapath`]: native f32 operations, this
 /// module's ROM-based `exp`, on-unit reciprocals (native division here;
 /// the unit runs the LUT-seeded NR steps [`cost::recip`] charges) and the
@@ -105,26 +95,12 @@ impl Datapath for Unit {
         a - b
     }
 
-    /// `e^x` by range reduction + 64-entry ROM + degree-2 residual
-    /// polynomial. Clamp thresholds mirror the exact kernel exactly, so
-    /// the two paths agree bit-for-bit on the saturated regions.
+    /// `e^x` by range reduction, the 64-entry ROM and a degree-2
+    /// residual polynomial. Clamp thresholds mirror the exact kernel
+    /// exactly, so the two paths agree bit-for-bit on the saturated regions.
     #[inline]
     fn exp(&mut self, x: f32) -> f32 {
-        if x > 88.0 {
-            return f32::INFINITY;
-        }
-        if x < -87.0 {
-            return 0.0;
-        }
-        let t = x * core::f32::consts::LOG2_E; // fp_mul
-        let kf = t.floor(); // 2 fp_add (magic-constant round on hw)
-        let f = t - kf; // fp_add; f ∈ [0, 1)
-        let s = f * 64.0; // exp_adjust (power-of-two scale)
-        let (j, r) = rom_address(s);
-        let rl = r * LN2_OVER_64; // fp_mul
-        let h = 0.5 * rl; // exp_adjust
-        let p = (1.0 + rl) + h * rl; // fp_mul + 2 fp_add: 2^r to < 2⁻³¹
-        scale_exp2(EXP2_LUT[j] * p, kf as i32) // fp_mul + lut + exp_adjust
+        kernels::rom_exp(self, x)
     }
 
     /// Charged as the NR reciprocal: lut + 4 fp_mul + 2 fp_add.

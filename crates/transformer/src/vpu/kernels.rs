@@ -1,17 +1,20 @@
 //! The nonlinear kernel bodies, each written once over [`Ops`], the
 //! operations of an fp32 vector datapath on a value type, and instantiated
 //! three times: on one `f32` for every scalar [`Datapath`] (the blanket
-//! impl below; on the [`Vpu`](super::Vpu), the bit oracle, counting per
-//! operation); on a bundle of lane vectors (`lanes::Lanes`, x86-64); and on
+//! impl below; on the [`Vpu`](super::Vpu) and the fast unit, the bit
+//! oracles); on a bundle of lane vectors (`lanes::Lanes`, x86-64: fp32
+//! widened to f64 for the `Vpu`, native f32 for the fast unit); and on
 //! [`OpCount`], which counts each operation once — a body's op mix, the
-//! charge of a lane group. The exact `exp`, `tanh` and GELU are functions;
-//! the softmax and LayerNorm passes are [`Body`] types, which the scalar
-//! row kernels and the lane drivers both run.
+//! charge of an exact lane group. The two `exp`s ([`exp`], the fast unit's
+//! [`rom_exp`]), `tanh` and GELU are functions; the softmax and LayerNorm
+//! passes are [`Body`] types, which the scalar row kernels and the lane
+//! drivers both run.
 //!
 //! A body's data-dependent branches are [`Ops::clamp`]s. A scalar datapath
 //! takes them per value; a bundle never clamps: a lane outside the range
 //! (or NaN) fails its group, which then runs the scalar body instead.
 
+use super::fast::{EXP2_LUT, LN2_OVER_64};
 use super::{Datapath, OpCount, EXP2_POLY, GELU_A, GELU_C, GELU_LANE_MAX_ABS, ROUND_MAGIC};
 
 /// The operations a kernel body is written in, over values of type `V`.
@@ -32,6 +35,14 @@ pub(crate) trait Ops {
     fn div(&mut self, a: Self::V, b: Self::V) -> Self::V;
     /// The exponent unit's `x · 2^k`, `k` integer-valued.
     fn scale_exp2(&mut self, x: Self::V, k: Self::V) -> Self::V;
+    /// `⌊x⌋`, the fast unit's magic-constant round.
+    fn floor(&mut self, x: Self::V) -> Self::V;
+    /// The fast unit's `2^(j/64)` ROM ([`EXP2_LUT`]) at the top six bits of
+    /// `s = 64·f ∈ [0, 64]`: `[entry, j]` for `j = min(⌊s⌋, 63)`. Where `f`
+    /// rounds up to exactly 1.0 (`|x|` below ½ulp(1) in `exp`), the address
+    /// saturates at the last entry and `s − j` carries the final 1/64 step,
+    /// still inside the polynomial's range.
+    fn rom(&mut self, s: Self::V) -> [Self::V; 2];
     /// The comparator's `v > max ? v : max`, on values as stored.
     fn max(&mut self, max: Self::V, v: Self::V) -> Self::V;
     /// A regime guard: `Some(above)` where `x > hi`, `Some(below)` where
@@ -79,6 +90,19 @@ impl<D: Datapath + ?Sized> Ops for D {
     fn scale_exp2(&mut self, x: f32, k: f32) -> f32 {
         self.count_exp_adjust();
         super::scale_exp2(x, k as i32)
+    }
+
+    /// Uncounted, like [`Ops::rom`]: only the fast unit's `exp` uses them,
+    /// and the fast unit counts nothing.
+    #[inline(always)]
+    fn floor(&mut self, x: f32) -> f32 {
+        x.floor()
+    }
+
+    #[inline(always)]
+    fn rom(&mut self, s: f32) -> [f32; 2] {
+        let j = (s as i32).min(63);
+        [EXP2_LUT[j as usize], j as f32]
     }
 
     #[inline(always)]
@@ -136,6 +160,13 @@ impl Ops for OpCount {
         self.exp_adjust += 1;
     }
 
+    /// Uncounted, as on a scalar datapath.
+    fn floor(&mut self, _: ()) {}
+
+    fn rom(&mut self, _: ()) -> [(); 2] {
+        [(); 2]
+    }
+
     fn max(&mut self, _: (), _: ()) {
         self.cmp += 1;
     }
@@ -175,6 +206,32 @@ pub(crate) fn exp<D: Ops + ?Sized>(d: &mut D, x: D::V) -> D::V {
         p = d.add(pf, d.c(*c));
     }
     d.scale_exp2(p, kf)
+}
+
+/// `e^x` on the fast unit: range reduction `x·log2e = k + f` on the
+/// exponent unit, the 64-entry `2^(j/64)` ROM at the top six bits of `f`,
+/// a degree-2 polynomial on the ≤ 2⁻⁶ residual (truncation error
+/// `(r·ln2)³/6 ≤ 2.1·10⁻¹⁰`), the exponent unit's `2^k`; clamped as
+/// [`exp`]. The unit charges [`fast::cost::exp`](super::fast::cost::exp),
+/// whose scales by 64 and ½ are exponent-unit operations.
+#[inline(always)]
+pub(crate) fn rom_exp<D: Ops + ?Sized>(d: &mut D, x: D::V) -> D::V {
+    if let Some(y) = d.clamp(x, EXP_MIN, EXP_MAX, 0.0, f32::INFINITY) {
+        return y;
+    }
+    let t = d.mul(x, d.c(std::f32::consts::LOG2_E));
+    let kf = d.floor(t);
+    let f = d.sub(t, kf); // f ∈ [0, 1]
+    let s = d.mul(f, d.c(64.0));
+    let [entry, j] = d.rom(s);
+    let r = d.sub(s, j); // r ∈ [0, 1] in 1/64 units
+    let rl = d.mul(r, d.c(LN2_OVER_64));
+    let h = d.mul(d.c(0.5), rl);
+    let one_rl = d.add(d.c(1.0), rl);
+    let hrl = d.mul(h, rl);
+    let p = d.add(one_rl, hrl); // 2^r to < 2⁻³¹
+    let y = d.mul(entry, p);
+    d.scale_exp2(y, kf)
 }
 
 /// `tanh(u) = 1 − 2 / (e^{2u} + 1)`, saturated beyond `|u| > 15`.

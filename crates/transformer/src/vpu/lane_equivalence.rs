@@ -3,9 +3,9 @@
 //! mixes of element groups, row groups, out-of-regime groups and
 //! remainders, nothing observable may differ — and the route counters show
 //! that in-regime inputs did take the lanes, so nothing passes by falling
-//! back. The exact kernels' tests run once per lane tier the host has
-//! (AVX-512 and AVX2), asserting that the tier's vectors ran. On a host
-//! without AVX2 both sides are the scalar kernels.
+//! back. Both families' tests run once per lane tier the host has (AVX-512
+//! and AVX2), asserting that the tier's vectors ran. On a host without
+//! AVX2 both sides are the scalar kernels.
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
 use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
@@ -14,7 +14,7 @@ use bfp_arith::packed::EpilogueCtx;
 #[cfg(target_arch = "x86_64")]
 use super::lanes::tests::route::take_widths;
 #[cfg(target_arch = "x86_64")]
-use super::lanes::tests::{element_group, exec_tiers, groups, on_tier, widths};
+use super::lanes::tests::{element_group, element_groups, exec_tiers, groups, on_tier, widths};
 use super::{fast, Datapath, NonlinearMode, OpCount, Vpu};
 use crate::engine::DivisionPolicy::{Host, OnChip};
 #[cfg(target_arch = "x86_64")]
@@ -181,6 +181,18 @@ fn check_fast_gelu(what: &str, src: &[f32]) {
     assert_same(what, &got, &want, vpu.count, charged);
 }
 
+fn check_fast_layernorm(what: &str, src: &[f32], gamma: &[f32], beta: &[f32]) {
+    let cols = gamma.len();
+    let mut vpu = Vpu::new();
+    let mut got = src.to_vec();
+    vpu.layernorm_rows_batch(&mut got, cols, gamma, beta, 1e-6, Host, Fast);
+    let mut want = src.to_vec();
+    want.chunks_exact_mut(cols)
+        .for_each(|r| fast::Unit.layernorm_row(r, gamma, beta, 1e-6));
+    let charged = fast::cost::layernorm_row(cols as u64).times((src.len() / cols) as u64);
+    assert_same(what, &got, &want, vpu.count, charged);
+}
+
 fn check_fast_softmax(what: &str, src: &[f32], cols: usize) {
     let mut vpu = Vpu::new();
     let mut got = src.to_vec();
@@ -300,15 +312,17 @@ fn layernorm_rows_equal_the_scalar_kernel_in_bits_and_counts() {
 }
 
 #[test]
+#[cfg(target_arch = "x86_64")]
 fn only_the_paper_datapath_selects_the_lanes() {
+    use super::lanes::Lane;
     on_exec_tiers(|| {
-        assert_eq!(Vpu::new().lane_datapath(), bfp_arith::fplanes::available());
+        assert!(Vpu::new().on_lanes());
         let mut scalar_arm = vec![("via_partials".to_string(), Vpu::via_partials())];
         for mul in [MulVariant::Exact, MulVariant::DropLsp] {
             for add in [AddVariant::Exact48, AddVariant::Truncate24] {
                 let vpu = Vpu::with_datapath(mul, add);
                 if (mul, add) == (MulVariant::DropLsp, AddVariant::Exact48) {
-                    assert_eq!(vpu.lane_datapath(), Vpu::new().lane_datapath());
+                    assert!(vpu.on_lanes());
                 } else {
                     scalar_arm.push((format!("{mul:?}/{add:?}"), vpu));
                 }
@@ -340,10 +354,7 @@ fn only_the_paper_datapath_selects_the_lanes() {
         let gamma = vec![1.1; 197];
         let beta = vec![0.2; 197];
         for (name, vpu) in &scalar_arm {
-            assert!(
-                !vpu.lane_datapath(),
-                "{name} must stay on the scalar kernels"
-            );
+            assert!(!vpu.on_lanes(), "{name} must stay on the scalar kernels");
             check_gelu(vpu, name, &data);
             check_softmax(vpu, name, &data, 197);
             check_layernorm(vpu, name, &data, &gamma, &beta);
@@ -395,125 +406,172 @@ const AMPLITUDES: [f32; 5] = [1e-3, 1.0, 6.0, 8.0, 100.0];
 
 #[test]
 fn fast_gelu_slice_equals_the_scalar_kernel_in_bits_and_counts() {
-    let out = fast_outliers();
-    for n in lengths() {
-        for amp in AMPLITUDES {
-            let base = uniform(n as u64 + 1, n, amp);
-            check_fast_gelu("uniform", &base);
-            for k in 0..out.len() {
-                check_fast_gelu("planted", &planted_from(&out, &base, k, 5, k % 5));
-                check_fast_gelu("sparse", &planted_from(&out, &base, k, 23, k));
+    on_exec_tiers(|| {
+        let out = fast_outliers();
+        for n in lengths() {
+            for amp in AMPLITUDES {
+                let base = uniform(n as u64 + 1, n, amp);
+                check_fast_gelu("uniform", &base);
+                for k in 0..out.len() {
+                    check_fast_gelu("planted", &planted_from(&out, &base, k, 5, k % 5));
+                    check_fast_gelu("sparse", &planted_from(&out, &base, k, 23, k));
+                }
             }
         }
-    }
-    // Every outlier alone in an otherwise vectorisable slice, in every
-    // lane of two vectors.
-    let base = uniform(7, 24, 2.0);
-    for (k, &o) in out.iter().enumerate() {
-        for lane in 0..16 {
-            let mut v = base.clone();
-            v[lane] = o;
-            check_fast_gelu(&format!("outlier {k} in lane {lane}"), &v);
+        // Every outlier alone in an otherwise vectorisable slice, in every
+        // lane of its first group (one 16-lane vector, two 8-lane ones).
+        let base = uniform(7, 24, 2.0);
+        for (k, &o) in out.iter().enumerate() {
+            for lane in 0..16 {
+                let mut v = base.clone();
+                v[lane] = o;
+                check_fast_gelu(&format!("outlier {k} in lane {lane}"), &v);
+            }
         }
-    }
-    check_fast_gelu("fc1 activations", &uniform(3, 197 * 1536, 3.0));
+        check_fast_gelu("fc1 activations", &uniform(3, 197 * 1536, 3.0));
+    });
 }
 
 #[test]
 fn fast_gelu_tile_equals_the_scalar_kernel_and_leaves_the_padding_alone() {
-    let out = fast_outliers();
-    let b = 8;
-    for (imax, jmax) in [(8, 8), (8, 5), (3, 8), (5, 3), (1, 1), (0, 8)] {
-        for k in 0..out.len() {
-            let src = planted_from(&out, &uniform(k as u64, b * b, 4.0), k, 11, k % 11);
-            let ctx = EpilogueCtx {
-                r0: 0,
-                c0: 0,
-                imax,
-                jmax,
-                b,
-            };
-            let mut vpu = Vpu::new();
-            let mut got = src.clone();
-            vpu.gelu_tile(&mut got, &ctx, Host, Fast);
-            let want: Vec<f32> = (0..b * b)
-                .map(|at| match (at / b < imax, at % b < jmax) {
-                    (true, true) => fast::Unit.gelu(src[at]),
-                    _ => src[at],
-                })
-                .collect();
-            let charged = fast::cost::gelu().times((imax * jmax) as u64);
-            assert_same(
-                &format!("tile {imax}×{jmax}"),
-                &got,
-                &want,
-                vpu.count,
-                charged,
-            );
+    on_exec_tiers(|| {
+        let out = fast_outliers();
+        let b = 8;
+        for (imax, jmax) in [(8, 8), (8, 5), (3, 8), (5, 3), (1, 1), (0, 8)] {
+            for k in 0..out.len() {
+                let src = planted_from(&out, &uniform(k as u64, b * b, 4.0), k, 11, k % 11);
+                let ctx = EpilogueCtx {
+                    r0: 0,
+                    c0: 0,
+                    imax,
+                    jmax,
+                    b,
+                };
+                let mut vpu = Vpu::new();
+                let mut got = src.clone();
+                vpu.gelu_tile(&mut got, &ctx, Host, Fast);
+                let want: Vec<f32> = (0..b * b)
+                    .map(|at| match (at / b < imax, at % b < jmax) {
+                        (true, true) => fast::Unit.gelu(src[at]),
+                        _ => src[at],
+                    })
+                    .collect();
+                let charged = fast::cost::gelu().times((imax * jmax) as u64);
+                assert_same(
+                    &format!("tile {imax}×{jmax}"),
+                    &got,
+                    &want,
+                    vpu.count,
+                    charged,
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn fast_softmax_rows_equal_the_scalar_kernel_in_bits_and_counts() {
-    let out = fast_outliers();
-    // 11 rows: one block of eight rows in flight, three single rows.
-    for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
-        for amp in AMPLITUDES {
-            let base = uniform(cols as u64, 11 * cols, amp);
-            check_fast_softmax("uniform", &base, cols);
-            for k in 0..out.len() {
-                check_fast_softmax("planted", &planted_from(&out, &base, k, 7, k % 7), cols);
+    on_exec_tiers(|| {
+        let out = fast_outliers();
+        // 11 rows: one block of eight interleaved row chains, three single
+        // rows.
+        for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
+            for amp in AMPLITUDES {
+                let base = uniform(cols as u64, 11 * cols, amp);
+                check_fast_softmax("uniform", &base, cols);
+                for k in 0..out.len() {
+                    check_fast_softmax("planted", &planted_from(&out, &base, k, 7, k % 7), cols);
+                }
+            }
+            check_fast_softmax("all equal", &vec![0.731; 11 * cols], cols);
+        }
+
+        // A row whose maximum is exactly 0, so `v − max` is `v`: each edge of
+        // `exp`'s lower clamp in every lane of the row's 16-element group and
+        // in its remainder, in a row of the eight-row block and in a single
+        // row.
+        let negative: Vec<f32> = uniform(5, 9 * 19, 40.0).iter().map(|v| -v.abs()).collect();
+        let below = f32::from_bits((-87.0f32).to_bits() + 1);
+        let above = f32::from_bits((-87.0f32).to_bits() - 1);
+        for o in [-87.0, below, above, -87.0001, -88.0, -1e4, -0.0] {
+            for row in [3, 8] {
+                for lane in 1..17 {
+                    let mut v = negative.clone();
+                    v[row * 19] = 0.0;
+                    v[row * 19 + lane] = o;
+                    check_fast_softmax(&format!("{o:e} at lane {lane} of row {row}"), &v, 19);
+                }
             }
         }
-        check_fast_softmax("all equal", &vec![0.731; 11 * cols], cols);
-    }
 
-    // A row whose maximum is exactly 0, so `v − max` is `v`: each edge of
-    // `exp`'s lower clamp in every lane of two vectors, in a row of the
-    // eight-row block and in a single row.
-    let negative: Vec<f32> = uniform(5, 9 * 19, 40.0).iter().map(|v| -v.abs()).collect();
-    let below = f32::from_bits((-87.0f32).to_bits() + 1);
-    let above = f32::from_bits((-87.0f32).to_bits() - 1);
-    for o in [-87.0, below, above, -87.0001, -88.0, -1e4, -0.0] {
-        for row in [3, 8] {
-            for lane in 1..17 {
-                let mut v = negative.clone();
-                v[row * 19] = 0.0;
-                v[row * 19 + lane] = o;
-                check_fast_softmax(&format!("{o:e} at lane {lane} of row {row}"), &v, 19);
+        // Maxima that are NaN, infinite, or a ±0 tie (first one wins) in both
+        // orders; the other elements are below zero.
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let heads = [
+            [nan, -1.0, -1.0],
+            [-1.0, nan, -1.0],
+            [inf, -1.0, -1.0],
+            [-1.0, inf, inf],
+            [-inf, -1.0, -1.0],
+            [-inf, -inf, -inf],
+            [-1.0, nan, inf],
+            [0.0, -0.0, -1.0],
+            [-0.0, 0.0, -1.0],
+            [-0.0, -0.0, 0.0],
+        ];
+        for head in heads {
+            for row in [3, 8] {
+                for at in [0, 7, 16] {
+                    let mut v: Vec<f32> = negative.iter().map(|x| x - 0.5).collect();
+                    v[row * 19 + at..][..3].copy_from_slice(&head);
+                    check_fast_softmax(&format!("{head:?} at {at} of row {row}"), &v, 19);
+                }
             }
         }
-    }
 
-    // Maxima that are NaN, infinite, or a ±0 tie (first one wins) in both
-    // orders; the other elements are below zero.
-    let (nan, inf) = (f32::NAN, f32::INFINITY);
-    let heads = [
-        [nan, -1.0, -1.0],
-        [-1.0, nan, -1.0],
-        [inf, -1.0, -1.0],
-        [-1.0, inf, inf],
-        [-inf, -1.0, -1.0],
-        [-inf, -inf, -inf],
-        [-1.0, nan, inf],
-        [0.0, -0.0, -1.0],
-        [-0.0, 0.0, -1.0],
-        [-0.0, -0.0, 0.0],
-    ];
-    for head in heads {
-        for row in [3, 8] {
-            for at in [0, 7, 16] {
-                let mut v: Vec<f32> = negative.iter().map(|x| x - 0.5).collect();
-                v[row * 19 + at..][..3].copy_from_slice(&head);
-                check_fast_softmax(&format!("{head:?} at {at} of row {row}"), &v, 19);
+        check_fast_softmax("all −inf", &vec![-inf; 9 * 19], 19);
+
+        check_fast_softmax("attention scores", &uniform(9, 197 * 197, 4.0), 197);
+    });
+}
+
+#[test]
+fn fast_layernorm_rows_equal_the_scalar_kernel_in_bits_and_counts() {
+    on_exec_tiers(|| {
+        let out = fast_outliers();
+        for cols in lengths().into_iter().filter(|&c| c > 0 && c <= 197) {
+            let gamma: Vec<f32> = uniform(3, cols, 0.1).iter().map(|g| 1.0 + g).collect();
+            let beta = uniform(4, cols, 0.1);
+            for amp in AMPLITUDES {
+                let base = uniform(cols as u64, 11 * cols, amp);
+                check_fast_layernorm("uniform", &base, &gamma, &beta);
+                // One outlier in every row, each in another column.
+                for k in 0..out.len() {
+                    let mut v = base.clone();
+                    for (r, row) in v.chunks_exact_mut(cols).enumerate() {
+                        row[(7 * r + k) % cols] = out[(k + r) % out.len()];
+                    }
+                    check_fast_layernorm("an outlier per row", &v, &gamma, &beta);
+                }
+            }
+            // Zeros of both signs (β = −0 lets a −0 through), and ±0, NaN and
+            // |v| > 2⁴⁰ planted in γ and β.
+            let minus_zero = vec![-0.0; cols];
+            check_fast_layernorm("all +0", &vec![0.0; 11 * cols], &gamma, &beta);
+            check_fast_layernorm("all −0", &vec![-0.0; 11 * cols], &gamma, &minus_zero);
+            let base = uniform(cols as u64 + 7, 11 * cols, 3.0);
+            for (k, o) in [0.0, -0.0, f32::NAN, 2.2e12, -3e20].into_iter().enumerate() {
+                let mut g = gamma.clone();
+                g[k % cols] = o;
+                check_fast_layernorm("planted gamma", &base, &g, &beta);
+                let mut b = beta.clone();
+                b[(3 * k) % cols] = o;
+                check_fast_layernorm("planted beta", &base, &gamma, &b);
             }
         }
-    }
-
-    check_fast_softmax("all −inf", &vec![-inf; 9 * 19], 19);
-
-    check_fast_softmax("attention scores", &uniform(9, 197 * 197, 4.0), 197);
+        let (gamma, beta) = (vec![1.25; 384], vec![-0.5; 384]);
+        check_fast_layernorm("DeiT tokens", &uniform(98, 197 * 384, 2.0), &gamma, &beta);
+    });
 }
 
 #[test]
@@ -595,47 +653,77 @@ fn a_row_block_with_an_outlier_falls_back_without_moving_its_neighbours() {
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn in_regime_deit_shapes_take_the_lanes_and_outliers_do_not() {
-    use super::fast_lanes;
-    if !bfp_arith::fplanes::available() {
-        return;
+    for tier in exec_tiers() {
+        on_tier(tier, || {
+            fast_deit_shapes_take_the_lanes(tier);
+            exact_deit_shapes_take_the_lanes(tier);
+        });
     }
-    let mut vpu = Vpu::new();
-    let (seq, hidden) = (197, 1536);
+}
 
-    // Fast: every whole group of eight on the lanes …
+/// The fast half of [`in_regime_deit_shapes_take_the_lanes_and_outliers_do_not`]
+/// on the lanes' `tier`: every whole group of 128 elements (AVX-512) or 64
+/// (AVX2), then of half as many, of 16 and of 8, runs on the native lanes,
+/// and no row pass takes a lane: the max scan and the sums run every row as
+/// scalar chains.
+#[cfg(target_arch = "x86_64")]
+fn fast_deit_shapes_take_the_lanes(tier: Tier) {
+    use super::lanes::tests::route;
+    let mut vpu = Vpu::new();
+    let (seq, dim, hidden) = (197, 384, 1536);
+    let per = |n: usize| element_groups::<fast::Unit>(tier, n);
+    // GELU: 197·1536 is 2 364 groups of 128, or 4 728 of 64. Softmax's
+    // exponentials: 197 = 128 + 64 + 5, two groups per row (three of 64 on
+    // AVX2), five elements on the scalar body. LayerNorm's centre and
+    // affine passes: 384 is three groups per row (six on AVX2).
+    let split = match tier {
+        Tier::Avx512 => (2364, 2, 3),
+        _ => (4728, 3, 6),
+    };
+    assert_eq!((per(seq * hidden), per(seq), per(dim)), split, "{tier}");
+    let rows = seq as u64;
+    let (gamma, beta) = (vec![1.1; dim], vec![0.2; dim]);
     let mut fc1 = uniform(1, seq * hidden, 3.0);
     let mut scores = uniform(2, seq * seq, 4.0);
-    fast_lanes::route::take();
+    let mut tokens = uniform(3, seq * dim, 2.0);
+    route::take_groups();
+    route::take_rows();
     vpu.gelu_slice(&mut fc1, Host, Fast);
-    assert_eq!(fast_lanes::route::take(), ((seq * hidden / 8) as u64, 0));
+    assert_eq!(route::take_groups(), (per(seq * hidden), 0), "{tier}");
     vpu.softmax_rows_batch(&mut scores, seq, Host, Fast);
-    assert_eq!(fast_lanes::route::take(), ((seq * (seq / 8)) as u64, 0));
-    // … and none of them when each holds an element outside the regime.
+    assert_eq!(route::take_groups(), (rows * per(seq), 0), "{tier}");
+    assert_eq!(route::take_rows(), (0, 2 * rows), "{tier}");
+    vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Fast);
+    assert_eq!(route::take_groups(), (2 * rows * per(dim), 0), "{tier}");
+    assert_eq!(route::take_rows(), (0, 2 * rows), "{tier}");
+
+    // … and none of them when every eighth element is outside the regime:
+    // beyond GELU's |x| ≤ 6 or NaN, a softmax element whose `v − max` is
+    // below −87, a LayerNorm operand above 2⁴⁰ (centred, still above it).
     let mut fc1 = uniform(1, seq * hidden, 3.0);
-    for (group, v) in fc1.iter_mut().step_by(8).enumerate() {
-        *v = [7.0, f32::NAN][group % 2];
+    for (k, v) in fc1.iter_mut().step_by(8).enumerate() {
+        *v = [7.0, f32::NAN][k % 2];
     }
     vpu.gelu_slice(&mut fc1, Host, Fast);
-    assert_eq!(fast_lanes::route::take(), (0, (seq * hidden / 8) as u64));
+    assert_eq!(route::take_groups(), (0, per(seq * hidden)), "{tier}");
     let mut scores = uniform(2, seq * seq, 4.0);
     for row in scores.chunks_exact_mut(seq) {
         row.iter_mut().step_by(8).for_each(|v| *v = -1e4);
     }
     vpu.softmax_rows_batch(&mut scores, seq, Host, Fast);
-    assert_eq!(fast_lanes::route::take(), (0, (seq * (seq / 8)) as u64));
-
-    // Exact, on every lane tier: every whole group of 64 (AVX-512) or 32
-    // (AVX2), then of half as many, of 8 and of 4 runs on the tier's
-    // vectors — GELU
-    // 197·1536 / 64 groups, softmax three of 64 and one of 4 per 197-wide
-    // row, LayerNorm 384 / 64 per row in each of its two passes …
-    for tier in exec_tiers() {
-        on_tier(tier, || exact_deit_shapes_take_the_lanes(tier));
-    }
+    assert_eq!(route::take_groups(), (0, rows * per(seq)), "{tier}");
+    let mut tokens = uniform(3, seq * dim, 2.0);
+    tokens.iter_mut().step_by(8).for_each(|v| *v = 2.2e12);
+    vpu.layernorm_rows_batch(&mut tokens, dim, &gamma, &beta, 1e-6, Host, Fast);
+    assert_eq!(route::take_groups(), (0, 2 * rows * per(dim)), "{tier}");
+    route::take_rows();
 }
 
 /// The exact half of [`in_regime_deit_shapes_take_the_lanes_and_outliers_do_not`]
-/// on the lanes' `tier`.
+/// on the lanes' `tier`: every whole group of 64 (AVX-512) or 32 (AVX2),
+/// then of half as many, of 8 and of 4 runs on the tier's vectors — GELU
+/// 197·1536 / 64 groups, softmax three of 64 and one of 4 per 197-wide
+/// row, LayerNorm 384 / 64 per row in each of its two passes …
 #[cfg(target_arch = "x86_64")]
 fn exact_deit_shapes_take_the_lanes(tier: Tier) {
     use super::lanes::tests::route;
@@ -764,28 +852,34 @@ fn vpu_shards_keep_the_serial_lock_step_split() {
     }
 }
 
-/// Every f32 through the fast GELU batch route (the lanes for `|x| ≤ 6`,
-/// the scalar kernel beyond), 2¹⁶ consecutive patterns per call.
+/// Every f32 through the fast GELU batch route (the native lanes for
+/// `|x| ≤ 6`, the scalar kernel beyond), 2¹⁶ consecutive patterns per
+/// call, on every lane tier.
 #[test]
-#[ignore = "2³² patterns: release sweep, run by CI's envelope step"]
+#[cfg(target_arch = "x86_64")]
+#[ignore = "2³² patterns per tier: release sweep, run by CI's envelope step"]
 fn fast_gelu_route_equals_the_scalar_kernel_on_every_f32() {
-    let sweep = |chunks: std::ops::Range<u32>| {
+    let sweep = |tier: Tier, chunks: std::ops::Range<u32>| {
         let mut vpu = Vpu::new();
+        let mut src = vec![0f32; 1 << 16];
         for hi in chunks {
-            let src: Vec<f32> = (0..1u32 << 16)
-                .map(|lo| f32::from_bits(hi << 16 | lo))
-                .collect();
+            for (lo, x) in src.iter_mut().enumerate() {
+                *x = f32::from_bits(hi << 16 | lo as u32);
+            }
             let mut got = src.clone();
-            vpu.gelu_slice(&mut got, Host, Fast);
+            on_tier(tier, || vpu.gelu_slice(&mut got, Host, Fast));
             for (g, x) in got.iter().zip(&src) {
-                assert_eq!(g.to_bits(), fast::Unit.gelu(*x).to_bits(), "gelu({x:e})");
+                let want = fast::Unit.gelu(*x).to_bits();
+                assert_eq!(g.to_bits(), want, "gelu({x:e}) on {tier}");
             }
         }
     };
-    std::thread::scope(|s| {
-        s.spawn(|| sweep(0..1 << 15));
-        s.spawn(|| sweep(1 << 15..1 << 16));
-    });
+    for tier in exec_tiers() {
+        std::thread::scope(|s| {
+            s.spawn(|| sweep(tier, 0..1 << 15));
+            s.spawn(|| sweep(tier, 1 << 15..1 << 16));
+        });
+    }
 }
 
 /// The exact GELU body on the lanes against [`Vpu::gelu`], in bits and
